@@ -3,14 +3,15 @@
 Initial states are (control point, phase) pairs; a configuration
 (<p, w>, theta) is accepted iff the automaton has a path labelled w from
 the initial state (p, theta) to a final state, with epsilon moves allowed
-anywhere along the path.
+anywhere along the path.  The classical saturations of the translated
+PDS build the same automata (see `Initial`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Hashable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .model import Configuration, Phase, SMPDS
 
@@ -23,11 +24,11 @@ EPS: Label = None
 class Initial:
     """The state the saturation rules key on: one per (control point, phase).
 
-    For plain-PDS automata (baseline saturations) `control` is the paired
-    PDS state and `phase` is None.
+    The paired PDS state (p, theta) of the translation is Initial(p, theta)
+    as well, so classical saturations build ordinary P-automata.
     """
-    control: Hashable
-    phase: Optional[Phase]
+    control: str
+    phase: Phase
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,9 @@ class Plain:
 @dataclass(frozen=True)
 class Generated:
     """post* helper state, one per (control point, first pushed symbol, phase)."""
-    control: Hashable
+    control: str
     symbol: str
-    phase: Optional[Phase]
+    phase: Phase
 
 
 AutState = Union[Initial, Plain, Generated]
@@ -142,8 +143,6 @@ class PAutomaton:
         found: set[Configuration] = set()
         symbols = sorted(self.alphabet)
         for init in self.initial_states():
-            if init.phase is None:
-                continue
             frontier: list[tuple[tuple[str, ...], frozenset[AutState]]] = [
                 ((), self.eclosure(init))]
             for _ in range(max_len + 1):
@@ -165,7 +164,7 @@ class PAutomaton:
                     break
         return found
 
-    def control_reachable(self, control: Hashable) -> bool:
+    def control_reachable(self, control: str) -> bool:
         """True iff some configuration with this control point is accepted."""
         starts = [q for q in self.initial_states() if q.control == control]
         seen: set[AutState] = set()

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from .automaton import from_configs
 from .model import Configuration, Phase, PdsRule, SelfModRule, SMPDS
 from .prestar import prestar
-from .translate import config_to_pds, pds_from_configs, pds_prestar, phase_closure, to_pds
+from .translate import pds_prestar, phase_closure, to_pds
 
 
 @dataclass
@@ -149,7 +149,7 @@ def run_translated(instance: Instance, budget: Budget | None = None) -> ReportRo
                                tick=budget.tick)
         pds = to_pds(instance.smpds, phases, tick=budget.tick)
         row.pds_ms = (time.perf_counter() - t0) * 1e3
-        aut = pds_from_configs(pds, [config_to_pds(instance.target)])
+        aut = from_configs(instance.smpds, [instance.target])
         t1 = time.perf_counter()
         pds_prestar(pds, aut, tick=budget.tick)
         row.pds_saturate_ms = (time.perf_counter() - t1) * 1e3

@@ -20,8 +20,7 @@ import random
 import sys
 
 from . import asm, bench, formats, model
-from .automaton import from_configs
-from .model import Configuration
+from .automaton import Generated, Initial, PAutomaton
 from .prestar import SaturationStats, prestar
 from .poststar import poststar
 from .translate import phase_closure, to_pds, to_symbolic_pds
@@ -46,6 +45,31 @@ def _load_doc(path: str) -> formats.SmpdsDocument:
     return formats.parse_smpds(_read(path))
 
 
+def _validate_doc(doc: formats.SmpdsDocument) -> model.ValidationReport:
+    report = model.validate(doc.smpds)
+    for i, c in enumerate(doc.configs):
+        try:
+            model.check_configuration(doc.smpds, c)
+        except ValueError as e:
+            report.violations.append(f"config {i}: {e}")
+    return report
+
+
+def _load_query(args) -> tuple[formats.SmpdsDocument, PAutomaton]:
+    """Parse the model and the automaton; raise unless both validate, so
+    no undeclared rule id reaches a saturation."""
+    doc = _load_doc(args.model)
+    violations = _validate_doc(doc).violations
+    aut = formats.parse_automaton(_read(args.automaton), doc)
+    phases = {q.phase for q in aut.states if isinstance(q, (Initial, Generated))}
+    violations += [f"automaton phase {phase} references unknown rule ids"
+                   for phase in sorted(phases, key=repr)
+                   if not phase.members <= doc.smpds.rules.keys()]
+    if violations:
+        raise ValueError("; ".join(violations))
+    return doc, aut
+
+
 def _emit_stats(args, stats: SaturationStats) -> None:
     if args.stats and not args.quiet:
         print(f"transitions added: {stats.transitions_added}", file=sys.stderr)
@@ -56,12 +80,7 @@ def _emit_stats(args, stats: SaturationStats) -> None:
 
 def cmd_validate(args) -> int:
     doc = _load_doc(args.model)
-    report = model.validate(doc.smpds)
-    for i, c in enumerate(doc.configs):
-        try:
-            model.check_configuration(doc.smpds, c)
-        except ValueError as e:
-            report.violations.append(f"config {i}: {e}")
+    report = _validate_doc(doc)
     for v in report.violations:
         print(f"error: {v}", file=sys.stderr)
     if not args.quiet:
@@ -75,8 +94,7 @@ def cmd_validate(args) -> int:
 
 
 def _saturate(args, op) -> int:
-    doc = _load_doc(args.model)
-    aut = formats.parse_automaton(_read(args.automaton), doc)
+    doc, aut = _load_query(args)
     stats = SaturationStats()
     result = op(doc.smpds, aut, stats)
     _emit_stats(args, stats)
@@ -126,12 +144,12 @@ def cmd_asm2smpds(args) -> int:
 
 
 def cmd_check(args) -> int:
-    doc = _load_doc(args.model)
-    if not doc.configs:
-        print("error: model file declares no config", file=sys.stderr)
+    doc, aut = _load_query(args)
+    if not 0 <= args.config < len(doc.configs):
+        print(f"error: --config {args.config} out of range: the model file "
+              f"declares {len(doc.configs)} config(s)", file=sys.stderr)
         return 2
     config = doc.configs[args.config]
-    aut = formats.parse_automaton(_read(args.automaton), doc)
     if args.direction == "pre":
         result = prestar(doc.smpds, aut)
     else:
@@ -143,8 +161,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    doc = _load_doc(args.model)
-    aut = formats.parse_automaton(_read(args.automaton), doc)
+    doc, aut = _load_query(args)
     lines = []
     for c in sorted(aut.enumerate_configs(args.max_len),
                     key=lambda c: (len(c.stack), c.state, c.stack)):

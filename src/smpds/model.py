@@ -59,6 +59,10 @@ class Phase:
     def __eq__(self, other: object) -> bool:
         return self is other
 
+    def __reduce__(self):
+        # unpickle through the intern table, so identity survives the trip
+        return (Phase.of, (self._key,))
+
     def __repr__(self) -> str:
         return "{%s}" % ",".join(str(i) for i in self._key)
 

@@ -23,27 +23,18 @@ from collections import deque
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton
 from .model import Phase, PdsRule, RuleId, SelfModRule, SMPDS
-from .prestar import SaturationStats
+from .prestar import SaturationStats, run_engine
 
 
 class _PoststarEngine:
     def __init__(self, smpds: SMPDS, aut: PAutomaton, tick=None):
         self.tick = tick
-        for rid in smpds.delta:
-            if len(smpds.rules[rid].rhs_word) > 2:
-                raise ValueError(f"rule {rid} pushes more than 2 symbols; "
-                                 "run normalize_push first")
-        for rid in smpds.delta_c:
-            if smpds.rules[rid].removed == rid:
-                raise ValueError(
-                    "self-referential modifying rule; run normalize_selfmod first")
         if aut.has_transition_into_initial():
             raise ValueError("input automaton has a transition into an initial state")
         for src, label, _ in aut.transitions:
             # the saturation's own output has eps edges, but only leaving
             # initial states; anything else is rejected rather than closed
-            if label is EPS and not (isinstance(src, Initial)
-                                     and src.phase is not None):
+            if label is EPS and not isinstance(src, Initial):
                 raise ValueError("epsilon edges may only leave initial states")
         self.smpds = smpds
         self.aut = aut.copy()
@@ -83,7 +74,7 @@ class _PoststarEngine:
             self.worklist.append((src, label, dst))
 
     def _process(self, src: AutState, label, dst: AutState) -> None:
-        if isinstance(src, Initial) and src.phase is not None:
+        if isinstance(src, Initial):
             if label is EPS:
                 self.eps_out.setdefault(src, set()).add(dst)
                 self.eps_into.setdefault(dst, set()).add(src)
@@ -123,33 +114,26 @@ class _PoststarEngine:
                           symbol, q)
 
     def _empty_stack_successors(self, init: Initial) -> None:
-        """Fire modifying rules from a state that accepts the empty stack."""
-        p, theta = init.control, init.phase
-        eps_final = next((q for q in self.eps_out.get(init, ())
-                          if q in self.aut.finals), None)
-        for rid, r in self.sm_by_source.get(p, ()):
-            if rid in theta and r.removed in theta:
-                succ = Initial(r.to_state, theta.update(r.removed, r.added))
-                if eps_final is not None:
-                    self._add(succ, EPS, eps_final)
-                elif succ not in self.aut.finals:
-                    self.aut.add_final(succ)
-                    self.stats.finals_added += 1
-                    self._empty_stack_successors(succ)
+        """Fire modifying rules from a state that accepts the empty stack,
+        and from each successor that comes to accept it in turn."""
+        todo = [init]
+        while todo:
+            q = todo.pop()
+            theta = q.phase
+            eps_final = next((f for f in self.eps_out.get(q, ())
+                              if f in self.aut.finals), None)
+            for rid, r in self.sm_by_source.get(q.control, ()):
+                if rid in theta and r.removed in theta:
+                    succ = Initial(r.to_state, theta.update(r.removed, r.added))
+                    if eps_final is not None:
+                        self._add(succ, EPS, eps_final)
+                    elif succ not in self.aut.finals:
+                        self.aut.add_final(succ)
+                        self.stats.finals_added += 1
+                        todo.append(succ)
 
 
 def poststar(smpds: SMPDS, aut: PAutomaton,
              stats: SaturationStats | None = None, tick=None) -> PAutomaton:
     """Saturate a copy of `aut` so it accepts post*(L(aut))."""
-    import time
-    t0 = time.perf_counter()
-    engine = _PoststarEngine(smpds, aut, tick)
-    result = engine.run()
-    engine.stats.wall_seconds = time.perf_counter() - t0
-    if stats is not None:
-        stats.transitions_added = engine.stats.transitions_added
-        stats.finals_added = engine.stats.finals_added
-        stats.phases_materialized = len(
-            {q.phase for q in result.initial_states() if q.phase is not None})
-        stats.wall_seconds = engine.stats.wall_seconds
-    return result
+    return run_engine(_PoststarEngine, smpds, aut, stats, tick)

@@ -18,8 +18,9 @@ reached through modifying rules.
 
 from __future__ import annotations
 
+import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automaton import EPS, AutState, Initial, PAutomaton
 from .model import Phase, PdsRule, RuleId, SelfModRule, SMPDS
@@ -29,8 +30,34 @@ from .model import Phase, PdsRule, RuleId, SelfModRule, SMPDS
 class SaturationStats:
     transitions_added: int = 0
     finals_added: int = 0
+    # distinct phases on the initial states of the result
     phases_materialized: int = 0
     wall_seconds: float = 0.0
+
+
+def run_engine(engine_class, smpds: SMPDS, aut: PAutomaton,
+               stats: SaturationStats | None, tick) -> PAutomaton:
+    """Build and run a saturation engine, filling `stats` if given.
+
+    The engine counts transitions and finals; phases and wall time are
+    read off the run the same way for every engine.
+    """
+    t0 = time.perf_counter()
+    for rid, r in smpds.rules.items():
+        if isinstance(r, PdsRule) and len(r.rhs_word) > 2:
+            raise ValueError(f"rule {rid} pushes more than 2 symbols; "
+                             "run normalize_push first")
+        if isinstance(r, SelfModRule) and r.removed == rid:
+            raise ValueError(
+                "self-referential modifying rule; run normalize_selfmod first")
+    engine = engine_class(smpds, aut, tick)
+    result = engine.run()
+    if stats is not None:
+        vars(stats).update(
+            vars(engine.stats),
+            phases_materialized=len({q.phase for q in result.initial_states()}),
+            wall_seconds=time.perf_counter() - t0)
+    return result
 
 
 def solve_predecessor_phases(theta: Phase, rid: RuleId,
@@ -58,10 +85,6 @@ def solve_predecessor_phases(theta: Phase, rid: RuleId,
 
 class _PrestarEngine:
     def __init__(self, smpds: SMPDS, aut: PAutomaton, tick=None):
-        for rid in smpds.delta_c:
-            if smpds.rules[rid].removed == rid:
-                raise ValueError(
-                    "self-referential modifying rule; run normalize_selfmod first")
         self.smpds = smpds
         self.aut = aut.copy()
         self.stats = SaturationStats()
@@ -78,12 +101,9 @@ class _PrestarEngine:
             elif len(r.rhs_word) == 1:
                 self.one_rules.setdefault(
                     (r.rhs_state, r.rhs_word[0]), []).append((rid, r))
-            elif len(r.rhs_word) == 2:
+            else:
                 self.two_rules.setdefault(
                     (r.rhs_state, r.rhs_word[0]), []).append((rid, r))
-            else:
-                raise ValueError(f"rule {rid} pushes more than 2 symbols; "
-                                 "run normalize_push first")
         self.sm_by_target: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
         for rid in smpds.delta_c:
             r = smpds.rules[rid]
@@ -115,9 +135,8 @@ class _PrestarEngine:
         return self.eps_pred.get(q, {q})
 
     def run(self) -> PAutomaton:
-        for q in list(self.aut.states):
-            if isinstance(q, Initial) and q.phase is not None:
-                self._materialize_phase(q.phase)
+        for q in self.aut.initial_states():
+            self._materialize_phase(q.phase)
         for src, label, dst in list(self.aut.transitions):
             if label is not EPS:
                 self.worklist.append((src, label, dst))
@@ -134,14 +153,12 @@ class _PrestarEngine:
         if self.aut.add_transition(src, label, dst):
             self.stats.transitions_added += 1
             self.worklist.append((src, label, dst))
-            if src.phase is not None:
-                self._materialize_phase(src.phase)
+            self._materialize_phase(src.phase)
 
     def _materialize_phase(self, theta: Phase) -> None:
         if theta in self.phases:
             return
         self.phases.add(theta)
-        self.stats.phases_materialized += 1
         # alpha1 for pop rules: the path (p1,theta) --eps--> q always exists
         for rid, r in self.pop_rules:
             if rid in theta:
@@ -163,7 +180,7 @@ class _PrestarEngine:
     def _new_fact(self, src: AutState, label: str, dst: AutState) -> None:
         for waiting_src, waiting_label in self.pending.get((src, label), ()):
             self._add(waiting_src, waiting_label, dst)
-        if not isinstance(src, Initial) or src.phase is None:
+        if not isinstance(src, Initial):
             return
         p1, theta = src.control, src.phase
         for rid, r in self.one_rules.get((p1, label), ()):
@@ -187,7 +204,7 @@ class _PrestarEngine:
         # is accepted, its predecessor (<p, eps>, theta') must be as well,
         # which is only expressible by making (p, theta') final.
         queue = deque(q for q in self.aut.states
-                      if isinstance(q, Initial) and q.phase is not None
+                      if isinstance(q, Initial)
                       and self._eps_succ(q) & self.aut.finals)
         seen = set(queue)
         while queue:
@@ -208,14 +225,4 @@ class _PrestarEngine:
 def prestar(smpds: SMPDS, aut: PAutomaton,
             stats: SaturationStats | None = None, tick=None) -> PAutomaton:
     """Saturate a copy of `aut` so it accepts pre*(L(aut))."""
-    import time
-    t0 = time.perf_counter()
-    engine = _PrestarEngine(smpds, aut, tick)
-    result = engine.run()
-    engine.stats.wall_seconds = time.perf_counter() - t0
-    if stats is not None:
-        stats.transitions_added = engine.stats.transitions_added
-        stats.finals_added = engine.stats.finals_added
-        stats.phases_materialized = engine.stats.phases_materialized
-        stats.wall_seconds = engine.stats.wall_seconds
-    return result
+    return run_engine(_PrestarEngine, smpds, aut, stats, tick)

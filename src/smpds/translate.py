@@ -8,16 +8,17 @@ relation, stored intensionally.
 
 Classical pre*/post* saturations for ordinary PDSs are included as an
 independent implementation used for cross-checking the direct engines.
+A paired configuration ((p, theta), w) is the SM-PDS configuration
+(<p, w>, theta), so they take and return ordinary P-automata.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
-from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
+from .automaton import EPS, AutState, Generated, Initial, PAutomaton, from_configs
 from .model import Configuration, Phase, PdsRule, RuleId, SelfModRule, SMPDS
 from .prestar import solve_predecessor_phases
 
@@ -48,7 +49,7 @@ class Identity:
     def holds(self, theta: Phase, theta2: Phase) -> bool:
         return self.guard in theta and theta is theta2
 
-    def image(self, theta: Phase) -> Optional[Phase]:
+    def image(self, theta: Phase) -> Phase | None:
         return theta if self.guard in theta else None
 
 
@@ -63,7 +64,7 @@ class Modify:
     def holds(self, theta: Phase, theta2: Phase) -> bool:
         return self.image(theta) is theta2
 
-    def image(self, theta: Phase) -> Optional[Phase]:
+    def image(self, theta: Phase) -> Phase | None:
         if self.guard in theta and self.removed in theta:
             return theta.update(self.removed, self.added)
         return None
@@ -184,29 +185,13 @@ def config_to_pds(c: Configuration) -> tuple[PdsState, tuple[str, ...]]:
 def pds_from_configs(pds: PDS,
                      configs: Iterable[tuple[PdsState, tuple[str, ...]]]
                      ) -> PAutomaton:
-    """Chain automaton over paired-state initials (phase slot unused)."""
-    aut = PAutomaton(pds.alphabet)
-    final = Plain("acc")
-    for i, (state, stack) in enumerate(configs):
-        init = aut.add_state(Initial(state, None))
-        if not stack:
-            aut.add_final(init)
-            continue
-        prev: AutState = init
-        for j, g in enumerate(stack[:-1]):
-            nxt = Plain(f"s{i}_{j + 1}")
-            aut.add_transition(prev, g, nxt)
-            prev = nxt
-        aut.add_transition(prev, stack[-1], final)
-        aut.add_final(final)
-    return aut
+    """`from_configs` for paired configurations ((p, theta), w)."""
+    return from_configs(pds, (Configuration(p, stack, theta)
+                              for (p, theta), stack in configs))
 
 
 def pds_accepts(aut: PAutomaton, state: PdsState, stack: tuple[str, ...]) -> bool:
-    init = Initial(state, None)
-    if init not in aut.states:
-        return False
-    return bool(aut.reach_states(init, stack) & aut.finals)
+    return aut.accepts(Configuration(state[0], stack, state[1]))
 
 
 def pds_prestar(pds: PDS, aut: PAutomaton,
@@ -217,17 +202,11 @@ def pds_prestar(pds: PDS, aut: PAutomaton,
     if aut.has_epsilon():
         raise ValueError("input automaton must be epsilon-free")
     result = aut.copy()
-    pop_rules = [r for r in pds.rules if len(r.rhs_word) == 0]
-    one_rules: dict[tuple[PdsState, str], list[PairedRule]] = {}
-    two_rules: dict[tuple[PdsState, str], list[PairedRule]] = {}
-    for r in pds.rules:
-        if len(r.rhs_word) == 1:
-            one_rules.setdefault((r.rhs_state, r.rhs_word[0]), []).append(r)
-        elif len(r.rhs_word) == 2:
-            two_rules.setdefault((r.rhs_state, r.rhs_word[0]), []).append(r)
-        elif len(r.rhs_word) > 2:
-            raise ValueError("classical pre* expects |w| <= 2 rules")
-    worklist: deque[tuple[AutState, str, AutState]] = deque()
+    # rules indexed by (p', theta, first pushed symbol) of their right side,
+    # each with its left side as an initial state
+    one_rules: dict[tuple[str, Phase, str], list[tuple[Initial, str]]] = {}
+    two_rules: dict[tuple[str, Phase, str], list[tuple[Initial, str, str]]] = {}
+    worklist: deque[tuple[AutState, str, AutState]] = deque(result.transitions)
     pending: dict[tuple[AutState, str], set[tuple[Initial, str]]] = {}
     out_index: dict[tuple[AutState, str], set[AutState]] = {}
 
@@ -235,11 +214,18 @@ def pds_prestar(pds: PDS, aut: PAutomaton,
         if result.add_transition(src, label, dst):
             worklist.append((src, label, dst))
 
-    for r in pop_rules:
-        add(Initial(r.lhs_state, None), r.lhs_symbol, Initial(r.rhs_state, None))
-    for t in list(result.transitions):
-        if t not in worklist:
-            worklist.append(t)
+    for r in pds.rules:
+        lhs = Initial(*r.lhs_state)
+        if len(r.rhs_word) == 0:
+            add(lhs, r.lhs_symbol, Initial(*r.rhs_state))
+        elif len(r.rhs_word) == 1:
+            one_rules.setdefault((*r.rhs_state, r.rhs_word[0]), []).append(
+                (lhs, r.lhs_symbol))
+        elif len(r.rhs_word) == 2:
+            two_rules.setdefault((*r.rhs_state, r.rhs_word[0]), []).append(
+                (lhs, r.lhs_symbol, r.rhs_word[1]))
+        else:
+            raise ValueError("classical pre* expects |w| <= 2 rules")
     while worklist:
         if tick is not None:
             tick()
@@ -248,13 +234,13 @@ def pds_prestar(pds: PDS, aut: PAutomaton,
         for wsrc, wlabel in pending.get((src, label), set()):
             add(wsrc, wlabel, dst)
         if isinstance(src, Initial):
-            for r in one_rules.get((src.control, label), ()):
-                add(Initial(r.lhs_state, None), r.lhs_symbol, dst)
-            for r in two_rules.get((src.control, label), ()):
-                trigger = (Initial(r.lhs_state, None), r.lhs_symbol)
-                pending.setdefault((dst, r.rhs_word[1]), set()).add(trigger)
-                for d2 in out_index.get((dst, r.rhs_word[1]), ()):
-                    add(trigger[0], trigger[1], d2)
+            key = (src.control, src.phase, label)
+            for lhs, symbol in one_rules.get(key, ()):
+                add(lhs, symbol, dst)
+            for lhs, symbol, second in two_rules.get(key, ()):
+                pending.setdefault((dst, second), set()).add((lhs, symbol))
+                for d2 in out_index.get((dst, second), ()):
+                    add(lhs, symbol, d2)
     return result
 
 
@@ -266,32 +252,33 @@ def pds_poststar(pds: PDS, aut: PAutomaton,
     if aut.has_epsilon():
         raise ValueError("input automaton must be epsilon-free")
     result = aut.copy()
-    by_lhs: dict[tuple[PdsState, str], list[PairedRule]] = {}
+    by_lhs: dict[tuple[str, Phase, str], list[PairedRule]] = {}
     for r in pds.rules:
         if len(r.rhs_word) > 2:
             raise ValueError("classical post* expects |w| <= 2 rules")
-        by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append(r)
+        by_lhs.setdefault((*r.lhs_state, r.lhs_symbol), []).append(r)
     worklist: deque[tuple[AutState, object, AutState]] = deque(result.transitions)
-    facts: dict[tuple[PdsState, str], set[AutState]] = {}
+    facts: dict[tuple[str, Phase, str], set[AutState]] = {}
     eps_into: dict[AutState, set[Initial]] = {}
 
     def add(src: AutState, label, dst: AutState) -> None:
         if result.add_transition(src, label, dst):
             worklist.append((src, label, dst))
 
-    def new_fact(state: PdsState, symbol: str, q: AutState) -> None:
-        known = facts.setdefault((state, symbol), set())
+    def new_fact(init: Initial, symbol: str, q: AutState) -> None:
+        key = (init.control, init.phase, symbol)
+        known = facts.setdefault(key, set())
         if q in known:
             return
         known.add(q)
-        for r in by_lhs.get((state, symbol), ()):
-            src = Initial(r.rhs_state, None)
+        for r in by_lhs.get(key, ()):
+            src = Initial(*r.rhs_state)
             if len(r.rhs_word) == 0:
                 add(src, EPS, q)
             elif len(r.rhs_word) == 1:
                 add(src, r.rhs_word[0], q)
             else:
-                gen = Generated(r.rhs_state, r.rhs_word[0], None)
+                gen = Generated(src.control, r.rhs_word[0], src.phase)
                 add(src, r.rhs_word[0], gen)
                 add(gen, r.rhs_word[1], q)
 
@@ -305,10 +292,10 @@ def pds_poststar(pds: PDS, aut: PAutomaton,
                 for symbol, targets in list(result._out.get(dst, {}).items()):
                     if symbol is not EPS:
                         for q in list(targets):
-                            new_fact(src.control, symbol, q)
+                            new_fact(src, symbol, q)
             else:
-                new_fact(src.control, label, dst)
+                new_fact(src, label, dst)
         else:
             for init in list(eps_into.get(src, ())):
-                new_fact(init.control, label, dst)
+                new_fact(init, label, dst)
     return result

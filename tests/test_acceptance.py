@@ -21,8 +21,6 @@ from smpds import (
     bounded_reach,
     config_to_pds,
     from_configs,
-    pds_accepts,
-    pds_from_configs,
     pds_poststar,
     pds_prestar,
     phase_closure,
@@ -78,19 +76,24 @@ def _sample_configs(rng, m, reach, k):
     return out
 
 
+def _corpus_draw(seed):
+    """The corpus generator's system for one seed, and its random stream."""
+    rng = random.Random(seed)
+    params = GenParams(num_states=rng.randint(2, 4),
+                       num_symbols=rng.randint(2, 4),
+                       num_rules=rng.randint(2, 8),
+                       num_smrules=rng.randint(0, 3),
+                       seed=seed)
+    return rng, generate(params)
+
+
 @pytest.fixture(scope="module")
 def corpus():
     records = []
     seed = 0
     while len(records) < CORPUS_SIZE:
         seed += 1
-        rng = random.Random(seed)
-        params = GenParams(num_states=rng.randint(2, 4),
-                           num_symbols=rng.randint(2, 4),
-                           num_rules=rng.randint(2, 8),
-                           num_smrules=rng.randint(0, 3),
-                           seed=seed)
-        inst = generate(params)
+        rng, inst = _corpus_draw(seed)
         reach, truncated = raw_reach(inst.smpds, inst.initial,
                                      ORACLE_STACK, ORACLE_STEPS)
         if truncated:
@@ -196,18 +199,35 @@ def test_criterion_5_cross_path_equivalence(corpus):
             | {c.phase for c in rec.samples}
         pds = to_pds(m, phase_closure(m, relevant))
         pre = prestar(m, from_configs(m, [target]))
-        cpre = pds_prestar(pds, pds_from_configs(pds, [config_to_pds(target)]))
+        cpre = pds_prestar(pds, from_configs(m, [target]))
         post = poststar(m, from_configs(m, [rec.initial]))
-        cpost = pds_poststar(pds, pds_from_configs(pds,
-                                                   [config_to_pds(rec.initial)]))
+        cpost = pds_poststar(pds, from_configs(m, [rec.initial]))
         for c in list(rec.reach)[:20] + rec.samples:
             if not c.stack:
                 continue
-            state, stack = config_to_pds(c)
-            assert pds_accepts(cpre, state, stack) == pre.accepts(c), \
-                (rec.seed, c)
-            assert pds_accepts(cpost, state, stack) == post.accepts(c), \
-                (rec.seed, c)
+            assert cpre.accepts(c) == pre.accepts(c), (rec.seed, c)
+            assert cpost.accepts(c) == post.accepts(c), (rec.seed, c)
+
+
+def test_criterion_5_classical_routes_enumerate_alike(corpus):
+    """On every system the corpus generator drew, kept or not, classical
+    pre*/post* on the paired PDS accept the same nonempty-stack
+    configurations up to depth 3 as direct pre*/post*."""
+    runs = 0
+    for seed in range(1, corpus[-1].seed + 1):
+        _, inst = _corpus_draw(seed)
+        m = inst.smpds
+        pds = to_pds(m, phase_closure(m, [inst.initial.phase,
+                                          inst.target.phase]))
+        for direct, classical, c in ((prestar, pds_prestar, inst.target),
+                                     (poststar, pds_poststar, inst.initial)):
+            want = {x for x in direct(m, from_configs(m, [c])).enumerate_configs(3)
+                    if x.stack}
+            got = {x for x in classical(pds, from_configs(m, [c])).enumerate_configs(3)
+                   if x.stack}
+            assert got == want, (seed, direct.__name__)
+            runs += 1
+    assert runs >= 2 * CORPUS_SIZE
 
 
 def test_criterion_6_symbolic_size_formula(corpus):
@@ -237,7 +257,7 @@ def test_criterion_7_scale_trend():
                                [inst.initial.phase, inst.target.phase],
                                tick=budget.tick)
         pds = to_pds(inst.smpds, phases, tick=budget.tick)
-        aut = pds_from_configs(pds, [config_to_pds(inst.target)])
+        aut = from_configs(inst.smpds, [inst.target])
         pds_prestar(pds, aut, tick=budget.tick)
     except BudgetExceeded:
         blown = True

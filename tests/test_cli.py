@@ -91,6 +91,44 @@ def test_check_error_exit_2(capsys):
     assert main(["check", "/nonexistent.smpds", TARGET]) == 2
 
 
+@pytest.mark.parametrize("index", ["2", "5", "-1"])
+def test_check_config_out_of_range_exit_2(index, capsys):
+    assert main(["check", MODEL, TARGET, "--config", index]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "out of range" in err
+
+
+DANGLING_MODEL = "rule 0: p a -> q\nsmrule 1: p (0 -> 7) q\nconfig: p {0,1} a\n"
+
+
+@pytest.mark.parametrize("command", [["prestar"], ["poststar"], ["check"],
+                                     ["check", "--direction", "post"],
+                                     ["enumerate"]])
+def test_invalid_model_never_saturates(command, tmp_path, capsys):
+    model = tmp_path / "m.smpds"
+    model.write_text(DANGLING_MODEL)
+    aut = tmp_path / "t.aut"
+    aut.write_text("initial p {0,9}\nfinal acc\ntrans p@{0,9} a acc\n")
+    assert main([command[0], str(model), str(aut), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "dangling RuleId 7" in err
+
+
+@pytest.mark.parametrize("command", ["prestar", "poststar", "check", "enumerate"])
+def test_undeclared_phase_ids_rejected(command, tmp_path, capsys):
+    aut = tmp_path / "t.aut"
+    aut.write_text("initial p1 {1,9}\nfinal acc\ntrans p1@{1,9} g1 acc\n")
+    assert main([command, MODEL, str(aut)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown rule ids" in err
+    model = tmp_path / "m.smpds"
+    model.write_text(Path(MODEL).read_text() + "config: p1 {1,9} g1\n")
+    assert main([command, str(model), TARGET]) == 2
+    assert "config 2" in capsys.readouterr().err
+
+
 def test_translate(capsys):
     assert main(["translate", MODEL]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,14 @@ def test_phase_interning_identity():
     assert a == b
     assert Phase.of([]) is Phase.of(())
     assert a is not Phase.of([1, 2])
+
+
+def test_phase_pickle_round_trip_keeps_identity():
+    a = Phase.of([5, 1, 9])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) is a
+    c = Configuration("p", ("g",), a)
+    assert pickle.loads(pickle.dumps(c)).phase is a
 
 
 def test_phase_update():

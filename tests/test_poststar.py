@@ -60,6 +60,20 @@ def test_poststar_stats():
     assert stats.wall_seconds >= 0
 
 
+def test_poststar_long_empty_stack_chain_needs_no_recursion():
+    """3000 modifying rules s_i --(0,0)--> s_{i+1} from an empty stack."""
+    n = 3000
+    rules = {0: PdsRule("s0", "g", "s0", ("g",))}
+    for i in range(n):
+        rules[i + 1] = SelfModRule(f"s{i}", 0, 0, f"s{i + 1}")
+    m = SMPDS({f"s{i}" for i in range(n + 1)}, {"g"}, rules)
+    theta = m.all_rules_phase()
+    sat = poststar(m, from_configs(m, [Configuration("s0", (), theta)]))
+    inits = sat.initial_states()
+    assert len(inits) == n + 1
+    assert inits <= sat.finals
+
+
 def test_poststar_idempotent():
     m, th0, th1, c0 = push_loop_example()
     once = poststar(m, from_configs(m, [c0]))

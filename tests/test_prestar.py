@@ -10,6 +10,7 @@ from smpds import (
     SelfModRule,
     SMPDS,
     from_configs,
+    poststar,
     prestar,
     solve_predecessor_phases,
 )
@@ -86,6 +87,18 @@ def test_prestar_stats():
     assert stats.transitions_added > 0
     assert stats.phases_materialized >= 2
     assert stats.wall_seconds >= 0
+
+
+@pytest.mark.parametrize("engine", [prestar, poststar])
+@pytest.mark.parametrize("seed", range(5))
+def test_phases_materialized_counts_result_phases(engine, seed):
+    """Both engines report the distinct phases on the result's initial states."""
+    inst = generate(GenParams(num_states=3, num_symbols=3, num_rules=6,
+                              num_smrules=3, seed=7000 + seed))
+    stats = SaturationStats()
+    result = engine(inst.smpds, from_configs(inst.smpds, [inst.initial]), stats)
+    assert stats.phases_materialized == len(
+        {q.phase for q in result.initial_states()})
 
 
 def test_prestar_idempotent():

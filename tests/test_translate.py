@@ -111,31 +111,51 @@ def test_classical_saturations_cross_check(seed):
     phases = phase_closure(m, [c0.phase, target.phase])
     pds = to_pds(m, phases)
     pre = prestar(m, from_configs(m, [target]))
-    ppre = pds_prestar(pds, pds_from_configs(pds, [config_to_pds(target)]))
+    ppre = pds_prestar(pds, from_configs(m, [target]))
     post = poststar(m, from_configs(m, [c0]))
-    ppost = pds_poststar(pds, pds_from_configs(pds, [config_to_pds(c0)]))
+    ppost = pds_poststar(pds, from_configs(m, [c0]))
     for c in reach:
         if not c.stack:
             continue
-        state, stack = config_to_pds(c)
-        assert pds_accepts(ppre, state, stack) == pre.accepts(c), c
-        assert pds_accepts(ppost, state, stack) == post.accepts(c), c
+        assert ppre.accepts(c) == pre.accepts(c), c
+        assert ppost.accepts(c) == post.accepts(c), c
+
+
+def test_paired_config_helpers_match_from_configs_and_accepts():
+    m, theta0, theta1, c0 = swap_example()
+    pds = to_pds(m, phase_closure(m, [theta0]))
+    paired = pds_from_configs(pds, [config_to_pds(c0)])
+    direct = from_configs(m, [c0])
+    assert paired.transitions == direct.transitions
+    assert paired.finals == direct.finals
+    sat = pds_poststar(pds, direct)
+    for c in (c0, Configuration("p3", ("g3", "g1"), theta1),
+              Configuration("p3", ("g3", "g1"), theta0)):
+        assert pds_accepts(sat, *config_to_pds(c)) == sat.accepts(c)
+
+
+def test_classical_result_is_an_ordinary_automaton():
+    from smpds.formats import SmpdsDocument, print_automaton
+    m, theta0, theta1, c0 = swap_example()
+    pds = to_pds(m, phase_closure(m, [theta0]))
+    sat = pds_poststar(pds, from_configs(m, [c0]))
+    assert Configuration("p3", ("g3", "g1"), theta1) in sat.enumerate_configs(2)
+    doc = SmpdsDocument(m, {"theta0": theta0, "theta1": theta1}, [c0])
+    assert "initial p3 theta1" in print_automaton(sat, doc)
 
 
 def test_classical_poststar_matches_interpreter():
     m, theta0, theta1, c0 = swap_example()
     pds = to_pds(m, phase_closure(m, [theta0]))
-    sat = pds_poststar(pds, pds_from_configs(pds, [config_to_pds(c0)]))
-    final = Configuration("p3", ("g3", "g1"), theta1)
-    state, stack = config_to_pds(final)
-    assert pds_accepts(sat, state, stack)
-    assert not pds_accepts(sat, ("p3", theta0), ("g3", "g1"))
+    sat = pds_poststar(pds, from_configs(m, [c0]))
+    assert sat.accepts(Configuration("p3", ("g3", "g1"), theta1))
+    assert not sat.accepts(Configuration("p3", ("g3", "g1"), theta0))
 
 
 def test_classical_prestar_rejects_epsilon_input():
     m, theta0, *_ = swap_example()
     pds = to_pds(m, phase_closure(m, [theta0]))
-    aut = pds_from_configs(pds, [(("p1", theta0), ("g1",))])
+    aut = from_configs(m, [Configuration("p1", ("g1",), theta0)])
     from smpds.automaton import EPS, Plain
     aut.add_transition(Plain("x"), EPS, Plain("y"))
     with pytest.raises(ValueError, match="epsilon"):
