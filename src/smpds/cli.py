@@ -55,16 +55,25 @@ def _validate_doc(doc: formats.SmpdsDocument) -> model.ValidationReport:
     return report
 
 
+def _load_valid_doc(path: str) -> formats.SmpdsDocument:
+    """Parse the model; raise unless it validates, so no undeclared rule id
+    reaches a translation or a saturation."""
+    doc = _load_doc(path)
+    violations = _validate_doc(doc).violations
+    if violations:
+        raise ValueError("; ".join(violations))
+    return doc
+
+
 def _load_query(args) -> tuple[formats.SmpdsDocument, PAutomaton]:
     """Parse the model and the automaton; raise unless both validate, so
     no undeclared rule id reaches a saturation."""
-    doc = _load_doc(args.model)
-    violations = _validate_doc(doc).violations
+    doc = _load_valid_doc(args.model)
     aut = formats.parse_automaton(_read(args.automaton), doc)
     phases = {q.phase for q in aut.states if isinstance(q, (Initial, Generated))}
-    violations += [f"automaton phase {phase} references unknown rule ids"
-                   for phase in sorted(phases, key=repr)
-                   if not phase.members <= doc.smpds.rules.keys()]
+    violations = [f"automaton phase {phase} references unknown rule ids"
+                  for phase in sorted(phases, key=repr)
+                  if not phase.members <= doc.smpds.rules.keys()]
     if violations:
         raise ValueError("; ".join(violations))
     return doc, aut
@@ -112,7 +121,7 @@ def cmd_poststar(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    doc = _load_doc(args.model)
+    doc = _load_valid_doc(args.model)
     if args.symbolic:
         spds = to_symbolic_pds(doc.smpds)
         if not args.quiet:
@@ -164,7 +173,8 @@ def cmd_enumerate(args) -> int:
     doc, aut = _load_query(args)
     lines = []
     for c in sorted(aut.enumerate_configs(args.max_len),
-                    key=lambda c: (len(c.stack), c.state, c.stack)):
+                    key=lambda c: (len(c.stack), c.state, c.stack,
+                                   doc.phase_name(c.phase))):
         stack = " ".join(c.stack)
         lines.append(f"config: {c.state} {doc.phase_name(c.phase)} {stack}".rstrip())
     _write("\n".join(lines) + ("\n" if lines else ""), args.output)

@@ -45,7 +45,7 @@ class SmpdsDocument:
         for name, ph in self.phase_names.items():
             if ph is phase:
                 return name
-        return "{%s}" % ",".join(str(i) for i in sorted(phase.members))
+        return repr(phase)  # the anonymous form {0,2,5}
 
     def resolve_phase(self, token: str, lineno: int = 0) -> Phase:
         if token.startswith("{") and token.endswith("}"):
@@ -153,7 +153,7 @@ def print_smpds(doc: SmpdsDocument) -> str:
         r = m.rules[rid]
         lines.append(f"smrule {rid}: {r.from_state} ({r.removed} -> {r.added}) {r.to_state}")
     for name in sorted(doc.phase_names):
-        ids = " ".join(str(i) for i in sorted(doc.phase_names[name].members))
+        ids = " ".join(map(str, doc.phase_names[name]))
         lines.append(f"phase {name}: {ids}".rstrip())
     for c in doc.configs:
         stack = " ".join(c.stack)

@@ -11,60 +11,119 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator, Union
 
 RuleId = int
 
 
-class Phase:
-    """Interned, immutable set of rule ids.
+# rule id -> its bit in a phase mask, and bit position -> rule id.  Bits
+# are handed out in order of first sight, so a phase over n distinct ids is
+# at most n bits wide whatever the ids are (negative ids and sparse huge
+# ones such as 10**12 cost one bit each).  Positions are per-process, which
+# is why phases pickle as their sorted ids.
+_BITS: dict[RuleId, int] = {}
+_IDS: list[RuleId] = []
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
-    Two phases with the same member set are the same object, so phase
-    comparison during saturation is an identity check.
+
+def rule_bit(rid: RuleId) -> int:
+    """The mask bit of `rid`, assigning the next free one on first sight."""
+    bit = _BITS.get(rid)
+    if bit is None:
+        bit = _BITS[rid] = 1 << len(_IDS)
+        _IDS.append(rid)
+    return bit
+
+
+class Phase:
+    """Interned, immutable set of rule ids, held as one int bitmask.
+
+    Two phases with the same member set are the same object, so equality
+    and hashing are those of `object`: an identity test and an address
+    hash, both in C and computed without looking at the members.
+    `update` is mask arithmetic plus one lookup in the intern table, which
+    is keyed by the mask.  The `members` frozenset (for `in`) is built
+    when a phase is first interned, since every phase a saturation reaches
+    gets membership tests; the sorted id tuple (for iteration and
+    pickling) and the `repr` string (printers emit it for every state they
+    name) are built on first use and cached.
+
+    The intern table is a plain dict that holds its phases for the life of
+    the process.  A `WeakValueDictionary` would run Python-level code on
+    every lookup, and `update` looks the table up on the saturation's hot
+    path; and since `solve_predecessor_phases` checks candidates on masks
+    before interning them, the table only ever holds phases that a parse
+    or a saturation actually reached.
     """
 
-    __slots__ = ("members", "_key")
+    __slots__ = ("mask", "members", "_ids", "_repr")
 
-    _table: dict[tuple[RuleId, ...], "Phase"] = {}
+    _table: dict[int, "Phase"] = {}
+    # member set -> phase, so `of` skips building a mask for a set it has seen
+    _by_members: dict[frozenset[RuleId], "Phase"] = {}
 
-    def __init__(self, key: tuple[RuleId, ...]):
-        self.members: frozenset[RuleId] = frozenset(key)
-        self._key = key
+    def __init__(self, mask: int, members: frozenset[RuleId] | None = None):
+        if members is None:
+            # the binary digits of the mask, bit 0 first, as 0/1 bytes
+            bits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+            members = frozenset(compress(_IDS, bits))
+        self.mask = mask
+        self.members = members
+        self._ids: tuple[RuleId, ...] | None = None
+        self._repr: str | None = None
 
     @classmethod
     def of(cls, ids: Iterable[RuleId]) -> "Phase":
-        key = tuple(sorted(set(ids)))
-        ph = cls._table.get(key)
+        members = frozenset(ids)
+        ph = cls._by_members.get(members)
         if ph is None:
-            ph = cls(key)
-            cls._table[key] = ph
+            # distinct single bits: their sum is their union
+            mask = sum(map(rule_bit, members))
+            ph = cls._table.get(mask)
+            if ph is None:
+                ph = cls._table[mask] = cls(mask, members)
+            cls._by_members[ph.members] = ph
+        return ph
+
+    @classmethod
+    def of_mask(cls, mask: int) -> "Phase":
+        """The interned phase with this mask (bits as assigned by `rule_bit`)."""
+        ph = cls._table.get(mask)
+        if ph is None:
+            ph = cls._table[mask] = cls(mask)
         return ph
 
     def update(self, removed: RuleId, added: RuleId) -> "Phase":
         """The phase after firing a modifying rule: drop `removed`, add `added`."""
-        return Phase.of((self.members - {removed}) | {added})
+        # an id without a bit is in no phase, so there is nothing to drop
+        return Phase.of_mask((self.mask & ~_BITS.get(removed, 0)) | rule_bit(added))
+
+    def _sorted_ids(self) -> tuple[RuleId, ...]:
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = tuple(sorted(self.members))
+        return ids
 
     def __contains__(self, rid: RuleId) -> bool:
         return rid in self.members
 
     def __iter__(self) -> Iterator[RuleId]:
-        return iter(self._key)
+        return iter(self._sorted_ids())
 
     def __len__(self) -> int:
-        return len(self._key)
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
+        return len(self.members)
 
     def __reduce__(self):
-        # unpickle through the intern table, so identity survives the trip
-        return (Phase.of, (self._key,))
+        # pickle the ids, not the process-local mask, and unpickle through
+        # the intern table, so identity survives the trip
+        return (Phase.of, (self._sorted_ids(),))
 
     def __repr__(self) -> str:
-        return "{%s}" % ",".join(str(i) for i in self._key)
+        text = self._repr
+        if text is None:
+            text = self._repr = "{%s}" % ",".join(map(str, self._sorted_ids()))
+        return text
 
 
 EMPTY_PHASE = Phase.of(())
@@ -189,7 +248,7 @@ def check_configuration(smpds: SMPDS, c: Configuration) -> None:
     for g in c.stack:
         if g not in smpds.alphabet:
             raise ValueError(f"configuration symbol {g!r} not in Gamma")
-    if not c.phase.members <= set(smpds.rules):
+    if not c.phase.members <= smpds.rules.keys():
         raise ValueError("configuration phase references unknown rule ids")
 
 

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automaton import EPS, AutState, Initial, PAutomaton
-from .model import Phase, PdsRule, RuleId, SelfModRule, SMPDS
+from .model import Phase, PdsRule, RuleId, SelfModRule, SMPDS, rule_bit
 
 
 @dataclass
@@ -65,21 +65,20 @@ def solve_predecessor_phases(theta: Phase, rid: RuleId,
     """Phases theta' from which firing `rule` yields `theta`.
 
     The set equation theta = (theta' - {removed}) | {added} has at most two
-    solutions; each candidate is verified by applying the forward update,
-    and must contain both the modifying rule itself and its removed rule.
+    solutions; each candidate is verified on masks by applying the forward
+    update, and must contain both the modifying rule itself and its removed
+    rule.  Only verified candidates are interned.
     """
-    if rule.added not in theta:
+    mask = theta.mask
+    added = rule_bit(rule.added)
+    if not mask & added:
         return []
-    members = theta.members
-    candidates = {
-        Phase.of(members | {rule.removed}),
-        Phase.of((members - {rule.added}) | {rule.removed}),
-    }
+    removed = rule_bit(rule.removed)
+    needed = rule_bit(rid) | removed
     out = []
-    for cand in candidates:
-        if rid in cand and rule.removed in cand \
-                and cand.update(rule.removed, rule.added) is theta:
-            out.append(cand)
+    for cand in {mask | removed, (mask & ~added) | removed}:
+        if cand & needed == needed and (cand & ~removed) | added == mask:
+            out.append(Phase.of_mask(cand))
     return out
 
 

@@ -112,7 +112,11 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase],
 
 def to_pds(smpds: SMPDS, phases: Iterable[Phase],
            tick: Callable[[], None] | None = None) -> PDS:
-    """Encode phases into control points, restricted to the given phase set."""
+    """Encode phases into control points, restricted to the given phase set.
+
+    Rules come out phase by phase in sorted member order, so their order
+    does not depend on how phases hash.
+    """
     phase_set = set(phases)
     for theta in phase_set:
         for rid in theta:
@@ -123,7 +127,7 @@ def to_pds(smpds: SMPDS, phases: Iterable[Phase],
     rules: list[PairedRule] = []
     states: set[PdsState] = {(p, theta) for p in smpds.states for theta in phase_set}
     gammas = sorted(smpds.alphabet)
-    for theta in phase_set:
+    for theta in sorted(phase_set, key=tuple):
         for rid in theta:
             r = smpds.rules.get(rid)
             if r is None:

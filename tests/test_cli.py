@@ -129,6 +129,46 @@ def test_undeclared_phase_ids_rejected(command, tmp_path, capsys):
     assert "config 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [[], ["--symbolic"]])
+def test_translate_rejects_invalid_model(flags, tmp_path, capsys):
+    # smrule 1 adds rule 7, which the model never declares
+    model = tmp_path / "m.smpds"
+    model.write_text("rule 0: p a -> q\nsmrule 1: p (0 -> 7) q\nphase th: 0 1\n")
+    assert main(["translate", *flags, str(model)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+    assert "dangling RuleId 7" in out.err
+
+
+def test_enumerate_orders_configs_by_phase(tmp_path, capsys):
+    # two configurations that differ only in their phase
+    model = tmp_path / "m.smpds"
+    model.write_text("rule 0: p a -> p\nrule 1: p a -> p\n"
+                     "phase zeta: 0\nphase alpha: 1\n")
+    aut = tmp_path / "t.aut"
+    aut.write_text("initial p zeta\ninitial p alpha\nfinal acc\n"
+                   "trans p@zeta a acc\ntrans p@alpha a acc\n")
+    assert main(["enumerate", str(model), str(aut)]) == 0
+    assert capsys.readouterr().out == "config: p alpha a\nconfig: p zeta a\n"
+
+
+def test_negative_and_huge_rule_ids(tmp_path, capsys):
+    model = tmp_path / "m.smpds"
+    model.write_text("rule -1: p a -> q\nrule 1000000000000: q a -> p a a\n"
+                     "smrule 3: q (-1 -> 1000000000000) p\n"
+                     "phase th: -1 3\nconfig: p th a a\n")
+    aut = tmp_path / "t.aut"
+    aut.write_text("initial p {3,1000000000000}\nfinal acc\n"
+                   "trans p@{3,1000000000000} a acc\n")
+    assert main(["validate", str(model)]) == 0
+    assert main(["translate", str(model)]) == 0
+    assert "p@{3,1000000000000}" in capsys.readouterr().out
+    # (<p, a a>, th) -> (<q, a>, th) -> (<p, a>, {3,10^12})
+    assert main(["check", str(model), str(aut)]) == 0
+    assert main(["check", str(model), str(aut), "--direction", "post"]) == 1
+
+
 def test_translate(capsys):
     assert main(["translate", MODEL]) == 0
     out = capsys.readouterr().out

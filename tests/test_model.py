@@ -1,4 +1,8 @@
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +19,8 @@ from smpds import (
     normalize_selfmod,
     validate,
 )
-from smpds.model import step
+import smpds
+from smpds.model import _IDS, step
 
 from fixtures import SWAP_TRACE, swap_example
 from oracles import raw_reach, raw_step, to_raw
@@ -36,6 +41,57 @@ def test_phase_pickle_round_trip_keeps_identity():
         assert pickle.loads(pickle.dumps(a, protocol)) is a
     c = Configuration("p", ("g",), a)
     assert pickle.loads(pickle.dumps(c)).phase is a
+
+
+def test_phase_pickles_by_ids_across_interpreters():
+    # the subprocess meets these ids in the opposite order, so its mask bits
+    # differ from ours; the pickle must still load as our interned phase
+    ids = [777001, -777002, 10**12 + 777003, 777004]
+    for rid in ids:
+        Phase.of([rid])
+    script = ("import pickle, sys\n"
+              "from smpds import Phase\n"
+              f"ids = {ids!r}\n"
+              "for rid in reversed(ids):\n"
+              "    Phase.of([rid])\n"
+              "sys.stdout.buffer.write(pickle.dumps(Phase.of(ids)))\n")
+    src = str(Path(smpds.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    data = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, check=True).stdout
+    assert pickle.loads(data) is Phase.of(ids)
+
+
+# negative ids and sparse huge ones must map to bits as cheaply as small ones
+rule_ids = st.one_of(st.integers(-40, 40),
+                     st.sampled_from([10**12, -10**12, 2**70, 10**12 + 1]))
+
+
+@given(st.lists(st.lists(rule_ids, max_size=12), min_size=1, max_size=6),
+       st.lists(st.tuples(rule_ids, rule_ids), max_size=6),
+       st.lists(rule_ids, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_phase_behaves_like_a_frozenset(id_lists, updates, probes):
+    sets = [frozenset(ids) for ids in id_lists]
+    phases = [Phase.of(ids) for ids in id_lists]
+    for fs, ph in zip(sets, phases):
+        assert ph.members == fs
+        assert list(ph) == sorted(fs)
+        assert ph.mask.bit_length() <= len(_IDS)
+        assert len(ph) == len(fs)
+        assert repr(ph) == "{%s}" % ",".join(map(str, sorted(fs)))
+        for rid in [*probes, *fs]:
+            assert (rid in ph) == (rid in fs)
+        assert Phase.of(sorted(fs, reverse=True)) is ph
+        for removed, added in updates:
+            expected = (fs - {removed}) | {added}
+            after = ph.update(removed, added)
+            assert after.members == expected
+            assert after is Phase.of(expected)
+    for fs1, ph1 in zip(sets, phases):
+        for fs2, ph2 in zip(sets, phases):
+            assert (ph1 is ph2) == (fs1 == fs2)
 
 
 def test_phase_update():

@@ -56,6 +56,20 @@ def test_to_pds_rule_shape():
         assert r.rhs_state[1] is theta1
 
 
+def test_to_pds_emits_phases_in_sorted_member_order():
+    rules = {0: PdsRule("p", "a", "p", ()), 5: PdsRule("p", "a", "p", ()),
+             -3: PdsRule("p", "a", "p", ()), 10**12: PdsRule("p", "a", "p", ())}
+    m = SMPDS({"p"}, {"a"}, rules)
+    phases = [Phase.of(ids) for ids in
+              ([5, 10**12], [-3], [0, 5], [-3, 0], [0], [10**12])]
+    pds = to_pds(m, reversed(phases))
+    order = []
+    for r in pds.rules:
+        if not order or order[-1] is not r.lhs_state[1]:
+            order.append(r.lhs_state[1])
+    assert [tuple(ph) for ph in order] == sorted(tuple(ph) for ph in phases)
+
+
 def test_symbolic_size_formula():
     m, *_ = swap_example()
     spds = to_symbolic_pds(m)
