@@ -10,7 +10,7 @@ PDS build the same automata (see `Initial`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Optional, Union
 
 from .model import Configuration, Phase, SMPDS
@@ -20,28 +20,89 @@ Label = Optional[str]
 EPS: Label = None
 
 
-@dataclass(frozen=True)
-class Initial:
+class _State:
+    """Base of the interned automaton states.
+
+    A second call with the same fields returns the first call's object,
+    so equality and hashing are those of `object`: an identity test and
+    an address hash, both in C, where a frozen dataclass would run a
+    generated Python `__eq__`/`__hash__` that builds a tuple of the
+    fields on every set or dict operation.  Fields are read-only.
+
+    Each class keeps its states in a plain dict, keyed by the field tuple,
+    for the life of the process, as `Phase` does: a `WeakValueDictionary`
+    would run Python-level code on every lookup, and saturations look
+    states up on their hot paths.  The table holds only states that a
+    parse or a saturation built: membership queries (`accepts`) look the
+    table up without adding to it.
+    """
+
+    __slots__ = ()
+    _table: dict[tuple, "_State"]
+
+    @classmethod
+    def _intern(cls, key: tuple) -> "_State":
+        q = object.__new__(cls)
+        for name, value in zip(cls.__slots__, key):
+            object.__setattr__(q, name, value)
+        cls._table[key] = q
+        return q
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # unpickle through the constructor, and so through the table
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Initial(_State):
     """The state the saturation rules key on: one per (control point, phase).
 
     The paired PDS state (p, theta) of the translation is Initial(p, theta)
     as well, so classical saturations build ordinary P-automata.
     """
+
+    __slots__ = ("control", "phase")
+    _table: dict[tuple[str, Phase], "Initial"] = {}
     control: str
     phase: Phase
 
+    def __new__(cls, control: str, phase: Phase) -> "Initial":
+        q = cls._table.get((control, phase))
+        return q if q is not None else cls._intern((control, phase))
 
-@dataclass(frozen=True)
-class Plain:
+
+class Plain(_State):
+    __slots__ = ("name",)
+    _table: dict[tuple[str], "Plain"] = {}
     name: str
 
+    def __new__(cls, name: str) -> "Plain":
+        q = cls._table.get((name,))
+        return q if q is not None else cls._intern((name,))
 
-@dataclass(frozen=True)
-class Generated:
+
+class Generated(_State):
     """post* helper state, one per (control point, first pushed symbol, phase)."""
+
+    __slots__ = ("control", "symbol", "phase")
+    _table: dict[tuple[str, str, Phase], "Generated"] = {}
     control: str
     symbol: str
     phase: Phase
+
+    def __new__(cls, control: str, symbol: str, phase: Phase) -> "Generated":
+        q = cls._table.get((control, symbol, phase))
+        return q if q is not None else cls._intern((control, symbol, phase))
 
 
 AutState = Union[Initial, Plain, Generated]
@@ -85,8 +146,9 @@ class PAutomaton:
         other = PAutomaton(self.alphabet)
         other.states = set(self.states)
         other.finals = set(self.finals)
-        for src, label, dst in self.transitions:
-            other.add_transition(src, label, dst)
+        other.transitions = set(self.transitions)
+        other._out = {q: {label: set(targets) for label, targets in by_label.items()}
+                      for q, by_label in self._out.items()}
         return other
 
     # -- queries ----------------------------------------------------------
@@ -133,8 +195,10 @@ class PAutomaton:
         return current
 
     def accepts(self, c: Configuration) -> bool:
-        init = Initial(c.state, c.phase)
-        if init not in self.states:
+        # look the state up without interning it: a (control, phase) never
+        # interned is in no automaton
+        init = Initial._table.get((c.state, c.phase))
+        if init is None or init not in self.states:
             return False
         return bool(self.reach_states(init, c.stack) & self.finals)
 
@@ -182,15 +246,16 @@ class PAutomaton:
 
     def to_dot(self, state_name=None) -> str:
         """GraphViz rendering for inspection."""
-        name = state_name or _default_state_name
+        name_of = state_name or _default_state_name
+        name = {q: name_of(q) for q in self.states}
         lines = ["digraph pautomaton {", "  rankdir=LR;"]
-        for q in sorted(self.states, key=name):
+        for q in sorted(self.states, key=name.__getitem__):
             shape = "doublecircle" if q in self.finals else "circle"
             style = ' style=bold' if isinstance(q, Initial) else ""
-            lines.append(f'  "{name(q)}" [shape={shape}{style}];')
+            lines.append(f'  "{name[q]}" [shape={shape}{style}];')
         for src, label, dst in sorted(self.transitions,
-                                      key=lambda t: (name(t[0]), t[1] or "", name(t[2]))):
-            lines.append(f'  "{name(src)}" -> "{name(dst)}" '
+                                      key=lambda t: (name[t[0]], t[1] or "", name[t[2]])):
+            lines.append(f'  "{name[src]}" -> "{name[dst]}" '
                          f'[label="{label if label is not None else "eps"}"];')
         lines.append("}")
         return "\n".join(lines)

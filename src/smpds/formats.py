@@ -205,6 +205,15 @@ def parse_state_token(token: str, doc: SmpdsDocument, lineno: int = 0) -> AutSta
 
 def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
     aut = PAutomaton(doc.smpds.alphabet)
+    # each distinct token is parsed once, phase and all
+    states: dict[str, AutState] = {}
+
+    def state(token: str, lineno: int) -> AutState:
+        q = states.get(token)
+        if q is None:
+            q = states[token] = parse_state_token(token, doc, lineno)
+        return q
+
     for lineno, line in _content_lines(text):
         head, _, rest = line.partition(" ")
         toks = rest.split()
@@ -215,12 +224,12 @@ def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
         elif head == "final":
             if len(toks) != 1:
                 raise FormatError(lineno, "final needs one state")
-            aut.add_final(parse_state_token(toks[0], doc, lineno))
+            aut.add_final(state(toks[0], lineno))
         elif head == "trans":
             if len(toks) != 3:
                 raise FormatError(lineno, "trans needs '<state> <label> <state>'")
-            src = parse_state_token(toks[0], doc, lineno)
-            dst = parse_state_token(toks[2], doc, lineno)
+            src = state(toks[0], lineno)
+            dst = state(toks[2], lineno)
             label = EPS if toks[1] == "eps" else toks[1]
             if label is not EPS and label not in aut.alphabet:
                 raise FormatError(lineno, f"unknown symbol {toks[1]!r}")
@@ -231,16 +240,17 @@ def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
 
 
 def print_automaton(aut: PAutomaton, doc: SmpdsDocument) -> str:
+    token = {q: state_token(q, doc) for q in aut.states}
     lines = []
-    for q in sorted(aut.initial_states(), key=lambda s: state_token(s, doc)):
+    for q in sorted(aut.initial_states(), key=token.__getitem__):
         lines.append(f"initial {q.control} {doc.phase_name(q.phase)}")
-    for q in sorted(aut.finals, key=lambda s: state_token(s, doc)):
-        lines.append(f"final {state_token(q, doc)}")
+    for q in sorted(aut.finals, key=token.__getitem__):
+        lines.append(f"final {token[q]}")
+    # sorted on the token triple, not the line, so eps edges keep their place
     for src, label, dst in sorted(
-            aut.transitions,
-            key=lambda t: (state_token(t[0], doc), t[1] or "", state_token(t[2], doc))):
-        lines.append(f"trans {state_token(src, doc)} "
-                     f"{label if label is not None else 'eps'} {state_token(dst, doc)}")
+            aut.transitions, key=lambda t: (token[t[0]], t[1] or "", token[t[2]])):
+        lines.append(f"trans {token[src]} "
+                     f"{label if label is not None else 'eps'} {token[dst]}")
     return "\n".join(lines) + "\n"
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .automaton import EPS, AutState, Generated, Initial, PAutomaton
-from .model import Phase, PdsRule, RuleId, SelfModRule, SMPDS
+from .automaton import EPS, AutState, Generated, Initial, Label, PAutomaton
+from .model import PdsRule, RuleId, SelfModRule, SMPDS
 from .prestar import SaturationStats, run_engine
 
 
@@ -53,8 +53,10 @@ class _PoststarEngine:
         # so closures never chain
         self.eps_out: dict[Initial, set[AutState]] = {}
         self.eps_into: dict[AutState, set[Initial]] = {}
-        self.facts: dict[tuple[str, Phase, str], set[AutState]] = {}
-        self.worklist: deque[tuple[AutState, object, AutState]] = deque()
+        # reading fact key ((p,theta), g) -> (the q's seen so far, its firing plan)
+        self.facts: dict[tuple[Initial, str],
+                         tuple[set[AutState], list[tuple[AutState, Label]]]] = {}
+        self.worklist: deque[tuple[AutState, Label, AutState]] = deque()
 
     def run(self) -> PAutomaton:
         for q in list(self.aut.states):
@@ -68,12 +70,12 @@ class _PoststarEngine:
             self._process(*self.worklist.popleft())
         return self.aut
 
-    def _add(self, src: AutState, label, dst: AutState) -> None:
+    def _add(self, src: AutState, label: Label, dst: AutState) -> None:
         if self.aut.add_transition(src, label, dst):
             self.stats.transitions_added += 1
             self.worklist.append((src, label, dst))
 
-    def _process(self, src: AutState, label, dst: AutState) -> None:
+    def _process(self, src: AutState, label: Label, dst: AutState) -> None:
         if isinstance(src, Initial):
             if label is EPS:
                 self.eps_out.setdefault(src, set()).add(dst)
@@ -81,37 +83,54 @@ class _PoststarEngine:
                 for symbol, targets in list(self.aut._out.get(dst, {}).items()):
                     if symbol is not EPS:
                         for q in list(targets):
-                            self._new_fact(src.control, src.phase, symbol, q)
+                            self._new_fact(src, symbol, q)
                 if dst in self.aut.finals:
                     self._empty_stack_successors(src)
             else:
-                self._new_fact(src.control, src.phase, label, dst)
+                self._new_fact(src, label, dst)
         else:
             for init in list(self.eps_into.get(src, ())):
-                self._new_fact(init.control, init.phase, label, dst)
+                self._new_fact(init, label, dst)
 
-    def _new_fact(self, p: str, theta: Phase, symbol: str, q: AutState) -> None:
-        key = (p, theta, symbol)
-        known = self.facts.setdefault(key, set())
+    def _new_fact(self, init: Initial, symbol: str, q: AutState) -> None:
+        key = (init, symbol)
+        fact = self.facts.get(key)
+        if fact is None:
+            fact = self.facts[key] = (set(), self._firing_plan(init, symbol))
+        known, plan = fact
         if q in known:
             return
         known.add(q)
+        for src, label in plan:
+            self._add(src, label, q)
+
+    def _firing_plan(self, init: Initial, symbol: str) -> list[tuple[AutState, Label]]:
+        """The edges (src, label) that every fact (init, symbol, q) links to q.
+
+        Built once per fact key, when its first q arrives: the rules that
+        fire depend on the control point, the phase and the symbol only.
+        The first edge of a beta3 push does not depend on q, so it is
+        added here, once.
+        """
+        p, theta = init.control, init.phase
+        plan: list[tuple[AutState, Label]] = []
         for rid, r in self.rules_by_lhs.get((p, symbol), ()):
             if rid not in theta:
                 continue
             src = Initial(r.rhs_state, theta)
             if len(r.rhs_word) == 0:
-                self._add(src, EPS, q)
+                plan.append((src, EPS))
             elif len(r.rhs_word) == 1:
-                self._add(src, r.rhs_word[0], q)
+                plan.append((src, r.rhs_word[0]))
             else:
                 gen = Generated(r.rhs_state, r.rhs_word[0], theta)
                 self._add(src, r.rhs_word[0], gen)
-                self._add(gen, r.rhs_word[1], q)
+                plan.append((gen, r.rhs_word[1]))
         for rid, r in self.sm_by_source.get(p, ()):
             if rid in theta and r.removed in theta:
-                self._add(Initial(r.to_state, theta.update(r.removed, r.added)),
-                          symbol, q)
+                plan.append((Initial(r.to_state, theta.update(r.removed, r.added)),
+                             symbol))
+        return plan
 
     def _empty_stack_successors(self, init: Initial) -> None:
         """Fire modifying rules from a state that accepts the empty stack,
