@@ -10,8 +10,9 @@ currently active set (the phase).  This package provides:
  - translations to ordinary and symbolic pushdown systems with classical
    saturation as cross-checks (`translate`),
  - a toy self-modifying assembly front end (`asm`),
- - random-instance benchmarking (`bench`) and a command-line interface
-   (`cli`, installed as the `smpds` script).
+ - seeded random instances (`bench.generate`), used by the tests and by
+   the benchmark in `perfbench/`,
+ - a command-line interface (`cli`, installed as the `smpds` script).
 """
 
 from .model import (

@@ -7,7 +7,6 @@
     smpds asm2smpds PROGRAM [-o OUT] [--erase-selfmod] [--allow-meta-selfmod]
     smpds check MODEL AUTOMATON [--config N] [--direction pre|post]
     smpds enumerate MODEL AUTOMATON [--max-len N]
-    smpds bench [--rules N] [--smrules N] [--runs N] [-o CSV]
 
 `check` exits 0 when the configuration is a member, 1 when it is not,
 and 2 on any error.
@@ -16,10 +15,9 @@ and 2 on any error.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
-from . import asm, bench, formats, model
+from . import asm, formats, model
 from .automaton import Generated, Initial, PAutomaton
 from .prestar import SaturationStats, prestar
 from .poststar import poststar
@@ -95,11 +93,11 @@ def cmd_validate(args) -> int:
     if not args.quiet:
         for w in report.warnings:
             print(f"warning: {w}", file=sys.stderr)
-        if report.ok and not report.violations:
+        if report.ok:
             print(f"ok: {len(doc.smpds.delta)} rules, "
                   f"{len(doc.smpds.delta_c)} modifying rules, "
                   f"{len(doc.configs)} configs")
-    return 0 if report.ok and not report.violations else 1
+    return 0 if report.ok else 1
 
 
 def _saturate(args, op) -> int:
@@ -181,26 +179,6 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    rows = [bench.CSV_HEADER]
-    rng = random.Random(args.seed)
-    for i in range(args.runs):
-        params = bench.GenParams(num_states=args.states, num_symbols=args.symbols,
-                                 num_rules=args.rules, num_smrules=args.smrules,
-                                 seed=rng.randrange(2**31))
-        direct, translated = bench.run_comparison(
-            params, budget_seconds=args.budget_seconds)
-        merged = bench.ReportRow(
-            direct.rules, direct.smrules, direct.direct_ms, direct.direct_mb,
-            translated.pds_ms, translated.pds_saturate_ms, translated.total_ms,
-            direct.status if direct.status != "ok" else translated.status)
-        rows.append(merged.csv())
-        if not args.quiet:
-            print(rows[-1], file=sys.stderr)
-    _write("\n".join(rows) + "\n", args.output)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smpds",
@@ -209,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppress informational output")
     parser.add_argument("--stats", action="store_true",
                         help="print saturation statistics to stderr")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed for generated instances")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a model file for consistency")
@@ -255,16 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=3)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("bench", help="random-instance comparison runs")
-    p.add_argument("--states", type=int, default=4)
-    p.add_argument("--symbols", type=int, default=4)
-    p.add_argument("--rules", type=int, default=20)
-    p.add_argument("--smrules", type=int, default=3)
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--budget-seconds", type=float, default=60.0)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
 from .model import Configuration, Phase, PdsRule, SelfModRule, SMPDS
+from .translate import Identity
 
 
 class FormatError(ValueError):
@@ -273,7 +274,7 @@ def print_symbolic_pds(spds, doc: SmpdsDocument) -> str:
     lines = []
     for i, r in enumerate(spds.rules):
         word = " ".join(r.rhs_word)
-        rel = (f"id({r.rel.guard})" if r.rel.__class__.__name__ == "Identity"
+        rel = (f"id({r.rel.guard})" if isinstance(r.rel, Identity)
                else f"mod({r.rel.guard},{r.rel.removed},{r.rel.added})")
         rhs = f"{r.rhs_state} {word}".rstrip()
         lines.append(f"symrule {i}: {r.lhs_state} {r.lhs_symbol} -[{rel}]-> {rhs}")

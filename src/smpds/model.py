@@ -172,14 +172,8 @@ class SMPDS:
         self.delta_c = frozenset(
             rid for rid, r in self.rules.items() if isinstance(r, SelfModRule))
 
-    def rule(self, rid: RuleId) -> Rule:
-        return self.rules[rid]
-
     def all_rules_phase(self) -> Phase:
         return Phase.of(self.rules.keys())
-
-    def fresh_rule_id(self) -> RuleId:
-        return max(self.rules, default=-1) + 1
 
     def __repr__(self) -> str:
         return (f"SMPDS(|P|={len(self.states)}, |Gamma|={len(self.alphabet)}, "

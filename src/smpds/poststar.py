@@ -27,8 +27,7 @@ from .prestar import SaturationStats, run_engine
 
 
 class _PoststarEngine:
-    def __init__(self, smpds: SMPDS, aut: PAutomaton, tick=None):
-        self.tick = tick
+    def __init__(self, smpds: SMPDS, aut: PAutomaton):
         if aut.has_transition_into_initial():
             raise ValueError("input automaton has a transition into an initial state")
         for src, label, _ in aut.transitions:
@@ -65,8 +64,6 @@ class _PoststarEngine:
         for t in list(self.aut.transitions):
             self.worklist.append(t)
         while self.worklist:
-            if self.tick is not None:
-                self.tick()
             self._process(*self.worklist.popleft())
         return self.aut
 
@@ -153,6 +150,6 @@ class _PoststarEngine:
 
 
 def poststar(smpds: SMPDS, aut: PAutomaton,
-             stats: SaturationStats | None = None, tick=None) -> PAutomaton:
+             stats: SaturationStats | None = None) -> PAutomaton:
     """Saturate a copy of `aut` so it accepts post*(L(aut))."""
-    return run_engine(_PoststarEngine, smpds, aut, stats, tick)
+    return run_engine(_PoststarEngine, smpds, aut, stats)

@@ -36,7 +36,7 @@ class SaturationStats:
 
 
 def run_engine(engine_class, smpds: SMPDS, aut: PAutomaton,
-               stats: SaturationStats | None, tick) -> PAutomaton:
+               stats: SaturationStats | None) -> PAutomaton:
     """Build and run a saturation engine, filling `stats` if given.
 
     The engine counts transitions and finals; phases and wall time are
@@ -50,7 +50,7 @@ def run_engine(engine_class, smpds: SMPDS, aut: PAutomaton,
         if isinstance(r, SelfModRule) and r.removed == rid:
             raise ValueError(
                 "self-referential modifying rule; run normalize_selfmod first")
-    engine = engine_class(smpds, aut, tick)
+    engine = engine_class(smpds, aut)
     result = engine.run()
     if stats is not None:
         vars(stats).update(
@@ -83,11 +83,10 @@ def solve_predecessor_phases(theta: Phase, rid: RuleId,
 
 
 class _PrestarEngine:
-    def __init__(self, smpds: SMPDS, aut: PAutomaton, tick=None):
+    def __init__(self, smpds: SMPDS, aut: PAutomaton):
         self.smpds = smpds
         self.aut = aut.copy()
         self.stats = SaturationStats()
-        self.tick = tick
 
         # rule indexes
         self.pop_rules: list[tuple[RuleId, PdsRule]] = []
@@ -141,8 +140,6 @@ class _PrestarEngine:
                 self.worklist.append((src, label, dst))
         self._mark_initial_eps_accepting()
         while self.worklist:
-            if self.tick is not None:
-                self.tick()
             self._process(*self.worklist.popleft())
         return self.aut
 
@@ -188,7 +185,12 @@ class _PrestarEngine:
         for rid, r in self.two_rules.get((p1, label), ()):
             if rid in theta:
                 trigger = (Initial(r.lhs_state, theta), r.lhs_symbol)
-                self.pending.setdefault((dst, r.rhs_word[1]), set()).add(trigger)
+                waiting = self.pending.setdefault((dst, r.rhs_word[1]), set())
+                if trigger in waiting:
+                    # linked to every fact known when it was first added;
+                    # each later fact replays the pending set
+                    continue
+                waiting.add(trigger)
                 for q2 in self.facts.get((dst, r.rhs_word[1]), ()):
                     self._add(trigger[0], trigger[1], q2)
         for rid, r in self.sm_by_target.get(p1, ()):
@@ -222,6 +224,6 @@ class _PrestarEngine:
 
 
 def prestar(smpds: SMPDS, aut: PAutomaton,
-            stats: SaturationStats | None = None, tick=None) -> PAutomaton:
+            stats: SaturationStats | None = None) -> PAutomaton:
     """Saturate a copy of `aut` so it accepts pre*(L(aut))."""
-    return run_engine(_PrestarEngine, smpds, aut, stats, tick)
+    return run_engine(_PrestarEngine, smpds, aut, stats)

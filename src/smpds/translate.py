@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, from_configs
 from .model import Configuration, Phase, PdsRule, RuleId, SelfModRule, SMPDS
@@ -89,8 +89,7 @@ class SymbolicPDS:
     rules: tuple[SymbolicRule, ...]
 
 
-def phase_closure(smpds: SMPDS, seeds: Iterable[Phase],
-                  tick: Callable[[], None] | None = None) -> set[Phase]:
+def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
     """Seeds closed under modifying-rule updates, forward and backward."""
     closed: set[Phase] = set()
     queue = deque(seeds)
@@ -99,8 +98,6 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase],
         theta = queue.popleft()
         if theta in closed:
             continue
-        if tick is not None:
-            tick()
         closed.add(theta)
         for rid, r in smrules:
             if rid in theta and r.removed in theta:
@@ -110,8 +107,7 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase],
     return closed
 
 
-def to_pds(smpds: SMPDS, phases: Iterable[Phase],
-           tick: Callable[[], None] | None = None) -> PDS:
+def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PDS:
     """Encode phases into control points, restricted to the given phase set.
 
     Rules come out phase by phase in sorted member order, so their order
@@ -132,8 +128,6 @@ def to_pds(smpds: SMPDS, phases: Iterable[Phase],
             r = smpds.rules.get(rid)
             if r is None:
                 continue
-            if tick is not None:
-                tick()
             if isinstance(r, PdsRule):
                 rules.append(PairedRule((r.lhs_state, theta), r.lhs_symbol,
                                         (r.rhs_state, theta), r.rhs_word))
@@ -198,8 +192,7 @@ def pds_accepts(aut: PAutomaton, state: PdsState, stack: tuple[str, ...]) -> boo
     return aut.accepts(Configuration(state[0], stack, state[1]))
 
 
-def pds_prestar(pds: PDS, aut: PAutomaton,
-                tick: Callable[[], None] | None = None) -> PAutomaton:
+def pds_prestar(pds: PDS, aut: PAutomaton) -> PAutomaton:
     """Classical backward saturation for ordinary PDSs."""
     if aut.has_transition_into_initial():
         raise ValueError("input automaton has a transition into an initial state")
@@ -231,8 +224,6 @@ def pds_prestar(pds: PDS, aut: PAutomaton,
         else:
             raise ValueError("classical pre* expects |w| <= 2 rules")
     while worklist:
-        if tick is not None:
-            tick()
         src, label, dst = worklist.popleft()
         out_index.setdefault((src, label), set()).add(dst)
         for wsrc, wlabel in pending.get((src, label), set()):
@@ -248,8 +239,7 @@ def pds_prestar(pds: PDS, aut: PAutomaton,
     return result
 
 
-def pds_poststar(pds: PDS, aut: PAutomaton,
-                 tick: Callable[[], None] | None = None) -> PAutomaton:
+def pds_poststar(pds: PDS, aut: PAutomaton) -> PAutomaton:
     """Classical forward saturation for ordinary PDSs."""
     if aut.has_transition_into_initial():
         raise ValueError("input automaton has a transition into an initial state")
@@ -287,8 +277,6 @@ def pds_poststar(pds: PDS, aut: PAutomaton,
                 add(gen, r.rhs_word[1], q)
 
     while worklist:
-        if tick is not None:
-            tick()
         src, label, dst = worklist.popleft()
         if isinstance(src, Initial):
             if label is EPS:

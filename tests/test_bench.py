@@ -1,17 +1,5 @@
-import pytest
-
 from smpds import validate
-from smpds.bench import (
-    Budget,
-    BudgetExceeded,
-    CSV_HEADER,
-    GenParams,
-    ReportRow,
-    generate,
-    run_comparison,
-    run_direct,
-    run_translated,
-)
+from smpds.bench import GenParams, generate
 
 
 def test_generator_deterministic():
@@ -42,52 +30,3 @@ def test_generator_well_formed():
         assert set(inst.initial.phase.members) == set(inst.smpds.rules)
         assert len(inst.initial.stack) == 2
 
-
-def test_run_direct_and_translated():
-    params = GenParams(seed=5)
-    direct = run_direct(generate(params))
-    translated = run_translated(generate(params))
-    assert direct.status == "ok"
-    assert translated.status == "ok"
-    assert direct.direct_ms > 0
-    assert translated.total_ms > 0
-
-
-def test_budget_time_exceeded():
-    budget = Budget(max_seconds=0.0)
-    budget.start()
-    with pytest.raises(BudgetExceeded) as exc:
-        budget.tick()
-    assert exc.value.what == "time"
-    budget.stop()
-
-
-def test_budget_memory_tracked():
-    budget = Budget(max_bytes=1)
-    budget.start()
-    blob = bytearray(1 << 16)
-    with pytest.raises(BudgetExceeded) as exc:
-        budget.tick()
-    assert exc.value.what == "memory"
-    budget.stop()
-    assert budget.peak_bytes > 1
-    del blob
-
-
-def test_budget_status_recorded():
-    row = run_direct(generate(GenParams(seed=1)), Budget(max_seconds=0.0))
-    assert row.status == "budget:time"
-
-
-def test_csv_row():
-    row = ReportRow(rules=10, smrules=2, direct_ms=1.5, direct_mb=0.25,
-                    pds_ms=3.0, pds_saturate_ms=4.0, total_ms=7.0)
-    line = row.csv()
-    assert line == "10,2,1.5,0.25,3.0,4.0,7.0,ok"
-    assert len(line.split(",")) == len(CSV_HEADER.split(","))
-
-
-def test_run_comparison():
-    direct, translated = run_comparison(GenParams(seed=9), budget_seconds=30)
-    assert direct.rules == translated.rules == 8
-    assert direct.status == "ok" and translated.status == "ok"

@@ -208,21 +208,11 @@ def test_enumerate(capsys):
     assert "config: p3 theta1 g3" in out
 
 
-def test_bench_csv(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    assert main(["--quiet", "bench", "--rules", "6", "--smrules", "2",
-                 "--runs", "2", "-o", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("rules,smrules,direct_ms")
-    assert len(lines) == 3
-
-
-def test_bench_seed_reproducible(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for path in (a, b):
-        assert main(["--quiet", "--seed", "7", "bench", "--rules", "6",
-                     "--runs", "1", "-o", str(path)]) == 0
-    # same instances generated; timings differ, sizes agree
-    ra = a.read_text().splitlines()[1].split(",")
-    rb = b.read_text().splitlines()[1].split(",")
-    assert ra[:2] == rb[:2] and ra[-1] == rb[-1]
+def test_bench_command_and_seed_flag_retired(capsys):
+    for argv in (["bench"], ["--seed", "7", "validate", MODEL]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: smpds"), err
+        assert "Traceback" not in err
