@@ -23,6 +23,8 @@ TARGET = "samples/example1_target.aut"
 INITIAL = "tests/golden/example1_initial.aut"
 GEN_MODEL = "tests/golden/gen55.smpds"
 GEN_AUT = "tests/golden/gen55.aut"
+EMPTY_MODEL = "tests/golden/gen22.smpds"
+EMPTY_AUT = "tests/golden/gen22.aut"
 
 # expected file -> CLI arguments (paths relative to the repository root)
 CASES = {
@@ -38,6 +40,12 @@ CASES = {
     "gen55.poststar": ["poststar", GEN_MODEL, GEN_AUT],
     "gen55.poststar.dot": ["poststar", GEN_MODEL, GEN_AUT, "--dot"],
     "gen55.prestar": ["prestar", GEN_MODEL, GEN_AUT],
+    # pre* of a post* result: eps edges and gen: states in the input
+    "gen55.poststar.prestar": ["prestar", GEN_MODEL,
+                               "tests/golden/gen55.poststar.out"],
+    # modifying rules firing on the empty stack in both directions
+    "gen22.prestar": ["prestar", EMPTY_MODEL, EMPTY_AUT],
+    "gen22.poststar": ["poststar", EMPTY_MODEL, EMPTY_AUT],
 }
 
 
