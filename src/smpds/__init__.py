@@ -6,7 +6,8 @@ currently active set (the phase).  This package provides:
 
  - the core model with an executable small-step semantics (`model`),
  - phase-annotated configuration automata (`automaton`),
- - direct backward and forward saturation (`prestar`, `poststar`),
+ - direct backward and forward saturation (`prestar`, `poststar`), with
+   the statistics and the worklist they share (`saturation`),
  - translations to ordinary and symbolic pushdown systems with classical
    saturation as cross-checks (`translate`),
  - a toy self-modifying assembly front end (`asm`),
@@ -33,8 +34,9 @@ from .model import (
     validate,
 )
 from .automaton import EPS, Generated, Initial, PAutomaton, Plain, from_configs
-from .prestar import SaturationStats, prestar, solve_predecessor_phases
+from .prestar import prestar, solve_predecessor_phases
 from .poststar import poststar
+from .saturation import SaturationStats
 from .translate import (
     PDS,
     SymbolicPDS,

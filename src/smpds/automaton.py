@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import FrozenInstanceError
+from itertools import repeat
 from typing import Iterable, Optional, Union
 
 from .model import Configuration, Phase, SMPDS
@@ -116,6 +117,7 @@ class PAutomaton:
         self.transitions: set[tuple[AutState, Label, AutState]] = set()
         self._out: dict[AutState, dict[Label, set[AutState]]] = {}
         self._eclosure: dict[AutState, frozenset[AutState]] = {}
+        self._has_eps = False
 
     # -- construction ----------------------------------------------------
 
@@ -140,7 +142,40 @@ class PAutomaton:
         self._out.setdefault(src, {}).setdefault(label, set()).add(dst)
         if label is EPS:
             self._eclosure.clear()
+            self._has_eps = True
         return True
+
+    def add_targets(self, src: AutState, label: Label,
+                    dsts: set[AutState]) -> set[AutState]:
+        """Insert src --label--> d for every d in the set `dsts`; returns a
+        new set holding the targets that were not present yet.
+
+        The difference and the merge are single set operations, so a
+        saturation can insert a whole delta at the cost of one call.
+        """
+        by_label = self._out.get(src)
+        current = None if by_label is None else by_label.get(label)
+        if current is None:
+            if label is not None and label not in self.alphabet:
+                raise ValueError(f"label {label!r} not in automaton alphabet")
+            new = set(dsts)
+            if not new:
+                return new
+            if by_label is None:
+                by_label = self._out[src] = {}
+                self.states.add(src)
+            by_label[label] = set(new)
+        else:
+            new = dsts - current
+            if not new:
+                return new
+            current |= new
+        self.states |= new
+        self.transitions.update(zip(repeat(src), repeat(label), new))
+        if label is EPS:
+            self._eclosure.clear()
+            self._has_eps = True
+        return new
 
     def copy(self) -> "PAutomaton":
         other = PAutomaton(self.alphabet)
@@ -149,6 +184,7 @@ class PAutomaton:
         other.transitions = set(self.transitions)
         other._out = {q: {label: set(targets) for label, targets in by_label.items()}
                       for q, by_label in self._out.items()}
+        other._has_eps = self._has_eps
         return other
 
     # -- queries ----------------------------------------------------------
@@ -160,7 +196,7 @@ class PAutomaton:
         return any(isinstance(dst, Initial) for _, _, dst in self.transitions)
 
     def has_epsilon(self) -> bool:
-        return any(label is EPS for _, label, _ in self.transitions)
+        return self._has_eps
 
     def out(self, q: AutState, label: Label) -> set[AutState]:
         return self._out.get(q, {}).get(label, set())
@@ -183,6 +219,15 @@ class PAutomaton:
 
     def reach_states(self, source: AutState, word: Iterable[str]) -> set[AutState]:
         """All states reachable from `source` reading `word`, eps moves free."""
+        if not self._has_eps:
+            # no closures to take: union the target sets directly
+            current = {source}
+            for symbol in word:
+                current = set().union(*[self._out.get(q, {}).get(symbol, ())
+                                        for q in current])
+                if not current:
+                    break
+            return current
         current = set(self.eclosure(source))
         for symbol in word:
             nxt: set[AutState] = set()

@@ -19,8 +19,9 @@ import sys
 
 from . import asm, formats, model
 from .automaton import Generated, Initial, PAutomaton
-from .prestar import SaturationStats, prestar
+from .prestar import prestar
 from .poststar import poststar
+from .saturation import SaturationStats
 from .translate import phase_closure, to_pds, to_symbolic_pds
 
 

@@ -13,17 +13,23 @@ symbol edge):
 
 The rule for the empty stack: a modifying rule also fires when the stack
 is empty, so whenever (<p, eps>, theta) is accepted the successor
-(<p', eps>, theta') must be as well; this is realized with an extra
-epsilon edge (or final marking when the initial state itself is final).
+(<p', eps>, theta') must be as well; this is realized with an epsilon
+edge from the successor to every final eps-target of (p,theta) (or a
+final marking when the initial state itself is final).
+
+The unit of work is a key (src, g) with the set of its targets added
+since the key was last processed (see `saturation.DeltaWorklist`).  A
+key turns into reading facts as one set: directly when src is initial,
+through every eps edge into src otherwise, and, for a new eps edge, as
+the whole target set of each (q, g) it reaches.  The facts that are new
+then go along the firing plan of their key, one insert per plan edge.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .automaton import EPS, AutState, Generated, Initial, Label, PAutomaton
 from .model import PdsRule, RuleId, SelfModRule, SMPDS
-from .prestar import SaturationStats, run_engine
+from .saturation import DeltaWorklist, SaturationStats, run_engine
 
 
 class _PoststarEngine:
@@ -50,56 +56,62 @@ class _PoststarEngine:
 
         # epsilon edges go from initial states to non-initial states only,
         # so closures never chain
-        self.eps_out: dict[Initial, set[AutState]] = {}
         self.eps_into: dict[AutState, set[Initial]] = {}
         # reading fact key ((p,theta), g) -> (the q's seen so far, its firing plan)
         self.facts: dict[tuple[Initial, str],
                          tuple[set[AutState], list[tuple[AutState, Label]]]] = {}
-        self.worklist: deque[tuple[AutState, Label, AutState]] = deque()
+        self.work = DeltaWorklist(self.aut, self.stats)
 
     def run(self) -> PAutomaton:
-        for q in list(self.aut.states):
-            if isinstance(q, Initial) and q in self.aut.finals:
-                self._empty_stack_successors(q)
-        for t in list(self.aut.transitions):
-            self.worklist.append(t)
-        while self.worklist:
-            self._process(*self.worklist.popleft())
+        self._mark_empty_stack_finals()
+        for src, by_label in self.aut._out.items():
+            for label, targets in by_label.items():
+                self.work.queue((src, label), set(targets))
+        for (src, label), delta in self.work:
+            self._process(src, label, delta)
         return self.aut
 
-    def _add(self, src: AutState, label: Label, dst: AutState) -> None:
-        if self.aut.add_transition(src, label, dst):
-            self.stats.transitions_added += 1
-            self.worklist.append((src, label, dst))
-
-    def _process(self, src: AutState, label: Label, dst: AutState) -> None:
-        if isinstance(src, Initial):
-            if label is EPS:
-                self.eps_out.setdefault(src, set()).add(dst)
-                self.eps_into.setdefault(dst, set()).add(src)
-                for symbol, targets in list(self.aut._out.get(dst, {}).items()):
-                    if symbol is not EPS:
-                        for q in list(targets):
-                            self._new_fact(src, symbol, q)
-                if dst in self.aut.finals:
-                    self._empty_stack_successors(src)
-            else:
-                self._new_fact(src, label, dst)
+    def _process(self, src: AutState, label: Label, delta: set[AutState]) -> None:
+        if not isinstance(src, Initial):
+            self._new_facts([(init, label) for init in self.eps_into.get(src, ())],
+                            delta)
+        elif label is not EPS:
+            self._new_facts([(src, label)], delta)
         else:
-            for init in list(self.eps_into.get(src, ())):
-                self._new_fact(init, label, dst)
+            # the facts src --symbol--> q through the new eps edges, joined
+            # per symbol; the mids are not initial, so none has eps edges
+            joined: dict[str, set[AutState]] = {}
+            for mid in delta:
+                self.eps_into.setdefault(mid, set()).add(src)
+                for symbol, targets in self.aut._out.get(mid, {}).items():
+                    joined.setdefault(symbol, set()).update(targets)
+            for symbol, targets in joined.items():
+                self._new_facts([(src, symbol)], targets)
+            # the rule for the empty stack, linked to every final eps-target
+            # so that the result does not depend on set order
+            finals = delta & self.aut.finals
+            if finals:
+                self.work.add([(succ, EPS) for succ in self._empty_stack_successors(src)],
+                              finals)
 
-    def _new_fact(self, init: Initial, symbol: str, q: AutState) -> None:
-        key = (init, symbol)
-        fact = self.facts.get(key)
-        if fact is None:
-            fact = self.facts[key] = (set(), self._firing_plan(init, symbol))
-        known, plan = fact
-        if q in known:
-            return
-        known.add(q)
-        for src, label in plan:
-            self._add(src, label, q)
+    def _new_facts(self, keys: list[tuple[Initial, str]], dsts: set[AutState]) -> None:
+        """Link the facts init --symbol--> q, q in `dsts`, for every key
+        (init, symbol) in `keys`, along the key's firing plan, as far as
+        they are new."""
+        facts = self.facts
+        for key in keys:
+            fact = facts.get(key)
+            if fact is None:
+                fresh = set(dsts)
+                plan = self._firing_plan(*key)
+                facts[key] = (fresh, plan)
+            else:
+                known, plan = fact
+                if dsts <= known:
+                    continue
+                fresh = dsts - known
+                known |= fresh
+            self.work.add(plan, fresh)
 
     def _firing_plan(self, init: Initial, symbol: str) -> list[tuple[AutState, Label]]:
         """The edges (src, label) that every fact (init, symbol, q) links to q.
@@ -121,7 +133,7 @@ class _PoststarEngine:
                 plan.append((src, r.rhs_word[0]))
             else:
                 gen = Generated(r.rhs_state, r.rhs_word[0], theta)
-                self._add(src, r.rhs_word[0], gen)
+                self.work.add([(src, r.rhs_word[0])], {gen})
                 plan.append((gen, r.rhs_word[1]))
         for rid, r in self.sm_by_source.get(p, ()):
             if rid in theta and r.removed in theta:
@@ -129,24 +141,26 @@ class _PoststarEngine:
                              symbol))
         return plan
 
-    def _empty_stack_successors(self, init: Initial) -> None:
-        """Fire modifying rules from a state that accepts the empty stack,
-        and from each successor that comes to accept it in turn."""
-        todo = [init]
+    def _empty_stack_successors(self, q: Initial) -> list[Initial]:
+        """The states that the modifying rules lead to from (<q.control, eps>, q.phase)."""
+        theta = q.phase
+        return [Initial(r.to_state, theta.update(r.removed, r.added))
+                for rid, r in self.sm_by_source.get(q.control, ())
+                if rid in theta and r.removed in theta]
+
+    def _mark_empty_stack_finals(self) -> None:
+        """Make final every state that a final initial state reaches by
+        modifying rules fired on the empty stack.  Later empty-stack
+        acceptance comes from eps edges into final states, and `_process`
+        links those."""
+        todo = [q for q in self.aut.states
+                if isinstance(q, Initial) and q in self.aut.finals]
         while todo:
-            q = todo.pop()
-            theta = q.phase
-            eps_final = next((f for f in self.eps_out.get(q, ())
-                              if f in self.aut.finals), None)
-            for rid, r in self.sm_by_source.get(q.control, ()):
-                if rid in theta and r.removed in theta:
-                    succ = Initial(r.to_state, theta.update(r.removed, r.added))
-                    if eps_final is not None:
-                        self._add(succ, EPS, eps_final)
-                    elif succ not in self.aut.finals:
-                        self.aut.add_final(succ)
-                        self.stats.finals_added += 1
-                        todo.append(succ)
+            for succ in self._empty_stack_successors(todo.pop()):
+                if succ not in self.aut.finals:
+                    self.aut.add_final(succ)
+                    self.stats.finals_added += 1
+                    todo.append(succ)
 
 
 def poststar(smpds: SMPDS, aut: PAutomaton,

@@ -14,50 +14,22 @@ The input automaton may contain epsilon transitions (they are honoured
 during matching); the saturation itself only adds symbol-labelled
 transitions, plus final-state markings for empty-stack predecessors
 reached through modifying rules.
+
+The unit of work is a key (src, g) with the set of its targets added
+since the key was last processed (see `saturation.DeltaWorklist`).  The
+delta is widened by the epsilon closure of its targets once, and each
+state whose closure holds src gains the new reading facts as one set.
+Every rule, and every two-symbol rule waiting on the key, then inserts
+the new facts' targets in one call.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from dataclasses import dataclass
 
 from .automaton import EPS, AutState, Initial, PAutomaton
 from .model import Phase, PdsRule, RuleId, SelfModRule, SMPDS, rule_bit
-
-
-@dataclass
-class SaturationStats:
-    transitions_added: int = 0
-    finals_added: int = 0
-    # distinct phases on the initial states of the result
-    phases_materialized: int = 0
-    wall_seconds: float = 0.0
-
-
-def run_engine(engine_class, smpds: SMPDS, aut: PAutomaton,
-               stats: SaturationStats | None) -> PAutomaton:
-    """Build and run a saturation engine, filling `stats` if given.
-
-    The engine counts transitions and finals; phases and wall time are
-    read off the run the same way for every engine.
-    """
-    t0 = time.perf_counter()
-    for rid, r in smpds.rules.items():
-        if isinstance(r, PdsRule) and len(r.rhs_word) > 2:
-            raise ValueError(f"rule {rid} pushes more than 2 symbols; "
-                             "run normalize_push first")
-        if isinstance(r, SelfModRule) and r.removed == rid:
-            raise ValueError(
-                "self-referential modifying rule; run normalize_selfmod first")
-    engine = engine_class(smpds, aut)
-    result = engine.run()
-    if stats is not None:
-        vars(stats).update(
-            vars(engine.stats),
-            phases_materialized=len({q.phase for q in result.initial_states()}),
-            wall_seconds=time.perf_counter() - t0)
-    return result
+from .saturation import DeltaWorklist, SaturationStats, run_engine
 
 
 def solve_predecessor_phases(theta: Phase, rid: RuleId,
@@ -87,6 +59,7 @@ class _PrestarEngine:
         self.smpds = smpds
         self.aut = aut.copy()
         self.stats = SaturationStats()
+        self.work = DeltaWorklist(self.aut, self.stats)
 
         # rule indexes
         self.pop_rules: list[tuple[RuleId, PdsRule]] = []
@@ -108,48 +81,43 @@ class _PrestarEngine:
             self.sm_by_target.setdefault(r.to_state, []).append((rid, r))
 
         # epsilon structure is static: the input may carry eps edges but the
-        # saturation never adds any
-        self.eps_succ: dict[AutState, frozenset[AutState]] = {}
+        # saturation never adds any.  Only states with an eps edge on either
+        # side have entries; every other state closes to itself.
+        self.eps_succ: dict[AutState, set[AutState]] = {}
         self.eps_pred: dict[AutState, set[AutState]] = {}
         for q in self.aut.states:
             cl = self.aut.eclosure(q)
-            self.eps_succ[q] = cl
-            for q2 in cl:
-                self.eps_pred.setdefault(q2, set()).add(q)
+            if len(cl) > 1:
+                self.eps_succ[q] = set(cl)
+                for q2 in cl:
+                    self.eps_pred.setdefault(q2, {q2}).add(q)
 
         # eps-folded reading facts: (src, symbol) -> set of dst
         self.facts: dict[tuple[AutState, str], set[AutState]] = {}
         # partial matches for two-symbol rules: (mid-state, symbol) ->
         # transitions ((p,theta), g) waiting for the second edge
         self.pending: dict[tuple[AutState, str], set[tuple[Initial, str]]] = {}
+        # fact key ((p1,theta), g) -> its firing plan, see _firing_plan
+        self.plans: dict[tuple[Initial, str],
+                         tuple[list[tuple[Initial, str]],
+                               dict[str, set[tuple[Initial, str]]]]] = {}
 
         self.phases: set[Phase] = set()
-        self.worklist: deque[tuple[AutState, str, AutState]] = deque()
 
-    def _eps_succ(self, q: AutState) -> frozenset[AutState]:
-        return self.eps_succ.get(q, frozenset((q,)))
-
-    def _eps_pred(self, q: AutState) -> set[AutState]:
-        return self.eps_pred.get(q, {q})
+    def _eps_succ(self, q: AutState) -> set[AutState]:
+        return self.eps_succ.get(q) or {q}
 
     def run(self) -> PAutomaton:
         for q in self.aut.initial_states():
             self._materialize_phase(q.phase)
-        for src, label, dst in list(self.aut.transitions):
-            if label is not EPS:
-                self.worklist.append((src, label, dst))
+        for src, by_label in self.aut._out.items():
+            for label, targets in by_label.items():
+                if label is not EPS:
+                    self.work.queue((src, label), set(targets))
         self._mark_initial_eps_accepting()
-        while self.worklist:
-            self._process(*self.worklist.popleft())
+        for (src, label), delta in self.work:
+            self._process(src, label, delta)
         return self.aut
-
-    # -- transition insertion --------------------------------------------
-
-    def _add(self, src: Initial, label: str, dst: AutState) -> None:
-        if self.aut.add_transition(src, label, dst):
-            self.stats.transitions_added += 1
-            self.worklist.append((src, label, dst))
-            self._materialize_phase(src.phase)
 
     def _materialize_phase(self, theta: Phase) -> None:
         if theta in self.phases:
@@ -158,45 +126,89 @@ class _PrestarEngine:
         # alpha1 for pop rules: the path (p1,theta) --eps--> q always exists
         for rid, r in self.pop_rules:
             if rid in theta:
-                for q in self._eps_succ(Initial(r.rhs_state, theta)):
-                    self._add(Initial(r.lhs_state, theta), r.lhs_symbol, q)
+                self.work.add([(Initial(r.lhs_state, theta), r.lhs_symbol)],
+                              self._eps_succ(Initial(r.rhs_state, theta)))
 
     # -- fact-driven rule firing -------------------------------------------
 
-    def _process(self, src: AutState, label: str, dst: AutState) -> None:
-        for s in self._eps_pred(src):
-            for d in self._eps_succ(dst):
-                key = (s, label)
-                known = self.facts.setdefault(key, set())
-                if d in known:
+    def _process(self, src: AutState, label: str, delta: set[AutState]) -> None:
+        """Fold the eps edges around the new transitions src --label--> delta
+        and fire the rules on the facts that are new."""
+        if self.eps_succ:
+            closed = set(delta)
+            for d in delta:
+                cl = self.eps_succ.get(d)
+                if cl is not None:
+                    closed |= cl
+            delta = closed
+        for s in self.eps_pred.get(src, (src,)):
+            key = (s, label)
+            known = self.facts.get(key)
+            if known is None:
+                fresh = self.facts[key] = set(delta)
+            else:
+                fresh = delta - known
+                if not fresh:
                     continue
-                known.add(d)
-                self._new_fact(s, label, d)
+                known |= fresh
+            self._new_facts(s, label, fresh)
 
-    def _new_fact(self, src: AutState, label: str, dst: AutState) -> None:
-        for waiting_src, waiting_label in self.pending.get((src, label), ()):
-            self._add(waiting_src, waiting_label, dst)
+    def _new_facts(self, src: AutState, label: str, dsts: set[AutState]) -> None:
+        """Fire every rule on the new facts src --label--> d, d in `dsts`."""
+        add = self.work.add
+        add(self.pending.get((src, label), ()), dsts)
         if not isinstance(src, Initial):
             return
-        p1, theta = src.control, src.phase
+        key = (src, label)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = self.plans[key] = self._firing_plan(src, label)
+        edges, triggers = plan
+        add(edges, dsts)
+        pending, facts = self.pending, self.facts
+        for g2, group in triggers.items():
+            for dst in dsts:
+                key = (dst, g2)
+                waiting = pending.get(key)
+                if waiting is None:
+                    fresh = pending[key] = set(group)
+                else:
+                    # a trigger already waiting was linked to every fact
+                    # known when it was first added; each later fact
+                    # replays the pending set
+                    fresh = group - waiting
+                    if not fresh:
+                        continue
+                    waiting |= fresh
+                known = facts.get(key)
+                if known:
+                    add(fresh, known)
+
+    def _firing_plan(self, init: Initial, label: str):
+        """What every fact (init, label, q) fires, whatever q is.
+
+        The edges (src, g) that alpha1 for one-symbol rules and alpha2 link
+        to q, and, by g2, the transitions ((p,theta), g) that two-symbol
+        rules leave waiting at (q, g2).  Built once per fact key, when
+        its first q arrives, so the phases of the alpha2 sources are
+        materialized here.
+        """
+        p1, theta = init.control, init.phase
+        edges: list[tuple[Initial, str]] = []
         for rid, r in self.one_rules.get((p1, label), ()):
             if rid in theta:
-                self._add(Initial(r.lhs_state, theta), r.lhs_symbol, dst)
-        for rid, r in self.two_rules.get((p1, label), ()):
-            if rid in theta:
-                trigger = (Initial(r.lhs_state, theta), r.lhs_symbol)
-                waiting = self.pending.setdefault((dst, r.rhs_word[1]), set())
-                if trigger in waiting:
-                    # linked to every fact known when it was first added;
-                    # each later fact replays the pending set
-                    continue
-                waiting.add(trigger)
-                for q2 in self.facts.get((dst, r.rhs_word[1]), ()):
-                    self._add(trigger[0], trigger[1], q2)
+                edges.append((Initial(r.lhs_state, theta), r.lhs_symbol))
         for rid, r in self.sm_by_target.get(p1, ()):
             if rid in theta and r.added in theta:
                 for theta_pred in solve_predecessor_phases(theta, rid, r):
-                    self._add(Initial(r.from_state, theta_pred), label, dst)
+                    edges.append((Initial(r.from_state, theta_pred), label))
+                    self._materialize_phase(theta_pred)
+        triggers: dict[str, set[tuple[Initial, str]]] = {}
+        for rid, r in self.two_rules.get((p1, label), ()):
+            if rid in theta:
+                triggers.setdefault(r.rhs_word[1], set()).add(
+                    (Initial(r.lhs_state, theta), r.lhs_symbol))
+        return edges, triggers
 
     # -- empty-stack predecessors through modifying rules ------------------
 

@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 from smpds import (
+    EPS,
     Configuration,
     Phase,
+    Plain,
     SaturationStats,
     bounded_reach,
     config_to_pds,
@@ -310,6 +312,56 @@ def test_criterion_9_fixpoint_idempotence(corpus):
             again = op(rec.smpds, sat, stats)
             assert stats.transitions_added == 0, rec.seed
             assert again.transitions == sat.transitions
+
+
+def test_stats_count_what_the_saturation_added(corpus):
+    """transitions_added and finals_added are the result's counts minus the
+    input's, for both engines, on inputs with empty-stack configurations
+    and, for pre*, on post* results with eps edges."""
+    fired = {prestar: 0, poststar: 0}
+    for rec in corpus:
+        m = rec.smpds
+        empty = [Configuration(c.state, (), c.phase)
+                 for c in sorted(rec.reach, key=repr)[:3]]
+        post_in = from_configs(m, [rec.initial] + empty)
+        post_out = poststar(m, post_in)
+        for op, aut in ((prestar, from_configs(m, [rec.target] + empty)),
+                        (poststar, post_in),
+                        (prestar, post_out)):
+            stats = SaturationStats()
+            out = op(m, aut, stats)
+            assert stats.transitions_added == \
+                len(out.transitions) - len(aut.transitions), rec.seed
+            assert stats.finals_added == len(out.finals) - len(aut.finals), rec.seed
+            fired[op] += stats.finals_added > 0
+    # modifying rules fired on the empty stack in both directions
+    assert fired[prestar] and fired[poststar]
+
+
+def test_accepts_without_eps_edges_agrees_with_the_closure_path(corpus):
+    """`accepts` skips the eps closures on an automaton with no eps edge;
+    one eps edge between two fresh states sends the same automaton down
+    the closure path without changing its language."""
+    with_eps = 0
+    for rec in corpus:
+        pre = prestar(rec.smpds, from_configs(rec.smpds, [rec.target]))
+        post = poststar(rec.smpds, from_configs(rec.smpds, [rec.initial]))
+        probes = rec.samples + sorted(rec.reach, key=repr)[:20]
+        for aut in (pre, post):
+            if aut.has_epsilon():
+                # the closure path itself, against enumeration
+                with_eps += 1
+                accepted = aut.enumerate_configs(SAMPLE_STACK)
+                for c in probes:
+                    if len(c.stack) <= SAMPLE_STACK:
+                        assert aut.accepts(c) == (c in accepted), (rec.seed, c)
+                continue
+            closed = aut.copy()
+            closed.add_transition(Plain("eps-probe-a"), EPS, Plain("eps-probe-b"))
+            assert closed.has_epsilon()
+            for c in probes:
+                assert aut.accepts(c) == closed.accepts(c), (rec.seed, c)
+    assert with_eps > 0
 
 
 def test_criterion_10_format_round_trips(corpus):

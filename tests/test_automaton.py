@@ -101,6 +101,33 @@ def test_generated_states_distinct():
     assert len(set(kinds)) == 3
 
 
+def test_add_targets_inserts_a_set_and_returns_what_was_new():
+    m, theta0, aut, a, mid, acc = _basic()
+    other = Plain("other")
+    dsts = {mid, other}
+    new = aut.add_targets(a, "g1", dsts)
+    assert new == {other} and new is not dsts
+    assert dsts == {mid, other}
+    assert (a, "g1", other) in aut.transitions and other in aut.states
+    assert aut.out(a, "g1") == {mid, other}
+    # the returned set is the caller's: changing it leaves the automaton alone
+    new.add(acc)
+    assert aut.out(a, "g1") == {mid, other}
+    assert aut.add_targets(a, "g1", {mid}) == set()
+    b = Initial("p2", theta0)
+    assert aut.add_targets(b, "g2", {acc}) == {acc} and b in aut.states
+    assert aut.add_targets(b, "g3", set()) == set()
+    assert not aut.has_epsilon()
+    assert aut.add_targets(b, EPS, {mid}) == {mid} and aut.has_epsilon()
+    assert aut.accepts(Configuration("p2", ("g2",), theta0))
+    with pytest.raises(ValueError):
+        aut.add_targets(a, "nope", {mid})
+    # the three views agree
+    assert aut.transitions == {(s, label, d) for s, by_label in aut._out.items()
+                               for label, targets in by_label.items()
+                               for d in targets}
+
+
 def test_copy_is_independent():
     m, theta0, aut, a, mid, acc = _basic()
     dup = aut.copy()

@@ -10,10 +10,14 @@ change of output, rewrite them with
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import smpds
 from smpds.cli import main
 
 ROOT = Path(__file__).parent.parent
@@ -25,6 +29,8 @@ GEN_MODEL = "tests/golden/gen55.smpds"
 GEN_AUT = "tests/golden/gen55.aut"
 EMPTY_MODEL = "tests/golden/gen22.smpds"
 EMPTY_AUT = "tests/golden/gen22.aut"
+MULTI_EPS_MODEL = "tests/golden/multi_eps.smpds"
+MULTI_EPS_AUT = "tests/golden/multi_eps.aut"
 
 # expected file -> CLI arguments (paths relative to the repository root)
 CASES = {
@@ -46,6 +52,9 @@ CASES = {
     # modifying rules firing on the empty stack in both directions
     "gen22.prestar": ["prestar", EMPTY_MODEL, EMPTY_AUT],
     "gen22.poststar": ["poststar", EMPTY_MODEL, EMPTY_AUT],
+    # an initial state with two final eps-targets fires a modifying rule
+    # on the empty stack
+    "multi_eps.poststar": ["poststar", MULTI_EPS_MODEL, MULTI_EPS_AUT],
 }
 
 
@@ -62,6 +71,20 @@ def _run(args: list[str]) -> str:
 def test_output_matches_golden(name):
     expected = (GOLDEN / f"{name}.out").read_text()
     assert _run(CASES[name]) == expected
+
+
+def test_poststar_output_is_the_same_in_fresh_interpreters():
+    """Set order follows object addresses, which differ from process to
+    process; the output must not depend on it."""
+    src = str(Path(smpds.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "smpds.cli", "poststar",
+            str(ROOT / MULTI_EPS_MODEL), str(ROOT / MULTI_EPS_AUT)]
+    outputs = {subprocess.run(argv, env=env, capture_output=True,
+                              check=True).stdout
+               for _ in range(6)}
+    assert outputs == {(GOLDEN / "multi_eps.poststar.out").read_bytes()}
 
 
 def test_generated_instance_has_eps_edges_and_generated_states():

@@ -4,13 +4,13 @@ from smpds import (
     Configuration,
     PdsRule,
     Phase,
-    SaturationStats,
     SelfModRule,
     SMPDS,
     from_configs,
     poststar,
 )
 from smpds.bench import GenParams, generate
+from smpds.saturation import SaturationStats
 
 from fixtures import push_loop_example, swap_example
 from oracles import raw_reach

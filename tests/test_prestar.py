@@ -6,7 +6,6 @@ from smpds import (
     Configuration,
     PdsRule,
     Phase,
-    SaturationStats,
     SelfModRule,
     SMPDS,
     from_configs,
@@ -15,6 +14,7 @@ from smpds import (
     solve_predecessor_phases,
 )
 from smpds.bench import GenParams, generate
+from smpds.saturation import SaturationStats
 
 from fixtures import pop_chain_example, swap_example
 from oracles import raw_reach
