@@ -168,10 +168,10 @@ class _PrestarEngine:
         pending, facts = self.pending, self.facts
         for g2, group in triggers.items():
             for dst in dsts:
-                key = (dst, g2)
-                waiting = pending.get(key)
+                second = (dst, g2)
+                waiting = pending.get(second)
                 if waiting is None:
-                    fresh = pending[key] = set(group)
+                    fresh = pending[second] = set(group)
                 else:
                     # a trigger already waiting was linked to every fact
                     # known when it was first added; each later fact
@@ -180,18 +180,19 @@ class _PrestarEngine:
                     if not fresh:
                         continue
                     waiting |= fresh
-                known = facts.get(key)
+                known = facts.get(second)
                 if known:
                     add(fresh, known)
 
-    def _firing_plan(self, init: Initial, label: str):
+    def _firing_plan(self, init: Initial, label: str) -> tuple[
+            list[tuple[Initial, str]], dict[str, set[tuple[Initial, str]]]]:
         """What every fact (init, label, q) fires, whatever q is.
 
         The edges (src, g) that alpha1 for one-symbol rules and alpha2 link
         to q, and, by g2, the transitions ((p,theta), g) that two-symbol
-        rules leave waiting at (q, g2).  Built once per fact key, when
-        its first q arrives, so the phases of the alpha2 sources are
-        materialized here.
+        rules leave waiting at (q, g2).  Built once per fact key, when its
+        first q arrives and the edges are about to be inserted, so the
+        phases of the alpha2 sources are materialized here.
         """
         p1, theta = init.control, init.phase
         edges: list[tuple[Initial, str]] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .automaton import AutState, Label, PAutomaton
 from .model import PdsRule, SelfModRule, SMPDS
@@ -52,6 +52,7 @@ def run_engine(engine_class, smpds: SMPDS, aut: PAutomaton,
     return result
 
 
+# the `.get` default for a state with no outgoing edge; never written to
 _NO_LABELS: dict = {}
 
 
@@ -66,10 +67,11 @@ class DeltaWorklist:
     def __init__(self, aut: PAutomaton, stats: SaturationStats):
         self.aut = aut
         self.stats = stats
-        self._delta: dict[tuple[AutState, Label], set[AutState]] = {}
+        self._deltas: dict[tuple[AutState, Label], set[AutState]] = {}
         self._keys: deque[tuple[AutState, Label]] = deque()
 
-    def add(self, edges, dsts: set[AutState]) -> None:
+    def add(self, edges: Iterable[tuple[AutState, Label]],
+            dsts: set[AutState]) -> None:
         """Insert src --label--> d for every (src, label) in `edges` and d
         in `dsts`, and queue the new targets under their key.
 
@@ -77,25 +79,19 @@ class DeltaWorklist:
         each edge is first tested with one subset test in C.
         """
         out = self.aut._out
-        pending = self._delta
         for key in edges:
             src, label = key
             current = out.get(src, _NO_LABELS).get(label)
             if current is None or not dsts <= current:
                 new = self.aut.add_targets(src, label, dsts)
                 self.stats.transitions_added += len(new)
-                delta = pending.get(key)
-                if delta is None:
-                    pending[key] = new
-                    self._keys.append(key)
-                else:
-                    delta |= new
+                self.queue(key, new)
 
     def queue(self, key: tuple[AutState, Label], dsts: set[AutState]) -> None:
         """Queue targets already in the automaton; the worklist owns `dsts`."""
-        delta = self._delta.get(key)
+        delta = self._deltas.get(key)
         if delta is None:
-            self._delta[key] = dsts
+            self._deltas[key] = dsts
             self._keys.append(key)
         else:
             delta |= dsts
@@ -103,7 +99,7 @@ class DeltaWorklist:
     def __iter__(self) -> Iterator[tuple[tuple[AutState, Label], set[AutState]]]:
         """Pop each key with its delta, in the order first queued, until no
         key is left; keys queued meanwhile are popped too."""
-        keys, pending = self._keys, self._delta
+        keys, deltas = self._keys, self._deltas
         while keys:
             key = keys.popleft()
-            yield key, pending.pop(key)
+            yield key, deltas.pop(key)

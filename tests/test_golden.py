@@ -1,9 +1,11 @@
 """CLI outputs compared byte for byte with expected files in tests/golden/.
 
-The expected files were captured before automaton states were interned,
-so they pin the printers' canonical order and every saturation's result
-independently of set iteration and worklist order.  After a deliberate
-change of output, rewrite them with
+The first expected files were captured before automaton states were
+interned, and the gen22, gen55.poststar.prestar and eps_mid ones from the
+per-transition engines before the set-at-a-time rewrite, so they pin the
+printers' canonical order and every saturation's result independently of
+set iteration and worklist order.  After a deliberate change of output,
+rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -31,6 +33,8 @@ EMPTY_MODEL = "tests/golden/gen22.smpds"
 EMPTY_AUT = "tests/golden/gen22.aut"
 MULTI_EPS_MODEL = "tests/golden/multi_eps.smpds"
 MULTI_EPS_AUT = "tests/golden/multi_eps.aut"
+EPS_MID_MODEL = "tests/golden/eps_mid.smpds"
+EPS_MID_AUT = "tests/golden/eps_mid.aut"
 
 # expected file -> CLI arguments (paths relative to the repository root)
 CASES = {
@@ -55,6 +59,8 @@ CASES = {
     # an initial state with two final eps-targets fires a modifying rule
     # on the empty stack
     "multi_eps.poststar": ["poststar", MULTI_EPS_MODEL, MULTI_EPS_AUT],
+    # pre* of an input with an eps edge between two symbol edges
+    "eps_mid.prestar": ["prestar", EPS_MID_MODEL, EPS_MID_AUT],
 }
 
 

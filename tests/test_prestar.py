@@ -3,9 +3,13 @@ import random
 import pytest
 
 from smpds import (
+    EPS,
     Configuration,
+    Initial,
+    PAutomaton,
     PdsRule,
     Phase,
+    Plain,
     SelfModRule,
     SMPDS,
     from_configs,
@@ -135,6 +139,22 @@ def test_prestar_empty_stack_smrule_predecessors():
     sat = prestar(m, from_configs(m, [Configuration("q", (), th)]))
     assert sat.accepts(Configuration("p", (), th))
     assert not sat.accepts(Configuration("p", ("a",), th))
+
+
+def test_prestar_matches_two_symbols_across_an_eps_edge():
+    # the input path p --a--> m --eps--> n --c--> f: the two-symbol rule
+    # <q,b> -> <p, a c> must read it as <p, a c>
+    rules = {0: PdsRule("q", "b", "p", ("a", "c"))}
+    m = SMPDS({"p", "q"}, {"a", "b", "c"}, rules)
+    th = Phase.of([0])
+    aut = PAutomaton(m.alphabet)
+    aut.add_transition(Initial("p", th), "a", Plain("m"))
+    aut.add_transition(Plain("m"), EPS, Plain("n"))
+    aut.add_transition(Plain("n"), "c", Plain("f"))
+    aut.add_final(Plain("f"))
+    sat = prestar(m, aut)
+    assert sat.accepts(Configuration("q", ("b",), th))
+    assert not sat.accepts(Configuration("q", ("b", "c"), th))
 
 
 @pytest.mark.parametrize("seed", range(30))
