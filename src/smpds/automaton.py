@@ -5,14 +5,20 @@ Initial states are (control point, phase) pairs; a configuration
 the initial state (p, theta) to a final state, with epsilon moves allowed
 anywhere along the path.  The classical saturations of the translated
 PDS build the same automata (see `Initial`).
+
+Each automaton keeps its transitions in one place, the adjacency index
+src -> label -> set of targets, which the saturations read and extend a
+whole target set at a time.  `PAutomaton.transitions` is a snapshot of
+that index as (src, label, dst) triples, and the printers walk the index
+one (src, label) key at a time (`PAutomaton.grouped_transitions`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import FrozenInstanceError
-from itertools import repeat
-from typing import Iterable, Optional, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Union
 
 from .model import Configuration, Phase, SMPDS
 
@@ -110,11 +116,17 @@ AutState = Union[Initial, Plain, Generated]
 
 
 class PAutomaton:
+    """States, final states and transitions over a fixed alphabet.
+
+    `_out` (src -> label -> set of targets) is the only transition store:
+    inserts test for duplicates in it, and the engines read it directly.
+    Every source and target of a transition is in `states`.
+    """
+
     def __init__(self, alphabet: Iterable[str]):
         self.alphabet = frozenset(alphabet)
         self.states: set[AutState] = set()
         self.finals: set[AutState] = set()
-        self.transitions: set[tuple[AutState, Label, AutState]] = set()
         self._out: dict[AutState, dict[Label, set[AutState]]] = {}
         self._eclosure: dict[AutState, frozenset[AutState]] = {}
         self._has_eps = False
@@ -131,15 +143,19 @@ class PAutomaton:
 
     def add_transition(self, src: AutState, label: Label, dst: AutState) -> bool:
         """Insert a transition; returns False if it was already present."""
-        t = (src, label, dst)
-        if t in self.transitions:
+        by_label = self._out.get(src)
+        targets = None if by_label is None else by_label.get(label)
+        if targets is None:
+            if label is not None and label not in self.alphabet:
+                raise ValueError(f"label {label!r} not in automaton alphabet")
+            if by_label is None:
+                by_label = self._out[src] = {}
+            targets = by_label[label] = set()
+        elif dst in targets:
             return False
-        if label is not None and label not in self.alphabet:
-            raise ValueError(f"label {label!r} not in automaton alphabet")
-        self.transitions.add(t)
+        targets.add(dst)
         self.states.add(src)
         self.states.add(dst)
-        self._out.setdefault(src, {}).setdefault(label, set()).add(dst)
         if label is EPS:
             self._eclosure.clear()
             self._has_eps = True
@@ -171,7 +187,6 @@ class PAutomaton:
                 return new
             current |= new
         self.states |= new
-        self.transitions.update(zip(repeat(src), repeat(label), new))
         if label is EPS:
             self._eclosure.clear()
             self._has_eps = True
@@ -181,7 +196,6 @@ class PAutomaton:
         other = PAutomaton(self.alphabet)
         other.states = set(self.states)
         other.finals = set(self.finals)
-        other.transitions = set(self.transitions)
         other._out = {q: {label: set(targets) for label, targets in by_label.items()}
                       for q, by_label in self._out.items()}
         other._has_eps = self._has_eps
@@ -189,11 +203,38 @@ class PAutomaton:
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def transitions(self) -> set[tuple[AutState, Label, AutState]]:
+        """Every transition as a (src, label, dst) triple.
+
+        Built from `_out` on each access: a snapshot that costs a pass
+        over the automaton, and that the caller may change freely.
+        """
+        return {(src, label, dst) for src, by_label in self._out.items()
+                for label, targets in by_label.items() for dst in targets}
+
+    def grouped_transitions(self, name: dict[AutState, str]
+                            ) -> Iterator[tuple[str, Label, list[str]]]:
+        """(name[src], label, sorted target names) for each key (src, label).
+
+        Keys come in the order of (name[src], label or ""), so with one
+        name per state the transitions come in the order of the triple
+        (name[src], label or "", name[dst]) with far fewer comparisons:
+        a print sorts the keys, then each key's targets.
+        """
+        keys = [((name[src], label or ""), label, targets)
+                for src, by_label in self._out.items()
+                for label, targets in by_label.items()]
+        keys.sort(key=itemgetter(0))
+        for (src_name, _), label, targets in keys:
+            yield src_name, label, sorted(map(name.__getitem__, targets))
+
     def initial_states(self) -> set[Initial]:
         return {q for q in self.states if isinstance(q, Initial)}
 
     def has_transition_into_initial(self) -> bool:
-        return any(isinstance(dst, Initial) for _, _, dst in self.transitions)
+        return any(isinstance(dst, Initial) for by_label in self._out.values()
+                   for targets in by_label.values() for dst in targets)
 
     def has_epsilon(self) -> bool:
         return self._has_eps
@@ -298,10 +339,10 @@ class PAutomaton:
             shape = "doublecircle" if q in self.finals else "circle"
             style = ' style=bold' if isinstance(q, Initial) else ""
             lines.append(f'  "{name[q]}" [shape={shape}{style}];')
-        for src, label, dst in sorted(self.transitions,
-                                      key=lambda t: (name[t[0]], t[1] or "", name[t[2]])):
-            lines.append(f'  "{name[src]}" -> "{name[dst]}" '
-                         f'[label="{label if label is not None else "eps"}"];')
+        for src, label, dsts in self.grouped_transitions(name):
+            prefix = f'  "{src}" -> "'
+            suffix = f'" [label="{label if label is not None else "eps"}"];'
+            lines.append(prefix + (suffix + "\n" + prefix).join(dsts) + suffix)
         lines.append("}")
         return "\n".join(lines)
 

@@ -182,11 +182,30 @@ def _split_id(rest: str, lineno: int) -> tuple[int, str]:
 # -- automaton format -------------------------------------------------------
 
 def state_token(q: AutState, doc: SmpdsDocument) -> str:
+    return _token(q, doc.phase_name)
+
+
+def _token(q: AutState, phase_name) -> str:
     if isinstance(q, Initial):
-        return f"{q.control}@{doc.phase_name(q.phase)}"
+        return f"{q.control}@{phase_name(q.phase)}"
     if isinstance(q, Generated):
-        return f"gen:{q.control}:{q.symbol}@{doc.phase_name(q.phase)}"
+        return f"gen:{q.control}:{q.symbol}@{phase_name(q.phase)}"
     return q.name
+
+
+class _PhaseNames(dict):
+    """Phase -> printed name for one print, each phase named once: the
+    first-declared name, as `SmpdsDocument.phase_name` gives, else the
+    anonymous form."""
+
+    def __init__(self, doc: SmpdsDocument):
+        super().__init__()
+        for name, phase in doc.phase_names.items():
+            self.setdefault(phase, name)
+
+    def __missing__(self, phase: Phase) -> str:
+        name = self[phase] = repr(phase)
+        return name
 
 
 def parse_state_token(token: str, doc: SmpdsDocument, lineno: int = 0) -> AutState:
@@ -241,17 +260,18 @@ def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
 
 
 def print_automaton(aut: PAutomaton, doc: SmpdsDocument) -> str:
-    token = {q: state_token(q, doc) for q in aut.states}
+    phase_name = _PhaseNames(doc).__getitem__
+    token = {q: _token(q, phase_name) for q in aut.states}
     lines = []
     for q in sorted(aut.initial_states(), key=token.__getitem__):
-        lines.append(f"initial {q.control} {doc.phase_name(q.phase)}")
+        lines.append(f"initial {q.control} {phase_name(q.phase)}")
     for q in sorted(aut.finals, key=token.__getitem__):
         lines.append(f"final {token[q]}")
-    # sorted on the token triple, not the line, so eps edges keep their place
-    for src, label, dst in sorted(
-            aut.transitions, key=lambda t: (token[t[0]], t[1] or "", token[t[2]])):
-        lines.append(f"trans {token[src]} "
-                     f"{label if label is not None else 'eps'} {token[dst]}")
+    # in the order of the token triple, not of the line, so eps edges keep
+    # their place; one line block per (src, label) key
+    for src, label, dsts in aut.grouped_transitions(token):
+        prefix = f"trans {src} {label if label is not None else 'eps'} "
+        lines.append(prefix + ("\n" + prefix).join(dsts))
     return "\n".join(lines) + "\n"
 
 

@@ -36,10 +36,10 @@ class _PoststarEngine:
     def __init__(self, smpds: SMPDS, aut: PAutomaton):
         if aut.has_transition_into_initial():
             raise ValueError("input automaton has a transition into an initial state")
-        for src, label, _ in aut.transitions:
+        for src, by_label in aut._out.items():
             # the saturation's own output has eps edges, but only leaving
             # initial states; anything else is rejected rather than closed
-            if label is EPS and not isinstance(src, Initial):
+            if EPS in by_label and not isinstance(src, Initial):
                 raise ValueError("epsilon edges may only leave initial states")
         self.smpds = smpds
         self.aut = aut.copy()

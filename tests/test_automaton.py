@@ -1,5 +1,6 @@
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,51 @@ def test_add_targets_inserts_a_set_and_returns_what_was_new():
     assert aut.transitions == {(s, label, d) for s, by_label in aut._out.items()
                                for label, targets in by_label.items()
                                for d in targets}
+
+
+def test_interleaved_inserts_keep_one_store():
+    m, theta0, aut, a, mid, acc = _basic()
+    ref = set(aut.transitions)
+    states = [a, mid, acc, Initial("p2", theta0), Plain("x"), Plain("y")]
+    labels = sorted(m.alphabet) + [EPS]
+    rng = random.Random(7)
+    for _ in range(300):
+        src, label = rng.choice(states), rng.choice(labels)
+        if rng.random() < 0.5:
+            dst = rng.choice(states)
+            assert aut.add_transition(src, label, dst) == ((src, label, dst) not in ref)
+            ref.add((src, label, dst))
+        else:
+            dsts = set(rng.sample(states, rng.randint(0, 3)))
+            new = aut.add_targets(src, label, dsts)
+            assert new == {d for d in dsts if (src, label, d) not in ref}
+            ref.update((src, label, d) for d in dsts)
+        assert aut.transitions == ref
+    assert {q for t in ref for q in (t[0], t[2])} <= aut.states
+    assert aut.has_epsilon() == any(label is EPS for _, label, _ in ref)
+
+
+def test_duplicate_add_transition_returns_false():
+    m, theta0, aut, a, mid, acc = _basic()
+    before = (set(aut.transitions), set(aut.states))
+    assert not aut.add_transition(a, "g1", mid)
+    assert (set(aut.transitions), set(aut.states)) == before
+    assert aut.add_transition(a, "g1", acc)
+    assert not aut.add_transition(a, "g1", acc)
+
+
+def test_transitions_is_a_snapshot():
+    m, theta0, aut, a, mid, acc = _basic()
+    # the automaton keeps no tuple set of its own
+    assert "transitions" not in vars(aut)
+    snapshot = aut.transitions
+    snapshot.add((mid, "g3", acc))
+    snapshot.discard((a, "g1", mid))
+    assert aut.transitions == {(a, "g1", mid), (mid, "g2", acc)}
+    assert aut.out(mid, "g3") == set() and aut.out(a, "g1") == {mid}
+    assert aut.accepts(Configuration("p1", ("g1", "g2"), theta0))
+    with pytest.raises(AttributeError):
+        aut.transitions = set()
 
 
 def test_copy_is_independent():

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smpds import (
     Configuration,
+    Generated,
+    Initial,
     PdsRule,
     Phase,
     SelfModRule,
@@ -11,6 +15,8 @@ from smpds import (
     poststar,
     prestar,
 )
+from smpds.automaton import _default_state_name
+from smpds.bench import GenParams, generate
 from smpds.formats import (
     FormatError,
     SmpdsDocument,
@@ -18,6 +24,7 @@ from smpds.formats import (
     parse_smpds,
     print_automaton,
     print_smpds,
+    state_token,
 )
 
 from fixtures import swap_example
@@ -96,6 +103,79 @@ def test_automaton_round_trip_saturated():
         assert print_automaton(aut2, doc) == text
         assert aut2.transitions == sat.transitions
         assert aut2.finals == sat.finals
+
+
+def test_print_names_each_phase_by_its_first_declared_name():
+    m, theta0, theta1, c0 = swap_example()
+    doc = SmpdsDocument(m, {"first": theta0, "second": theta0, "t1": theta1}, [c0])
+    aut = from_configs(m, [c0, Configuration("p3", ("g3",), Phase.of([2, 4]))])
+    text = print_automaton(aut, doc)
+    assert doc.phase_name(theta0) == "first"
+    assert "initial p1 first\n" in text and "second" not in text
+    assert "initial p3 {2,4}\n" in text
+    assert text == _reference_print(aut, doc)
+
+
+# -- the grouped printers against the sort of every transition --------------
+
+def _reference_print(aut, doc):
+    """`print_automaton` as it was: every transition sorted on its token triple."""
+    token = {q: state_token(q, doc) for q in aut.states}
+    lines = []
+    for q in sorted(aut.initial_states(), key=token.__getitem__):
+        lines.append(f"initial {q.control} {doc.phase_name(q.phase)}")
+    for q in sorted(aut.finals, key=token.__getitem__):
+        lines.append(f"final {token[q]}")
+    for src, label, dst in sorted(
+            aut.transitions, key=lambda t: (token[t[0]], t[1] or "", token[t[2]])):
+        lines.append(f"trans {token[src]} "
+                     f"{label if label is not None else 'eps'} {token[dst]}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_dot(aut):
+    """`PAutomaton.to_dot` as it was, with the default state names."""
+    name = {q: _default_state_name(q) for q in aut.states}
+    lines = ["digraph pautomaton {", "  rankdir=LR;"]
+    for q in sorted(aut.states, key=name.__getitem__):
+        shape = "doublecircle" if q in aut.finals else "circle"
+        style = ' style=bold' if isinstance(q, Initial) else ""
+        lines.append(f'  "{name[q]}" [shape={shape}{style}];')
+    for src, label, dst in sorted(aut.transitions,
+                                  key=lambda t: (name[t[0]], t[1] or "", name[t[2]])):
+        lines.append(f'  "{name[src]}" -> "{name[dst]}" '
+                     f'[label="{label if label is not None else "eps"}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _corpus_results():
+    """pre*, post* and pre* of the post* result, with their documents, for
+    systems drawn as the acceptance corpus draws them."""
+    for seed in range(1, 201):
+        rng = random.Random(seed)
+        inst = generate(GenParams(num_states=rng.randint(2, 4),
+                                  num_symbols=rng.randint(2, 4),
+                                  num_rules=rng.randint(2, 8),
+                                  num_smrules=rng.randint(0, 3),
+                                  seed=seed))
+        m = inst.smpds
+        doc = SmpdsDocument(m, {"all": inst.initial.phase}, [inst.initial])
+        post = poststar(m, from_configs(m, [inst.initial]))
+        yield doc, prestar(m, from_configs(m, [inst.target]))
+        yield doc, post
+        yield doc, prestar(m, post)
+
+
+def test_printers_match_the_transition_sort_on_the_corpus():
+    eps = generated = 0
+    for doc, aut in _corpus_results():
+        assert print_automaton(aut, doc) == _reference_print(aut, doc)
+        assert aut.to_dot() == _reference_dot(aut)
+        eps += aut.has_epsilon()
+        generated += any(isinstance(q, Generated) for q in aut.states)
+    # the corpus covers eps edges and generated states
+    assert eps and generated
 
 
 def test_automaton_parse_errors():
