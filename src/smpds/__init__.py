@@ -30,11 +30,12 @@ from .model import (
     check_configuration,
     normalize_push,
     normalize_selfmod,
+    solve_predecessor_phases,
     step,
     validate,
 )
 from .automaton import EPS, Generated, Initial, PAutomaton, Plain, from_configs
-from .prestar import prestar, solve_predecessor_phases
+from .prestar import prestar
 from .poststar import poststar
 from .saturation import SaturationStats
 from .translate import (

@@ -330,10 +330,9 @@ class PAutomaton:
                 queue.extend(targets)
         return False
 
-    def to_dot(self, state_name=None) -> str:
+    def to_dot(self) -> str:
         """GraphViz rendering for inspection."""
-        name_of = state_name or _default_state_name
-        name = {q: name_of(q) for q in self.states}
+        name = {q: _default_state_name(q) for q in self.states}
         lines = ["digraph pautomaton {", "  rankdir=LR;"]
         for q in sorted(self.states, key=name.__getitem__):
             shape = "doublecircle" if q in self.finals else "circle"

@@ -169,6 +169,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.max_len < 0:
+        raise ValueError(f"--max-len {args.max_len} is negative")
     doc, aut = _load_query(args)
     lines = []
     for c in sorted(aut.enumerate_configs(args.max_len),

@@ -50,9 +50,10 @@ class SmpdsDocument:
 
     def resolve_phase(self, token: str, lineno: int = 0) -> Phase:
         if token.startswith("{") and token.endswith("}"):
-            body = token[1:-1]
-            ids = [int(t) for t in body.split(",") if t.strip()] if body else []
-            return Phase.of(ids)
+            try:
+                return Phase.of(int(t) for t in token[1:-1].split(",") if t.strip())
+            except ValueError:
+                raise FormatError(lineno, f"phase {token}: ids must be integers") from None
         if token not in self.phase_names:
             raise FormatError(lineno, f"unknown phase {token!r}")
         return self.phase_names[token]

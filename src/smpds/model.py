@@ -4,7 +4,8 @@ A self-modifying pushdown system (SM-PDS) is a pushdown system whose rule
 set can be rewritten at runtime.  A configuration therefore carries, next
 to the control point and the stack word, the *phase*: the set of rule
 identifiers currently enabled.  Plain rules rewrite the stack; modifying
-rules swap one rule identifier for another in the phase.
+rules swap one rule identifier for another in the phase.  `SMPDS` also
+holds the rule indexes and modifying-rule moves the saturations fire.
 """
 
 from __future__ import annotations
@@ -159,21 +160,80 @@ class SelfModRule:
 Rule = Union[PdsRule, SelfModRule]
 
 
+def solve_predecessor_phases(theta: Phase, rid: RuleId,
+                             rule: SelfModRule) -> list[Phase]:
+    """Phases theta' from which firing `rule` yields `theta`.
+
+    The set equation theta = (theta' - {removed}) | {added} has at most two
+    solutions; each candidate is verified on masks by applying the forward
+    update, and must contain both the modifying rule itself and its removed
+    rule.  Only verified candidates are interned.
+    """
+    mask = theta.mask
+    # an id without a bit is in no phase
+    added = _BITS.get(rule.added, 0)
+    if not mask & added:
+        return []
+    removed = rule_bit(rule.removed)
+    needed = rule_bit(rid) | removed
+    out = []
+    for cand in {mask | removed, (mask & ~added) | removed}:
+        if cand & needed == needed and (cand & ~removed) | added == mask:
+            out.append(Phase.of_mask(cand))
+    return out
+
+
 class SMPDS:
-    """An SM-PDS: control points, stack alphabet, and an id-addressed rule table."""
+    """An SM-PDS: control points, stack alphabet, and an id-addressed rule table.
+
+    It holds the rule indexes the direct saturations read, each rule next
+    to its id: plain rules by left side (p, gamma), by right-side head
+    (p', w[0]), and the pop rules; modifying rules by source and by target
+    control point, whose moves are `mod_successors`/`mod_predecessors`.
+    """
 
     def __init__(self, states: Iterable[str], alphabet: Iterable[str],
                  rules: dict[RuleId, Rule]):
         self.states = frozenset(states)
         self.alphabet = frozenset(alphabet)
         self.rules = dict(rules)
-        self.delta = frozenset(
-            rid for rid, r in self.rules.items() if isinstance(r, PdsRule))
-        self.delta_c = frozenset(
-            rid for rid, r in self.rules.items() if isinstance(r, SelfModRule))
+        delta = []
+        self.plain_by_lhs: dict[tuple[str, str], list[tuple[RuleId, PdsRule]]] = {}
+        self.plain_by_rhs_head: dict[tuple[str, str], list[tuple[RuleId, PdsRule]]] = {}
+        self.pop_rules: list[tuple[RuleId, PdsRule]] = []
+        self.mod_by_source: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
+        self.mod_by_target: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
+        for rid, r in self.rules.items():
+            if isinstance(r, PdsRule):
+                delta.append(rid)
+                self.plain_by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((rid, r))
+                if r.rhs_word:
+                    self.plain_by_rhs_head.setdefault(
+                        (r.rhs_state, r.rhs_word[0]), []).append((rid, r))
+                else:
+                    self.pop_rules.append((rid, r))
+            else:
+                self.mod_by_source.setdefault(r.from_state, []).append((rid, r))
+                self.mod_by_target.setdefault(r.to_state, []).append((rid, r))
+        self.delta = frozenset(delta)
+        self.delta_c = frozenset(self.rules.keys() - self.delta)
 
     def all_rules_phase(self) -> Phase:
         return Phase.of(self.rules.keys())
+
+    def mod_successors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
+        """The (p', theta') that a modifying rule leads to from (p, theta), on
+        any stack: one fires when it and its removed rule are in theta."""
+        return [(r.to_state, theta.update(r.removed, r.added))
+                for rid, r in self.mod_by_source.get(p, ())
+                if rid in theta and r.removed in theta]
+
+    def mod_predecessors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
+        """The (p0, theta0) from which a modifying rule leads to (p, theta):
+        (p, theta) is in `mod_successors(p0, theta0)` exactly then."""
+        return [(r.from_state, pred)
+                for rid, r in self.mod_by_target.get(p, ())
+                for pred in solve_predecessor_phases(theta, rid, r)]
 
     def __repr__(self) -> str:
         return (f"SMPDS(|P|={len(self.states)}, |Gamma|={len(self.alphabet)}, "

@@ -15,7 +15,9 @@ The rule for the empty stack: a modifying rule also fires when the stack
 is empty, so whenever (<p, eps>, theta) is accepted the successor
 (<p', eps>, theta') must be as well; this is realized with an epsilon
 edge from the successor to every final eps-target of (p,theta) (or a
-final marking when the initial state itself is final).
+final marking when the initial state itself is final, made by
+`saturation.close_empty_stack`).  Rule indexes and `mod_successors` come
+from the `SMPDS`.
 
 The unit of work is a key (src, g) with the set of its targets added
 since the key was last processed (see `saturation.DeltaWorklist`).  A
@@ -28,8 +30,8 @@ then go along the firing plan of their key, one insert per plan edge.
 from __future__ import annotations
 
 from .automaton import EPS, AutState, Generated, Initial, Label, PAutomaton
-from .model import PdsRule, RuleId, SelfModRule, SMPDS
-from .saturation import DeltaWorklist, SaturationStats, run_engine
+from .model import SMPDS
+from .saturation import DeltaWorklist, SaturationStats, close_empty_stack, run_engine
 
 
 class _PoststarEngine:
@@ -45,15 +47,6 @@ class _PoststarEngine:
         self.aut = aut.copy()
         self.stats = SaturationStats()
 
-        self.rules_by_lhs: dict[tuple[str, str], list[tuple[RuleId, PdsRule]]] = {}
-        for rid in smpds.delta:
-            r = smpds.rules[rid]
-            self.rules_by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((rid, r))
-        self.sm_by_source: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
-        for rid in smpds.delta_c:
-            r = smpds.rules[rid]
-            self.sm_by_source.setdefault(r.from_state, []).append((rid, r))
-
         # epsilon edges go from initial states to non-initial states only,
         # so closures never chain
         self.eps_into: dict[AutState, set[Initial]] = {}
@@ -63,7 +56,10 @@ class _PoststarEngine:
         self.work = DeltaWorklist(self.aut, self.stats)
 
     def run(self) -> PAutomaton:
-        self._mark_empty_stack_finals()
+        # later empty-stack acceptance is linked by `_process`, with eps edges
+        close_empty_stack(self.aut, self.stats,
+                          [q for q in self.aut.initial_states() if q in self.aut.finals],
+                          self.smpds.mod_successors)
         for src, by_label in self.aut._out.items():
             for label, targets in by_label.items():
                 self.work.queue((src, label), set(targets))
@@ -91,7 +87,8 @@ class _PoststarEngine:
             # so that the result does not depend on set order
             finals = delta & self.aut.finals
             if finals:
-                self.work.add([(succ, EPS) for succ in self._empty_stack_successors(src)],
+                self.work.add([(Initial(p, theta), EPS) for p, theta
+                               in self.smpds.mod_successors(src.control, src.phase)],
                               finals)
 
     def _new_facts(self, keys: list[tuple[Initial, str]], dsts: set[AutState]) -> None:
@@ -123,7 +120,7 @@ class _PoststarEngine:
         """
         p, theta = init.control, init.phase
         plan: list[tuple[AutState, Label]] = []
-        for rid, r in self.rules_by_lhs.get((p, symbol), ()):
+        for rid, r in self.smpds.plain_by_lhs.get((p, symbol), ()):
             if rid not in theta:
                 continue
             src = Initial(r.rhs_state, theta)
@@ -135,32 +132,9 @@ class _PoststarEngine:
                 gen = Generated(r.rhs_state, r.rhs_word[0], theta)
                 self.work.add([(src, r.rhs_word[0])], {gen})
                 plan.append((gen, r.rhs_word[1]))
-        for rid, r in self.sm_by_source.get(p, ()):
-            if rid in theta and r.removed in theta:
-                plan.append((Initial(r.to_state, theta.update(r.removed, r.added)),
-                             symbol))
+        for p2, theta2 in self.smpds.mod_successors(p, theta):
+            plan.append((Initial(p2, theta2), symbol))
         return plan
-
-    def _empty_stack_successors(self, q: Initial) -> list[Initial]:
-        """The states that the modifying rules lead to from (<q.control, eps>, q.phase)."""
-        theta = q.phase
-        return [Initial(r.to_state, theta.update(r.removed, r.added))
-                for rid, r in self.sm_by_source.get(q.control, ())
-                if rid in theta and r.removed in theta]
-
-    def _mark_empty_stack_finals(self) -> None:
-        """Make final every state that a final initial state reaches by
-        modifying rules fired on the empty stack.  Later empty-stack
-        acceptance comes from eps edges into final states, and `_process`
-        links those."""
-        todo = [q for q in self.aut.states
-                if isinstance(q, Initial) and q in self.aut.finals]
-        while todo:
-            for succ in self._empty_stack_successors(todo.pop()):
-                if succ not in self.aut.finals:
-                    self.aut.add_final(succ)
-                    self.stats.finals_added += 1
-                    todo.append(succ)
 
 
 def poststar(smpds: SMPDS, aut: PAutomaton,

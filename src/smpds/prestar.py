@@ -13,7 +13,8 @@ Two saturation rules, applied until fixpoint:
 The input automaton may contain epsilon transitions (they are honoured
 during matching); the saturation itself only adds symbol-labelled
 transitions, plus final-state markings for empty-stack predecessors
-reached through modifying rules.
+reached through modifying rules (`saturation.close_empty_stack`).  Rule
+indexes and `mod_predecessors` come from the `SMPDS`.
 
 The unit of work is a key (src, g) with the set of its targets added
 since the key was last processed (see `saturation.DeltaWorklist`).  The
@@ -25,33 +26,9 @@ the new facts' targets in one call.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .automaton import EPS, AutState, Initial, PAutomaton
-from .model import Phase, PdsRule, RuleId, SelfModRule, SMPDS, rule_bit
-from .saturation import DeltaWorklist, SaturationStats, run_engine
-
-
-def solve_predecessor_phases(theta: Phase, rid: RuleId,
-                             rule: SelfModRule) -> list[Phase]:
-    """Phases theta' from which firing `rule` yields `theta`.
-
-    The set equation theta = (theta' - {removed}) | {added} has at most two
-    solutions; each candidate is verified on masks by applying the forward
-    update, and must contain both the modifying rule itself and its removed
-    rule.  Only verified candidates are interned.
-    """
-    mask = theta.mask
-    added = rule_bit(rule.added)
-    if not mask & added:
-        return []
-    removed = rule_bit(rule.removed)
-    needed = rule_bit(rid) | removed
-    out = []
-    for cand in {mask | removed, (mask & ~added) | removed}:
-        if cand & needed == needed and (cand & ~removed) | added == mask:
-            out.append(Phase.of_mask(cand))
-    return out
+from .model import Phase, SMPDS
+from .saturation import DeltaWorklist, SaturationStats, close_empty_stack, run_engine
 
 
 class _PrestarEngine:
@@ -60,25 +37,6 @@ class _PrestarEngine:
         self.aut = aut.copy()
         self.stats = SaturationStats()
         self.work = DeltaWorklist(self.aut, self.stats)
-
-        # rule indexes
-        self.pop_rules: list[tuple[RuleId, PdsRule]] = []
-        self.one_rules: dict[tuple[str, str], list[tuple[RuleId, PdsRule]]] = {}
-        self.two_rules: dict[tuple[str, str], list[tuple[RuleId, PdsRule]]] = {}
-        for rid in smpds.delta:
-            r = smpds.rules[rid]
-            if len(r.rhs_word) == 0:
-                self.pop_rules.append((rid, r))
-            elif len(r.rhs_word) == 1:
-                self.one_rules.setdefault(
-                    (r.rhs_state, r.rhs_word[0]), []).append((rid, r))
-            else:
-                self.two_rules.setdefault(
-                    (r.rhs_state, r.rhs_word[0]), []).append((rid, r))
-        self.sm_by_target: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
-        for rid in smpds.delta_c:
-            r = smpds.rules[rid]
-            self.sm_by_target.setdefault(r.to_state, []).append((rid, r))
 
         # epsilon structure is static: the input may carry eps edges but the
         # saturation never adds any.  Only states with an eps edge on either
@@ -108,23 +66,26 @@ class _PrestarEngine:
         return self.eps_succ.get(q) or {q}
 
     def run(self) -> PAutomaton:
-        for q in self.aut.initial_states():
+        aut = self.aut
+        close_empty_stack(aut, self.stats, [q for q in aut.initial_states()
+                                            if self._eps_succ(q) & aut.finals],
+                          self.smpds.mod_predecessors)
+        for q in aut.initial_states():
             self._materialize_phase(q.phase)
-        for src, by_label in self.aut._out.items():
+        for src, by_label in aut._out.items():
             for label, targets in by_label.items():
                 if label is not EPS:
                     self.work.queue((src, label), set(targets))
-        self._mark_initial_eps_accepting()
         for (src, label), delta in self.work:
             self._process(src, label, delta)
-        return self.aut
+        return aut
 
     def _materialize_phase(self, theta: Phase) -> None:
         if theta in self.phases:
             return
         self.phases.add(theta)
         # alpha1 for pop rules: the path (p1,theta) --eps--> q always exists
-        for rid, r in self.pop_rules:
+        for rid, r in self.smpds.pop_rules:
             if rid in theta:
                 self.work.add([(Initial(r.lhs_state, theta), r.lhs_symbol)],
                               self._eps_succ(Initial(r.rhs_state, theta)))
@@ -196,44 +157,18 @@ class _PrestarEngine:
         """
         p1, theta = init.control, init.phase
         edges: list[tuple[Initial, str]] = []
-        for rid, r in self.one_rules.get((p1, label), ()):
-            if rid in theta:
-                edges.append((Initial(r.lhs_state, theta), r.lhs_symbol))
-        for rid, r in self.sm_by_target.get(p1, ()):
-            if rid in theta and r.added in theta:
-                for theta_pred in solve_predecessor_phases(theta, rid, r):
-                    edges.append((Initial(r.from_state, theta_pred), label))
-                    self._materialize_phase(theta_pred)
         triggers: dict[str, set[tuple[Initial, str]]] = {}
-        for rid, r in self.two_rules.get((p1, label), ()):
+        for rid, r in self.smpds.plain_by_rhs_head.get((p1, label), ()):
             if rid in theta:
-                triggers.setdefault(r.rhs_word[1], set()).add(
-                    (Initial(r.lhs_state, theta), r.lhs_symbol))
+                lhs = (Initial(r.lhs_state, theta), r.lhs_symbol)
+                if len(r.rhs_word) == 1:
+                    edges.append(lhs)
+                else:
+                    triggers.setdefault(r.rhs_word[1], set()).add(lhs)
+        for p, theta_pred in self.smpds.mod_predecessors(p1, theta):
+            edges.append((Initial(p, theta_pred), label))
+            self._materialize_phase(theta_pred)
         return edges, triggers
-
-    # -- empty-stack predecessors through modifying rules ------------------
-
-    def _mark_initial_eps_accepting(self) -> None:
-        # A modifying rule fires on an empty stack too: if (<p1, eps>, theta)
-        # is accepted, its predecessor (<p, eps>, theta') must be as well,
-        # which is only expressible by making (p, theta') final.
-        queue = deque(q for q in self.aut.states
-                      if isinstance(q, Initial)
-                      and self._eps_succ(q) & self.aut.finals)
-        seen = set(queue)
-        while queue:
-            q = queue.popleft()
-            for rid, r in self.sm_by_target.get(q.control, ()):
-                if rid in q.phase and r.added in q.phase:
-                    for theta_pred in solve_predecessor_phases(q.phase, rid, r):
-                        pred = Initial(r.from_state, theta_pred)
-                        if pred not in self.aut.finals:
-                            self.aut.add_final(pred)
-                            self.stats.finals_added += 1
-                            self._materialize_phase(theta_pred)
-                        if pred not in seen:
-                            seen.add(pred)
-                            queue.append(pred)
 
 
 def prestar(smpds: SMPDS, aut: PAutomaton,

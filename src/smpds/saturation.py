@@ -1,5 +1,6 @@
-"""What the direct saturations share: statistics, the engine runner and
-the delta worklist.
+"""What the direct saturations share: statistics, the engine runner, the
+delta worklist and the empty-stack closure.  The rule indexes and the
+modifying-rule moves they fire live on `SMPDS`.
 
 Both engines move whole target sets: a unit of work is a key
 (src, label) together with the targets added under it that the engine
@@ -12,10 +13,10 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .automaton import AutState, Label, PAutomaton
-from .model import PdsRule, SelfModRule, SMPDS
+from .automaton import AutState, Initial, Label, PAutomaton
+from .model import Phase, PdsRule, SelfModRule, SMPDS
 
 
 @dataclass
@@ -50,6 +51,31 @@ def run_engine(engine_class, smpds: SMPDS, aut: PAutomaton,
             phases_materialized=len({q.phase for q in result.initial_states()}),
             wall_seconds=time.perf_counter() - t0)
     return result
+
+
+def close_empty_stack(aut: PAutomaton, stats: SaturationStats,
+                      seeds: Iterable[Initial],
+                      moves: Callable[[str, Phase], list[tuple[str, Phase]]]
+                      ) -> None:
+    """Make final every initial state that `moves` reaches from `seeds`, the
+    initial states whose empty stack is accepted.
+
+    A modifying rule fires on the empty stack too, so with (<p, eps>, theta)
+    each (<p', eps>, theta') in `moves(p, theta)` is accepted: the rule's
+    successors in post*, its predecessors in pre*."""
+    finals = aut.finals
+    todo = list(seeds)
+    seen = set(todo)
+    while todo:
+        q = todo.pop()
+        for p, theta in moves(q.control, q.phase):
+            succ = Initial(p, theta)
+            if succ not in finals:
+                aut.add_final(succ)
+                stats.finals_added += 1
+            if succ not in seen:
+                seen.add(succ)
+                todo.append(succ)
 
 
 # the `.get` default for a state with no outgoing edge; never written to

@@ -7,7 +7,8 @@ symbolic translation keeps one rule per SM-PDS rule and attaches a phase
 relation, stored intensionally.
 
 Classical pre*/post* saturations for ordinary PDSs are included as an
-independent implementation used for cross-checking the direct engines.
+independent implementation used for cross-checking the direct engines;
+this module imports none of theirs (`prestar`, `poststar`, `saturation`).
 A paired configuration ((p, theta), w) is the SM-PDS configuration
 (<p, w>, theta), so they take and return ordinary P-automata.
 """
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, from_configs
-from .model import Configuration, Phase, PdsRule, RuleId, SelfModRule, SMPDS
-from .prestar import solve_predecessor_phases
+from .model import (Configuration, Phase, PdsRule, RuleId, SelfModRule, SMPDS,
+                    solve_predecessor_phases)
 
 # a control point of the translated PDS: (original control point, phase)
 PdsState = tuple[str, Phase]

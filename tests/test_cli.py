@@ -169,6 +169,32 @@ def test_negative_and_huge_rule_ids(tmp_path, capsys):
     assert main(["check", str(model), str(aut), "--direction", "post"]) == 1
 
 
+@pytest.mark.parametrize("command", [["validate"], ["prestar", TARGET],
+                                     ["poststar", TARGET]])
+def test_non_integer_id_in_braced_phase_of_a_model(command, tmp_path, capsys):
+    model = tmp_path / "m.smpds"
+    model.write_text("rule 0: p a -> q\nconfig: p {0,a} a\n")
+    assert main([command[0], str(model), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2:") and err.count("\n") == 1, err
+    assert "ids must be integers" in err
+
+
+@pytest.mark.parametrize("text, lineno", [("initial q {x}\n", 1),
+                                          ("final acc\ntrans q@{0,x} a acc\n", 2)])
+@pytest.mark.parametrize("command", ["prestar", "poststar"])
+def test_non_integer_id_in_braced_phase_of_an_automaton(command, text, lineno,
+                                                        tmp_path, capsys):
+    model = tmp_path / "m.smpds"
+    model.write_text("rule 0: p a -> q\n")
+    aut = tmp_path / "t.aut"
+    aut.write_text(text)
+    assert main([command, str(model), str(aut)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {lineno}:") and err.count("\n") == 1, err
+    assert "ids must be integers" in err
+
+
 def test_translate(capsys):
     assert main(["translate", MODEL]) == 0
     out = capsys.readouterr().out
@@ -206,6 +232,14 @@ def test_enumerate(capsys):
     assert main(["enumerate", MODEL, TARGET, "--max-len", "2"]) == 0
     out = capsys.readouterr().out
     assert "config: p3 theta1 g3" in out
+
+
+def test_enumerate_rejects_a_negative_max_len(capsys):
+    assert main(["enumerate", MODEL, TARGET, "--max-len", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+    assert "--max-len -1" in out.err
 
 
 def test_bench_command_and_seed_flag_retired(capsys):

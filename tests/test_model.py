@@ -222,6 +222,50 @@ def test_step_agrees_with_oracle(mc):
     assert got == raw_step(m, to_raw(c))
 
 
+@st.composite
+def normal_form_systems(draw):
+    """A system in normal form (no modifying rule removes itself) over
+    negative and huge ids, and a control point and phase to fire it at."""
+    ids = draw(st.lists(rule_ids, min_size=1, max_size=8, unique=True))
+    rules = {}
+    for rid in ids:
+        if draw(st.booleans()):
+            rules[rid] = PdsRule(draw(_states), draw(_symbols), draw(_states),
+                                 tuple(draw(st.lists(_symbols, max_size=2))))
+        else:
+            others = [i for i in ids if i != rid] or [rid + 1]
+            rules[rid] = SelfModRule(draw(_states), draw(st.sampled_from(others)),
+                                     draw(st.sampled_from(ids)), draw(_states))
+    m = SMPDS({"p", "q", "r"}, {"a", "b"}, rules)
+    return m, draw(_states), Phase.of(draw(st.sets(st.sampled_from(ids))))
+
+
+@given(normal_form_systems())
+@settings(max_examples=200, deadline=None)
+def test_mod_predecessors_invert_mod_successors(mpt):
+    m, p, theta = mpt
+    for p2, theta2 in m.mod_successors(p, theta):
+        assert (p, theta) in m.mod_predecessors(p2, theta2)
+    for p0, theta0 in m.mod_predecessors(p, theta):
+        assert (p, theta) in m.mod_successors(p0, theta0)
+
+
+@given(normal_form_systems(), st.lists(_symbols, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_mod_successors_are_the_oracle_modifying_moves(mpt, stack):
+    m, p, theta = mpt
+    # the same phases, with every plain rule swapped for one that never
+    # fires, so the oracle makes the modifying-rule moves only
+    mods_only = SMPDS(m.states, m.alphabet,
+                      {rid: r if isinstance(r, SelfModRule)
+                       else PdsRule("never", "never", "never", ())
+                       for rid, r in m.rules.items()})
+    moves = raw_step(mods_only, (p, tuple(stack), theta.members))
+    assert {s for _, s, _ in moves} <= {tuple(stack)}
+    assert ({(p2, theta2.members) for p2, theta2 in m.mod_successors(p, theta)}
+            == {(p2, phase) for p2, _, phase in moves})
+
+
 # -- normalizations ----------------------------------------------------------
 
 def test_normalize_selfmod_noop_when_clean():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from smpds import (
@@ -133,6 +135,48 @@ def test_classical_saturations_cross_check(seed):
             continue
         assert ppre.accepts(c) == pre.accepts(c), c
         assert ppost.accepts(c) == post.accepts(c), c
+
+
+# the seeds of the three oracle tests above whose interpreter run hits its
+# bound, so that they skip: test_prestar_agrees_with_interpreter (1004,
+# 1007, 1014), test_poststar_agrees_with_interpreter (2006) and
+# test_classical_saturations_cross_check (4001, 4008, 4011)
+ORACLE_SEEDS = [*range(1000, 1030), *range(2000, 2030), *range(4000, 4015)]
+TRUNCATED_SEEDS = [1004, 1007, 1014, 2006, 4001, 4008, 4011]
+
+
+def _nonempty_configs(aut):
+    return {c for c in aut.enumerate_configs(3) if c.stack}
+
+
+def test_truncated_seeds_agree_with_the_translated_route():
+    """Where the oracle gives up, direct pre* and post* still agree with
+    phase_closure -> to_pds -> classical saturation, on nonempty stacks
+    (the paired PDS fires no modifying rule on an empty stack, and no run
+    between nonempty stacks passes through one)."""
+    covered = []
+    for seed in ORACLE_SEEDS:
+        inst = generate(GenParams(num_states=3, num_symbols=3, num_rules=5,
+                                  num_smrules=2, seed=seed))
+        m, c0 = inst.smpds, inst.initial
+        reach, truncated = raw_reach(m, c0, 5, 8000)
+        if not truncated:
+            continue
+        covered.append(seed)
+        nonempty = sorted((c for c in reach if c.stack), key=repr)
+        targets = random.Random(seed).sample(nonempty, min(2, len(nonempty)))
+        pds = to_pds(m, phase_closure(m, [c0.phase] + [t.phase for t in targets]))
+        post = poststar(m, from_configs(m, [c0]))
+        # what the oracle did reach before its bound is reachable
+        assert all(post.accepts(c) for c in reach)
+        assert _nonempty_configs(post) == _nonempty_configs(
+            pds_poststar(pds, from_configs(m, [c0])))
+        for target in targets:
+            pre = prestar(m, from_configs(m, [target]))
+            assert pre.accepts(c0)
+            assert _nonempty_configs(pre) == _nonempty_configs(
+                pds_prestar(pds, from_configs(m, [target])))
+    assert covered == TRUNCATED_SEEDS
 
 
 def test_paired_config_helpers_match_from_configs_and_accepts():
