@@ -158,11 +158,10 @@ def cmd_check(args) -> int:
               f"declares {len(doc.configs)} config(s)", file=sys.stderr)
         return 2
     config = doc.configs[args.config]
-    if args.direction == "pre":
-        result = prestar(doc.smpds, aut)
-    else:
-        result = poststar(doc.smpds, aut)
-    member = result.accepts(config)
+    stats = SaturationStats()
+    op = prestar if args.direction == "pre" else poststar
+    member = op(doc.smpds, aut, stats).accepts(config)
+    _emit_stats(args, stats)
     if not args.quiet:
         print("member" if member else "non-member")
     return 0 if member else 1

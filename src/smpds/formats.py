@@ -16,12 +16,13 @@ Automaton format (phase names resolve against a model document):
     trans <state> <gamma|eps> <state>
 
 A phase is referenced by its declared name or, anonymously, as a sorted
-rule-id list in braces: {0,2,5}.  Printing is canonical, so parse o print
-is the identity.
+rule-id list in braces with no spaces: {0,2,5}.  Printing is canonical,
+so parse o print is the identity.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
@@ -59,10 +60,22 @@ class SmpdsDocument:
         return self.phase_names[token]
 
 
+# a braced phase with whitespace inside, which splitting the line on
+# whitespace would tear apart
+_SPACED_PHASE = re.compile(r"\{[^{}]*\s[^{}]*\}")
+
+
 def _content_lines(text: str):
+    """(line number, line) for each line with content, comments removed;
+    both parsers reject a space inside a braced phase here."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
+            spaced = "{" in line and _SPACED_PHASE.search(line)
+            if spaced:
+                phase = spaced.group()
+                raise FormatError(lineno, "a braced phase takes no spaces: "
+                                          f"write {''.join(phase.split())}, not {phase}")
             yield lineno, line
 
 

@@ -2,25 +2,32 @@
 
 The ordinary translation encodes phases in control points, so it is only
 computed over a closed set of phases of interest (full enumeration of all
-2^|rules| phases is pointless for queries anchored at known phases).  The
-symbolic translation keeps one rule per SM-PDS rule and attaches a phase
-relation, stored intensionally.
+2^|rules| phases is pointless for queries anchored at known phases).  It
+builds one paired-state tuple (p, theta) per control point and phase,
+shared by every rule and by `PDS.states`, and checks that the set is
+closed on the modifying rules alone.  The symbolic translation keeps one
+rule per SM-PDS rule and attaches a phase relation, stored intensionally.
 
 Classical pre*/post* saturations for ordinary PDSs are included as an
 independent implementation used for cross-checking the direct engines;
 this module imports none of theirs (`prestar`, `poststar`, `saturation`).
 A paired configuration ((p, theta), w) is the SM-PDS configuration
-(<p, w>, theta), so they take and return ordinary P-automata.
+(<p, w>, theta), so they take and return ordinary P-automata.  Each call
+turns a paired state into its `Initial` once.  Pre* indexes the rules by
+the (Initial, symbol) of their right-side head and moves the whole set of
+new targets of a key (src, symbol) through its worklist at a time; post*
+resolves the right sides of a left side's rules at its first fact.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Union
+from itertools import repeat
+from typing import Iterable, NamedTuple, Union
 
-from .automaton import EPS, AutState, Generated, Initial, PAutomaton, from_configs
-from .model import (Configuration, Phase, PdsRule, RuleId, SelfModRule, SMPDS,
+from .automaton import EPS, AutState, Generated, Initial, Label, PAutomaton, from_configs
+from .model import (Configuration, Phase, PdsRule, RuleId, SMPDS,
                     solve_predecessor_phases)
 
 # a control point of the translated PDS: (original control point, phase)
@@ -34,8 +41,7 @@ class PDS:
     rules: tuple["PairedRule", ...]
 
 
-@dataclass(frozen=True)
-class PairedRule:
+class PairedRule(NamedTuple):
     lhs_state: PdsState
     lhs_symbol: str
     rhs_state: PdsState
@@ -108,6 +114,19 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
     return closed
 
 
+class _Pairs(dict):
+    """Control point p -> the paired state (p, theta) of one phase, built
+    on first use, so every rule at (p, theta) shares one tuple."""
+
+    def __init__(self, theta: Phase):
+        super().__init__()
+        self.theta = theta
+
+    def __missing__(self, p: str) -> PdsState:
+        pair = self[p] = (p, self.theta)
+        return pair
+
+
 def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PDS:
     """Encode phases into control points, restricted to the given phase set.
 
@@ -115,29 +134,31 @@ def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PDS:
     does not depend on how phases hash.
     """
     phase_set = set(phases)
+    mods = [(rid, smpds.rules[rid]) for rid in smpds.delta_c]
     for theta in phase_set:
-        for rid in theta:
-            r = smpds.rules.get(rid)
-            if isinstance(r, SelfModRule) and r.removed in theta:
+        for rid, r in mods:
+            if rid in theta and r.removed in theta:
                 if theta.update(r.removed, r.added) not in phase_set:
                     raise ValueError("phase set is not closed; run phase_closure")
-    rules: list[PairedRule] = []
-    states: set[PdsState] = {(p, theta) for p in smpds.states for theta in phase_set}
+    pairs = {theta: _Pairs(theta) for theta in phase_set}
+    states = frozenset(pairs[theta][p] for theta in phase_set for p in smpds.states)
     gammas = sorted(smpds.alphabet)
+    words = [(g,) for g in gammas]
+    rules: list[PairedRule] = []
     for theta in sorted(phase_set, key=tuple):
+        pair = pairs[theta]
         for rid in theta:
             r = smpds.rules.get(rid)
             if r is None:
                 continue
             if isinstance(r, PdsRule):
-                rules.append(PairedRule((r.lhs_state, theta), r.lhs_symbol,
-                                        (r.rhs_state, theta), r.rhs_word))
+                rules.append(PairedRule(pair[r.lhs_state], r.lhs_symbol,
+                                        pair[r.rhs_state], r.rhs_word))
             elif r.removed in theta:
-                theta2 = theta.update(r.removed, r.added)
-                for g in gammas:
-                    rules.append(PairedRule((r.from_state, theta), g,
-                                            (r.to_state, theta2), (g,)))
-    return PDS(frozenset(states), smpds.alphabet, tuple(rules))
+                rhs = pairs[theta.update(r.removed, r.added)][r.to_state]
+                rules.extend(map(PairedRule, repeat(pair[r.from_state]), gammas,
+                                 repeat(rhs), words))
+    return PDS(states, smpds.alphabet, tuple(rules))
 
 
 def to_symbolic_pds(smpds: SMPDS) -> SymbolicPDS:
@@ -193,89 +214,159 @@ def pds_accepts(aut: PAutomaton, state: PdsState, stack: tuple[str, ...]) -> boo
     return aut.accepts(Configuration(state[0], stack, state[1]))
 
 
-def pds_prestar(pds: PDS, aut: PAutomaton) -> PAutomaton:
-    """Classical backward saturation for ordinary PDSs."""
+class _Interned(dict):
+    """Paired state (p, theta) -> Initial(p, theta), interned on first use,
+    so a classical saturation builds each state once per call."""
+
+    def __missing__(self, pair: PdsState) -> Initial:
+        q = self[pair] = Initial(*pair)
+        return q
+
+
+def _check_input(aut: PAutomaton) -> None:
     if aut.has_transition_into_initial():
         raise ValueError("input automaton has a transition into an initial state")
     if aut.has_epsilon():
         raise ValueError("input automaton must be epsilon-free")
+
+
+def pds_prestar(pds: PDS, aut: PAutomaton) -> PAutomaton:
+    """Classical backward saturation for ordinary PDSs.
+
+    The unit of work is a key (src, symbol) with the set of its targets
+    added since the key was last processed.  Rules are indexed by the
+    (Initial, symbol) of their right-side head, so a key finds its rules
+    with one lookup and inserts the whole target set for each of them.
+    """
+    _check_input(aut)
     result = aut.copy()
-    # rules indexed by (p', theta, first pushed symbol) of their right side,
-    # each with its left side as an initial state
-    one_rules: dict[tuple[str, Phase, str], list[tuple[Initial, str]]] = {}
-    two_rules: dict[tuple[str, Phase, str], list[tuple[Initial, str, str]]] = {}
-    worklist: deque[tuple[AutState, str, AutState]] = deque(result.transitions)
+    out = result._out
+    initial = _Interned()
+    # rules by the (Initial, first pushed symbol) of their right side, each
+    # as its left side (Initial, symbol) and its second pushed symbol, or
+    # None if it pushes one
+    by_head: dict[tuple[Initial, str],
+                  list[tuple[tuple[Initial, str], str | None]]] = {}
+    # key (src, symbol) -> the targets added since it was last processed
+    delta: dict[tuple[AutState, str], set[AutState]] = {}
+    queue: deque[tuple[AutState, str]] = deque()
+    # (mid-state, symbol) -> left sides of two-symbol rules waiting there
     pending: dict[tuple[AutState, str], set[tuple[Initial, str]]] = {}
-    out_index: dict[tuple[AutState, str], set[AutState]] = {}
 
-    def add(src: AutState, label: str, dst: AutState) -> None:
-        if result.add_transition(src, label, dst):
-            worklist.append((src, label, dst))
+    def add(src: AutState, label: str, dsts: set[AutState]) -> None:
+        new = result.add_targets(src, label, dsts)
+        if new:
+            key = (src, label)
+            waiting = delta.get(key)
+            if waiting is None:
+                delta[key] = new
+                queue.append(key)
+            else:
+                waiting |= new
 
-    for r in pds.rules:
-        lhs = Initial(*r.lhs_state)
-        if len(r.rhs_word) == 0:
-            add(lhs, r.lhs_symbol, Initial(*r.rhs_state))
-        elif len(r.rhs_word) == 1:
-            one_rules.setdefault((*r.rhs_state, r.rhs_word[0]), []).append(
-                (lhs, r.lhs_symbol))
-        elif len(r.rhs_word) == 2:
-            two_rules.setdefault((*r.rhs_state, r.rhs_word[0]), []).append(
-                (lhs, r.lhs_symbol, r.rhs_word[1]))
-        else:
+    for src, by_label in out.items():
+        for label, targets in by_label.items():
+            delta[(src, label)] = set(targets)
+            queue.append((src, label))
+    for lhs_state, symbol, rhs_state, word in pds.rules:
+        lhs = (initial[lhs_state], symbol)
+        if not word:
+            add(*lhs, {initial[rhs_state]})
+            continue
+        if len(word) > 2:
             raise ValueError("classical pre* expects |w| <= 2 rules")
-    while worklist:
-        src, label, dst = worklist.popleft()
-        out_index.setdefault((src, label), set()).add(dst)
-        for wsrc, wlabel in pending.get((src, label), set()):
-            add(wsrc, wlabel, dst)
-        if isinstance(src, Initial):
-            key = (src.control, src.phase, label)
-            for lhs, symbol in one_rules.get(key, ()):
-                add(lhs, symbol, dst)
-            for lhs, symbol, second in two_rules.get(key, ()):
-                pending.setdefault((dst, second), set()).add((lhs, symbol))
-                for d2 in out_index.get((dst, second), ()):
-                    add(lhs, symbol, d2)
+        key = (initial[rhs_state], word[0])
+        entry = (lhs, word[1] if len(word) == 2 else None)
+        group = by_head.get(key)
+        if group is None:
+            by_head[key] = [entry]
+        else:
+            group.append(entry)
+    while queue:
+        key = queue.popleft()
+        dsts = delta.pop(key)
+        for src, label in pending.get(key, ()):
+            add(src, label, dsts)
+        for lhs, second in by_head.get(key, ()):
+            if second is None:
+                add(*lhs, dsts)
+                continue
+            for dst in dsts:
+                mid = (dst, second)
+                waiting = pending.get(mid)
+                if waiting is None:
+                    pending[mid] = {lhs}
+                elif lhs in waiting:
+                    # linked when it first waited here; later targets of
+                    # mid replay the pending set
+                    continue
+                else:
+                    waiting.add(lhs)
+                known = out.get(dst)
+                if known is not None and second in known:
+                    add(*lhs, known[second])
     return result
 
 
 def pds_poststar(pds: PDS, aut: PAutomaton) -> PAutomaton:
-    """Classical forward saturation for ordinary PDSs."""
-    if aut.has_transition_into_initial():
-        raise ValueError("input automaton has a transition into an initial state")
-    if aut.has_epsilon():
-        raise ValueError("input automaton must be epsilon-free")
+    """Classical forward saturation for ordinary PDSs.
+
+    Rules are indexed by the paired state and symbol of their left side.
+    The first fact of a key (Initial, symbol) looks its rules up once and
+    resolves the right-side `Initial` (and, for a rule pushing two
+    symbols, the `Generated` state) of each; a saturation from a few
+    configurations leaves most rules unread.
+    """
+    _check_input(aut)
     result = aut.copy()
-    by_lhs: dict[tuple[str, Phase, str], list[PairedRule]] = {}
+    initial = _Interned()
+    by_lhs: dict[tuple[PdsState, str], list[PairedRule]] = {}
     for r in pds.rules:
-        if len(r.rhs_word) > 2:
+        lhs_state, symbol, _, word = r
+        if len(word) > 2:
             raise ValueError("classical post* expects |w| <= 2 rules")
-        by_lhs.setdefault((*r.lhs_state, r.lhs_symbol), []).append(r)
-    worklist: deque[tuple[AutState, object, AutState]] = deque(result.transitions)
-    facts: dict[tuple[str, Phase, str], set[AutState]] = {}
+        key = (lhs_state, symbol)
+        group = by_lhs.get(key)
+        if group is None:
+            by_lhs[key] = [r]
+        else:
+            group.append(r)
+    # (Initial, symbol) -> (src, label, gen, second) per rule: a fact q adds
+    # src --label--> q, or src --label--> gen --second--> q when gen is set
+    plans: dict[tuple[Initial, str],
+                list[tuple[Initial, Label, Generated | None, str | None]]] = {}
+
+    def plan(r: PairedRule) -> tuple[Initial, Label, Generated | None, str | None]:
+        src = initial[r.rhs_state]
+        word = r.rhs_word
+        if len(word) < 2:
+            return src, word[0] if word else EPS, None, None
+        return src, word[0], Generated(src.control, word[0], src.phase), word[1]
+
+    worklist: deque[tuple[AutState, Label, AutState]] = deque(result.transitions)
+    facts: dict[tuple[Initial, str], set[AutState]] = {}
     eps_into: dict[AutState, set[Initial]] = {}
 
-    def add(src: AutState, label, dst: AutState) -> None:
+    def add(src: AutState, label: Label, dst: AutState) -> None:
         if result.add_transition(src, label, dst):
             worklist.append((src, label, dst))
 
-    def new_fact(init: Initial, symbol: str, q: AutState) -> None:
-        key = (init.control, init.phase, symbol)
-        known = facts.setdefault(key, set())
-        if q in known:
+    def new_fact(key: tuple[Initial, str], q: AutState) -> None:
+        known = facts.get(key)
+        if known is None:
+            known = facts[key] = set()
+            init, symbol = key
+            plans[key] = [plan(r) for r in
+                          by_lhs.get(((init.control, init.phase), symbol), ())]
+        elif q in known:
             return
         known.add(q)
-        for r in by_lhs.get(key, ()):
-            src = Initial(*r.rhs_state)
-            if len(r.rhs_word) == 0:
-                add(src, EPS, q)
-            elif len(r.rhs_word) == 1:
-                add(src, r.rhs_word[0], q)
+        for src, label, gen, second in plans[key]:
+            if gen is None:
+                add(src, label, q)
             else:
-                gen = Generated(src.control, r.rhs_word[0], src.phase)
-                add(src, r.rhs_word[0], gen)
-                add(gen, r.rhs_word[1], q)
+                add(src, label, gen)
+                add(gen, second, q)
 
     while worklist:
         src, label, dst = worklist.popleft()
@@ -285,10 +376,10 @@ def pds_poststar(pds: PDS, aut: PAutomaton) -> PAutomaton:
                 for symbol, targets in list(result._out.get(dst, {}).items()):
                     if symbol is not EPS:
                         for q in list(targets):
-                            new_fact(src, symbol, q)
+                            new_fact((src, symbol), q)
             else:
-                new_fact(src, label, dst)
+                new_fact((src, label), dst)
         else:
             for init in list(eps_into.get(src, ())):
-                new_fact(init, label, dst)
+                new_fact((init, label), dst)
     return result

@@ -46,9 +46,26 @@ def test_poststar_runs(capsys):
     assert "trans" in capsys.readouterr().out
 
 
-def test_stats_flag(capsys):
+def test_stats_flag(tmp_path, capsys):
     assert main(["--stats", "prestar", MODEL, TARGET]) == 0
     assert "transitions added" in capsys.readouterr().err
+    # config 0 is a pre*-member of the target, config 1 a post*-member
+    for direction, config in (("pre", "0"), ("post", "1")):
+        assert main(["--stats", "check", MODEL, TARGET, "--config", config,
+                     "--direction", direction]) == 0
+        out = capsys.readouterr()
+        assert out.out == "member\n"
+        assert "transitions added" in out.err and "wall seconds" in out.err
+    # a non-member keeps exit code 1 and still reports
+    aut = tmp_path / "t.aut"
+    aut.write_text("initial p1 theta0\nfinal acc\ntrans p1@theta0 g3 acc\n")
+    model = tmp_path / "m.smpds"
+    model.write_text(Path(MODEL).read_text() + "config: p2 theta0 g1 g1\n")
+    for direction in ("pre", "post"):
+        assert main(["--stats", "check", str(model), str(aut), "--config", "2",
+                     "--direction", direction]) == 1
+        out = capsys.readouterr()
+        assert out.out == "non-member\n" and "transitions added" in out.err
 
 
 def test_check_membership_exit_codes(capsys):
@@ -193,6 +210,31 @@ def test_non_integer_id_in_braced_phase_of_an_automaton(command, text, lineno,
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {lineno}:") and err.count("\n") == 1, err
     assert "ids must be integers" in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["prestar", TARGET]])
+def test_space_in_braced_phase_of_a_model(command, tmp_path, capsys):
+    model = tmp_path / "m.smpds"
+    model.write_text("rule 0: p a -> q\nrule 1: q a -> p\nconfig: p {0, 1} a\n")
+    assert main([command[0], str(model), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3:") and err.count("\n") == 1, err
+    assert "takes no spaces" in err and "{0,1}" in err
+
+
+@pytest.mark.parametrize("text, lineno", [("initial p {0, 1}\n", 1),
+                                          ("final acc\ntrans p@{0, 1} a acc\n", 2)])
+@pytest.mark.parametrize("command", ["prestar", "poststar"])
+def test_space_in_braced_phase_of_an_automaton(command, text, lineno,
+                                               tmp_path, capsys):
+    model = tmp_path / "m.smpds"
+    model.write_text("rule 0: p a -> q\nrule 1: q a -> p\n")
+    aut = tmp_path / "t.aut"
+    aut.write_text(text)
+    assert main([command, str(model), str(aut)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {lineno}:") and err.count("\n") == 1, err
+    assert "takes no spaces" in err
 
 
 def test_translate(capsys):

@@ -1,8 +1,9 @@
 """CLI outputs compared byte for byte with expected files in tests/golden/.
 
 The first expected files were captured before automaton states were
-interned, and the gen22, gen55.poststar.prestar and eps_mid ones from the
-per-transition engines before the set-at-a-time rewrite, so they pin the
+interned, the gen22, gen55.poststar.prestar and eps_mid ones from the
+per-transition engines before the set-at-a-time rewrite, and
+gen55.translate before `to_pds` shared its paired states, so they pin the
 printers' canonical order and every saturation's result independently of
 set iteration and worklist order.  After a deliberate change of output,
 rewrite them with
@@ -50,6 +51,8 @@ CASES = {
     "gen55.poststar": ["poststar", GEN_MODEL, GEN_AUT],
     "gen55.poststar.dot": ["poststar", GEN_MODEL, GEN_AUT, "--dot"],
     "gen55.prestar": ["prestar", GEN_MODEL, GEN_AUT],
+    # seven phases, two modifying rules: paired rules across phases
+    "gen55.translate": ["translate", GEN_MODEL],
     # pre* of a post* result: eps edges and gen: states in the input
     "gen55.poststar.prestar": ["prestar", GEN_MODEL,
                                "tests/golden/gen55.poststar.out"],
