@@ -333,17 +333,21 @@ class PAutomaton:
     def to_dot(self) -> str:
         """GraphViz rendering for inspection."""
         name = {q: _default_state_name(q) for q in self.states}
-        lines = ["digraph pautomaton {", "  rankdir=LR;"]
+        parts = ["digraph pautomaton {\n  rankdir=LR;\n"]
         for q in sorted(self.states, key=name.__getitem__):
             shape = "doublecircle" if q in self.finals else "circle"
             style = ' style=bold' if isinstance(q, Initial) else ""
-            lines.append(f'  "{name[q]}" [shape={shape}{style}];')
+            parts.append(f'  "{name[q]}" [shape={shape}{style}];\n')
+        # a key's lines share its prefix and suffix, laid out around the
+        # targets by one slice assignment; the output is joined once
         for src, label, dsts in self.grouped_transitions(name):
             prefix = f'  "{src}" -> "'
-            suffix = f'" [label="{label if label is not None else "eps"}"];'
-            lines.append(prefix + (suffix + "\n" + prefix).join(dsts) + suffix)
-        lines.append("}")
-        return "\n".join(lines)
+            suffix = f'" [label="{label if label is not None else "eps"}"];\n'
+            block = [prefix, "", suffix] * len(dsts)
+            block[1::3] = dsts
+            parts += block
+        parts.append("}")
+        return "".join(parts)
 
 
 def _default_state_name(q: AutState) -> str:

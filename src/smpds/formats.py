@@ -16,8 +16,11 @@ Automaton format (phase names resolve against a model document):
     trans <state> <gamma|eps> <state>
 
 A phase is referenced by its declared name or, anonymously, as a sorted
-rule-id list in braces with no spaces: {0,2,5}.  Printing is canonical,
-so parse o print is the identity.
+rule-id list in braces with no spaces: {0,2,5}.  The label `eps` is
+epsilon, so no model may use `eps` as a stack symbol.  Printing is
+canonical, so parse o print is the identity.  Each printer collects its
+output as one list of pieces and joins it once, so it holds little more
+than the output itself.
 """
 
 from __future__ import annotations
@@ -79,6 +82,10 @@ def _content_lines(text: str):
             yield lineno, line
 
 
+# the automaton format reads the label eps as epsilon
+_EPS_RESERVED = "'eps' is reserved for epsilon edges and cannot be a stack symbol"
+
+
 def parse_smpds(text: str) -> SmpdsDocument:
     states: set[str] = set()
     alphabet: set[str] = set()
@@ -93,6 +100,8 @@ def parse_smpds(text: str) -> SmpdsDocument:
             states.add(_one_token(rest, lineno))
         elif head == "symbol":
             alphabet.add(_one_token(rest, lineno))
+            if "eps" in alphabet:
+                raise FormatError(lineno, _EPS_RESERVED)
         elif head == "rule":
             rid, body = _split_id(rest, lineno)
             lhs, arrow, rhs = body.partition("->")
@@ -109,6 +118,10 @@ def parse_smpds(text: str) -> SmpdsDocument:
             states.update((p, rt[0]))
             alphabet.add(gamma)
             alphabet.update(rt[1:])
+            # eps enters the alphabet only here and on symbol lines, so
+            # testing the alphabet finds the first line that uses it
+            if "eps" in alphabet:
+                raise FormatError(lineno, _EPS_RESERVED)
         elif head == "smrule":
             rid, body = _split_id(rest, lineno)
             toks = body.replace("(", " ").replace(")", " ").split()
@@ -137,6 +150,8 @@ def parse_smpds(text: str) -> SmpdsDocument:
             toks = rest.lstrip(":").split() if head == "config" else rest.split()
             if len(toks) < 2:
                 raise FormatError(lineno, "config needs a state and a phase")
+            if "eps" in toks[2:]:
+                raise FormatError(lineno, _EPS_RESERVED)
             config_lines.append((lineno, toks))
         else:
             raise FormatError(lineno, f"unknown directive {head!r}")
@@ -173,7 +188,14 @@ def print_smpds(doc: SmpdsDocument) -> str:
     for c in doc.configs:
         stack = " ".join(c.stack)
         lines.append(f"config: {c.state} {doc.phase_name(c.phase)} {stack}".rstrip())
-    return "\n".join(lines) + "\n"
+    return _text(lines)
+
+
+def _text(lines: list[str]) -> str:
+    """The lines, each ended by a newline, joined once; a lone newline
+    when there are none."""
+    lines.append("")
+    return "\n".join(lines) or "\n"
 
 
 def _one_token(rest: str, lineno: int) -> str:
@@ -276,17 +298,20 @@ def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
 def print_automaton(aut: PAutomaton, doc: SmpdsDocument) -> str:
     phase_name = _PhaseNames(doc).__getitem__
     token = {q: _token(q, phase_name) for q in aut.states}
-    lines = []
+    parts = []
     for q in sorted(aut.initial_states(), key=token.__getitem__):
-        lines.append(f"initial {q.control} {phase_name(q.phase)}")
+        parts.append(f"initial {q.control} {phase_name(q.phase)}\n")
     for q in sorted(aut.finals, key=token.__getitem__):
-        lines.append(f"final {token[q]}")
+        parts += ("final ", token[q], "\n")
     # in the order of the token triple, not of the line, so eps edges keep
-    # their place; one line block per (src, label) key
+    # their place; a key's lines share its prefix, and the pieces prefix,
+    # target, newline of each line are laid out by one slice assignment
     for src, label, dsts in aut.grouped_transitions(token):
         prefix = f"trans {src} {label if label is not None else 'eps'} "
-        lines.append(prefix + ("\n" + prefix).join(dsts))
-    return "\n".join(lines) + "\n"
+        block = [prefix, "", "\n"] * len(dsts)
+        block[1::3] = dsts
+        parts += block
+    return "".join(parts) or "\n"
 
 
 # -- translated-PDS format --------------------------------------------------
@@ -301,7 +326,7 @@ def print_pds(pds, doc: SmpdsDocument) -> str:
         word = " ".join(r.rhs_word)
         rhs = f"{sname(r.rhs_state)} {word}".rstrip()
         lines.append(f"rule {i}: {sname(r.lhs_state)} {r.lhs_symbol} -> {rhs}")
-    return "\n".join(lines) + "\n"
+    return _text(lines)
 
 
 def print_symbolic_pds(spds, doc: SmpdsDocument) -> str:
@@ -312,4 +337,4 @@ def print_symbolic_pds(spds, doc: SmpdsDocument) -> str:
                else f"mod({r.rel.guard},{r.rel.removed},{r.rel.added})")
         rhs = f"{r.rhs_state} {word}".rstrip()
         lines.append(f"symrule {i}: {r.lhs_state} {r.lhs_symbol} -[{rel}]-> {rhs}")
-    return "\n".join(lines) + "\n"
+    return _text(lines)

@@ -237,6 +237,23 @@ def test_space_in_braced_phase_of_an_automaton(command, text, lineno,
     assert "takes no spaces" in err
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("symbol eps\n", 1),
+    ("rule 0: p eps -> q\n", 1),
+    ("rule 0: p a -> q eps\n", 1),
+    ("rule 0: p a -> q\nconfig: p {0} eps\n", 2),
+])
+@pytest.mark.parametrize("command", [["validate"], ["prestar", TARGET]])
+def test_eps_is_not_a_stack_symbol(command, text, lineno, tmp_path, capsys):
+    # the automaton format reads the label eps as an epsilon edge
+    model = tmp_path / "m.smpds"
+    model.write_text(text)
+    assert main([command[0], str(model), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {lineno}:") and err.count("\n") == 1, err
+    assert "'eps' is reserved" in err
+
+
 def test_translate(capsys):
     assert main(["translate", MODEL]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from smpds import (
     Configuration,
     Generated,
     Initial,
+    PAutomaton,
     PdsRule,
     Phase,
     SelfModRule,
@@ -167,15 +170,43 @@ def _corpus_results():
         yield doc, prestar(m, post)
 
 
+def _empty_results():
+    """An automaton with no states, and one with initial and final states
+    but no transitions."""
+    doc = _doc()
+    yield doc, PAutomaton(doc.smpds.alphabet)
+    aut = from_configs(doc.smpds, [Configuration("p1", (), doc.phase_names["theta0"])])
+    aut.add_state(Initial("p2", doc.phase_names["theta1"]))
+    assert aut.finals and not aut.transitions
+    yield doc, aut
+
+
 def test_printers_match_the_transition_sort_on_the_corpus():
     eps = generated = 0
-    for doc, aut in _corpus_results():
+    for doc, aut in chain(_corpus_results(), _empty_results()):
         assert print_automaton(aut, doc) == _reference_print(aut, doc)
         assert aut.to_dot() == _reference_dot(aut)
         eps += aut.has_epsilon()
         generated += any(isinstance(q, Generated) for q in aut.states)
     # the corpus covers eps edges and generated states
     assert eps and generated
+
+
+def test_printers_build_their_output_once():
+    # post* from the initial configuration: about 20k transitions, 6.5 MB
+    # printed; a printer that copies its output on the way peaks at 2-3x
+    inst = generate(GenParams(4, 4, 54, 4, seed=2))
+    doc = SmpdsDocument(inst.smpds, {}, [inst.initial])
+    aut = poststar(inst.smpds, from_configs(inst.smpds, [inst.initial]))
+    for printer in (lambda: print_automaton(aut, doc), aut.to_dot):
+        tracemalloc.start()
+        try:
+            out = printer()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 5_000_000
+        assert peak <= 1.5 * len(out), (printer, peak / len(out))
 
 
 def test_automaton_parse_errors():
