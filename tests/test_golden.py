@@ -1,12 +1,13 @@
 """CLI outputs compared byte for byte with expected files in tests/golden/.
 
 The first expected files were captured before automaton states were
-interned, the gen22, gen55.poststar.prestar and eps_mid ones from the
-per-transition engines before the set-at-a-time rewrite, and
-gen55.translate before `to_pds` shared its paired states, so they pin the
-printers' canonical order and every saturation's result independently of
-set iteration and worklist order.  After a deliberate change of output,
-rewrite them with
+interned, the gen22, gen55.poststar.prestar and eps_mid.prestar ones from
+the per-transition engines before the set-at-a-time rewrite,
+gen55.translate before `to_pds` shared its paired states, and the two
+eps-edged enumerate ones before `PAutomaton` had one eps-closed step, so
+they pin the printers' canonical order and every saturation's result
+independently of set iteration and worklist order.  After a deliberate
+change of output, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -64,6 +65,13 @@ CASES = {
     "multi_eps.poststar": ["poststar", MULTI_EPS_MODEL, MULTI_EPS_AUT],
     # pre* of an input with an eps edge between two symbol edges
     "eps_mid.prestar": ["prestar", EPS_MID_MODEL, EPS_MID_AUT],
+    # enumeration over eps-edged automata: a post* result with gen: states,
+    # and an input with an eps edge between two symbol edges
+    "gen55.poststar.enumerate": ["enumerate", GEN_MODEL,
+                                 "tests/golden/gen55.poststar.out",
+                                 "--max-len", "3"],
+    "eps_mid.enumerate": ["enumerate", EPS_MID_MODEL, EPS_MID_AUT,
+                          "--max-len", "3"],
 }
 
 
