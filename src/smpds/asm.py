@@ -215,6 +215,9 @@ def compile_program(prog: Program, erase_selfmod: bool = False) -> CompiledProgr
 
     # selfmod instructions: one rule-set change plus the disabled replacement
     for ins, fall in selfmods:
+        if ins.operands[1] == "selfmod":
+            raise AsmError(ins.lineno, "selfmod of a selfmod instruction "
+                           "compiles only with --erase-selfmod")
         target = ins.operands[0]
         target_idx = labels.get(target)
         target_fall = succ(target_idx) if target_idx is not None else HALT

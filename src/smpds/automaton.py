@@ -11,6 +11,12 @@ src -> label -> set of targets, which the saturations read and extend a
 whole target set at a time.  `PAutomaton.transitions` is a snapshot of
 that index as (src, label, dst) triples, and the printers walk the index
 one (src, label) key at a time (`PAutomaton.grouped_transitions`).
+
+Two operations carry every layer, and each has one implementation here:
+inserting transitions (`add_targets`; `add_transition` is its one-target
+case) and stepping a set of states over a symbol with eps moves free
+(`_close` and `_step`, over the cached `eclosure`s).  Membership,
+enumeration and direct pre* all read closures through them.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from .model import Configuration, Phase, SMPDS
 # transition label; None is epsilon
 Label = Optional[str]
 EPS: Label = None
+
+# the `.get` default for a state with no outgoing edge; never written to
+_NO_LABELS: dict = {}
 
 
 class _State:
@@ -120,7 +129,8 @@ class PAutomaton:
 
     `_out` (src -> label -> set of targets) is the only transition store:
     inserts test for duplicates in it, and the engines read it directly.
-    Every source and target of a transition is in `states`.
+    Every source and target of a transition is in `states`.  Eps
+    closures are cached per state until the next eps edge is inserted.
     """
 
     def __init__(self, alphabet: Iterable[str]):
@@ -143,23 +153,7 @@ class PAutomaton:
 
     def add_transition(self, src: AutState, label: Label, dst: AutState) -> bool:
         """Insert a transition; returns False if it was already present."""
-        by_label = self._out.get(src)
-        targets = None if by_label is None else by_label.get(label)
-        if targets is None:
-            if label is not None and label not in self.alphabet:
-                raise ValueError(f"label {label!r} not in automaton alphabet")
-            if by_label is None:
-                by_label = self._out[src] = {}
-            targets = by_label[label] = set()
-        elif dst in targets:
-            return False
-        targets.add(dst)
-        self.states.add(src)
-        self.states.add(dst)
-        if label is EPS:
-            self._eclosure.clear()
-            self._has_eps = True
-        return True
+        return bool(self.add_targets(src, label, {dst}))
 
     def add_targets(self, src: AutState, label: Label,
                     dsts: set[AutState]) -> set[AutState]:
@@ -183,6 +177,9 @@ class PAutomaton:
             by_label[label] = set(new)
         else:
             new = dsts - current
+            if type(new) is not set:
+                # a frozenset `dsts` gives a frozenset difference
+                new = set(new)
             if not new:
                 return new
             current |= new
@@ -240,42 +237,44 @@ class PAutomaton:
         return self._has_eps
 
     def out(self, q: AutState, label: Label) -> set[AutState]:
-        return self._out.get(q, {}).get(label, set())
+        return self._out.get(q, _NO_LABELS).get(label, set())
 
     def eclosure(self, q: AutState) -> frozenset[AutState]:
+        """The states reachable from `q` by eps edges, `q` included; cached
+        until the next eps edge is inserted."""
         cached = self._eclosure.get(q)
         if cached is not None:
             return cached
+        out = self._out
         seen = {q}
         stack = [q]
         while stack:
-            s = stack.pop()
-            for s2 in self.out(s, EPS):
-                if s2 not in seen:
-                    seen.add(s2)
-                    stack.append(s2)
+            for s in out.get(stack.pop(), _NO_LABELS).get(EPS, ()):
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
         result = frozenset(seen)
         self._eclosure[q] = result
         return result
 
+    def _close(self, states: set[AutState]) -> set[AutState]:
+        """`states` with the eps closure of each member: `states` itself
+        when the automaton has no eps edge, a new set otherwise."""
+        if not self._has_eps:
+            return states
+        return set().union(*map(self.eclosure, states))
+
+    def _step(self, states: Iterable[AutState], symbol: str) -> set[AutState]:
+        """The eps-closed set of targets of `symbol` edges from `states`."""
+        out = self._out
+        return self._close(set().union(*[out.get(q, _NO_LABELS).get(symbol, ())
+                                         for q in states]))
+
     def reach_states(self, source: AutState, word: Iterable[str]) -> set[AutState]:
         """All states reachable from `source` reading `word`, eps moves free."""
-        if not self._has_eps:
-            # no closures to take: union the target sets directly
-            current = {source}
-            for symbol in word:
-                current = set().union(*[self._out.get(q, {}).get(symbol, ())
-                                        for q in current])
-                if not current:
-                    break
-            return current
-        current = set(self.eclosure(source))
+        current = self._close({source})
         for symbol in word:
-            nxt: set[AutState] = set()
-            for q in current:
-                for q2 in self.out(q, symbol):
-                    nxt.update(self.eclosure(q2))
-            current = nxt
+            current = self._step(current, symbol)
             if not current:
                 break
         return current
@@ -293,8 +292,8 @@ class PAutomaton:
         found: set[Configuration] = set()
         symbols = sorted(self.alphabet)
         for init in self.initial_states():
-            frontier: list[tuple[tuple[str, ...], frozenset[AutState]]] = [
-                ((), self.eclosure(init))]
+            frontier: list[tuple[tuple[str, ...], set[AutState]]] = [
+                ((), self._close({init}))]
             for _ in range(max_len + 1):
                 next_frontier = []
                 for word, states in frontier:
@@ -303,12 +302,9 @@ class PAutomaton:
                     if len(word) == max_len:
                         continue
                     for g in symbols:
-                        nxt: set[AutState] = set()
-                        for q in states:
-                            for q2 in self.out(q, g):
-                                nxt.update(self.eclosure(q2))
+                        nxt = self._step(states, g)
                         if nxt:
-                            next_frontier.append((word + (g,), frozenset(nxt)))
+                            next_frontier.append((word + (g,), nxt))
                 frontier = next_frontier
                 if not frontier:
                     break
@@ -326,7 +322,7 @@ class PAutomaton:
             seen.add(q)
             if q in self.finals:
                 return True
-            for targets in self._out.get(q, {}).values():
+            for targets in self._out.get(q, _NO_LABELS).values():
                 queue.extend(targets)
         return False
 

@@ -18,8 +18,10 @@ indexes and `mod_predecessors` come from the `SMPDS`.
 
 The unit of work is a key (src, g) with the set of its targets added
 since the key was last processed (see `saturation.DeltaWorklist`).  The
-delta is widened by the epsilon closure of its targets once, and each
-state whose closure holds src gains the new reading facts as one set.
+delta is widened once by the epsilon closures of its targets, which the
+automaton caches (`PAutomaton._close`: the saturation adds no eps edge,
+so they never change), and each state whose closure holds src gains the
+new reading facts as one set.
 Every rule, and every two-symbol rule waiting on the key, then inserts
 the new facts' targets in one call.
 """
@@ -39,16 +41,16 @@ class _PrestarEngine:
         self.work = DeltaWorklist(self.aut, self.stats)
 
         # epsilon structure is static: the input may carry eps edges but the
-        # saturation never adds any.  Only states with an eps edge on either
-        # side have entries; every other state closes to itself.
-        self.eps_succ: dict[AutState, set[AutState]] = {}
+        # saturation never adds any, so the automaton's cached closures hold
+        # throughout.  eps_pred maps a state to every state whose closure
+        # holds it; only states with an eps edge on either side have entries.
         self.eps_pred: dict[AutState, set[AutState]] = {}
-        for q in self.aut.states:
-            cl = self.aut.eclosure(q)
-            if len(cl) > 1:
-                self.eps_succ[q] = set(cl)
-                for q2 in cl:
-                    self.eps_pred.setdefault(q2, {q2}).add(q)
+        if self.aut.has_epsilon():
+            for q in self.aut.states:
+                cl = self.aut.eclosure(q)
+                if len(cl) > 1:
+                    for q2 in cl:
+                        self.eps_pred.setdefault(q2, {q2}).add(q)
 
         # eps-folded reading facts: (src, symbol) -> set of dst
         self.facts: dict[tuple[AutState, str], set[AutState]] = {}
@@ -62,13 +64,10 @@ class _PrestarEngine:
 
         self.phases: set[Phase] = set()
 
-    def _eps_succ(self, q: AutState) -> set[AutState]:
-        return self.eps_succ.get(q) or {q}
-
     def run(self) -> PAutomaton:
         aut = self.aut
         close_empty_stack(aut, self.stats, [q for q in aut.initial_states()
-                                            if self._eps_succ(q) & aut.finals],
+                                            if aut._close({q}) & aut.finals],
                           self.smpds.mod_predecessors)
         for q in aut.initial_states():
             self._materialize_phase(q.phase)
@@ -88,20 +87,14 @@ class _PrestarEngine:
         for rid, r in self.smpds.pop_rules:
             if rid in theta:
                 self.work.add([(Initial(r.lhs_state, theta), r.lhs_symbol)],
-                              self._eps_succ(Initial(r.rhs_state, theta)))
+                              self.aut._close({Initial(r.rhs_state, theta)}))
 
     # -- fact-driven rule firing -------------------------------------------
 
     def _process(self, src: AutState, label: str, delta: set[AutState]) -> None:
         """Fold the eps edges around the new transitions src --label--> delta
         and fire the rules on the facts that are new."""
-        if self.eps_succ:
-            closed = set(delta)
-            for d in delta:
-                cl = self.eps_succ.get(d)
-                if cl is not None:
-                    closed |= cl
-            delta = closed
+        delta = self.aut._close(delta)
         for s in self.eps_pred.get(src, (src,)):
             key = (s, label)
             known = self.facts.get(key)

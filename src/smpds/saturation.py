@@ -6,6 +6,9 @@ Both engines move whole target sets: a unit of work is a key
 (src, label) together with the targets added under it that the engine
 has not processed yet.  A rule that fires on a key is applied to that
 set at once, so the per-element work is left to C set operations.
+Every insert goes through `PAutomaton.add_targets`, which hands back a
+fresh mutable set of the new targets; the worklist keeps that set as the
+key's delta and grows it in place.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .automaton import AutState, Initial, Label, PAutomaton
+from .automaton import _NO_LABELS, AutState, Initial, Label, PAutomaton
 from .model import Phase, PdsRule, SelfModRule, SMPDS
 
 
@@ -78,10 +81,6 @@ def close_empty_stack(aut: PAutomaton, stats: SaturationStats,
                 todo.append(succ)
 
 
-# the `.get` default for a state with no outgoing edge; never written to
-_NO_LABELS: dict = {}
-
-
 class DeltaWorklist:
     """The pending work of a saturation over `aut`.
 
@@ -114,7 +113,8 @@ class DeltaWorklist:
                 self.queue(key, new)
 
     def queue(self, key: tuple[AutState, Label], dsts: set[AutState]) -> None:
-        """Queue targets already in the automaton; the worklist owns `dsts`."""
+        """Queue targets already in the automaton; `dsts` must be a `set`,
+        which the worklist owns and may grow."""
         delta = self._deltas.get(key)
         if delta is None:
             self._deltas[key] = dsts

@@ -19,6 +19,7 @@ from smpds import (
     from_configs,
 )
 from smpds.formats import parse_automaton, parse_smpds
+from smpds.saturation import DeltaWorklist, SaturationStats
 
 from fixtures import swap_example
 
@@ -127,6 +128,25 @@ def test_add_targets_inserts_a_set_and_returns_what_was_new():
     assert aut.transitions == {(s, label, d) for s, by_label in aut._out.items()
                                for label, targets in by_label.items()
                                for d in targets}
+
+
+def test_add_targets_returns_a_set_for_a_frozenset_and_the_worklist_keeps_it():
+    """The worklist stores a key's first delta as given and grows it with
+    `|=`, which on a frozenset would rebind a name and drop the targets."""
+    m, theta0, aut, a, mid, acc = _basic()
+    x, y, z = Plain("x"), Plain("y"), Plain("z")
+    aut.add_targets(a, "g2", {x})
+    new = aut.add_targets(a, "g2", frozenset({x, y}))
+    assert new == {y} and type(new) is set
+    assert type(aut.add_targets(a, "g2", frozenset({x}))) is set
+    work = DeltaWorklist(aut, SaturationStats())
+    key = (a, "g3")
+    work.add([key], {x})
+    assert list(work) == [(key, {x})]
+    work.add([key], frozenset({x, y}))
+    work.add([key], {z})
+    assert list(work) == [(key, {y, z})]
+    assert aut.out(a, "g3") == {x, y, z}
 
 
 def test_interleaved_inserts_keep_one_store():

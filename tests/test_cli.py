@@ -287,6 +287,20 @@ def test_asm2smpds_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_asm2smpds_meta_selfmod_fails_at_its_line(tmp_path, capsys):
+    prog = tmp_path / "meta.sasm"
+    prog.write_text("entry a\na: selfmod b selfmod c nop\nb: nop\nc: halt\n")
+    assert main(["asm2smpds", str(prog), "--allow-meta-selfmod"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err.startswith("error: line 2: ") and out.err.count("\n") == 1
+    assert "--erase-selfmod" in out.err
+    # erasing every selfmod still compiles it, as nops
+    assert main(["asm2smpds", str(prog), "--allow-meta-selfmod",
+                 "--erase-selfmod"]) == 0
+    assert "smrule" not in capsys.readouterr().out
+
+
 def test_enumerate(capsys):
     assert main(["enumerate", MODEL, TARGET, "--max-len", "2"]) == 0
     out = capsys.readouterr().out
