@@ -5,9 +5,10 @@ with rule-change rules that add and remove pushdown rules from the
 currently active set (the phase).  This package provides:
 
  - the core model with an executable small-step semantics (`model`),
- - phase-annotated configuration automata (`automaton`),
+ - phase-annotated configuration automata and the worklist every
+   saturation runs on (`automaton`),
  - direct backward and forward saturation (`prestar`, `poststar`), with
-   the statistics and the worklist they share (`saturation`),
+   the statistics and the empty-stack closure they share (`saturation`),
  - translations to ordinary and symbolic pushdown systems with classical
    saturation as cross-checks (`translate`),
  - a toy self-modifying assembly front end (`asm`),

@@ -18,10 +18,11 @@ Opcodes:
     halt            stop
 
 Compilation keeps a single generic data symbol on top of the stack, so
-every instruction maps to one pushdown rule keyed on that symbol ('ret'
-additionally gets one helper rule per call site to dispatch on the
-return-address symbol; helpers are always enabled and cannot be the
-target of a 'selfmod').  'selfmod' becomes a rule-set change: the rule
+every instruction maps to one pushdown rule keyed on that symbol.  A
+'call' pushes a return-address symbol for its fallthrough, and every
+'ret' pops to one shared dispatch state, which has one helper rule per
+distinct return address; helpers are always enabled and cannot be the
+target of a 'selfmod'.  'selfmod' becomes a rule-set change: the rule
 compiled for the target label is removed and the replacement rule is
 added.  Replacement rules fall through to the target's successor.
 """
@@ -35,6 +36,7 @@ from .model import Configuration, Phase, PdsRule, RuleId, SelfModRule, SMPDS
 DATA = "D"      # generic data/stack-frame symbol
 BOTTOM = "Z"    # stack bottom marker
 HALT = "__halt"
+RET = "__ret"   # the dispatch state every 'ret' pops to
 
 OPCODES = {"push": 1, "pop": 0, "jmp": 1, "call": 1, "ret": 0,
            "nop": 0, "halt": 0}
@@ -80,6 +82,8 @@ def parse_program(text: str, allow_meta_selfmod: bool = False) -> Program:
         if not colon:
             raise AsmError(lineno, "expected '<label>: <opcode> ...'")
         label = label.strip()
+        if label in (HALT, RET):
+            raise AsmError(lineno, f"label {label!r} names a compiler state")
         if label in seen_labels:
             raise AsmError(lineno, f"duplicate label {label!r}")
         seen_labels.add(label)
@@ -87,22 +91,7 @@ def parse_program(text: str, allow_meta_selfmod: bool = False) -> Program:
         if not toks:
             raise AsmError(lineno, "missing opcode")
         op, operands = toks[0], tuple(toks[1:])
-        if op == "selfmod":
-            if len(operands) < 2:
-                raise AsmError(lineno, "selfmod needs a target label and an instruction")
-            if operands[1] == "selfmod" and not allow_meta_selfmod:
-                raise AsmError(lineno, "selfmod of a selfmod instruction is not supported")
-            inner_op = operands[1]
-            if inner_op != "selfmod":
-                if inner_op not in OPCODES:
-                    raise AsmError(lineno, f"unknown opcode {inner_op!r}")
-                if len(operands) - 2 != OPCODES[inner_op]:
-                    raise AsmError(lineno, f"{inner_op!r} takes {OPCODES[inner_op]} operand(s)")
-        elif op in OPCODES:
-            if len(operands) != OPCODES[op]:
-                raise AsmError(lineno, f"{op!r} takes {OPCODES[op]} operand(s)")
-        else:
-            raise AsmError(lineno, f"unknown opcode {op!r}")
+        _check_body(lineno, op, operands, allow_meta_selfmod)
         instructions.append(Instruction(label, op, operands, lineno))
     if not instructions:
         raise AsmError(0, "program has no instructions")
@@ -111,7 +100,7 @@ def parse_program(text: str, allow_meta_selfmod: bool = False) -> Program:
     labels = {ins.label for ins in instructions}
     labels.add(HALT)
     for ins in instructions:
-        for target in _label_operands(ins):
+        for target in _label_operands(ins.opcode, ins.operands):
             if target not in labels:
                 raise AsmError(ins.lineno, f"unresolved label {target!r}")
     if entry not in labels:
@@ -119,13 +108,29 @@ def parse_program(text: str, allow_meta_selfmod: bool = False) -> Program:
     return Program(entry, instructions)
 
 
-def _label_operands(ins: Instruction):
-    if ins.opcode in ("jmp", "call"):
-        yield ins.operands[0]
-    elif ins.opcode == "selfmod":
-        yield ins.operands[0]
-        if ins.operands[1] in ("jmp", "call"):
-            yield ins.operands[2]
+def _check_body(lineno: int, op: str, operands: tuple[str, ...],
+                allow_meta_selfmod: bool) -> None:
+    """Check an opcode and its operand count; a selfmod's instruction is
+    checked the same way, down to the innermost one."""
+    if op == "selfmod":
+        if len(operands) < 2:
+            raise AsmError(lineno, "selfmod needs a target label and an instruction")
+        if operands[1] == "selfmod" and not allow_meta_selfmod:
+            raise AsmError(lineno, "selfmod of a selfmod instruction is not supported")
+        _check_body(lineno, operands[1], operands[2:], allow_meta_selfmod)
+    elif op not in OPCODES:
+        raise AsmError(lineno, f"unknown opcode {op!r}")
+    elif len(operands) != OPCODES[op]:
+        raise AsmError(lineno, f"{op!r} takes {OPCODES[op]} operand(s)")
+
+
+def _label_operands(op: str, operands: tuple[str, ...]):
+    """The labels an instruction names, a selfmod's instruction included."""
+    if op in ("jmp", "call"):
+        yield operands[0]
+    elif op == "selfmod":
+        yield operands[0]
+        yield from _label_operands(operands[1], operands[2:])
 
 
 def print_program(prog: Program) -> str:
@@ -160,6 +165,8 @@ def compile_program(prog: Program, erase_selfmod: bool = False) -> CompiledProgr
 
     states = {ins.label for ins in order} | {HALT}
     alphabet = {DATA, BOTTOM}
+    # the fallthroughs of the compiled calls, one return address each
+    call_fallthroughs: set[str] = set()
     rules: dict[RuleId, PdsRule | SelfModRule] = {}
     rule_for_label: dict[str, RuleId] = {}
     initial_ids: list[RuleId] = []
@@ -185,19 +192,19 @@ def compile_program(prog: Program, erase_selfmod: bool = False) -> CompiledProgr
         if op == "jmp":
             return PdsRule(label, DATA, operands[0], (DATA,))
         if op == "call":
+            call_fallthroughs.add(fallthrough)
             ret_sym = f"ra_{fallthrough}"
             alphabet.add(ret_sym)
             return PdsRule(label, DATA, operands[0], (DATA, ret_sym))
         if op == "ret":
-            return PdsRule(label, DATA, f"{label}_ret", ())
+            states.add(RET)
+            return PdsRule(label, DATA, RET, ())
         if op in ("nop", "halt"):
             target = fallthrough if op == "nop" else label
             return PdsRule(label, DATA, target, (DATA,))
         raise AsmError(0, f"cannot compile opcode {op!r}")
 
     # first pass: primary rule per instruction
-    call_fallthroughs: list[str] = []
-    ret_labels: list[str] = []
     selfmods: list[tuple[Instruction, str]] = []
     for i, ins in enumerate(order):
         fall = succ(i)
@@ -207,11 +214,6 @@ def compile_program(prog: Program, erase_selfmod: bool = False) -> CompiledProgr
         op = "nop" if ins.opcode == "selfmod" else ins.opcode
         add(body_rule(ins.label, op, ins.operands, fall),
             primary_label=ins.label)
-        if op == "call":
-            call_fallthroughs.append(fall)
-        elif op == "ret":
-            states.add(f"{ins.label}_ret")
-            ret_labels.append(ins.label)
 
     # selfmod instructions: one rule-set change plus the disabled replacement
     for ins, fall in selfmods:
@@ -221,24 +223,19 @@ def compile_program(prog: Program, erase_selfmod: bool = False) -> CompiledProgr
         target = ins.operands[0]
         target_idx = labels.get(target)
         target_fall = succ(target_idx) if target_idx is not None else HALT
-        inner_op, inner_operands = ins.operands[1], ins.operands[2:]
-        if inner_op == "call":
-            call_fallthroughs.append(target_fall)
-        elif inner_op == "ret":
-            states.add(f"{target}_ret")
-            ret_labels.append(target)
-        replacement = add(body_rule(target, inner_op, inner_operands, target_fall),
-                          enabled=False)
+        replacement = add(body_rule(target, ins.operands[1], ins.operands[2:],
+                                    target_fall), enabled=False)
         old = rule_for_label.get(target)
         if old is None:
             raise AsmError(ins.lineno,
                            f"selfmod target {target!r} is itself a selfmod instruction")
         add(SelfModRule(ins.label, old, replacement, fall), primary_label=ins.label)
 
-    # return dispatch helpers: always enabled, never selfmod targets
-    for rl in ret_labels:
-        for fall in sorted(set(call_fallthroughs)):
-            add(PdsRule(f"{rl}_ret", f"ra_{fall}", fall, (DATA,)))
+    # return dispatch helpers, one per return address: always enabled,
+    # never selfmod targets
+    if RET in states:
+        for fall in sorted(call_fallthroughs):
+            add(PdsRule(RET, f"ra_{fall}", fall, (DATA,)))
 
     smpds = SMPDS(states, alphabet, rules)
     phase = Phase.of(initial_ids)

@@ -17,6 +17,11 @@ inserting transitions (`add_targets`; `add_transition` is its one-target
 case) and stepping a set of states over a symbol with eps moves free
 (`_close` and `_step`, over the cached `eclosure`s).  Membership,
 enumeration and direct pre* all read closures through them.
+
+All four saturations, direct and classical, pre* and post*, run on one
+worklist, `DeltaWorklist`: a unit of work is a key (src, label) with the
+targets added under it since it was last popped, and every insert goes
+through `add_targets`.
 """
 
 from __future__ import annotations
@@ -344,6 +349,56 @@ class PAutomaton:
             parts += block
         parts.append("}")
         return "".join(parts)
+
+
+class DeltaWorklist:
+    """The pending work of a saturation over `aut`.
+
+    Each queued key (src, label) carries the set of its targets that were
+    added since the key was last popped; a key is queued once however
+    many inserts land on it before it is popped.  A new worklist queues
+    every key of `aut` with all of its targets.
+    """
+
+    def __init__(self, aut: PAutomaton):
+        self.aut = aut
+        self._deltas: dict[tuple[AutState, Label], set[AutState]] = {
+            (src, label): set(targets)
+            for src, by_label in aut._out.items()
+            for label, targets in by_label.items()}
+        self._keys: deque[tuple[AutState, Label]] = deque(self._deltas)
+
+    def add(self, edges: Iterable[tuple[AutState, Label]],
+            dsts: set[AutState]) -> None:
+        """Insert src --label--> d for every (src, label) in `edges` and d
+        in `dsts`, and queue the new targets under their key.
+
+        Once the automaton fills up most inserts bring nothing new, so
+        each edge is first tested with one subset test in C.  The set
+        `add_targets` hands back is fresh, so the worklist keeps it as the
+        key's delta and grows it in place.
+        """
+        out = self.aut._out
+        deltas = self._deltas
+        for key in edges:
+            src, label = key
+            current = out.get(src, _NO_LABELS).get(label)
+            if current is None or not dsts <= current:
+                new = self.aut.add_targets(src, label, dsts)
+                delta = deltas.get(key)
+                if delta is None:
+                    deltas[key] = new
+                    self._keys.append(key)
+                else:
+                    delta |= new
+
+    def __iter__(self) -> Iterator[tuple[tuple[AutState, Label], set[AutState]]]:
+        """Pop each key with its delta, in the order first queued, until no
+        key is left; keys queued meanwhile are popped too."""
+        keys, deltas = self._keys, self._deltas
+        while keys:
+            key = keys.popleft()
+            yield key, deltas.pop(key)
 
 
 def _default_state_name(q: AutState) -> str:

@@ -90,7 +90,6 @@ def parse_smpds(text: str) -> SmpdsDocument:
     states: set[str] = set()
     alphabet: set[str] = set()
     rules: dict[int, PdsRule | SelfModRule] = {}
-    pending_smrules: list[tuple[int, int, str, list[str]]] = []
     phase_lines: list[tuple[int, str, list[int]]] = []
     config_lines: list[tuple[int, list[str]]] = []
     for lineno, line in _content_lines(text):

@@ -20,7 +20,7 @@ final marking when the initial state itself is final, made by
 from the `SMPDS`.
 
 The unit of work is a key (src, g) with the set of its targets added
-since the key was last processed (see `saturation.DeltaWorklist`).  A
+since the key was last processed (see `automaton.DeltaWorklist`).  A
 key turns into reading facts as one set: directly when src is initial,
 through every eps edge into src otherwise, and, for a new eps edge, as
 the whole target set of each (q, g) it reaches.  The facts that are new
@@ -29,9 +29,10 @@ then go along the firing plan of their key, one insert per plan edge.
 
 from __future__ import annotations
 
-from .automaton import EPS, AutState, Generated, Initial, Label, PAutomaton
+from .automaton import (EPS, AutState, DeltaWorklist, Generated, Initial, Label,
+                        PAutomaton)
 from .model import SMPDS
-from .saturation import DeltaWorklist, SaturationStats, close_empty_stack, run_engine
+from .saturation import SaturationStats, close_empty_stack, run_engine
 
 
 class _PoststarEngine:
@@ -45,7 +46,6 @@ class _PoststarEngine:
                 raise ValueError("epsilon edges may only leave initial states")
         self.smpds = smpds
         self.aut = aut.copy()
-        self.stats = SaturationStats()
 
         # epsilon edges go from initial states to non-initial states only,
         # so closures never chain
@@ -53,16 +53,13 @@ class _PoststarEngine:
         # reading fact key ((p,theta), g) -> (the q's seen so far, its firing plan)
         self.facts: dict[tuple[Initial, str],
                          tuple[set[AutState], list[tuple[AutState, Label]]]] = {}
-        self.work = DeltaWorklist(self.aut, self.stats)
+        self.work = DeltaWorklist(self.aut)
 
     def run(self) -> PAutomaton:
         # later empty-stack acceptance is linked by `_process`, with eps edges
-        close_empty_stack(self.aut, self.stats,
+        close_empty_stack(self.aut,
                           [q for q in self.aut.initial_states() if q in self.aut.finals],
                           self.smpds.mod_successors)
-        for src, by_label in self.aut._out.items():
-            for label, targets in by_label.items():
-                self.work.queue((src, label), set(targets))
         for (src, label), delta in self.work:
             self._process(src, label, delta)
         return self.aut

@@ -17,28 +17,28 @@ reached through modifying rules (`saturation.close_empty_stack`).  Rule
 indexes and `mod_predecessors` come from the `SMPDS`.
 
 The unit of work is a key (src, g) with the set of its targets added
-since the key was last processed (see `saturation.DeltaWorklist`).  The
-delta is widened once by the epsilon closures of its targets, which the
-automaton caches (`PAutomaton._close`: the saturation adds no eps edge,
-so they never change), and each state whose closure holds src gains the
-new reading facts as one set.
+since the key was last processed (see `automaton.DeltaWorklist`); the
+eps keys of the input are popped and skipped.  The delta is widened once
+by the epsilon closures of its targets, which the automaton caches
+(`PAutomaton._close`: the saturation adds no eps edge, so they never
+change), and each state whose closure holds src gains the new reading
+facts as one set.
 Every rule, and every two-symbol rule waiting on the key, then inserts
 the new facts' targets in one call.
 """
 
 from __future__ import annotations
 
-from .automaton import EPS, AutState, Initial, PAutomaton
+from .automaton import EPS, AutState, DeltaWorklist, Initial, PAutomaton
 from .model import Phase, SMPDS
-from .saturation import DeltaWorklist, SaturationStats, close_empty_stack, run_engine
+from .saturation import SaturationStats, close_empty_stack, run_engine
 
 
 class _PrestarEngine:
     def __init__(self, smpds: SMPDS, aut: PAutomaton):
         self.smpds = smpds
         self.aut = aut.copy()
-        self.stats = SaturationStats()
-        self.work = DeltaWorklist(self.aut, self.stats)
+        self.work = DeltaWorklist(self.aut)
 
         # epsilon structure is static: the input may carry eps edges but the
         # saturation never adds any, so the automaton's cached closures hold
@@ -66,17 +66,14 @@ class _PrestarEngine:
 
     def run(self) -> PAutomaton:
         aut = self.aut
-        close_empty_stack(aut, self.stats, [q for q in aut.initial_states()
-                                            if aut._close({q}) & aut.finals],
+        close_empty_stack(aut, [q for q in aut.initial_states()
+                                 if aut._close({q}) & aut.finals],
                           self.smpds.mod_predecessors)
         for q in aut.initial_states():
             self._materialize_phase(q.phase)
-        for src, by_label in aut._out.items():
-            for label, targets in by_label.items():
-                if label is not EPS:
-                    self.work.queue((src, label), set(targets))
         for (src, label), delta in self.work:
-            self._process(src, label, delta)
+            if label is not EPS:
+                self._process(src, label, delta)
         return aut
 
     def _materialize_phase(self, theta: Phase) -> None:

@@ -13,10 +13,11 @@ independent implementation used for cross-checking the direct engines;
 this module imports none of theirs (`prestar`, `poststar`, `saturation`).
 A paired configuration ((p, theta), w) is the SM-PDS configuration
 (<p, w>, theta), so they take and return ordinary P-automata.  Each call
-turns a paired state into its `Initial` once.  Pre* indexes the rules by
-the (Initial, symbol) of their right-side head and moves the whole set of
-new targets of a key (src, symbol) through its worklist at a time; post*
-resolves the right sides of a left side's rules at its first fact.
+turns a paired state into its `Initial` once.  Both run on the worklist
+every saturation shares (`automaton.DeltaWorklist`) and move the whole
+set of new targets of a key (src, symbol) at a time: pre* indexes the
+rules by the (Initial, symbol) of their right-side head, post* builds the
+plan of a left side (Initial, symbol) at its first fact.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple, Union
 
-from .automaton import EPS, AutState, Generated, Initial, Label, PAutomaton, from_configs
+from .automaton import (EPS, AutState, DeltaWorklist, Generated, Initial, Label,
+                        PAutomaton, from_configs)
 from .model import (Configuration, Phase, PdsRule, RuleId, SMPDS,
                     solve_predecessor_phases)
 
@@ -233,64 +235,48 @@ def _check_input(aut: PAutomaton) -> None:
 def pds_prestar(pds: PDS, aut: PAutomaton) -> PAutomaton:
     """Classical backward saturation for ordinary PDSs.
 
-    The unit of work is a key (src, symbol) with the set of its targets
-    added since the key was last processed.  Rules are indexed by the
-    (Initial, symbol) of their right-side head, so a key finds its rules
-    with one lookup and inserts the whole target set for each of them.
+    Rules are indexed by the (Initial, symbol) of their right-side head,
+    so a popped key finds its rules with one lookup and inserts its whole
+    delta for each of them.
     """
     _check_input(aut)
     result = aut.copy()
     out = result._out
     initial = _Interned()
-    # rules by the (Initial, first pushed symbol) of their right side, each
-    # as its left side (Initial, symbol) and its second pushed symbol, or
-    # None if it pushes one
+    work = DeltaWorklist(result)
+    # rules by the (Initial, first pushed symbol) of their right side: the
+    # left sides (Initial, symbol) of those pushing one symbol, and those
+    # of two-symbol rules with their second pushed symbol
     by_head: dict[tuple[Initial, str],
-                  list[tuple[tuple[Initial, str], str | None]]] = {}
-    # key (src, symbol) -> the targets added since it was last processed
-    delta: dict[tuple[AutState, str], set[AutState]] = {}
-    queue: deque[tuple[AutState, str]] = deque()
+                  tuple[list[tuple[Initial, str]],
+                        list[tuple[tuple[Initial, str], str]]]] = {}
     # (mid-state, symbol) -> left sides of two-symbol rules waiting there
     pending: dict[tuple[AutState, str], set[tuple[Initial, str]]] = {}
-
-    def add(src: AutState, label: str, dsts: set[AutState]) -> None:
-        new = result.add_targets(src, label, dsts)
-        if new:
-            key = (src, label)
-            waiting = delta.get(key)
-            if waiting is None:
-                delta[key] = new
-                queue.append(key)
-            else:
-                waiting |= new
-
-    for src, by_label in out.items():
-        for label, targets in by_label.items():
-            delta[(src, label)] = set(targets)
-            queue.append((src, label))
     for lhs_state, symbol, rhs_state, word in pds.rules:
         lhs = (initial[lhs_state], symbol)
         if not word:
-            add(*lhs, {initial[rhs_state]})
+            work.add((lhs,), {initial[rhs_state]})
             continue
         if len(word) > 2:
             raise ValueError("classical pre* expects |w| <= 2 rules")
         key = (initial[rhs_state], word[0])
-        entry = (lhs, word[1] if len(word) == 2 else None)
         group = by_head.get(key)
         if group is None:
-            by_head[key] = [entry]
+            group = by_head[key] = ([], [])
+        if len(word) == 1:
+            group[0].append(lhs)
         else:
-            group.append(entry)
-    while queue:
-        key = queue.popleft()
-        dsts = delta.pop(key)
-        for src, label in pending.get(key, ()):
-            add(src, label, dsts)
-        for lhs, second in by_head.get(key, ()):
-            if second is None:
-                add(*lhs, dsts)
-                continue
+            group[1].append((lhs, word[1]))
+    for key, dsts in work:
+        waiting = pending.get(key)
+        if waiting:
+            work.add(waiting, dsts)
+        group = by_head.get(key)
+        if group is None:
+            continue
+        edges, pushes = group
+        work.add(edges, dsts)
+        for lhs, second in pushes:
             for dst in dsts:
                 mid = (dst, second)
                 waiting = pending.get(mid)
@@ -304,7 +290,7 @@ def pds_prestar(pds: PDS, aut: PAutomaton) -> PAutomaton:
                     waiting.add(lhs)
                 known = out.get(dst)
                 if known is not None and second in known:
-                    add(*lhs, known[second])
+                    work.add((lhs,), known[second])
     return result
 
 
@@ -312,14 +298,17 @@ def pds_poststar(pds: PDS, aut: PAutomaton) -> PAutomaton:
     """Classical forward saturation for ordinary PDSs.
 
     Rules are indexed by the paired state and symbol of their left side.
-    The first fact of a key (Initial, symbol) looks its rules up once and
-    resolves the right-side `Initial` (and, for a rule pushing two
-    symbols, the `Generated` state) of each; a saturation from a few
-    configurations leaves most rules unread.
+    The first fact of a key (Initial, symbol) builds the key's plan once:
+    the edge (src, label) that each of its rules links to a fact's
+    target, with the right-side `Initial` resolved and, for a rule pushing
+    two symbols, the first edge into its `Generated` state added then.
+    A saturation from a few configurations leaves most rules unread.
     """
     _check_input(aut)
     result = aut.copy()
+    out = result._out
     initial = _Interned()
+    work = DeltaWorklist(result)
     by_lhs: dict[tuple[PdsState, str], list[PairedRule]] = {}
     for r in pds.rules:
         lhs_state, symbol, _, word = r
@@ -331,55 +320,50 @@ def pds_poststar(pds: PDS, aut: PAutomaton) -> PAutomaton:
             by_lhs[key] = [r]
         else:
             group.append(r)
-    # (Initial, symbol) -> (src, label, gen, second) per rule: a fact q adds
-    # src --label--> q, or src --label--> gen --second--> q when gen is set
-    plans: dict[tuple[Initial, str],
-                list[tuple[Initial, Label, Generated | None, str | None]]] = {}
-
-    def plan(r: PairedRule) -> tuple[Initial, Label, Generated | None, str | None]:
-        src = initial[r.rhs_state]
-        word = r.rhs_word
-        if len(word) < 2:
-            return src, word[0] if word else EPS, None, None
-        return src, word[0], Generated(src.control, word[0], src.phase), word[1]
-
-    worklist: deque[tuple[AutState, Label, AutState]] = deque(result.transitions)
-    facts: dict[tuple[Initial, str], set[AutState]] = {}
+    # fact key (Initial, symbol) -> (the targets seen so far, its plan)
+    facts: dict[tuple[Initial, str],
+                tuple[set[AutState], list[tuple[AutState, Label]]]] = {}
     eps_into: dict[AutState, set[Initial]] = {}
 
-    def add(src: AutState, label: Label, dst: AutState) -> None:
-        if result.add_transition(src, label, dst):
-            worklist.append((src, label, dst))
-
-    def new_fact(key: tuple[Initial, str], q: AutState) -> None:
-        known = facts.get(key)
-        if known is None:
-            known = facts[key] = set()
-            init, symbol = key
-            plans[key] = [plan(r) for r in
-                          by_lhs.get(((init.control, init.phase), symbol), ())]
-        elif q in known:
-            return
-        known.add(q)
-        for src, label, gen, second in plans[key]:
-            if gen is None:
-                add(src, label, q)
+    def plan(init: Initial, symbol: str) -> list[tuple[AutState, Label]]:
+        edges: list[tuple[AutState, Label]] = []
+        for _, _, rhs_state, word in by_lhs.get(((init.control, init.phase), symbol), ()):
+            src = initial[rhs_state]
+            if len(word) < 2:
+                edges.append((src, word[0] if word else EPS))
             else:
-                add(src, label, gen)
-                add(gen, second, q)
+                gen = Generated(src.control, word[0], src.phase)
+                work.add(((src, word[0]),), {gen})
+                edges.append((gen, word[1]))
+        return edges
 
-    while worklist:
-        src, label, dst = worklist.popleft()
-        if isinstance(src, Initial):
-            if label is EPS:
-                eps_into.setdefault(dst, set()).add(src)
-                for symbol, targets in list(result._out.get(dst, {}).items()):
-                    if symbol is not EPS:
-                        for q in list(targets):
-                            new_fact((src, symbol), q)
-            else:
-                new_fact((src, label), dst)
+    def new_facts(init: Initial, symbol: str, dsts: set[AutState]) -> None:
+        key = (init, symbol)
+        fact = facts.get(key)
+        if fact is None:
+            fresh = set(dsts)
+            edges = plan(init, symbol)
+            facts[key] = (fresh, edges)
         else:
-            for init in list(eps_into.get(src, ())):
-                new_fact((init, label), dst)
+            known, edges = fact
+            if dsts <= known:
+                return
+            fresh = dsts - known
+            known |= fresh
+        work.add(edges, fresh)
+
+    for (src, label), delta in work:
+        if not isinstance(src, Initial):
+            for init in eps_into.get(src, ()):
+                new_facts(init, label, delta)
+        elif label is not EPS:
+            new_facts(src, label, delta)
+        else:
+            # eps edges lead from initial states to non-initial ones, which
+            # have none, so each symbol edge of a new eps-target is a fact;
+            # the labels are copied, as a fact may add edges leaving mid
+            for mid in delta:
+                eps_into.setdefault(mid, set()).add(src)
+                for symbol, targets in list(out.get(mid, {}).items()):
+                    new_facts(src, symbol, targets)
     return result

@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from smpds import Configuration, bounded_reach, from_configs, poststar, validate
+from smpds import Configuration, PdsRule, bounded_reach, from_configs, poststar, validate
 from smpds.asm import (
+    RET,
     AsmError,
     compile_program,
     parse_program,
@@ -33,6 +34,8 @@ def test_parse_comments_and_blank_lines():
     ("entry a\na: nop\na: nop\n", "duplicate label"),
     ("entry a\na: selfmod b selfmod c nop\nb: nop\nc: nop\n", "not supported"),
     ("entry a\na: selfmod b frob\nb: nop\n", "unknown opcode"),
+    ("entry a\na: push 1\nb: ret\n__ret: jmp a\n", "names a compiler state"),
+    ("entry a\na: jmp __halt\n__halt: nop\n", "names a compiler state"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(AsmError) as exc:
@@ -90,6 +93,27 @@ def test_call_and_ret_pair():
     assert "sub" in states and "back" in states and "end" in states
     # the stack is balanced again at end
     assert any(c.state == "end" and c.stack == ("D", "Z") for c in r.configs)
+
+
+def test_every_ret_shares_one_helper_per_return_address():
+    text = ("entry main\n"
+            "main: call f\n"
+            "m1:   call g\n"
+            "m2:   call h\n"
+            "m3:   call f\n"
+            "m4:   halt\n"
+            "f:    ret\n"
+            "g:    ret\n"
+            "h:    ret\n")
+    cp = compile_program(parse_program(text))
+    # three rets and four call sites: four helpers, not one per pair
+    helpers = {rid: r for rid, r in cp.smpds.rules.items()
+               if isinstance(r, PdsRule) and r.lhs_symbol.startswith("ra_")}
+    assert sorted(r.rhs_state for r in helpers.values()) == ["m1", "m2", "m3", "m4"]
+    assert {r.lhs_state for r in helpers.values()} == {RET}
+    assert all(rid in cp.initial_phase for rid in helpers)
+    r = bounded_reach(cp.smpds, cp.entry_config, max_stack=8, max_steps=20000)
+    assert any(c.state == "m4" and c.stack == ("D", "Z") for c in r.configs)
 
 
 def test_selfmod_reachability_flips():

@@ -17,11 +17,18 @@ from smpds import (
     Phase,
     Plain,
     from_configs,
+    pds_poststar,
+    pds_prestar,
+    phase_closure,
+    poststar,
+    prestar,
+    to_pds,
 )
+from smpds.automaton import DeltaWorklist
 from smpds.formats import parse_automaton, parse_smpds
-from smpds.saturation import DeltaWorklist, SaturationStats
 
 from fixtures import swap_example
+from test_acceptance import _corpus_draw
 
 
 def _basic():
@@ -139,7 +146,8 @@ def test_add_targets_returns_a_set_for_a_frozenset_and_the_worklist_keeps_it():
     new = aut.add_targets(a, "g2", frozenset({x, y}))
     assert new == {y} and type(new) is set
     assert type(aut.add_targets(a, "g2", frozenset({x}))) is set
-    work = DeltaWorklist(aut, SaturationStats())
+    work = DeltaWorklist(aut)
+    list(work)      # drain the keys the worklist starts with
     key = (a, "g3")
     work.add([key], {x})
     assert list(work) == [(key, {x})]
@@ -147,6 +155,44 @@ def test_add_targets_returns_a_set_for_a_frozenset_and_the_worklist_keeps_it():
     work.add([key], {z})
     assert list(work) == [(key, {y, z})]
     assert aut.out(a, "g3") == {x, y, z}
+
+
+def test_a_new_worklist_yields_each_key_once_with_all_its_targets():
+    m, theta0, aut, a, mid, acc = _basic()
+    aut.add_targets(a, "g1", {Plain("x"), Plain("y")})
+    aut.add_transition(a, EPS, acc)
+    aut.add_final(Initial("p2", theta0))     # a state with no edge has no key
+    popped = list(DeltaWorklist(aut))
+    assert len(popped) == len({key for key, _ in popped})
+    assert dict(popped) == {(src, label): targets
+                            for src, by_label in aut._out.items()
+                            for label, targets in by_label.items()}
+    # the deltas are the worklist's own sets, not the automaton's
+    assert all(delta is not aut._out[src][label] for (src, label), delta in popped)
+
+
+def test_every_saturation_inserts_through_add_targets_alone(monkeypatch):
+    """Direct and classical pre* and post* all insert through the worklist,
+    so none of them reaches `add_transition`."""
+    runs = []
+    for seed in range(1, 41):
+        inst = _corpus_draw(seed)[1]
+        m = inst.smpds
+        target = from_configs(m, [inst.target])
+        initial = from_configs(m, [inst.initial])
+        pds = to_pds(m, phase_closure(m, [inst.initial.phase, inst.target.phase]))
+        runs += [(prestar, m, target), (poststar, m, initial),
+                 (prestar, m, poststar(m, initial)),
+                 (pds_prestar, pds, target), (pds_poststar, pds, initial)]
+
+    def refuse(*args):
+        raise AssertionError("add_transition called during a saturation")
+
+    monkeypatch.setattr(PAutomaton, "add_transition", refuse)
+    grew = {op: 0 for op in (prestar, poststar, pds_prestar, pds_poststar)}
+    for op, system, aut in runs:
+        grew[op] += len(op(system, aut).transitions) > len(aut.transitions)
+    assert all(grew.values()), grew
 
 
 def test_interleaved_inserts_keep_one_store():

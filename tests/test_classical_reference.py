@@ -2,12 +2,13 @@
 reference versions.
 
 `_reference_pds_prestar` and `_reference_pds_poststar` are the saturations
-as they were before states were interned once per call and pre* moved
-whole target sets: one worklist entry per transition, rules indexed by
-(control, phase, symbol).  `_reference_to_pds` is `to_pds` as it was
-before paired states were shared.  The current functions must build
-exactly the same automata (states, finals and transitions) and the same
-rule list.
+as they were before states were interned once per call and both moved
+whole target sets through the shared `DeltaWorklist`: one worklist entry
+per transition, each inserted with `add_transition`, and rules indexed by
+(control, phase, symbol).  They share no code with the saturations they
+check.  `_reference_to_pds` is `to_pds` as it was before paired states
+were shared.  The current functions must build exactly the same automata
+(states, finals and transitions) and the same rule list.
 """
 
 from collections import deque

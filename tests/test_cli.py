@@ -301,6 +301,22 @@ def test_asm2smpds_meta_selfmod_fails_at_its_line(tmp_path, capsys):
     assert "smrule" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("inner, fragment", [
+    ("selfmod nowhere frob 1 2", "unknown opcode 'frob'"),
+    ("selfmod nowhere nop", "unresolved label 'nowhere'"),
+    ("selfmod b jmp", "'jmp' takes 1 operand(s)"),
+])
+def test_asm2smpds_checks_the_inner_instruction_of_a_meta_selfmod(
+        tmp_path, capsys, inner, fragment):
+    prog = tmp_path / "meta.sasm"
+    prog.write_text(f"entry a\na: selfmod b {inner}\nb: nop\n")
+    assert main(["asm2smpds", str(prog), "--allow-meta-selfmod",
+                 "--erase-selfmod"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err == f"error: line 2: {fragment}\n"
+
+
 def test_enumerate(capsys):
     assert main(["enumerate", MODEL, TARGET, "--max-len", "2"]) == 0
     out = capsys.readouterr().out
