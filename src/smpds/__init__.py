@@ -30,7 +30,6 @@ from .model import (
     bounded_reach,
     check_configuration,
     normalize_push,
-    normalize_selfmod,
     solve_predecessor_phases,
     step,
     validate,
@@ -59,7 +58,7 @@ __all__ = [
     "PAutomaton", "PDS", "PdsRule", "Phase", "Plain", "ReachResult",
     "RuleId", "SMPDS", "SaturationStats", "SelfModRule", "SymbolicPDS",
     "ValidationReport", "bounded_reach", "config_to_pds", "from_configs",
-    "normalize_push", "normalize_selfmod", "pds_accepts",
+    "normalize_push", "pds_accepts",
     "pds_from_configs", "pds_poststar", "pds_prestar", "pds_step",
     "phase_closure", "poststar", "prestar", "solve_predecessor_phases",
     "step", "symbolic_step", "to_pds", "to_symbolic_pds", "validate",

@@ -16,11 +16,12 @@ Automaton format (phase names resolve against a model document):
     trans <state> <gamma|eps> <state>
 
 A phase is referenced by its declared name or, anonymously, as a sorted
-rule-id list in braces with no spaces: {0,2,5}.  The label `eps` is
-epsilon, so no model may use `eps` as a stack symbol.  Printing is
-canonical, so parse o print is the identity.  Each printer collects its
-output as one list of pieces and joins it once, so it holds little more
-than the output itself.
+rule-id list in braces with no spaces: {0,2,5}; so a name is declared
+once, is one token and neither starts with '{' nor holds '@'.  The label
+`eps` is epsilon, so no model may use `eps` as a stack symbol.  Printing
+is canonical, so parse o print is the identity.  Each printer collects
+its output as one list of pieces and joins it once, so it holds little
+more than the output itself.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def parse_smpds(text: str) -> SmpdsDocument:
     states: set[str] = set()
     alphabet: set[str] = set()
     rules: dict[int, PdsRule | SelfModRule] = {}
-    phase_lines: list[tuple[int, str, list[int]]] = []
+    phase_lines: dict[str, tuple[int, list[int]]] = {}
     config_lines: list[tuple[int, list[str]]] = []
     for lineno, line in _content_lines(text):
         head, _, rest = line.partition(" ")
@@ -140,11 +141,17 @@ def parse_smpds(text: str) -> SmpdsDocument:
             name = name.strip()
             if not name:
                 raise FormatError(lineno, "phase needs a name")
+            # printed states name their phase in `p@name`, which must read back
+            if len(name.split()) > 1 or name[0] == "{" or "@" in name:
+                raise FormatError(lineno, f"phase name {name!r} must be one token "
+                                          "without '@' and not start with '{'")
+            if name in phase_lines:
+                raise FormatError(lineno, f"duplicate phase name {name!r}")
             try:
                 ids = [int(t) for t in idtext.split()]
             except ValueError:
                 raise FormatError(lineno, "phase members must be integer rule ids") from None
-            phase_lines.append((lineno, name, ids))
+            phase_lines[name] = (lineno, ids)
         elif head == "config:" or (head == "config" and rest.startswith(":")):
             toks = rest.lstrip(":").split() if head == "config" else rest.split()
             if len(toks) < 2:
@@ -155,7 +162,7 @@ def parse_smpds(text: str) -> SmpdsDocument:
         else:
             raise FormatError(lineno, f"unknown directive {head!r}")
     doc = SmpdsDocument(SMPDS(states, alphabet, rules))
-    for lineno, name, ids in phase_lines:
+    for name, (lineno, ids) in phase_lines.items():
         for rid in ids:
             if rid not in rules:
                 raise FormatError(lineno, f"phase {name!r}: unknown rule id {rid}")

@@ -190,6 +190,8 @@ class SMPDS:
     to its id: plain rules by left side (p, gamma), by right-side head
     (p', w[0]), and the pop rules; modifying rules by source and by target
     control point, whose moves are `mod_successors`/`mod_predecessors`.
+    `wide_rules` lists, in rule-table order, the plain rules that push more
+    than two symbols, which no saturation takes before `normalize_push`.
     """
 
     def __init__(self, states: Iterable[str], alphabet: Iterable[str],
@@ -203,9 +205,12 @@ class SMPDS:
         self.pop_rules: list[tuple[RuleId, PdsRule]] = []
         self.mod_by_source: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
         self.mod_by_target: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
+        self.wide_rules: list[RuleId] = []
         for rid, r in self.rules.items():
             if isinstance(r, PdsRule):
                 delta.append(rid)
+                if len(r.rhs_word) > 2:
+                    self.wide_rules.append(rid)
                 self.plain_by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((rid, r))
                 if r.rhs_word:
                     self.plain_by_rhs_head.setdefault(
@@ -264,7 +269,13 @@ class ValidationReport:
 
 
 def validate(smpds: SMPDS) -> ValidationReport:
-    """Check every structural invariant; returns a report with diagnostics."""
+    """Check every structural invariant; returns a report with diagnostics.
+
+    Violations name undeclared states, symbols and rule ids.  The warnings
+    name the rules that push more than two symbols, which a saturation
+    takes only after `normalize_push`.  A modifying rule that removes
+    itself is an ordinary modifying rule and gets no diagnostic.
+    """
     rep = ValidationReport()
     for rid, r in smpds.rules.items():
         if isinstance(r, PdsRule):
@@ -279,9 +290,6 @@ def validate(smpds: SMPDS) -> ValidationReport:
                 if g not in smpds.alphabet:
                     rep.violations.append(
                         f"rule {rid}: symbol {g!r} not in Gamma")
-            if len(r.rhs_word) > 2:
-                rep.warnings.append(
-                    f"rule {rid}: rhs word longer than 2, needs normalize_push")
         else:
             if r.from_state not in smpds.states:
                 rep.violations.append(f"smrule {rid}: state {r.from_state!r} not in P")
@@ -290,9 +298,8 @@ def validate(smpds: SMPDS) -> ValidationReport:
             for ref in (r.removed, r.added):
                 if ref not in smpds.rules:
                     rep.violations.append(f"smrule {rid}: dangling RuleId {ref}")
-            if r.removed == rid:
-                rep.warnings.append(
-                    f"smrule {rid}: removes itself, needs normalize_selfmod")
+    rep.warnings = [f"rule {rid}: rhs word longer than 2, needs normalize_push"
+                    for rid in smpds.wide_rules]
     return rep
 
 
@@ -368,77 +375,6 @@ def bounded_reach(smpds: SMPDS, c0: Configuration, max_stack: int,
 
 
 @dataclass
-class SelfmodNormalization:
-    smpds: SMPDS
-    bottom_rule: RuleId | None
-    # old smrule id -> id of the inserted second-half rule
-    companions: dict[RuleId, RuleId]
-
-    def rewrite_phase(self, phase: Phase) -> Phase:
-        """Lift a phase of the original system into the normalized one."""
-        if self.bottom_rule is None:
-            return phase
-        ids = set(phase.members) | {self.bottom_rule}
-        for old, comp in self.companions.items():
-            if old in phase:
-                ids.add(comp)
-        return Phase.of(ids)
-
-    def rewrite_config(self, c: Configuration) -> Configuration:
-        return Configuration(c.state, c.stack, self.rewrite_phase(c.phase))
-
-    def project_phase(self, phase: Phase) -> Phase:
-        """Drop the helper ids; inverse of rewrite_phase up to stale companions."""
-        if self.bottom_rule is None:
-            return phase
-        ids = set(phase.members) - {self.bottom_rule} - set(self.companions.values())
-        return Phase.of(ids)
-
-    def project_config(self, c: Configuration) -> Configuration:
-        return Configuration(c.state, c.stack, self.project_phase(c.phase))
-
-
-def normalize_selfmod(smpds: SMPDS) -> SelfmodNormalization:
-    """Remove self-referential modifying rules (r removing itself).
-
-    Each offending rule r = p --(r,r2)--> p' becomes the pair
-    r = p --(r_bot,r_bot)--> p_i and p_i --(r,r2)--> p', with a fresh
-    intermediate state p_i and a distinguished no-effect rule r_bot that
-    belongs to every phase.  Systems without offending rules are returned
-    unchanged.
-    """
-    offending = [rid for rid in smpds.delta_c
-                 if smpds.rules[rid].removed == rid]
-    if not offending:
-        return SelfmodNormalization(smpds, None, {})
-    rules = dict(smpds.rules)
-    states = set(smpds.states)
-    alphabet = set(smpds.alphabet)
-    bot_state = _fresh_name("p_bot", states)
-    states.add(bot_state)
-    # the no-effect rule is an ordinary rule anchored at an unreachable
-    # state, so removing and re-adding it leaves every phase unchanged
-    bot_sym = next(iter(sorted(alphabet)), None)
-    if bot_sym is None:
-        bot_sym = _fresh_name("g_bot", alphabet)
-        alphabet.add(bot_sym)
-    bot_id = max(rules) + 1
-    rules[bot_id] = PdsRule(bot_state, bot_sym, bot_state, (bot_sym,))
-    next_id = bot_id + 1
-    companions: dict[RuleId, RuleId] = {}
-    for rid in offending:
-        old = rules[rid]
-        mid = _fresh_name(f"{old.from_state}_i{rid}", states)
-        states.add(mid)
-        rules[rid] = SelfModRule(old.from_state, bot_id, bot_id, mid)
-        rules[next_id] = SelfModRule(mid, rid, old.added, old.to_state)
-        companions[rid] = next_id
-        next_id += 1
-    return SelfmodNormalization(SMPDS(states, alphabet, rules),
-                                bot_id, companions)
-
-
-@dataclass
 class PushNormalization:
     smpds: SMPDS
     # old rule id -> the chain of rule ids replacing it (first = entry rule)
@@ -472,9 +408,7 @@ def normalize_push(smpds: SMPDS) -> PushNormalization:
     Modifying rules that reference a split rule are remapped to the first
     rule of its chain (flagged with a warning).
     """
-    long_rules = [rid for rid in smpds.delta
-                  if len(smpds.rules[rid].rhs_word) > 2]
-    if not long_rules:
+    if not smpds.wide_rules:
         return PushNormalization(smpds, {}, [])
     rules = dict(smpds.rules)
     states = set(smpds.states)
@@ -482,7 +416,7 @@ def normalize_push(smpds: SMPDS) -> PushNormalization:
     next_id = max(rules) + 1
     rule_map: dict[RuleId, list[RuleId]] = {}
     warnings: list[str] = []
-    for rid in long_rules:
+    for rid in smpds.wide_rules:
         old: PdsRule = rules[rid]
         word = old.rhs_word
         n = len(word)

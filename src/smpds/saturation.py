@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .automaton import Initial, PAutomaton
-from .model import Phase, PdsRule, SelfModRule, SMPDS
+from .model import Phase, SMPDS
 
 
 @dataclass
@@ -31,17 +31,16 @@ def run_engine(engine_class, smpds: SMPDS, aut: PAutomaton,
                stats: SaturationStats | None) -> PAutomaton:
     """Build and run a saturation engine, filling `stats` if given.
 
-    Every counter is read off the run, the same way for every engine:
-    transitions and finals as the result's count minus the input's.
+    It raises `ValueError` on a rule that pushes more than two symbols
+    (`SMPDS.wide_rules`); every other system saturates as it is, modifying
+    rules that remove themselves included.  Every counter is read off the
+    run, the same way for every engine: transitions and finals as the
+    result's count minus the input's.
     """
     t0 = time.perf_counter()
-    for rid, r in smpds.rules.items():
-        if isinstance(r, PdsRule) and len(r.rhs_word) > 2:
-            raise ValueError(f"rule {rid} pushes more than 2 symbols; "
-                             "run normalize_push first")
-        if isinstance(r, SelfModRule) and r.removed == rid:
-            raise ValueError(
-                "self-referential modifying rule; run normalize_selfmod first")
+    if smpds.wide_rules:
+        raise ValueError(f"rule {smpds.wide_rules[0]} pushes more than 2 "
+                         "symbols; run normalize_push first")
     result = engine_class(smpds, aut).run()
     if stats is not None:
         stats.wall_seconds = time.perf_counter() - t0

@@ -3,10 +3,14 @@ from pathlib import Path
 import pytest
 
 from smpds.cli import main
+from smpds.formats import parse_smpds
+
+from oracles import raw_reach
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 MODEL = str(SAMPLES / "example1.smpds")
 TARGET = str(SAMPLES / "example1_target.aut")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_validate_ok(capsys):
@@ -102,6 +106,28 @@ def test_check_forward_reachability(tmp_path, capsys):
                  "--direction", "post"]) == 0    # (<p3, g3 g1>, theta1): yes
     assert main(["--quiet", "check", str(model), str(aut), "--config", "2",
                  "--direction", "post"]) == 1    # (<p3, g3 g3>, theta1): no
+
+
+def test_self_removing_rule_is_answered(capsys):
+    """smrule 1 removes itself: the model validates without a warning, and
+    `check` answers in both directions what the oracle says."""
+    model = str(GOLDEN / "selfmod.smpds")
+    assert main(["validate", model]) == 0
+    assert capsys.readouterr().err == ""
+    doc = parse_smpds(Path(model).read_text())
+    m, (start, reached, unreached) = doc.smpds, doc.configs
+    reach, truncated = raw_reach(m, start, 3, 1000)
+    assert not truncated and reached in reach and unreached not in reach
+    unreached_reach, _ = raw_reach(m, unreached, 3, 1000)
+    assert reached not in unreached_reach
+    # post* of the start (config 0), and pre* of `reached` (config 1)
+    for direction, aut, config, code in (("post", "initial", 1, 0),
+                                         ("post", "initial", 2, 1),
+                                         ("pre", "target", 0, 0),
+                                         ("pre", "target", 2, 1)):
+        assert main(["--quiet", "check", model,
+                     str(GOLDEN / f"selfmod_{aut}.aut"), "--config", str(config),
+                     "--direction", direction]) == code
 
 
 def test_check_error_exit_2(capsys):

@@ -76,6 +76,13 @@ def test_comments_and_blanks_ignored():
     ("config: p\n", "config"),
     ("bogus stuff\n", "unknown directive"),
     ("rule 0: p a -> q\nconfig: p zz a\n", "unknown phase"),
+    # phase names the printers could not write back, and a second
+    # declaration of one name, which would silently replace the first
+    ("rule 0: p a -> q\nrule 1: p a -> p\nphase t: 0\nphase t: 1\n",
+     "duplicate phase name 't'"),
+    ("rule 0: p a -> q\nphase {0}: 0\n", "phase name '{0}'"),
+    ("rule 0: p a -> q\nphase x@y: 0\n", "phase name 'x@y'"),
+    ("rule 0: p a -> q\nphase my th: 0\n", "phase name 'my th'"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(FormatError) as exc:

@@ -37,6 +37,7 @@ MULTI_EPS_MODEL = "tests/golden/multi_eps.smpds"
 MULTI_EPS_AUT = "tests/golden/multi_eps.aut"
 EPS_MID_MODEL = "tests/golden/eps_mid.smpds"
 EPS_MID_AUT = "tests/golden/eps_mid.aut"
+SELFMOD_MODEL = "tests/golden/selfmod.smpds"
 
 # expected file -> CLI arguments (paths relative to the repository root)
 CASES = {
@@ -72,6 +73,10 @@ CASES = {
                                  "--max-len", "3"],
     "eps_mid.enumerate": ["enumerate", EPS_MID_MODEL, EPS_MID_AUT,
                           "--max-len", "3"],
+    # a modifying rule that removes itself, saturated as it is
+    "selfmod.prestar": ["prestar", SELFMOD_MODEL, "tests/golden/selfmod_target.aut"],
+    "selfmod.poststar": ["poststar", SELFMOD_MODEL,
+                         "tests/golden/selfmod_initial.aut"],
 }
 
 

@@ -16,7 +16,6 @@ from smpds import (
     bounded_reach,
     check_configuration,
     normalize_push,
-    normalize_selfmod,
     validate,
 )
 import smpds
@@ -160,7 +159,8 @@ def test_validate_reports_problems():
     assert "dangling" in text           # smrule 2 references rule 9
     warn = " ".join(rep.warnings)
     assert "normalize_push" in warn
-    assert "normalize_selfmod" in warn
+    # smrule 3 removes itself, which the saturations take as it is
+    assert "smrule 3" not in text + warn
 
 
 def test_check_configuration():
@@ -223,9 +223,10 @@ def test_step_agrees_with_oracle(mc):
 
 
 @st.composite
-def normal_form_systems(draw):
-    """A system in normal form (no modifying rule removes itself) over
-    negative and huge ids, and a control point and phase to fire it at."""
+def modifying_systems(draw):
+    """A system over negative and huge ids whose modifying rules may remove
+    themselves or name other modifying rules, and a control point and phase
+    to fire it at."""
     ids = draw(st.lists(rule_ids, min_size=1, max_size=8, unique=True))
     rules = {}
     for rid in ids:
@@ -233,14 +234,15 @@ def normal_form_systems(draw):
             rules[rid] = PdsRule(draw(_states), draw(_symbols), draw(_states),
                                  tuple(draw(st.lists(_symbols, max_size=2))))
         else:
-            others = [i for i in ids if i != rid] or [rid + 1]
-            rules[rid] = SelfModRule(draw(_states), draw(st.sampled_from(others)),
+            # often itself; otherwise any id, a modifying rule's included
+            removed = draw(st.one_of(st.just(rid), st.sampled_from(ids)))
+            rules[rid] = SelfModRule(draw(_states), removed,
                                      draw(st.sampled_from(ids)), draw(_states))
     m = SMPDS({"p", "q", "r"}, {"a", "b"}, rules)
     return m, draw(_states), Phase.of(draw(st.sets(st.sampled_from(ids))))
 
 
-@given(normal_form_systems())
+@given(modifying_systems())
 @settings(max_examples=200, deadline=None)
 def test_mod_predecessors_invert_mod_successors(mpt):
     m, p, theta = mpt
@@ -250,7 +252,7 @@ def test_mod_predecessors_invert_mod_successors(mpt):
         assert (p, theta) in m.mod_successors(p0, theta0)
 
 
-@given(normal_form_systems(), st.lists(_symbols, max_size=3))
+@given(modifying_systems(), st.lists(_symbols, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_mod_successors_are_the_oracle_modifying_moves(mpt, stack):
     m, p, theta = mpt
@@ -267,33 +269,6 @@ def test_mod_successors_are_the_oracle_modifying_moves(mpt, stack):
 
 
 # -- normalizations ----------------------------------------------------------
-
-def test_normalize_selfmod_noop_when_clean():
-    m, *_ = swap_example()
-    n = normalize_selfmod(m)
-    assert n.smpds is m
-    assert n.rewrite_phase(Phase.of([1, 2])) is Phase.of([1, 2])
-    assert n.project_phase(Phase.of([1, 2])) is Phase.of([1, 2])
-
-
-def test_normalize_selfmod_equivalence():
-    rules = {
-        0: PdsRule("p", "a", "p", ("a", "a")),
-        1: SelfModRule("p", 1, 0, "q"),      # removes itself
-        2: PdsRule("q", "a", "p", ()),
-    }
-    m = SMPDS({"p", "q"}, {"a"}, rules)
-    n = normalize_selfmod(m)
-    rep = validate(n.smpds)
-    assert rep.ok and not rep.warnings
-    c0 = Configuration("p", ("a",), Phase.of([0, 1, 2]))
-    # the push rule grows the stack without bound; the normalization leaves
-    # stacks untouched, so the explorations cut off at the same depth
-    orig, _ = raw_reach(m, c0, 5, 20000)
-    norm, _ = raw_reach(n.smpds, n.rewrite_config(c0), 5, 40000)
-    projected = {n.project_config(c) for c in norm if c.state in m.states}
-    assert projected == orig
-
 
 def test_normalize_push_equivalence():
     rules = {

@@ -90,12 +90,16 @@ def test_poststar_rejects_wide_rules():
         poststar(m, aut)
 
 
-def test_poststar_rejects_self_referential_rules():
+def test_poststar_saturates_self_removing_rules():
+    # smrule 0 removes itself and adds itself back, so it loops on every
+    # phase that holds it; rule 1 pops
     rules = {0: SelfModRule("p", 0, 0, "p"), 1: PdsRule("p", "a", "p", ())}
     m = SMPDS({"p"}, {"a"}, rules)
-    aut = from_configs(m, [Configuration("p", ("a",), Phase.of([0, 1]))])
-    with pytest.raises(ValueError, match="normalize_selfmod"):
-        poststar(m, aut)
+    c0 = Configuration("p", ("a",), Phase.of([0, 1]))
+    reach, truncated = raw_reach(m, c0, 3, 1000)
+    assert not truncated
+    sat = poststar(m, from_configs(m, [c0]))
+    assert set(sat.enumerate_configs(3)) == reach
 
 
 def test_poststar_empty_stack_smrule_successors():

@@ -114,12 +114,21 @@ def test_prestar_idempotent():
     assert twice.finals == once.finals
 
 
-def test_prestar_rejects_self_referential_rules():
+def test_prestar_saturates_self_removing_rules():
+    # smrule 0 removes itself and adds itself back, so it loops on every
+    # phase that holds it; rule 1 pops
     rules = {0: SelfModRule("p", 0, 0, "p"), 1: PdsRule("p", "a", "p", ())}
     m = SMPDS({"p"}, {"a"}, rules)
-    aut = from_configs(m, [Configuration("p", ("a",), Phase.of([0, 1]))])
-    with pytest.raises(ValueError, match="normalize_selfmod"):
-        prestar(m, aut)
+    target = Configuration("p", ("a",), Phase.of([0, 1]))
+    sat = prestar(m, from_configs(m, [target]))
+    # a configuration up to depth 2 is a predecessor exactly when the
+    # oracle reaches the target from it
+    for ids in ((), (0,), (1,), (0, 1)):
+        for stack in ((), ("a",), ("a", "a")):
+            c = Configuration("p", stack, Phase.of(ids))
+            reach, truncated = raw_reach(m, c, 3, 1000)
+            assert not truncated
+            assert sat.accepts(c) == (target in reach), c
 
 
 def test_prestar_rejects_wide_rules():
