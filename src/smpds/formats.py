@@ -18,10 +18,11 @@ Automaton format (phase names resolve against a model document):
 A phase is referenced by its declared name or, anonymously, as a sorted
 rule-id list in braces with no spaces: {0,2,5}; so a name is declared
 once, is one token and neither starts with '{' nor holds '@'.  The label
-`eps` is epsilon, so no model may use `eps` as a stack symbol.  Printing
-is canonical, so parse o print is the identity.  Each printer collects
-its output as one list of pieces and joins it once, so it holds little
-more than the output itself.
+`eps` is epsilon, so no model may use `eps` as a stack symbol.  A state
+token `gen:p:g@theta` is a generated state, so no control point's name
+starts with `gen:`.  Printing is canonical, so parse o print is the
+identity.  Each printer collects its output as one list of pieces and
+joins it once, so it holds little more than the output itself.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def parse_smpds(text: str) -> SmpdsDocument:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "state":
-            states.add(_one_token(rest, lineno))
+            states.add(_control(_one_token(rest, lineno), lineno))
         elif head == "symbol":
             alphabet.add(_one_token(rest, lineno))
             if "eps" in alphabet:
@@ -114,6 +115,10 @@ def parse_smpds(text: str) -> SmpdsDocument:
             if rid in rules:
                 raise FormatError(lineno, f"duplicate rule id {rid}")
             p, gamma = lt
+            if "gen:" in body:
+                # one test per line keeps the common case cheap
+                _control(p, lineno)
+                _control(rt[0], lineno)
             rules[rid] = PdsRule(p, gamma, rt[0], tuple(rt[1:]))
             states.update((p, rt[0]))
             alphabet.add(gamma)
@@ -134,7 +139,8 @@ def parse_smpds(text: str) -> SmpdsDocument:
                 r1, r2 = int(toks[1]), int(toks[3])
             except ValueError:
                 raise FormatError(lineno, "smrule ids must be integers") from None
-            rules[rid] = SelfModRule(toks[0], r1, r2, toks[4])
+            rules[rid] = SelfModRule(_control(toks[0], lineno), r1, r2,
+                                     _control(toks[4], lineno))
             states.update((toks[0], toks[4]))
         elif head == "phase":
             name, _, idtext = rest.partition(":")
@@ -158,6 +164,7 @@ def parse_smpds(text: str) -> SmpdsDocument:
                 raise FormatError(lineno, "config needs a state and a phase")
             if "eps" in toks[2:]:
                 raise FormatError(lineno, _EPS_RESERVED)
+            _control(toks[0], lineno)
             config_lines.append((lineno, toks))
         else:
             raise FormatError(lineno, f"unknown directive {head!r}")
@@ -209,6 +216,14 @@ def _one_token(rest: str, lineno: int) -> str:
     if len(toks) != 1:
         raise FormatError(lineno, "expected exactly one name")
     return toks[0]
+
+
+def _control(name: str, lineno: int) -> str:
+    """A control point's name, which must not read back as a generated state."""
+    if name.startswith("gen:"):
+        raise FormatError(lineno, f"control point {name!r} must not start with "
+                                  "'gen:', which names generated states")
+    return name
 
 
 def _split_id(rest: str, lineno: int) -> tuple[int, str]:

@@ -280,6 +280,23 @@ def test_eps_is_not_a_stack_symbol(command, text, lineno, tmp_path, capsys):
     assert "'eps' is reserved" in err
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("state gen:x\n", 1),
+    ("rule 0: p a -> q\nrule 1: gen:x a -> q\n", 2),
+    ("rule 0: p a -> q\nsmrule 1: p (0 -> 0) gen:x\n", 2),
+])
+@pytest.mark.parametrize("command", [["validate"], ["prestar", TARGET]])
+def test_gen_control_point_is_rejected(command, text, lineno, tmp_path, capsys):
+    # printed as gen:x@theta, such a state would read back as a generated one
+    model = tmp_path / "m.smpds"
+    model.write_text(text)
+    assert main([command[0], str(model), *command[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: line {lineno}:") and out.err.count("\n") == 1, out.err
+    assert "control point 'gen:x'" in out.err and "Traceback" not in out.err
+    assert out.out == ""
+
+
 def test_translate(capsys):
     assert main(["translate", MODEL]) == 0
     out = capsys.readouterr().out

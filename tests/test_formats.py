@@ -83,6 +83,13 @@ def test_comments_and_blanks_ignored():
     ("rule 0: p a -> q\nphase {0}: 0\n", "phase name '{0}'"),
     ("rule 0: p a -> q\nphase x@y: 0\n", "phase name 'x@y'"),
     ("rule 0: p a -> q\nphase my th: 0\n", "phase name 'my th'"),
+    # a control point the automaton format would read as a generated state
+    ("state gen:x\n", "control point 'gen:x'"),
+    ("rule 0: gen:x a -> q\n", "control point 'gen:x'"),
+    ("rule 0: p a -> gen:x a\n", "control point 'gen:x'"),
+    ("smrule 0: gen:x (0 -> 0) q\n", "control point 'gen:x'"),
+    ("smrule 0: p (0 -> 0) gen:x\n", "control point 'gen:x'"),
+    ("rule 0: p a -> q\nconfig: gen:x {0} a\n", "control point 'gen:x'"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(FormatError) as exc:
