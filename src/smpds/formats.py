@@ -15,7 +15,9 @@ Automaton format (phase names resolve against a model document):
     final <state>
     trans <state> <gamma|eps> <state>
 
-A phase is referenced by its declared name or, anonymously, as a sorted
+A rule id is `-?[0-9]+` (ASCII digits, no `+`, no `_`), in every
+directive and in braced phases.  A rule's right side holds no `->`.  A
+phase is referenced by its declared name or, anonymously, as a sorted
 rule-id list in braces with no spaces: {0,2,5}; so a name is declared
 once, is one token and neither starts with '{' nor holds '@'.  The label
 `eps` is epsilon, so no model may use `eps` as a stack symbol.  A state
@@ -23,12 +25,23 @@ token `gen:p:g@theta` is a generated state, so no control point's name
 starts with `gen:`.  Printing is canonical, so parse o print is the
 identity.  Each printer collects its output as one list of pieces and
 joins it once, so it holds little more than the output itself.
+
+Parsing reads the whole text at once.  One `split` of a model by the
+regex of a well-formed rule line yields the fields of every rule, which
+become rules in bulk; only the few lines in the gaps between rule lines
+are read one by one, and their line numbers are counted from the gaps.  A
+faulty model is read a second time, line by line, only to find its first
+bad line.  An automaton is read with one `findall`, a tuple per line.
+Rules are `NamedTuple`s, so a rule compares equal to a plain tuple of
+its fields.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
 from .model import Configuration, Phase, PdsRule, SelfModRule, SMPDS
@@ -39,6 +52,33 @@ class FormatError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+_ID = re.compile(r"-?[0-9]+")
+
+
+def _int(token: str, lineno: int, message: str) -> int:
+    """The rule id `token`, or a FormatError with `message`."""
+    if _ID.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # past the interpreter's limit on digits
+            pass
+    raise FormatError(lineno, message)
+
+
+def _ints(text: str, lineno: int, message: str) -> list[int]:
+    """The blank-separated rule ids in `text`, or a FormatError with
+    `message`.  On ASCII text without '+' and '_', `int` reads exactly the
+    tokens `-?[0-9]+`."""
+    toks = text.split()
+    if (text.isascii() and "+" not in text and "_" not in text
+            or all(map(_ID.fullmatch, toks))):
+        try:
+            return [*map(int, toks)]
+        except ValueError:
+            pass
+    raise FormatError(lineno, message)
 
 
 @dataclass
@@ -56,128 +96,220 @@ class SmpdsDocument:
 
     def resolve_phase(self, token: str, lineno: int = 0) -> Phase:
         if token.startswith("{") and token.endswith("}"):
-            try:
-                return Phase.of(int(t) for t in token[1:-1].split(",") if t.strip())
-            except ValueError:
-                raise FormatError(lineno, f"phase {token}: ids must be integers") from None
+            message = f"phase {token}: ids must be integers"
+            return Phase.of([_int(t.strip(), lineno, message)
+                             for t in token[1:-1].split(",") if t.strip()])
         if token not in self.phase_names:
             raise FormatError(lineno, f"unknown phase {token!r}")
         return self.phase_names[token]
 
 
+# -- reading text -------------------------------------------------------------
+
+# the line breaks of `str.splitlines` other than "\n" that ASCII text can
+# hold; non-ASCII text is always split by `str.splitlines`
+_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+# blanks within a line: whitespace as `str.split` knows it, bar "\n"
+_W = r"[^\S\n]"
+
 # a braced phase with whitespace inside, which splitting the line on
 # whitespace would tear apart
-_SPACED_PHASE = re.compile(r"\{[^{}]*\s[^{}]*\}")
+_SPACED_PHASE = re.compile(rf"\{{[^{{}}\n]*{_W}[^{{}}\n]*\}}")
 
 
-def _content_lines(text: str):
-    """(line number, line) for each line with content, comments removed;
-    both parsers reject a space inside a braced phase here."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            spaced = "{" in line and _SPACED_PHASE.search(line)
-            if spaced:
-                phase = spaced.group()
-                raise FormatError(lineno, "a braced phase takes no spaces: "
-                                          f"write {''.join(phase.split())}, not {phase}")
-            yield lineno, line
+def _clean(text: str) -> str:
+    """`text` with comments dropped and each line, numbered as
+    `str.splitlines` numbers it, ended by one "\n"."""
+    if not text.isascii() or any(b in text for b in _BREAKS):
+        text = "\n".join(text.splitlines())
+    if "#" in text:
+        text = "\n".join([line.split("#", 1)[0] for line in text.split("\n")])
+    if text and text[-1] != "\n":
+        text += "\n"
+    return text
+
+
+def _spaced_phase(text: str) -> FormatError | None:
+    """The error for the first braced phase with a blank inside, at its line."""
+    spaced = "{" in text and _SPACED_PHASE.search(text)
+    if not spaced:
+        return None
+    phase = spaced.group()
+    return FormatError(text.count("\n", 0, spaced.start()) + 1,
+                       "a braced phase takes no spaces: "
+                       f"write {''.join(phase.split())}, not {phase}")
 
 
 # the automaton format reads the label eps as epsilon
 _EPS_RESERVED = "'eps' is reserved for epsilon edges and cannot be a stack symbol"
 
+# a rule line of a cleaned model, "\n" and all, whose syntax is right but
+# for, possibly, an extra '->' inside a token; its groups are the rule's
+# id, p, gamma, p' and pushed word.  Each run of blanks sits between
+# tokens, so giving back part of a token or of a run never lets the rest
+# match, and a failed attempt backtracks only through gamma.
+_RULE_LINE = re.compile(
+    rf"^{_W}*rule {_W}*(-?[0-9]+){_W}*:{_W}*(\S+){_W}+(\S+?){_W}*->"
+    rf"{_W}*(\S+)(.*)\n", re.M)
+
+
+class _Model:
+    """What the lines of a model file declare, before the system is built."""
+
+    def __init__(self):
+        self.states: set[str] = set()
+        self.alphabet: set[str] = set()
+        self.rules: dict[int, PdsRule | SelfModRule] = {}
+        self.mod_lines: list[tuple[int, int]] = []  # (line number, id) per smrule
+        self.phase_lines: dict[str, tuple[int, list[int]]] = {}
+        self.config_lines: list[tuple[int, list[str]]] = []
+
 
 def parse_smpds(text: str) -> SmpdsDocument:
-    states: set[str] = set()
-    alphabet: set[str] = set()
-    rules: dict[int, PdsRule | SelfModRule] = {}
-    phase_lines: dict[str, tuple[int, list[int]]] = {}
-    config_lines: list[tuple[int, list[str]]] = []
-    for lineno, line in _content_lines(text):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "state":
-            states.add(_control(_one_token(rest, lineno), lineno))
-        elif head == "symbol":
-            alphabet.add(_one_token(rest, lineno))
-            if "eps" in alphabet:
-                raise FormatError(lineno, _EPS_RESERVED)
-        elif head == "rule":
-            rid, body = _split_id(rest, lineno)
-            lhs, arrow, rhs = body.partition("->")
-            if not arrow:
-                raise FormatError(lineno, "rule needs '->'")
-            lt = lhs.split()
-            rt = rhs.split()
-            if len(lt) != 2 or len(rt) < 1:
-                raise FormatError(lineno, "malformed rule")
-            if rid in rules:
-                raise FormatError(lineno, f"duplicate rule id {rid}")
-            p, gamma = lt
-            if "gen:" in body:
-                # one test per line keeps the common case cheap
-                _control(p, lineno)
-                _control(rt[0], lineno)
-            rules[rid] = PdsRule(p, gamma, rt[0], tuple(rt[1:]))
-            states.update((p, rt[0]))
-            alphabet.add(gamma)
-            alphabet.update(rt[1:])
-            # eps enters the alphabet only here and on symbol lines, so
-            # testing the alphabet finds the first line that uses it
-            if "eps" in alphabet:
-                raise FormatError(lineno, _EPS_RESERVED)
-        elif head == "smrule":
-            rid, body = _split_id(rest, lineno)
-            toks = body.replace("(", " ").replace(")", " ").split()
-            # <p> <rid1> -> <rid2> <p'>
-            if len(toks) != 5 or toks[2] != "->":
-                raise FormatError(lineno, "malformed smrule")
-            if rid in rules:
-                raise FormatError(lineno, f"duplicate rule id {rid}")
-            try:
-                r1, r2 = int(toks[1]), int(toks[3])
-            except ValueError:
-                raise FormatError(lineno, "smrule ids must be integers") from None
-            rules[rid] = SelfModRule(_control(toks[0], lineno), r1, r2,
-                                     _control(toks[4], lineno))
-            states.update((toks[0], toks[4]))
-        elif head == "phase":
-            name, _, idtext = rest.partition(":")
-            name = name.strip()
-            if not name:
-                raise FormatError(lineno, "phase needs a name")
-            # printed states name their phase in `p@name`, which must read back
-            if len(name.split()) > 1 or name[0] == "{" or "@" in name:
-                raise FormatError(lineno, f"phase name {name!r} must be one token "
-                                          "without '@' and not start with '{'")
-            if name in phase_lines:
-                raise FormatError(lineno, f"duplicate phase name {name!r}")
-            try:
-                ids = [int(t) for t in idtext.split()]
-            except ValueError:
-                raise FormatError(lineno, "phase members must be integer rule ids") from None
-            phase_lines[name] = (lineno, ids)
-        elif head == "config:" or (head == "config" and rest.startswith(":")):
-            toks = rest.lstrip(":").split() if head == "config" else rest.split()
-            if len(toks) < 2:
-                raise FormatError(lineno, "config needs a state and a phase")
-            if "eps" in toks[2:]:
-                raise FormatError(lineno, _EPS_RESERVED)
-            _control(toks[0], lineno)
-            config_lines.append((lineno, toks))
-        else:
-            raise FormatError(lineno, f"unknown directive {head!r}")
-    doc = SmpdsDocument(SMPDS(states, alphabet, rules))
-    for name, (lineno, ids) in phase_lines.items():
+    text = _clean(text)
+    try:
+        model = _read_model(text)
+    except ValueError:
+        # some line is at fault: find the first one
+        _raise_first_error(text)
+        raise
+    rules = model.rules
+    doc = SmpdsDocument(SMPDS(model.states, model.alphabet, rules))
+    for name, (lineno, ids) in model.phase_lines.items():
         for rid in ids:
             if rid not in rules:
                 raise FormatError(lineno, f"phase {name!r}: unknown rule id {rid}")
         doc.phase_names[name] = Phase.of(ids)
-    for lineno, toks in config_lines:
+    for lineno, toks in model.config_lines:
         phase = doc.resolve_phase(toks[1], lineno)
         doc.configs.append(Configuration(toks[0], tuple(toks[2:]), phase))
     return doc
+
+
+def _read_model(text: str) -> _Model:
+    """The model a cleaned text declares, its rule lines read in bulk.
+    Raises a ValueError on any fault, which need not be at the first bad
+    line."""
+    # [gap, id, p, gamma, p', word, gap, id, ...]: the fields of each rule
+    # line, and the other lines in the gaps between them
+    parts = _RULE_LINE.split(text)
+    ids, ps, gammas, qs, words = (parts[i::6] for i in range(1, 6))
+    gaps = parts[::6]
+    model = _Model()
+    # one tuple per distinct pushed word, and NamedTuples built by
+    # `tuple.__new__`, in C
+    word_of = {w: tuple(w.split()) for w in set(words)}
+    model.rules = rules = dict(zip(map(int, ids), map(
+        tuple.__new__, repeat(PdsRule),
+        zip(ps, gammas, qs, map(word_of.__getitem__, words)))))
+    model.states.update(ps, qs)
+    model.alphabet.update(gammas, *word_of.values())
+    if (len(rules) < len(ids) or "eps" in model.alphabet
+            or "gen:" in text and any(s.startswith("gen:") for s in chain(ps, qs))):
+        raise ValueError("a faulty rule line")
+    # gap k follows k rule lines
+    others = 0
+    for k, gap in compress(enumerate(gaps), gaps):
+        lines = gap.split("\n")
+        for lineno, line in enumerate(lines[:-1], k + others + 1):
+            _directive(model, line, lineno)
+        others += len(lines) - 1
+    # every rule line holds one '->', and a braced phase no blank
+    if text.count("->") != len(ids) + "".join(gaps).count("->") or _spaced_phase(text):
+        raise ValueError("a faulty line")
+    mods = model.mod_lines
+    if mods and mods[0][0] < len(ids) + others - gaps[-1].count("\n"):
+        # an smrule line comes before the last rule line: put the table in
+        # line order
+        rule_lines = map(add, count(1), accumulate(gap.count("\n") for gap in gaps))
+        model.rules = {rid: rules[rid] for _, rid in
+                       sorted(chain(zip(rule_lines, map(int, ids)), mods))}
+    return model
+
+
+def _raise_first_error(text: str) -> None:
+    """Raise the error of the first bad line of a cleaned model, reading
+    the lines one by one."""
+    spaced = _spaced_phase(text)
+    model = _Model()
+    lines = text.split("\n")[:spaced.lineno - 1 if spaced else None]
+    for lineno, line in enumerate(lines, 1):
+        _directive(model, line, lineno)
+    if spaced:
+        raise spaced
+
+
+def _directive(model: _Model, line: str, lineno: int) -> None:
+    """Read one model line.  A well-formed rule line is read here only
+    when looking for a faulty model's first bad line; valid text has its
+    rule lines read in bulk by `_read_model`."""
+    line = line.strip()
+    if not line:
+        return
+    head, _, rest = line.partition(" ")
+    rest = rest.strip()
+    if head == "state":
+        model.states.add(_control(_one_token(rest, lineno), lineno))
+    elif head == "symbol":
+        name = _one_token(rest, lineno)
+        if name == "eps":
+            raise FormatError(lineno, _EPS_RESERVED)
+        model.alphabet.add(name)
+    elif head == "rule":
+        rule = _RULE_LINE.match(line + "\n")
+        if not rule:
+            _, body = _split_id(rest, lineno)
+            raise FormatError(lineno, "malformed rule" if "->" in body else "rule needs '->'")
+        rid, p, gamma, q, word = rule.groups()
+        rid = _int(rid, lineno, "rule id must be an integer")
+        if any("->" in token for token in (p, gamma, q, word)):
+            raise FormatError(lineno, "malformed rule")
+        if rid in model.rules:
+            raise FormatError(lineno, f"duplicate rule id {rid}")
+        word = tuple(word.split())
+        model.rules[rid] = PdsRule(_control(p, lineno), gamma, _control(q, lineno), word)
+        if "eps" in (gamma, *word):
+            raise FormatError(lineno, _EPS_RESERVED)
+        model.states.update((p, q))
+        model.alphabet.update((gamma, *word))
+    elif head == "smrule":
+        rid, body = _split_id(rest, lineno)
+        toks = body.replace("(", " ").replace(")", " ").split()
+        # <p> <rid1> -> <rid2> <p'>
+        if len(toks) != 5 or toks[2] != "->":
+            raise FormatError(lineno, "malformed smrule")
+        if rid in model.rules:
+            raise FormatError(lineno, f"duplicate rule id {rid}")
+        removed = _int(toks[1], lineno, "smrule ids must be integers")
+        added = _int(toks[3], lineno, "smrule ids must be integers")
+        model.rules[rid] = SelfModRule(_control(toks[0], lineno), removed, added,
+                                       _control(toks[4], lineno))
+        model.states.update((toks[0], toks[4]))
+        model.mod_lines.append((lineno, rid))
+    elif head == "phase":
+        name, _, idtext = rest.partition(":")
+        name = name.strip()
+        if not name:
+            raise FormatError(lineno, "phase needs a name")
+        # printed states name their phase in `p@name`, which must read back
+        if len(name.split()) > 1 or name[0] == "{" or "@" in name:
+            raise FormatError(lineno, f"phase name {name!r} must be one token "
+                                      "without '@' and not start with '{'")
+        if name in model.phase_lines:
+            raise FormatError(lineno, f"duplicate phase name {name!r}")
+        ids = _ints(idtext, lineno, "phase members must be integer rule ids")
+        model.phase_lines[name] = (lineno, ids)
+    elif head == "config:" or (head == "config" and rest.startswith(":")):
+        toks = rest.lstrip(":").split() if head == "config" else rest.split()
+        if len(toks) < 2:
+            raise FormatError(lineno, "config needs a state and a phase")
+        if "eps" in toks[2:]:
+            raise FormatError(lineno, _EPS_RESERVED)
+        _control(toks[0], lineno)
+        model.config_lines.append((lineno, toks))
+    else:
+        raise FormatError(lineno, f"unknown directive {head!r}")
 
 
 def print_smpds(doc: SmpdsDocument) -> str:
@@ -230,10 +362,7 @@ def _split_id(rest: str, lineno: int) -> tuple[int, str]:
     idtext, colon, body = rest.partition(":")
     if not colon:
         raise FormatError(lineno, "expected '<id>:'")
-    try:
-        return int(idtext.strip()), body.strip()
-    except ValueError:
-        raise FormatError(lineno, "rule id must be an integer") from None
+    return _int(idtext.strip(), lineno, "rule id must be an integer"), body.strip()
 
 
 # -- automaton format -------------------------------------------------------
@@ -280,6 +409,11 @@ def parse_state_token(token: str, doc: SmpdsDocument, lineno: int = 0) -> AutSta
     return Plain(token)
 
 
+# one tuple per line of a cleaned automaton: (src, label, dst, '') for a
+# trans line, ('', '', '', line) for any other line
+_AUT_LINE = re.compile(rf"(?:{_W}*trans {_W}*(\S+){_W}+(\S+){_W}+(\S+){_W}*|(.*))\n")
+
+
 def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
     aut = PAutomaton(doc.smpds.alphabet)
     # each distinct token is parsed once, phase and all
@@ -291,7 +425,25 @@ def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
             q = states[token] = parse_state_token(token, doc, lineno)
         return q
 
-    for lineno, line in _content_lines(text):
+    text = _clean(text)
+    lines = _AUT_LINE.findall(text)
+    spaced = _spaced_phase(text)
+    if spaced:
+        # read the lines before it, whose errors come first
+        del lines[spaced.lineno - 1:]
+    for lineno, (src, label, dst, line) in enumerate(lines, 1):
+        if src:
+            src = state(src, lineno)
+            dst = state(dst, lineno)
+            if label == "eps":
+                label = EPS
+            elif label not in aut.alphabet:
+                raise FormatError(lineno, f"unknown symbol {label!r}")
+            aut.add_transition(src, label, dst)
+            continue
+        line = line.strip()
+        if not line:
+            continue
         head, _, rest = line.partition(" ")
         toks = rest.split()
         if head == "initial":
@@ -303,16 +455,11 @@ def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
                 raise FormatError(lineno, "final needs one state")
             aut.add_final(state(toks[0], lineno))
         elif head == "trans":
-            if len(toks) != 3:
-                raise FormatError(lineno, "trans needs '<state> <label> <state>'")
-            src = state(toks[0], lineno)
-            dst = state(toks[2], lineno)
-            label = EPS if toks[1] == "eps" else toks[1]
-            if label is not EPS and label not in aut.alphabet:
-                raise FormatError(lineno, f"unknown symbol {toks[1]!r}")
-            aut.add_transition(src, label, dst)
+            raise FormatError(lineno, "trans needs '<state> <label> <state>'")
         else:
             raise FormatError(lineno, f"unknown directive {head!r}")
+    if spaced:
+        raise spaced
     return aut
 
 

@@ -6,6 +6,8 @@ to the control point and the stack word, the *phase*: the set of rule
 identifiers currently enabled.  Plain rules rewrite the stack; modifying
 rules swap one rule identifier for another in the phase.  `SMPDS` also
 holds the rule indexes and modifying-rule moves the saturations fire.
+Both kinds of rule are `NamedTuple`s, so a rule compares equal to, and
+hashes like, a plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 RuleId = int
 
@@ -130,8 +132,7 @@ class Phase:
 EMPTY_PHASE = Phase.of(())
 
 
-@dataclass(frozen=True)
-class PdsRule:
+class PdsRule(NamedTuple):
     """<p, gamma> -> <p', w>: pop gamma at p, push w, move to p'."""
 
     lhs_state: str
@@ -144,8 +145,7 @@ class PdsRule:
         return f"<{self.lhs_state},{self.lhs_symbol}> -> <{self.rhs_state},{w}>"
 
 
-@dataclass(frozen=True)
-class SelfModRule:
+class SelfModRule(NamedTuple):
     """p --(r1, r2)--> p': move to p', drop rule r1 from the phase, add r2."""
 
     from_state: str

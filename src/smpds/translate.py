@@ -156,18 +156,22 @@ def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PDS:
     # rules are built by `tuple.__new__`, in C, rather than by the
     # NamedTuple's Python-level `__new__`
     new = tuple.__new__
+    # the plain rules as exact tuples: CPython specializes unpacking those,
+    # not reading a NamedTuple's fields
+    plain_of = {rid: tuple(r) for rid, r in smpds.rules.items()
+                if isinstance(r, PdsRule)}.get
     rule_of = smpds.rules.get
     append = rules.append
     for theta in sorted(phase_set, key=tuple):
         pair = pairs[theta]
         for rid in theta:
-            r = rule_of(rid)
-            if r is None:
+            plain = plain_of(rid)
+            if plain is not None:
+                p, gamma, q, word = plain
+                append(new(PairedRule, (pair[p], gamma, pair[q], word)))
                 continue
-            if isinstance(r, PdsRule):
-                append(new(PairedRule, (pair[r.lhs_state], r.lhs_symbol,
-                                        pair[r.rhs_state], r.rhs_word)))
-            elif r.removed in theta:
+            r = rule_of(rid)
+            if r is not None and r.removed in theta:
                 rhs = pairs[theta.update(r.removed, r.added)][r.to_state]
                 rules.extend(map(new, repeat(PairedRule),
                                  zip(repeat(pair[r.from_state]), gammas,

@@ -297,6 +297,23 @@ def test_gen_control_point_is_rejected(command, text, lineno, tmp_path, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("text, fragment", [
+    # a stray arrow used to be read as a stack symbol
+    ("rule 0: p a -> q\nrule 1: p a -> q -> r\n", "malformed rule"),
+    # int() used to read this id as 1000
+    ("rule 0: p a -> q\nrule 1_000: p a -> q\n", "rule id must be an integer"),
+])
+@pytest.mark.parametrize("command", [["validate"], ["prestar", TARGET],
+                                     ["poststar", TARGET]])
+def test_malformed_rule_is_rejected_at_its_line(command, text, fragment, tmp_path, capsys):
+    model = tmp_path / "m.smpds"
+    model.write_text(text)
+    assert main([command[0], str(model), *command[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: line 2: {fragment}\n"
+    assert out.out == ""
+
+
 def test_translate(capsys):
     assert main(["translate", MODEL]) == 0
     out = capsys.readouterr().out

@@ -90,12 +90,39 @@ def test_comments_and_blanks_ignored():
     ("smrule 0: gen:x (0 -> 0) q\n", "control point 'gen:x'"),
     ("smrule 0: p (0 -> 0) gen:x\n", "control point 'gen:x'"),
     ("rule 0: p a -> q\nconfig: gen:x {0} a\n", "control point 'gen:x'"),
+    # a stray arrow is no stack symbol
+    ("rule 0: p a -> q -> r\n", "line 1: malformed rule"),
+    # ids are -?[0-9]+ in every directive, where int() would read 1000, 5,
+    # 0 or (the Arabic-Indic digit three) 3
+    ("rule 1_000: p a -> q\n", "line 1: rule id must be an integer"),
+    ("rule +5: p a -> q\n", "line 1: rule id must be an integer"),
+    ("rule \u0663: p a -> q\n", "line 1: rule id must be an integer"),
+    ("rule 0: p a -> q\nsmrule 1_0: p (0 -> 0) q\n", "line 2: rule id must be an integer"),
+    ("rule 0: p a -> q\nsmrule 1: p (0 -> +0) q\n", "line 2: smrule ids must be integers"),
+    ("rule 0: p a -> q\nphase th: 0_0\n", "line 2: phase members must be integer rule ids"),
+    ("rule 0: p a -> q\nconfig: p {+0} a\n", "line 2: phase {+0}: ids must be integers"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(FormatError) as exc:
         parse_smpds(text)
     assert fragment in str(exc.value)
     assert str(exc.value).startswith("line ")
+
+
+def test_rule_ids_keep_their_value():
+    doc = parse_smpds("rule -0: p a -> q\nrule 007: q a -> p\nsmrule -3: p (0 -> 7) q\n"
+                      "phase th: 7 -3 0\nconfig: p {-3,0} a\n")
+    assert sorted(doc.smpds.rules) == [-3, 0, 7]
+    assert doc.phase_names["th"] is Phase.of([-3, 0, 7])
+    assert doc.configs[0].phase is Phase.of([-3, 0])
+
+
+def test_rules_are_named_tuples():
+    doc = parse_smpds("rule 0: p a -> q b c\nsmrule 1: p (0 -> 0) q\n")
+    rule, smrule = doc.smpds.rules[0], doc.smpds.rules[1]
+    assert type(rule) is PdsRule and type(smrule) is SelfModRule
+    assert rule == ("p", "a", "q", ("b", "c")) and rule.rhs_word == ("b", "c")
+    assert smrule == ("p", 0, 0, "q") and smrule.removed == 0
 
 
 def test_automaton_round_trip_plain():
@@ -231,6 +258,8 @@ def test_automaton_parse_errors():
         parse_automaton("wat p1\n", doc)
     with pytest.raises(FormatError, match="initial"):
         parse_automaton("initial p1\n", doc)
+    with pytest.raises(FormatError, match=r"line 2: phase \{1_0\}: ids must be integers"):
+        parse_automaton("final acc\ntrans p1@{1_0} g1 acc\n", doc)
 
 
 # -- property-based round-trips ---------------------------------------------
