@@ -7,10 +7,11 @@ currently active set (the phase).  This package provides:
  - the core model with an executable small-step semantics (`model`),
  - phase-annotated configuration automata and the worklist every
    saturation runs on (`automaton`),
- - direct backward and forward saturation (`prestar`, `poststar`), with
-   the statistics and the empty-stack closure they share (`saturation`),
- - translations to ordinary and symbolic pushdown systems with classical
-   saturation as cross-checks (`translate`),
+ - backward and forward saturation (`prestar`, `poststar`), run directly
+   on an SM-PDS with the statistics and the empty-stack closure of
+   `saturation`, or on its translated PDS,
+ - translations to ordinary and symbolic pushdown systems, with the
+   classical saturations run on the paired rules (`translate`),
  - a toy self-modifying assembly front end (`asm`),
  - seeded random instances (`bench.generate`), used by the tests and by
    the benchmark in `perfbench/`,
@@ -22,12 +23,10 @@ from .model import (
     EMPTY_PHASE,
     PdsRule,
     Phase,
-    ReachResult,
     RuleId,
     SelfModRule,
     SMPDS,
     ValidationReport,
-    bounded_reach,
     check_configuration,
     normalize_push,
     solve_predecessor_phases,
@@ -55,9 +54,9 @@ from .translate import (
 
 __all__ = [
     "Configuration", "EMPTY_PHASE", "EPS", "Generated", "Initial",
-    "PAutomaton", "PDS", "PdsRule", "Phase", "Plain", "ReachResult",
+    "PAutomaton", "PDS", "PdsRule", "Phase", "Plain",
     "RuleId", "SMPDS", "SaturationStats", "SelfModRule", "SymbolicPDS",
-    "ValidationReport", "bounded_reach", "config_to_pds", "from_configs",
+    "ValidationReport", "config_to_pds", "from_configs",
     "normalize_push", "pds_accepts",
     "pds_from_configs", "pds_poststar", "pds_prestar", "pds_step",
     "phase_closure", "poststar", "prestar", "solve_predecessor_phases",

@@ -111,26 +111,32 @@ def parse_program(text: str, allow_meta_selfmod: bool = False) -> Program:
 def _check_body(lineno: int, op: str, operands: tuple[str, ...],
                 allow_meta_selfmod: bool) -> None:
     """Check an opcode and its operand count; a selfmod's instruction is
-    checked the same way, down to the innermost one."""
-    if op == "selfmod":
-        if len(operands) < 2:
+    checked the same way, down to the innermost one, in a loop, so that no
+    nesting depth reaches the recursion limit."""
+    i = 0   # operands[i:] are the operands of op
+    while op == "selfmod":
+        if len(operands) - i < 2:
             raise AsmError(lineno, "selfmod needs a target label and an instruction")
-        if operands[1] == "selfmod" and not allow_meta_selfmod:
+        if operands[i + 1] == "selfmod" and not allow_meta_selfmod:
             raise AsmError(lineno, "selfmod of a selfmod instruction is not supported")
-        _check_body(lineno, operands[1], operands[2:], allow_meta_selfmod)
-    elif op not in OPCODES:
+        op = operands[i + 1]
+        i += 2
+    if op not in OPCODES:
         raise AsmError(lineno, f"unknown opcode {op!r}")
-    elif len(operands) != OPCODES[op]:
+    if len(operands) - i != OPCODES[op]:
         raise AsmError(lineno, f"{op!r} takes {OPCODES[op]} operand(s)")
 
 
 def _label_operands(op: str, operands: tuple[str, ...]):
-    """The labels an instruction names, a selfmod's instruction included."""
+    """The labels an instruction names, a selfmod's instruction included,
+    outermost first."""
+    i = 0
+    while op == "selfmod":
+        yield operands[i]
+        op = operands[i + 1]
+        i += 2
     if op in ("jmp", "call"):
-        yield operands[0]
-    elif op == "selfmod":
-        yield operands[0]
-        yield from _label_operands(operands[1], operands[2:])
+        yield operands[i]
 
 
 def print_program(prog: Program) -> str:

@@ -18,10 +18,10 @@ case) and stepping a set of states over a symbol with eps moves free
 (`_close` and `_step`, over the cached `eclosure`s).  Membership,
 enumeration and direct pre* all read closures through them.
 
-All four saturations, direct and classical, pre* and post*, run on one
-worklist, `DeltaWorklist`: a unit of work is a key (src, label) with the
-targets added under it since it was last popped, and every insert goes
-through `add_targets`.
+The two saturation cores, pre* and post*, run on one worklist,
+`DeltaWorklist`, whether they read an SM-PDS directly or its translated
+PDS: a unit of work is a key (src, label) with the targets added under
+it since it was last popped, and every insert goes through `add_targets`.
 """
 
 from __future__ import annotations

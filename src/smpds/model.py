@@ -12,7 +12,6 @@ hashes like, a plain tuple of its fields.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -186,12 +185,15 @@ def solve_predecessor_phases(theta: Phase, rid: RuleId,
 class SMPDS:
     """An SM-PDS: control points, stack alphabet, and an id-addressed rule table.
 
-    It holds the rule indexes the direct saturations read, each rule next
-    to its id: plain rules by left side (p, gamma), by right-side head
-    (p', w[0]), and the pop rules; modifying rules by source and by target
-    control point, whose moves are `mod_successors`/`mod_predecessors`.
-    `wide_rules` lists, in rule-table order, the plain rules that push more
-    than two symbols, which no saturation takes before `normalize_push`.
+    It is the rule source of the direct saturations, through the moves
+    `post_moves`, `pre_moves`, `pop_moves` (stack rules, with modifying
+    rules as rules that keep the top symbol) and `mod_successors`/
+    `mod_predecessors` (the empty stack).  Their indexes hold each rule
+    next to its id: plain rules by left side (p, gamma), by right-side head
+    (p', w[0]) and, for pop rules, by right-side state; modifying rules by
+    source and by target control point.  `wide_rules` lists, in rule-table
+    order, the plain rules that push more than two symbols, which no
+    saturation takes before `normalize_push`.
     """
 
     def __init__(self, states: Iterable[str], alphabet: Iterable[str],
@@ -202,7 +204,7 @@ class SMPDS:
         delta = []
         self.plain_by_lhs: dict[tuple[str, str], list[tuple[RuleId, PdsRule]]] = {}
         self.plain_by_rhs_head: dict[tuple[str, str], list[tuple[RuleId, PdsRule]]] = {}
-        self.pop_rules: list[tuple[RuleId, PdsRule]] = []
+        self.pop_rules: dict[str, list[tuple[RuleId, PdsRule]]] = {}
         self.mod_by_source: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
         self.mod_by_target: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
         self.wide_rules: list[RuleId] = []
@@ -216,7 +218,7 @@ class SMPDS:
                     self.plain_by_rhs_head.setdefault(
                         (r.rhs_state, r.rhs_word[0]), []).append((rid, r))
                 else:
-                    self.pop_rules.append((rid, r))
+                    self.pop_rules.setdefault(r.rhs_state, []).append((rid, r))
             else:
                 self.mod_by_source.setdefault(r.from_state, []).append((rid, r))
                 self.mod_by_target.setdefault(r.to_state, []).append((rid, r))
@@ -225,6 +227,29 @@ class SMPDS:
 
     def all_rules_phase(self) -> Phase:
         return Phase.of(self.rules.keys())
+
+    def post_moves(self, p: str, theta: Phase, g: str
+                   ) -> list[tuple[str, Phase, tuple[str, ...]]]:
+        """The (p', theta', w) that <p, g> in theta steps to: plain rules in
+        theta, and modifying rules, which leave g on the stack."""
+        moves = [(r.rhs_state, theta, r.rhs_word)
+                 for rid, r in self.plain_by_lhs.get((p, g), ()) if rid in theta]
+        moves += [(p2, theta2, (g,)) for p2, theta2 in self.mod_successors(p, theta)]
+        return moves
+
+    def pre_moves(self, p1: str, theta: Phase, g1: str
+                  ) -> list[tuple[str, Phase, str, tuple[str, ...]]]:
+        """The (p, theta', g, w[1:]) of the moves to <p1, g1 w[1:]> in theta,
+        pop rules excepted: plain rules in theta, and modifying rules."""
+        moves = [(r.lhs_state, theta, r.lhs_symbol, r.rhs_word[1:])
+                 for rid, r in self.plain_by_rhs_head.get((p1, g1), ()) if rid in theta]
+        moves += [(p, pred, g1, ()) for p, pred in self.mod_predecessors(p1, theta)]
+        return moves
+
+    def pop_moves(self, p1: str, theta: Phase) -> list[tuple[str, Phase, str]]:
+        """The (p, theta, g) of the pop rules in theta that lead to p1."""
+        return [(r.lhs_state, theta, r.lhs_symbol)
+                for rid, r in self.pop_rules.get(p1, ()) if rid in theta]
 
     def mod_successors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
         """The (p', theta') that a modifying rule leads to from (p, theta), on
@@ -333,45 +358,6 @@ def step(smpds: SMPDS, c: Configuration) -> frozenset[Configuration]:
                 out.add(Configuration(r.to_state, c.stack,
                                       c.phase.update(r.removed, r.added)))
     return frozenset(out)
-
-
-@dataclass
-class ReachResult:
-    configs: frozenset[Configuration]
-    truncated: bool
-
-    def __contains__(self, c: Configuration) -> bool:
-        return c in self.configs
-
-
-def bounded_reach(smpds: SMPDS, c0: Configuration, max_stack: int,
-                  max_steps: int) -> ReachResult:
-    """BFS closure of `step` from c0.
-
-    Configurations whose stack exceeds `max_stack` are discarded (and the
-    result flagged as truncated); expansion stops after `max_steps`
-    configurations have been expanded.
-    """
-    if len(c0.stack) > max_stack:
-        raise ValueError("initial stack exceeds max_stack")
-    seen = {c0}
-    queue = deque([c0])
-    truncated = False
-    expansions = 0
-    while queue:
-        if expansions >= max_steps:
-            truncated = True
-            break
-        c = queue.popleft()
-        expansions += 1
-        for c2 in step(smpds, c):
-            if len(c2.stack) > max_stack:
-                truncated = True
-                continue
-            if c2 not in seen:
-                seen.add(c2)
-                queue.append(c2)
-    return ReachResult(frozenset(seen), truncated)
 
 
 @dataclass

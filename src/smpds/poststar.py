@@ -1,8 +1,10 @@
-"""Direct forward saturation: compute post*(L(A)) on the P-automaton itself.
+"""Forward saturation: compute post*(L(A)) on the P-automaton itself.
 
-Saturation rules, applied until fixpoint, given a reading fact
-(p,theta) --g--> q (a direct transition or an epsilon edge followed by a
-symbol edge):
+One loop serves direct post* of an SM-PDS, whose rule source is the
+`SMPDS`, and classical post* of the translated PDS, whose source is the
+paired rules (`translate.pds_poststar`).  Saturation rules, applied until
+fixpoint, given a reading fact (p,theta) --g--> q (a direct transition
+or an epsilon edge followed by a symbol edge):
 
   beta1: <p,g> -> <p',eps>   in theta: add ((p',theta), eps, q).
   beta2: <p,g> -> <p',g'>    in theta: add ((p',theta), g', q).
@@ -16,8 +18,8 @@ is empty, so whenever (<p, eps>, theta) is accepted the successor
 (<p', eps>, theta') must be as well; this is realized with an epsilon
 edge from the successor to every final eps-target of (p,theta) (or a
 final marking when the initial state itself is final, made by
-`saturation.close_empty_stack`).  Rule indexes and `mod_successors` come
-from the `SMPDS`.
+`saturation.close_empty_stack`).  `post_moves` gives beta1-beta4 as
+right sides (p', theta', w), and `mod_successors` the empty-stack moves.
 
 The unit of work is a key (src, g) with the set of its targets added
 since the key was last processed (see `automaton.DeltaWorklist`).  A
@@ -36,7 +38,7 @@ from .saturation import SaturationStats, close_empty_stack, run_engine
 
 
 class _PoststarEngine:
-    def __init__(self, smpds: SMPDS, aut: PAutomaton):
+    def __init__(self, rules, aut: PAutomaton):
         if aut.has_transition_into_initial():
             raise ValueError("input automaton has a transition into an initial state")
         for src, by_label in aut._out.items():
@@ -44,7 +46,7 @@ class _PoststarEngine:
             # initial states; anything else is rejected rather than closed
             if EPS in by_label and not isinstance(src, Initial):
                 raise ValueError("epsilon edges may only leave initial states")
-        self.smpds = smpds
+        self.rules = rules
         self.aut = aut.copy()
 
         # epsilon edges go from initial states to non-initial states only,
@@ -59,7 +61,7 @@ class _PoststarEngine:
         # later empty-stack acceptance is linked by `_process`, with eps edges
         close_empty_stack(self.aut,
                           [q for q in self.aut.initial_states() if q in self.aut.finals],
-                          self.smpds.mod_successors)
+                          self.rules.mod_successors)
         for (src, label), delta in self.work:
             self._process(src, label, delta)
         return self.aut
@@ -85,7 +87,7 @@ class _PoststarEngine:
             finals = delta & self.aut.finals
             if finals:
                 self.work.add([(Initial(p, theta), EPS) for p, theta
-                               in self.smpds.mod_successors(src.control, src.phase)],
+                               in self.rules.mod_successors(src.control, src.phase)],
                               finals)
 
     def _new_facts(self, keys: list[tuple[Initial, str]], dsts: set[AutState]) -> None:
@@ -115,22 +117,17 @@ class _PoststarEngine:
         The first edge of a beta3 push does not depend on q, so it is
         added here, once.
         """
-        p, theta = init.control, init.phase
         plan: list[tuple[AutState, Label]] = []
-        for rid, r in self.smpds.plain_by_lhs.get((p, symbol), ()):
-            if rid not in theta:
-                continue
-            src = Initial(r.rhs_state, theta)
-            if len(r.rhs_word) == 0:
+        for p, theta, word in self.rules.post_moves(init.control, init.phase, symbol):
+            src = Initial(p, theta)
+            if not word:
                 plan.append((src, EPS))
-            elif len(r.rhs_word) == 1:
-                plan.append((src, r.rhs_word[0]))
+            elif len(word) == 1:
+                plan.append((src, word[0]))
             else:
-                gen = Generated(r.rhs_state, r.rhs_word[0], theta)
-                self.work.add([(src, r.rhs_word[0])], {gen})
-                plan.append((gen, r.rhs_word[1]))
-        for p2, theta2 in self.smpds.mod_successors(p, theta):
-            plan.append((Initial(p2, theta2), symbol))
+                gen = Generated(p, word[0], theta)
+                self.work.add([(src, word[0])], {gen})
+                plan.append((gen, word[1]))
         return plan
 
 

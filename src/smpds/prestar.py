@@ -1,6 +1,9 @@
-"""Direct backward saturation: compute pre*(L(A)) on the P-automaton itself.
+"""Backward saturation: compute pre*(L(A)) on the P-automaton itself.
 
-Two saturation rules, applied until fixpoint:
+One loop serves direct pre* of an SM-PDS, whose rule source is the
+`SMPDS`, and classical pre* of the translated PDS, whose source is the
+paired rules (`translate.pds_prestar`).  Saturation rules, applied until
+fixpoint:
 
   alpha1: for a plain rule <p,g> -> <p1,w> in a phase theta, whenever the
           automaton has a path (p1,theta) --w--> q, add ((p,theta), g, q).
@@ -10,11 +13,14 @@ Two saturation rules, applied until fixpoint:
           ((p,theta'), g, q) for every predecessor phase theta' with
           theta = (theta' - {r1}) | {r2}.
 
-The input automaton may contain epsilon transitions (they are honoured
-during matching); the saturation itself only adds symbol-labelled
-transitions, plus final-state markings for empty-stack predecessors
-reached through modifying rules (`saturation.close_empty_stack`).  Rule
-indexes and `mod_predecessors` come from the `SMPDS`.
+`pre_moves` gives both but alpha1 for pop rules (`pop_moves`), which
+fires into (p1,theta) only once that state is live: its empty stack is
+accepted or it is the source of a reading fact.  So a transition it
+adds leads to a dead end only through the input's.  Empty-stack
+predecessors (`mod_predecessors`) are made final by
+`saturation.close_empty_stack`.  The input may contain epsilon
+transitions (they are honoured during matching); the saturation only
+adds symbol-labelled ones.
 
 The unit of work is a key (src, g) with the set of its targets added
 since the key was last processed (see `automaton.DeltaWorklist`); the
@@ -30,13 +36,13 @@ the new facts' targets in one call.
 from __future__ import annotations
 
 from .automaton import EPS, AutState, DeltaWorklist, Initial, PAutomaton
-from .model import Phase, SMPDS
+from .model import SMPDS
 from .saturation import SaturationStats, close_empty_stack, run_engine
 
 
 class _PrestarEngine:
-    def __init__(self, smpds: SMPDS, aut: PAutomaton):
-        self.smpds = smpds
+    def __init__(self, rules, aut: PAutomaton):
+        self.rules = rules
         self.aut = aut.copy()
         self.work = DeltaWorklist(self.aut)
 
@@ -61,30 +67,32 @@ class _PrestarEngine:
         self.plans: dict[tuple[Initial, str],
                          tuple[list[tuple[Initial, str]],
                                dict[str, set[tuple[Initial, str]]]]] = {}
-
-        self.phases: set[Phase] = set()
+        # the initial states whose pop rules have fired
+        self.live: set[Initial] = set()
 
     def run(self) -> PAutomaton:
         aut = self.aut
         close_empty_stack(aut, [q for q in aut.initial_states()
                                  if aut._close({q}) & aut.finals],
-                          self.smpds.mod_predecessors)
+                          self.rules.mod_predecessors)
         for q in aut.initial_states():
-            self._materialize_phase(q.phase)
+            if aut._close({q}) & aut.finals:
+                self._make_live(q)
         for (src, label), delta in self.work:
             if label is not EPS:
                 self._process(src, label, delta)
         return aut
 
-    def _materialize_phase(self, theta: Phase) -> None:
-        if theta in self.phases:
+    def _make_live(self, q: Initial) -> None:
+        """alpha1 for the pop rules into q: the path q --eps--> q' exists for
+        every q' in the closure of q, and q reaches a final state."""
+        if q in self.live:
             return
-        self.phases.add(theta)
-        # alpha1 for pop rules: the path (p1,theta) --eps--> q always exists
-        for rid, r in self.smpds.pop_rules:
-            if rid in theta:
-                self.work.add([(Initial(r.lhs_state, theta), r.lhs_symbol)],
-                              self.aut._close({Initial(r.rhs_state, theta)}))
+        self.live.add(q)
+        moves = self.rules.pop_moves(q.control, q.phase)
+        if moves:
+            self.work.add([(Initial(p, theta), g) for p, theta, g in moves],
+                          self.aut._close({q}))
 
     # -- fact-driven rule firing -------------------------------------------
 
@@ -113,6 +121,7 @@ class _PrestarEngine:
         key = (src, label)
         plan = self.plans.get(key)
         if plan is None:
+            self._make_live(src)
             plan = self.plans[key] = self._firing_plan(src, label)
         edges, triggers = plan
         add(edges, dsts)
@@ -142,22 +151,16 @@ class _PrestarEngine:
         The edges (src, g) that alpha1 for one-symbol rules and alpha2 link
         to q, and, by g2, the transitions ((p,theta), g) that two-symbol
         rules leave waiting at (q, g2).  Built once per fact key, when its
-        first q arrives and the edges are about to be inserted, so the
-        phases of the alpha2 sources are materialized here.
+        first q arrives.
         """
-        p1, theta = init.control, init.phase
         edges: list[tuple[Initial, str]] = []
         triggers: dict[str, set[tuple[Initial, str]]] = {}
-        for rid, r in self.smpds.plain_by_rhs_head.get((p1, label), ()):
-            if rid in theta:
-                lhs = (Initial(r.lhs_state, theta), r.lhs_symbol)
-                if len(r.rhs_word) == 1:
-                    edges.append(lhs)
-                else:
-                    triggers.setdefault(r.rhs_word[1], set()).add(lhs)
-        for p, theta_pred in self.smpds.mod_predecessors(p1, theta):
-            edges.append((Initial(p, theta_pred), label))
-            self._materialize_phase(theta_pred)
+        for p, theta, g, rest in self.rules.pre_moves(init.control, init.phase, label):
+            lhs = (Initial(p, theta), g)
+            if rest:
+                triggers.setdefault(rest[0], set()).add(lhs)
+            else:
+                edges.append(lhs)
         return edges, triggers
 
 

@@ -1,7 +1,6 @@
 """What the direct saturations share: statistics, the engine runner and
-the empty-stack closure.  The rule indexes and the modifying-rule moves
-they fire live on `SMPDS`, and the worklist they run on, shared with the
-classical saturations, on `PAutomaton` (`automaton.DeltaWorklist`).
+the empty-stack closure.  Their rule source is the `SMPDS`, and the
+worklist both cores run on is `automaton.DeltaWorklist`.
 
 The engines count nothing themselves: `run_engine` reads the statistics
 off the result, as its counts minus the input's, so a counter means the

@@ -8,22 +8,14 @@ shared by every rule and by `PDS.states`, and checks that the set is
 closed on the modifying rules alone.  The symbolic translation keeps one
 rule per SM-PDS rule and attaches a phase relation, stored intensionally.
 
-Classical pre*/post* saturations for ordinary PDSs are included as an
-independent implementation used for cross-checking the direct engines;
-this module imports none of theirs (`prestar`, `poststar`, `saturation`).
-A paired configuration ((p, theta), w) is the SM-PDS configuration
-(<p, w>, theta), so they take and return ordinary P-automata.  Each call
-turns a paired state into its `Initial` once.  Both run on the worklist
-every saturation shares (`automaton.DeltaWorklist`) and move the whole
-set of new targets of a key (src, symbol) at a time.  Both resolve rules
-only where the saturation reaches them: post* builds the plan of a left
-side (Initial, symbol) at its first fact, and pre* is goal-directed.  It
-fires a pop rule into Initial(p') only once that state is live (final,
-or the source of a popped key), and turns the rules whose right-side
-head is (p', g) into edges when the key (Initial(p'), g) is first popped.
-So pre* returns the classical automaton trimmed to the transitions whose
-target reaches a final state: the same language, with initial states only
-in phases from which modifying rules reach a phase of the input.
+Classical pre*/post* for ordinary PDSs run the same saturation cores as
+the direct engines (`prestar`, `poststar`), with the phase moved into the
+control point: `_PairedRules` is their rule source for a paired PDS.  A
+paired configuration ((p, theta), w) is the SM-PDS configuration
+(<p, w>, theta), so they take and return ordinary P-automata.  The
+paired PDS fires no modifying rule on an empty stack, so the two routes
+agree on nonempty stacks only.  Code that shares nothing with the cores
+lives in the tests: `tests/classical_reference.py` and the oracle.
 """
 
 from __future__ import annotations
@@ -33,10 +25,11 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple, Union
 
-from .automaton import (EPS, AutState, DeltaWorklist, Generated, Initial, Label,
-                        PAutomaton, from_configs)
+from .automaton import PAutomaton, from_configs
 from .model import (Configuration, Phase, PdsRule, RuleId, SMPDS,
                     solve_predecessor_phases)
+from .poststar import _PoststarEngine
+from .prestar import _PrestarEngine
 
 # a control point of the translated PDS: (original control point, phase)
 PdsState = tuple[str, Phase]
@@ -232,13 +225,47 @@ def pds_accepts(aut: PAutomaton, state: PdsState, stack: tuple[str, ...]) -> boo
     return aut.accepts(Configuration(state[0], stack, state[1]))
 
 
-class _Interned(dict):
-    """Paired state (p, theta) -> Initial(p, theta), interned on first use,
-    so a classical saturation builds each state once per call."""
+class _PairedRules:
+    """The rule source of the saturation cores for a paired PDS, which has
+    no empty-stack moves.  Rules are indexed once, as raw `PairedRule`s,
+    for one direction; the cores read a group once."""
 
-    def __missing__(self, pair: PdsState) -> Initial:
-        q = self[pair] = Initial(*pair)
-        return q
+    def __init__(self, pds: PDS, backward: bool):
+        # post* groups by left side ((p, theta), g), pre* by right-side head
+        # ((p', theta), w[0]) and, for pop rules, by right-side state
+        groups: dict[tuple, list[PairedRule]] = {}
+        self.groups = groups
+        # every rule's length is checked here, as most groups are never read
+        for r in pds.rules:
+            word = r[3]
+            if len(word) > 2:
+                raise ValueError("classical saturations expect |w| <= 2 rules")
+            if not backward:
+                key = (r[0], r[1])
+            else:
+                key = (r[2], word[0]) if word else r[2]
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [r]
+            else:
+                group.append(r)
+
+    def post_moves(self, p: str, theta: Phase, g: str
+                   ) -> list[tuple[str, Phase, tuple[str, ...]]]:
+        return [(*rhs, word) for _, _, rhs, word in self.groups.get(((p, theta), g), ())]
+
+    def pre_moves(self, p1: str, theta: Phase, g1: str
+                  ) -> list[tuple[str, Phase, str, tuple[str, ...]]]:
+        return [(*lhs, g, word[1:])
+                for lhs, g, _, word in self.groups.get(((p1, theta), g1), ())]
+
+    def pop_moves(self, p1: str, theta: Phase) -> list[tuple[str, Phase, str]]:
+        return [(*lhs, g) for lhs, g, _, _ in self.groups.get((p1, theta), ())]
+
+    def mod_successors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
+        return []
+
+    mod_predecessors = mod_successors
 
 
 def _check_input(aut: PAutomaton) -> None:
@@ -249,177 +276,24 @@ def _check_input(aut: PAutomaton) -> None:
 
 
 def pds_prestar(pds: PDS, aut: PAutomaton) -> PAutomaton:
-    """Classical backward saturation for ordinary PDSs, goal-directed.
+    """Classical backward saturation for ordinary PDSs: the goal-directed
+    pre* core (`prestar`) on the paired rules.
 
     The result has the finals and the language of the full classical
-    saturation.  When every transition of the input leads to a state
-    that reaches a final state, as in `from_configs` automata, it is that
+    saturation.  When every transition of the input leads to a state that
+    reaches a final state, as in `from_configs` automata, it is that
     saturation trimmed to the transitions whose target reaches a final
-    state; a dead-end input transition can keep a few more.  On the
-    `translated` benchmark pool that is 28-63 transitions where the full
-    saturation builds 4.5k-16k.
-
-    A pop rule <p, g> -> <p', eps> fires into Initial(p') only once that
-    state is live, that is final or the source of a popped key.  The
-    rules are indexed once by paired states, pop rules by their right
-    side and the others by their right-side head (p', g1); a group turns
-    into (Initial, symbol) edges, cached, when its key is first popped,
-    and then takes the key's whole delta in one insert per edge.
+    state.  On the `translated` benchmark pool that is 28-63 transitions
+    where the full saturation builds 4.5k-16k.
     """
     _check_input(aut)
-    # pop rules by their right-side state, the others by their right-side
-    # head, all as raw paired tuples; every rule's length is checked here,
-    # as most groups are never resolved
-    pops: dict[PdsState, list[PairedRule]] = {}
-    heads: dict[tuple[PdsState, str], list[PairedRule]] = {}
-    for r in pds.rules:
-        word = r[3]
-        if word:
-            if len(word) > 2:
-                raise ValueError("classical pre* expects |w| <= 2 rules")
-            key = (r[2], word[0])
-            group = heads.get(key)
-            if group is None:
-                heads[key] = [r]
-            else:
-                group.append(r)
-        else:
-            group = pops.get(r[2])
-            if group is None:
-                pops[r[2]] = [r]
-            else:
-                group.append(r)
-    result = aut.copy()
-    out = result._out
-    initial = _Interned()
-    work = DeltaWorklist(result)
-
-    def make_live(q: Initial) -> None:
-        # the group leaves the index, so a state's pop rules fire once
-        group = pops.pop((q.control, q.phase), None)
-        if group is not None:
-            work.add([(initial[r[0]], r[1]) for r in group], {q})
-
-    for q in result.finals:
-        if isinstance(q, Initial):
-            make_live(q)
-    # popped key (Initial, symbol) -> the left sides (Initial, symbol) of
-    # its rules pushing one symbol, and those of its two-symbol rules with
-    # their second pushed symbol
-    resolved: dict[tuple[Initial, str],
-                   tuple[list[tuple[Initial, str]],
-                         list[tuple[tuple[Initial, str], str]]]] = {}
-    # (mid-state, symbol) -> left sides of two-symbol rules waiting there
-    pending: dict[tuple[AutState, str], set[tuple[Initial, str]]] = {}
-    for key, dsts in work:
-        waiting = pending.get(key)
-        if waiting:
-            work.add(waiting, dsts)
-        src, label = key
-        if not isinstance(src, Initial):
-            continue
-        group = resolved.get(key)
-        if group is None:
-            make_live(src)
-            group = resolved[key] = ([], [])
-            for lhs_state, symbol, _, word in heads.get(
-                    ((src.control, src.phase), label), ()):
-                lhs = (initial[lhs_state], symbol)
-                if len(word) == 1:
-                    group[0].append(lhs)
-                else:
-                    group[1].append((lhs, word[1]))
-        edges, pushes = group
-        if edges:
-            work.add(edges, dsts)
-        for lhs, second in pushes:
-            for dst in dsts:
-                mid = (dst, second)
-                waiting = pending.get(mid)
-                if waiting is None:
-                    pending[mid] = {lhs}
-                elif lhs in waiting:
-                    # linked when it first waited here; later targets of
-                    # mid replay the pending set
-                    continue
-                else:
-                    waiting.add(lhs)
-                known = out.get(dst)
-                if known is not None and second in known:
-                    work.add((lhs,), known[second])
-    return result
+    return _PrestarEngine(_PairedRules(pds, backward=True), aut).run()
 
 
 def pds_poststar(pds: PDS, aut: PAutomaton) -> PAutomaton:
-    """Classical forward saturation for ordinary PDSs.
-
-    Rules are indexed by the paired state and symbol of their left side.
-    The first fact of a key (Initial, symbol) builds the key's plan once:
-    the edge (src, label) that each of its rules links to a fact's
-    target, with the right-side `Initial` resolved and, for a rule pushing
-    two symbols, the first edge into its `Generated` state added then.
-    A saturation from a few configurations leaves most rules unread.
-    """
+    """Classical forward saturation for ordinary PDSs: the post* core
+    (`poststar`) on the paired rules.  A key's rules are read at its first
+    fact, so a saturation from a few configurations leaves most rules
+    unread."""
     _check_input(aut)
-    result = aut.copy()
-    out = result._out
-    initial = _Interned()
-    work = DeltaWorklist(result)
-    by_lhs: dict[tuple[PdsState, str], list[PairedRule]] = {}
-    for r in pds.rules:
-        lhs_state, symbol, _, word = r
-        if len(word) > 2:
-            raise ValueError("classical post* expects |w| <= 2 rules")
-        key = (lhs_state, symbol)
-        group = by_lhs.get(key)
-        if group is None:
-            by_lhs[key] = [r]
-        else:
-            group.append(r)
-    # fact key (Initial, symbol) -> (the targets seen so far, its plan)
-    facts: dict[tuple[Initial, str],
-                tuple[set[AutState], list[tuple[AutState, Label]]]] = {}
-    eps_into: dict[AutState, set[Initial]] = {}
-
-    def plan(init: Initial, symbol: str) -> list[tuple[AutState, Label]]:
-        edges: list[tuple[AutState, Label]] = []
-        for _, _, rhs_state, word in by_lhs.get(((init.control, init.phase), symbol), ()):
-            src = initial[rhs_state]
-            if len(word) < 2:
-                edges.append((src, word[0] if word else EPS))
-            else:
-                gen = Generated(src.control, word[0], src.phase)
-                work.add(((src, word[0]),), {gen})
-                edges.append((gen, word[1]))
-        return edges
-
-    def new_facts(init: Initial, symbol: str, dsts: set[AutState]) -> None:
-        key = (init, symbol)
-        fact = facts.get(key)
-        if fact is None:
-            fresh = set(dsts)
-            edges = plan(init, symbol)
-            facts[key] = (fresh, edges)
-        else:
-            known, edges = fact
-            if dsts <= known:
-                return
-            fresh = dsts - known
-            known |= fresh
-        work.add(edges, fresh)
-
-    for (src, label), delta in work:
-        if not isinstance(src, Initial):
-            for init in eps_into.get(src, ()):
-                new_facts(init, label, delta)
-        elif label is not EPS:
-            new_facts(src, label, delta)
-        else:
-            # eps edges lead from initial states to non-initial ones, which
-            # have none, so each symbol edge of a new eps-target is a fact;
-            # the labels are copied, as a fact may add edges leaving mid
-            for mid in delta:
-                eps_into.setdefault(mid, set()).add(src)
-                for symbol, targets in list(out.get(mid, {}).items()):
-                    new_facts(src, symbol, targets)
-    return result
+    return _PoststarEngine(_PairedRules(pds, backward=False), aut).run()

@@ -1,0 +1,138 @@
+"""Per-transition reference versions of `to_pds` and of classical
+pre*/post* on a paired PDS, sharing no code with the saturation cores.
+
+`reference_pds_prestar` and `reference_pds_poststar` are the classical
+saturations as they were before they ran on the cores of `smpds.prestar`
+and `smpds.poststar`: one worklist entry per transition, each inserted
+with `add_transition`, and rules indexed by (control, phase, symbol).
+`reference_to_pds` is `to_pds` as it was before paired states were
+shared.  The direct and the translated route both run those cores, so a
+cross-route check that should not share their faults compares with
+these, or with the oracle in `oracles.py`.
+"""
+
+from collections import deque
+
+from smpds.automaton import EPS, Generated, Initial
+from smpds.model import PdsRule
+
+
+def reference_to_pds(smpds, phases):
+    phase_set = set(phases)
+    rules = []
+    gammas = sorted(smpds.alphabet)
+    for theta in sorted(phase_set, key=tuple):
+        for rid in theta:
+            r = smpds.rules.get(rid)
+            if r is None:
+                continue
+            if isinstance(r, PdsRule):
+                rules.append(((r.lhs_state, theta), r.lhs_symbol,
+                              (r.rhs_state, theta), r.rhs_word))
+            elif r.removed in theta:
+                theta2 = theta.update(r.removed, r.added)
+                for g in gammas:
+                    rules.append(((r.from_state, theta), g,
+                                  (r.to_state, theta2), (g,)))
+    return rules
+
+
+def reference_pds_prestar(pds, aut):
+    result = aut.copy()
+    one_rules = {}
+    two_rules = {}
+    worklist = deque(result.transitions)
+    pending = {}
+    out_index = {}
+
+    def add(src, label, dst):
+        if result.add_transition(src, label, dst):
+            worklist.append((src, label, dst))
+
+    for r in pds.rules:
+        lhs = Initial(*r.lhs_state)
+        if len(r.rhs_word) == 0:
+            add(lhs, r.lhs_symbol, Initial(*r.rhs_state))
+        elif len(r.rhs_word) == 1:
+            one_rules.setdefault((*r.rhs_state, r.rhs_word[0]), []).append(
+                (lhs, r.lhs_symbol))
+        else:
+            two_rules.setdefault((*r.rhs_state, r.rhs_word[0]), []).append(
+                (lhs, r.lhs_symbol, r.rhs_word[1]))
+    while worklist:
+        src, label, dst = worklist.popleft()
+        out_index.setdefault((src, label), set()).add(dst)
+        for wsrc, wlabel in pending.get((src, label), set()):
+            add(wsrc, wlabel, dst)
+        if isinstance(src, Initial):
+            key = (src.control, src.phase, label)
+            for lhs, symbol in one_rules.get(key, ()):
+                add(lhs, symbol, dst)
+            for lhs, symbol, second in two_rules.get(key, ()):
+                pending.setdefault((dst, second), set()).add((lhs, symbol))
+                for d2 in out_index.get((dst, second), ()):
+                    add(lhs, symbol, d2)
+    return result
+
+
+def reference_pds_poststar(pds, aut):
+    result = aut.copy()
+    by_lhs = {}
+    for r in pds.rules:
+        by_lhs.setdefault((*r.lhs_state, r.lhs_symbol), []).append(r)
+    worklist = deque(result.transitions)
+    facts = {}
+    eps_into = {}
+
+    def add(src, label, dst):
+        if result.add_transition(src, label, dst):
+            worklist.append((src, label, dst))
+
+    def new_fact(init, symbol, q):
+        key = (init.control, init.phase, symbol)
+        known = facts.setdefault(key, set())
+        if q in known:
+            return
+        known.add(q)
+        for r in by_lhs.get(key, ()):
+            src = Initial(*r.rhs_state)
+            if len(r.rhs_word) == 0:
+                add(src, EPS, q)
+            elif len(r.rhs_word) == 1:
+                add(src, r.rhs_word[0], q)
+            else:
+                gen = Generated(src.control, r.rhs_word[0], src.phase)
+                add(src, r.rhs_word[0], gen)
+                add(gen, r.rhs_word[1], q)
+
+    while worklist:
+        src, label, dst = worklist.popleft()
+        if isinstance(src, Initial):
+            if label is EPS:
+                eps_into.setdefault(dst, set()).add(src)
+                for symbol, targets in list(result._out.get(dst, {}).items()):
+                    if symbol is not EPS:
+                        for q in list(targets):
+                            new_fact(src, symbol, q)
+            else:
+                new_fact(src, label, dst)
+        else:
+            for init in list(eps_into.get(src, ())):
+                new_fact(init, label, dst)
+    return result
+
+
+def useful(aut):
+    """The transitions of `aut` whose target reaches a final state."""
+    transitions = aut.transitions
+    into = {}
+    for src, _, dst in transitions:
+        into.setdefault(dst, []).append(src)
+    alive = set(aut.finals)
+    stack = list(alive)
+    while stack:
+        for src in into.get(stack.pop(), ()):
+            if src not in alive:
+                alive.add(src)
+                stack.append(src)
+    return {t for t in transitions if t[2] in alive}

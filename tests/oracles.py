@@ -38,7 +38,9 @@ def raw_step(smpds, raw: tuple) -> set[tuple]:
 
 def raw_reach(smpds, c0: Configuration, max_stack: int,
               max_steps: int) -> tuple[set[Configuration], bool]:
-    """Forward closure; mirrors bounded_reach but shares none of its code."""
+    """Breadth-first closure of `raw_step` from c0: the configurations
+    found, and whether the search was cut, by a stack longer than
+    `max_stack` or after `max_steps` expansions."""
     start = to_raw(c0)
     seen = {start}
     queue = deque([seen and start])

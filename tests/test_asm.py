@@ -2,13 +2,15 @@ from pathlib import Path
 
 import pytest
 
-from smpds import Configuration, PdsRule, bounded_reach, from_configs, poststar, validate
+from smpds import Configuration, PdsRule, from_configs, poststar, validate
 from smpds.asm import (
     RET,
     AsmError,
     compile_program,
     parse_program,
 )
+
+from oracles import raw_reach
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 
@@ -87,12 +89,12 @@ def test_call_and_ret_pair():
             "s3:   ret\n"
             "end:  halt\n")
     cp = compile_program(parse_program(text))
-    r = bounded_reach(cp.smpds, cp.entry_config, max_stack=8, max_steps=20000)
-    assert not r.truncated
-    states = {c.state for c in r.configs}
+    configs, truncated = raw_reach(cp.smpds, cp.entry_config, 8, 20000)
+    assert not truncated
+    states = {c.state for c in configs}
     assert "sub" in states and "back" in states and "end" in states
     # the stack is balanced again at end
-    assert any(c.state == "end" and c.stack == ("D", "Z") for c in r.configs)
+    assert any(c.state == "end" and c.stack == ("D", "Z") for c in configs)
 
 
 def test_every_ret_shares_one_helper_per_return_address():
@@ -112,8 +114,8 @@ def test_every_ret_shares_one_helper_per_return_address():
     assert sorted(r.rhs_state for r in helpers.values()) == ["m1", "m2", "m3", "m4"]
     assert {r.lhs_state for r in helpers.values()} == {RET}
     assert all(rid in cp.initial_phase for rid in helpers)
-    r = bounded_reach(cp.smpds, cp.entry_config, max_stack=8, max_steps=20000)
-    assert any(c.state == "m4" and c.stack == ("D", "Z") for c in r.configs)
+    configs, _ = raw_reach(cp.smpds, cp.entry_config, 8, 20000)
+    assert any(c.state == "m4" and c.stack == ("D", "Z") for c in configs)
 
 
 def test_selfmod_reachability_flips():
@@ -139,9 +141,8 @@ def test_compiled_semantics_match_saturation():
     for path in sorted(SAMPLES.glob("*.sasm")):
         prog = parse_program(path.read_text())
         cp = compile_program(prog)
-        r = bounded_reach(cp.smpds, cp.entry_config, max_stack=8,
-                          max_steps=20000)
-        assert not r.truncated, path.name
+        configs, truncated = raw_reach(cp.smpds, cp.entry_config, 8, 20000)
+        assert not truncated, path.name
         sat = poststar(cp.smpds, from_configs(cp.smpds, [cp.entry_config]))
-        for c in r.configs:
+        for c in configs:
             assert sat.accepts(c), (path.name, c)

@@ -1,17 +1,12 @@
-"""The classical pre*/post* of `smpds.translate` against per-transition
-reference versions.
+"""The classical pre*/post* of `smpds.translate` against the
+per-transition references of `classical_reference.py`.
 
-`_reference_pds_prestar` and `_reference_pds_poststar` are the saturations
-as they were before states were interned once per call and both moved
-whole target sets through the shared `DeltaWorklist`: one worklist entry
-per transition, each inserted with `add_transition`, and rules indexed by
-(control, phase, symbol).  They share no code with the saturations they
-check.  `_reference_to_pds` is `to_pds` as it was before paired states
-were shared.  The current functions must build the same rule list and,
-for post*, exactly the same automaton (states, finals and transitions).
-Classical pre* is goal-directed and builds the reference's useful part:
-the transitions whose target reaches a final state, the same finals, and
-as states the input's plus the endpoints of its transitions.
+The current functions must build the same rule list as
+`reference_to_pds` and, for post*, exactly the same automaton (states,
+finals and transitions) as `reference_pds_poststar`.  Classical pre* is
+goal-directed and builds the reference's useful part: the transitions
+whose target reaches a final state, the same finals, and as states the
+input's plus the endpoints of its transitions.
 """
 
 import random
@@ -19,11 +14,13 @@ from collections import deque
 
 from smpds import (from_configs, pds_poststar, pds_prestar, phase_closure,
                    prestar, to_pds)
-from smpds.automaton import EPS, Generated, Initial, PAutomaton, Plain
+from smpds.automaton import Initial, PAutomaton, Plain
 from smpds.bench import GenParams, generate
-from smpds.model import Phase, PdsRule, solve_predecessor_phases
+from smpds.model import Phase, solve_predecessor_phases
 from smpds.translate import PDS, PairedRule
 
+from classical_reference import (reference_pds_poststar, reference_pds_prestar,
+                                 reference_to_pds, useful)
 from oracles import raw_reach
 from test_acceptance import CORPUS_SIZE, ORACLE_STACK, ORACLE_STEPS, _corpus_draw
 
@@ -34,137 +31,16 @@ TRANSLATED_FAMILY = [(8, 8, 60, 4, 3), (8, 8, 67, 4, 4), (8, 8, 74, 4, 5),
                      (8, 8, 67, 4, 10), (8, 8, 60, 4, 12)]
 
 
-def _reference_to_pds(smpds, phases):
-    phase_set = set(phases)
-    rules = []
-    gammas = sorted(smpds.alphabet)
-    for theta in sorted(phase_set, key=tuple):
-        for rid in theta:
-            r = smpds.rules.get(rid)
-            if r is None:
-                continue
-            if isinstance(r, PdsRule):
-                rules.append(((r.lhs_state, theta), r.lhs_symbol,
-                              (r.rhs_state, theta), r.rhs_word))
-            elif r.removed in theta:
-                theta2 = theta.update(r.removed, r.added)
-                for g in gammas:
-                    rules.append(((r.from_state, theta), g,
-                                  (r.to_state, theta2), (g,)))
-    return rules
-
-
-def _reference_pds_prestar(pds, aut):
-    result = aut.copy()
-    one_rules = {}
-    two_rules = {}
-    worklist = deque(result.transitions)
-    pending = {}
-    out_index = {}
-
-    def add(src, label, dst):
-        if result.add_transition(src, label, dst):
-            worklist.append((src, label, dst))
-
-    for r in pds.rules:
-        lhs = Initial(*r.lhs_state)
-        if len(r.rhs_word) == 0:
-            add(lhs, r.lhs_symbol, Initial(*r.rhs_state))
-        elif len(r.rhs_word) == 1:
-            one_rules.setdefault((*r.rhs_state, r.rhs_word[0]), []).append(
-                (lhs, r.lhs_symbol))
-        else:
-            two_rules.setdefault((*r.rhs_state, r.rhs_word[0]), []).append(
-                (lhs, r.lhs_symbol, r.rhs_word[1]))
-    while worklist:
-        src, label, dst = worklist.popleft()
-        out_index.setdefault((src, label), set()).add(dst)
-        for wsrc, wlabel in pending.get((src, label), set()):
-            add(wsrc, wlabel, dst)
-        if isinstance(src, Initial):
-            key = (src.control, src.phase, label)
-            for lhs, symbol in one_rules.get(key, ()):
-                add(lhs, symbol, dst)
-            for lhs, symbol, second in two_rules.get(key, ()):
-                pending.setdefault((dst, second), set()).add((lhs, symbol))
-                for d2 in out_index.get((dst, second), ()):
-                    add(lhs, symbol, d2)
-    return result
-
-
-def _reference_pds_poststar(pds, aut):
-    result = aut.copy()
-    by_lhs = {}
-    for r in pds.rules:
-        by_lhs.setdefault((*r.lhs_state, r.lhs_symbol), []).append(r)
-    worklist = deque(result.transitions)
-    facts = {}
-    eps_into = {}
-
-    def add(src, label, dst):
-        if result.add_transition(src, label, dst):
-            worklist.append((src, label, dst))
-
-    def new_fact(init, symbol, q):
-        key = (init.control, init.phase, symbol)
-        known = facts.setdefault(key, set())
-        if q in known:
-            return
-        known.add(q)
-        for r in by_lhs.get(key, ()):
-            src = Initial(*r.rhs_state)
-            if len(r.rhs_word) == 0:
-                add(src, EPS, q)
-            elif len(r.rhs_word) == 1:
-                add(src, r.rhs_word[0], q)
-            else:
-                gen = Generated(src.control, r.rhs_word[0], src.phase)
-                add(src, r.rhs_word[0], gen)
-                add(gen, r.rhs_word[1], q)
-
-    while worklist:
-        src, label, dst = worklist.popleft()
-        if isinstance(src, Initial):
-            if label is EPS:
-                eps_into.setdefault(dst, set()).add(src)
-                for symbol, targets in list(result._out.get(dst, {}).items()):
-                    if symbol is not EPS:
-                        for q in list(targets):
-                            new_fact(src, symbol, q)
-            else:
-                new_fact(src, label, dst)
-        else:
-            for init in list(eps_into.get(src, ())):
-                new_fact(init, label, dst)
-    return result
-
-
 def _same_automaton(got, want):
     return (got.states == want.states and got.finals == want.finals
             and got.transitions == want.transitions)
-
-
-def _useful(aut):
-    """The transitions of `aut` whose target reaches a final state."""
-    transitions = aut.transitions
-    into = {}
-    for src, _, dst in transitions:
-        into.setdefault(dst, []).append(src)
-    alive = set(aut.finals)
-    stack = list(alive)
-    while stack:
-        for src in into.get(stack.pop(), ()):
-            if src not in alive:
-                alive.add(src)
-                stack.append(src)
-    return {t for t in transitions if t[2] in alive}
 
 
 def _same_useful_part(got, want, aut):
     """`got` is `want` trimmed to its useful transitions, over the states
     of the input `aut` and of those transitions."""
     ends = {q for src, _, dst in got.transitions for q in (src, dst)}
-    return (got.transitions == _useful(want) and got.finals == want.finals
+    return (got.transitions == useful(want) and got.finals == want.finals
             and got.states == aut.states | ends)
 
 
@@ -175,13 +51,13 @@ def _check_instance(inst):
     phases = phase_closure(m, [inst.initial.phase, inst.target.phase])
     pds = to_pds(m, phases)
     assert [(r.lhs_state, r.lhs_symbol, r.rhs_state, r.rhs_word)
-            for r in pds.rules] == _reference_to_pds(m, phases)
+            for r in pds.rules] == reference_to_pds(m, phases)
     aut = from_configs(m, [inst.target])
-    got, want = pds_prestar(pds, aut), _reference_pds_prestar(pds, aut)
+    got, want = pds_prestar(pds, aut), reference_pds_prestar(pds, aut)
     assert _same_useful_part(got, want, aut)
     compared = len(want.transitions)
     aut = from_configs(m, [inst.initial])
-    got, want = pds_poststar(pds, aut), _reference_pds_poststar(pds, aut)
+    got, want = pds_poststar(pds, aut), reference_pds_poststar(pds, aut)
     assert _same_automaton(got, want)
     return compared + len(want.transitions)
 
@@ -250,8 +126,8 @@ def test_prestar_lies_between_the_useful_part_and_the_reference():
     for seed in range(400):
         pds, aut = _random_pds_and_input(random.Random(seed))
         got = pds_prestar(pds, aut)
-        want = _reference_pds_prestar(pds, aut)
-        assert _useful(want) <= got.transitions <= want.transitions, seed
+        want = reference_pds_prestar(pds, aut)
+        assert useful(want) <= got.transitions <= want.transitions, seed
         assert aut.transitions <= got.transitions, seed
         assert got.finals == want.finals, seed
         assert got.enumerate_configs(3) == want.enumerate_configs(3), seed

@@ -377,6 +377,29 @@ def test_asm2smpds_checks_the_inner_instruction_of_a_meta_selfmod(
     assert out.err == f"error: line 2: {fragment}\n"
 
 
+def _deep_meta_selfmod(tmp_path):
+    """A meta-selfmod nested 1,200 levels deep, past the recursion limit."""
+    prog = tmp_path / "deep.sasm"
+    prog.write_text("entry a\na: " + "selfmod a " * 1200 + "nop\n")
+    return str(prog)
+
+
+def test_asm2smpds_deep_meta_selfmod_fails_with_one_error_line(tmp_path, capsys):
+    assert main(["asm2smpds", _deep_meta_selfmod(tmp_path),
+                 "--allow-meta-selfmod"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err == ("error: line 2: selfmod of a selfmod instruction "
+                       "compiles only with --erase-selfmod\n")
+
+
+def test_asm2smpds_deep_meta_selfmod_compiles_erased(tmp_path, capsys):
+    assert main(["asm2smpds", _deep_meta_selfmod(tmp_path),
+                 "--allow-meta-selfmod", "--erase-selfmod"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and "smrule" not in out.out
+
+
 def test_enumerate(capsys):
     assert main(["enumerate", MODEL, TARGET, "--max-len", "2"]) == 0
     out = capsys.readouterr().out

@@ -77,6 +77,10 @@ CASES = {
     "selfmod.prestar": ["prestar", SELFMOD_MODEL, "tests/golden/selfmod_target.aut"],
     "selfmod.poststar": ["poststar", SELFMOD_MODEL,
                          "tests/golden/selfmod_initial.aut"],
+    # a pop rule into a state that reaches no final state: pre* keeps no
+    # transition into it
+    "deadpop.prestar": ["prestar", "tests/golden/deadpop.smpds",
+                        "tests/golden/deadpop_target.aut"],
 }
 
 

@@ -13,7 +13,6 @@ from smpds import (
     Phase,
     SelfModRule,
     SMPDS,
-    bounded_reach,
     check_configuration,
     normalize_push,
     validate,
@@ -174,22 +173,13 @@ def test_check_configuration():
         check_configuration(m, Configuration("p1", (), Phase.of([99])))
 
 
-def test_bounded_reach_matches_oracle():
-    m, theta0, _, c0 = swap_example()
-    got = bounded_reach(m, c0, max_stack=6, max_steps=10000)
-    want, trunc = raw_reach(m, c0, 6, 10000)
-    assert not got.truncated and not trunc
-    assert got.configs == want
-    assert len(got.configs) == 6
-
-
-def test_bounded_reach_truncates():
+def test_raw_reach_truncates():
     rules = {0: PdsRule("p", "a", "p", ("a", "a"))}
     m = SMPDS({"p"}, {"a"}, rules)
-    r = bounded_reach(m, Configuration("p", ("a",), Phase.of([0])),
-                      max_stack=4, max_steps=1000)
-    assert r.truncated
-    assert all(len(c.stack) <= 4 for c in r.configs)
+    configs, truncated = raw_reach(m, Configuration("p", ("a",), Phase.of([0])),
+                                   4, 1000)
+    assert truncated
+    assert all(len(c.stack) <= 4 for c in configs)
 
 
 # -- property tests against the independent step oracle ---------------------

@@ -20,6 +20,7 @@ from smpds import (
 from smpds.bench import GenParams, generate
 from smpds.saturation import SaturationStats
 
+from classical_reference import useful
 from fixtures import pop_chain_example, swap_example
 from oracles import raw_reach
 
@@ -164,6 +165,23 @@ def test_prestar_matches_two_symbols_across_an_eps_edge():
     sat = prestar(m, aut)
     assert sat.accepts(Configuration("q", ("b",), th))
     assert not sat.accepts(Configuration("q", ("b", "c"), th))
+
+
+def test_prestar_keeps_no_dead_transition():
+    """Direct pre* fires a pop rule only into a state that reaches a final
+    state, so on inputs without dead ends (from_configs automata, with
+    empty-stack configurations too, and post* results with eps edges)
+    every transition of the result leads to a final state."""
+    for seed in range(300):
+        inst = generate(GenParams(num_states=3, num_symbols=3, num_rules=7,
+                                  num_smrules=2, seed=9000 + seed))
+        m = inst.smpds
+        empty = Configuration(inst.target.state, (), inst.target.phase)
+        post = poststar(m, from_configs(m, [inst.initial]))
+        for aut in (from_configs(m, [inst.target]),
+                    from_configs(m, [inst.target, empty]), post):
+            sat = prestar(m, aut)
+            assert useful(sat) == sat.transitions, seed
 
 
 @pytest.mark.parametrize("seed", range(30))
