@@ -7,9 +7,9 @@ currently active set (the phase).  This package provides:
  - the core model with an executable small-step semantics (`model`),
  - phase-annotated configuration automata and the worklist every
    saturation runs on (`automaton`),
- - backward and forward saturation (`prestar`, `poststar`), run directly
-   on an SM-PDS with the statistics and the empty-stack closure of
-   `saturation`, or on its translated PDS,
+ - backward and forward saturation (`prestar`, `poststar`), one core
+   each, run directly on an SM-PDS, empty stack included, or on its
+   translated PDS,
  - translations to ordinary and symbolic pushdown systems, with the
    classical saturations run on the paired rules (`translate`),
  - a toy self-modifying assembly front end (`asm`),
@@ -20,7 +20,6 @@ currently active set (the phase).  This package provides:
 
 from .model import (
     Configuration,
-    EMPTY_PHASE,
     PdsRule,
     Phase,
     RuleId,
@@ -36,7 +35,6 @@ from .model import (
 from .automaton import EPS, Generated, Initial, PAutomaton, Plain, from_configs
 from .prestar import prestar
 from .poststar import poststar
-from .saturation import SaturationStats
 from .translate import (
     PDS,
     SymbolicPDS,
@@ -45,23 +43,19 @@ from .translate import (
     pds_from_configs,
     pds_prestar,
     pds_poststar,
-    pds_step,
     phase_closure,
-    symbolic_step,
     to_pds,
     to_symbolic_pds,
 )
 
 __all__ = [
-    "Configuration", "EMPTY_PHASE", "EPS", "Generated", "Initial",
-    "PAutomaton", "PDS", "PdsRule", "Phase", "Plain",
-    "RuleId", "SMPDS", "SaturationStats", "SelfModRule", "SymbolicPDS",
-    "ValidationReport", "config_to_pds", "from_configs",
-    "normalize_push", "pds_accepts",
-    "pds_from_configs", "pds_poststar", "pds_prestar", "pds_step",
-    "phase_closure", "poststar", "prestar", "solve_predecessor_phases",
-    "step", "symbolic_step", "to_pds", "to_symbolic_pds", "validate",
-    "check_configuration",
+    "Configuration", "EPS", "Generated", "Initial", "PAutomaton", "PDS",
+    "PdsRule", "Phase", "Plain", "RuleId", "SMPDS", "SelfModRule",
+    "SymbolicPDS", "ValidationReport", "check_configuration",
+    "config_to_pds", "from_configs", "normalize_push", "pds_accepts",
+    "pds_from_configs", "pds_poststar", "pds_prestar", "phase_closure",
+    "poststar", "prestar", "solve_predecessor_phases", "step", "to_pds",
+    "to_symbolic_pds", "validate",
 ]
 
 __version__ = "0.1.0"

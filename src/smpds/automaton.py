@@ -215,6 +215,10 @@ class PAutomaton:
         return {(src, label, dst) for src, by_label in self._out.items()
                 for label, targets in by_label.items() for dst in targets}
 
+    def transition_count(self) -> int:
+        return sum(len(targets) for by_label in self._out.values()
+                   for targets in by_label.values())
+
     def grouped_transitions(self, name: dict[AutState, str]
                             ) -> Iterator[tuple[str, Label, list[str]]]:
         """(name[src], label, sorted target names) for each key (src, label).

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import asm, formats, model
 from .automaton import Generated, Initial, PAutomaton
 from .prestar import prestar
 from .poststar import poststar
-from .saturation import SaturationStats
 from .translate import phase_closure, to_pds, to_symbolic_pds
 
 
@@ -78,12 +78,18 @@ def _load_query(args) -> tuple[formats.SmpdsDocument, PAutomaton]:
     return doc, aut
 
 
-def _emit_stats(args, stats: SaturationStats) -> None:
+def _run(args, op, smpds: model.SMPDS, aut: PAutomaton) -> PAutomaton:
+    """Saturate; under --stats, print what the run added to `aut`."""
+    t0 = time.perf_counter()
+    result = op(smpds, aut)
+    seconds = time.perf_counter() - t0
     if args.stats and not args.quiet:
-        print(f"transitions added: {stats.transitions_added}", file=sys.stderr)
-        print(f"finals added: {stats.finals_added}", file=sys.stderr)
-        print(f"phases: {stats.phases_materialized}", file=sys.stderr)
-        print(f"wall seconds: {stats.wall_seconds:.3f}", file=sys.stderr)
+        added = result.transition_count() - aut.transition_count()
+        print(f"transitions added: {added}", file=sys.stderr)
+        print(f"finals added: {len(result.finals) - len(aut.finals)}", file=sys.stderr)
+        print(f"phases: {len({q.phase for q in result.initial_states()})}", file=sys.stderr)
+        print(f"wall seconds: {seconds:.3f}", file=sys.stderr)
+    return result
 
 
 def cmd_validate(args) -> int:
@@ -103,9 +109,7 @@ def cmd_validate(args) -> int:
 
 def _saturate(args, op) -> int:
     doc, aut = _load_query(args)
-    stats = SaturationStats()
-    result = op(doc.smpds, aut, stats)
-    _emit_stats(args, stats)
+    result = _run(args, op, doc.smpds, aut)
     out = result.to_dot() if args.dot else formats.print_automaton(result, doc)
     _write(out, args.output)
     return 0
@@ -158,10 +162,8 @@ def cmd_check(args) -> int:
               f"declares {len(doc.configs)} config(s)", file=sys.stderr)
         return 2
     config = doc.configs[args.config]
-    stats = SaturationStats()
     op = prestar if args.direction == "pre" else poststar
-    member = op(doc.smpds, aut, stats).accepts(config)
-    _emit_stats(args, stats)
+    member = _run(args, op, doc.smpds, aut).accepts(config)
     if not args.quiet:
         print("member" if member else "non-member")
     return 0 if member else 1

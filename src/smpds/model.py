@@ -128,9 +128,6 @@ class Phase:
         return text
 
 
-EMPTY_PHASE = Phase.of(())
-
-
 class PdsRule(NamedTuple):
     """<p, gamma> -> <p', w>: pop gamma at p, push w, move to p'."""
 
@@ -193,7 +190,7 @@ class SMPDS:
     (p', w[0]) and, for pop rules, by right-side state; modifying rules by
     source and by target control point.  `wide_rules` lists, in rule-table
     order, the plain rules that push more than two symbols, which no
-    saturation takes before `normalize_push`.
+    saturation takes before `normalize_push` (`check_narrow`).
     """
 
     def __init__(self, states: Iterable[str], alphabet: Iterable[str],
@@ -224,6 +221,12 @@ class SMPDS:
                 self.mod_by_target.setdefault(r.to_state, []).append((rid, r))
         self.delta = frozenset(delta)
         self.delta_c = frozenset(self.rules.keys() - self.delta)
+
+    def check_narrow(self) -> None:
+        """Raise `ValueError` if a rule pushes more than two symbols."""
+        if self.wide_rules:
+            raise ValueError(f"rule {self.wide_rules[0]} pushes more than 2 "
+                             "symbols; run normalize_push first")
 
     def all_rules_phase(self) -> Phase:
         return Phase.of(self.rules.keys())

@@ -17,9 +17,9 @@ The rule for the empty stack: a modifying rule also fires when the stack
 is empty, so whenever (<p, eps>, theta) is accepted the successor
 (<p', eps>, theta') must be as well; this is realized with an epsilon
 edge from the successor to every final eps-target of (p,theta) (or a
-final marking when the initial state itself is final, made by
-`saturation.close_empty_stack`).  `post_moves` gives beta1-beta4 as
-right sides (p', theta', w), and `mod_successors` the empty-stack moves.
+final marking, made at the start of `run`, when the initial state itself
+is final).  `post_moves` gives beta1-beta4 as right sides (p', theta',
+w), and `mod_successors` the empty-stack moves.
 
 The unit of work is a key (src, g) with the set of its targets added
 since the key was last processed (see `automaton.DeltaWorklist`).  A
@@ -34,7 +34,6 @@ from __future__ import annotations
 from .automaton import (EPS, AutState, DeltaWorklist, Generated, Initial, Label,
                         PAutomaton)
 from .model import SMPDS
-from .saturation import SaturationStats, close_empty_stack, run_engine
 
 
 class _PoststarEngine:
@@ -58,13 +57,20 @@ class _PoststarEngine:
         self.work = DeltaWorklist(self.aut)
 
     def run(self) -> PAutomaton:
+        aut = self.aut
+        # a final initial state makes its modifying-rule successors final;
         # later empty-stack acceptance is linked by `_process`, with eps edges
-        close_empty_stack(self.aut,
-                          [q for q in self.aut.initial_states() if q in self.aut.finals],
-                          self.rules.mod_successors)
+        todo = [q for q in aut.initial_states() if q in aut.finals]
+        while todo:
+            q = todo.pop()
+            for p, theta in self.rules.mod_successors(q.control, q.phase):
+                succ = Initial(p, theta)
+                if succ not in aut.finals:
+                    aut.add_final(succ)
+                    todo.append(succ)
         for (src, label), delta in self.work:
             self._process(src, label, delta)
-        return self.aut
+        return aut
 
     def _process(self, src: AutState, label: Label, delta: set[AutState]) -> None:
         if not isinstance(src, Initial):
@@ -131,7 +137,10 @@ class _PoststarEngine:
         return plan
 
 
-def poststar(smpds: SMPDS, aut: PAutomaton,
-             stats: SaturationStats | None = None) -> PAutomaton:
-    """Saturate a copy of `aut` so it accepts post*(L(aut))."""
-    return run_engine(_PoststarEngine, smpds, aut, stats)
+def poststar(smpds: SMPDS, aut: PAutomaton) -> PAutomaton:
+    """Saturate a copy of `aut` so it accepts post*(L(aut)).  Raises
+    `ValueError` on a wide rule (`SMPDS.check_narrow`), and on an input
+    with a transition into an initial state or an eps edge from a
+    non-initial state."""
+    smpds.check_narrow()
+    return _PoststarEngine(smpds, aut).run()

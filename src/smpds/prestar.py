@@ -16,11 +16,11 @@ fixpoint:
 `pre_moves` gives both but alpha1 for pop rules (`pop_moves`), which
 fires into (p1,theta) only once that state is live: its empty stack is
 accepted or it is the source of a reading fact.  So a transition it
-adds leads to a dead end only through the input's.  Empty-stack
-predecessors (`mod_predecessors`) are made final by
-`saturation.close_empty_stack`.  The input may contain epsilon
-transitions (they are honoured during matching); the saturation only
-adds symbol-labelled ones.
+adds leads to a dead end only through the input's.  A modifying rule
+fires on the empty stack too, so `run` first makes final the
+empty-stack predecessors (`mod_predecessors`) of every accepted state.
+The input may contain epsilon transitions (they are honoured during
+matching); the saturation only adds symbol-labelled ones.
 
 The unit of work is a key (src, g) with the set of its targets added
 since the key was last processed (see `automaton.DeltaWorklist`); the
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from .automaton import EPS, AutState, DeltaWorklist, Initial, PAutomaton
 from .model import SMPDS
-from .saturation import SaturationStats, close_empty_stack, run_engine
 
 
 class _PrestarEngine:
@@ -72,12 +71,16 @@ class _PrestarEngine:
 
     def run(self) -> PAutomaton:
         aut = self.aut
-        close_empty_stack(aut, [q for q in aut.initial_states()
-                                 if aut._close({q}) & aut.finals],
-                          self.rules.mod_predecessors)
-        for q in aut.initial_states():
-            if aut._close({q}) & aut.finals:
+        # each state whose empty stack is accepted is live, and the modifying
+        # rules into it accept their sources' empty stacks
+        todo = [q for q in aut.initial_states() if aut._close({q}) & aut.finals]
+        while todo:
+            q = todo.pop()
+            if q not in self.live:
                 self._make_live(q)
+                for p, theta in self.rules.mod_predecessors(q.control, q.phase):
+                    aut.add_final(Initial(p, theta))
+                    todo.append(Initial(p, theta))
         for (src, label), delta in self.work:
             if label is not EPS:
                 self._process(src, label, delta)
@@ -164,7 +167,18 @@ class _PrestarEngine:
         return edges, triggers
 
 
-def prestar(smpds: SMPDS, aut: PAutomaton,
-            stats: SaturationStats | None = None) -> PAutomaton:
-    """Saturate a copy of `aut` so it accepts pre*(L(aut))."""
-    return run_engine(_PrestarEngine, smpds, aut, stats)
+def prestar(smpds: SMPDS, aut: PAutomaton) -> PAutomaton:
+    """Saturate a copy of `aut` so it accepts pre*(L(aut)).
+
+    Raises `ValueError` on a wide rule (`SMPDS.check_narrow`), and on an
+    input with a transition into an initial state unless pre* leaves it
+    unchanged, as a pre* result fed back in: what the saturation adds at
+    that state would also be read through the edge."""
+    smpds.check_narrow()
+    result = _PrestarEngine(smpds, aut).run()
+    if aut.has_transition_into_initial() and (
+            result.transition_count() > aut.transition_count()
+            or len(result.finals) > len(aut.finals)):
+        raise ValueError("input automaton has a transition into an initial "
+                         "state, which pre* would extend")
+    return result

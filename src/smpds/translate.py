@@ -54,9 +54,6 @@ class Identity:
     """The identity on phases containing the guard rule."""
     guard: RuleId
 
-    def holds(self, theta: Phase, theta2: Phase) -> bool:
-        return self.guard in theta and theta is theta2
-
     def image(self, theta: Phase) -> Phase | None:
         return theta if self.guard in theta else None
 
@@ -68,9 +65,6 @@ class Modify:
     guard: RuleId
     removed: RuleId
     added: RuleId
-
-    def holds(self, theta: Phase, theta2: Phase) -> bool:
-        return self.image(theta) is theta2
 
     def image(self, theta: Phase) -> Phase | None:
         if self.guard in theta and self.removed in theta:
@@ -185,26 +179,6 @@ def to_symbolic_pds(smpds: SMPDS) -> SymbolicPDS:
         for g in sorted(smpds.alphabet):
             rules.append(SymbolicRule(r.from_state, g, r.to_state, (g,), rel))
     return SymbolicPDS(smpds.states, smpds.alphabet, tuple(rules))
-
-
-def pds_step(pds: PDS, state: PdsState, stack: tuple[str, ...]
-             ) -> frozenset[tuple[PdsState, tuple[str, ...]]]:
-    out = set()
-    for r in pds.rules:
-        if r.lhs_state == state and stack and stack[0] == r.lhs_symbol:
-            out.add((r.rhs_state, r.rhs_word + stack[1:]))
-    return frozenset(out)
-
-
-def symbolic_step(spds: SymbolicPDS, c: Configuration) -> frozenset[Configuration]:
-    """All successors under the symbolic relation, evaluated intensionally."""
-    out = set()
-    for r in spds.rules:
-        if r.lhs_state == c.state and c.stack and c.stack[0] == r.lhs_symbol:
-            theta2 = r.rel.image(c.phase)
-            if theta2 is not None:
-                out.add(Configuration(r.rhs_state, r.rhs_word + c.stack[1:], theta2))
-    return frozenset(out)
 
 
 # -- automata over paired states ------------------------------------------

@@ -8,13 +8,15 @@ with `add_transition`, and rules indexed by (control, phase, symbol).
 `reference_to_pds` is `to_pds` as it was before paired states were
 shared.  The direct and the translated route both run those cores, so a
 cross-route check that should not share their faults compares with
-these, or with the oracle in `oracles.py`.
+these, or with the oracle in `oracles.py`.  `pds_step` and
+`symbolic_step` are the one-step relations of the paired and of the
+symbolic PDS, checked against `model.step`.
 """
 
 from collections import deque
 
 from smpds.automaton import EPS, Generated, Initial
-from smpds.model import PdsRule
+from smpds.model import Configuration, PdsRule
 
 
 def reference_to_pds(smpds, phases):
@@ -35,6 +37,26 @@ def reference_to_pds(smpds, phases):
                     rules.append(((r.from_state, theta), g,
                                   (r.to_state, theta2), (g,)))
     return rules
+
+
+def pds_step(pds, state, stack):
+    """The paired configurations that (state, stack) steps to."""
+    out = set()
+    for r in pds.rules:
+        if r.lhs_state == state and stack and stack[0] == r.lhs_symbol:
+            out.add((r.rhs_state, r.rhs_word + stack[1:]))
+    return frozenset(out)
+
+
+def symbolic_step(spds, c):
+    """All successors under the symbolic relation, evaluated intensionally."""
+    out = set()
+    for r in spds.rules:
+        if r.lhs_state == c.state and c.stack and c.stack[0] == r.lhs_symbol:
+            theta2 = r.rel.image(c.phase)
+            if theta2 is not None:
+                out.add(Configuration(r.rhs_state, r.rhs_word + c.stack[1:], theta2))
+    return frozenset(out)
 
 
 def reference_pds_prestar(pds, aut):

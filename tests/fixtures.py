@@ -1,7 +1,10 @@
-"""Hand-built example systems shared across the test modules."""
+"""Hand-built example systems shared across the test modules, and a
+runner for the statistics that `smpds --stats` prints."""
 
 from __future__ import annotations
 
+from smpds.cli import main
+from smpds.formats import SmpdsDocument, print_automaton, print_smpds
 from smpds.model import Configuration, PdsRule, Phase, SelfModRule, SMPDS
 
 
@@ -72,3 +75,19 @@ def push_loop_example() -> tuple[SMPDS, Phase, Phase, Configuration]:
     theta0 = Phase.of([1, 2, 3, 4, 6])
     theta1 = Phase.of([1, 2, 4, 5, 6])
     return m, theta0, theta1, Configuration("p0", ("g0",), theta0)
+
+
+def cli_stats(capsys, tmp_path, smpds, aut, command, *options,
+              configs=()) -> tuple[int, dict[str, float]]:
+    """Write `smpds` (with `configs`) and `aut` to files, run `smpds --stats
+    COMMAND MODEL AUTOMATON OPTIONS` on them, and return its exit code and
+    the numbers it prints to stderr, by name."""
+    doc = SmpdsDocument(smpds, {}, list(configs))
+    model, automaton = tmp_path / "stats.smpds", tmp_path / "stats.aut"
+    model.write_text(print_smpds(doc))
+    automaton.write_text(print_automaton(aut, doc))
+    capsys.readouterr()
+    code = main(["--stats", command, str(model), str(automaton), *options])
+    lines = capsys.readouterr().err.splitlines()
+    return code, {name: float(value)
+                  for name, value in (line.split(": ") for line in lines)}

@@ -19,7 +19,6 @@ from smpds import (
     Configuration,
     Phase,
     Plain,
-    SaturationStats,
     config_to_pds,
     from_configs,
     pds_poststar,
@@ -40,10 +39,10 @@ from smpds.formats import (
     print_smpds,
 )
 from smpds.model import step
-from smpds.translate import pds_step, symbolic_step
 
-from classical_reference import reference_pds_poststar, reference_pds_prestar
-from fixtures import SWAP_TRACE, swap_example
+from classical_reference import (pds_step, reference_pds_poststar,
+                                 reference_pds_prestar, symbolic_step)
+from fixtures import SWAP_TRACE, cli_stats, swap_example
 from oracles import raw_reach
 
 SAMPLES = Path(__file__).parent.parent / "samples"
@@ -313,15 +312,14 @@ def test_criterion_9_fixpoint_idempotence(corpus):
                         (poststar, getattr(rec, "poststar_out", None))):
             if sat is None:     # criteria 2/3 run earlier in this module
                 pytest.skip("saturated outputs not available")
-            stats = SaturationStats()
-            again = op(rec.smpds, sat, stats)
-            assert stats.transitions_added == 0, rec.seed
+            again = op(rec.smpds, sat)
             assert again.transitions == sat.transitions
 
 
-def test_stats_count_what_the_saturation_added(corpus):
-    """transitions_added and finals_added are the result's counts minus the
-    input's, for both engines, on inputs with empty-stack configurations
+def test_stats_count_what_the_saturation_added(corpus, capsys, tmp_path):
+    """`smpds --stats prestar|poststar|check` prints the result's transition
+    and final counts minus the input's, and the distinct phases on the
+    result's initial states, on inputs with empty-stack configurations
     and, for pre*, on post* results with eps edges."""
     fired = {prestar: 0, poststar: 0}
     for rec in corpus:
@@ -333,12 +331,20 @@ def test_stats_count_what_the_saturation_added(corpus):
         for op, aut in ((prestar, from_configs(m, [rec.target] + empty)),
                         (poststar, post_in),
                         (prestar, post_out)):
-            stats = SaturationStats()
-            out = op(m, aut, stats)
-            assert stats.transitions_added == \
-                len(out.transitions) - len(aut.transitions), rec.seed
-            assert stats.finals_added == len(out.finals) - len(aut.finals), rec.seed
-            fired[op] += stats.finals_added > 0
+            out = op(m, aut)
+            want = {"transitions added": len(out.transitions) - len(aut.transitions),
+                    "finals added": len(out.finals) - len(aut.finals),
+                    "phases": len({q.phase for q in out.initial_states()})}
+            direction = "pre" if op is prestar else "post"
+            for command in ((op.__name__,),
+                            ("check", "--direction", direction)):
+                code, stats = cli_stats(capsys, tmp_path, m, aut, *command,
+                                        configs=[rec.initial])
+                member = command[0] != "check" or out.accepts(rec.initial)
+                assert code == (0 if member else 1), rec.seed
+                assert stats.pop("wall seconds") >= 0
+                assert stats == want, (rec.seed, command)
+            fired[op] += want["finals added"] > 0
     # modifying rules fired on the empty stack in both directions
     assert fired[prestar] and fired[poststar]
 

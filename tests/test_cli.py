@@ -134,6 +134,33 @@ def test_check_error_exit_2(capsys):
     assert main(["check", "/nonexistent.smpds", TARGET]) == 2
 
 
+# the target accepts (<d, eps>, th) only; its eps edge leads into the
+# initial state b, whose empty stack pre* accepts by smrule 0
+EDGE_INTO_INITIAL_MODEL = ("smrule 0: b (1 -> 1) d\nsmrule 2: c (1 -> 1) a\n"
+                           "rule 1: a x -> a x\nphase th: 0 1 2\n"
+                           "config: c th\nconfig: a th\n")
+EDGE_INTO_INITIAL_TARGET = ("initial a th\ninitial b th\ninitial d th\n"
+                            "trans a@th eps b@th\nfinal d@th\n")
+
+
+@pytest.mark.parametrize("command", [["check", "--config", "0"],
+                                     ["check", "--config", "1"],
+                                     ["check", "--direction", "post"],
+                                     ["prestar"], ["poststar"]])
+def test_edge_into_an_initial_state_that_saturation_extends_exit_2(
+        command, tmp_path, capsys):
+    """pre* would pass b's empty stack on through the edge to (<a, eps>, th),
+    which has no move, and answer "member" for it: it exits 2 instead."""
+    model, aut = tmp_path / "m.smpds", tmp_path / "t.aut"
+    model.write_text(EDGE_INTO_INITIAL_MODEL)
+    aut.write_text(EDGE_INTO_INITIAL_TARGET)
+    assert main([command[0], str(model), str(aut), *command[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "transition into an initial state" in out.err
+
+
 @pytest.mark.parametrize("index", ["2", "5", "-1"])
 def test_check_config_out_of_range_exit_2(index, capsys):
     assert main(["check", MODEL, TARGET, "--config", index]) == 2

@@ -10,7 +10,6 @@ from smpds import (
     poststar,
 )
 from smpds.bench import GenParams, generate
-from smpds.saturation import SaturationStats
 
 from fixtures import push_loop_example, swap_example
 from oracles import raw_reach
@@ -49,15 +48,6 @@ def test_poststar_does_not_mutate_input():
     before = set(aut.transitions)
     poststar(m, aut)
     assert aut.transitions == before
-
-
-def test_poststar_stats():
-    m, th0, th1, c0 = push_loop_example()
-    stats = SaturationStats()
-    poststar(m, from_configs(m, [c0]), stats)
-    assert stats.transitions_added > 0
-    assert stats.phases_materialized >= 2
-    assert stats.wall_seconds >= 0
 
 
 def test_poststar_long_empty_stack_chain_needs_no_recursion():

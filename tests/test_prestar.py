@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,10 +19,9 @@ from smpds import (
     solve_predecessor_phases,
 )
 from smpds.bench import GenParams, generate
-from smpds.saturation import SaturationStats
 
 from classical_reference import useful
-from fixtures import pop_chain_example, swap_example
+from fixtures import cli_stats, pop_chain_example, swap_example
 from oracles import raw_reach
 
 
@@ -85,25 +85,22 @@ def test_prestar_does_not_mutate_input():
     assert aut.transitions == before
 
 
-def test_prestar_stats():
-    m, th0, th1 = pop_chain_example()
-    stats = SaturationStats()
-    prestar(m, from_configs(m, [Configuration("p0", (), th1)]), stats)
-    assert stats.transitions_added > 0
-    assert stats.phases_materialized >= 2
-    assert stats.wall_seconds >= 0
-
-
 @pytest.mark.parametrize("engine", [prestar, poststar])
 @pytest.mark.parametrize("seed", range(5))
-def test_phases_materialized_counts_result_phases(engine, seed):
-    """Both engines report the distinct phases on the result's initial states."""
+def test_phases_materialized_counts_result_phases(engine, seed, capsys, tmp_path):
+    """`smpds --stats prestar|poststar` prints the distinct phases on the
+    result's initial states, and the transitions and finals it added."""
     inst = generate(GenParams(num_states=3, num_symbols=3, num_rules=6,
                               num_smrules=3, seed=7000 + seed))
-    stats = SaturationStats()
-    result = engine(inst.smpds, from_configs(inst.smpds, [inst.initial]), stats)
-    assert stats.phases_materialized == len(
-        {q.phase for q in result.initial_states()})
+    aut = from_configs(inst.smpds, [inst.initial])
+    result = engine(inst.smpds, aut)
+    code, stats = cli_stats(capsys, tmp_path, inst.smpds, aut, engine.__name__)
+    assert code == 0
+    assert stats["phases"] == len({q.phase for q in result.initial_states()})
+    assert stats["transitions added"] == \
+        len(result.transitions) - len(aut.transitions)
+    assert stats["finals added"] == len(result.finals) - len(aut.finals)
+    assert stats["wall seconds"] >= 0
 
 
 def test_prestar_idempotent():
@@ -182,6 +179,47 @@ def test_prestar_keeps_no_dead_transition():
                     from_configs(m, [inst.target, empty]), post):
             sat = prestar(m, aut)
             assert useful(sat) == sat.transitions, seed
+
+
+def test_prestar_answers_edges_into_initial_states_only_when_unchanged():
+    """An input with an eps or a symbol edge into an initial state: pre*
+    refuses it unless the saturation leaves it as it is, and every answer
+    it gives is the oracle's.  Adding at such a state would also add to
+    the words read through the edge."""
+    answered = refused = 0
+    for seed in range(300):
+        inst = generate(GenParams(num_states=3, num_symbols=2, num_rules=6,
+                                  num_smrules=2, seed=12000 + seed))
+        m, theta = inst.smpds, inst.target.phase
+        rng = random.Random(seed)
+        states = sorted(m.states)
+        aut = from_configs(m, [inst.target,
+                               Configuration(rng.choice(states), (), theta)])
+        inits = [Initial(p, theta) for p in states]
+        dst = rng.choice(inits)
+        if seed % 2:
+            aut.add_transition(rng.choice([q for q in inits if q is not dst]),
+                               EPS, dst)
+        else:
+            aut.add_transition(rng.choice(sorted(aut.states, key=repr)),
+                               rng.choice(sorted(m.alphabet)), dst)
+        try:
+            sat = prestar(m, aut)
+        except ValueError as e:
+            assert "transition into an initial state" in str(e)
+            refused += 1
+            continue
+        answered += 1
+        assert sat.transitions == aut.transitions and sat.finals == aut.finals
+        for q in sorted(sat.initial_states(), key=repr):
+            for n in range(3):
+                for stack in itertools.product(sorted(m.alphabet), repeat=n):
+                    c = Configuration(q.control, stack, q.phase)
+                    reach, truncated = raw_reach(m, c, 4, 2000)
+                    hit = any(map(aut.accepts, reach))
+                    if hit or not truncated:
+                        assert sat.accepts(c) == hit, (seed, c)
+    assert answered and refused
 
 
 @pytest.mark.parametrize("seed", range(30))
