@@ -27,7 +27,6 @@ from .model import (
     SMPDS,
     ValidationReport,
     check_configuration,
-    normalize_push,
     solve_predecessor_phases,
     step,
     validate,
@@ -52,10 +51,10 @@ __all__ = [
     "Configuration", "EPS", "Generated", "Initial", "PAutomaton", "PDS",
     "PdsRule", "Phase", "Plain", "RuleId", "SMPDS", "SelfModRule",
     "SymbolicPDS", "ValidationReport", "check_configuration",
-    "config_to_pds", "from_configs", "normalize_push", "pds_accepts",
-    "pds_from_configs", "pds_poststar", "pds_prestar", "phase_closure",
-    "poststar", "prestar", "solve_predecessor_phases", "step", "to_pds",
-    "to_symbolic_pds", "validate",
+    "config_to_pds", "from_configs", "pds_accepts", "pds_from_configs",
+    "pds_poststar", "pds_prestar", "phase_closure", "poststar", "prestar",
+    "solve_predecessor_phases", "step", "to_pds", "to_symbolic_pds",
+    "validate",
 ]
 
 __version__ = "0.1.0"

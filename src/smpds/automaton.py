@@ -113,7 +113,16 @@ class Plain(_State):
 
 
 class Generated(_State):
-    """post* helper state, one per (control point, first pushed symbol, phase)."""
+    """post* helper state, one per control point, pushed prefix and phase.
+
+    A rule <p,g> -> <p',g1...gn> with n >= 2 gets the chain (p',theta)
+    --g1--> G1 ... --g(n-1)--> G(n-1), where Gk has the prefix g1...gk as
+    its `symbol`, joined by ':' (so G1's is g1 alone; `model.validate`
+    refuses a symbol holding ':', which would let two prefixes meet in one
+    state).  The printed name gen:p':g1:...:gk@theta spells the prefix,
+    so a post* result with a push of n symbols prints in space quadratic
+    in n: about 3 MB for 1,000 symbols.
+    """
 
     __slots__ = ("control", "symbol", "phase")
     _table: dict[tuple[str, str, Phase], "Generated"] = {}

@@ -97,13 +97,10 @@ def cmd_validate(args) -> int:
     report = _validate_doc(doc)
     for v in report.violations:
         print(f"error: {v}", file=sys.stderr)
-    if not args.quiet:
-        for w in report.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        if report.ok:
-            print(f"ok: {len(doc.smpds.delta)} rules, "
-                  f"{len(doc.smpds.delta_c)} modifying rules, "
-                  f"{len(doc.configs)} configs")
+    if report.ok and not args.quiet:
+        print(f"ok: {len(doc.smpds.delta)} rules, "
+              f"{len(doc.smpds.delta_c)} modifying rules, "
+              f"{len(doc.configs)} configs")
     return 0 if report.ok else 1
 
 

@@ -21,10 +21,12 @@ phase is referenced by its declared name or, anonymously, as a sorted
 rule-id list in braces with no spaces: {0,2,5}; so a name is declared
 once, is one token and neither starts with '{' nor holds '@'.  The label
 `eps` is epsilon, so no model may use `eps` as a stack symbol.  A state
-token `gen:p:g@theta` is a generated state, so no control point's name
-starts with `gen:`.  Printing is canonical, so parse o print is the
-identity.  Each printer collects its output as one list of pieces and
-joins it once, so it holds little more than the output itself.
+token `gen:p:g1:...:gk@theta` is the generated state of post* for the
+control point p, the pushed prefix g1...gk and the phase, so no control
+point or stack symbol holds ':'.  Printing is canonical, so parse o
+print is the identity.  Each printer collects its output as one list of
+pieces and joins it once, so it holds little more than the output
+itself.
 
 Parsing reads the whole text at once.  One `split` of a model by the
 regex of a well-formed rule line yields the fields of every rule, which
@@ -42,6 +44,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add
+from typing import Sequence
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
 from .model import Configuration, Phase, PdsRule, SelfModRule, SMPDS
@@ -143,6 +146,8 @@ def _spaced_phase(text: str) -> FormatError | None:
 
 # the automaton format reads the label eps as epsilon
 _EPS_RESERVED = "'eps' is reserved for epsilon edges and cannot be a stack symbol"
+# and the name gen:p:g1:...:gk@theta as a generated state
+_COLON = "must not hold ':', which separates the parts of a generated state"
 
 # a rule line of a cleaned model, "\n" and all, whose syntax is right but
 # for, possibly, an extra '->' inside a token; its groups are the rule's
@@ -206,7 +211,7 @@ def _read_model(text: str) -> _Model:
     model.states.update(ps, qs)
     model.alphabet.update(gammas, *word_of.values())
     if (len(rules) < len(ids) or "eps" in model.alphabet
-            or "gen:" in text and any(s.startswith("gen:") for s in chain(ps, qs))):
+            or any(":" in name for name in chain(model.states, model.alphabet))):
         raise ValueError("a faulty rule line")
     # gap k follows k rule lines
     others = 0
@@ -253,8 +258,7 @@ def _directive(model: _Model, line: str, lineno: int) -> None:
         model.states.add(_control(_one_token(rest, lineno), lineno))
     elif head == "symbol":
         name = _one_token(rest, lineno)
-        if name == "eps":
-            raise FormatError(lineno, _EPS_RESERVED)
+        _symbols((name,), lineno)
         model.alphabet.add(name)
     elif head == "rule":
         rule = _RULE_LINE.match(line + "\n")
@@ -269,8 +273,7 @@ def _directive(model: _Model, line: str, lineno: int) -> None:
             raise FormatError(lineno, f"duplicate rule id {rid}")
         word = tuple(word.split())
         model.rules[rid] = PdsRule(_control(p, lineno), gamma, _control(q, lineno), word)
-        if "eps" in (gamma, *word):
-            raise FormatError(lineno, _EPS_RESERVED)
+        _symbols((gamma, *word), lineno)
         model.states.update((p, q))
         model.alphabet.update((gamma, *word))
     elif head == "smrule":
@@ -304,8 +307,7 @@ def _directive(model: _Model, line: str, lineno: int) -> None:
         toks = rest.lstrip(":").split() if head == "config" else rest.split()
         if len(toks) < 2:
             raise FormatError(lineno, "config needs a state and a phase")
-        if "eps" in toks[2:]:
-            raise FormatError(lineno, _EPS_RESERVED)
+        _symbols(toks[2:], lineno)
         _control(toks[0], lineno)
         model.config_lines.append((lineno, toks))
     else:
@@ -351,11 +353,21 @@ def _one_token(rest: str, lineno: int) -> str:
 
 
 def _control(name: str, lineno: int) -> str:
-    """A control point's name, which must not read back as a generated state."""
-    if name.startswith("gen:"):
-        raise FormatError(lineno, f"control point {name!r} must not start with "
-                                  "'gen:', which names generated states")
+    """A control point's name, which must not read back as part of a
+    generated state."""
+    if ":" in name:
+        raise FormatError(lineno, f"control point {name!r} {_COLON}")
     return name
+
+
+def _symbols(names: Sequence[str], lineno: int) -> None:
+    """Check stack symbols, none of which may read back as an eps label or
+    as part of a generated state."""
+    if "eps" in names:
+        raise FormatError(lineno, _EPS_RESERVED)
+    for name in names:
+        if ":" in name:
+            raise FormatError(lineno, f"stack symbol {name!r} {_COLON}")
 
 
 def _split_id(rest: str, lineno: int) -> tuple[int, str]:

@@ -188,9 +188,8 @@ class SMPDS:
     `mod_predecessors` (the empty stack).  Their indexes hold each rule
     next to its id: plain rules by left side (p, gamma), by right-side head
     (p', w[0]) and, for pop rules, by right-side state; modifying rules by
-    source and by target control point.  `wide_rules` lists, in rule-table
-    order, the plain rules that push more than two symbols, which no
-    saturation takes before `normalize_push` (`check_narrow`).
+    source and by target control point.  A plain rule may push a word of
+    any length; the saturations take it as it is.
     """
 
     def __init__(self, states: Iterable[str], alphabet: Iterable[str],
@@ -204,12 +203,9 @@ class SMPDS:
         self.pop_rules: dict[str, list[tuple[RuleId, PdsRule]]] = {}
         self.mod_by_source: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
         self.mod_by_target: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
-        self.wide_rules: list[RuleId] = []
         for rid, r in self.rules.items():
             if isinstance(r, PdsRule):
                 delta.append(rid)
-                if len(r.rhs_word) > 2:
-                    self.wide_rules.append(rid)
                 self.plain_by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((rid, r))
                 if r.rhs_word:
                     self.plain_by_rhs_head.setdefault(
@@ -221,12 +217,6 @@ class SMPDS:
                 self.mod_by_target.setdefault(r.to_state, []).append((rid, r))
         self.delta = frozenset(delta)
         self.delta_c = frozenset(self.rules.keys() - self.delta)
-
-    def check_narrow(self) -> None:
-        """Raise `ValueError` if a rule pushes more than two symbols."""
-        if self.wide_rules:
-            raise ValueError(f"rule {self.wide_rules[0]} pushes more than 2 "
-                             "symbols; run normalize_push first")
 
     def all_rules_phase(self) -> Phase:
         return Phase.of(self.rules.keys())
@@ -289,7 +279,6 @@ class Configuration:
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -299,12 +288,18 @@ class ValidationReport:
 def validate(smpds: SMPDS) -> ValidationReport:
     """Check every structural invariant; returns a report with diagnostics.
 
-    Violations name undeclared states, symbols and rule ids.  The warnings
-    name the rules that push more than two symbols, which a saturation
-    takes only after `normalize_push`.  A modifying rule that removes
-    itself is an ordinary modifying rule and gets no diagnostic.
+    Violations name undeclared states, symbols and rule ids, and a state
+    or a symbol that holds ':'.  post* names the state after a pushed
+    prefix g1...gk by joining it with ':' (`automaton.Generated`), so
+    such a name would let two prefixes share a state.  A rule that
+    pushes more than two symbols, and a modifying rule that removes
+    itself, are ordinary rules and get no diagnostic.
     """
     rep = ValidationReport()
+    for kind, names in (("state", smpds.states), ("symbol", smpds.alphabet)):
+        for name in sorted(names):
+            if ":" in name:
+                rep.violations.append(f"{kind} {name!r} holds ':'")
     for rid, r in smpds.rules.items():
         if isinstance(r, PdsRule):
             if r.lhs_state not in smpds.states:
@@ -326,8 +321,6 @@ def validate(smpds: SMPDS) -> ValidationReport:
             for ref in (r.removed, r.added):
                 if ref not in smpds.rules:
                     rep.violations.append(f"smrule {rid}: dangling RuleId {ref}")
-    rep.warnings = [f"rule {rid}: rhs word longer than 2, needs normalize_push"
-                    for rid in smpds.wide_rules]
     return rep
 
 
@@ -361,88 +354,3 @@ def step(smpds: SMPDS, c: Configuration) -> frozenset[Configuration]:
                 out.add(Configuration(r.to_state, c.stack,
                                       c.phase.update(r.removed, r.added)))
     return frozenset(out)
-
-
-@dataclass
-class PushNormalization:
-    smpds: SMPDS
-    # old rule id -> the chain of rule ids replacing it (first = entry rule)
-    rule_map: dict[RuleId, list[RuleId]]
-    warnings: list[str]
-
-    def rewrite_phase(self, phase: Phase) -> Phase:
-        ids: set[RuleId] = set()
-        for rid in phase:
-            ids.update(self.rule_map.get(rid, (rid,)))
-        return Phase.of(ids)
-
-    def rewrite_config(self, c: Configuration) -> Configuration:
-        return Configuration(c.state, c.stack, self.rewrite_phase(c.phase))
-
-    def project_phase(self, phase: Phase) -> Phase:
-        """Drop the chain-tail ids (the head keeps the original id)."""
-        tails = {rid for chain in self.rule_map.values() for rid in chain[1:]}
-        return Phase.of(set(phase.members) - tails)
-
-    def project_config(self, c: Configuration) -> Configuration:
-        return Configuration(c.state, c.stack, self.project_phase(c.phase))
-
-
-def normalize_push(smpds: SMPDS) -> PushNormalization:
-    """Split rules pushing more than two symbols into two-symbol chains.
-
-    <p,g> -> <p', g1..gn> (n > 2) becomes
-    <p,g> -> <p_1, a_1 gn>, <p_1,a_1> -> <p_2, a_2 g_{n-1}>, ...,
-    <p_{n-2}, a_{n-2}> -> <p', g1 g2> with fresh states and fresh symbols.
-    Modifying rules that reference a split rule are remapped to the first
-    rule of its chain (flagged with a warning).
-    """
-    if not smpds.wide_rules:
-        return PushNormalization(smpds, {}, [])
-    rules = dict(smpds.rules)
-    states = set(smpds.states)
-    alphabet = set(smpds.alphabet)
-    next_id = max(rules) + 1
-    rule_map: dict[RuleId, list[RuleId]] = {}
-    warnings: list[str] = []
-    for rid in smpds.wide_rules:
-        old: PdsRule = rules[rid]
-        word = old.rhs_word
-        n = len(word)
-        mids = []
-        for k in range(1, n - 1):
-            st = _fresh_name(f"{old.rhs_state}_s{rid}_{k}", states)
-            states.add(st)
-            sym = _fresh_name(f"a{rid}_{k}", alphabet)
-            alphabet.add(sym)
-            mids.append((st, sym))
-        chain = [rid]
-        # first rule keeps the old id so phase membership survives the split
-        rules[rid] = PdsRule(old.lhs_state, old.lhs_symbol,
-                             mids[0][0], (mids[0][1], word[n - 1]))
-        for k in range(1, n - 2):
-            rules[next_id] = PdsRule(mids[k - 1][0], mids[k - 1][1],
-                                     mids[k][0], (mids[k][1], word[n - 1 - k]))
-            chain.append(next_id)
-            next_id += 1
-        rules[next_id] = PdsRule(mids[-1][0], mids[-1][1],
-                                 old.rhs_state, (word[0], word[1]))
-        chain.append(next_id)
-        next_id += 1
-        rule_map[rid] = chain
-    for rid in smpds.delta_c:
-        r: SelfModRule = rules[rid]
-        if r.removed in rule_map or r.added in rule_map:
-            # ids are preserved for chain heads, so references stay valid
-            warnings.append(
-                f"smrule {rid} references a split rule; mapped to the chain head")
-    return PushNormalization(SMPDS(states, alphabet, rules), rule_map, warnings)
-
-
-def _fresh_name(base: str, taken: set[str]) -> str:
-    name = base
-    k = 0
-    while name in taken:
-        k += 1
-        name = f"{base}_{k}"
-    return name

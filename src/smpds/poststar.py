@@ -8,8 +8,9 @@ or an epsilon edge followed by a symbol edge):
 
   beta1: <p,g> -> <p',eps>   in theta: add ((p',theta), eps, q).
   beta2: <p,g> -> <p',g'>    in theta: add ((p',theta), g', q).
-  beta3: <p,g> -> <p',g1 g2> in theta: add ((p',theta), g1, G) and
-         (G, g2, q) where G is the generated state for (p', g1, theta).
+  beta3: <p,g> -> <p',g1...gn> (n >= 2) in theta: add the chain
+         (p',theta) --g1--> G1 --g2--> ... G(n-1) and (G(n-1), gn, q),
+         where Gk is the generated state for (p', g1...gk, theta).
   beta4: p --(r1,r2)--> p' and r1 both in theta: add ((p',theta'), g, q)
          with theta' = (theta - {r1}) | {r2}.
 
@@ -120,27 +121,25 @@ class _PoststarEngine:
 
         Built once per fact key, when its first q arrives: the rules that
         fire depend on the control point, the phase and the symbol only.
-        The first edge of a beta3 push does not depend on q, so it is
-        added here, once.
+        The chain of a beta3 push, all but its last edge, does not depend
+        on q, so it is added here, once.
         """
         plan: list[tuple[AutState, Label]] = []
         for p, theta, word in self.rules.post_moves(init.control, init.phase, symbol):
             src = Initial(p, theta)
             if not word:
                 plan.append((src, EPS))
-            elif len(word) == 1:
-                plan.append((src, word[0]))
-            else:
-                gen = Generated(p, word[0], theta)
-                self.work.add([(src, word[0])], {gen})
-                plan.append((gen, word[1]))
+                continue
+            for k in range(1, len(word)):
+                gen = Generated(p, ":".join(word[:k]), theta)
+                self.work.add([(src, word[k - 1])], {gen})
+                src = gen
+            plan.append((src, word[-1]))
         return plan
 
 
 def poststar(smpds: SMPDS, aut: PAutomaton) -> PAutomaton:
     """Saturate a copy of `aut` so it accepts post*(L(aut)).  Raises
-    `ValueError` on a wide rule (`SMPDS.check_narrow`), and on an input
-    with a transition into an initial state or an eps edge from a
-    non-initial state."""
-    smpds.check_narrow()
+    `ValueError` on an input with a transition into an initial state or
+    an eps edge from a non-initial state."""
     return _PoststarEngine(smpds, aut).run()

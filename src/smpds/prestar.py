@@ -7,6 +7,8 @@ fixpoint:
 
   alpha1: for a plain rule <p,g> -> <p1,w> in a phase theta, whenever the
           automaton has a path (p1,theta) --w--> q, add ((p,theta), g, q).
+          w may have any length; the path is followed one symbol at a
+          time, as the facts arrive.
 
   alpha2: for a modifying rule p --(r1,r2)--> p1, whenever a transition
           (p1,theta) --g--> q exists with the rule and r2 in theta, add
@@ -29,14 +31,24 @@ by the epsilon closures of its targets, which the automaton caches
 (`PAutomaton._close`: the saturation adds no eps edge, so they never
 change), and each state whose closure holds src gains the new reading
 facts as one set.
-Every rule, and every two-symbol rule waiting on the key, then inserts
-the new facts' targets in one call.
+Every rule, and every rule waiting on the key for the last symbol of
+its word, then inserts the new facts' targets in one call; a rule with
+more of its word to read moves on to wait at each new target.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .automaton import EPS, AutState, DeltaWorklist, Initial, PAutomaton
 from .model import SMPDS
+
+# a transition ((p,theta), g) that a rule adds; a group of them waiting
+# for the rest of their word, split into its next symbol and the tail
+# after it; and the firing plan of a fact key: the edges and the groups
+_Lhs = tuple[Initial, str]
+_Rest = tuple[str, tuple[str, ...], set[_Lhs]]
+_Plan = tuple[list[_Lhs], list[_Rest]]
 
 
 class _PrestarEngine:
@@ -59,13 +71,14 @@ class _PrestarEngine:
 
         # eps-folded reading facts: (src, symbol) -> set of dst
         self.facts: dict[tuple[AutState, str], set[AutState]] = {}
-        # partial matches for two-symbol rules: (mid-state, symbol) ->
-        # transitions ((p,theta), g) waiting for the second edge
-        self.pending: dict[tuple[AutState, str], set[tuple[Initial, str]]] = {}
+        # partial matches: (mid-state, symbol) -> transitions ((p,theta), g)
+        # waiting for the last edge of their rule's word
+        self.pending: dict[tuple[AutState, str], set[_Lhs]] = {}
+        # the same for rules with more than one symbol still to read after
+        # (mid-state, symbol), by the tail that follows it
+        self.waiting: dict[tuple[AutState, str], dict[tuple[str, ...], set[_Lhs]]] = {}
         # fact key ((p1,theta), g) -> its firing plan, see _firing_plan
-        self.plans: dict[tuple[Initial, str],
-                         tuple[list[tuple[Initial, str]],
-                               dict[str, set[tuple[Initial, str]]]]] = {}
+        self.plans: dict[tuple[Initial, str], _Plan] = {}
         # the initial states whose pop rules have fired
         self.live: set[Initial] = set()
 
@@ -118,63 +131,84 @@ class _PrestarEngine:
     def _new_facts(self, src: AutState, label: str, dsts: set[AutState]) -> None:
         """Fire every rule on the new facts src --label--> d, d in `dsts`."""
         add = self.work.add
-        add(self.pending.get((src, label), ()), dsts)
+        key = (src, label)
+        add(self.pending.get(key, ()), dsts)
+        by_tail = self.waiting.get(key)
+        if by_tail:
+            self._wait([(t[0], t[1:], group) for t, group in by_tail.items()], dsts)
         if not isinstance(src, Initial):
             return
-        key = (src, label)
         plan = self.plans.get(key)
         if plan is None:
             self._make_live(src)
             plan = self.plans[key] = self._firing_plan(src, label)
-        edges, triggers = plan
+        edges, rests = plan
         add(edges, dsts)
-        pending, facts = self.pending, self.facts
-        for g2, group in triggers.items():
-            for dst in dsts:
-                second = (dst, g2)
-                waiting = pending.get(second)
-                if waiting is None:
-                    fresh = pending[second] = set(group)
-                else:
-                    # a trigger already waiting was linked to every fact
-                    # known when it was first added; each later fact
-                    # replays the pending set
-                    fresh = group - waiting
-                    if not fresh:
-                        continue
-                    waiting |= fresh
-                known = facts.get(second)
-                if known:
-                    add(fresh, known)
+        if rests:
+            self._wait(rests, dsts)
 
-    def _firing_plan(self, init: Initial, label: str) -> tuple[
-            list[tuple[Initial, str]], dict[str, set[tuple[Initial, str]]]]:
+    def _firing_plan(self, init: Initial, label: str) -> _Plan:
         """What every fact (init, label, q) fires, whatever q is.
 
         The edges (src, g) that alpha1 for one-symbol rules and alpha2 link
-        to q, and, by g2, the transitions ((p,theta), g) that two-symbol
-        rules leave waiting at (q, g2).  Built once per fact key, when its
-        first q arrives.
+        to q, and the transitions ((p,theta), g) that longer rules leave
+        waiting at q, grouped by the rest of the word, as `_wait` reads
+        them.  Built once per fact key, when its first q arrives.
         """
-        edges: list[tuple[Initial, str]] = []
-        triggers: dict[str, set[tuple[Initial, str]]] = {}
+        edges: list[_Lhs] = []
+        rests: dict[tuple[str, ...], set[_Lhs]] = {}
         for p, theta, g, rest in self.rules.pre_moves(init.control, init.phase, label):
             lhs = (Initial(p, theta), g)
             if rest:
-                triggers.setdefault(rest[0], set()).add(lhs)
+                rests.setdefault(rest, set()).add(lhs)
             else:
                 edges.append(lhs)
-        return edges, triggers
+        return edges, [(w[0], w[1:], group) for w, group in rests.items()]
+
+    def _wait(self, rests: list[_Rest], dsts: Iterable[AutState]) -> None:
+        """Leave each group of transitions in `rests` waiting at every
+        state q in `dsts` for the rest of its word, and move it on along
+        the facts already known: a group that waits at (q, g2) was linked
+        to every fact known then, and each later fact replays the waiting
+        set.  A worklist, not recursion, so a long pushed word does not
+        deepen the Python stack."""
+        add = self.work.add
+        pending, waiting, facts = self.pending, self.waiting, self.facts
+        todo = [(rests, dsts)]
+        while todo:
+            rests, dsts = todo.pop()
+            for g2, tail, group in rests:
+                for q in dsts:
+                    key = (q, g2)
+                    known = (waiting.setdefault(key, {}).get(tail) if tail
+                             else pending.get(key))
+                    if known is None:
+                        fresh = set(group)
+                        if tail:
+                            waiting[key][tail] = fresh
+                        else:
+                            pending[key] = fresh
+                    else:
+                        fresh = group - known
+                        if not fresh:
+                            continue
+                        known |= fresh
+                    targets = facts.get(key)
+                    if not targets:
+                        continue
+                    if tail:
+                        todo.append(([(tail[0], tail[1:], fresh)], targets))
+                    else:
+                        add(fresh, targets)
 
 
 def prestar(smpds: SMPDS, aut: PAutomaton) -> PAutomaton:
     """Saturate a copy of `aut` so it accepts pre*(L(aut)).
 
-    Raises `ValueError` on a wide rule (`SMPDS.check_narrow`), and on an
-    input with a transition into an initial state unless pre* leaves it
-    unchanged, as a pre* result fed back in: what the saturation adds at
-    that state would also be read through the edge."""
-    smpds.check_narrow()
+    Raises `ValueError` on an input with a transition into an initial
+    state unless pre* leaves it unchanged, as a pre* result fed back in:
+    what the saturation adds at that state would also be read through the
+    edge."""
     result = _PrestarEngine(smpds, aut).run()
     if aut.has_transition_into_initial() and (
             result.transition_count() > aut.transition_count()

@@ -12,9 +12,10 @@ Classical pre*/post* for ordinary PDSs run the same saturation cores as
 the direct engines (`prestar`, `poststar`), with the phase moved into the
 control point: `_PairedRules` is their rule source for a paired PDS.  A
 paired configuration ((p, theta), w) is the SM-PDS configuration
-(<p, w>, theta), so they take and return ordinary P-automata.  The
-paired PDS fires no modifying rule on an empty stack, so the two routes
-agree on nonempty stacks only.  Code that shares nothing with the cores
+(<p, w>, theta), so they take and return ordinary P-automata.  A paired
+rule pushes the word of its SM-PDS rule, of any length, which the cores
+take as it is.  The paired PDS fires no modifying rule on an empty
+stack, so the two routes agree on nonempty stacks only.  Code that shares nothing with the cores
 lives in the tests: `tests/classical_reference.py` and the oracle.
 """
 
@@ -209,11 +210,8 @@ class _PairedRules:
         # ((p', theta), w[0]) and, for pop rules, by right-side state
         groups: dict[tuple, list[PairedRule]] = {}
         self.groups = groups
-        # every rule's length is checked here, as most groups are never read
         for r in pds.rules:
             word = r[3]
-            if len(word) > 2:
-                raise ValueError("classical saturations expect |w| <= 2 rules")
             if not backward:
                 key = (r[0], r[1])
             else:

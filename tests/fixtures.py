@@ -77,6 +77,24 @@ def push_loop_example() -> tuple[SMPDS, Phase, Phase, Configuration]:
     return m, theta0, theta1, Configuration("p0", ("g0",), theta0)
 
 
+def wide_enable_example() -> tuple[SMPDS, Configuration, Configuration]:
+    """A modifying rule enables a rule that pushes three symbols.
+
+    Smrule 2 swaps rule 1 out for rule 0, so from (<s, a>, {1,2}) the run
+    reaches (<p, a>, {0,2}) and, by rule 0, (<q, b b b>, {0,2}).  Splitting
+    rule 0 into a chain of two-symbol rules loses that configuration: the
+    chain's tail has a fresh id that no phase holds.
+    """
+    rules = {
+        0: PdsRule("p", "a", "q", ("b", "b", "b")),
+        1: PdsRule("q", "a", "q", ()),
+        2: SelfModRule("s", 1, 0, "p"),
+    }
+    m = SMPDS({"p", "q", "s"}, {"a", "b"}, rules)
+    return (m, Configuration("s", ("a",), Phase.of([1, 2])),
+            Configuration("q", ("b", "b", "b"), Phase.of([0, 2])))
+
+
 def cli_stats(capsys, tmp_path, smpds, aut, command, *options,
               configs=()) -> tuple[int, dict[str, float]]:
     """Write `smpds` (with `configs`) and `aut` to files, run `smpds --stats

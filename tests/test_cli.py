@@ -324,6 +324,21 @@ def test_gen_control_point_is_rejected(command, text, lineno, tmp_path, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("text, lineno, name", [
+    # printed, a post* state gen:x:y:b@th would read back as x's state
+    ("rule 0: p a -> x:y b a\nphase th: 0\n", 1, "control point 'x:y'"),
+    ("rule 0: p a -> q\nrule 1: p a:b -> q\n", 2, "stack symbol 'a:b'"),
+])
+@pytest.mark.parametrize("command", [["validate"], ["prestar", TARGET]])
+def test_colon_in_a_name_is_rejected(command, text, lineno, name, tmp_path, capsys):
+    model = tmp_path / "m.smpds"
+    model.write_text(text)
+    assert main([command[0], str(model), *command[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: line {lineno}: {name}"), out.err
+    assert out.err.count("\n") == 1 and out.out == ""
+
+
 @pytest.mark.parametrize("text, fragment", [
     # a stray arrow used to be read as a stack symbol
     ("rule 0: p a -> q\nrule 1: p a -> q -> r\n", "malformed rule"),

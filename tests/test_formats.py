@@ -90,6 +90,14 @@ def test_comments_and_blanks_ignored():
     ("smrule 0: gen:x (0 -> 0) q\n", "control point 'gen:x'"),
     ("smrule 0: p (0 -> 0) gen:x\n", "control point 'gen:x'"),
     ("rule 0: p a -> q\nconfig: gen:x {0} a\n", "control point 'gen:x'"),
+    # nor one whose name holds ':', which would run into the pushed prefix
+    # of a generated state gen:p:g1:g2@theta
+    ("rule 0: p a -> x:y b a\nphase th: 0\n", "line 1: control point 'x:y'"),
+    ("rule 0: p a -> q\nsmrule 1: x:y (0 -> 0) q\n", "line 2: control point 'x:y'"),
+    ("symbol a:b\n", "line 1: stack symbol 'a:b'"),
+    ("rule 0: p a:b -> q\n", "line 1: stack symbol 'a:b'"),
+    ("rule 0: p a -> q\nrule 1: p a -> q b a:b\n", "line 2: stack symbol 'a:b'"),
+    ("rule 0: p a -> q\nconfig: p {0} a:b\n", "line 2: stack symbol 'a:b'"),
     # a stray arrow is no stack symbol
     ("rule 0: p a -> q -> r\n", "line 1: malformed rule"),
     # ids are -?[0-9]+ in every directive, where int() would read 1000, 5,

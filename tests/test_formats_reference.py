@@ -37,6 +37,7 @@ from test_formats import documents
 
 _REF_SPACED_PHASE = re.compile(r"\{[^{}]*\s[^{}]*\}")
 _REF_EPS = "'eps' is reserved for epsilon edges and cannot be a stack symbol"
+_REF_COLON = "must not hold ':', which separates the parts of a generated state"
 
 
 def _ref_int(text):
@@ -77,10 +78,17 @@ def _ref_one_token(rest, lineno):
 
 
 def _ref_control(name, lineno):
-    if name.startswith("gen:"):
-        raise FormatError(lineno, f"control point {name!r} must not start with "
-                                  "'gen:', which names generated states")
+    if ":" in name:
+        raise FormatError(lineno, f"control point {name!r} {_REF_COLON}")
     return name
+
+
+def _ref_symbols(names, lineno):
+    if "eps" in names:
+        raise FormatError(lineno, _REF_EPS)
+    for name in names:
+        if ":" in name:
+            raise FormatError(lineno, f"stack symbol {name!r} {_REF_COLON}")
 
 
 def _ref_split_id(rest, lineno):
@@ -102,9 +110,9 @@ def _reference_parse_smpds(text):
         if head == "state":
             states.add(_ref_control(_ref_one_token(rest, lineno), lineno))
         elif head == "symbol":
-            alphabet.add(_ref_one_token(rest, lineno))
-            if "eps" in alphabet:
-                raise FormatError(lineno, _REF_EPS)
+            name = _ref_one_token(rest, lineno)
+            _ref_symbols([name], lineno)
+            alphabet.add(name)
         elif head == "rule":
             rid, body = _ref_split_id(rest, lineno)
             lhs, arrow, rhs = body.partition("->")
@@ -117,15 +125,13 @@ def _reference_parse_smpds(text):
             if rid in rules:
                 raise FormatError(lineno, f"duplicate rule id {rid}")
             p, gamma = lt
-            if "gen:" in body:
-                _ref_control(p, lineno)
-                _ref_control(rt[0], lineno)
+            _ref_control(p, lineno)
+            _ref_control(rt[0], lineno)
+            _ref_symbols([gamma, *rt[1:]], lineno)
             rules[rid] = PdsRule(p, gamma, rt[0], tuple(rt[1:]))
             states.update((p, rt[0]))
             alphabet.add(gamma)
             alphabet.update(rt[1:])
-            if "eps" in alphabet:
-                raise FormatError(lineno, _REF_EPS)
         elif head == "smrule":
             rid, body = _ref_split_id(rest, lineno)
             toks = body.replace("(", " ").replace(")", " ").split()
@@ -159,8 +165,7 @@ def _reference_parse_smpds(text):
             toks = rest.lstrip(":").split() if head == "config" else rest.split()
             if len(toks) < 2:
                 raise FormatError(lineno, "config needs a state and a phase")
-            if "eps" in toks[2:]:
-                raise FormatError(lineno, _REF_EPS)
+            _ref_symbols(toks[2:], lineno)
             _ref_control(toks[0], lineno)
             config_lines.append((lineno, toks))
         else:
@@ -224,7 +229,7 @@ def _reference_parse_automaton(text, doc):
 
 def _indexes(m):
     return (m.plain_by_lhs, m.plain_by_rhs_head, m.pop_rules, m.mod_by_source,
-            m.mod_by_target, m.wide_rules, m.delta, m.delta_c)
+            m.mod_by_target, m.delta, m.delta_c)
 
 
 def _model_outcome(parse, text):
@@ -342,7 +347,7 @@ def test_parse_automaton_agrees_with_the_line_loop(doc, seed):
     m = doc.smpds
     configs = doc.configs or [Configuration("p0", ("a",), Phase.of(m.rules))]
     aut = from_configs(m, configs)
-    if rng.random() < 0.5 and not m.wide_rules:
+    if rng.random() < 0.5:
         aut = prestar(m, aut)
     text = print_automaton(aut, doc)
     if rng.random() < 0.7:
@@ -395,6 +400,12 @@ def test_valid_texts_parse_alike_on_the_benchmark_shape():
     # a line with two faults: the one checked first is reported
     "rule 0: p a -> q\nrule 0: p a -> q -> r\n",
     "rule 0: p a -> q\nrule 0: gen:x eps -> q\n",
+    # a ':' in a control point or a stack symbol, first or among other faults
+    "rule 0: p a -> q\nrule 1: p a -> q b a:b\n",
+    "rule 0: x:y eps -> q\n",
+    "rule 0: p a:b -> q eps\nbogus\n",
+    "rule 0: p a -> q\nconfig: x:y {0} a:b\n",
+    "rule 0:: p -> q\n",
     # tokens that join into '->' across a blank: a valid rule line
     "rule 0: p a- -> >b\nbogus\n",
     "rule 0: x- >y -> q\nbogus\n",

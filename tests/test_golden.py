@@ -38,6 +38,8 @@ MULTI_EPS_AUT = "tests/golden/multi_eps.aut"
 EPS_MID_MODEL = "tests/golden/eps_mid.smpds"
 EPS_MID_AUT = "tests/golden/eps_mid.aut"
 SELFMOD_MODEL = "tests/golden/selfmod.smpds"
+WIDE_MODEL = "tests/golden/wide.smpds"
+WIDE_AUT = "tests/golden/wide.aut"
 
 # expected file -> CLI arguments (paths relative to the repository root)
 CASES = {
@@ -77,6 +79,10 @@ CASES = {
     "selfmod.prestar": ["prestar", SELFMOD_MODEL, "tests/golden/selfmod_target.aut"],
     "selfmod.poststar": ["poststar", SELFMOD_MODEL,
                          "tests/golden/selfmod_initial.aut"],
+    # a rule pushing three symbols, which a modifying rule enables:
+    # pre* follows the word, post* builds the chain gen:q:b@th, gen:q:b:b@th
+    "wide.prestar": ["prestar", WIDE_MODEL, WIDE_AUT],
+    "wide.poststar": ["poststar", WIDE_MODEL, WIDE_AUT],
     # a pop rule into a state that reaches no final state: pre* keeps no
     # transition into it
     "deadpop.prestar": ["prestar", "tests/golden/deadpop.smpds",

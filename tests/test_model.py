@@ -14,7 +14,6 @@ from smpds import (
     SelfModRule,
     SMPDS,
     check_configuration,
-    normalize_push,
     validate,
 )
 import smpds
@@ -156,10 +155,26 @@ def test_validate_reports_problems():
     assert "nowhere" in text            # unknown state
     assert "'b'" in text                # unknown symbol
     assert "dangling" in text           # smrule 2 references rule 9
-    warn = " ".join(rep.warnings)
-    assert "normalize_push" in warn
-    # smrule 3 removes itself, which the saturations take as it is
-    assert "smrule 3" not in text + warn
+    # rule 1 pushes three symbols and smrule 3 removes itself, which the
+    # saturations take as they are: only rule 1's unknown symbol is named
+    assert [v for v in rep.violations if v.startswith("rule 1:")] == [
+        "rule 1: symbol 'b' not in Gamma"]
+    assert "smrule 3" not in text
+
+
+def test_validate_refuses_colon_names():
+    # post* keys the state after a pushed prefix by the prefix joined with
+    # ':', so 'a:b' then 'c' and 'a' then 'b' then 'd' into the same control
+    # point and phase would meet in one state
+    rules = {
+        0: PdsRule("p", "x", "q", ("a:b", "c")),
+        1: PdsRule("p", "y", "q", ("a", "b", "d")),
+    }
+    m = SMPDS({"p", "q", "r:s"}, {"x", "y", "a", "b", "c", "d", "a:b"}, rules)
+    assert validate(m).violations == [
+        "state 'r:s' holds ':'", "symbol 'a:b' holds ':'"]
+    assert validate(SMPDS({"p", "q"}, {"x", "y", "a", "b", "c", "d"},
+                          {1: rules[1]})).ok
 
 
 def test_check_configuration():
@@ -257,34 +272,3 @@ def test_mod_successors_are_the_oracle_modifying_moves(mpt, stack):
     assert ({(p2, theta2.members) for p2, theta2 in m.mod_successors(p, theta)}
             == {(p2, phase) for p2, _, phase in moves})
 
-
-# -- normalizations ----------------------------------------------------------
-
-def test_normalize_push_equivalence():
-    rules = {
-        0: PdsRule("p", "a", "p", ("b", "a", "b", "a")),
-        1: PdsRule("p", "b", "q", ()),
-        2: PdsRule("q", "a", "p", ()),
-        3: SelfModRule("q", 0, 1, "p"),
-    }
-    m = SMPDS({"p", "q"}, {"a", "b"}, rules)
-    n = normalize_push(m)
-    rep = validate(n.smpds)
-    assert rep.ok and not rep.warnings
-    assert all(len(n.smpds.rules[rid].rhs_word) <= 2 for rid in n.smpds.delta)
-    assert n.warnings  # smrule 3 references the split rule
-    c0 = Configuration("p", ("a",), Phase.of([0, 1, 2, 3]))
-    orig, t1 = raw_reach(m, c0, 8, 50000)
-    norm, t2 = raw_reach(n.smpds, n.rewrite_config(c0), 10, 100000)
-    assert not t1 and not t2
-    projected = {n.project_config(c) for c in norm
-                 if c.state in m.states
-                 and all(g in m.alphabet for g in c.stack)
-                 and len(c.stack) <= 8}
-    assert projected == orig
-
-
-def test_normalize_push_noop_when_clean():
-    m, *_ = swap_example()
-    n = normalize_push(m)
-    assert n.smpds is m and not n.rule_map

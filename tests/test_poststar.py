@@ -11,7 +11,7 @@ from smpds import (
 )
 from smpds.bench import GenParams, generate
 
-from fixtures import push_loop_example, swap_example
+from fixtures import push_loop_example, swap_example, wide_enable_example
 from oracles import raw_reach
 
 
@@ -72,12 +72,42 @@ def test_poststar_idempotent():
     assert twice.finals == once.finals
 
 
-def test_poststar_rejects_wide_rules():
-    rules = {0: PdsRule("p", "a", "p", ("a", "a", "a"))}
-    m = SMPDS({"p"}, {"a"}, rules)
-    aut = from_configs(m, [Configuration("p", ("a",), Phase.of([0]))])
-    with pytest.raises(ValueError, match="normalize_push"):
-        poststar(m, aut)
+def test_poststar_takes_pushes_of_any_length():
+    # rule 0 pushes three symbols, which rule 1 pops one by one
+    rules = {0: PdsRule("p", "a", "q", ("a", "a", "a")),
+             1: PdsRule("q", "a", "q", ())}
+    m = SMPDS({"p", "q"}, {"a"}, rules)
+    c0 = Configuration("p", ("a",), Phase.of(rules))
+    reach, truncated = raw_reach(m, c0, 3, 1000)
+    assert not truncated
+    assert Configuration("q", ("a", "a", "a"), Phase.of(rules)) in reach
+    sat = poststar(m, from_configs(m, [c0]))
+    assert set(sat.enumerate_configs(4)) == reach
+
+
+def test_poststar_four_symbol_push_with_a_swap_matches_the_oracle():
+    # rule 0 pushes four symbols and smrule 3 swaps it out for rule 1
+    rules = {
+        0: PdsRule("p", "a", "p", ("b", "a", "b", "a")),
+        1: PdsRule("p", "b", "q", ()),
+        2: PdsRule("q", "a", "p", ()),
+        3: SelfModRule("q", 0, 1, "p"),
+    }
+    m = SMPDS({"p", "q"}, {"a", "b"}, rules)
+    c0 = Configuration("p", ("a",), Phase.of([0, 1, 2, 3]))
+    reach, truncated = raw_reach(m, c0, 8, 50000)
+    assert not truncated
+    sat = poststar(m, from_configs(m, [c0]))
+    assert set(sat.enumerate_configs(8)) == reach
+
+
+def test_poststar_reaches_a_push_that_a_modifying_rule_enables():
+    m, c0, target = wide_enable_example()
+    reach, truncated = raw_reach(m, c0, 5, 1000)
+    assert not truncated and target in reach
+    sat = poststar(m, from_configs(m, [c0]))
+    assert sat.accepts(target)
+    assert set(sat.enumerate_configs(5)) == reach
 
 
 def test_poststar_saturates_self_removing_rules():

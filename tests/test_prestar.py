@@ -21,7 +21,7 @@ from smpds import (
 from smpds.bench import GenParams, generate
 
 from classical_reference import useful
-from fixtures import cli_stats, pop_chain_example, swap_example
+from fixtures import cli_stats, pop_chain_example, swap_example, wide_enable_example
 from oracles import raw_reach
 
 
@@ -129,12 +129,39 @@ def test_prestar_saturates_self_removing_rules():
             assert sat.accepts(c) == (target in reach), c
 
 
-def test_prestar_rejects_wide_rules():
-    rules = {0: PdsRule("p", "a", "p", ("a", "a", "a"))}
-    m = SMPDS({"p"}, {"a"}, rules)
-    aut = from_configs(m, [Configuration("p", ("a",), Phase.of([0]))])
-    with pytest.raises(ValueError, match="normalize_push"):
-        prestar(m, aut)
+def test_prestar_takes_pushes_of_any_length():
+    # rules 0 and 2 push three symbols, which rules 1 and 3 pop one by one;
+    # every run is finite, so the oracle's reach of a short stack is exact
+    rules = {0: PdsRule("p", "a", "q", ("b", "c", "d")),
+             1: PdsRule("q", "b", "q", ()),
+             2: PdsRule("q", "c", "r", ("d", "d", "d")),
+             3: PdsRule("r", "d", "r", ())}
+    m = SMPDS({"p", "q", "r"}, {"a", "b", "c", "d"}, rules)
+    th = Phase.of(rules)
+    starts = [Configuration(p, stack, th) for p in "pqr" for n in range(4)
+              for stack in itertools.product("abcd", repeat=n)]
+    reach = {}
+    for c in starts:
+        reach[c], truncated = raw_reach(m, c, 12, 10000)
+        assert not truncated
+    for p, stack in (("q", ("c", "d")), ("r", ("d", "d")), ("r", ())):
+        target = Configuration(p, stack, th)
+        sat = prestar(m, from_configs(m, [target]))
+        assert sat.accepts(Configuration("p", ("a",), th))
+        for c in starts:
+            assert sat.accepts(c) == (target in reach[c]), (target, c)
+
+
+def test_prestar_reaches_back_to_a_modifying_rule_that_enables_a_push():
+    m, c0, target = wide_enable_example()
+    reach, truncated = raw_reach(m, c0, 5, 1000)
+    assert not truncated and target in reach
+    sat = prestar(m, from_configs(m, [target]))
+    assert sat.accepts(c0)
+    for c in reach:
+        c_reach, truncated = raw_reach(m, c, 5, 1000)
+        assert not truncated
+        assert sat.accepts(c) == (target in c_reach), c
 
 
 def test_prestar_empty_stack_smrule_predecessors():
