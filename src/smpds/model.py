@@ -285,6 +285,13 @@ class ValidationReport:
         return not self.violations
 
 
+def colon_violations(states: Iterable[str], alphabet: Iterable[str]) -> list[str]:
+    """A diagnostic for each state and each symbol that holds ':'."""
+    return [f"{kind} {name!r} holds ':'"
+            for kind, names in (("state", states), ("symbol", alphabet))
+            for name in sorted(names) if ":" in name]
+
+
 def validate(smpds: SMPDS) -> ValidationReport:
     """Check every structural invariant; returns a report with diagnostics.
 
@@ -295,11 +302,7 @@ def validate(smpds: SMPDS) -> ValidationReport:
     pushes more than two symbols, and a modifying rule that removes
     itself, are ordinary rules and get no diagnostic.
     """
-    rep = ValidationReport()
-    for kind, names in (("state", smpds.states), ("symbol", smpds.alphabet)):
-        for name in sorted(names):
-            if ":" in name:
-                rep.violations.append(f"{kind} {name!r} holds ':'")
+    rep = ValidationReport(colon_violations(smpds.states, smpds.alphabet))
     for rid, r in smpds.rules.items():
         if isinstance(r, PdsRule):
             if r.lhs_state not in smpds.states:

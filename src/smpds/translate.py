@@ -2,45 +2,80 @@
 
 The ordinary translation encodes phases in control points, so it is only
 computed over a closed set of phases of interest (full enumeration of all
-2^|rules| phases is pointless for queries anchored at known phases).  It
-builds one paired-state tuple (p, theta) per control point and phase,
-shared by every rule and by `PDS.states`, and checks that the set is
-closed on the modifying rules alone.  The symbolic translation keeps one
-rule per SM-PDS rule and attaches a phase relation, stored intensionally.
+2^|rules| phases is pointless for queries anchored at known phases).
+`to_pds` checks that the set is closed on the modifying rules alone and
+builds no rule: the `PairedPDS` it returns builds the rules of a phase
+when a saturation first asks for that phase, the on-the-fly construction
+of Schwoon (Model-Checking Pushdown Systems, 2002), so a goal-directed
+saturation pays for the phases it reaches and not for the whole set.
+Each phase's paired states (p, theta) are one tuple per control point,
+shared by the rules of every phase that names them.  The symbolic
+translation keeps one rule per SM-PDS rule and attaches a phase
+relation, stored intensionally.
 
 Classical pre*/post* for ordinary PDSs run the same saturation cores as
 the direct engines (`prestar`, `poststar`), with the phase moved into the
-control point: `_PairedRules` is their rule source for a paired PDS.  A
-paired configuration ((p, theta), w) is the SM-PDS configuration
-(<p, w>, theta), so they take and return ordinary P-automata.  A paired
-rule pushes the word of its SM-PDS rule, of any length, which the cores
-take as it is.  The paired PDS fires no modifying rule on an empty
-stack, so the two routes agree on nonempty stacks only.  Code that shares nothing with the cores
-lives in the tests: `tests/classical_reference.py` and the oracle.
+control point: `_PairedRules` is their rule source for a paired PDS,
+indexing the rules entering (pre*) or leaving (post*) a phase when the
+saturation first reads it.  A paired configuration ((p, theta), w) is the
+SM-PDS configuration (<p, w>, theta), so they take and return ordinary
+P-automata.  A paired rule pushes the word of its SM-PDS rule, of any
+length, which the cores take as it is.  The paired PDS fires no
+modifying rule on an empty stack, so the two routes agree on nonempty
+stacks only.  Code that shares nothing with the cores lives in the
+tests: `tests/classical_reference.py` and the oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .automaton import PAutomaton, from_configs
 from .model import (Configuration, Phase, PdsRule, RuleId, SMPDS,
                     solve_predecessor_phases)
-from .poststar import _PoststarEngine
+from .poststar import _PoststarEngine, check_names
 from .prestar import _PrestarEngine
 
 # a control point of the translated PDS: (original control point, phase)
 PdsState = tuple[str, Phase]
 
 
-@dataclass
 class PDS:
-    states: frozenset[PdsState]
-    alphabet: frozenset[str]
-    rules: tuple["PairedRule", ...]
+    """An ordinary PDS over paired states (p, theta), given by its rules.
+
+    The saturations read it a phase at a time: `leaving(theta)` gives the
+    rules whose left side is at theta, `entering(theta)` those whose right
+    side is.  Both group the rule tuple by phase once, on first use.
+    """
+
+    def __init__(self, states: Iterable[PdsState], alphabet: Iterable[str],
+                 rules: Iterable[PairedRule]):
+        self.states = frozenset(states)
+        self.alphabet = frozenset(alphabet)
+        self.rules = tuple(rules)
+        # the control points p of the paired states, as post* names them
+        self.controls = frozenset(p for p, _ in self.states)
+        self._by_phase: tuple[dict, dict] | None = None
+
+    def leaving(self, theta: Phase) -> list[PairedRule]:
+        return self._grouped()[0].get(theta, [])
+
+    def entering(self, theta: Phase) -> list[PairedRule]:
+        return self._grouped()[1].get(theta, [])
+
+    def _grouped(self) -> tuple[dict, dict]:
+        if self._by_phase is None:
+            by_lhs: dict[Phase, list[PairedRule]] = {}
+            by_rhs: dict[Phase, list[PairedRule]] = {}
+            for r in self.rules:
+                by_lhs.setdefault(r[0][1], []).append(r)
+                by_rhs.setdefault(r[2][1], []).append(r)
+            self._by_phase = by_lhs, by_rhs
+        return self._by_phase
 
 
 class PairedRule(NamedTuple):
@@ -123,35 +158,73 @@ class _Pairs(dict):
         return pair
 
 
-def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PDS:
-    """Encode phases into control points, restricted to the given phase set.
+class PairedPDS(PDS):
+    """The paired PDS of an SM-PDS over a closed phase set (`to_pds`).
 
-    Rules come out phase by phase in sorted member order, so their order
-    does not depend on how phases hash.
+    The rules of a phase are built when they are first asked for, and kept
+    in `phase_rules`: `leaving(theta)` builds theta, and `entering(theta)`
+    builds theta and the phases of the set that reach it by one modifying
+    rule.  Iterating `rules` builds every phase, in sorted member order;
+    `len(rules)` counts them without building any.  `states` is also
+    built on first read.
     """
-    phase_set = set(phases)
-    mods = [(rid, smpds.rules[rid]) for rid in smpds.delta_c]
-    for theta in phase_set:
-        for rid, r in mods:
-            if rid in theta and r.removed in theta:
-                if theta.update(r.removed, r.added) not in phase_set:
-                    raise ValueError("phase set is not closed; run phase_closure")
-    pairs = {theta: _Pairs(theta) for theta in phase_set}
-    states = frozenset(pairs[theta][p] for theta in phase_set for p in smpds.states)
-    gammas = sorted(smpds.alphabet)
-    words = [(g,) for g in gammas]
-    rules: list[PairedRule] = []
-    # rules are built by `tuple.__new__`, in C, rather than by the
-    # NamedTuple's Python-level `__new__`
-    new = tuple.__new__
-    # the plain rules as exact tuples: CPython specializes unpacking those,
-    # not reading a NamedTuple's fields
-    plain_of = {rid: tuple(r) for rid, r in smpds.rules.items()
-                if isinstance(r, PdsRule)}.get
-    rule_of = smpds.rules.get
-    append = rules.append
-    for theta in sorted(phase_set, key=tuple):
-        pair = pairs[theta]
+
+    def __init__(self, smpds: SMPDS, phases: set[Phase]):
+        self.smpds = smpds
+        self.phases = phases
+        self.alphabet = smpds.alphabet
+        self.controls = smpds.states
+        self.rules = _PhaseOrderedRules(self)
+        # phase -> its rules, for the phases built so far
+        self.phase_rules: dict[Phase, list[PairedRule]] = {}
+        self._pairs: dict[Phase, _Pairs] = {}
+        self._gammas = sorted(smpds.alphabet)
+        self._words = [(g,) for g in self._gammas]
+        self._mods = [(rid, smpds.rules[rid]) for rid in smpds.delta_c]
+        # the plain rules as exact tuples: CPython specializes unpacking
+        # those, not reading a NamedTuple's fields
+        self._plain_of = {rid: tuple(r) for rid, r in smpds.rules.items()
+                          if isinstance(r, PdsRule)}.get
+
+    @cached_property
+    def states(self) -> frozenset[PdsState]:
+        return frozenset(self._pairs_of(theta)[p]
+                         for theta in self.phases for p in self.controls)
+
+    def leaving(self, theta: Phase) -> list[PairedRule]:
+        rules = self.phase_rules.get(theta)
+        if rules is None:
+            rules = self.phase_rules[theta] = self._build(theta)
+        return rules
+
+    def entering(self, theta: Phase) -> list[PairedRule]:
+        sources = {theta: None}
+        for rid, r in self._mods:
+            for pred in solve_predecessor_phases(theta, rid, r):
+                if pred in self.phases:
+                    sources[pred] = None
+        return [r for source in sources for r in self.leaving(source)
+                if r[2][1] is theta]
+
+    def _pairs_of(self, theta: Phase) -> _Pairs:
+        pairs = self._pairs.get(theta)
+        if pairs is None:
+            pairs = self._pairs[theta] = _Pairs(theta)
+        return pairs
+
+    def _build(self, theta: Phase) -> list[PairedRule]:
+        """The rules at phase theta: each plain rule in theta, and each
+        modifying rule in theta with its removed rule, once per symbol."""
+        rules: list[PairedRule] = []
+        if theta not in self.phases:
+            return rules
+        # rules are built by `tuple.__new__`, in C, rather than by the
+        # NamedTuple's Python-level `__new__`
+        new = tuple.__new__
+        append = rules.append
+        plain_of, rule_of = self._plain_of, self.smpds.rules.get
+        gammas, words = self._gammas, self._words
+        pair = self._pairs_of(theta)
         for rid in theta:
             plain = plain_of(rid)
             if plain is not None:
@@ -160,11 +233,56 @@ def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PDS:
                 continue
             r = rule_of(rid)
             if r is not None and r.removed in theta:
-                rhs = pairs[theta.update(r.removed, r.added)][r.to_state]
+                rhs = self._pairs_of(theta.update(r.removed, r.added))[r.to_state]
                 rules.extend(map(new, repeat(PairedRule),
                                  zip(repeat(pair[r.from_state]), gammas,
                                      repeat(rhs), words)))
-    return PDS(states, smpds.alphabet, tuple(rules))
+        return rules
+
+
+class _PhaseOrderedRules:
+    """`PairedPDS.rules`: the rules phase by phase, in sorted member order,
+    so their order does not depend on how phases hash."""
+
+    def __init__(self, pds: PairedPDS):
+        self.pds = pds
+
+    def __iter__(self) -> Iterator[PairedRule]:
+        pds = self.pds
+        for theta in sorted(pds.phases, key=tuple):
+            yield from pds.leaving(theta)
+
+    def __len__(self) -> int:
+        """The number of rules, counted without building them."""
+        pds = self.pds
+        delta, width = pds.smpds.delta, len(pds._gammas)
+        mods = [(rid, r.removed) for rid, r in pds._mods]
+        n = 0
+        for theta in pds.phases:
+            members = theta.members
+            n += len(members & delta)
+            for rid, removed in mods:
+                if rid in members and removed in members:
+                    n += width
+        return n
+
+
+def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PairedPDS:
+    """Encode phases into control points, restricted to the given phase set.
+
+    Raises `ValueError` unless the set is closed on the modifying rules.
+    The rules of a phase are built when a saturation first reads them, or
+    when `rules` is iterated (see `PairedPDS`).
+    """
+    phase_set = set(phases)
+    mods = [(rid, smpds.rules[rid]) for rid in smpds.delta_c]
+    for theta in phase_set:
+        members = theta.members
+        for rid, r in mods:
+            if rid in members and r.removed in members:
+                if theta.update(r.removed, r.added) not in phase_set:
+                    raise ValueError("phase set is not closed; run phase_closure")
+    return PairedPDS(smpds, phase_set)
 
 
 def to_symbolic_pds(smpds: SMPDS) -> SymbolicPDS:
@@ -202,19 +320,27 @@ def pds_accepts(aut: PAutomaton, state: PdsState, stack: tuple[str, ...]) -> boo
 
 class _PairedRules:
     """The rule source of the saturation cores for a paired PDS, which has
-    no empty-stack moves.  Rules are indexed once, as raw `PairedRule`s,
-    for one direction; the cores read a group once."""
+    no empty-stack moves.  The rules of a phase are indexed when the
+    saturation first asks for that phase, as raw `PairedRule`s, for one
+    direction; the cores read a group once."""
 
     def __init__(self, pds: PDS, backward: bool):
-        # post* groups by left side ((p, theta), g), pre* by right-side head
+        # post* reads the rules leaving a phase, grouped by left side
+        # ((p, theta), g); pre* those entering it, grouped by right-side head
         # ((p', theta), w[0]) and, for pop rules, by right-side state
-        groups: dict[tuple, list[PairedRule]] = {}
-        self.groups = groups
-        for r in pds.rules:
-            word = r[3]
+        self.rules_of = pds.entering if backward else pds.leaving
+        self.backward = backward
+        self.groups: dict[tuple, list[PairedRule]] = {}
+        self.indexed: set[Phase] = set()
+
+    def _index(self, theta: Phase) -> None:
+        self.indexed.add(theta)
+        groups, backward = self.groups, self.backward
+        for r in self.rules_of(theta):
             if not backward:
                 key = (r[0], r[1])
             else:
+                word = r[3]
                 key = (r[2], word[0]) if word else r[2]
             group = groups.get(key)
             if group is None:
@@ -224,14 +350,20 @@ class _PairedRules:
 
     def post_moves(self, p: str, theta: Phase, g: str
                    ) -> list[tuple[str, Phase, tuple[str, ...]]]:
+        if theta not in self.indexed:
+            self._index(theta)
         return [(*rhs, word) for _, _, rhs, word in self.groups.get(((p, theta), g), ())]
 
     def pre_moves(self, p1: str, theta: Phase, g1: str
                   ) -> list[tuple[str, Phase, str, tuple[str, ...]]]:
+        if theta not in self.indexed:
+            self._index(theta)
         return [(*lhs, g, word[1:])
                 for lhs, g, _, word in self.groups.get(((p1, theta), g1), ())]
 
     def pop_moves(self, p1: str, theta: Phase) -> list[tuple[str, Phase, str]]:
+        if theta not in self.indexed:
+            self._index(theta)
         return [(*lhs, g) for lhs, g, _, _ in self.groups.get((p1, theta), ())]
 
     def mod_successors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
@@ -255,8 +387,10 @@ def pds_prestar(pds: PDS, aut: PAutomaton) -> PAutomaton:
     saturation.  When every transition of the input leads to a state that
     reaches a final state, as in `from_configs` automata, it is that
     saturation trimmed to the transitions whose target reaches a final
-    state.  On the `translated` benchmark pool that is 28-63 transitions
-    where the full saturation builds 4.5k-16k.
+    state.  Rules are read, and on a `PairedPDS` built, only for the
+    phases that hold a state of the result and the phases that reach
+    those by one modifying rule: on the `translated` benchmark pool that
+    is one phase of the 81-phase closure.
     """
     _check_input(aut)
     return _PrestarEngine(_PairedRules(pds, backward=True), aut).run()
@@ -266,6 +400,8 @@ def pds_poststar(pds: PDS, aut: PAutomaton) -> PAutomaton:
     """Classical forward saturation for ordinary PDSs: the post* core
     (`poststar`) on the paired rules.  A key's rules are read at its first
     fact, so a saturation from a few configurations leaves most rules
-    unread."""
+    unread.  Raises `ValueError` on a control point or symbol that holds
+    ':', as `poststar` does."""
+    check_names(pds.controls, pds.alphabet)
     _check_input(aut)
     return _PoststarEngine(_PairedRules(pds, backward=False), aut).run()

@@ -7,7 +7,10 @@ from smpds import (
     SelfModRule,
     SMPDS,
     from_configs,
+    pds_poststar,
+    phase_closure,
     poststar,
+    to_pds,
 )
 from smpds.bench import GenParams, generate
 
@@ -120,6 +123,27 @@ def test_poststar_saturates_self_removing_rules():
     assert not truncated
     sat = poststar(m, from_configs(m, [c0]))
     assert set(sat.enumerate_configs(3)) == reach
+
+
+def test_both_poststar_entry_points_refuse_colon_names():
+    """The pushes 'a:b c' and 'a b d' into q both pass through the state
+    after the prefix 'a:b', so a post* that took the names as they are
+    would accept the unreachable (<q, a:b d>, {0,1}).  Both entry points
+    raise with `validate`'s text instead."""
+    rules = {0: PdsRule("p", "s", "q", ("a:b", "c")),
+             1: PdsRule("p", "t", "q", ("a", "b", "d"))}
+    m = SMPDS({"p", "q"}, {"s", "t", "a", "b", "c", "d", "a:b"}, rules)
+    theta = Phase.of([0, 1])
+    aut = from_configs(m, [Configuration("p", ("s",), theta),
+                           Configuration("p", ("t",), theta)])
+    with pytest.raises(ValueError, match="^symbol 'a:b' holds ':'$"):
+        poststar(m, aut)
+    with pytest.raises(ValueError, match="^symbol 'a:b' holds ':'$"):
+        pds_poststar(to_pds(m, phase_closure(m, [theta])), aut)
+    named = SMPDS({"p", "q", "r:s"}, {"s", "t", "a", "b", "c", "d"},
+                  {1: rules[1]})
+    with pytest.raises(ValueError, match="^state 'r:s' holds ':'$"):
+        poststar(named, from_configs(named, [Configuration("p", ("t",), theta)]))
 
 
 def test_poststar_empty_stack_smrule_successors():

@@ -25,9 +25,13 @@ from smpds.model import step
 from smpds.translate import Identity, Modify
 
 from classical_reference import (pds_step, reference_pds_poststar,
-                                 reference_pds_prestar, symbolic_step)
+                                 reference_pds_prestar, reference_to_pds,
+                                 symbolic_step)
 from fixtures import swap_example
 from oracles import raw_reach
+from test_acceptance import _corpus_draw
+from test_classical_reference import (TRANSLATED_FAMILY, _corpus_draw_seeds,
+                                      _phases_reaching)
 
 
 def test_phase_closure_contains_seeds_and_successors():
@@ -72,6 +76,80 @@ def test_to_pds_emits_phases_in_sorted_member_order():
         if not order or order[-1] is not r.lhs_state[1]:
             order.append(r.lhs_state[1])
     assert [tuple(ph) for ph in order] == sorted(tuple(ph) for ph in phases)
+
+
+def _check_rule_list(m, phases):
+    """`len(pds.rules)` counts without building a phase, and equals the
+    number of rules that iterating builds, in `reference_to_pds`'s order."""
+    pds = to_pds(m, phases)
+    count = len(pds.rules)
+    assert not pds.phase_rules
+    rules = [tuple(r) for r in pds.rules]
+    assert count == len(rules)
+    assert rules == reference_to_pds(m, phases)
+    assert set(pds.phase_rules) == set(phases)
+
+
+def test_rule_count_and_order_on_every_corpus_draw():
+    for seed in _corpus_draw_seeds():
+        inst = _corpus_draw(seed)[1]
+        m = inst.smpds
+        _check_rule_list(m, phase_closure(m, [inst.initial.phase,
+                                              inst.target.phase]))
+
+
+@pytest.mark.parametrize("smrule, ids", [
+    (SelfModRule("p", 2, 1, "q"), [0, 2]),     # removes itself
+    (SelfModRule("p", 1, 1, "q"), [0, 1, 2]),  # removed == added
+    (SelfModRule("p", 3, 1, "q"), [0, 2]),     # removed rule not in the phase
+    (SelfModRule("p", 1, 0, "q"), [1, 2]),     # a phase with no plain rule
+    (SelfModRule("p", 0, 1, "q"), [0, 2, 7]),  # an id that names no rule
+], ids=["self-removing", "removed-is-added", "removed-absent", "no-plain-rule",
+        "unknown-id"])
+def test_rule_count_and_order_on_hand_cases(smrule, ids):
+    m = SMPDS({"p", "q"}, {"a", "b"},
+              {0: PdsRule("p", "a", "q", ("b", "a")),
+               1: SelfModRule("q", 0, 0, "p"), 2: smrule,
+               3: PdsRule("q", "b", "p", ())})
+    _check_rule_list(m, phase_closure(m, [Phase.of(ids)]))
+
+
+def _phases_reached(m, start):
+    """The phases that modifying rules lead to from `start`, itself included."""
+    found = {start}
+    todo = [start]
+    while todo:
+        theta = todo.pop()
+        for rid in m.delta_c:
+            r = m.rules[rid]
+            if rid in theta and r.removed in theta:
+                succ = theta.update(r.removed, r.added)
+                if succ not in found:
+                    found.add(succ)
+                    todo.append(succ)
+    return found
+
+
+def test_saturations_build_only_the_phases_they_reach():
+    """On the `translated` family, classical pre* builds the rules of the
+    phases that reach the target's phase, and post* those of the phases
+    reachable from the initial one; the rest of the 81-phase closure stays
+    unbuilt, and the answers are those of a fully built PDS."""
+    for params in TRANSLATED_FAMILY:
+        inst = generate(GenParams(*params[:4], seed=params[4]))
+        m = inst.smpds
+        phases = phase_closure(m, [inst.initial.phase, inst.target.phase])
+        built = to_pds(m, phases)
+        list(built.rules)
+        for route, c, allowed in (
+                (pds_prestar, inst.target, _phases_reaching(m, inst.target.phase)),
+                (pds_poststar, inst.initial, _phases_reached(m, inst.initial.phase))):
+            pds = to_pds(m, phases)
+            got = route(pds, from_configs(m, [c]))
+            assert set(pds.phase_rules) <= allowed, (params, route.__name__)
+            assert len(pds.phase_rules) <= len(phases) // 4, (params, route.__name__)
+            want = route(built, from_configs(m, [c]))
+            assert (got.transitions, got.finals) == (want.transitions, want.finals)
 
 
 def test_symbolic_size_formula():
