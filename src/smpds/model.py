@@ -13,6 +13,7 @@ hashes like, a plain tuple of its fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -55,8 +56,10 @@ class Phase:
     the process.  A `WeakValueDictionary` would run Python-level code on
     every lookup, and `update` looks the table up on the saturation's hot
     path; and since `solve_predecessor_phases` checks candidates on masks
-    before interning them, the table only ever holds phases that a parse
-    or a saturation actually reached.
+    before interning them, and `translate.phase_closure` searches on masks
+    and interns only the phases of the finished closure, the table only
+    ever holds phases that a parse, a saturation or a closure actually
+    reached.
     """
 
     __slots__ = ("mask", "members", "_ids", "_repr")
@@ -190,6 +193,14 @@ class SMPDS:
     (p', w[0]) and, for pop rules, by right-side state; modifying rules by
     source and by target control point.  A plain rule may push a word of
     any length; the saturations take it as it is.
+
+    `mod_bits` is the one bit table of the modifying rules, for the phase
+    arithmetic of the translation (`translate`): each modifying rule id
+    maps to (guard, removed, added), the mask bits (`rule_bit`) of the
+    rule plus its removed rule, of the removed rule, and of the added
+    rule.  The rule fires in a phase whose mask holds every guard bit,
+    and leads to the mask `(mask & ~removed) | added`.  `plain_mask`
+    holds the bits of the plain rules.
     """
 
     def __init__(self, states: Iterable[str], alphabet: Iterable[str],
@@ -203,6 +214,7 @@ class SMPDS:
         self.pop_rules: dict[str, list[tuple[RuleId, PdsRule]]] = {}
         self.mod_by_source: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
         self.mod_by_target: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
+        self.mod_bits: dict[RuleId, tuple[int, int, int]] = {}
         for rid, r in self.rules.items():
             if isinstance(r, PdsRule):
                 delta.append(rid)
@@ -215,8 +227,16 @@ class SMPDS:
             else:
                 self.mod_by_source.setdefault(r.from_state, []).append((rid, r))
                 self.mod_by_target.setdefault(r.to_state, []).append((rid, r))
+                removed = rule_bit(r.removed)
+                self.mod_bits[rid] = (rule_bit(rid) | removed, removed,
+                                      rule_bit(r.added))
         self.delta = frozenset(delta)
         self.delta_c = frozenset(self.rules.keys() - self.delta)
+
+    @cached_property
+    def plain_mask(self) -> int:
+        """The mask bits of the plain rules."""
+        return sum(map(rule_bit, self.delta))
 
     def all_rules_phase(self) -> Phase:
         return Phase.of(self.rules.keys())

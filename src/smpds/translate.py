@@ -13,6 +13,14 @@ shared by the rules of every phase that names them.  The symbolic
 translation keeps one rule per SM-PDS rule and attaches a phase
 relation, stored intensionally.
 
+The phase arithmetic of the ordinary translation runs on int masks and
+reads one bit table of the modifying rules, `SMPDS.mod_bits` (the guard,
+removed and added bits of each rule): `phase_closure` searches on masks
+and interns only the phases of the finished closure, `to_pds` checks
+closedness on the masks of the set, `PairedPDS.entering` finds the
+phases that lead into a phase from its mask, and `len(pds.rules)`
+counts each phase's rules from its mask.
+
 Classical pre*/post* for ordinary PDSs run the same saturation cores as
 the direct engines (`prestar`, `poststar`), with the phase moved into the
 control point: `_PairedRules` is their rule source for a paired PDS,
@@ -28,15 +36,13 @@ tests: `tests/classical_reference.py` and the oracle.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .automaton import PAutomaton, from_configs
-from .model import (Configuration, Phase, PdsRule, RuleId, SMPDS,
-                    solve_predecessor_phases)
+from .model import Configuration, Phase, PdsRule, RuleId, SMPDS
 from .poststar import _PoststarEngine, check_names
 from .prestar import _PrestarEngine
 
@@ -128,21 +134,45 @@ class SymbolicPDS:
 
 
 def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
-    """Seeds closed under modifying-rule updates, forward and backward."""
-    closed: set[Phase] = set()
-    queue = deque(seeds)
-    smrules = [(rid, smpds.rules[rid]) for rid in smpds.delta_c]
-    while queue:
-        theta = queue.popleft()
-        if theta in closed:
+    """Seeds closed under modifying-rule updates, forward and backward.
+
+    The search runs on int masks and reads the bit table `smpds.mod_bits`:
+    a rule leads forward from a mask that holds its guard bits, and back
+    to the masks `_push_predecessors` finds.  Only the phases of the
+    finished closure are interned.
+    """
+    mods = list(smpds.mod_bits.values())
+    closed: set[int] = set()
+    stack = [theta.mask for theta in seeds]
+    push = stack.append
+    while stack:
+        mask = stack.pop()
+        if mask in closed:
             continue
-        closed.add(theta)
-        for rid, r in smrules:
-            if rid in theta and r.removed in theta:
-                queue.append(theta.update(r.removed, r.added))
-            for pred in solve_predecessor_phases(theta, rid, r):
-                queue.append(pred)
-    return closed
+        closed.add(mask)
+        for guard, removed, added in mods:
+            if mask & guard == guard:
+                # the guard holds the removed bit, so xor drops it
+                push((mask ^ removed) | added)
+            _push_predecessors(mask, guard, removed, added, push)
+    return set(map(Phase.of_mask, closed))
+
+
+def _push_predecessors(mask: int, guard: int, removed: int, added: int,
+                       push) -> None:
+    """Push each mask other than `mask` from which the modifying rule with
+    these bits leads to `mask` (`solve_predecessor_phases` on masks).
+
+    Firing the rule leaves its added bit set and its removed bit clear,
+    unless the two are one rule, and then only `mask` leads to `mask`.
+    So `mask` must hold the added bit and not the removed one; each
+    predecessor is `mask` plus the removed bit, with or without the
+    added bit, if it holds the guard.
+    """
+    if mask & added and not mask & removed:
+        for cand in (mask | removed, (mask ^ added) | removed):
+            if cand & guard == guard:
+                push(cand)
 
 
 class _Pairs(dict):
@@ -180,7 +210,6 @@ class PairedPDS(PDS):
         self._pairs: dict[Phase, _Pairs] = {}
         self._gammas = sorted(smpds.alphabet)
         self._words = [(g,) for g in self._gammas]
-        self._mods = [(rid, smpds.rules[rid]) for rid in smpds.delta_c]
         # the plain rules as exact tuples: CPython specializes unpacking
         # those, not reading a NamedTuple's fields
         self._plain_of = {rid: tuple(r) for rid, r in smpds.rules.items()
@@ -198,11 +227,13 @@ class PairedPDS(PDS):
         return rules
 
     def entering(self, theta: Phase) -> list[PairedRule]:
+        preds: list[int] = []
+        for bits in self.smpds.mod_bits.values():
+            _push_predecessors(theta.mask, *bits, preds.append)
         sources = {theta: None}
-        for rid, r in self._mods:
-            for pred in solve_predecessor_phases(theta, rid, r):
-                if pred in self.phases:
-                    sources[pred] = None
+        for pred in map(Phase.of_mask, preds):
+            if pred in self.phases:
+                sources[pred] = None
         return [r for source in sources for r in self.leaving(source)
                 if r[2][1] is theta]
 
@@ -253,16 +284,18 @@ class _PhaseOrderedRules:
             yield from pds.leaving(theta)
 
     def __len__(self) -> int:
-        """The number of rules, counted without building them."""
+        """The number of rules, counted from the phase masks without
+        building them: a phase's plain rules, and |Gamma| for each
+        modifying rule whose guard bits it holds."""
         pds = self.pds
-        delta, width = pds.smpds.delta, len(pds._gammas)
-        mods = [(rid, r.removed) for rid, r in pds._mods]
+        plain, width = pds.smpds.plain_mask, len(pds._gammas)
+        guards = [guard for guard, _, _ in pds.smpds.mod_bits.values()]
         n = 0
         for theta in pds.phases:
-            members = theta.members
-            n += len(members & delta)
-            for rid, removed in mods:
-                if rid in members and removed in members:
+            mask = theta.mask
+            n += (mask & plain).bit_count()
+            for guard in guards:
+                if mask & guard == guard:
                     n += width
         return n
 
@@ -270,18 +303,19 @@ class _PhaseOrderedRules:
 def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PairedPDS:
     """Encode phases into control points, restricted to the given phase set.
 
-    Raises `ValueError` unless the set is closed on the modifying rules.
-    The rules of a phase are built when a saturation first reads them, or
-    when `rules` is iterated (see `PairedPDS`).
+    Raises `ValueError` unless the set is closed on the modifying rules:
+    the check runs on the masks of the set, with the bit table
+    `smpds.mod_bits`, and interns no phase.  The rules of a phase are
+    built when a saturation first reads them, or when `rules` is iterated
+    (see `PairedPDS`).
     """
     phase_set = set(phases)
-    mods = [(rid, smpds.rules[rid]) for rid in smpds.delta_c]
-    for theta in phase_set:
-        members = theta.members
-        for rid, r in mods:
-            if rid in members and r.removed in members:
-                if theta.update(r.removed, r.added) not in phase_set:
-                    raise ValueError("phase set is not closed; run phase_closure")
+    masks = {theta.mask for theta in phase_set}
+    mods = smpds.mod_bits.values()
+    for mask in masks:
+        for guard, removed, added in mods:
+            if mask & guard == guard and (mask ^ removed) | added not in masks:
+                raise ValueError("phase set is not closed; run phase_closure")
     return PairedPDS(smpds, phase_set)
 
 

@@ -1,5 +1,6 @@
 """Per-transition reference versions of `to_pds` and of classical
-pre*/post* on a paired PDS, sharing no code with the saturation cores.
+pre*/post* on a paired PDS, sharing no code with the saturation cores,
+and the phase closure on interned phases.
 
 `reference_pds_prestar` and `reference_pds_poststar` are the classical
 saturations as they were before they ran on the cores of `smpds.prestar`
@@ -10,13 +11,33 @@ shared.  The direct and the translated route both run those cores, so a
 cross-route check that should not share their faults compares with
 these, or with the oracle in `oracles.py`.  `pds_step` and
 `symbolic_step` are the one-step relations of the paired and of the
-symbolic PDS, checked against `model.step`.
+symbolic PDS, checked against `model.step`.  `reference_phase_closure`
+is `phase_closure` as it was before it searched on masks: `Phase.update`
+forward and `solve_predecessor_phases` backward, one modifying rule at a
+time.
 """
 
 from collections import deque
 
 from smpds.automaton import EPS, Generated, Initial
-from smpds.model import Configuration, PdsRule
+from smpds.model import Configuration, PdsRule, solve_predecessor_phases
+
+
+def reference_phase_closure(smpds, seeds):
+    closed = set()
+    queue = deque(seeds)
+    smrules = [(rid, smpds.rules[rid]) for rid in smpds.delta_c]
+    while queue:
+        theta = queue.popleft()
+        if theta in closed:
+            continue
+        closed.add(theta)
+        for rid, r in smrules:
+            if rid in theta and r.removed in theta:
+                queue.append(theta.update(r.removed, r.added))
+            for pred in solve_predecessor_phases(theta, rid, r):
+                queue.append(pred)
+    return closed
 
 
 def reference_to_pds(smpds, phases):

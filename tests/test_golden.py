@@ -3,7 +3,8 @@
 The first expected files were captured before automaton states were
 interned, the gen22, gen55.poststar.prestar and eps_mid.prestar ones from
 the per-transition engines before the set-at-a-time rewrite,
-gen55.translate before `to_pds` shared its paired states, and the two
+gen55.translate before `to_pds` shared its paired states,
+selfmod.translate before `phase_closure` searched on masks, and the two
 eps-edged enumerate ones before `PAutomaton` had one eps-closed step, so
 they pin the printers' canonical order and every saturation's result
 independently of set iteration and worklist order.  After a deliberate
@@ -79,6 +80,9 @@ CASES = {
     "selfmod.prestar": ["prestar", SELFMOD_MODEL, "tests/golden/selfmod_target.aut"],
     "selfmod.poststar": ["poststar", SELFMOD_MODEL,
                          "tests/golden/selfmod_initial.aut"],
+    # the self-removing rule through the phase closure, the closedness
+    # check and the printer
+    "selfmod.translate": ["translate", SELFMOD_MODEL],
     # a rule pushing three symbols, which a modifying rule enables:
     # pre* follows the word, post* builds the chain gen:q:b@th, gen:q:b:b@th
     "wide.prestar": ["prestar", WIDE_MODEL, WIDE_AUT],

@@ -25,8 +25,8 @@ from smpds.model import step
 from smpds.translate import Identity, Modify
 
 from classical_reference import (pds_step, reference_pds_poststar,
-                                 reference_pds_prestar, reference_to_pds,
-                                 symbolic_step)
+                                 reference_pds_prestar, reference_phase_closure,
+                                 reference_to_pds, symbolic_step)
 from fixtures import swap_example
 from oracles import raw_reach
 from test_acceptance import _corpus_draw
@@ -98,20 +98,82 @@ def test_rule_count_and_order_on_every_corpus_draw():
                                               inst.target.phase]))
 
 
-@pytest.mark.parametrize("smrule, ids", [
+# (modifying rule 2 of `_hand_model`, the seed phase's ids)
+HAND_CASES = pytest.mark.parametrize("smrule, ids", [
     (SelfModRule("p", 2, 1, "q"), [0, 2]),     # removes itself
     (SelfModRule("p", 1, 1, "q"), [0, 1, 2]),  # removed == added
     (SelfModRule("p", 3, 1, "q"), [0, 2]),     # removed rule not in the phase
     (SelfModRule("p", 1, 0, "q"), [1, 2]),     # a phase with no plain rule
     (SelfModRule("p", 0, 1, "q"), [0, 2, 7]),  # an id that names no rule
+    (SelfModRule("p", 9, 3, "q"), [0, 2, 3]),  # removes an id no seed holds
+    (SelfModRule("p", 0, 9, "q"), [0, 2]),     # adds an id that names no rule
+    (SelfModRule("p", 10**12, -7, "q"), [0, 2, -7]),  # sparse ids
+    (SelfModRule("p", 3, 1, "q"), [0, 1]),     # the rule itself not in the phase
+    (SelfModRule("p", 3, 2, "q"), [0, 2]),     # adds itself
 ], ids=["self-removing", "removed-is-added", "removed-absent", "no-plain-rule",
-        "unknown-id"])
+        "unknown-id", "removed-unseen", "added-unknown", "sparse-ids",
+        "rule-absent", "adds-itself"])
+
+
+def _hand_model(smrule):
+    return SMPDS({"p", "q"}, {"a", "b"},
+                 {0: PdsRule("p", "a", "q", ("b", "a")),
+                  1: SelfModRule("q", 0, 0, "p"), 2: smrule,
+                  3: PdsRule("q", "b", "p", ())})
+
+
+@HAND_CASES
 def test_rule_count_and_order_on_hand_cases(smrule, ids):
-    m = SMPDS({"p", "q"}, {"a", "b"},
-              {0: PdsRule("p", "a", "q", ("b", "a")),
-               1: SelfModRule("q", 0, 0, "p"), 2: smrule,
-               3: PdsRule("q", "b", "p", ())})
+    m = _hand_model(smrule)
     _check_rule_list(m, phase_closure(m, [Phase.of(ids)]))
+
+
+def _is_closed(m, phases):
+    """Closedness on `Phase` objects: every modifying rule that fires in a
+    phase of the set leads into the set."""
+    return all(theta.update(m.rules[rid].removed, m.rules[rid].added) in phases
+               for theta in phases for rid in m.delta_c
+               if rid in theta and m.rules[rid].removed in theta)
+
+
+def _check_closure(m, seeds):
+    """`phase_closure` equals the reference closure, and `to_pds` refuses
+    the closure minus any one non-seed phase exactly when that set is not
+    closed.  Returns how often it refused and how often it accepted."""
+    phases = phase_closure(m, seeds)
+    assert phases == reference_phase_closure(m, seeds)
+    refused = accepted = 0
+    for theta in phases - set(seeds):
+        rest = phases - {theta}
+        try:
+            to_pds(m, rest)
+        except ValueError as e:
+            assert str(e) == "phase set is not closed; run phase_closure"
+            assert not _is_closed(m, rest)
+            refused += 1
+        else:
+            assert _is_closed(m, rest)
+            accepted += 1
+    return refused, accepted
+
+
+@HAND_CASES
+def test_phase_closure_matches_the_reference_on_hand_cases(smrule, ids):
+    _check_closure(_hand_model(smrule), [Phase.of(ids)])
+
+
+def test_phase_closure_matches_the_reference_on_draws_and_the_family():
+    """On every corpus draw and every `translated` instance; the closures
+    minus one phase include sets that are closed and sets that are not."""
+    instances = [_corpus_draw(seed)[1] for seed in _corpus_draw_seeds()]
+    instances += [generate(GenParams(*params[:4], seed=params[4]))
+                  for params in TRANSLATED_FAMILY]
+    refused = accepted = 0
+    for inst in instances:
+        r, a = _check_closure(inst.smpds, [inst.initial.phase, inst.target.phase])
+        refused += r
+        accepted += a
+    assert refused and accepted
 
 
 def _phases_reached(m, start):
