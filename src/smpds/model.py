@@ -13,7 +13,6 @@ hashes like, a plain tuple of its fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -199,8 +198,7 @@ class SMPDS:
     maps to (guard, removed, added), the mask bits (`rule_bit`) of the
     rule plus its removed rule, of the removed rule, and of the added
     rule.  The rule fires in a phase whose mask holds every guard bit,
-    and leads to the mask `(mask & ~removed) | added`.  `plain_mask`
-    holds the bits of the plain rules.
+    and leads to the mask `(mask & ~removed) | added`.
     """
 
     def __init__(self, states: Iterable[str], alphabet: Iterable[str],
@@ -232,11 +230,6 @@ class SMPDS:
                                       rule_bit(r.added))
         self.delta = frozenset(delta)
         self.delta_c = frozenset(self.rules.keys() - self.delta)
-
-    @cached_property
-    def plain_mask(self) -> int:
-        """The mask bits of the plain rules."""
-        return sum(map(rule_bit, self.delta))
 
     def all_rules_phase(self) -> Phase:
         return Phase.of(self.rules.keys())

@@ -42,7 +42,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .automaton import PAutomaton, from_configs
-from .model import Configuration, Phase, PdsRule, RuleId, SMPDS
+from .model import Configuration, Phase, PdsRule, RuleId, SMPDS, rule_bit
 from .poststar import _PoststarEngine, check_names
 from .prestar import _PrestarEngine
 
@@ -288,7 +288,8 @@ class _PhaseOrderedRules:
         building them: a phase's plain rules, and |Gamma| for each
         modifying rule whose guard bits it holds."""
         pds = self.pds
-        plain, width = pds.smpds.plain_mask, len(pds._gammas)
+        plain = sum(map(rule_bit, pds.smpds.delta))
+        width = len(pds._gammas)
         guards = [guard for guard, _, _ in pds.smpds.mod_bits.values()]
         n = 0
         for theta in pds.phases:
