@@ -27,7 +27,6 @@ from .model import (
     SMPDS,
     ValidationReport,
     check_configuration,
-    solve_predecessor_phases,
     step,
     validate,
 )
@@ -53,8 +52,7 @@ __all__ = [
     "SymbolicPDS", "ValidationReport", "check_configuration",
     "config_to_pds", "from_configs", "pds_accepts", "pds_from_configs",
     "pds_poststar", "pds_prestar", "phase_closure", "poststar", "prestar",
-    "solve_predecessor_phases", "step", "to_pds", "to_symbolic_pds",
-    "validate",
+    "step", "to_pds", "to_symbolic_pds", "validate",
 ]
 
 __version__ = "0.1.0"

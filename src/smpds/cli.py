@@ -72,7 +72,7 @@ def _load_query(args) -> tuple[formats.SmpdsDocument, PAutomaton]:
     phases = {q.phase for q in aut.states if isinstance(q, (Initial, Generated))}
     violations = [f"automaton phase {phase} references unknown rule ids"
                   for phase in sorted(phases, key=repr)
-                  if not phase.members <= doc.smpds.rules.keys()]
+                  if not doc.smpds.knows(phase)]
     if violations:
         raise ValueError("; ".join(violations))
     return doc, aut

@@ -45,35 +45,31 @@ class Phase:
     and hashing are those of `object`: an identity test and an address
     hash, both in C and computed without looking at the members.
     `update` is mask arithmetic plus one lookup in the intern table, which
-    is keyed by the mask.  The `members` frozenset (for `in`) is built
-    when a phase is first interned, since every phase a saturation reaches
-    gets membership tests; the sorted id tuple (for iteration and
-    pickling) and the `repr` string (printers emit it for every state they
-    name) are built on first use and cached.
+    is keyed by the mask; `in` is one bit test and `len` a bit count.  The
+    saturations read only the mask (see `SMPDS`), so a phase decodes its
+    ids only when they are read: the `members` frozenset, the sorted id
+    tuple (for iteration and pickling) and the `repr` string (printers
+    emit it for every state they name) are built on first use and cached.
+    `of` hands over the frozenset it already built.
 
     The intern table is a plain dict that holds its phases for the life of
     the process.  A `WeakValueDictionary` would run Python-level code on
     every lookup, and `update` looks the table up on the saturation's hot
-    path; and since `solve_predecessor_phases` checks candidates on masks
-    before interning them, and `translate.phase_closure` searches on masks
-    and interns only the phases of the finished closure, the table only
-    ever holds phases that a parse, a saturation or a closure actually
-    reached.
+    path; and since the predecessor solver (`predecessor_masks`) and
+    `translate.phase_closure` search on masks and intern only what they
+    return, the table only ever holds phases that a parse, a saturation or
+    a closure actually reached.
     """
 
-    __slots__ = ("mask", "members", "_ids", "_repr")
+    __slots__ = ("mask", "_members", "_ids", "_repr")
 
     _table: dict[int, "Phase"] = {}
     # member set -> phase, so `of` skips building a mask for a set it has seen
     _by_members: dict[frozenset[RuleId], "Phase"] = {}
 
-    def __init__(self, mask: int, members: frozenset[RuleId] | None = None):
-        if members is None:
-            # the binary digits of the mask, bit 0 first, as 0/1 bytes
-            bits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
-            members = frozenset(compress(_IDS, bits))
+    def __init__(self, mask: int):
         self.mask = mask
-        self.members = members
+        self._members: frozenset[RuleId] | None = None
         self._ids: tuple[RuleId, ...] | None = None
         self._repr: str | None = None
 
@@ -83,11 +79,10 @@ class Phase:
         ph = cls._by_members.get(members)
         if ph is None:
             # distinct single bits: their sum is their union
-            mask = sum(map(rule_bit, members))
-            ph = cls._table.get(mask)
-            if ph is None:
-                ph = cls._table[mask] = cls(mask, members)
-            cls._by_members[ph.members] = ph
+            ph = cls.of_mask(sum(map(rule_bit, members)))
+            if ph._members is None:
+                ph._members = members
+            cls._by_members[ph._members] = ph
         return ph
 
     @classmethod
@@ -103,6 +98,15 @@ class Phase:
         # an id without a bit is in no phase, so there is nothing to drop
         return Phase.of_mask((self.mask & ~_BITS.get(removed, 0)) | rule_bit(added))
 
+    @property
+    def members(self) -> frozenset[RuleId]:
+        members = self._members
+        if members is None:
+            # the binary digits of the mask, bit 0 first, as 0/1 bytes
+            bits = bin(self.mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+            members = self._members = frozenset(compress(_IDS, bits))
+        return members
+
     def _sorted_ids(self) -> tuple[RuleId, ...]:
         ids = self._ids
         if ids is None:
@@ -110,13 +114,17 @@ class Phase:
         return ids
 
     def __contains__(self, rid: RuleId) -> bool:
-        return rid in self.members
+        try:
+            return self.mask & _BITS[rid] != 0
+        except KeyError:
+            # an id without a bit is in no phase
+            return False
 
     def __iter__(self) -> Iterator[RuleId]:
         return iter(self._sorted_ids())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __reduce__(self):
         # pickle the ids, not the process-local mask, and unpickle through
@@ -156,29 +164,29 @@ class SelfModRule(NamedTuple):
 
 
 Rule = Union[PdsRule, SelfModRule]
+_ModBits = tuple[int, int, int]  # guard, removed, added: see `SMPDS.mod_bits`
 
 
-def solve_predecessor_phases(theta: Phase, rid: RuleId,
-                             rule: SelfModRule) -> list[Phase]:
-    """Phases theta' from which firing `rule` yields `theta`.
+def predecessor_masks(mask: int, guard: int, removed: int,
+                      added: int) -> tuple[int, ...]:
+    """The masks from which the modifying rule with these `SMPDS.mod_bits`
+    leads to `mask`.
 
-    The set equation theta = (theta' - {removed}) | {added} has at most two
-    solutions; each candidate is verified on masks by applying the forward
-    update, and must contain both the modifying rule itself and its removed
-    rule.  Only verified candidates are interned.
+    Firing the rule sets its added bit.  If the removed and the added rule
+    are one rule, it leaves the mask as it is, and `mask` is its own only
+    predecessor.  Otherwise it clears the removed bit, and each predecessor
+    is `mask` plus the removed bit, with or without the added bit, if it
+    holds the guard bits.
     """
-    mask = theta.mask
-    # an id without a bit is in no phase
-    added = _BITS.get(rule.added, 0)
     if not mask & added:
-        return []
-    removed = rule_bit(rule.removed)
-    needed = rule_bit(rid) | removed
-    out = []
-    for cand in {mask | removed, (mask & ~added) | removed}:
-        if cand & needed == needed and (cand & ~removed) | added == mask:
-            out.append(Phase.of_mask(cand))
-    return out
+        return ()
+    if removed == added:
+        return (mask,) if mask & guard == guard else ()
+    pred = mask | removed
+    if mask & removed or pred & guard != guard:
+        return ()
+    # a rule that adds itself needs its bit before it fires
+    return (pred,) if guard & added else (pred, pred ^ added)
 
 
 class SMPDS:
@@ -188,17 +196,18 @@ class SMPDS:
     `post_moves`, `pre_moves`, `pop_moves` (stack rules, with modifying
     rules as rules that keep the top symbol) and `mod_successors`/
     `mod_predecessors` (the empty stack).  Their indexes hold each rule
-    next to its id: plain rules by left side (p, gamma), by right-side head
-    (p', w[0]) and, for pop rules, by right-side state; modifying rules by
+    next to the mask bits a phase needs for it to fire, so a move is a
+    bit test and reads no rule id: plain rules with their `rule_bit`, by
+    left side (p, gamma), by right-side head (p', w[0]) and, for pop
+    rules, by right-side state; modifying rules with their `mod_bits`, by
     source and by target control point.  A plain rule may push a word of
     any length; the saturations take it as it is.
 
-    `mod_bits` is the one bit table of the modifying rules, for the phase
-    arithmetic of the translation (`translate`): each modifying rule id
-    maps to (guard, removed, added), the mask bits (`rule_bit`) of the
-    rule plus its removed rule, of the removed rule, and of the added
-    rule.  The rule fires in a phase whose mask holds every guard bit,
-    and leads to the mask `(mask & ~removed) | added`.
+    `mod_bits`, which the translation reads too, maps each modifying rule
+    id to (guard, removed, added): the mask bits of the rule plus its
+    removed rule, of the removed rule, and of the added rule.  The rule
+    fires in a phase whose mask holds every guard bit and leads to the
+    mask `(mask ^ removed) | added`; `predecessor_masks` inverts that.
     """
 
     def __init__(self, states: Iterable[str], alphabet: Iterable[str],
@@ -206,40 +215,45 @@ class SMPDS:
         self.states = frozenset(states)
         self.alphabet = frozenset(alphabet)
         self.rules = dict(rules)
-        delta = []
-        self.plain_by_lhs: dict[tuple[str, str], list[tuple[RuleId, PdsRule]]] = {}
-        self.plain_by_rhs_head: dict[tuple[str, str], list[tuple[RuleId, PdsRule]]] = {}
-        self.pop_rules: dict[str, list[tuple[RuleId, PdsRule]]] = {}
-        self.mod_by_source: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
-        self.mod_by_target: dict[str, list[tuple[RuleId, SelfModRule]]] = {}
-        self.mod_bits: dict[RuleId, tuple[int, int, int]] = {}
+        self.plain_by_lhs: dict[tuple[str, str], list[tuple[int, PdsRule]]] = {}
+        self.plain_by_rhs_head: dict[tuple[str, str], list[tuple[int, PdsRule]]] = {}
+        self.pop_rules: dict[str, list[tuple[int, PdsRule]]] = {}
+        self.mod_by_source: dict[str, list[tuple[_ModBits, SelfModRule]]] = {}
+        self.mod_by_target: dict[str, list[tuple[_ModBits, SelfModRule]]] = {}
+        self.mod_bits: dict[RuleId, _ModBits] = {}
         for rid, r in self.rules.items():
+            bit = rule_bit(rid)
             if isinstance(r, PdsRule):
-                delta.append(rid)
-                self.plain_by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((rid, r))
+                self.plain_by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((bit, r))
                 if r.rhs_word:
                     self.plain_by_rhs_head.setdefault(
-                        (r.rhs_state, r.rhs_word[0]), []).append((rid, r))
+                        (r.rhs_state, r.rhs_word[0]), []).append((bit, r))
                 else:
-                    self.pop_rules.setdefault(r.rhs_state, []).append((rid, r))
+                    self.pop_rules.setdefault(r.rhs_state, []).append((bit, r))
             else:
-                self.mod_by_source.setdefault(r.from_state, []).append((rid, r))
-                self.mod_by_target.setdefault(r.to_state, []).append((rid, r))
                 removed = rule_bit(r.removed)
-                self.mod_bits[rid] = (rule_bit(rid) | removed, removed,
-                                      rule_bit(r.added))
-        self.delta = frozenset(delta)
-        self.delta_c = frozenset(self.rules.keys() - self.delta)
+                bits = self.mod_bits[rid] = (bit | removed, removed, rule_bit(r.added))
+                self.mod_by_source.setdefault(r.from_state, []).append((bits, r))
+                self.mod_by_target.setdefault(r.to_state, []).append((bits, r))
+        self.delta_c = frozenset(self.mod_bits)
+        self.delta = frozenset(self.rules.keys() - self.delta_c)
+        # the bits of every rule id, for `knows`
+        self._known = sum(map(rule_bit, self.rules))
 
     def all_rules_phase(self) -> Phase:
         return Phase.of(self.rules.keys())
+
+    def knows(self, theta: Phase) -> bool:
+        """Whether every id of theta names a rule of this system."""
+        return theta.mask | self._known == self._known
 
     def post_moves(self, p: str, theta: Phase, g: str
                    ) -> list[tuple[str, Phase, tuple[str, ...]]]:
         """The (p', theta', w) that <p, g> in theta steps to: plain rules in
         theta, and modifying rules, which leave g on the stack."""
+        mask = theta.mask
         moves = [(r.rhs_state, theta, r.rhs_word)
-                 for rid, r in self.plain_by_lhs.get((p, g), ()) if rid in theta]
+                 for bit, r in self.plain_by_lhs.get((p, g), ()) if mask & bit]
         moves += [(p2, theta2, (g,)) for p2, theta2 in self.mod_successors(p, theta)]
         return moves
 
@@ -247,29 +261,34 @@ class SMPDS:
                   ) -> list[tuple[str, Phase, str, tuple[str, ...]]]:
         """The (p, theta', g, w[1:]) of the moves to <p1, g1 w[1:]> in theta,
         pop rules excepted: plain rules in theta, and modifying rules."""
+        mask = theta.mask
         moves = [(r.lhs_state, theta, r.lhs_symbol, r.rhs_word[1:])
-                 for rid, r in self.plain_by_rhs_head.get((p1, g1), ()) if rid in theta]
+                 for bit, r in self.plain_by_rhs_head.get((p1, g1), ()) if mask & bit]
         moves += [(p, pred, g1, ()) for p, pred in self.mod_predecessors(p1, theta)]
         return moves
 
     def pop_moves(self, p1: str, theta: Phase) -> list[tuple[str, Phase, str]]:
         """The (p, theta, g) of the pop rules in theta that lead to p1."""
+        mask = theta.mask
         return [(r.lhs_state, theta, r.lhs_symbol)
-                for rid, r in self.pop_rules.get(p1, ()) if rid in theta]
+                for bit, r in self.pop_rules.get(p1, ()) if mask & bit]
 
     def mod_successors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
         """The (p', theta') that a modifying rule leads to from (p, theta), on
         any stack: one fires when it and its removed rule are in theta."""
-        return [(r.to_state, theta.update(r.removed, r.added))
-                for rid, r in self.mod_by_source.get(p, ())
-                if rid in theta and r.removed in theta]
+        mask = theta.mask
+        # the guard holds the removed bit, so xor drops it
+        return [(r.to_state, Phase.of_mask((mask ^ removed) | added))
+                for (guard, removed, added), r in self.mod_by_source.get(p, ())
+                if mask & guard == guard]
 
     def mod_predecessors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
         """The (p0, theta0) from which a modifying rule leads to (p, theta):
         (p, theta) is in `mod_successors(p0, theta0)` exactly then."""
-        return [(r.from_state, pred)
-                for rid, r in self.mod_by_target.get(p, ())
-                for pred in solve_predecessor_phases(theta, rid, r)]
+        mask = theta.mask
+        return [(r.from_state, Phase.of_mask(pred))
+                for bits, r in self.mod_by_target.get(p, ())
+                for pred in predecessor_masks(mask, *bits)]
 
     def __repr__(self) -> str:
         return (f"SMPDS(|P|={len(self.states)}, |Gamma|={len(self.alphabet)}, "
@@ -346,12 +365,13 @@ def check_configuration(smpds: SMPDS, c: Configuration) -> None:
     for g in c.stack:
         if g not in smpds.alphabet:
             raise ValueError(f"configuration symbol {g!r} not in Gamma")
-    if not c.phase.members <= smpds.rules.keys():
+    if not smpds.knows(c.phase):
         raise ValueError("configuration phase references unknown rule ids")
 
 
 def step(smpds: SMPDS, c: Configuration) -> frozenset[Configuration]:
-    """All immediate successors of `c`.
+    """All immediate successors of `c`: the moves `SMPDS.post_moves` on the
+    top of the stack, and `SMPDS.mod_successors` on the empty stack.
 
     A plain rule fires when it is in the phase, the control point matches
     and its symbol is on top of the stack.  A modifying rule fires when it
@@ -359,14 +379,8 @@ def step(smpds: SMPDS, c: Configuration) -> frozenset[Configuration]:
     the phase; the stack is not inspected.
     """
     check_configuration(smpds, c)
-    out = set()
-    for rid in c.phase:
-        r = smpds.rules[rid]
-        if isinstance(r, PdsRule):
-            if r.lhs_state == c.state and c.stack and c.stack[0] == r.lhs_symbol:
-                out.add(Configuration(r.rhs_state, r.rhs_word + c.stack[1:], c.phase))
-        else:
-            if r.from_state == c.state and r.removed in c.phase:
-                out.add(Configuration(r.to_state, c.stack,
-                                      c.phase.update(r.removed, r.added)))
-    return frozenset(out)
+    if not c.stack:
+        return frozenset(Configuration(p, (), theta)
+                         for p, theta in smpds.mod_successors(c.state, c.phase))
+    return frozenset(Configuration(p, w + c.stack[1:], theta)
+                     for p, theta, w in smpds.post_moves(c.state, c.phase, c.stack[0]))

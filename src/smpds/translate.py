@@ -13,13 +13,13 @@ shared by the rules of every phase that names them.  The symbolic
 translation keeps one rule per SM-PDS rule and attaches a phase
 relation, stored intensionally.
 
-The phase arithmetic of the ordinary translation runs on int masks and
-reads one bit table of the modifying rules, `SMPDS.mod_bits` (the guard,
-removed and added bits of each rule): `phase_closure` searches on masks
-and interns only the phases of the finished closure, `to_pds` checks
-closedness on the masks of the set, `PairedPDS.entering` finds the
-phases that lead into a phase from its mask, and `len(pds.rules)`
-counts each phase's rules from its mask.
+The phase arithmetic of the ordinary translation runs on int masks, with
+the bit table of the modifying rules, `SMPDS.mod_bits`, and the solver
+`model.predecessor_masks` that the direct saturations use:
+`phase_closure` searches on masks and interns only the phases of the
+finished closure, `to_pds` checks closedness on the masks of the set,
+`PairedPDS.entering` finds the phases that lead into a phase from its
+mask, and a phase's rules are built and counted from its mask.
 
 Classical pre*/post* for ordinary PDSs run the same saturation cores as
 the direct engines (`prestar`, `poststar`), with the phase moved into the
@@ -42,7 +42,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .automaton import PAutomaton, from_configs
-from .model import Configuration, Phase, PdsRule, RuleId, SMPDS, rule_bit
+from .model import Configuration, Phase, RuleId, SMPDS, predecessor_masks, rule_bit
 from .poststar import _PoststarEngine, check_names
 from .prestar import _PrestarEngine
 
@@ -138,13 +138,12 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
 
     The search runs on int masks and reads the bit table `smpds.mod_bits`:
     a rule leads forward from a mask that holds its guard bits, and back
-    to the masks `_push_predecessors` finds.  Only the phases of the
+    to the masks `model.predecessor_masks` finds.  Only the phases of the
     finished closure are interned.
     """
     mods = list(smpds.mod_bits.values())
     closed: set[int] = set()
     stack = [theta.mask for theta in seeds]
-    push = stack.append
     while stack:
         mask = stack.pop()
         if mask in closed:
@@ -153,26 +152,9 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
         for guard, removed, added in mods:
             if mask & guard == guard:
                 # the guard holds the removed bit, so xor drops it
-                push((mask ^ removed) | added)
-            _push_predecessors(mask, guard, removed, added, push)
+                stack.append((mask ^ removed) | added)
+            stack += predecessor_masks(mask, guard, removed, added)
     return set(map(Phase.of_mask, closed))
-
-
-def _push_predecessors(mask: int, guard: int, removed: int, added: int,
-                       push) -> None:
-    """Push each mask other than `mask` from which the modifying rule with
-    these bits leads to `mask` (`solve_predecessor_phases` on masks).
-
-    Firing the rule leaves its added bit set and its removed bit clear,
-    unless the two are one rule, and then only `mask` leads to `mask`.
-    So `mask` must hold the added bit and not the removed one; each
-    predecessor is `mask` plus the removed bit, with or without the
-    added bit, if it holds the guard.
-    """
-    if mask & added and not mask & removed:
-        for cand in (mask | removed, (mask ^ added) | removed):
-            if cand & guard == guard:
-                push(cand)
 
 
 class _Pairs(dict):
@@ -210,10 +192,14 @@ class PairedPDS(PDS):
         self._pairs: dict[Phase, _Pairs] = {}
         self._gammas = sorted(smpds.alphabet)
         self._words = [(g,) for g in self._gammas]
-        # the plain rules as exact tuples: CPython specializes unpacking
-        # those, not reading a NamedTuple's fields
-        self._plain_of = {rid: tuple(r) for rid, r in smpds.rules.items()
-                          if isinstance(r, PdsRule)}.get
+        # the rules in id order, the order a phase's rules are built in,
+        # each behind the bits a phase needs for it to fire: a modifying
+        # rule with its `mod_bits`, a plain rule as an exact tuple, which
+        # CPython unpacks faster than it reads a NamedTuple's fields
+        mod_bits = smpds.mod_bits
+        self._by_id = [(*mod_bits[rid], r) if rid in mod_bits
+                       else (rule_bit(rid), None, None, tuple(r))
+                       for rid, r in sorted(smpds.rules.items())]
 
     @cached_property
     def states(self) -> frozenset[PdsState]:
@@ -227,13 +213,11 @@ class PairedPDS(PDS):
         return rules
 
     def entering(self, theta: Phase) -> list[PairedRule]:
-        preds: list[int] = []
-        for bits in self.smpds.mod_bits.values():
-            _push_predecessors(theta.mask, *bits, preds.append)
         sources = {theta: None}
-        for pred in map(Phase.of_mask, preds):
-            if pred in self.phases:
-                sources[pred] = None
+        for bits in self.smpds.mod_bits.values():
+            for pred in map(Phase.of_mask, predecessor_masks(theta.mask, *bits)):
+                if pred in self.phases:
+                    sources[pred] = None
         return [r for source in sources for r in self.leaving(source)
                 if r[2][1] is theta]
 
@@ -244,8 +228,9 @@ class PairedPDS(PDS):
         return pairs
 
     def _build(self, theta: Phase) -> list[PairedRule]:
-        """The rules at phase theta: each plain rule in theta, and each
-        modifying rule in theta with its removed rule, once per symbol."""
+        """The rules at phase theta, in rule id order: each plain rule in
+        theta, and each modifying rule in theta with its removed rule,
+        once per symbol."""
         rules: list[PairedRule] = []
         if theta not in self.phases:
             return rules
@@ -253,18 +238,18 @@ class PairedPDS(PDS):
         # NamedTuple's Python-level `__new__`
         new = tuple.__new__
         append = rules.append
-        plain_of, rule_of = self._plain_of, self.smpds.rules.get
         gammas, words = self._gammas, self._words
         pair = self._pairs_of(theta)
-        for rid in theta:
-            plain = plain_of(rid)
-            if plain is not None:
-                p, gamma, q, word = plain
-                append(new(PairedRule, (pair[p], gamma, pair[q], word)))
+        mask = theta.mask
+        for guard, removed, added, r in self._by_id:
+            if mask & guard != guard:
                 continue
-            r = rule_of(rid)
-            if r is not None and r.removed in theta:
-                rhs = self._pairs_of(theta.update(r.removed, r.added))[r.to_state]
+            if removed is None:
+                p, gamma, q, word = r
+                append(new(PairedRule, (pair[p], gamma, pair[q], word)))
+            else:
+                # the guard holds the removed bit, so xor drops it
+                rhs = self._pairs_of(Phase.of_mask((mask ^ removed) | added))[r.to_state]
                 rules.extend(map(new, repeat(PairedRule),
                                  zip(repeat(pair[r.from_state]), gammas,
                                      repeat(rhs), words)))

@@ -14,13 +14,32 @@ these, or with the oracle in `oracles.py`.  `pds_step` and
 symbolic PDS, checked against `model.step`.  `reference_phase_closure`
 is `phase_closure` as it was before it searched on masks: `Phase.update`
 forward and `solve_predecessor_phases` backward, one modifying rule at a
-time.
+time.  `solve_predecessor_phases` is the predecessor solver that
+`SMPDS.mod_predecessors` called before the saturations read only masks,
+moved here and rewritten on id sets, so that it shares no code with
+`model.predecessor_masks`.
 """
 
 from collections import deque
 
 from smpds.automaton import EPS, Generated, Initial
-from smpds.model import Configuration, PdsRule, solve_predecessor_phases
+from smpds.model import Configuration, PdsRule, Phase
+
+
+def solve_predecessor_phases(theta, rid, rule):
+    """Phases theta' from which firing modifying rule `rid` yields `theta`.
+
+    The set equation theta = (theta' - {removed}) | {added} has at most two
+    solutions; each is checked on id sets, must contain both the modifying
+    rule itself and its removed rule, and only then is interned.
+    """
+    ids = frozenset(theta)
+    if rule.added not in ids:
+        return []
+    cands = {ids | {rule.removed}, (ids - {rule.added}) | {rule.removed}}
+    return [Phase.of(cand) for cand in cands
+            if {rid, rule.removed} <= cand
+            and (cand - {rule.removed}) | {rule.added} == ids]
 
 
 def reference_phase_closure(smpds, seeds):

@@ -16,11 +16,12 @@ from smpds import (from_configs, pds_poststar, pds_prestar, phase_closure,
                    prestar, to_pds)
 from smpds.automaton import Initial, PAutomaton, Plain
 from smpds.bench import GenParams, generate
-from smpds.model import Phase, solve_predecessor_phases
+from smpds.model import Phase
 from smpds.translate import PDS, PairedRule
 
 from classical_reference import (reference_pds_poststar, reference_pds_prestar,
-                                 reference_to_pds, useful)
+                                 reference_to_pds, solve_predecessor_phases,
+                                 useful)
 from oracles import raw_reach
 from test_acceptance import CORPUS_SIZE, ORACLE_STACK, ORACLE_STEPS, _corpus_draw
 

@@ -192,7 +192,7 @@ def test_undeclared_phase_ids_rejected(command, tmp_path, capsys):
     aut.write_text("initial p1 {1,9}\nfinal acc\ntrans p1@{1,9} g1 acc\n")
     assert main([command, MODEL, str(aut)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "unknown rule ids" in err
+    assert err == "error: automaton phase {1,9} references unknown rule ids\n"
     model = tmp_path / "m.smpds"
     model.write_text(Path(MODEL).read_text() + "config: p1 {1,9} g1\n")
     assert main([command, str(model), TARGET]) == 2

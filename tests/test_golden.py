@@ -4,10 +4,11 @@ The first expected files were captured before automaton states were
 interned, the gen22, gen55.poststar.prestar and eps_mid.prestar ones from
 the per-transition engines before the set-at-a-time rewrite,
 gen55.translate before `to_pds` shared its paired states,
-selfmod.translate before `phase_closure` searched on masks, and the two
-eps-edged enumerate ones before `PAutomaton` had one eps-closed step, so
-they pin the printers' canonical order and every saturation's result
-independently of set iteration and worklist order.  After a deliberate
+selfmod.translate before `phase_closure` searched on masks,
+bitorder.translate before the paired rules were built from mask bits,
+and the two eps-edged enumerate ones before `PAutomaton` had one
+eps-closed step, so they pin the printers' canonical order and every
+saturation's result independently of set iteration and worklist order.  After a deliberate
 change of output, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -83,6 +84,10 @@ CASES = {
     # the self-removing rule through the phase closure, the closedness
     # check and the printer
     "selfmod.translate": ["translate", SELFMOD_MODEL],
+    # modifying rules with high ids that remove and add lower ids come
+    # first, so mask bits are out of id order: each phase's rules still
+    # print in id order
+    "bitorder.translate": ["translate", "tests/golden/bitorder.smpds"],
     # a rule pushing three symbols, which a modifying rule enables:
     # pre* follows the word, post* builds the chain gen:q:b@th, gen:q:b:b@th
     "wide.prestar": ["prestar", WIDE_MODEL, WIDE_AUT],

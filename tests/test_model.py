@@ -42,7 +42,9 @@ def test_phase_pickle_round_trip_keeps_identity():
 
 def test_phase_pickles_by_ids_across_interpreters():
     # the subprocess meets these ids in the opposite order, so its mask bits
-    # differ from ours; the pickle must still load as our interned phase
+    # differ from ours; the pickle must still load as our interned phase.
+    # Its second phase is made by `update` alone and has never decoded its
+    # ids before it is pickled.
     ids = [777001, -777002, 10**12 + 777003, 777004]
     for rid in ids:
         Phase.of([rid])
@@ -51,13 +53,17 @@ def test_phase_pickles_by_ids_across_interpreters():
               f"ids = {ids!r}\n"
               "for rid in reversed(ids):\n"
               "    Phase.of([rid])\n"
-              "sys.stdout.buffer.write(pickle.dumps(Phase.of(ids)))\n")
+              "updated = Phase.of(ids[:3]).update(ids[0], ids[3])\n"
+              "assert updated._members is None and updated._ids is None\n"
+              "sys.stdout.buffer.write(pickle.dumps((Phase.of(ids), updated)))\n")
     src = str(Path(smpds.__file__).parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     data = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, check=True).stdout
-    assert pickle.loads(data) is Phase.of(ids)
+    whole, updated = pickle.loads(data)
+    assert whole is Phase.of(ids)
+    assert updated is Phase.of(ids[1:])
 
 
 # negative ids and sparse huge ones must map to bits as cheaply as small ones
@@ -184,8 +190,19 @@ def test_check_configuration():
         check_configuration(m, Configuration("nope", (), theta0))
     with pytest.raises(ValueError):
         check_configuration(m, Configuration("p1", ("zz",), theta0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^configuration phase references unknown rule ids$"):
         check_configuration(m, Configuration("p1", (), Phase.of([99])))
+
+
+def test_knows_tests_the_phase_mask_against_the_rule_ids():
+    m, theta0, theta1, _ = swap_example()
+    assert m.knows(theta0) and m.knows(theta1) and m.knows(Phase.of([]))
+    assert m.knows(m.all_rules_phase())
+    # 99 has a bit, from another system, and 98765 none before this phase
+    Phase.of([99])
+    assert not m.knows(Phase.of([*theta0, 99]))
+    assert not m.knows(Phase.of([98765]))
 
 
 def test_raw_reach_truncates():

@@ -16,7 +16,6 @@ from smpds import (
     from_configs,
     poststar,
     prestar,
-    solve_predecessor_phases,
 )
 from smpds.bench import GenParams, generate
 
@@ -27,18 +26,21 @@ from oracles import raw_reach
 
 def test_solve_predecessor_phases():
     r = SelfModRule("p", 5, 1, "q")
-    rid = 6
+    rules = {rid: PdsRule("p", "a", "p", ()) for rid in range(1, 6)}
+    m = SMPDS({"p", "q"}, {"a"}, {**rules, 6: r})
     # theta1 = {1,2,3,4,6} arises from {2,3,4,5,6} (5 swapped for 1)
     theta1 = Phase.of([1, 2, 3, 4, 6])
-    preds = solve_predecessor_phases(theta1, rid, r)
-    assert Phase.of([2, 3, 4, 5, 6]) in preds
+    preds = m.mod_predecessors("q", theta1)
+    assert ("p", Phase.of([2, 3, 4, 5, 6])) in preds
     # and from {1,2,3,4,5,6} (1 already present)
-    assert Phase.of([1, 2, 3, 4, 5, 6]) in preds
+    assert ("p", Phase.of([1, 2, 3, 4, 5, 6])) in preds
     assert len(preds) == 2
     # no predecessors when the added rule is absent
-    assert solve_predecessor_phases(Phase.of([2, 3, 6]), rid, r) == []
+    assert m.mod_predecessors("q", Phase.of([2, 3, 6])) == []
     # the smrule itself must be in the predecessor
-    assert solve_predecessor_phases(Phase.of([1]), rid, r) == []
+    assert m.mod_predecessors("q", Phase.of([1])) == []
+    # and the rule leads into q only
+    assert m.mod_predecessors("p", theta1) == []
 
 
 def test_prestar_pop_chain_fixture():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,7 +27,8 @@ from smpds.translate import Identity, Modify
 
 from classical_reference import (pds_step, reference_pds_poststar,
                                  reference_pds_prestar, reference_phase_closure,
-                                 reference_to_pds, symbolic_step)
+                                 reference_to_pds, solve_predecessor_phases,
+                                 symbolic_step)
 from fixtures import swap_example
 from oracles import raw_reach
 from test_acceptance import _corpus_draw
@@ -126,6 +128,51 @@ def _hand_model(smrule):
 def test_rule_count_and_order_on_hand_cases(smrule, ids):
     m = _hand_model(smrule)
     _check_rule_list(m, phase_closure(m, [Phase.of(ids)]))
+
+
+def _check_mod_moves(m, seeds):
+    """At every phase of the closure and every control point, the moves of
+    `mod_successors` are those of `Phase.update`, and the moves of
+    `mod_predecessors` those of `solve_predecessor_phases`, each as often.
+    Rule membership is read from the decoded ids, not from the masks."""
+    smrules = [(rid, m.rules[rid]) for rid in sorted(m.delta_c)]
+    for theta in phase_closure(m, seeds):
+        ids = set(theta)
+        for p in sorted(m.states):
+            succ = [(r.to_state, theta.update(r.removed, r.added))
+                    for rid, r in smrules
+                    if r.from_state == p and {rid, r.removed} <= ids]
+            pred = [(r.from_state, theta0) for rid, r in smrules if r.to_state == p
+                    for theta0 in solve_predecessor_phases(theta, rid, r)]
+            assert Counter(m.mod_successors(p, theta)) == Counter(succ), (theta, p)
+            assert Counter(m.mod_predecessors(p, theta)) == Counter(pred), (theta, p)
+
+
+@HAND_CASES
+def test_mod_moves_match_the_references_on_hand_cases(smrule, ids):
+    # modifying rule 1 of every hand model, q --(0, 0)--> p, has removed
+    # == added: at p, each phase that holds rules 0 and 1 is its own
+    # predecessor
+    _check_mod_moves(_hand_model(smrule), [Phase.of(ids)])
+
+
+def test_mod_moves_match_the_references_on_every_corpus_draw():
+    for seed in _corpus_draw_seeds():
+        inst = _corpus_draw(seed)[1]
+        _check_mod_moves(inst.smpds, [inst.initial.phase, inst.target.phase])
+
+
+def test_wide_closure_decodes_no_ids():
+    """The closure of the first `pre_wide` benchmark instance, 3^10 phases
+    of about 1,000 ids, is searched and interned on masks: no phase of it
+    but the seeds, which `Phase.of` built from their ids, has decoded its
+    ids into a member set or a sorted id tuple."""
+    inst = generate(GenParams(8, 8, 1009, 10, seed=1))
+    seeds = {inst.initial.phase, inst.target.phase}
+    phases = phase_closure(inst.smpds, seeds)
+    assert len(phases) == 3 ** 10
+    assert all(theta._members is None and theta._ids is None
+               for theta in phases - seeds)
 
 
 def _is_closed(m, phases):
