@@ -24,12 +24,14 @@ every instruction maps to one pushdown rule keyed on that symbol.  A
 distinct return address; helpers are always enabled and cannot be the
 target of a 'selfmod'.  'selfmod' becomes a rule-set change: the rule
 compiled for the target label is removed and the replacement rule is
-added.  Replacement rules fall through to the target's successor.
+added.  Replacement rules fall through to the target's successor.  A
+'selfmod' whose instruction is itself a 'selfmod' parses, its innermost
+instruction checked, but compiles only when every 'selfmod' is erased.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Configuration, Phase, PdsRule, RuleId, SelfModRule, SMPDS
 
@@ -65,7 +67,7 @@ class Program:
         return {ins.label: i for i, ins in enumerate(self.instructions)}
 
 
-def parse_program(text: str, allow_meta_selfmod: bool = False) -> Program:
+def parse_program(text: str) -> Program:
     entry = None
     instructions: list[Instruction] = []
     seen_labels: set[str] = set()
@@ -91,7 +93,7 @@ def parse_program(text: str, allow_meta_selfmod: bool = False) -> Program:
         if not toks:
             raise AsmError(lineno, "missing opcode")
         op, operands = toks[0], tuple(toks[1:])
-        _check_body(lineno, op, operands, allow_meta_selfmod)
+        _check_body(lineno, op, operands)
         instructions.append(Instruction(label, op, operands, lineno))
     if not instructions:
         raise AsmError(0, "program has no instructions")
@@ -108,8 +110,7 @@ def parse_program(text: str, allow_meta_selfmod: bool = False) -> Program:
     return Program(entry, instructions)
 
 
-def _check_body(lineno: int, op: str, operands: tuple[str, ...],
-                allow_meta_selfmod: bool) -> None:
+def _check_body(lineno: int, op: str, operands: tuple[str, ...]) -> None:
     """Check an opcode and its operand count; a selfmod's instruction is
     checked the same way, down to the innermost one, in a loop, so that no
     nesting depth reaches the recursion limit."""
@@ -117,8 +118,6 @@ def _check_body(lineno: int, op: str, operands: tuple[str, ...],
     while op == "selfmod":
         if len(operands) - i < 2:
             raise AsmError(lineno, "selfmod needs a target label and an instruction")
-        if operands[i + 1] == "selfmod" and not allow_meta_selfmod:
-            raise AsmError(lineno, "selfmod of a selfmod instruction is not supported")
         op = operands[i + 1]
         i += 2
     if op not in OPCODES:

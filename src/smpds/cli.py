@@ -4,12 +4,14 @@
     smpds prestar MODEL AUTOMATON [-o OUT] [--dot]
     smpds poststar MODEL AUTOMATON [-o OUT] [--dot]
     smpds translate MODEL [--symbolic] [-o OUT]
-    smpds asm2smpds PROGRAM [-o OUT] [--erase-selfmod] [--allow-meta-selfmod]
+    smpds asm2smpds PROGRAM [-o OUT] [--erase-selfmod]
     smpds check MODEL AUTOMATON [--config N] [--direction pre|post]
     smpds enumerate MODEL AUTOMATON [--max-len N]
 
 `check` exits 0 when the configuration is a member, 1 when it is not,
-and 2 on any error.
+and 2 on any error.  `translate` prints the paired rules of every phase
+of the closure of the model's phases and config phases (the PDS's
+`phases`).  A selfmod of a selfmod compiles only with --erase-selfmod.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_asm2smpds(args) -> int:
-    prog = asm.parse_program(_read(args.program), args.allow_meta_selfmod)
+    prog = asm.parse_program(_read(args.program))
     compiled = asm.compile_program(prog, erase_selfmod=args.erase_selfmod)
     doc = formats.SmpdsDocument(compiled.smpds,
                                 {"init": compiled.initial_phase},
@@ -215,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--erase-selfmod", action="store_true",
                    help="compile selfmod instructions as nops")
-    p.add_argument("--allow-meta-selfmod", action="store_true")
     p.set_defaults(func=cmd_asm2smpds)
 
     p = sub.add_parser("check", help="decide membership of a config")

@@ -32,11 +32,9 @@ then go along the firing plan of their key, one insert per plan edge.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .automaton import (EPS, AutState, DeltaWorklist, Generated, Initial, Label,
                         PAutomaton)
-from .model import SMPDS, colon_violations
+from .model import colon_violations
 
 
 class _PoststarEngine:
@@ -140,19 +138,17 @@ class _PoststarEngine:
         return plan
 
 
-def check_names(states: Iterable[str], alphabet: Iterable[str]) -> None:
-    """Raise `ValueError`, with `validate`'s text, on a state or a symbol
-    that holds ':', which would let two pushed prefixes share a generated
-    state (see beta3)."""
-    bad = colon_violations(states, alphabet)
+def poststar(rules, aut: PAutomaton) -> PAutomaton:
+    """Saturate a copy of `aut` so it accepts post*(L(aut)) under `rules`,
+    the `SMPDS` or any rule source with its moves and the names `states`
+    and `alphabet`, such as the paired rules of a translated PDS
+    (`translate.pds_poststar`).
+
+    Raises `ValueError` on a state or symbol that holds ':', which would
+    let two pushed prefixes share a generated state (see beta3), with
+    `validate`'s text; on an input with a transition into an initial
+    state; and on an eps edge from a non-initial state."""
+    bad = colon_violations(rules.states, rules.alphabet)
     if bad:
         raise ValueError(bad[0])
-
-
-def poststar(smpds: SMPDS, aut: PAutomaton) -> PAutomaton:
-    """Saturate a copy of `aut` so it accepts post*(L(aut)).  Raises
-    `ValueError` on a state or symbol that holds ':', an input with a
-    transition into an initial state or an eps edge from a non-initial
-    state."""
-    check_names(smpds.states, smpds.alphabet)
-    return _PoststarEngine(smpds, aut).run()
+    return _PoststarEngine(rules, aut).run()

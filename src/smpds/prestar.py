@@ -41,7 +41,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .automaton import EPS, AutState, DeltaWorklist, Initial, PAutomaton
-from .model import SMPDS
 
 # a transition ((p,theta), g) that a rule adds; a group of them waiting
 # for the rest of their word, split into its next symbol and the tail
@@ -202,14 +201,16 @@ class _PrestarEngine:
                         add(fresh, targets)
 
 
-def prestar(smpds: SMPDS, aut: PAutomaton) -> PAutomaton:
-    """Saturate a copy of `aut` so it accepts pre*(L(aut)).
+def prestar(rules, aut: PAutomaton) -> PAutomaton:
+    """Saturate a copy of `aut` so it accepts pre*(L(aut)) under `rules`,
+    the `SMPDS` or any rule source with its moves, such as the paired
+    rules of a translated PDS (`translate.pds_prestar`).
 
     Raises `ValueError` on an input with a transition into an initial
     state unless pre* leaves it unchanged, as a pre* result fed back in:
     what the saturation adds at that state would also be read through the
     edge."""
-    result = _PrestarEngine(smpds, aut).run()
+    result = _PrestarEngine(rules, aut).run()
     if aut.has_transition_into_initial() and (
             result.transition_count() > aut.transition_count()
             or len(result.finals) > len(aut.finals)):

@@ -8,10 +8,10 @@ builds no rule: the `PairedPDS` it returns builds the rules of a phase
 when a saturation first asks for that phase, the on-the-fly construction
 of Schwoon (Model-Checking Pushdown Systems, 2002), so a goal-directed
 saturation pays for the phases it reaches and not for the whole set.
-Each phase's paired states (p, theta) are one tuple per control point,
-shared by the rules of every phase that names them.  The symbolic
-translation keeps one rule per SM-PDS rule and attaches a phase
-relation, stored intensionally.
+The set is the PDS's `phases`, the ones that `rules` iterates and
+counts; a saturation builds any phase it reaches, in the set or not.
+The symbolic translation keeps one rule per SM-PDS rule and attaches a
+phase relation, stored intensionally.
 
 The phase arithmetic of the ordinary translation runs on int masks, with
 the bit table of the modifying rules, `SMPDS.mod_bits`, and the solver
@@ -21,30 +21,30 @@ finished closure, `to_pds` checks closedness on the masks of the set,
 `PairedPDS.entering` finds the phases that lead into a phase from its
 mask, and a phase's rules are built and counted from its mask.
 
-Classical pre*/post* for ordinary PDSs run the same saturation cores as
-the direct engines (`prestar`, `poststar`), with the phase moved into the
-control point: `_PairedRules` is their rule source for a paired PDS,
-indexing the rules entering (pre*) or leaving (post*) a phase when the
-saturation first reads it.  A paired configuration ((p, theta), w) is the
-SM-PDS configuration (<p, w>, theta), so they take and return ordinary
-P-automata.  A paired rule pushes the word of its SM-PDS rule, of any
-length, which the cores take as it is.  The paired PDS fires no
-modifying rule on an empty stack, so the two routes agree on nonempty
-stacks only.  Code that shares nothing with the cores lives in the
-tests: `tests/classical_reference.py` and the oracle.
+Classical pre*/post* for ordinary PDSs are `prestar` and `poststar`,
+with the phase moved into the control point: `_PairedRules` is their
+rule source for a paired PDS, indexing the rules entering (pre*) or
+leaving (post*) a phase when the saturation first reads it.  So each
+direction has one input contract, the direct one.  A paired
+configuration ((p, theta), w) is the SM-PDS configuration
+(<p, w>, theta), so they take and return ordinary P-automata.  A paired
+rule pushes the word of its SM-PDS rule, of any length, which the cores
+take as it is.  The paired PDS fires no modifying rule on an empty
+stack, so the two routes agree on nonempty stacks only.  Code that
+shares nothing with the cores lives in the tests:
+`tests/classical_reference.py` and the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .automaton import PAutomaton, from_configs
 from .model import Configuration, Phase, RuleId, SMPDS, predecessor_masks, rule_bit
-from .poststar import _PoststarEngine, check_names
-from .prestar import _PrestarEngine
+from .poststar import poststar
+from .prestar import prestar
 
 # a control point of the translated PDS: (original control point, phase)
 PdsState = tuple[str, Phase]
@@ -157,28 +157,15 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
     return set(map(Phase.of_mask, closed))
 
 
-class _Pairs(dict):
-    """Control point p -> the paired state (p, theta) of one phase, built
-    on first use, so every rule at (p, theta) shares one tuple."""
-
-    def __init__(self, theta: Phase):
-        super().__init__()
-        self.theta = theta
-
-    def __missing__(self, p: str) -> PdsState:
-        pair = self[p] = (p, self.theta)
-        return pair
-
-
-class PairedPDS(PDS):
+class PairedPDS:
     """The paired PDS of an SM-PDS over a closed phase set (`to_pds`).
 
-    The rules of a phase are built when they are first asked for, and kept
-    in `phase_rules`: `leaving(theta)` builds theta, and `entering(theta)`
-    builds theta and the phases of the set that reach it by one modifying
-    rule.  Iterating `rules` builds every phase, in sorted member order;
-    `len(rules)` counts them without building any.  `states` is also
-    built on first read.
+    `phases` is that set: iterating `rules` builds every phase of it, in
+    sorted member order, and `len(rules)` counts their rules without
+    building any.  A saturation reads rules a phase at a time and builds
+    them on first use, for any phase it reaches, and keeps them in
+    `phase_rules`: `leaving(theta)` builds theta, and `entering(theta)`
+    builds theta and the phases that reach it by one modifying rule.
     """
 
     def __init__(self, smpds: SMPDS, phases: set[Phase]):
@@ -189,7 +176,6 @@ class PairedPDS(PDS):
         self.rules = _PhaseOrderedRules(self)
         # phase -> its rules, for the phases built so far
         self.phase_rules: dict[Phase, list[PairedRule]] = {}
-        self._pairs: dict[Phase, _Pairs] = {}
         self._gammas = sorted(smpds.alphabet)
         self._words = [(g,) for g in self._gammas]
         # the rules in id order, the order a phase's rules are built in,
@@ -201,11 +187,6 @@ class PairedPDS(PDS):
                        else (rule_bit(rid), None, None, tuple(r))
                        for rid, r in sorted(smpds.rules.items())]
 
-    @cached_property
-    def states(self) -> frozenset[PdsState]:
-        return frozenset(self._pairs_of(theta)[p]
-                         for theta in self.phases for p in self.controls)
-
     def leaving(self, theta: Phase) -> list[PairedRule]:
         rules = self.phase_rules.get(theta)
         if rules is None:
@@ -215,43 +196,33 @@ class PairedPDS(PDS):
     def entering(self, theta: Phase) -> list[PairedRule]:
         sources = {theta: None}
         for bits in self.smpds.mod_bits.values():
-            for pred in map(Phase.of_mask, predecessor_masks(theta.mask, *bits)):
-                if pred in self.phases:
-                    sources[pred] = None
+            for mask in predecessor_masks(theta.mask, *bits):
+                sources[Phase.of_mask(mask)] = None
         return [r for source in sources for r in self.leaving(source)
                 if r[2][1] is theta]
-
-    def _pairs_of(self, theta: Phase) -> _Pairs:
-        pairs = self._pairs.get(theta)
-        if pairs is None:
-            pairs = self._pairs[theta] = _Pairs(theta)
-        return pairs
 
     def _build(self, theta: Phase) -> list[PairedRule]:
         """The rules at phase theta, in rule id order: each plain rule in
         theta, and each modifying rule in theta with its removed rule,
         once per symbol."""
         rules: list[PairedRule] = []
-        if theta not in self.phases:
-            return rules
         # rules are built by `tuple.__new__`, in C, rather than by the
         # NamedTuple's Python-level `__new__`
         new = tuple.__new__
         append = rules.append
         gammas, words = self._gammas, self._words
-        pair = self._pairs_of(theta)
         mask = theta.mask
         for guard, removed, added, r in self._by_id:
             if mask & guard != guard:
                 continue
             if removed is None:
                 p, gamma, q, word = r
-                append(new(PairedRule, (pair[p], gamma, pair[q], word)))
+                append(new(PairedRule, ((p, theta), gamma, (q, theta), word)))
             else:
                 # the guard holds the removed bit, so xor drops it
-                rhs = self._pairs_of(Phase.of_mask((mask ^ removed) | added))[r.to_state]
+                rhs = (r.to_state, Phase.of_mask((mask ^ removed) | added))
                 rules.extend(map(new, repeat(PairedRule),
-                                 zip(repeat(pair[r.from_state]), gammas,
+                                 zip(repeat((r.from_state, theta)), gammas,
                                      repeat(rhs), words)))
         return rules
 
@@ -287,13 +258,14 @@ class _PhaseOrderedRules:
 
 
 def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PairedPDS:
-    """Encode phases into control points, restricted to the given phase set.
+    """Encode phases into control points over the given phase set.
 
     Raises `ValueError` unless the set is closed on the modifying rules:
     the check runs on the masks of the set, with the bit table
-    `smpds.mod_bits`, and interns no phase.  The rules of a phase are
-    built when a saturation first reads them, or when `rules` is iterated
-    (see `PairedPDS`).
+    `smpds.mod_bits`, and interns no phase.  The set becomes the PDS's
+    `phases`, which `rules` iterates and counts; a saturation builds the
+    rules of each phase it reaches when it first reads them (see
+    `PairedPDS`).
     """
     phase_set = set(phases)
     masks = {theta.mask for theta in phase_set}
@@ -326,7 +298,7 @@ def config_to_pds(c: Configuration) -> tuple[PdsState, tuple[str, ...]]:
     return ((c.state, c.phase), c.stack)
 
 
-def pds_from_configs(pds: PDS,
+def pds_from_configs(pds: PDS | PairedPDS,
                      configs: Iterable[tuple[PdsState, tuple[str, ...]]]
                      ) -> PAutomaton:
     """`from_configs` for paired configurations ((p, theta), w)."""
@@ -342,9 +314,12 @@ class _PairedRules:
     """The rule source of the saturation cores for a paired PDS, which has
     no empty-stack moves.  The rules of a phase are indexed when the
     saturation first asks for that phase, as raw `PairedRule`s, for one
-    direction; the cores read a group once."""
+    direction; the cores read a group once.  `states` and `alphabet` are
+    the names that post* checks."""
 
-    def __init__(self, pds: PDS, backward: bool):
+    def __init__(self, pds: PDS | PairedPDS, backward: bool):
+        self.states = pds.controls
+        self.alphabet = pds.alphabet
         # post* reads the rules leaving a phase, grouped by left side
         # ((p, theta), g); pre* those entering it, grouped by right-side head
         # ((p', theta), w[0]) and, for pop rules, by right-side state
@@ -392,36 +367,20 @@ class _PairedRules:
     mod_predecessors = mod_successors
 
 
-def _check_input(aut: PAutomaton) -> None:
-    if aut.has_transition_into_initial():
-        raise ValueError("input automaton has a transition into an initial state")
-    if aut.has_epsilon():
-        raise ValueError("input automaton must be epsilon-free")
+def pds_prestar(pds: PDS | PairedPDS, aut: PAutomaton) -> PAutomaton:
+    """Classical backward saturation for ordinary PDSs: `prestar`, input
+    contract and all, on the paired rules.  The paired PDS fires no
+    modifying rule on an empty stack, so the result agrees with direct
+    pre* on nonempty stacks.  Rules are read, and on a `PairedPDS` built,
+    only for the phases that hold a state of the result and the phases
+    that reach those by one modifying rule: on the `translated` benchmark
+    pool that is one phase of the 81-phase closure."""
+    return prestar(_PairedRules(pds, backward=True), aut)
 
 
-def pds_prestar(pds: PDS, aut: PAutomaton) -> PAutomaton:
-    """Classical backward saturation for ordinary PDSs: the goal-directed
-    pre* core (`prestar`) on the paired rules.
-
-    The result has the finals and the language of the full classical
-    saturation.  When every transition of the input leads to a state that
-    reaches a final state, as in `from_configs` automata, it is that
-    saturation trimmed to the transitions whose target reaches a final
-    state.  Rules are read, and on a `PairedPDS` built, only for the
-    phases that hold a state of the result and the phases that reach
-    those by one modifying rule: on the `translated` benchmark pool that
-    is one phase of the 81-phase closure.
-    """
-    _check_input(aut)
-    return _PrestarEngine(_PairedRules(pds, backward=True), aut).run()
-
-
-def pds_poststar(pds: PDS, aut: PAutomaton) -> PAutomaton:
-    """Classical forward saturation for ordinary PDSs: the post* core
-    (`poststar`) on the paired rules.  A key's rules are read at its first
-    fact, so a saturation from a few configurations leaves most rules
-    unread.  Raises `ValueError` on a control point or symbol that holds
-    ':', as `poststar` does."""
-    check_names(pds.controls, pds.alphabet)
-    _check_input(aut)
-    return _PoststarEngine(_PairedRules(pds, backward=False), aut).run()
+def pds_poststar(pds: PDS | PairedPDS, aut: PAutomaton) -> PAutomaton:
+    """Classical forward saturation for ordinary PDSs: `poststar`, input
+    contract and name check and all, on the paired rules.  A key's
+    rules are read at its first fact, so a saturation from a few
+    configurations leaves most rules unread."""
+    return poststar(_PairedRules(pds, backward=False), aut)

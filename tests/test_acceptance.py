@@ -307,6 +307,8 @@ def test_criterion_8_selfmod_reachability_pattern():
 
 
 def test_criterion_9_fixpoint_idempotence(corpus):
+    """Each saturation takes its own result, and leaves it unchanged: the
+    direct ones and the classical ones on the paired PDS alike."""
     for rec in corpus:
         for op, sat in ((prestar, getattr(rec, "prestar_out", None)),
                         (poststar, getattr(rec, "poststar_out", None))):
@@ -314,6 +316,13 @@ def test_criterion_9_fixpoint_idempotence(corpus):
                 pytest.skip("saturated outputs not available")
             again = op(rec.smpds, sat)
             assert again.transitions == sat.transitions
+        m = rec.smpds
+        pds = to_pds(m, phase_closure(m, [rec.initial.phase, rec.target.phase]))
+        for op, c in ((pds_prestar, rec.target), (pds_poststar, rec.initial)):
+            sat = op(pds, from_configs(m, [c]))
+            again = op(pds, sat)
+            assert (again.transitions, again.finals) == (sat.transitions, sat.finals), \
+                (rec.seed, op.__name__)
 
 
 def test_stats_count_what_the_saturation_added(corpus, capsys, tmp_path):

@@ -34,7 +34,7 @@ def test_parse_comments_and_blank_lines():
     ("entry a\na: jmp nowhere\n", "unresolved label"),
     ("entry zz\na: nop\n", "unresolved entry"),
     ("entry a\na: nop\na: nop\n", "duplicate label"),
-    ("entry a\na: selfmod b selfmod c nop\nb: nop\nc: nop\n", "not supported"),
+    ("entry a\na: selfmod b selfmod c\nb: nop\n", "needs a target"),
     ("entry a\na: selfmod b frob\nb: nop\n", "unknown opcode"),
     ("entry a\na: push 1\nb: ret\n__ret: jmp a\n", "names a compiler state"),
     ("entry a\na: jmp __halt\n__halt: nop\n", "names a compiler state"),
@@ -51,10 +51,14 @@ def test_error_carries_line_number():
     assert exc.value.lineno == 3
 
 
-def test_meta_selfmod_flag():
+def test_meta_selfmod_parses_and_compiles_only_erased():
     text = "entry a\na: selfmod b selfmod c nop\nb: nop\nc: nop\n"
-    prog = parse_program(text, allow_meta_selfmod=True)
+    prog = parse_program(text)
     assert prog.instructions[0].operands[1] == "selfmod"
+    with pytest.raises(AsmError, match="compiles only with --erase-selfmod") as exc:
+        compile_program(prog)
+    assert exc.value.lineno == 2
+    assert not compile_program(prog, erase_selfmod=True).smpds.delta_c
 
 
 def test_compiled_model_is_valid():

@@ -392,14 +392,13 @@ def test_asm2smpds_parse_error(tmp_path, capsys):
 def test_asm2smpds_meta_selfmod_fails_at_its_line(tmp_path, capsys):
     prog = tmp_path / "meta.sasm"
     prog.write_text("entry a\na: selfmod b selfmod c nop\nb: nop\nc: halt\n")
-    assert main(["asm2smpds", str(prog), "--allow-meta-selfmod"]) == 2
+    assert main(["asm2smpds", str(prog)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "Traceback" not in out.err
     assert out.err.startswith("error: line 2: ") and out.err.count("\n") == 1
     assert "--erase-selfmod" in out.err
     # erasing every selfmod still compiles it, as nops
-    assert main(["asm2smpds", str(prog), "--allow-meta-selfmod",
-                 "--erase-selfmod"]) == 0
+    assert main(["asm2smpds", str(prog), "--erase-selfmod"]) == 0
     assert "smrule" not in capsys.readouterr().out
 
 
@@ -412,8 +411,7 @@ def test_asm2smpds_checks_the_inner_instruction_of_a_meta_selfmod(
         tmp_path, capsys, inner, fragment):
     prog = tmp_path / "meta.sasm"
     prog.write_text(f"entry a\na: selfmod b {inner}\nb: nop\n")
-    assert main(["asm2smpds", str(prog), "--allow-meta-selfmod",
-                 "--erase-selfmod"]) == 2
+    assert main(["asm2smpds", str(prog), "--erase-selfmod"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "Traceback" not in out.err
     assert out.err == f"error: line 2: {fragment}\n"
@@ -427,8 +425,7 @@ def _deep_meta_selfmod(tmp_path):
 
 
 def test_asm2smpds_deep_meta_selfmod_fails_with_one_error_line(tmp_path, capsys):
-    assert main(["asm2smpds", _deep_meta_selfmod(tmp_path),
-                 "--allow-meta-selfmod"]) == 2
+    assert main(["asm2smpds", _deep_meta_selfmod(tmp_path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "Traceback" not in out.err
     assert out.err == ("error: line 2: selfmod of a selfmod instruction "
@@ -437,7 +434,7 @@ def test_asm2smpds_deep_meta_selfmod_fails_with_one_error_line(tmp_path, capsys)
 
 def test_asm2smpds_deep_meta_selfmod_compiles_erased(tmp_path, capsys):
     assert main(["asm2smpds", _deep_meta_selfmod(tmp_path),
-                 "--allow-meta-selfmod", "--erase-selfmod"]) == 0
+                 "--erase-selfmod"]) == 0
     out = capsys.readouterr()
     assert out.err == "" and "smrule" not in out.out
 

@@ -1,12 +1,15 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from smpds import (
     Configuration,
+    Initial,
     PdsRule,
     Phase,
+    Plain,
     SelfModRule,
     SMPDS,
     config_to_pds,
@@ -22,6 +25,7 @@ from smpds import (
     to_symbolic_pds,
 )
 from smpds.bench import GenParams, generate
+from smpds.formats import parse_automaton, parse_smpds
 from smpds.model import step
 from smpds.translate import Identity, Modify
 
@@ -34,6 +38,8 @@ from oracles import raw_reach
 from test_acceptance import _corpus_draw
 from test_classical_reference import (TRANSLATED_FAMILY, _corpus_draw_seeds,
                                       _phases_reaching)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_phase_closure_contains_seeds_and_successors():
@@ -400,11 +406,74 @@ def test_classical_poststar_matches_interpreter():
     assert not sat.accepts(Configuration("p3", ("g3", "g1"), theta0))
 
 
-def test_classical_prestar_rejects_epsilon_input():
+def test_classical_prestar_takes_an_eps_input():
+    """Classical pre* has direct pre*'s input contract: it takes eps_mid.aut,
+    whose eps edge sits between two symbol edges, and agrees with direct
+    pre* on nonempty stacks."""
+    doc = parse_smpds((GOLDEN / "eps_mid.smpds").read_text())
+    aut = parse_automaton((GOLDEN / "eps_mid.aut").read_text(), doc)
+    assert aut.has_epsilon()
+    m = doc.smpds
+    pds = to_pds(m, phase_closure(m, doc.phase_names.values()))
+    want = _nonempty_configs(prestar(m, aut))
+    assert want and _nonempty_configs(pds_prestar(pds, aut)) == want
+
+
+def _accepts_an_empty_stack(aut):
+    return any(aut.accepts(Configuration(q.control, (), q.phase))
+               for q in aut.initial_states())
+
+
+def test_classical_prestar_of_a_classical_poststar_result():
+    """On every corpus draw whose classical post* result accepts no empty
+    stack, classical pre* of that result, eps edges and all, equals
+    direct pre* of it on nonempty stacks."""
+    with_eps = 0
+    for seed in _corpus_draw_seeds():
+        inst = _corpus_draw(seed)[1]
+        m = inst.smpds
+        pds = to_pds(m, phase_closure(m, [inst.initial.phase, inst.target.phase]))
+        post = pds_poststar(pds, from_configs(m, [inst.initial]))
+        if _accepts_an_empty_stack(post):
+            continue
+        assert _nonempty_configs(pds_prestar(pds, post)) == \
+            _nonempty_configs(prestar(m, post)), seed
+        with_eps += post.has_epsilon()
+    assert with_eps >= 25
+
+
+def test_classical_prestar_from_a_target_outside_the_phase_set():
+    """A target at a phase that the paired PDS's set lacks: the saturation
+    builds the rules of every phase it reaches, so classical pre* agrees
+    with direct pre* on nonempty stacks.  The target is the draw's own
+    less one plain rule, and the set is the closure of the initial phase
+    alone."""
+    outside = 0
+    for seed in _corpus_draw_seeds():
+        inst = _corpus_draw(seed)[1]
+        m, target = inst.smpds, inst.target
+        plain = sorted(rid for rid in target.phase if rid in m.delta)
+        if not plain:
+            continue
+        theta = Phase.of(set(target.phase) - {plain[0]})
+        goal = Configuration(target.state, target.stack, theta)
+        pds = to_pds(m, phase_closure(m, [inst.initial.phase]))
+        outside += theta not in pds.phases
+        assert _nonempty_configs(pds_prestar(pds, from_configs(m, [goal]))) == \
+            _nonempty_configs(prestar(m, from_configs(m, [goal]))), seed
+    assert outside >= 100
+
+
+def test_prestar_routes_refuse_an_edge_they_would_extend_alike():
+    """Direct and classical pre* refuse an edge into an initial state that
+    the saturation would extend with the same error."""
     m, theta0, *_ = swap_example()
+    aut = from_configs(m, [Configuration("p3", ("g1",), theta0)])
+    aut.add_transition(Plain("x"), "g1", Initial("p2", theta0))
     pds = to_pds(m, phase_closure(m, [theta0]))
-    aut = from_configs(m, [Configuration("p1", ("g1",), theta0)])
-    from smpds.automaton import EPS, Plain
-    aut.add_transition(Plain("x"), EPS, Plain("y"))
-    with pytest.raises(ValueError, match="epsilon"):
-        pds_prestar(pds, aut)
+    errors = []
+    for op, system in ((prestar, m), (pds_prestar, pds)):
+        with pytest.raises(ValueError) as exc:
+            op(system, aut)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and "would extend" in errors[0]
