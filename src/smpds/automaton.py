@@ -6,32 +6,41 @@ the initial state (p, theta) to a final state, with epsilon moves allowed
 anywhere along the path.  The classical saturations of the translated
 PDS build the same automata (see `Initial`).
 
-Each automaton keeps its transitions in one place, the adjacency index
-src -> label -> set of targets, which the saturations read and extend a
-whole target set at a time.  `PAutomaton.transitions` is a snapshot of
-that index as (src, label, dst) triples, and the printers walk the index
-one (src, label) key at a time (`PAutomaton.grouped_transitions`).
+Each automaton numbers its own states, in the order it first meets them,
+and a set of its states is an int bitmask over those numbers (`bit`,
+`mask_of`, `states_of`).  The numbering belongs to the automaton, not to
+the process as the phases' rule bits do: a process builds many automata,
+and one numbering for all of them would widen every mask with each one.
+`copy` carries it over.  The transitions live in one place, the
+adjacency index src -> label -> mask of targets, which the saturations
+read and extend a whole target set at a time, testing, diffing and
+merging it with one int operation.  `PAutomaton.transitions` is a
+snapshot of that index as (src, label, dst) triples, and the printers
+walk the index one (src, label) key at a time, decoding each key's mask
+once (`PAutomaton.grouped_transitions`).
 
 Two operations carry every layer, and each has one implementation here:
 inserting transitions (`add_targets`; `add_transition` is its one-target
-case) and stepping a set of states over a symbol with eps moves free
-(`_close` and `_step`, over the cached `eclosure`s).  Membership,
+case) and stepping a mask of states over a symbol with eps moves free
+(`_close` and `_step`, over the cached eps-closure masks).  Membership,
 enumeration and direct pre* all read closures through them.
 
 The two saturation cores, pre* and post*, run on one worklist,
 `DeltaWorklist`, whether they read an SM-PDS directly or its translated
-PDS: a unit of work is a key (src, label) with the targets added under
-it since it was last popped, and every insert goes through `add_targets`.
+PDS: a unit of work is a key (src, label) with the mask of the targets
+added under it since it was last popped, and every insert goes through
+`add_targets`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import FrozenInstanceError
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
-from .model import Configuration, Phase, SMPDS
+from .model import Configuration, Phase, SMPDS, mask_digits
 
 # transition label; None is epsilon
 Label = Optional[str]
@@ -141,74 +150,107 @@ AutState = Union[Initial, Plain, Generated]
 class PAutomaton:
     """States, final states and transitions over a fixed alphabet.
 
-    `_out` (src -> label -> set of targets) is the only transition store:
-    inserts test for duplicates in it, and the engines read it directly.
-    Every source and target of a transition is in `states`.  Eps
-    closures are cached per state until the next eps edge is inserted.
+    The automaton numbers each state the first time it meets it (`bit`),
+    and the numbered states are its `states`.  `_out` (src -> label ->
+    mask of targets) is the only transition store: inserts diff and merge
+    whole target masks in it, and the engines read it directly.
+    `_finals` is the mask of the final states, and eps closures are
+    cached per state, as masks, until the next eps edge is inserted.
+    `states`, `finals`, `transitions`, `out` and `eclosure` hand out sets
+    decoded from the masks, which the caller may change freely.
     """
 
     def __init__(self, alphabet: Iterable[str]):
         self.alphabet = frozenset(alphabet)
-        self.states: set[AutState] = set()
-        self.finals: set[AutState] = set()
-        self._out: dict[AutState, dict[Label, set[AutState]]] = {}
-        self._eclosure: dict[AutState, frozenset[AutState]] = {}
+        # state -> its bit, and bit position -> state
+        self._bits: dict[AutState, int] = {}
+        self._order: list[AutState] = []
+        self._finals = 0
+        self._out: dict[AutState, dict[Label, int]] = {}
+        self._eclosure: dict[AutState, int] = {}
         self._has_eps = False
+
+    # -- state numbering ---------------------------------------------------
+
+    def bit(self, q: AutState) -> int:
+        """The mask bit of `q`, which numbers `q`, and so adds it to
+        `states`, on first use."""
+        b = self._bits.get(q)
+        if b is None:
+            b = self._bits[q] = 1 << len(self._order)
+            self._order.append(q)
+        return b
+
+    def mask_of(self, states: Iterable[AutState]) -> int:
+        """The mask of a set of states, numbering each on first use."""
+        mask = 0
+        for q in states:
+            mask |= self.bit(q)
+        return mask
+
+    def states_of(self, mask: int) -> list[AutState]:
+        """The states whose bits `mask` holds, in numbering order."""
+        return list(compress(self._order, mask_digits(mask)))
+
+    @property
+    def states(self) -> set[AutState]:
+        return set(self._order)
+
+    @property
+    def finals(self) -> set[AutState]:
+        return set(self.states_of(self._finals))
 
     # -- construction ----------------------------------------------------
 
     def add_state(self, q: AutState) -> AutState:
-        self.states.add(q)
+        self.bit(q)
         return q
 
     def add_final(self, q: AutState) -> None:
-        self.states.add(q)
-        self.finals.add(q)
+        self._finals |= self.bit(q)
 
     def add_transition(self, src: AutState, label: Label, dst: AutState) -> bool:
         """Insert a transition; returns False if it was already present."""
-        return bool(self.add_targets(src, label, {dst}))
+        return bool(self.add_targets(src, label, self.bit(dst)))
 
-    def add_targets(self, src: AutState, label: Label,
-                    dsts: set[AutState]) -> set[AutState]:
-        """Insert src --label--> d for every d in the set `dsts`; returns a
-        new set holding the targets that were not present yet.
+    def add_targets(self, src: AutState, label: Label, dsts: int) -> int:
+        """Insert src --label--> d for every state d whose bit the mask
+        `dsts` holds; returns the mask of the targets that were not
+        present yet.
 
-        The difference and the merge are single set operations, so a
-        saturation can insert a whole delta at the cost of one call.
+        The difference and the merge are one int operation each, so a
+        saturation inserts a whole delta at the cost of one call.  `dsts`
+        is made of this automaton's bits (`bit`, `mask_of`).
         """
         by_label = self._out.get(src)
         current = None if by_label is None else by_label.get(label)
         if current is None:
             if label is not None and label not in self.alphabet:
                 raise ValueError(f"label {label!r} not in automaton alphabet")
-            new = set(dsts)
-            if not new:
-                return new
+            if not dsts:
+                return 0
             if by_label is None:
+                self.bit(src)
                 by_label = self._out[src] = {}
-                self.states.add(src)
-            by_label[label] = set(new)
+            by_label[label] = dsts
         else:
-            new = dsts - current
-            if type(new) is not set:
-                # a frozenset `dsts` gives a frozenset difference
-                new = set(new)
-            if not new:
-                return new
-            current |= new
-        self.states |= new
+            dsts &= ~current
+            if not dsts:
+                return 0
+            by_label[label] = current | dsts
         if label is EPS:
             self._eclosure.clear()
             self._has_eps = True
-        return new
+        return dsts
 
     def copy(self) -> "PAutomaton":
+        """An automaton with the same states, numbering included, finals
+        and transitions, sharing nothing mutable with this one."""
         other = PAutomaton(self.alphabet)
-        other.states = set(self.states)
-        other.finals = set(self.finals)
-        other._out = {q: {label: set(targets) for label, targets in by_label.items()}
-                      for q, by_label in self._out.items()}
+        other._bits = dict(self._bits)
+        other._order = list(self._order)
+        other._finals = self._finals
+        other._out = {q: dict(by_label) for q, by_label in self._out.items()}
         other._has_eps = self._has_eps
         return other
 
@@ -221,11 +263,12 @@ class PAutomaton:
         Built from `_out` on each access: a snapshot that costs a pass
         over the automaton, and that the caller may change freely.
         """
+        states_of = self.states_of
         return {(src, label, dst) for src, by_label in self._out.items()
-                for label, targets in by_label.items() for dst in targets}
+                for label, targets in by_label.items() for dst in states_of(targets)}
 
     def transition_count(self) -> int:
-        return sum(len(targets) for by_label in self._out.values()
+        return sum(targets.bit_count() for by_label in self._out.values()
                    for targets in by_label.values())
 
     def grouped_transitions(self, name: dict[AutState, str]
@@ -235,92 +278,120 @@ class PAutomaton:
         Keys come in the order of (name[src], label or ""), so with one
         name per state the transitions come in the order of the triple
         (name[src], label or "", name[dst]) with far fewer comparisons:
-        a print sorts the keys, then each key's targets.
+        a print sorts the keys, then each key's targets.  `name` names
+        every state; the names are laid out by bit position once, and a
+        target mask picks its names out of that list and sorts them once
+        however many keys share it.  Each key gets a list of its own.
         """
+        names = list(map(name.__getitem__, self._order))
         keys = [((name[src], label or ""), label, targets)
                 for src, by_label in self._out.items()
                 for label, targets in by_label.items()]
         keys.sort(key=itemgetter(0))
+        decoded: dict[int, list[str]] = {}
         for (src_name, _), label, targets in keys:
-            yield src_name, label, sorted(map(name.__getitem__, targets))
+            dsts = decoded.get(targets)
+            if dsts is None:
+                dsts = decoded[targets] = sorted(compress(names, mask_digits(targets)))
+            yield src_name, label, dsts.copy()
 
     def initial_states(self) -> set[Initial]:
-        return {q for q in self.states if isinstance(q, Initial)}
+        return {q for q in self._order if isinstance(q, Initial)}
 
     def has_transition_into_initial(self) -> bool:
-        return any(isinstance(dst, Initial) for by_label in self._out.values()
-                   for targets in by_label.values() for dst in targets)
+        into = 0
+        for by_label in self._out.values():
+            for targets in by_label.values():
+                into |= targets
+        return bool(into & self.mask_of(self.initial_states()))
 
     def has_epsilon(self) -> bool:
         return self._has_eps
 
     def out(self, q: AutState, label: Label) -> set[AutState]:
-        return self._out.get(q, _NO_LABELS).get(label, set())
+        """The targets of the `label` edges from `q`, as a new set."""
+        return set(self.states_of(self._out.get(q, _NO_LABELS).get(label, 0)))
 
     def eclosure(self, q: AutState) -> frozenset[AutState]:
-        """The states reachable from `q` by eps edges, `q` included; cached
-        until the next eps edge is inserted."""
+        """The states reachable from `q` by eps edges, `q` included."""
+        if q not in self._bits:
+            return frozenset((q,))
+        return frozenset(self.states_of(self._eclosure_mask(q)))
+
+    def _eclosure_mask(self, q: AutState) -> int:
+        """The mask of `eclosure(q)` for a state `q`; cached until the next
+        eps edge is inserted."""
         cached = self._eclosure.get(q)
         if cached is not None:
             return cached
         out = self._out
-        seen = {q}
-        stack = [q]
-        while stack:
-            for s in out.get(stack.pop(), _NO_LABELS).get(EPS, ()):
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        result = frozenset(seen)
-        self._eclosure[q] = result
-        return result
+        seen = frontier = self._bits[q]
+        while frontier:
+            reached = 0
+            for s in self.states_of(frontier):
+                reached |= out.get(s, _NO_LABELS).get(EPS, 0)
+            frontier = reached & ~seen
+            seen |= frontier
+        self._eclosure[q] = seen
+        return seen
 
-    def _close(self, states: set[AutState]) -> set[AutState]:
-        """`states` with the eps closure of each member: `states` itself
-        when the automaton has no eps edge, a new set otherwise."""
+    def _close(self, mask: int) -> int:
+        """`mask` with the eps closure of each of its states."""
         if not self._has_eps:
-            return states
-        return set().union(*map(self.eclosure, states))
+            return mask
+        closure = self._eclosure_mask
+        for q in self.states_of(mask):
+            mask |= closure(q)
+        return mask
 
-    def _step(self, states: Iterable[AutState], symbol: str) -> set[AutState]:
-        """The eps-closed set of targets of `symbol` edges from `states`."""
+    def _step(self, mask: int, symbol: str) -> int:
+        """The eps-closed mask of targets of `symbol` edges from `mask`."""
         out = self._out
-        return self._close(set().union(*[out.get(q, _NO_LABELS).get(symbol, ())
-                                         for q in states]))
+        reached = 0
+        for q in self.states_of(mask):
+            reached |= out.get(q, _NO_LABELS).get(symbol, 0)
+        return self._close(reached)
 
-    def reach_states(self, source: AutState, word: Iterable[str]) -> set[AutState]:
-        """All states reachable from `source` reading `word`, eps moves free."""
-        current = self._close({source})
+    def _reach(self, mask: int, word: Iterable[str]) -> int:
+        current = self._close(mask)
         for symbol in word:
             current = self._step(current, symbol)
             if not current:
                 break
         return current
 
+    def reach_states(self, source: AutState, word: Iterable[str]) -> set[AutState]:
+        """All states reachable from `source` reading `word`, eps moves free."""
+        start = self._bits.get(source)
+        if start is None:
+            # a state with no number has no edge: it reaches itself alone
+            return set() if tuple(word) else {source}
+        return set(self.states_of(self._reach(start, word)))
+
     def accepts(self, c: Configuration) -> bool:
         # look the state up without interning it: a (control, phase) never
         # interned is in no automaton
-        init = Initial._table.get((c.state, c.phase))
-        if init is None or init not in self.states:
+        start = self._bits.get(Initial._table.get((c.state, c.phase)))
+        if start is None:
             return False
-        return bool(self.reach_states(init, c.stack) & self.finals)
+        return bool(self._reach(start, c.stack) & self._finals)
 
     def enumerate_configs(self, max_len: int) -> set[Configuration]:
         """All accepted configurations with stack length <= max_len."""
         found: set[Configuration] = set()
         symbols = sorted(self.alphabet)
         for init in self.initial_states():
-            frontier: list[tuple[tuple[str, ...], set[AutState]]] = [
-                ((), self._close({init}))]
+            frontier: list[tuple[tuple[str, ...], int]] = [
+                ((), self._close(self._bits[init]))]
             for _ in range(max_len + 1):
                 next_frontier = []
-                for word, states in frontier:
-                    if states & self.finals:
+                for word, mask in frontier:
+                    if mask & self._finals:
                         found.add(Configuration(init.control, word, init.phase))
                     if len(word) == max_len:
                         continue
                     for g in symbols:
-                        nxt = self._step(states, g)
+                        nxt = self._step(mask, g)
                         if nxt:
                             next_frontier.append((word + (g,), nxt))
                 frontier = next_frontier
@@ -330,26 +401,27 @@ class PAutomaton:
 
     def control_reachable(self, control: str) -> bool:
         """True iff some configuration with this control point is accepted."""
-        starts = [q for q in self.initial_states() if q.control == control]
-        seen: set[AutState] = set()
-        queue = deque(starts)
-        while queue:
-            q = queue.popleft()
-            if q in seen:
-                continue
-            seen.add(q)
-            if q in self.finals:
+        out = self._out
+        seen = 0
+        frontier = self.mask_of(q for q in self.initial_states() if q.control == control)
+        while frontier:
+            if frontier & self._finals:
                 return True
-            for targets in self._out.get(q, _NO_LABELS).values():
-                queue.extend(targets)
+            seen |= frontier
+            reached = 0
+            for q in self.states_of(frontier):
+                for targets in out.get(q, _NO_LABELS).values():
+                    reached |= targets
+            frontier = reached & ~seen
         return False
 
     def to_dot(self) -> str:
         """GraphViz rendering for inspection."""
-        name = {q: _default_state_name(q) for q in self.states}
+        name = {q: _default_state_name(q) for q in self._order}
+        finals = self.finals
         parts = ["digraph pautomaton {\n  rankdir=LR;\n"]
-        for q in sorted(self.states, key=name.__getitem__):
-            shape = "doublecircle" if q in self.finals else "circle"
+        for q in sorted(self._order, key=name.__getitem__):
+            shape = "doublecircle" if q in finals else "circle"
             style = ' style=bold' if isinstance(q, Initial) else ""
             parts.append(f'  "{name[q]}" [shape={shape}{style}];\n')
         # a key's lines share its prefix and suffix, laid out around the
@@ -367,45 +439,45 @@ class PAutomaton:
 class DeltaWorklist:
     """The pending work of a saturation over `aut`.
 
-    Each queued key (src, label) carries the set of its targets that were
-    added since the key was last popped; a key is queued once however
+    Each queued key (src, label) carries the mask of its targets that
+    were added since the key was last popped; a key is queued once however
     many inserts land on it before it is popped.  A new worklist queues
     every key of `aut` with all of its targets.
     """
 
     def __init__(self, aut: PAutomaton):
         self.aut = aut
-        self._deltas: dict[tuple[AutState, Label], set[AutState]] = {
-            (src, label): set(targets)
+        self._deltas: dict[tuple[AutState, Label], int] = {
+            (src, label): targets
             for src, by_label in aut._out.items()
             for label, targets in by_label.items()}
         self._keys: deque[tuple[AutState, Label]] = deque(self._deltas)
 
-    def add(self, edges: Iterable[tuple[AutState, Label]],
-            dsts: set[AutState]) -> None:
+    def add(self, edges: Iterable[tuple[AutState, Label]], dsts: int) -> None:
         """Insert src --label--> d for every (src, label) in `edges` and d
-        in `dsts`, and queue the new targets under their key.
+        in the mask `dsts`, and queue the new targets under their key.
 
         Once the automaton fills up most inserts bring nothing new, so
-        each edge is first tested with one subset test in C.  The set
-        `add_targets` hands back is fresh, so the worklist keeps it as the
-        key's delta and grows it in place.
+        each edge is first diffed against its key's targets, one int
+        operation; only a nonempty difference goes to `add_targets`, and
+        one `|` merges it into the key's delta.
         """
         out = self.aut._out
+        add_targets = self.aut.add_targets
         deltas = self._deltas
         for key in edges:
             src, label = key
-            current = out.get(src, _NO_LABELS).get(label)
-            if current is None or not dsts <= current:
-                new = self.aut.add_targets(src, label, dsts)
+            new = dsts & ~out.get(src, _NO_LABELS).get(label, 0)
+            if new:
+                add_targets(src, label, new)
                 delta = deltas.get(key)
                 if delta is None:
                     deltas[key] = new
                     self._keys.append(key)
                 else:
-                    delta |= new
+                    deltas[key] = delta | new
 
-    def __iter__(self) -> Iterator[tuple[tuple[AutState, Label], set[AutState]]]:
+    def __iter__(self) -> Iterator[tuple[tuple[AutState, Label], int]]:
         """Pop each key with its delta, in the order first queued, until no
         key is left; keys queued meanwhile are popped too."""
         keys, deltas = self._keys, self._deltas

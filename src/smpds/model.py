@@ -29,6 +29,13 @@ _IDS: list[RuleId] = []
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def mask_digits(mask: int) -> bytes:
+    """The binary digits of `mask`, bit 0 first, as 0/1 bytes: the
+    selectors with which `itertools.compress` picks a mask's members out
+    of a list indexed by bit position."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+
+
 def rule_bit(rid: RuleId) -> int:
     """The mask bit of `rid`, assigning the next free one on first sight."""
     bit = _BITS.get(rid)
@@ -102,9 +109,7 @@ class Phase:
     def members(self) -> frozenset[RuleId]:
         members = self._members
         if members is None:
-            # the binary digits of the mask, bit 0 first, as 0/1 bytes
-            bits = bin(self.mask)[:1:-1].encode().translate(_DIGIT_VALUES)
-            members = self._members = frozenset(compress(_IDS, bits))
+            members = self._members = frozenset(compress(_IDS, mask_digits(self.mask)))
         return members
 
     def _sorted_ids(self) -> tuple[RuleId, ...]:

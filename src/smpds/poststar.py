@@ -22,12 +22,13 @@ final marking, made at the start of `run`, when the initial state itself
 is final).  `post_moves` gives beta1-beta4 as right sides (p', theta',
 w), and `mod_successors` the empty-stack moves.
 
-The unit of work is a key (src, g) with the set of its targets added
+The unit of work is a key (src, g) with the mask of its targets added
 since the key was last processed (see `automaton.DeltaWorklist`).  A
-key turns into reading facts as one set: directly when src is initial,
+key turns into reading facts as one mask: directly when src is initial,
 through every eps edge into src otherwise, and, for a new eps edge, as
-the whole target set of each (q, g) it reaches.  The facts that are new
-then go along the firing plan of their key, one insert per plan edge.
+the targets of each (q, g) it reaches, joined per g with `|`.  The facts
+that are new, one `&~` against those known, then go along the firing
+plan of their key, one insert per plan edge.
 """
 
 from __future__ import annotations
@@ -52,28 +53,28 @@ class _PoststarEngine:
         # epsilon edges go from initial states to non-initial states only,
         # so closures never chain
         self.eps_into: dict[AutState, set[Initial]] = {}
-        # reading fact key ((p,theta), g) -> (the q's seen so far, its firing plan)
-        self.facts: dict[tuple[Initial, str],
-                         tuple[set[AutState], list[tuple[AutState, Label]]]] = {}
+        # reading fact key ((p,theta), g) -> [mask of the q's seen so far,
+        # its firing plan]
+        self.facts: dict[tuple[Initial, str], list] = {}
         self.work = DeltaWorklist(self.aut)
 
     def run(self) -> PAutomaton:
         aut = self.aut
         # a final initial state makes its modifying-rule successors final;
         # later empty-stack acceptance is linked by `_process`, with eps edges
-        todo = [q for q in aut.initial_states() if q in aut.finals]
+        todo = [q for q in aut.initial_states() if aut.bit(q) & aut._finals]
         while todo:
             q = todo.pop()
             for p, theta in self.rules.mod_successors(q.control, q.phase):
                 succ = Initial(p, theta)
-                if succ not in aut.finals:
+                if not aut.bit(succ) & aut._finals:
                     aut.add_final(succ)
                     todo.append(succ)
         for (src, label), delta in self.work:
             self._process(src, label, delta)
         return aut
 
-    def _process(self, src: AutState, label: Label, delta: set[AutState]) -> None:
+    def _process(self, src: AutState, label: Label, delta: int) -> None:
         if not isinstance(src, Initial):
             self._new_facts([(init, label) for init in self.eps_into.get(src, ())],
                             delta)
@@ -82,38 +83,39 @@ class _PoststarEngine:
         else:
             # the facts src --symbol--> q through the new eps edges, joined
             # per symbol; the mids are not initial, so none has eps edges
-            joined: dict[str, set[AutState]] = {}
-            for mid in delta:
+            aut = self.aut
+            joined: dict[str, int] = {}
+            for mid in aut.states_of(delta):
                 self.eps_into.setdefault(mid, set()).add(src)
-                for symbol, targets in self.aut._out.get(mid, {}).items():
-                    joined.setdefault(symbol, set()).update(targets)
+                for symbol, targets in aut._out.get(mid, {}).items():
+                    joined[symbol] = joined.get(symbol, 0) | targets
             for symbol, targets in joined.items():
                 self._new_facts([(src, symbol)], targets)
             # the rule for the empty stack, linked to every final eps-target
             # so that the result does not depend on set order
-            finals = delta & self.aut.finals
+            finals = delta & aut._finals
             if finals:
                 self.work.add([(Initial(p, theta), EPS) for p, theta
                                in self.rules.mod_successors(src.control, src.phase)],
                               finals)
 
-    def _new_facts(self, keys: list[tuple[Initial, str]], dsts: set[AutState]) -> None:
-        """Link the facts init --symbol--> q, q in `dsts`, for every key
-        (init, symbol) in `keys`, along the key's firing plan, as far as
-        they are new."""
+    def _new_facts(self, keys: list[tuple[Initial, str]], dsts: int) -> None:
+        """Link the facts init --symbol--> q, q in the mask `dsts`, for
+        every key (init, symbol) in `keys`, along the key's firing plan,
+        as far as they are new."""
         facts = self.facts
         for key in keys:
             fact = facts.get(key)
             if fact is None:
-                fresh = set(dsts)
+                fresh = dsts
                 plan = self._firing_plan(*key)
-                facts[key] = (fresh, plan)
+                facts[key] = [fresh, plan]
             else:
                 known, plan = fact
-                if dsts <= known:
+                fresh = dsts & ~known
+                if not fresh:
                     continue
-                fresh = dsts - known
-                known |= fresh
+                fact[0] = known | fresh
             self.work.add(plan, fresh)
 
     def _firing_plan(self, init: Initial, symbol: str) -> list[tuple[AutState, Label]]:
@@ -132,7 +134,7 @@ class _PoststarEngine:
                 continue
             for k in range(1, len(word)):
                 gen = Generated(p, ":".join(word[:k]), theta)
-                self.work.add([(src, word[k - 1])], {gen})
+                self.work.add([(src, word[k - 1])], self.aut.bit(gen))
                 src = gen
             plan.append((src, word[-1]))
         return plan

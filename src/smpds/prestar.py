@@ -24,21 +24,20 @@ empty-stack predecessors (`mod_predecessors`) of every accepted state.
 The input may contain epsilon transitions (they are honoured during
 matching); the saturation only adds symbol-labelled ones.
 
-The unit of work is a key (src, g) with the set of its targets added
+The unit of work is a key (src, g) with the mask of its targets added
 since the key was last processed (see `automaton.DeltaWorklist`); the
 eps keys of the input are popped and skipped.  The delta is widened once
-by the epsilon closures of its targets, which the automaton caches
+by the epsilon closures of its targets, whose masks the automaton caches
 (`PAutomaton._close`: the saturation adds no eps edge, so they never
 change), and each state whose closure holds src gains the new reading
-facts as one set.
+facts as one mask, diffed against the known ones with one `&~`.
 Every rule, and every rule waiting on the key for the last symbol of
 its word, then inserts the new facts' targets in one call; a rule with
-more of its word to read moves on to wait at each new target.
+more of its word to read moves on to wait at each new target, which is
+where a mask is decoded into its states.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from .automaton import EPS, AutState, DeltaWorklist, Initial, PAutomaton
 
@@ -68,8 +67,8 @@ class _PrestarEngine:
                     for q2 in cl:
                         self.eps_pred.setdefault(q2, {q2}).add(q)
 
-        # eps-folded reading facts: (src, symbol) -> set of dst
-        self.facts: dict[tuple[AutState, str], set[AutState]] = {}
+        # eps-folded reading facts: (src, symbol) -> mask of dst
+        self.facts: dict[tuple[AutState, str], int] = {}
         # partial matches: (mid-state, symbol) -> transitions ((p,theta), g)
         # waiting for the last edge of their rule's word
         self.pending: dict[tuple[AutState, str], set[_Lhs]] = {}
@@ -85,7 +84,8 @@ class _PrestarEngine:
         aut = self.aut
         # each state whose empty stack is accepted is live, and the modifying
         # rules into it accept their sources' empty stacks
-        todo = [q for q in aut.initial_states() if aut._close({q}) & aut.finals]
+        todo = [q for q in aut.initial_states()
+                if aut._close(aut.bit(q)) & aut._finals]
         while todo:
             q = todo.pop()
             if q not in self.live:
@@ -107,11 +107,11 @@ class _PrestarEngine:
         moves = self.rules.pop_moves(q.control, q.phase)
         if moves:
             self.work.add([(Initial(p, theta), g) for p, theta, g in moves],
-                          self.aut._close({q}))
+                          self.aut._close(self.aut.bit(q)))
 
     # -- fact-driven rule firing -------------------------------------------
 
-    def _process(self, src: AutState, label: str, delta: set[AutState]) -> None:
+    def _process(self, src: AutState, label: str, delta: int) -> None:
         """Fold the eps edges around the new transitions src --label--> delta
         and fire the rules on the facts that are new."""
         delta = self.aut._close(delta)
@@ -119,16 +119,17 @@ class _PrestarEngine:
             key = (s, label)
             known = self.facts.get(key)
             if known is None:
-                fresh = self.facts[key] = set(delta)
+                fresh = self.facts[key] = delta
             else:
-                fresh = delta - known
+                fresh = delta & ~known
                 if not fresh:
                     continue
-                known |= fresh
+                self.facts[key] = known | fresh
             self._new_facts(s, label, fresh)
 
-    def _new_facts(self, src: AutState, label: str, dsts: set[AutState]) -> None:
-        """Fire every rule on the new facts src --label--> d, d in `dsts`."""
+    def _new_facts(self, src: AutState, label: str, dsts: int) -> None:
+        """Fire every rule on the new facts src --label--> d, d in the mask
+        `dsts`."""
         add = self.work.add
         key = (src, label)
         add(self.pending.get(key, ()), dsts)
@@ -164,20 +165,22 @@ class _PrestarEngine:
                 edges.append(lhs)
         return edges, [(w[0], w[1:], group) for w, group in rests.items()]
 
-    def _wait(self, rests: list[_Rest], dsts: Iterable[AutState]) -> None:
+    def _wait(self, rests: list[_Rest], dsts: int) -> None:
         """Leave each group of transitions in `rests` waiting at every
-        state q in `dsts` for the rest of its word, and move it on along
-        the facts already known: a group that waits at (q, g2) was linked
-        to every fact known then, and each later fact replays the waiting
-        set.  A worklist, not recursion, so a long pushed word does not
-        deepen the Python stack."""
+        state q in the mask `dsts` for the rest of its word, and move it
+        on along the facts already known: a group that waits at (q, g2)
+        was linked to every fact known then, and each later fact replays
+        the waiting set.  A worklist, not recursion, so a long pushed word
+        does not deepen the Python stack."""
         add = self.work.add
+        states_of = self.aut.states_of
         pending, waiting, facts = self.pending, self.waiting, self.facts
         todo = [(rests, dsts)]
         while todo:
             rests, dsts = todo.pop()
+            states = states_of(dsts)
             for g2, tail, group in rests:
-                for q in dsts:
+                for q in states:
                     key = (q, g2)
                     known = (waiting.setdefault(key, {}).get(tail) if tail
                              else pending.get(key))

@@ -172,10 +172,9 @@ def reference_pds_poststar(pds, aut):
         if isinstance(src, Initial):
             if label is EPS:
                 eps_into.setdefault(dst, set()).add(src)
-                for symbol, targets in list(result._out.get(dst, {}).items()):
-                    if symbol is not EPS:
-                        for q in list(targets):
-                            new_fact(src, symbol, q)
+                for symbol in sorted(result.alphabet):
+                    for q in result.out(dst, symbol):
+                        new_fact(src, symbol, q)
             else:
                 new_fact(src, label, dst)
         else:

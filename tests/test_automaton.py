@@ -113,62 +113,68 @@ def test_generated_states_distinct():
 def test_add_targets_inserts_a_set_and_returns_what_was_new():
     m, theta0, aut, a, mid, acc = _basic()
     other = Plain("other")
-    dsts = {mid, other}
-    new = aut.add_targets(a, "g1", dsts)
-    assert new == {other} and new is not dsts
-    assert dsts == {mid, other}
+    new = aut.add_targets(a, "g1", aut.mask_of({mid, other}))
+    assert new == aut.bit(other) and aut.states_of(new) == [other]
     assert (a, "g1", other) in aut.transitions and other in aut.states
     assert aut.out(a, "g1") == {mid, other}
-    # the returned set is the caller's: changing it leaves the automaton alone
-    new.add(acc)
-    assert aut.out(a, "g1") == {mid, other}
-    assert aut.add_targets(a, "g1", {mid}) == set()
+    assert aut.add_targets(a, "g1", aut.bit(mid)) == 0
     b = Initial("p2", theta0)
-    assert aut.add_targets(b, "g2", {acc}) == {acc} and b in aut.states
-    assert aut.add_targets(b, "g3", set()) == set()
+    assert aut.add_targets(b, "g2", aut.bit(acc)) == aut.bit(acc) and b in aut.states
+    assert aut.add_targets(b, "g3", 0) == 0
     assert not aut.has_epsilon()
-    assert aut.add_targets(b, EPS, {mid}) == {mid} and aut.has_epsilon()
+    assert aut.add_targets(b, EPS, aut.bit(mid)) == aut.bit(mid) and aut.has_epsilon()
     assert aut.accepts(Configuration("p2", ("g2",), theta0))
     with pytest.raises(ValueError):
-        aut.add_targets(a, "nope", {mid})
-    # the three views agree
-    assert aut.transitions == {(s, label, d) for s, by_label in aut._out.items()
-                               for label, targets in by_label.items()
-                               for d in targets}
+        aut.add_targets(a, "nope", aut.bit(mid))
+    # the views agree
+    labels = sorted(aut.alphabet) + [EPS]
+    assert aut.transitions == {(s, label, d) for s in aut.states for label in labels
+                               for d in aut.out(s, label)}
+    assert aut.transition_count() == len(aut.transitions)
 
 
-def test_add_targets_returns_a_set_for_a_frozenset_and_the_worklist_keeps_it():
-    """The worklist stores a key's first delta as given and grows it with
-    `|=`, which on a frozenset would rebind a name and drop the targets."""
+def test_numbering_is_the_automatons_own():
+    m, theta0, aut, a, mid, acc = _basic()
+    # numbered in order of first use, from bit 0: `_basic` makes acc final
+    # before its first edge meets mid
+    states = [a, acc, mid]
+    assert [aut.bit(q) for q in states] == [1, 2, 4]
+    assert aut.mask_of(states) == 7 and aut.states_of(5) == [a, mid]
+    assert aut.states == set(states)
+    x = Plain("x")
+    assert aut.bit(x) == 8 and x in aut.states
+    assert aut.states_of(0) == [] and aut.mask_of([]) == 0
+
+
+def test_worklist_accumulates_adds_made_before_a_pop():
     m, theta0, aut, a, mid, acc = _basic()
     x, y, z = Plain("x"), Plain("y"), Plain("z")
-    aut.add_targets(a, "g2", {x})
-    new = aut.add_targets(a, "g2", frozenset({x, y}))
-    assert new == {y} and type(new) is set
-    assert type(aut.add_targets(a, "g2", frozenset({x}))) is set
     work = DeltaWorklist(aut)
     list(work)      # drain the keys the worklist starts with
     key = (a, "g3")
-    work.add([key], {x})
-    assert list(work) == [(key, {x})]
-    work.add([key], frozenset({x, y}))
-    work.add([key], {z})
-    assert list(work) == [(key, {y, z})]
+    work.add([key], aut.bit(x))
+    assert list(work) == [(key, aut.bit(x))]
+    work.add([key], aut.mask_of({x, y}))
+    work.add([key], aut.bit(z))
+    assert list(work) == [(key, aut.mask_of({y, z}))]
     assert aut.out(a, "g3") == {x, y, z}
+    # an add queues only the keys it brings something new
+    work.add([key, (a, "g1")], aut.mask_of({x, y}))
+    assert list(work) == [((a, "g1"), aut.mask_of({x, y}))]
 
 
 def test_a_new_worklist_yields_each_key_once_with_all_its_targets():
     m, theta0, aut, a, mid, acc = _basic()
-    aut.add_targets(a, "g1", {Plain("x"), Plain("y")})
+    aut.add_targets(a, "g1", aut.mask_of({Plain("x"), Plain("y")}))
     aut.add_transition(a, EPS, acc)
     aut.add_final(Initial("p2", theta0))     # a state with no edge has no key
+    before = aut.transitions
     popped = list(DeltaWorklist(aut))
     assert len(popped) == len({key for key, _ in popped})
-    assert dict(popped) == {(src, label): targets
-                            for src, by_label in aut._out.items()
-                            for label, targets in by_label.items()}
-    # the deltas are the worklist's own sets, not the automaton's
-    assert all(delta is not aut._out[src][label] for (src, label), delta in popped)
+    assert {(src, label, d) for (src, label), delta in popped
+            for d in aut.states_of(delta)} == before
+    assert all(set(aut.states_of(delta)) == aut.out(src, label)
+               for (src, label), delta in popped)
 
 
 def test_every_saturation_inserts_through_add_targets_alone(monkeypatch):
@@ -209,8 +215,9 @@ def test_interleaved_inserts_keep_one_store():
             ref.add((src, label, dst))
         else:
             dsts = set(rng.sample(states, rng.randint(0, 3)))
-            new = aut.add_targets(src, label, dsts)
-            assert new == {d for d in dsts if (src, label, d) not in ref}
+            new = aut.add_targets(src, label, aut.mask_of(dsts))
+            assert set(aut.states_of(new)) == {d for d in dsts
+                                               if (src, label, d) not in ref}
             ref.update((src, label, d) for d in dsts)
         assert aut.transitions == ref
     assert {q for t in ref for q in (t[0], t[2])} <= aut.states
@@ -240,6 +247,40 @@ def test_transitions_is_a_snapshot():
         aut.transitions = set()
 
 
+def test_set_views_are_copies():
+    """`out`, `states` and `finals` hand back new sets: changing one
+    leaves the automaton unchanged."""
+    m, theta0, aut, a, mid, acc = _basic()
+    before = (aut.transitions, aut.states, aut.finals)
+    targets = aut.out(a, "g1")
+    targets.add(acc)
+    targets.discard(mid)
+    aut.states.add(Plain("x"))
+    aut.finals.add(mid)
+    assert aut.out(a, "g1") == {mid}
+    assert (aut.transitions, aut.states, aut.finals) == before
+    assert aut.accepts(Configuration("p1", ("g1", "g2"), theta0))
+    assert not aut.accepts(Configuration("p1", ("g1",), theta0))
+
+
+def test_each_automaton_numbers_from_zero_after_many_saturations():
+    """The numbering is per automaton: after a process has saturated 200
+    corpus draws, a fresh automaton's masks are as narrow as its state
+    count.  A process-wide numbering would have widened them by every
+    state seen before."""
+    for seed in range(200):
+        inst = _corpus_draw(seed)[1]
+        m = inst.smpds
+        prestar(m, from_configs(m, [inst.target]))
+        poststar(m, from_configs(m, [inst.initial]))
+    inst = _corpus_draw(0)[1]
+    aut = from_configs(inst.smpds, [inst.initial, inst.target])
+    limit = 1 << len(aut.states)
+    assert aut.mask_of(aut.states) == limit - 1
+    assert all(targets < limit for by_label in aut._out.values()
+               for targets in by_label.values())
+
+
 def test_copy_is_independent():
     m, theta0, aut, a, mid, acc = _basic()
     dup = aut.copy()
@@ -259,17 +300,27 @@ def test_copy_equals_original_and_shares_no_mutable_set():
     assert dup.finals == aut.finals and dup.finals is not aut.finals
     assert dup.transitions == aut.transitions
     assert dup.transitions is not aut.transitions
-    assert dup._out == aut._out and dup._out is not aut._out
-    for q, by_label in aut._out.items():
-        assert dup._out[q] is not by_label
-        for label, targets in by_label.items():
-            assert dup._out[q][label] is not targets
+    # the numbering is carried over
+    assert [dup.bit(q) for q in aut.states] == [aut.bit(q) for q in aut.states]
     for c in aut.enumerate_configs(3) | dup.enumerate_configs(3):
         assert aut.accepts(c) and dup.accepts(c)
     # the copy's eps closures follow its own edges
     dup.add_transition(b, EPS, acc)
     assert dup.accepts(Configuration("p2", (), theta0))
     assert not aut.accepts(Configuration("p2", (), theta0))
+    # mutating the copy, numbering included, leaves the original unchanged
+    before = (aut.states, aut.finals, aut.transitions,
+              {q: aut.bit(q) for q in aut.states})
+    only_in_dup = Plain("only_in_dup")
+    dup.add_transition(mid, "g3", only_in_dup)
+    dup.add_transition(a, "g1", mid)
+    dup.add_targets(a, "g2", dup.mask_of({mid, acc}))
+    dup.add_final(only_in_dup)
+    assert (aut.states, aut.finals, aut.transitions,
+            {q: aut.bit(q) for q in aut.states}) == before
+    assert only_in_dup not in aut.states
+    # so the original hands out the next number itself
+    assert aut.bit(Plain("only_in_aut")) == 1 << len(before[0])
 
 
 # -- interned states ------------------------------------------------------

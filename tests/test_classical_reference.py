@@ -151,6 +151,12 @@ def _phases_reaching(m, goal):
     return found
 
 
+def _step(aut, states, g):
+    """The states reached from the eps-closed set `states` by one `g`,
+    eps moves free: the union of the public `reach_states` of each."""
+    return frozenset().union(*(aut.reach_states(q, (g,)) for q in states))
+
+
 def _same_language(a, b):
     """`a` and `b` accept the same configurations: one subset construction
     run on both at once from every initial state of either."""
@@ -163,7 +169,7 @@ def _same_language(a, b):
         if bool(sa & a.finals) != bool(sb & b.finals):
             return False
         for g in symbols:
-            nxt = (frozenset(a._step(sa, g)), frozenset(b._step(sb, g)))
+            nxt = (_step(a, sa, g), _step(b, sb, g))
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
