@@ -19,17 +19,21 @@ snapshot of that index as (src, label, dst) triples, and the printers
 walk the index one (src, label) key at a time, decoding each key's mask
 once (`PAutomaton.grouped_transitions`).
 
-Two operations carry every layer, and each has one implementation here:
-inserting transitions (`add_targets`; `add_transition` is its one-target
-case) and stepping a mask of states over a symbol with eps moves free
-(`_close` and `_step`, over the cached eps-closure masks).  Membership,
+Two operations carry every layer, and both live here: inserting
+transitions (`add_targets`; `add_transition` is its one-target case) and
+stepping a mask of states over a symbol with eps moves free (`_close`
+and `_step`, over the cached eps-closure masks).  Membership,
 enumeration and direct pre* all read closures through them.
 
 The two saturation cores, pre* and post*, run on one worklist,
 `DeltaWorklist`, whether they read an SM-PDS directly or its translated
 PDS: a unit of work is a key (src, label) with the mask of the targets
-added under it since it was last popped, and every insert goes through
-`add_targets`.
+added under it since it was last popped.  Every insert of a saturation
+goes through `DeltaWorklist.add`, which splits it in two: a key already
+in the store takes its new bits in place, into the mask that the diff
+has just read, and a key not in the store yet is opened by
+`add_targets`, which numbers its source, checks its label and marks an
+eps edge.  The engines read the store and never write it.
 """
 
 from __future__ import annotations
@@ -219,8 +223,10 @@ class PAutomaton:
         present yet.
 
         The difference and the merge are one int operation each, so a
-        saturation inserts a whole delta at the cost of one call.  `dsts`
-        is made of this automaton's bits (`bit`, `mask_of`).
+        whole target set costs one call.  `dsts` is made of this
+        automaton's bits (`bit`, `mask_of`).  The saturations insert
+        through `DeltaWorklist.add`, which merges into a key already in
+        the store itself and calls this only to open a new key.
         """
         by_label = self._out.get(src)
         current = None if by_label is None else by_label.get(label)
@@ -459,23 +465,38 @@ class DeltaWorklist:
 
         Once the automaton fills up most inserts bring nothing new, so
         each edge is first diffed against its key's targets, one int
-        operation; only a nonempty difference goes to `add_targets`, and
-        one `|` merges it into the key's delta.
+        operation.  A key already in the store takes a nonempty
+        difference in place, with one `|` on the mask just read (and, for
+        an eps key, a cleared closure cache); only a key not in the store
+        yet goes to `add_targets`, which numbers its source, checks its
+        label and marks an eps edge.  One more `|` merges the difference
+        into the key's delta.
         """
-        out = self.aut._out
-        add_targets = self.aut.add_targets
+        aut = self.aut
+        out = aut._out
+        eclosure = aut._eclosure
         deltas = self._deltas
         for key in edges:
             src, label = key
-            new = dsts & ~out.get(src, _NO_LABELS).get(label, 0)
-            if new:
-                add_targets(src, label, new)
-                delta = deltas.get(key)
-                if delta is None:
-                    deltas[key] = new
-                    self._keys.append(key)
-                else:
-                    deltas[key] = delta | new
+            by_label = out.get(src, _NO_LABELS)
+            current = by_label.get(label)
+            if current is None:
+                new = aut.add_targets(src, label, dsts)
+                if not new:
+                    continue
+            else:
+                new = dsts & ~current
+                if not new:
+                    continue
+                by_label[label] = current | new
+                if label is EPS:
+                    eclosure.clear()
+            delta = deltas.get(key)
+            if delta is None:
+                deltas[key] = new
+                self._keys.append(key)
+            else:
+                deltas[key] = delta | new
 
     def __iter__(self) -> Iterator[tuple[tuple[AutState, Label], int]]:
         """Pop each key with its delta, in the order first queued, until no

@@ -23,12 +23,15 @@ is final).  `post_moves` gives beta1-beta4 as right sides (p', theta',
 w), and `mod_successors` the empty-stack moves.
 
 The unit of work is a key (src, g) with the mask of its targets added
-since the key was last processed (see `automaton.DeltaWorklist`).  A
-key turns into reading facts as one mask: directly when src is initial,
-through every eps edge into src otherwise, and, for a new eps edge, as
-the targets of each (q, g) it reaches, joined per g with `|`.  The facts
-that are new, one `&~` against those known, then go along the firing
-plan of their key, one insert per plan edge.
+since the key was last processed (see `automaton.DeltaWorklist`).  `run`
+is one flat loop: it pops a key and turns it straight into (fact key,
+mask) pairs, in one of three ways: through every eps edge into src when
+src is not initial, as the key itself when src is initial and g a
+symbol, and, for a new eps edge, as the targets of each (q, g') it
+reaches, joined per g' with `|`.  Each pair costs one `&~` against the
+facts known under its key and, when that leaves new facts, one
+`DeltaWorklist.add` along the key's firing plan, which merges them into
+the store; the plan is built once, with the key's first facts.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class _PoststarEngine:
     def run(self) -> PAutomaton:
         aut = self.aut
         # a final initial state makes its modifying-rule successors final;
-        # later empty-stack acceptance is linked by `_process`, with eps edges
+        # later empty-stack acceptance is linked in the loop, with eps edges
         todo = [q for q in aut.initial_states() if aut.bit(q) & aut._finals]
         while todo:
             q = todo.pop()
@@ -70,53 +73,59 @@ class _PoststarEngine:
                 if not aut.bit(succ) & aut._finals:
                     aut.add_final(succ)
                     todo.append(succ)
-        for (src, label), delta in self.work:
-            self._process(src, label, delta)
+        finals = aut._finals      # no state turns final after this point
+        out = aut._out
+        states_of = aut.states_of
+        eps_into = self.eps_into
+        facts = self.facts
+        add = self.work.add
+        mod_successors = self.rules.mod_successors
+        new_fact = self._new_fact
+        for key, delta in self.work:
+            src, label = key
+            if not isinstance(src, Initial):
+                # the facts init --label--> q through every eps edge into src
+                for init in eps_into.get(src, ()):
+                    fact_key = (init, label)
+                    fact = facts.get(fact_key) or new_fact(fact_key)
+                    fresh = delta & ~fact[0]
+                    if fresh:
+                        fact[0] |= fresh
+                        add(fact[1], fresh)
+            elif label is not EPS:
+                fact = facts.get(key) or new_fact(key)
+                fresh = delta & ~fact[0]
+                if fresh:
+                    fact[0] |= fresh
+                    add(fact[1], fresh)
+            else:
+                # the facts src --symbol--> q through the new eps edges,
+                # joined per symbol; the mids are not initial, so none has
+                # eps edges
+                joined: dict[str, int] = {}
+                for mid in states_of(delta):
+                    eps_into.setdefault(mid, set()).add(src)
+                    for symbol, targets in out.get(mid, {}).items():
+                        joined[symbol] = joined.get(symbol, 0) | targets
+                for symbol, targets in joined.items():
+                    fact_key = (src, symbol)
+                    fact = facts.get(fact_key) or new_fact(fact_key)
+                    fresh = targets & ~fact[0]
+                    if fresh:
+                        fact[0] |= fresh
+                        add(fact[1], fresh)
+                # the rule for the empty stack, linked to every final
+                # eps-target so that the result does not depend on set order
+                if delta & finals:
+                    add([(Initial(p, theta), EPS) for p, theta
+                         in mod_successors(src.control, src.phase)], delta & finals)
         return aut
 
-    def _process(self, src: AutState, label: Label, delta: int) -> None:
-        if not isinstance(src, Initial):
-            self._new_facts([(init, label) for init in self.eps_into.get(src, ())],
-                            delta)
-        elif label is not EPS:
-            self._new_facts([(src, label)], delta)
-        else:
-            # the facts src --symbol--> q through the new eps edges, joined
-            # per symbol; the mids are not initial, so none has eps edges
-            aut = self.aut
-            joined: dict[str, int] = {}
-            for mid in aut.states_of(delta):
-                self.eps_into.setdefault(mid, set()).add(src)
-                for symbol, targets in aut._out.get(mid, {}).items():
-                    joined[symbol] = joined.get(symbol, 0) | targets
-            for symbol, targets in joined.items():
-                self._new_facts([(src, symbol)], targets)
-            # the rule for the empty stack, linked to every final eps-target
-            # so that the result does not depend on set order
-            finals = delta & aut._finals
-            if finals:
-                self.work.add([(Initial(p, theta), EPS) for p, theta
-                               in self.rules.mod_successors(src.control, src.phase)],
-                              finals)
-
-    def _new_facts(self, keys: list[tuple[Initial, str]], dsts: int) -> None:
-        """Link the facts init --symbol--> q, q in the mask `dsts`, for
-        every key (init, symbol) in `keys`, along the key's firing plan,
-        as far as they are new."""
-        facts = self.facts
-        for key in keys:
-            fact = facts.get(key)
-            if fact is None:
-                fresh = dsts
-                plan = self._firing_plan(*key)
-                facts[key] = [fresh, plan]
-            else:
-                known, plan = fact
-                fresh = dsts & ~known
-                if not fresh:
-                    continue
-                fact[0] = known | fresh
-            self.work.add(plan, fresh)
+    def _new_fact(self, key: tuple[Initial, str]) -> list:
+        """The record of a fact key met for the first time: no q known
+        yet, and the key's firing plan."""
+        fact = self.facts[key] = [0, self._firing_plan(*key)]
+        return fact
 
     def _firing_plan(self, init: Initial, symbol: str) -> list[tuple[AutState, Label]]:
         """The edges (src, label) that every fact (init, symbol, q) links to q.

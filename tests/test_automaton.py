@@ -163,6 +163,36 @@ def test_worklist_accumulates_adds_made_before_a_pop():
     assert list(work) == [((a, "g1"), aut.mask_of({x, y}))]
 
 
+def test_worklist_add_merges_in_place_and_opens_new_keys_through_add_targets():
+    m, theta0, aut, a, mid, acc = _basic()
+    b = aut.add_state(Initial("p2", theta0))
+    x, y = Plain("x"), Plain("y")
+    aut.add_transition(b, EPS, x)
+    work = DeltaWorklist(aut)
+    list(work)      # drain the keys the worklist starts with
+    assert aut.eclosure(b) == {b, x}
+    assert not aut.accepts(Configuration("p2", ("g2",), theta0))
+    # a merge into the eps key b --eps--> ... reaches the closure cache and
+    # membership, and queues only the bit it brings
+    work.add([(b, EPS)], aut.mask_of({x, mid}))
+    assert aut.out(b, EPS) == {x, mid}
+    assert aut.eclosure(b) == {b, x, mid}
+    assert aut.accepts(Configuration("p2", ("g2",), theta0))
+    assert list(work) == [((b, EPS), aut.bit(mid))]
+    # a merge into a symbol key queues only its new bits too
+    work.add([(a, "g1")], aut.mask_of({mid, x, y}))
+    assert aut.out(a, "g1") == {mid, x, y}
+    assert list(work) == [((a, "g1"), aut.mask_of({x, y}))]
+    # a new key opens through `add_targets`, which numbers its source and
+    # refuses a label outside the alphabet
+    c = Plain("c")
+    work.add([(c, "g3")], aut.bit(acc))
+    assert c in aut.states and aut.out(c, "g3") == {acc}
+    with pytest.raises(ValueError, match="not in automaton alphabet"):
+        work.add([(c, "nope")], aut.bit(acc))
+    assert list(work) == [((c, "g3"), aut.bit(acc))]
+
+
 def test_a_new_worklist_yields_each_key_once_with_all_its_targets():
     m, theta0, aut, a, mid, acc = _basic()
     aut.add_targets(a, "g1", aut.mask_of({Plain("x"), Plain("y")}))
@@ -177,9 +207,11 @@ def test_a_new_worklist_yields_each_key_once_with_all_its_targets():
                for (src, label), delta in popped)
 
 
-def test_every_saturation_inserts_through_add_targets_alone(monkeypatch):
-    """Direct and classical pre* and post* all insert through the worklist,
-    so none of them reaches `add_transition`."""
+def test_every_saturation_inserts_through_the_worklist_alone(monkeypatch):
+    """Direct and classical pre* and post* all insert through
+    `DeltaWorklist.add`, which merges into a key already in the store
+    itself and opens a new key with `add_targets`, so none of them
+    reaches `add_transition`."""
     runs = []
     for seed in range(1, 41):
         inst = _corpus_draw(seed)[1]

@@ -14,8 +14,14 @@ from smpds import (
 )
 from smpds.bench import GenParams, generate
 
+from classical_reference import reference_pds_poststar
 from fixtures import push_loop_example, swap_example, wide_enable_example
 from oracles import raw_reach
+
+# the pool of the `post_fanout` benchmark workload: (states, symbols,
+# rules, modifying rules, seed), drawn at full size
+POST_FANOUT_FAMILY = [(4, 4, 54, 4, 2), (4, 4, 40, 5, 3), (4, 4, 47, 4, 4),
+                      (4, 4, 47, 4, 10), (4, 4, 54, 4, 14), (4, 4, 47, 5, 31)]
 
 
 def test_poststar_push_loop_fixture():
@@ -182,3 +188,20 @@ def test_poststar_agrees_with_interpreter(seed):
         assert sat.accepts(c), c
     for c in sat.enumerate_configs(4):
         assert c in reach, c
+
+
+@pytest.mark.parametrize("params", POST_FANOUT_FAMILY,
+                         ids=lambda p: "-".join(map(str, p)))
+def test_poststar_matches_the_reference_at_benchmark_size(params):
+    """Direct post* from the initial configuration builds the same
+    states, finals and transitions as the per-transition classical
+    reference on the paired PDS of the phases reachable from it."""
+    inst = generate(GenParams(*params[:4], seed=params[4]))
+    m, initial = inst.smpds, inst.initial
+    got = poststar(m, from_configs(m, [initial]))
+    pds = to_pds(m, phase_closure(m, [initial.phase]))
+    want = reference_pds_poststar(pds, from_configs(m, [initial]))
+    assert got.states == want.states and got.finals == want.finals
+    # full size: thousands of transitions per instance
+    assert len(want.transitions) > 1000
+    assert got.transitions == want.transitions
