@@ -26,27 +26,31 @@ matching); the saturation only adds symbol-labelled ones.
 
 The unit of work is a key (src, g) with the mask of its targets added
 since the key was last processed (see `automaton.DeltaWorklist`); the
-eps keys of the input are popped and skipped.  The delta is widened once
-by the epsilon closures of its targets, whose masks the automaton caches
-(`PAutomaton._close`: the saturation adds no eps edge, so they never
-change), and each state whose closure holds src gains the new reading
-facts as one mask, diffed against the known ones with one `&~`.
-Every rule, and every rule waiting on the key for the last symbol of
-its word, then inserts the new facts' targets in one call; a rule with
-more of its word to read moves on to wait at each new target, which is
-where a mask is decoded into its states.
+eps keys of the input are popped and skipped.  `run` is one flat loop.
+It widens the delta once by the epsilon closures of its targets, whose
+masks the automaton caches (`PAutomaton._close`: the saturation adds no
+eps edge, so they never change), and each state s whose closure holds
+src gains the new reading facts as one mask, diffed against the known
+ones with one `&~`.  The rules waiting at (s, g) then fire on them:
+those whose word ends with g (`pending`) insert the new facts' targets
+in one `DeltaWorklist.add`, and those with more of their word to read
+(`waiting`) move on to wait at each new target, which is where a mask is
+decoded into its states (`_wait`).  The two tables are Delta', the
+half-matched rules of the pre* of Esparza, Hansel, Rossmanith and
+Schwoon (CAV 2000).  The rules that read an initial state's own fact key
+wait there too: `_seed` puts them in the two tables at the key's first
+fact, so pre* keeps no firing plan.
 """
 
 from __future__ import annotations
 
 from .automaton import EPS, AutState, DeltaWorklist, Initial, PAutomaton
 
-# a transition ((p,theta), g) that a rule adds; a group of them waiting
-# for the rest of their word, split into its next symbol and the tail
-# after it; and the firing plan of a fact key: the edges and the groups
+# a transition ((p,theta), g) that a rule adds, and a group of them
+# waiting for the rest of their word, split into its next symbol and the
+# tail after it
 _Lhs = tuple[Initial, str]
 _Rest = tuple[str, tuple[str, ...], set[_Lhs]]
-_Plan = tuple[list[_Lhs], list[_Rest]]
 
 
 class _PrestarEngine:
@@ -69,14 +73,12 @@ class _PrestarEngine:
 
         # eps-folded reading facts: (src, symbol) -> mask of dst
         self.facts: dict[tuple[AutState, str], int] = {}
-        # partial matches: (mid-state, symbol) -> transitions ((p,theta), g)
-        # waiting for the last edge of their rule's word
+        # the rules waiting at a fact key (state, symbol), Delta': the
+        # transitions ((p,theta), g) whose word ends with that symbol, and
+        # those with more of it to read after, by that tail.  The rules that
+        # read an initial state's key join them at its first fact (_seed).
         self.pending: dict[tuple[AutState, str], set[_Lhs]] = {}
-        # the same for rules with more than one symbol still to read after
-        # (mid-state, symbol), by the tail that follows it
         self.waiting: dict[tuple[AutState, str], dict[tuple[str, ...], set[_Lhs]]] = {}
-        # fact key ((p1,theta), g) -> its firing plan, see _firing_plan
-        self.plans: dict[tuple[Initial, str], _Plan] = {}
         # the initial states whose pop rules have fired
         self.live: set[Initial] = set()
 
@@ -88,82 +90,66 @@ class _PrestarEngine:
                 if aut._close(aut.bit(q)) & aut._finals]
         while todo:
             q = todo.pop()
-            if q not in self.live:
-                self._make_live(q)
+            if self._make_live(q):
                 for p, theta in self.rules.mod_predecessors(q.control, q.phase):
                     aut.add_final(Initial(p, theta))
                     todo.append(Initial(p, theta))
+        close = aut._close
+        eps_pred = self.eps_pred
+        facts, pending, waiting = self.facts, self.pending, self.waiting
+        add, wait, seed = self.work.add, self._wait, self._seed
         for (src, label), delta in self.work:
-            if label is not EPS:
-                self._process(src, label, delta)
+            if label is EPS:
+                continue
+            # the new facts s --label--> d for each state s whose closure
+            # holds src, and the rules waiting at (s, label) fire on them
+            delta = close(delta)
+            for s in eps_pred.get(src, (src,)):
+                key = (s, label)
+                known = facts.get(key)
+                if known is None:
+                    if isinstance(s, Initial):
+                        seed(s, label)
+                    fresh = facts[key] = delta
+                else:
+                    fresh = delta & ~known
+                    if not fresh:
+                        continue
+                    facts[key] = known | fresh
+                add(pending.get(key, ()), fresh)
+                by_tail = waiting.get(key)
+                if by_tail:
+                    wait([(t[0], t[1:], group) for t, group in by_tail.items()], fresh)
         return aut
 
-    def _make_live(self, q: Initial) -> None:
+    def _make_live(self, q: Initial) -> bool:
         """alpha1 for the pop rules into q: the path q --eps--> q' exists for
-        every q' in the closure of q, and q reaches a final state."""
+        every q' in the closure of q, and q reaches a final state.  False
+        if q was live already."""
         if q in self.live:
-            return
+            return False
         self.live.add(q)
         moves = self.rules.pop_moves(q.control, q.phase)
         if moves:
             self.work.add([(Initial(p, theta), g) for p, theta, g in moves],
                           self.aut._close(self.aut.bit(q)))
+        return True
 
-    # -- fact-driven rule firing -------------------------------------------
-
-    def _process(self, src: AutState, label: str, delta: int) -> None:
-        """Fold the eps edges around the new transitions src --label--> delta
-        and fire the rules on the facts that are new."""
-        delta = self.aut._close(delta)
-        for s in self.eps_pred.get(src, (src,)):
-            key = (s, label)
-            known = self.facts.get(key)
-            if known is None:
-                fresh = self.facts[key] = delta
-            else:
-                fresh = delta & ~known
-                if not fresh:
-                    continue
-                self.facts[key] = known | fresh
-            self._new_facts(s, label, fresh)
-
-    def _new_facts(self, src: AutState, label: str, dsts: int) -> None:
-        """Fire every rule on the new facts src --label--> d, d in the mask
-        `dsts`."""
-        add = self.work.add
-        key = (src, label)
-        add(self.pending.get(key, ()), dsts)
-        by_tail = self.waiting.get(key)
-        if by_tail:
-            self._wait([(t[0], t[1:], group) for t, group in by_tail.items()], dsts)
-        if not isinstance(src, Initial):
-            return
-        plan = self.plans.get(key)
-        if plan is None:
-            self._make_live(src)
-            plan = self.plans[key] = self._firing_plan(src, label)
-        edges, rests = plan
-        add(edges, dsts)
-        if rests:
-            self._wait(rests, dsts)
-
-    def _firing_plan(self, init: Initial, label: str) -> _Plan:
-        """What every fact (init, label, q) fires, whatever q is.
-
-        The edges (src, g) that alpha1 for one-symbol rules and alpha2 link
-        to q, and the transitions ((p,theta), g) that longer rules leave
-        waiting at q, grouped by the rest of the word, as `_wait` reads
-        them.  Built once per fact key, when its first q arrives.
-        """
-        edges: list[_Lhs] = []
-        rests: dict[tuple[str, ...], set[_Lhs]] = {}
+    def _seed(self, init: Initial, label: str) -> None:
+        """At the first fact of the key (init, label): init is live, and
+        every rule that alpha1 or alpha2 reads from it on `label` waits at
+        the key like a half-matched rule, in `pending` if its word ends
+        there and in `waiting` under the rest of its word if not."""
+        self._make_live(init)
+        key = (init, label)
+        ends = self.pending.setdefault(key, set())
+        by_tail = self.waiting.setdefault(key, {})
         for p, theta, g, rest in self.rules.pre_moves(init.control, init.phase, label):
             lhs = (Initial(p, theta), g)
             if rest:
-                rests.setdefault(rest, set()).add(lhs)
+                by_tail.setdefault(rest, set()).add(lhs)
             else:
-                edges.append(lhs)
-        return edges, [(w[0], w[1:], group) for w, group in rests.items()]
+                ends.add(lhs)
 
     def _wait(self, rests: list[_Rest], dsts: int) -> None:
         """Leave each group of transitions in `rests` waiting at every

@@ -1,11 +1,21 @@
-"""Hand-built example systems shared across the test modules, and a
-runner for the statistics that `smpds --stats` prints."""
+"""Hand-built example systems shared across the test modules, the pools
+of two benchmark workloads with a multi-phase pre* target for their
+instances, and a runner for the statistics that `smpds --stats` prints."""
 
 from __future__ import annotations
 
+from smpds import from_configs, poststar
 from smpds.cli import main
 from smpds.formats import SmpdsDocument, print_automaton, print_smpds
 from smpds.model import Configuration, PdsRule, Phase, SelfModRule, SMPDS
+
+# the pools of the `post_fanout` and the `translated` benchmark workloads:
+# (states, symbols, rules, modifying rules, seed), drawn at full size
+POST_FANOUT_FAMILY = [(4, 4, 54, 4, 2), (4, 4, 40, 5, 3), (4, 4, 47, 4, 4),
+                      (4, 4, 47, 4, 10), (4, 4, 54, 4, 14), (4, 4, 47, 5, 31)]
+TRANSLATED_FAMILY = [(8, 8, 60, 4, 3), (8, 8, 67, 4, 4), (8, 8, 74, 4, 5),
+                     (8, 8, 60, 4, 6), (8, 8, 67, 4, 7), (8, 8, 60, 4, 9),
+                     (8, 8, 67, 4, 10), (8, 8, 60, 4, 12)]
 
 
 def swap_example() -> tuple[SMPDS, Phase, Phase, Configuration]:
@@ -93,6 +103,19 @@ def wide_enable_example() -> tuple[SMPDS, Configuration, Configuration]:
     m = SMPDS({"p", "q", "s"}, {"a", "b"}, rules)
     return (m, Configuration("s", ("a",), Phase.of([1, 2])),
             Configuration("q", ("b", "b", "b"), Phase.of([0, 2])))
+
+
+def multi_phase_target(inst) -> Configuration:
+    """`inst.target`'s control point and stack at the smallest phase (fewest
+    ids, then sorted ids) of the initial states of post* from
+    `inst.initial`.  The generated target sits at the all-rules phase,
+    where pre* stays in one phase; pre* of this one can run back through
+    the phases that lead to it."""
+    m = inst.smpds
+    reached = poststar(m, from_configs(m, [inst.initial]))
+    phase = min((q.phase for q in reached.initial_states()),
+                key=lambda theta: (len(theta), tuple(theta)))
+    return Configuration(inst.target.state, inst.target.stack, phase)
 
 
 def cli_stats(capsys, tmp_path, smpds, aut, command, *options,

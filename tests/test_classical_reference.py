@@ -22,14 +22,9 @@ from smpds.translate import PDS, PairedRule
 from classical_reference import (reference_pds_poststar, reference_pds_prestar,
                                  reference_to_pds, solve_predecessor_phases,
                                  useful)
+from fixtures import TRANSLATED_FAMILY
 from oracles import raw_reach
 from test_acceptance import CORPUS_SIZE, ORACLE_STACK, ORACLE_STEPS, _corpus_draw
-
-# the pool of the `translated` benchmark workload: (states, symbols,
-# rules, modifying rules, seed), drawn at full size
-TRANSLATED_FAMILY = [(8, 8, 60, 4, 3), (8, 8, 67, 4, 4), (8, 8, 74, 4, 5),
-                     (8, 8, 60, 4, 6), (8, 8, 67, 4, 7), (8, 8, 60, 4, 9),
-                     (8, 8, 67, 4, 10), (8, 8, 60, 4, 12)]
 
 
 def _same_automaton(got, want):

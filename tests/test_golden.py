@@ -26,6 +26,8 @@ import pytest
 import smpds
 from smpds.cli import main
 
+from fixtures import multi_phase_target
+
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 MODEL = "samples/example1.smpds"
@@ -134,23 +136,26 @@ def test_outputs_at_benchmark_size_are_the_same_in_fresh_interpreters(tmp_path):
     addresses; the printed results must not.  The instances are those of
     the post* and the pre* benchmark pools, rendered as the benchmark
     renders them.  post* of the second one is left out: from the
-    all-rules phase its ten modifying rules reach too many phases."""
+    all-rules phase its ten modifying rules reach too many phases.  pre*
+    of the first one runs twice, at the generated target's all-rules
+    phase, where it stays in one phase, and at the smallest phase post*
+    reaches, which prints in its anonymous {...} form."""
     from smpds import formats
     from smpds.bench import GenParams, generate
 
     runs = []
-    for name, params, ops in (("post", GenParams(4, 4, 54, 4, seed=2),
-                               ("poststar", "prestar")),
-                              ("pre", GenParams(8, 8, 1009, 10, seed=1),
-                               ("prestar",))):
-        inst = generate(params)
+    post = generate(GenParams(4, 4, 54, 4, seed=2))
+    pre = generate(GenParams(8, 8, 1009, 10, seed=1))
+    for name, inst, queries in (
+            ("post", post, [("poststar", post.initial), ("prestar", post.target),
+                            ("prestar", multi_phase_target(post))]),
+            ("pre", pre, [("prestar", pre.target)])):
         doc = formats.SmpdsDocument(inst.smpds, {"init": inst.initial.phase},
                                     [inst.initial, inst.target])
         model = tmp_path / f"{name}.smpds"
         model.write_text(formats.print_smpds(doc))
-        for op in ops:
-            source = inst.initial if op == "poststar" else inst.target
-            aut = tmp_path / f"{name}.{op}.aut"
+        for k, (op, source) in enumerate(queries):
+            aut = tmp_path / f"{name}.{k}.aut"
             aut.write_text(formats.print_automaton(
                 smpds.from_configs(inst.smpds, [source]), doc))
             runs.append([sys.executable, "-m", "smpds.cli", op, str(model), str(aut)])

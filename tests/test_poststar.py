@@ -15,13 +15,9 @@ from smpds import (
 from smpds.bench import GenParams, generate
 
 from classical_reference import reference_pds_poststar
-from fixtures import push_loop_example, swap_example, wide_enable_example
+from fixtures import (POST_FANOUT_FAMILY, push_loop_example, swap_example,
+                      wide_enable_example)
 from oracles import raw_reach
-
-# the pool of the `post_fanout` benchmark workload: (states, symbols,
-# rules, modifying rules, seed), drawn at full size
-POST_FANOUT_FAMILY = [(4, 4, 54, 4, 2), (4, 4, 40, 5, 3), (4, 4, 47, 4, 4),
-                      (4, 4, 47, 4, 10), (4, 4, 54, 4, 14), (4, 4, 47, 5, 31)]
 
 
 def test_poststar_push_loop_fixture():

@@ -14,14 +14,20 @@ from smpds import (
     SelfModRule,
     SMPDS,
     from_configs,
+    pds_prestar,
+    phase_closure,
     poststar,
     prestar,
+    to_pds,
 )
 from smpds.bench import GenParams, generate
 
-from classical_reference import useful
-from fixtures import cli_stats, pop_chain_example, swap_example, wide_enable_example
+from classical_reference import reference_pds_prestar, useful
+from fixtures import (POST_FANOUT_FAMILY, TRANSLATED_FAMILY, cli_stats,
+                      multi_phase_target, pop_chain_example, swap_example,
+                      wide_enable_example)
 from oracles import raw_reach
+from test_classical_reference import _same_useful_part
 
 
 def test_solve_predecessor_phases():
@@ -268,3 +274,24 @@ def test_prestar_agrees_with_interpreter(seed):
             if t2:
                 continue
             assert sat.accepts(c) == (target in fwd), (c, target)
+
+
+@pytest.mark.parametrize("params", POST_FANOUT_FAMILY + TRANSLATED_FAMILY,
+                         ids=lambda p: "-".join(map(str, p)))
+def test_prestar_matches_the_reference_at_benchmark_size(params):
+    """Multi-phase pre* at full size: direct pre* and classical pre* on the
+    paired PDS of the phases reachable from the initial and the target
+    phase both build the useful part of the per-transition reference,
+    for a target at the smallest phase that post* reaches."""
+    inst = generate(GenParams(*params[:4], seed=params[4]))
+    m = inst.smpds
+    target = multi_phase_target(inst)
+    aut = from_configs(m, [target])
+    pds = to_pds(m, phase_closure(m, [inst.initial.phase, target.phase]))
+    want = reference_pds_prestar(pds, aut)
+    got = prestar(m, aut)
+    assert _same_useful_part(got, want, aut)
+    assert _same_useful_part(pds_prestar(pds, aut), want, aut)
+    # both answers are checked: each post_fanout target is reached from
+    # the initial configuration, no translated one is
+    assert got.accepts(inst.initial) == (params in POST_FANOUT_FAMILY)

@@ -33,11 +33,10 @@ from classical_reference import (pds_step, reference_pds_poststar,
                                  reference_pds_prestar, reference_phase_closure,
                                  reference_to_pds, solve_predecessor_phases,
                                  symbolic_step)
-from fixtures import swap_example
+from fixtures import TRANSLATED_FAMILY, swap_example
 from oracles import raw_reach
 from test_acceptance import _corpus_draw
-from test_classical_reference import (TRANSLATED_FAMILY, _corpus_draw_seeds,
-                                      _phases_reaching)
+from test_classical_reference import _corpus_draw_seeds, _phases_reaching
 
 GOLDEN = Path(__file__).parent / "golden"
 
