@@ -11,7 +11,7 @@ currently active set (the phase).  This package provides:
    each, run directly on an SM-PDS, empty stack included, or on its
    translated PDS,
  - translations to ordinary and symbolic pushdown systems, with the
-   classical saturations run on the paired rules (`translate`),
+   classical saturations that read the SM-PDS's moves (`translate`),
  - a toy self-modifying assembly front end (`asm`),
  - seeded random instances (`bench.generate`), used by the tests and by
    the benchmark in `perfbench/`,

@@ -4,7 +4,7 @@ Initial states are (control point, phase) pairs; a configuration
 (<p, w>, theta) is accepted iff the automaton has a path labelled w from
 the initial state (p, theta) to a final state, with epsilon moves allowed
 anywhere along the path.  The classical saturations of the translated
-PDS build the same automata (see `Initial`).
+PDS read the SM-PDS's moves and build the same automata (see `Initial`).
 
 Each automaton numbers its own states, in the order it first meets them,
 and a set of its states is an int bitmask over those numbers (`bit`,
@@ -26,8 +26,8 @@ and `_step`, over the cached eps-closure masks).  Membership,
 enumeration and direct pre* all read closures through them.
 
 The two saturation cores, pre* and post*, run on one worklist,
-`DeltaWorklist`, whether they read an SM-PDS directly or its translated
-PDS: a unit of work is a key (src, label) with the mask of the targets
+`DeltaWorklist`, whether they read an SM-PDS's moves directly or
+through its translated PDS: a unit of work is a key (src, label) with the mask of the targets
 added under it since it was last popped.  Every insert of a saturation
 goes through `DeltaWorklist.add`, which splits it in two: a key already
 in the store takes its new bits in place, into the mask that the diff

@@ -1,9 +1,10 @@
 """Forward saturation: compute post*(L(A)) on the P-automaton itself.
 
 One loop serves direct post* of an SM-PDS, whose rule source is the
-`SMPDS`, and classical post* of the translated PDS, whose source is the
-paired rules (`translate.pds_poststar`).  Saturation rules, applied until
-fixpoint, given a reading fact (p,theta) --g--> q (a direct transition
+`SMPDS`, and classical post* of the translated PDS
+(`translate.pds_poststar`), whose source forwards the `SMPDS`'s moves
+less the empty-stack ones and builds no paired rule.  Saturation rules, applied
+until fixpoint, given a reading fact (p,theta) --g--> q (a direct transition
 or an epsilon edge followed by a symbol edge):
 
   beta1: <p,g> -> <p',eps>   in theta: add ((p',theta), eps, q).
@@ -152,8 +153,8 @@ class _PoststarEngine:
 def poststar(rules, aut: PAutomaton) -> PAutomaton:
     """Saturate a copy of `aut` so it accepts post*(L(aut)) under `rules`,
     the `SMPDS` or any rule source with its moves and the names `states`
-    and `alphabet`, such as the paired rules of a translated PDS
-    (`translate.pds_poststar`).
+    and `alphabet`, such as a translated PDS, which forwards the moves
+    and the names of its SM-PDS (`translate.pds_poststar`).
 
     Raises `ValueError` on a state or symbol that holds ':', which would
     let two pushed prefixes share a generated state (see beta3), with

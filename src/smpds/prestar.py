@@ -1,9 +1,10 @@
 """Backward saturation: compute pre*(L(A)) on the P-automaton itself.
 
 One loop serves direct pre* of an SM-PDS, whose rule source is the
-`SMPDS`, and classical pre* of the translated PDS, whose source is the
-paired rules (`translate.pds_prestar`).  Saturation rules, applied until
-fixpoint:
+`SMPDS`, and classical pre* of the translated PDS
+(`translate.pds_prestar`), whose source forwards the `SMPDS`'s moves
+less the empty-stack ones and builds no paired rule.  Saturation rules, applied
+until fixpoint:
 
   alpha1: for a plain rule <p,g> -> <p1,w> in a phase theta, whenever the
           automaton has a path (p1,theta) --w--> q, add ((p,theta), g, q).
@@ -192,8 +193,8 @@ class _PrestarEngine:
 
 def prestar(rules, aut: PAutomaton) -> PAutomaton:
     """Saturate a copy of `aut` so it accepts pre*(L(aut)) under `rules`,
-    the `SMPDS` or any rule source with its moves, such as the paired
-    rules of a translated PDS (`translate.pds_prestar`).
+    the `SMPDS` or any rule source with its moves, such as a translated
+    PDS, which forwards the moves of its SM-PDS (`translate.pds_prestar`).
 
     Raises `ValueError` on an input with a transition into an initial
     state unless pre* leaves it unchanged, as a pre* result fed back in:

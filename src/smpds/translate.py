@@ -4,27 +4,26 @@ The ordinary translation encodes phases in control points, so it is only
 computed over a closed set of phases of interest (full enumeration of all
 2^|rules| phases is pointless for queries anchored at known phases).
 `to_pds` checks that the set is closed on the modifying rules alone and
-builds no rule: the `PairedPDS` it returns builds the rules of a phase
-when a saturation first asks for that phase, the on-the-fly construction
-of Schwoon (Model-Checking Pushdown Systems, 2002), so a goal-directed
-saturation pays for the phases it reaches and not for the whole set.
-The set is the PDS's `phases`, the ones that `rules` iterates and
-counts; a saturation builds any phase it reaches, in the set or not.
-The symbolic translation keeps one rule per SM-PDS rule and attaches a
-phase relation, stored intensionally.
+builds no rule.  The `PairedPDS` it returns is a view of the SM-PDS: the
+paired rules of a phase theta are the moves that `SMPDS.post_moves`,
+`pre_moves` and `pop_moves` return at theta, so a saturation reads those
+moves and builds no paired rule, the on-the-fly construction of Schwoon
+(Model-Checking Pushdown Systems, 2002) with nothing materialised.  The
+set is the PDS's `phases`, the ones that `rules` builds and counts for
+`smpds translate`; a saturation reads the moves of any phase it reaches,
+in the set or not.  The symbolic translation keeps one rule per SM-PDS
+rule and attaches a phase relation, stored intensionally.
 
 The phase arithmetic of the ordinary translation runs on int masks, with
 the bit table of the modifying rules, `SMPDS.mod_bits`, and the solver
 `model.predecessor_masks` that the direct saturations use:
 `phase_closure` searches on masks and interns only the phases of the
 finished closure, `to_pds` checks closedness on the masks of the set,
-`PairedPDS.entering` finds the phases that lead into a phase from its
-mask, and a phase's rules are built and counted from its mask.
+and a phase's rules are built and counted from its mask.
 
 Classical pre*/post* for ordinary PDSs are `prestar` and `poststar`,
-with the phase moved into the control point: `_PairedRules` is their
-rule source for a paired PDS, indexing the rules entering (pre*) or
-leaving (post*) a phase when the saturation first reads it.  So each
+with the phase moved into the control point and the PDS as their rule
+source: a `PairedPDS`, or an explicit `PDS` given by its rules.  So each
 direction has one input contract, the direct one.  A paired
 configuration ((p, theta), w) is the SM-PDS configuration
 (<p, w>, theta), so they take and return ordinary P-automata.  A paired
@@ -38,6 +37,7 @@ shares nothing with the cores lives in the tests:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -53,35 +53,49 @@ PdsState = tuple[str, Phase]
 class PDS:
     """An ordinary PDS over paired states (p, theta), given by its rules.
 
-    The saturations read it a phase at a time: `leaving(theta)` gives the
-    rules whose left side is at theta, `entering(theta)` those whose right
-    side is.  Both group the rule tuple by phase once, on first use.
+    It is a rule source of the saturation cores, with the moves of
+    `SMPDS` read off one index of its rules, built on first use: by left
+    side ((p, theta), g), by right-side head ((p', theta'), w[0]) and, for
+    pop rules, by right-side state.  A rule reads a stack symbol, so it
+    has no empty-stack moves.  `states` holds the control points p of the
+    paired states, the names that post* checks.
     """
 
     def __init__(self, states: Iterable[PdsState], alphabet: Iterable[str],
                  rules: Iterable[PairedRule]):
-        self.states = frozenset(states)
+        self.states = frozenset(p for p, _ in states)
         self.alphabet = frozenset(alphabet)
         self.rules = tuple(rules)
-        # the control points p of the paired states, as post* names them
-        self.controls = frozenset(p for p, _ in self.states)
-        self._by_phase: tuple[dict, dict] | None = None
 
-    def leaving(self, theta: Phase) -> list[PairedRule]:
-        return self._grouped()[0].get(theta, [])
+    @cached_property
+    def _moves(self) -> tuple[dict, dict, dict]:
+        post: dict[tuple, list] = {}
+        pre: dict[tuple, list] = {}
+        pop: dict[tuple, list] = {}
+        for (p, theta), g, (p1, theta1), word in self.rules:
+            post.setdefault((p, theta, g), []).append((p1, theta1, word))
+            if word:
+                pre.setdefault((p1, theta1, word[0]), []).append(
+                    (p, theta, g, word[1:]))
+            else:
+                pop.setdefault((p1, theta1), []).append((p, theta, g))
+        return post, pre, pop
 
-    def entering(self, theta: Phase) -> list[PairedRule]:
-        return self._grouped()[1].get(theta, [])
+    def post_moves(self, p: str, theta: Phase, g: str
+                   ) -> list[tuple[str, Phase, tuple[str, ...]]]:
+        return self._moves[0].get((p, theta, g), [])
 
-    def _grouped(self) -> tuple[dict, dict]:
-        if self._by_phase is None:
-            by_lhs: dict[Phase, list[PairedRule]] = {}
-            by_rhs: dict[Phase, list[PairedRule]] = {}
-            for r in self.rules:
-                by_lhs.setdefault(r[0][1], []).append(r)
-                by_rhs.setdefault(r[2][1], []).append(r)
-            self._by_phase = by_lhs, by_rhs
-        return self._by_phase
+    def pre_moves(self, p1: str, theta: Phase, g1: str
+                  ) -> list[tuple[str, Phase, str, tuple[str, ...]]]:
+        return self._moves[1].get((p1, theta, g1), [])
+
+    def pop_moves(self, p1: str, theta: Phase) -> list[tuple[str, Phase, str]]:
+        return self._moves[2].get((p1, theta), [])
+
+    def mod_successors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
+        return []
+
+    mod_predecessors = mod_successors
 
 
 class PairedRule(NamedTuple):
@@ -160,22 +174,23 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
 class PairedPDS:
     """The paired PDS of an SM-PDS over a closed phase set (`to_pds`).
 
-    `phases` is that set: iterating `rules` builds every phase of it, in
-    sorted member order, and `len(rules)` counts their rules without
-    building any.  A saturation reads rules a phase at a time and builds
-    them on first use, for any phase it reaches, and keeps them in
-    `phase_rules`: `leaving(theta)` builds theta, and `entering(theta)`
-    builds theta and the phases that reach it by one modifying rule.
+    A view of the SM-PDS: its moves are the `SMPDS`'s own, less the
+    empty-stack moves, which it lacks, so a saturation reads the SM-PDS
+    and builds no paired rule.  `phases` is the set: iterating `rules`
+    builds every phase of it, in sorted member order, and `len(rules)`
+    counts their rules without building any.
     """
 
     def __init__(self, smpds: SMPDS, phases: set[Phase]):
         self.smpds = smpds
         self.phases = phases
+        self.states = smpds.states
         self.alphabet = smpds.alphabet
-        self.controls = smpds.states
+        # the paired rules of a phase theta are the moves at theta
+        self.post_moves = smpds.post_moves
+        self.pre_moves = smpds.pre_moves
+        self.pop_moves = smpds.pop_moves
         self.rules = _PhaseOrderedRules(self)
-        # phase -> its rules, for the phases built so far
-        self.phase_rules: dict[Phase, list[PairedRule]] = {}
         self._gammas = sorted(smpds.alphabet)
         self._words = [(g,) for g in self._gammas]
         # the rules in id order, the order a phase's rules are built in,
@@ -187,19 +202,8 @@ class PairedPDS:
                        else (rule_bit(rid), None, None, tuple(r))
                        for rid, r in sorted(smpds.rules.items())]
 
-    def leaving(self, theta: Phase) -> list[PairedRule]:
-        rules = self.phase_rules.get(theta)
-        if rules is None:
-            rules = self.phase_rules[theta] = self._build(theta)
-        return rules
-
-    def entering(self, theta: Phase) -> list[PairedRule]:
-        sources = {theta: None}
-        for bits in self.smpds.mod_bits.values():
-            for mask in predecessor_masks(theta.mask, *bits):
-                sources[Phase.of_mask(mask)] = None
-        return [r for source in sources for r in self.leaving(source)
-                if r[2][1] is theta]
+    # a paired rule reads a stack symbol: no move on an empty stack
+    mod_successors = mod_predecessors = PDS.mod_successors
 
     def _build(self, theta: Phase) -> list[PairedRule]:
         """The rules at phase theta, in rule id order: each plain rule in
@@ -237,7 +241,7 @@ class _PhaseOrderedRules:
     def __iter__(self) -> Iterator[PairedRule]:
         pds = self.pds
         for theta in sorted(pds.phases, key=tuple):
-            yield from pds.leaving(theta)
+            yield from pds._build(theta)
 
     def __len__(self) -> int:
         """The number of rules, counted from the phase masks without
@@ -310,77 +314,18 @@ def pds_accepts(aut: PAutomaton, state: PdsState, stack: tuple[str, ...]) -> boo
     return aut.accepts(Configuration(state[0], stack, state[1]))
 
 
-class _PairedRules:
-    """The rule source of the saturation cores for a paired PDS, which has
-    no empty-stack moves.  The rules of a phase are indexed when the
-    saturation first asks for that phase, as raw `PairedRule`s, for one
-    direction; the cores read a group once.  `states` and `alphabet` are
-    the names that post* checks."""
-
-    def __init__(self, pds: PDS | PairedPDS, backward: bool):
-        self.states = pds.controls
-        self.alphabet = pds.alphabet
-        # post* reads the rules leaving a phase, grouped by left side
-        # ((p, theta), g); pre* those entering it, grouped by right-side head
-        # ((p', theta), w[0]) and, for pop rules, by right-side state
-        self.rules_of = pds.entering if backward else pds.leaving
-        self.backward = backward
-        self.groups: dict[tuple, list[PairedRule]] = {}
-        self.indexed: set[Phase] = set()
-
-    def _index(self, theta: Phase) -> None:
-        self.indexed.add(theta)
-        groups, backward = self.groups, self.backward
-        for r in self.rules_of(theta):
-            if not backward:
-                key = (r[0], r[1])
-            else:
-                word = r[3]
-                key = (r[2], word[0]) if word else r[2]
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [r]
-            else:
-                group.append(r)
-
-    def post_moves(self, p: str, theta: Phase, g: str
-                   ) -> list[tuple[str, Phase, tuple[str, ...]]]:
-        if theta not in self.indexed:
-            self._index(theta)
-        return [(*rhs, word) for _, _, rhs, word in self.groups.get(((p, theta), g), ())]
-
-    def pre_moves(self, p1: str, theta: Phase, g1: str
-                  ) -> list[tuple[str, Phase, str, tuple[str, ...]]]:
-        if theta not in self.indexed:
-            self._index(theta)
-        return [(*lhs, g, word[1:])
-                for lhs, g, _, word in self.groups.get(((p1, theta), g1), ())]
-
-    def pop_moves(self, p1: str, theta: Phase) -> list[tuple[str, Phase, str]]:
-        if theta not in self.indexed:
-            self._index(theta)
-        return [(*lhs, g) for lhs, g, _, _ in self.groups.get((p1, theta), ())]
-
-    def mod_successors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
-        return []
-
-    mod_predecessors = mod_successors
-
-
 def pds_prestar(pds: PDS | PairedPDS, aut: PAutomaton) -> PAutomaton:
     """Classical backward saturation for ordinary PDSs: `prestar`, input
-    contract and all, on the paired rules.  The paired PDS fires no
-    modifying rule on an empty stack, so the result agrees with direct
-    pre* on nonempty stacks.  Rules are read, and on a `PairedPDS` built,
-    only for the phases that hold a state of the result and the phases
-    that reach those by one modifying rule: on the `translated` benchmark
-    pool that is one phase of the 81-phase closure."""
-    return prestar(_PairedRules(pds, backward=True), aut)
+    contract and all, with the PDS as its rule source.  On a `PairedPDS`
+    it reads the SM-PDS's moves and builds no paired rule.  The paired
+    PDS fires no modifying rule on an empty stack, so the result agrees
+    with direct pre* on nonempty stacks."""
+    return prestar(pds, aut)
 
 
 def pds_poststar(pds: PDS | PairedPDS, aut: PAutomaton) -> PAutomaton:
     """Classical forward saturation for ordinary PDSs: `poststar`, input
-    contract and name check and all, on the paired rules.  A key's
-    rules are read at its first fact, so a saturation from a few
-    configurations leaves most rules unread."""
-    return poststar(_PairedRules(pds, backward=False), aut)
+    contract and name check and all, with the PDS as its rule source.  On
+    a `PairedPDS` it reads the SM-PDS's moves and builds no paired rule;
+    on a `PDS` it indexes the rules once, at the first move it reads."""
+    return poststar(pds, aut)

@@ -79,10 +79,11 @@ def reference_to_pds(smpds, phases):
     return rules
 
 
-def pds_step(pds, state, stack):
-    """The paired configurations that (state, stack) steps to."""
+def pds_step(rules, state, stack):
+    """The paired configurations that (state, stack) steps to under the
+    paired rules `rules`."""
     out = set()
-    for r in pds.rules:
+    for r in rules:
         if r.lhs_state == state and stack and stack[0] == r.lhs_symbol:
             out.add((r.rhs_state, r.rhs_word + stack[1:]))
     return frozenset(out)

@@ -167,7 +167,7 @@ def test_criterion_4_single_step_equivalence(corpus):
         probe = [c for c in rec.reach if c.stack] \
             + [c for c in rec.samples if c.stack]
         phases = phase_closure(m, {c.phase for c in probe} | {rec.initial.phase})
-        pds = to_pds(m, phases)
+        rules = list(to_pds(m, phases).rules)
         spds = to_symbolic_pds(m)
         rng = random.Random(rec.seed * 17)
         symbols = sorted(m.alphabet)
@@ -181,7 +181,7 @@ def test_criterion_4_single_step_equivalence(corpus):
         for c in probe:
             succ = step(m, c)
             state, stack = config_to_pds(c)
-            assert pds_step(pds, state, stack) == \
+            assert pds_step(rules, state, stack) == \
                 {config_to_pds(s) for s in succ}, (rec.seed, c)
             assert symbolic_step(spds, c) == succ, (rec.seed, c)
             pairs += 1

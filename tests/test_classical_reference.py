@@ -132,6 +132,16 @@ def test_prestar_lies_between_the_useful_part_and_the_reference():
     assert trimmed > 100
 
 
+def test_poststar_on_an_explicit_pds_matches_the_reference():
+    """On the same random explicit PDSs and inputs, classical post* builds
+    exactly the reference's automaton: post* checks the names of the PDS's
+    control points, so this also runs that check on an explicit `PDS`."""
+    for seed in range(400):
+        pds, aut = _random_pds_and_input(random.Random(seed))
+        got = pds_poststar(pds, aut)
+        assert _same_automaton(got, reference_pds_poststar(pds, aut)), seed
+
+
 def _phases_reaching(m, goal):
     """The phases from which modifying rules lead to `goal`, itself included."""
     found = {goal}

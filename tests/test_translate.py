@@ -7,6 +7,7 @@ import pytest
 from smpds import (
     Configuration,
     Initial,
+    PDS,
     PdsRule,
     Phase,
     Plain,
@@ -36,7 +37,7 @@ from classical_reference import (pds_step, reference_pds_poststar,
 from fixtures import TRANSLATED_FAMILY, swap_example
 from oracles import raw_reach
 from test_acceptance import _corpus_draw
-from test_classical_reference import _corpus_draw_seeds, _phases_reaching
+from test_classical_reference import _corpus_draw_seeds
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,16 +86,31 @@ def test_to_pds_emits_phases_in_sorted_member_order():
     assert [tuple(ph) for ph in order] == sorted(tuple(ph) for ph in phases)
 
 
+def _count_builds(pds):
+    """The phases that `pds._build` is called on from here on, in order."""
+    calls = []
+    build = pds._build
+
+    def counted(theta):
+        calls.append(theta)
+        return build(theta)
+
+    pds._build = counted
+    return calls
+
+
 def _check_rule_list(m, phases):
     """`len(pds.rules)` counts without building a phase, and equals the
-    number of rules that iterating builds, in `reference_to_pds`'s order."""
+    number of rules that iterating builds, one phase at a time in
+    `reference_to_pds`'s order."""
     pds = to_pds(m, phases)
+    built = _count_builds(pds)
     count = len(pds.rules)
-    assert not pds.phase_rules
+    assert not built
     rules = [tuple(r) for r in pds.rules]
     assert count == len(rules)
     assert rules == reference_to_pds(m, phases)
-    assert set(pds.phase_rules) == set(phases)
+    assert built == sorted(phases, key=tuple)
 
 
 def test_rule_count_and_order_on_every_corpus_draw():
@@ -228,41 +244,22 @@ def test_phase_closure_matches_the_reference_on_draws_and_the_family():
     assert refused and accepted
 
 
-def _phases_reached(m, start):
-    """The phases that modifying rules lead to from `start`, itself included."""
-    found = {start}
-    todo = [start]
-    while todo:
-        theta = todo.pop()
-        for rid in m.delta_c:
-            r = m.rules[rid]
-            if rid in theta and r.removed in theta:
-                succ = theta.update(r.removed, r.added)
-                if succ not in found:
-                    found.add(succ)
-                    todo.append(succ)
-    return found
-
-
-def test_saturations_build_only_the_phases_they_reach():
-    """On the `translated` family, classical pre* builds the rules of the
-    phases that reach the target's phase, and post* those of the phases
-    reachable from the initial one; the rest of the 81-phase closure stays
-    unbuilt, and the answers are those of a fully built PDS."""
+def test_saturations_build_no_paired_rule():
+    """On the `translated` family, classical pre* and post* read the
+    SM-PDS's moves and build no phase of the 81-phase closure, and their
+    answers are those of an explicit PDS holding every paired rule."""
     for params in TRANSLATED_FAMILY:
         inst = generate(GenParams(*params[:4], seed=params[4]))
         m = inst.smpds
         phases = phase_closure(m, [inst.initial.phase, inst.target.phase])
-        built = to_pds(m, phases)
-        list(built.rules)
-        for route, c, allowed in (
-                (pds_prestar, inst.target, _phases_reaching(m, inst.target.phase)),
-                (pds_poststar, inst.initial, _phases_reached(m, inst.initial.phase))):
+        explicit = PDS([(p, theta) for p in m.states for theta in phases],
+                       m.alphabet, to_pds(m, phases).rules)
+        for route, c in ((pds_prestar, inst.target), (pds_poststar, inst.initial)):
             pds = to_pds(m, phases)
+            built = _count_builds(pds)
             got = route(pds, from_configs(m, [c]))
-            assert set(pds.phase_rules) <= allowed, (params, route.__name__)
-            assert len(pds.phase_rules) <= len(phases) // 4, (params, route.__name__)
-            want = route(built, from_configs(m, [c]))
+            assert not built, (params, route.__name__)
+            want = route(explicit, from_configs(m, [c]))
             assert (got.transitions, got.finals) == (want.transitions, want.finals)
 
 
@@ -290,7 +287,7 @@ def test_pds_step_equivalence(seed):
     inst = generate(GenParams(num_states=3, num_symbols=3, num_rules=5,
                               num_smrules=2, seed=3000 + seed))
     m, c0 = inst.smpds, inst.initial
-    pds = to_pds(m, phase_closure(m, [c0.phase]))
+    rules = list(to_pds(m, phase_closure(m, [c0.phase])).rules)
     spds = to_symbolic_pds(m)
     reach, _ = raw_reach(m, c0, 4, 4000)
     for c in reach:
@@ -298,7 +295,7 @@ def test_pds_step_equivalence(seed):
             continue
         succ = step(m, c)
         state, stack = config_to_pds(c)
-        assert pds_step(pds, state, stack) == {config_to_pds(s) for s in succ}
+        assert pds_step(rules, state, stack) == {config_to_pds(s) for s in succ}
         assert symbolic_step(spds, c) == succ
 
 
