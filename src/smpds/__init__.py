@@ -10,8 +10,9 @@ currently active set (the phase).  This package provides:
  - backward and forward saturation (`prestar`, `poststar`), one core
    each, run directly on an SM-PDS, empty stack included, or on its
    translated PDS,
- - translations to ordinary and symbolic pushdown systems, with the
-   classical saturations that read the SM-PDS's moves (`translate`),
+ - the translation to an ordinary pushdown system, with the classical
+   saturations that read the SM-PDS's moves (`translate`), and the
+   symbolic one, printed straight from the rule table (`formats`),
  - a toy self-modifying assembly front end (`asm`),
  - seeded random instances (`bench.generate`), used by the tests and by
    the benchmark in `perfbench/`,
@@ -35,7 +36,6 @@ from .prestar import prestar
 from .poststar import poststar
 from .translate import (
     PDS,
-    SymbolicPDS,
     config_to_pds,
     pds_accepts,
     pds_from_configs,
@@ -43,16 +43,15 @@ from .translate import (
     pds_poststar,
     phase_closure,
     to_pds,
-    to_symbolic_pds,
 )
 
 __all__ = [
     "Configuration", "EPS", "Generated", "Initial", "PAutomaton", "PDS",
     "PdsRule", "Phase", "Plain", "RuleId", "SMPDS", "SelfModRule",
-    "SymbolicPDS", "ValidationReport", "check_configuration",
-    "config_to_pds", "from_configs", "pds_accepts", "pds_from_configs",
-    "pds_poststar", "pds_prestar", "phase_closure", "poststar", "prestar",
-    "step", "to_pds", "to_symbolic_pds", "validate",
+    "ValidationReport", "check_configuration", "config_to_pds",
+    "from_configs", "pds_accepts", "pds_from_configs", "pds_poststar",
+    "pds_prestar", "phase_closure", "poststar", "prestar", "step", "to_pds",
+    "validate",
 ]
 
 __version__ = "0.1.0"

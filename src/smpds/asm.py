@@ -78,12 +78,12 @@ def parse_program(text: str) -> Program:
         if line.startswith("entry "):
             if entry is not None:
                 raise AsmError(lineno, "duplicate entry directive")
-            entry = line.split()[1]
+            entry = _one_label(line[len("entry "):], lineno, "entry")
             continue
         label, colon, body = line.partition(":")
         if not colon:
             raise AsmError(lineno, "expected '<label>: <opcode> ...'")
-        label = label.strip()
+        label = _one_label(label, lineno, "an instruction")
         if label in (HALT, RET):
             raise AsmError(lineno, f"label {label!r} names a compiler state")
         if label in seen_labels:
@@ -108,6 +108,14 @@ def parse_program(text: str) -> Program:
     if entry not in labels:
         raise AsmError(0, f"unresolved entry label {entry!r}")
     return Program(entry, instructions)
+
+
+def _one_label(text: str, lineno: int, what: str) -> str:
+    """The one token in `text`: a label names a control point."""
+    toks = text.split()
+    if len(toks) != 1:
+        raise AsmError(lineno, f"{what} needs exactly one label, not {text.strip()!r}")
+    return toks[0]
 
 
 def _check_body(lineno: int, op: str, operands: tuple[str, ...]) -> None:

@@ -11,7 +11,8 @@
 `check` exits 0 when the configuration is a member, 1 when it is not,
 and 2 on any error.  `translate` prints the paired rules of every phase
 of the closure of the model's phases and config phases (the PDS's
-`phases`).  A selfmod of a selfmod compiles only with --erase-selfmod.
+`phases`), or with --symbolic the rules of the symbolic PDS for all
+phases at once.  A selfmod of a selfmod compiles only with --erase-selfmod.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import asm, formats, model
 from .automaton import Generated, Initial, PAutomaton
 from .prestar import prestar
 from .poststar import poststar
-from .translate import phase_closure, to_pds, to_symbolic_pds
+from .translate import phase_closure, to_pds
 
 
 def _read(path: str) -> str:
@@ -125,10 +126,11 @@ def cmd_poststar(args) -> int:
 def cmd_translate(args) -> int:
     doc = _load_valid_doc(args.model)
     if args.symbolic:
-        spds = to_symbolic_pds(doc.smpds)
-        if not args.quiet:
-            print(f"symbolic rules: {len(spds.rules)}", file=sys.stderr)
-        _write(formats.print_symbolic_pds(spds, doc), args.output)
+        m = doc.smpds
+        if not args.quiet:  # |Delta| + |Delta_c| * |Gamma| lines
+            print(f"symbolic rules: {len(m.delta) + len(m.delta_c) * len(m.alphabet)}",
+                  file=sys.stderr)
+        _write(formats.print_symbolic_pds(doc), args.output)
         return 0
     seeds = list(doc.phase_names.values()) + [c.phase for c in doc.configs]
     if not seeds:

@@ -15,6 +15,13 @@ Automaton format (phase names resolve against a model document):
     final <state>
     trans <state> <gamma|eps> <state>
 
+Symbolic-PDS format, printed only: rule r in the phases that hold it;
+r: p --(r1, r2)--> p' once per symbol, from the phases that hold r and
+r1 to those with r1 swapped for r2:
+
+    symrule <i>: <p> <gamma> -[id(<r>)]-> <p'> [<g1> [<g2> ...]]
+    symrule <i>: <p> <gamma> -[mod(<r>,<r1>,<r2>)]-> <p'> <gamma>
+
 A rule id is `-?[0-9]+` (ASCII digits, no `+`, no `_`), in every
 directive and in braced phases.  A rule's right side holds no `->`.  A
 phase is referenced by its declared name or, anonymously, as a sorted
@@ -23,10 +30,10 @@ once, is one token and neither starts with '{' nor holds '@'.  The label
 `eps` is epsilon, so no model may use `eps` as a stack symbol.  A state
 token `gen:p:g1:...:gk@theta` is the generated state of post* for the
 control point p, the pushed prefix g1...gk and the phase, so no control
-point or stack symbol holds ':'.  Printing is canonical, so parse o
-print is the identity.  Each printer collects its output as one list of
-pieces and joins it once, so it holds little more than the output
-itself.
+point or stack symbol holds ':'.  In it and in a token `p@theta`, p is
+not empty.  Printing is canonical, so parse o print is the identity.
+Each printer collects its output as one list of pieces and joins it
+once, so it holds little more than the output itself.
 
 Parsing reads the whole text at once.  One `split` of a model by the
 regex of a well-formed rule line yields the fields of every rule, which
@@ -48,7 +55,6 @@ from typing import Sequence
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
 from .model import Configuration, Phase, PdsRule, SelfModRule, SMPDS
-from .translate import Identity
 
 
 class FormatError(ValueError):
@@ -322,10 +328,8 @@ def print_smpds(doc: SmpdsDocument) -> str:
     for g in sorted(m.alphabet):
         lines.append(f"symbol {g}")
     for rid in sorted(m.delta):
-        r = m.rules[rid]
-        word = " ".join(r.rhs_word)
-        rhs = f"{r.rhs_state} {word}".rstrip()
-        lines.append(f"rule {rid}: {r.lhs_state} {r.lhs_symbol} -> {rhs}")
+        p, gamma, q, word = m.rules[rid]
+        lines.append(f"rule {rid}: {p} {gamma} -> {' '.join((q, *word))}")
     for rid in sorted(m.delta_c):
         r = m.rules[rid]
         lines.append(f"smrule {rid}: {r.from_state} ({r.removed} -> {r.added}) {r.to_state}")
@@ -412,11 +416,13 @@ def parse_state_token(token: str, doc: SmpdsDocument, lineno: int = 0) -> AutSta
         if not at:
             raise FormatError(lineno, f"malformed generated state {token!r}")
         control, colon, symbol = body.partition(":")
-        if not colon:
+        if not colon or not control:
             raise FormatError(lineno, f"malformed generated state {token!r}")
         return Generated(control, symbol, doc.resolve_phase(phasetok, lineno))
     if "@" in token:
         control, _, phasetok = token.rpartition("@")
+        if not control:
+            raise FormatError(lineno, f"state {token!r} has no control point")
         return Initial(control, doc.resolve_phase(phasetok, lineno))
     return Plain(token)
 
@@ -494,7 +500,7 @@ def print_automaton(aut: PAutomaton, doc: SmpdsDocument) -> str:
     return "".join(parts) or "\n"
 
 
-# -- translated-PDS format --------------------------------------------------
+# -- translated-PDS formats -------------------------------------------------
 
 def print_pds(pds, doc: SmpdsDocument) -> str:
     """Mirror of the model format with paired-state names p@theta."""
@@ -502,19 +508,22 @@ def print_pds(pds, doc: SmpdsDocument) -> str:
         return f"{s[0]}@{doc.phase_name(s[1])}"
 
     lines = []
-    for i, r in enumerate(pds.rules):
-        word = " ".join(r.rhs_word)
-        rhs = f"{sname(r.rhs_state)} {word}".rstrip()
-        lines.append(f"rule {i}: {sname(r.lhs_state)} {r.lhs_symbol} -> {rhs}")
+    for i, (p, gamma, q, word) in enumerate(pds.rules):
+        lines.append(f"rule {i}: {sname(p)} {gamma} -> {' '.join((sname(q), *word))}")
     return _text(lines)
 
 
-def print_symbolic_pds(spds, doc: SmpdsDocument) -> str:
-    lines = []
-    for i, r in enumerate(spds.rules):
-        word = " ".join(r.rhs_word)
-        rel = (f"id({r.rel.guard})" if isinstance(r.rel, Identity)
-               else f"mod({r.rel.guard},{r.rel.removed},{r.rel.added})")
-        rhs = f"{r.rhs_state} {word}".rstrip()
-        lines.append(f"symrule {i}: {r.lhs_state} {r.lhs_symbol} -[{rel}]-> {rhs}")
+def print_symbolic_pds(doc: SmpdsDocument) -> str:
+    """The plain rules, then the modifying rules, each kind in id order."""
+    m = doc.smpds
+    lines, gammas = [], sorted(m.alphabet)
+    for rid in sorted(m.delta):
+        p, gamma, q, word = m.rules[rid]
+        rhs = " ".join((q, *word))
+        lines.append(f"symrule {len(lines)}: {p} {gamma} -[id({rid})]-> {rhs}")
+    for rid in sorted(m.delta_c):
+        p, removed, added, q = m.rules[rid]
+        rel = f"mod({rid},{removed},{added})"
+        for gamma in gammas:
+            lines.append(f"symrule {len(lines)}: {p} {gamma} -[{rel}]-> {q} {gamma}")
     return _text(lines)

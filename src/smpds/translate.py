@@ -1,4 +1,4 @@
-"""Baseline route: translate an SM-PDS to an ordinary or symbolic PDS.
+"""Baseline route: translate an SM-PDS to an ordinary PDS.
 
 The ordinary translation encodes phases in control points, so it is only
 computed over a closed set of phases of interest (full enumeration of all
@@ -11,8 +11,8 @@ moves and builds no paired rule, the on-the-fly construction of Schwoon
 (Model-Checking Pushdown Systems, 2002) with nothing materialised.  The
 set is the PDS's `phases`, the ones that `rules` builds and counts for
 `smpds translate`; a saturation reads the moves of any phase it reaches,
-in the set or not.  The symbolic translation keeps one rule per SM-PDS
-rule and attaches a phase relation, stored intensionally.
+in the set or not.  The symbolic translation needs no object of its
+own: `formats.print_symbolic_pds` prints it from the rule table.
 
 The phase arithmetic of the ordinary translation runs on int masks, with
 the bit table of the modifying rules, `SMPDS.mod_bits`, and the solver
@@ -36,13 +36,12 @@ shares nothing with the cores lives in the tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import PAutomaton, from_configs
-from .model import Configuration, Phase, RuleId, SMPDS, predecessor_masks, rule_bit
+from .model import Configuration, Phase, SMPDS, predecessor_masks, rule_bit
 from .poststar import poststar
 from .prestar import prestar
 
@@ -103,48 +102,6 @@ class PairedRule(NamedTuple):
     lhs_symbol: str
     rhs_state: PdsState
     rhs_word: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Identity:
-    """The identity on phases containing the guard rule."""
-    guard: RuleId
-
-    def image(self, theta: Phase) -> Phase | None:
-        return theta if self.guard in theta else None
-
-
-@dataclass(frozen=True)
-class Modify:
-    """Relates theta1 to theta2 iff the guard rule is in theta1 (with its
-    removed rule) and theta2 is the updated phase."""
-    guard: RuleId
-    removed: RuleId
-    added: RuleId
-
-    def image(self, theta: Phase) -> Phase | None:
-        if self.guard in theta and self.removed in theta:
-            return theta.update(self.removed, self.added)
-        return None
-
-
-PhaseRelation = Union[Identity, Modify]
-
-
-@dataclass(frozen=True)
-class SymbolicRule:
-    lhs_state: str
-    lhs_symbol: str
-    rhs_state: str
-    rhs_word: tuple[str, ...]
-    rel: PhaseRelation
-
-
-@dataclass
-class SymbolicPDS:
-    states: frozenset[str]
-    alphabet: frozenset[str]
-    rules: tuple[SymbolicRule, ...]
 
 
 def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
@@ -279,21 +236,6 @@ def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PairedPDS:
             if mask & guard == guard and (mask ^ removed) | added not in masks:
                 raise ValueError("phase set is not closed; run phase_closure")
     return PairedPDS(smpds, phase_set)
-
-
-def to_symbolic_pds(smpds: SMPDS) -> SymbolicPDS:
-    """One Identity rule per plain rule, |Gamma| Modify rules per modifying rule."""
-    rules: list[SymbolicRule] = []
-    for rid in sorted(smpds.delta):
-        r = smpds.rules[rid]
-        rules.append(SymbolicRule(r.lhs_state, r.lhs_symbol,
-                                  r.rhs_state, r.rhs_word, Identity(rid)))
-    for rid in sorted(smpds.delta_c):
-        r = smpds.rules[rid]
-        rel = Modify(rid, r.removed, r.added)
-        for g in sorted(smpds.alphabet):
-            rules.append(SymbolicRule(r.from_state, g, r.to_state, (g,), rel))
-    return SymbolicPDS(smpds.states, smpds.alphabet, tuple(rules))
 
 
 # -- automata over paired states ------------------------------------------

@@ -11,16 +11,19 @@ shared.  The direct and the translated route both run those cores, so a
 cross-route check that should not share their faults compares with
 these, or with the oracle in `oracles.py`.  `pds_step` and
 `symbolic_step` are the one-step relations of the paired and of the
-symbolic PDS, checked against `model.step`.  `reference_phase_closure`
-is `phase_closure` as it was before it searched on masks: `Phase.update`
-forward and `solve_predecessor_phases` backward, one modifying rule at a
-time.  `solve_predecessor_phases` is the predecessor solver that
-`SMPDS.mod_predecessors` called before the saturations read only masks,
-moved here and rewritten on id sets, so that it shares no code with
-`model.predecessor_masks`.
+printed symbolic PDS, checked against `model.step`; `symbolic_step`
+reads the printed text, so it shares no code with `SMPDS`'s moves.
+`reference_phase_closure` is `phase_closure` as it was before it
+searched on masks: `Phase.update` forward and `solve_predecessor_phases`
+backward, one modifying rule at a time.  `solve_predecessor_phases` is
+the predecessor solver that `SMPDS.mod_predecessors` called before the
+saturations read only masks, moved here and rewritten on id sets, so
+that it shares no code with `model.predecessor_masks`.
 """
 
+import re
 from collections import deque
+from functools import lru_cache
 
 from smpds.automaton import EPS, Generated, Initial
 from smpds.model import Configuration, PdsRule, Phase
@@ -89,14 +92,43 @@ def pds_step(rules, state, stack):
     return frozenset(out)
 
 
-def symbolic_step(spds, c):
-    """All successors under the symbolic relation, evaluated intensionally."""
+_SYMRULE = re.compile(r"symrule \d+: (\S+) (\S+) -\[(id|mod)\(([-\d,]+)\)\]-> (\S+)(.*)")
+
+
+@lru_cache(maxsize=16)
+def _symrules(printed):
+    """The rules of a printed symbolic PDS: (p, gamma, relation, ids, p',
+    word) per `symrule` line."""
+    rules = []
+    for line in printed.splitlines():
+        match = _SYMRULE.fullmatch(line)
+        assert match, line
+        p, gamma, rel, ids, q, word = match.groups()
+        rules.append((p, gamma, rel, tuple(map(int, ids.split(","))), q,
+                      tuple(word.split())))
+    return tuple(rules)
+
+
+def symbolic_step(printed, c):
+    """The successors of `c` under the symbolic PDS `printed`, the text of
+    `formats.print_symbolic_pds`, read line by line.  An id(r) rule fires
+    in a phase that holds r and keeps it; a mod(r,r1,r2) rule fires in a
+    phase that holds r and r1 and leads to the phase with r1 swapped for
+    r2.  Guards are checked and phases built on id sets, with `Phase.of`."""
+    if not c.stack:
+        return frozenset()
+    ids = frozenset(c.phase)
     out = set()
-    for r in spds.rules:
-        if r.lhs_state == c.state and c.stack and c.stack[0] == r.lhs_symbol:
-            theta2 = r.rel.image(c.phase)
-            if theta2 is not None:
-                out.add(Configuration(r.rhs_state, r.rhs_word + c.stack[1:], theta2))
+    for p, gamma, rel, rule, q, word in _symrules(printed):
+        # the guard: r, and for mod(r,r1,r2) also r1
+        if p != c.state or gamma != c.stack[0] or not ids.issuperset(rule[:2]):
+            continue
+        if rel == "id":
+            theta = c.phase
+        else:
+            _, removed, added = rule
+            theta = Phase.of((ids - {removed}) | {added})
+        out.add(Configuration(q, word + c.stack[1:], theta))
     return frozenset(out)
 
 

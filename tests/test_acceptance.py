@@ -27,7 +27,6 @@ from smpds import (
     poststar,
     prestar,
     to_pds,
-    to_symbolic_pds,
 )
 from smpds.asm import compile_program, parse_program, print_program
 from smpds.bench import GenParams, generate
@@ -37,6 +36,7 @@ from smpds.formats import (
     parse_smpds,
     print_automaton,
     print_smpds,
+    print_symbolic_pds,
 )
 from smpds.model import step
 
@@ -158,9 +158,10 @@ def test_criterion_3_poststar_vs_oracle(corpus):
 
 
 def test_criterion_4_single_step_equivalence(corpus):
-    """Steps agree between the model, the paired PDS and the symbolic PDS
-    on nonempty stacks (the paired encoding keys every rule on a stack
-    symbol, so it cannot fire modifying rules against an empty stack)."""
+    """Steps agree between the model, the paired PDS and the printed
+    symbolic PDS on nonempty stacks (the paired encoding keys every rule on
+    a stack symbol, so it cannot fire modifying rules against an empty
+    stack)."""
     pairs = 0
     for rec in corpus:
         m = rec.smpds
@@ -168,7 +169,7 @@ def test_criterion_4_single_step_equivalence(corpus):
             + [c for c in rec.samples if c.stack]
         phases = phase_closure(m, {c.phase for c in probe} | {rec.initial.phase})
         rules = list(to_pds(m, phases).rules)
-        spds = to_symbolic_pds(m)
+        symbolic = print_symbolic_pds(SmpdsDocument(m))
         rng = random.Random(rec.seed * 17)
         symbols = sorted(m.alphabet)
         states = sorted(m.states)
@@ -183,7 +184,7 @@ def test_criterion_4_single_step_equivalence(corpus):
             state, stack = config_to_pds(c)
             assert pds_step(rules, state, stack) == \
                 {config_to_pds(s) for s in succ}, (rec.seed, c)
-            assert symbolic_step(spds, c) == succ, (rec.seed, c)
+            assert symbolic_step(symbolic, c) == succ, (rec.seed, c)
             pairs += 1
     assert pairs >= 10_000
 
@@ -237,10 +238,11 @@ def test_criterion_5_classical_routes_enumerate_alike(corpus):
 
 
 def test_criterion_6_symbolic_size_formula(corpus):
+    """The printed symbolic PDS has |Delta| + |Delta_c| * |Gamma| lines."""
     for rec in corpus:
         m = rec.smpds
-        spds = to_symbolic_pds(m)
-        assert len(spds.rules) == len(m.delta) + len(m.delta_c) * len(m.alphabet)
+        lines = print_symbolic_pds(SmpdsDocument(m)).splitlines()
+        assert len(lines) == len(m.delta) + len(m.delta_c) * len(m.alphabet)
 
 
 class _Blown(Exception):

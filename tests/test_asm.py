@@ -38,6 +38,10 @@ def test_parse_comments_and_blank_lines():
     ("entry a\na: selfmod b frob\nb: nop\n", "unknown opcode"),
     ("entry a\na: push 1\nb: ret\n__ret: jmp a\n", "names a compiler state"),
     ("entry a\na: jmp __halt\n__halt: nop\n", "names a compiler state"),
+    # a label is one token, in an instruction and in the entry directive
+    ("entry c\nc: nop\na b: halt\n", "line 3: an instruction needs exactly one label"),
+    ("entry c\nc: nop\n: halt\n", "line 3: an instruction needs exactly one label"),
+    ("entry a b\na: nop\n", "line 1: entry needs exactly one label"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(AsmError) as exc:

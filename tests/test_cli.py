@@ -367,6 +367,8 @@ def test_translate_symbolic(capsys):
     out = capsys.readouterr()
     assert "mod(4,1,3)" in out.out
     assert "id(" in out.out
+    # the count on stderr, from the size formula, is the number of lines
+    assert out.err == f"symbolic rules: {out.out.count('symrule ')}\n"
 
 
 def test_asm2smpds_round(tmp_path, capsys):
@@ -415,6 +417,24 @@ def test_asm2smpds_checks_the_inner_instruction_of_a_meta_selfmod(
     out = capsys.readouterr()
     assert out.out == "" and "Traceback" not in out.err
     assert out.err == f"error: line 2: {fragment}\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    # a label of two tokens, and an empty one
+    ("asm2smpds", "entry c\nc: nop\na b: halt\n"),
+    ("asm2smpds", "entry c\nc: nop\n: halt\n"),
+    # an initial state with an empty control point
+    ("prestar", "final @theta0\n"),
+])
+def test_a_missing_or_split_name_fails_with_one_error_line(tmp_path, capsys,
+                                                           command, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    inputs = [str(path)] if command == "asm2smpds" else [MODEL, str(path)]
+    assert main([command, *inputs]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err.startswith("error: line ") and out.err.count("\n") == 1
 
 
 def _deep_meta_selfmod(tmp_path):

@@ -188,11 +188,13 @@ def _ref_state(token, phase_names, lineno):
         if not at:
             raise FormatError(lineno, f"malformed generated state {token!r}")
         control, colon, symbol = body.partition(":")
-        if not colon:
+        if not colon or not control:
             raise FormatError(lineno, f"malformed generated state {token!r}")
         return Generated(control, symbol, _ref_resolve_phase(phase_names, phasetok, lineno))
     if "@" in token:
         control, _, phasetok = token.rpartition("@")
+        if not control:
+            raise FormatError(lineno, f"state {token!r} has no control point")
         return Initial(control, _ref_resolve_phase(phase_names, phasetok, lineno))
     return Plain(token)
 
@@ -248,6 +250,16 @@ def _automaton_outcome(parse, text, doc):
     except FormatError as e:
         return ("error", str(e), e.lineno)
     return ("ok", aut.states, aut.finals, aut.transitions)
+
+
+def _check_automaton_text(text, doc):
+    """Both parsers agree on `text`, and an automaton they accept prints
+    to a text that reads back as the same automaton."""
+    outcome = _automaton_outcome(parse_automaton, text, doc)
+    assert outcome == _automaton_outcome(_reference_parse_automaton, text, doc)
+    if outcome[0] == "ok":
+        printed = print_automaton(parse_automaton(text, doc), doc)
+        assert _automaton_outcome(parse_automaton, printed, doc) == outcome, printed
 
 
 # -- the texts ---------------------------------------------------------------
@@ -354,8 +366,7 @@ def test_parse_automaton_agrees_with_the_line_loop(doc, seed):
         text = _mutate(text, rng)
     if rng.random() < 0.7:
         text = _decorate(text, rng)
-    assert (_automaton_outcome(parse_automaton, text, doc)
-            == _automaton_outcome(_reference_parse_automaton, text, doc))
+    _check_automaton_text(text, doc)
 
 
 def test_valid_texts_parse_alike_on_the_benchmark_shape():
@@ -370,6 +381,9 @@ def test_valid_texts_parse_alike_on_the_benchmark_shape():
         assert got[0] == "ok"
         assert got == _model_outcome(_reference_parse_smpds, decorated)
         assert got == _model_outcome(parse_smpds, text)
+
+
+_FIXED_DOC = parse_smpds("rule 0: p a -> q a\nphase theta0: 0\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -409,6 +423,12 @@ def test_valid_texts_parse_alike_on_the_benchmark_shape():
     # tokens that join into '->' across a blank: a valid rule line
     "rule 0: p a- -> >b\nbogus\n",
     "rule 0: x- >y -> q\nbogus\n",
+    # automata: an empty control point in an initial and in a generated
+    # state
+    "final @theta0\n",
+    "initial p theta0\ntrans p@theta0 a gen::a@theta0\n",
 ])
 def test_fixed_cases_agree_with_the_line_loop(text):
+    """Each text is read as a model and as an automaton over `_FIXED_DOC`."""
     assert _model_outcome(parse_smpds, text) == _model_outcome(_reference_parse_smpds, text)
+    _check_automaton_text(text, _FIXED_DOC)

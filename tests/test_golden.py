@@ -61,6 +61,9 @@ CASES = {
     "gen55.prestar": ["prestar", GEN_MODEL, GEN_AUT],
     # seven phases, two modifying rules: paired rules across phases
     "gen55.translate": ["translate", GEN_MODEL],
+    # one guarded rule per plain rule, and four (one per symbol) per
+    # modifying rule
+    "gen55.translate_symbolic": ["translate", GEN_MODEL, "--symbolic"],
     # pre* of a post* result: eps edges and gen: states in the input
     "gen55.poststar.prestar": ["prestar", GEN_MODEL,
                                "tests/golden/gen55.poststar.out"],
@@ -86,10 +89,13 @@ CASES = {
     # the self-removing rule through the phase closure, the closedness
     # check and the printer
     "selfmod.translate": ["translate", SELFMOD_MODEL],
+    "selfmod.translate_symbolic": ["translate", SELFMOD_MODEL, "--symbolic"],
     # modifying rules with high ids that remove and add lower ids come
     # first, so mask bits are out of id order: each phase's rules still
     # print in id order
     "bitorder.translate": ["translate", "tests/golden/bitorder.smpds"],
+    "bitorder.translate_symbolic": ["translate", "tests/golden/bitorder.smpds",
+                                    "--symbolic"],
     # a rule pushing three symbols, which a modifying rule enables:
     # pre* follows the word, post* builds the chain gen:q:b@th, gen:q:b:b@th
     "wide.prestar": ["prestar", WIDE_MODEL, WIDE_AUT],

@@ -23,12 +23,10 @@ from smpds import (
     poststar,
     prestar,
     to_pds,
-    to_symbolic_pds,
 )
 from smpds.bench import GenParams, generate
-from smpds.formats import parse_automaton, parse_smpds
+from smpds.formats import SmpdsDocument, parse_automaton, parse_smpds, print_symbolic_pds
 from smpds.model import step
-from smpds.translate import Identity, Modify
 
 from classical_reference import (pds_step, reference_pds_poststar,
                                  reference_pds_prestar, reference_phase_closure,
@@ -40,6 +38,7 @@ from test_acceptance import _corpus_draw
 from test_classical_reference import _corpus_draw_seeds
 
 GOLDEN = Path(__file__).parent / "golden"
+SAMPLES = Path(__file__).parent.parent / "samples"
 
 
 def test_phase_closure_contains_seeds_and_successors():
@@ -265,18 +264,27 @@ def test_saturations_build_no_paired_rule():
 
 def test_symbolic_size_formula():
     m, *_ = swap_example()
-    spds = to_symbolic_pds(m)
-    assert len(spds.rules) == len(m.delta) + len(m.delta_c) * len(m.alphabet)
+    lines = print_symbolic_pds(SmpdsDocument(m)).splitlines()
+    assert len(lines) == len(m.delta) + len(m.delta_c) * len(m.alphabet)
 
 
-def test_relations():
-    ident = Identity(3)
-    assert ident.image(Phase.of([3])) is Phase.of([3])
-    assert ident.image(Phase.of([1])) is None
-    mod = Modify(guard=4, removed=1, added=3)
-    assert mod.image(Phase.of([1, 2, 4])) is Phase.of([2, 3, 4])
-    assert mod.image(Phase.of([2, 4])) is None      # removed rule absent
-    assert mod.image(Phase.of([1, 2])) is None      # guard absent
+def test_printed_relations_of_example1():
+    """The mod(4,1,3) line of samples/example1 swaps rule 1 for rule 3,
+    from theta0 = {1,2,4} to theta1 = {2,3,4}, and fires in no phase that
+    lacks rule 1 or rule 4; the id(3) line keeps a phase that holds rule 3
+    and fires in no other."""
+    doc = parse_smpds((SAMPLES / "example1.smpds").read_text())
+    lines = print_symbolic_pds(doc).splitlines()
+    mod, = [line for line in lines if " p3 g1 -[mod(4,1,3)]-> p4 g1" in line]
+    ident, = [line for line in lines if " p4 g1 -[id(3)]-> p2 g2 g3" in line]
+    theta0, theta1 = doc.phase_names["theta0"], doc.phase_names["theta1"]
+    assert symbolic_step(mod, Configuration("p3", ("g1",), theta0)) == {
+        Configuration("p4", ("g1",), theta1)}
+    for theta in (Phase.of([2, 4]), Phase.of([1, 2])):
+        assert symbolic_step(mod, Configuration("p3", ("g1",), theta)) == set()
+    assert symbolic_step(ident, Configuration("p4", ("g1", "g1"), theta1)) == {
+        Configuration("p2", ("g2", "g3", "g1"), theta1)}
+    assert symbolic_step(ident, Configuration("p4", ("g1",), theta0)) == set()
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -288,7 +296,7 @@ def test_pds_step_equivalence(seed):
                               num_smrules=2, seed=3000 + seed))
     m, c0 = inst.smpds, inst.initial
     rules = list(to_pds(m, phase_closure(m, [c0.phase])).rules)
-    spds = to_symbolic_pds(m)
+    symbolic = print_symbolic_pds(SmpdsDocument(m))
     reach, _ = raw_reach(m, c0, 4, 4000)
     for c in reach:
         if not c.stack:
@@ -296,7 +304,7 @@ def test_pds_step_equivalence(seed):
         succ = step(m, c)
         state, stack = config_to_pds(c)
         assert pds_step(rules, state, stack) == {config_to_pds(s) for s in succ}
-        assert symbolic_step(spds, c) == succ
+        assert symbolic_step(symbolic, c) == succ
 
 
 @pytest.mark.parametrize("seed", range(15))
