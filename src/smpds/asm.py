@@ -75,10 +75,12 @@ def parse_program(text: str) -> Program:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("entry "):
+        # the directive word is followed by any whitespace, a tab too
+        directive = line.split(None, 1)
+        if len(directive) == 2 and directive[0] == "entry":
             if entry is not None:
                 raise AsmError(lineno, "duplicate entry directive")
-            entry = _one_label(line[len("entry "):], lineno, "entry")
+            entry = _one_label(directive[1], lineno, "entry")
             continue
         label, colon, body = line.partition(":")
         if not colon:

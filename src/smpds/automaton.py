@@ -28,7 +28,9 @@ enumeration and direct pre* all read closures through them.
 The two saturation cores, pre* and post*, run on one worklist,
 `DeltaWorklist`, whether they read an SM-PDS's moves directly or
 through its translated PDS: a unit of work is a key (src, label) with the mask of the targets
-added under it since it was last popped.  Every insert of a saturation
+added under it since it was last popped.  Keys pop phase by phase, in
+the order the phases were first queued, so a phase's facts are mostly
+complete before a modifying rule hands them to the next.  Every insert of a saturation
 goes through `DeltaWorklist.add`, which splits it in two: a key already
 in the store takes its new bits in place, into the mask that the diff
 has just read, and a key not in the store yet is opened by
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import FrozenInstanceError
+from heapq import heappop, heappush
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
@@ -119,6 +122,8 @@ class Plain(_State):
     __slots__ = ("name",)
     _table: dict[tuple[str], "Plain"] = {}
     name: str
+    # a plain state belongs to no phase (see `DeltaWorklist`)
+    phase = None
 
     def __new__(cls, name: str) -> "Plain":
         q = cls._table.get((name,))
@@ -449,15 +454,43 @@ class DeltaWorklist:
     were added since the key was last popped; a key is queued once however
     many inserts land on it before it is popped.  A new worklist queues
     every key of `aut` with all of its targets.
+
+    Keys are popped phase by phase: one FIFO queue per phase of src, and
+    the next key comes from the queue of the phase first seen, of those
+    that hold keys.  Plain states (`Plain.phase` is None) rank before
+    every phase.  A modifying rule hands a phase's facts on to other
+    phases (successors in post*, predecessors in pre*), which are first
+    seen after it unless the phases form a cycle, so a phase is mostly
+    saturated before its facts are handed on, and each later phase pops
+    its keys fewer times.  The order changes how much
+    work a saturation does, not what it computes: every order reaches
+    the same least fixpoint.
     """
 
     def __init__(self, aut: PAutomaton):
         self.aut = aut
-        self._deltas: dict[tuple[AutState, Label], int] = {
-            (src, label): targets
-            for src, by_label in aut._out.items()
-            for label, targets in by_label.items()}
-        self._keys: deque[tuple[AutState, Label]] = deque(self._deltas)
+        self._deltas: dict[tuple[AutState, Label], int] = {}
+        # phase (None for plain states) -> its rank, the rank -> its FIFO
+        # queue, and the heap of the ranks whose queues hold keys
+        self._ranks: dict[Optional[Phase], int] = {None: 0}
+        self._queues: list[deque[tuple[AutState, Label]]] = [deque()]
+        self._held: list[int] = []
+        for src, by_label in aut._out.items():
+            for label, targets in by_label.items():
+                self._deltas[src, label] = targets
+                self._queue((src, label))
+
+    def _queue(self, key: tuple[AutState, Label]) -> None:
+        """Queue a key not queued yet, behind the keys of its phase."""
+        phase = key[0].phase
+        rank = self._ranks.get(phase)
+        if rank is None:
+            rank = self._ranks[phase] = len(self._queues)
+            self._queues.append(deque())
+        queue = self._queues[rank]
+        if not queue:
+            heappush(self._held, rank)
+        queue.append(key)
 
     def add(self, edges: Iterable[tuple[AutState, Label]], dsts: int) -> None:
         """Insert src --label--> d for every (src, label) in `edges` and d
@@ -470,7 +503,7 @@ class DeltaWorklist:
         an eps key, a cleared closure cache); only a key not in the store
         yet goes to `add_targets`, which numbers its source, checks its
         label and marks an eps edge.  One more `|` merges the difference
-        into the key's delta.
+        into the key's delta; only a key not queued yet goes to `_queue`.
         """
         aut = self.aut
         out = aut._out
@@ -494,16 +527,21 @@ class DeltaWorklist:
             delta = deltas.get(key)
             if delta is None:
                 deltas[key] = new
-                self._keys.append(key)
+                self._queue(key)
             else:
                 deltas[key] = delta | new
 
     def __iter__(self) -> Iterator[tuple[tuple[AutState, Label], int]]:
-        """Pop each key with its delta, in the order first queued, until no
-        key is left; keys queued meanwhile are popped too."""
-        keys, deltas = self._keys, self._deltas
-        while keys:
-            key = keys.popleft()
+        """Pop each key with its delta, phase by phase in the order the
+        phases were first queued and FIFO within a phase, until no key is
+        left; keys queued meanwhile are popped too, a key of an earlier
+        phase before any of a later one."""
+        queues, held, deltas = self._queues, self._held, self._deltas
+        while held:
+            queue = queues[held[0]]
+            key = queue.popleft()
+            if not queue:
+                heappop(held)
             yield key, deltas.pop(key)
 
 

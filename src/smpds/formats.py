@@ -416,7 +416,8 @@ def parse_state_token(token: str, doc: SmpdsDocument, lineno: int = 0) -> AutSta
         if not at:
             raise FormatError(lineno, f"malformed generated state {token!r}")
         control, colon, symbol = body.partition(":")
-        if not colon or not control:
+        # post* names a generated state after a nonempty pushed prefix
+        if not colon or not control or "" in symbol.split(":"):
             raise FormatError(lineno, f"malformed generated state {token!r}")
         return Generated(control, symbol, doc.resolve_phase(phasetok, lineno))
     if "@" in token:

@@ -226,8 +226,11 @@ class SMPDS:
         self.mod_by_source: dict[str, list[tuple[_ModBits, SelfModRule]]] = {}
         self.mod_by_target: dict[str, list[tuple[_ModBits, SelfModRule]]] = {}
         self.mod_bits: dict[RuleId, _ModBits] = {}
+        # the bits of every rule id, for `knows`
+        known = 0
         for rid, r in self.rules.items():
             bit = rule_bit(rid)
+            known |= bit
             if isinstance(r, PdsRule):
                 self.plain_by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((bit, r))
                 if r.rhs_word:
@@ -242,8 +245,7 @@ class SMPDS:
                 self.mod_by_target.setdefault(r.to_state, []).append((bits, r))
         self.delta_c = frozenset(self.mod_bits)
         self.delta = frozenset(self.rules.keys() - self.delta_c)
-        # the bits of every rule id, for `knows`
-        self._known = sum(map(rule_bit, self.rules))
+        self._known = known
 
     def all_rules_phase(self) -> Phase:
         return Phase.of(self.rules.keys())

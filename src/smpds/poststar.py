@@ -24,7 +24,10 @@ is final).  `post_moves` gives beta1-beta4 as right sides (p', theta',
 w), and `mod_successors` the empty-stack moves.
 
 The unit of work is a key (src, g) with the mask of its targets added
-since the key was last processed (see `automaton.DeltaWorklist`).  `run`
+since the key was last processed (see `automaton.DeltaWorklist`), popped
+phase by phase: a phase's facts reach its successor phases through beta4
+and the empty-stack rule, and the worklist pops the earlier phase's keys
+first, so each successor takes most of them in one batch.  `run`
 is one flat loop: it pops a key and turns it straight into (fact key,
 mask) pairs, in one of three ways: through every eps edge into src when
 src is not initial, as the key itself when src is initial and g a

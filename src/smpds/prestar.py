@@ -26,7 +26,10 @@ The input may contain epsilon transitions (they are honoured during
 matching); the saturation only adds symbol-labelled ones.
 
 The unit of work is a key (src, g) with the mask of its targets added
-since the key was last processed (see `automaton.DeltaWorklist`); the
+since the key was last processed (see `automaton.DeltaWorklist`), popped
+phase by phase: alpha2 and the empty-stack rule hand a phase's facts
+back to its predecessor phases, which the worklist ranks after it
+unless the phases form a cycle.  The
 eps keys of the input are popped and skipped.  `run` is one flat loop.
 It widens the delta once by the epsilon closures of its targets, whose
 masks the automaton caches (`PAutomaton._close`: the saturation adds no

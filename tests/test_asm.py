@@ -26,6 +26,14 @@ def test_parse_comments_and_blank_lines():
     assert len(prog.instructions) == 1
 
 
+@pytest.mark.parametrize("text", ["entry\ta\na: nop\n", "entry \t a\na: nop\n",
+                                  "\tentry\ta\t# tabs\na:\tnop\n"])
+def test_entry_directive_takes_any_whitespace(text):
+    prog = parse_program(text)
+    assert prog.entry == "a"
+    assert [i.opcode for i in prog.instructions] == ["nop"]
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("a: nop\n", "entry"),
     ("entry a\n", "no instructions"),
@@ -42,6 +50,8 @@ def test_parse_comments_and_blank_lines():
     ("entry c\nc: nop\na b: halt\n", "line 3: an instruction needs exactly one label"),
     ("entry c\nc: nop\n: halt\n", "line 3: an instruction needs exactly one label"),
     ("entry a b\na: nop\n", "line 1: entry needs exactly one label"),
+    ("entry\ta\tb\na: nop\n", "line 1: entry needs exactly one label"),
+    ("entry a\nentry\ta\na: nop\n", "line 2: duplicate entry directive"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(AsmError) as exc:

@@ -3,6 +3,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -25,9 +26,10 @@ from smpds import (
     to_pds,
 )
 from smpds.automaton import DeltaWorklist
+from smpds.bench import GenParams, generate
 from smpds.formats import parse_automaton, parse_smpds
 
-from fixtures import swap_example
+from fixtures import POST_FANOUT_FAMILY, multi_phase_target, swap_example
 from test_acceptance import _corpus_draw
 
 
@@ -205,6 +207,123 @@ def test_a_new_worklist_yields_each_key_once_with_all_its_targets():
             for d in aut.states_of(delta)} == before
     assert all(set(aut.states_of(delta)) == aut.out(src, label)
                for (src, label), delta in popped)
+
+
+def _phase_keys():
+    """An empty automaton with a worklist over it, and one key at each of
+    two phases, a plain state and a generated state of the second phase."""
+    m, theta0, theta1, _ = swap_example()
+    aut = PAutomaton(m.alphabet)
+    k0 = (Initial("p1", theta0), "g1")
+    k1 = (Initial("p4", theta1), "g1")
+    plain = (Plain("m"), "g2")
+    gen1 = (Generated("p2", "g2", theta1), "g3")
+    return aut, DeltaWorklist(aut), k0, k1, plain, gen1
+
+
+def test_worklist_pops_plain_state_keys_first():
+    aut, work, k0, k1, plain, _ = _phase_keys()
+    acc = aut.bit(Plain("acc"))
+    work.add([k1, k0, plain], acc)
+    assert [key for key, _ in work] == [plain, k1, k0]
+
+
+def test_worklist_pops_phases_in_the_order_first_seen_and_fifo_within_one():
+    aut, work, k0, k1, _, gen1 = _phase_keys()
+    x, y = aut.bit(Plain("x")), aut.bit(Plain("y"))
+    # theta1 is seen first; its two keys keep the order they came in
+    work.add([k1], x)
+    work.add([k0], x)
+    work.add([gen1], x)
+    work.add([k1], y)       # a key already queued keeps its place
+    assert list(work) == [(k1, x | y), (gen1, x), (k0, x)]
+    # the ranks hold for the worklist's life, past an empty queue
+    work.add([k0], y)
+    work.add([k1], aut.bit(Plain("z")))
+    assert [key for key, _ in work] == [k1, k0]
+
+
+def test_worklist_pops_a_key_of_an_earlier_phase_before_the_later_one_drains():
+    aut, work, k0, k1, plain, gen1 = _phase_keys()
+    x, y = aut.bit(Plain("x")), aut.bit(Plain("y"))
+    work.add([k0], x)
+    work.add([k1, gen1], x)
+    popped = []
+    for key, _ in work:
+        popped.append(key)
+        if key == k1:
+            # theta0 ranks before theta1, and a plain key before both
+            work.add([k0, plain], y)
+    assert popped == [k0, k1, plain, k0, gen1]
+
+
+class _FifoWorklist(DeltaWorklist):
+    """`DeltaWorklist` in plain first-queued order, whatever the phase."""
+
+    pops = 0
+
+    def __init__(self, aut):
+        self._fifo = deque()
+        super().__init__(aut)
+
+    def _queue(self, key):
+        self._fifo.append(key)
+
+    def __iter__(self):
+        while self._fifo:
+            key = self._fifo.popleft()
+            _FifoWorklist.pops += 1
+            yield key, self._deltas.pop(key)
+
+
+class _CountingWorklist(DeltaWorklist):
+    pops = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            _CountingWorklist.pops += 1
+            yield item
+
+
+def test_saturations_reach_the_same_fixpoint_in_fifo_and_phase_order(monkeypatch):
+    """Direct and classical pre* and post* build the same transitions and
+    finals whether the worklist pops phase by phase or in plain FIFO
+    order, and on the benchmark's post* family the phase order pops
+    fewer keys."""
+    runs = []
+    for seed in range(1, 41):
+        inst = _corpus_draw(seed)[1]
+        m = inst.smpds
+        pds = to_pds(m, phase_closure(m, [inst.initial.phase, inst.target.phase]))
+        runs.append((m, pds, from_configs(m, [inst.target]),
+                     from_configs(m, [inst.initial]), False))
+    for params in POST_FANOUT_FAMILY:
+        inst = generate(GenParams(*params[:4], seed=params[4]))
+        m = inst.smpds
+        target = multi_phase_target(inst)
+        pds = to_pds(m, phase_closure(m, [inst.initial.phase, target.phase]))
+        runs.append((m, pds, from_configs(m, [target]),
+                     from_configs(m, [inst.initial]), True))
+    # `smpds.prestar` and `smpds.poststar` name the functions, not the modules
+    modules = [sys.modules["smpds.prestar"], sys.modules["smpds.poststar"]]
+    results = {}
+    fanout_pops = {}
+    for order in (_CountingWorklist, _FifoWorklist):
+        for module in modules:
+            monkeypatch.setattr(module, "DeltaWorklist", order)
+        got = []
+        fanout_pops[order] = 0
+        for m, pds, target, initial, fanout in runs:
+            order.pops = 0
+            for op, system, aut in [(prestar, m, target), (poststar, m, initial),
+                                    (pds_prestar, pds, target),
+                                    (pds_poststar, pds, initial)]:
+                out = op(system, aut)
+                got.append((out.transitions, out.finals))
+            fanout_pops[order] += order.pops if fanout else 0
+        results[order] = got
+    assert results[_CountingWorklist] == results[_FifoWorklist]
+    assert 0 < fanout_pops[_CountingWorklist] < fanout_pops[_FifoWorklist]
 
 
 def test_every_saturation_inserts_through_the_worklist_alone(monkeypatch):

@@ -291,6 +291,23 @@ def test_space_in_braced_phase_of_an_automaton(command, text, lineno,
 
 
 @pytest.mark.parametrize("text, lineno", [
+    ("initial p theta0\ntrans p@theta0 g1 gen:p:@theta0\nfinal gen:p:@theta0\n", 2),
+    ("initial p theta0\nfinal gen:p:g1::g2@theta0\n", 2),
+])
+@pytest.mark.parametrize("command", ["prestar", "poststar"])
+def test_generated_state_with_an_empty_prefix_symbol_is_rejected(command, text, lineno,
+                                                                 tmp_path, capsys):
+    # post* names a generated state after a nonempty pushed prefix
+    aut = tmp_path / "t.aut"
+    aut.write_text(text)
+    assert main([command, MODEL, str(aut)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: line {lineno}:") and out.err.count("\n") == 1, out.err
+    assert "malformed generated state" in out.err and "Traceback" not in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("text, lineno", [
     ("symbol eps\n", 1),
     ("rule 0: p eps -> q\n", 1),
     ("rule 0: p a -> q eps\n", 1),

@@ -188,7 +188,7 @@ def _ref_state(token, phase_names, lineno):
         if not at:
             raise FormatError(lineno, f"malformed generated state {token!r}")
         control, colon, symbol = body.partition(":")
-        if not colon or not control:
+        if not colon or not control or "" in symbol.split(":"):
             raise FormatError(lineno, f"malformed generated state {token!r}")
         return Generated(control, symbol, _ref_resolve_phase(phase_names, phasetok, lineno))
     if "@" in token:
@@ -427,6 +427,12 @@ _FIXED_DOC = parse_smpds("rule 0: p a -> q a\nphase theta0: 0\n")
     # state
     "final @theta0\n",
     "initial p theta0\ntrans p@theta0 a gen::a@theta0\n",
+    # automata: a generated state with an empty pushed prefix, or an
+    # empty symbol inside one
+    "initial p theta0\ntrans p@theta0 a gen:p:@theta0\nfinal gen:p:@theta0\n",
+    "initial p theta0\ntrans p@theta0 a gen:p:a::a@theta0\n",
+    "initial p theta0\ntrans p@theta0 a gen:p::a@theta0\n",
+    "initial p theta0\ntrans p@theta0 a gen:p:a:@theta0\n",
 ])
 def test_fixed_cases_agree_with_the_line_loop(text):
     """Each text is read as a model and as an automaton over `_FIXED_DOC`."""
