@@ -23,7 +23,10 @@ Two operations carry every layer, and both live here: inserting
 transitions (`add_targets`; `add_transition` is its one-target case) and
 stepping a mask of states over a symbol with eps moves free (`_close`
 and `_step`, over the cached eps-closure masks).  Membership,
-enumeration and direct pre* all read closures through them.
+enumeration and direct pre* all read closures through them.  `_step`
+keeps its answers in a table per (mask, symbol), so checking many
+configurations on one automaton steps each shared stack prefix once;
+every insert clears the table, as an eps edge clears the closures.
 
 The two saturation cores, pre* and post*, run on one worklist,
 `DeltaWorklist`, whether they read an SM-PDS's moves directly or
@@ -163,8 +166,10 @@ class PAutomaton:
     and the numbered states are its `states`.  `_out` (src -> label ->
     mask of targets) is the only transition store: inserts diff and merge
     whole target masks in it, and the engines read it directly.
-    `_finals` is the mask of the final states, and eps closures are
-    cached per state, as masks, until the next eps edge is inserted.
+    `_finals` is the mask of the final states.  Eps closures are cached
+    per state, as masks, until the next eps edge is inserted, and the
+    steps of `_step` per (mask, symbol) until the next edge of any label
+    is; a copy starts with neither cache.
     `states`, `finals`, `transitions`, `out` and `eclosure` hand out sets
     decoded from the masks, which the caller may change freely.
     """
@@ -177,6 +182,7 @@ class PAutomaton:
         self._finals = 0
         self._out: dict[AutState, dict[Label, int]] = {}
         self._eclosure: dict[AutState, int] = {}
+        self._steps: dict[tuple[int, str], int] = {}
         self._has_eps = False
 
     # -- state numbering ---------------------------------------------------
@@ -249,6 +255,8 @@ class PAutomaton:
             if not dsts:
                 return 0
             by_label[label] = current | dsts
+        if self._steps:
+            self._steps.clear()
         if label is EPS:
             self._eclosure.clear()
             self._has_eps = True
@@ -356,12 +364,17 @@ class PAutomaton:
         return mask
 
     def _step(self, mask: int, symbol: str) -> int:
-        """The eps-closed mask of targets of `symbol` edges from `mask`."""
-        out = self._out
-        reached = 0
-        for q in self.states_of(mask):
-            reached |= out.get(q, _NO_LABELS).get(symbol, 0)
-        return self._close(reached)
+        """The eps-closed mask of targets of `symbol` edges from `mask`;
+        cached until the next insert."""
+        key = (mask, symbol)
+        reached = self._steps.get(key)
+        if reached is None:
+            out = self._out
+            reached = 0
+            for q in self.states_of(mask):
+                reached |= out.get(q, _NO_LABELS).get(symbol, 0)
+            reached = self._steps[key] = self._close(reached)
+        return reached
 
     def _reach(self, mask: int, word: Iterable[str]) -> int:
         current = self._close(mask)
@@ -499,15 +512,17 @@ class DeltaWorklist:
         Once the automaton fills up most inserts bring nothing new, so
         each edge is first diffed against its key's targets, one int
         operation.  A key already in the store takes a nonempty
-        difference in place, with one `|` on the mask just read (and, for
-        an eps key, a cleared closure cache); only a key not in the store
-        yet goes to `add_targets`, which numbers its source, checks its
-        label and marks an eps edge.  One more `|` merges the difference
-        into the key's delta; only a key not queued yet goes to `_queue`.
+        difference in place, with one `|` on the mask just read, a
+        cleared step table and, for an eps key, a cleared closure cache;
+        only a key not in the store yet goes to `add_targets`, which
+        numbers its source, checks its label and marks an eps edge.  One
+        more `|` merges the difference into the key's delta; only a key
+        not queued yet goes to `_queue`.
         """
         aut = self.aut
         out = aut._out
         eclosure = aut._eclosure
+        steps = aut._steps
         deltas = self._deltas
         for key in edges:
             src, label = key
@@ -522,6 +537,8 @@ class DeltaWorklist:
                 if not new:
                     continue
                 by_label[label] = current | new
+                if steps:
+                    steps.clear()
                 if label is EPS:
                     eclosure.clear()
             delta = deltas.get(key)

@@ -69,13 +69,17 @@ def _load_valid_doc(path: str) -> formats.SmpdsDocument:
 
 def _load_query(args) -> tuple[formats.SmpdsDocument, PAutomaton]:
     """Parse the model and the automaton; raise unless both validate, so
-    no undeclared rule id reaches a saturation."""
+    no undeclared control point or rule id reaches a saturation."""
     doc = _load_valid_doc(args.model)
     aut = formats.parse_automaton(_read(args.automaton), doc)
-    phases = {q.phase for q in aut.states if isinstance(q, (Initial, Generated))}
+    named = [q for q in aut.states if isinstance(q, (Initial, Generated))]
+    phases = {q.phase for q in named}
     violations = [f"automaton phase {phase} references unknown rule ids"
                   for phase in sorted(phases, key=repr)
                   if not doc.smpds.knows(phase)]
+    violations += sorted(f"automaton state {formats.state_token(q, doc)}: "
+                         f"control point {q.control!r} not in P"
+                         for q in named if q.control not in doc.smpds.states)
     if violations:
         raise ValueError("; ".join(violations))
     return doc, aut

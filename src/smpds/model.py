@@ -13,7 +13,7 @@ hashes like, a plain tuple of its fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, filterfalse
 from typing import Iterable, Iterator, NamedTuple, Union
 
 RuleId = int
@@ -194,6 +194,29 @@ def predecessor_masks(mask: int, guard: int, removed: int,
     return (pred,) if guard & added else (pred, pred ^ added)
 
 
+class _DirectionIndex:
+    """A rule index of `SMPDS` that one direction's moves read.
+
+    The first read of any index of a direction builds all of them, in one
+    pass over the rules (`build`), and stores them on the system.  This
+    descriptor has no `__set__`, so every later read finds the stored
+    index first: a plain instance attribute, with no call and no test.
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, smpds, owner=None):
+        if smpds is None:
+            return self
+        indexes = vars(smpds)
+        indexes.update(self.build(smpds))
+        return indexes[self.name]
+
+
 class SMPDS:
     """An SM-PDS: control points, stack alphabet, and an id-addressed rule table.
 
@@ -208,44 +231,82 @@ class SMPDS:
     source and by target control point.  A plain rule may push a word of
     any length; the saturations take it as it is.
 
+    The indexes are built per direction, when first read: the forward
+    ones (`plain_by_lhs`, `mod_by_source`) for `post_moves` and
+    `mod_successors`, the backward ones (`plain_by_rhs_head`,
+    `pop_rules`, `mod_by_target`) for `pre_moves`, `pop_moves` and
+    `mod_predecessors`.  A pre* run builds no forward index, and a post*
+    run no backward one.  The bits of every rule, `mod_bits`, `delta` and
+    `delta_c` are set when the system is made.
+
     `mod_bits`, which the translation reads too, maps each modifying rule
     id to (guard, removed, added): the mask bits of the rule plus its
     removed rule, of the removed rule, and of the added rule.  The rule
     fires in a phase whose mask holds every guard bit and leads to the
     mask `(mask ^ removed) | added`; `predecessor_masks` inverts that.
+
+    Mask bits are per-process, so a system pickles as its states,
+    alphabet and rule table and is built afresh when it is loaded.
     """
 
     def __init__(self, states: Iterable[str], alphabet: Iterable[str],
                  rules: dict[RuleId, Rule]):
         self.states = frozenset(states)
         self.alphabet = frozenset(alphabet)
-        self.rules = dict(rules)
-        self.plain_by_lhs: dict[tuple[str, str], list[tuple[int, PdsRule]]] = {}
-        self.plain_by_rhs_head: dict[tuple[str, str], list[tuple[int, PdsRule]]] = {}
-        self.pop_rules: dict[str, list[tuple[int, PdsRule]]] = {}
-        self.mod_by_source: dict[str, list[tuple[_ModBits, SelfModRule]]] = {}
-        self.mod_by_target: dict[str, list[tuple[_ModBits, SelfModRule]]] = {}
+        self.rules = rules = dict(rules)
+        for rid in filterfalse(_BITS.__contains__, rules):
+            rule_bit(rid)
+        # the bits of every rule id, for `knows`: distinct single bits, so
+        # their sum is their union
+        self._known = sum(map(_BITS.__getitem__, rules))
         self.mod_bits: dict[RuleId, _ModBits] = {}
-        # the bits of every rule id, for `knows`
-        known = 0
-        for rid, r in self.rules.items():
-            bit = rule_bit(rid)
-            known |= bit
-            if isinstance(r, PdsRule):
-                self.plain_by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((bit, r))
-                if r.rhs_word:
-                    self.plain_by_rhs_head.setdefault(
-                        (r.rhs_state, r.rhs_word[0]), []).append((bit, r))
-                else:
-                    self.pop_rules.setdefault(r.rhs_state, []).append((bit, r))
-            else:
+        for rid, r in rules.items():
+            if isinstance(r, SelfModRule):
                 removed = rule_bit(r.removed)
-                bits = self.mod_bits[rid] = (bit | removed, removed, rule_bit(r.added))
-                self.mod_by_source.setdefault(r.from_state, []).append((bits, r))
-                self.mod_by_target.setdefault(r.to_state, []).append((bits, r))
+                self.mod_bits[rid] = (_BITS[rid] | removed, removed, rule_bit(r.added))
         self.delta_c = frozenset(self.mod_bits)
-        self.delta = frozenset(self.rules.keys() - self.delta_c)
-        self._known = known
+        self.delta = frozenset(rules.keys() - self.delta_c)
+
+    def __reduce__(self):
+        return (SMPDS, (self.states, self.alphabet, self.rules))
+
+    def _forward_indexes(self) -> dict[str, dict]:
+        """The indexes of `post_moves` and `mod_successors`: plain rules by
+        left side, modifying rules by source."""
+        by_lhs: dict[tuple[str, str], list[tuple[int, PdsRule]]] = {}
+        by_source: dict[str, list[tuple[_ModBits, SelfModRule]]] = {}
+        mod_bits = self.mod_bits
+        for rid, r in self.rules.items():
+            bits = mod_bits.get(rid)
+            if bits is None:
+                by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((_BITS[rid], r))
+            else:
+                by_source.setdefault(r.from_state, []).append((bits, r))
+        return {"plain_by_lhs": by_lhs, "mod_by_source": by_source}
+
+    def _backward_indexes(self) -> dict[str, dict]:
+        """The indexes of `pre_moves`, `pop_moves` and `mod_predecessors`:
+        plain rules by right-side head, pop rules by right-side state, and
+        modifying rules by target."""
+        by_head: dict[tuple[str, str], list[tuple[int, PdsRule]]] = {}
+        pops: dict[str, list[tuple[int, PdsRule]]] = {}
+        by_target: dict[str, list[tuple[_ModBits, SelfModRule]]] = {}
+        mod_bits = self.mod_bits
+        for rid, r in self.rules.items():
+            bits = mod_bits.get(rid)
+            if bits is not None:
+                by_target.setdefault(r.to_state, []).append((bits, r))
+            elif r.rhs_word:
+                by_head.setdefault((r.rhs_state, r.rhs_word[0]), []).append((_BITS[rid], r))
+            else:
+                pops.setdefault(r.rhs_state, []).append((_BITS[rid], r))
+        return {"plain_by_rhs_head": by_head, "pop_rules": pops, "mod_by_target": by_target}
+
+    plain_by_lhs = _DirectionIndex(_forward_indexes)
+    mod_by_source = _DirectionIndex(_forward_indexes)
+    plain_by_rhs_head = _DirectionIndex(_backward_indexes)
+    pop_rules = _DirectionIndex(_backward_indexes)
+    mod_by_target = _DirectionIndex(_backward_indexes)
 
     def all_rules_phase(self) -> Phase:
         return Phase.of(self.rules.keys())

@@ -474,6 +474,70 @@ def test_copy_equals_original_and_shares_no_mutable_set():
     assert aut.bit(Plain("only_in_aut")) == 1 << len(before[0])
 
 
+# -- the step table ---------------------------------------------------------
+
+def _stepped():
+    """`_basic` plus mid --g3--> x, with x not final, and the answers of
+    the three queries that step masks, which fill the step table."""
+    m, theta0, aut, a, mid, acc = _basic()
+    x = Plain("x")
+    aut.add_transition(mid, "g3", x)
+    before = _step_queries(aut, theta0)
+    assert aut._steps
+    return theta0, aut, a, mid, acc, x, before
+
+
+def _step_queries(aut, theta0):
+    a = Initial("p1", theta0)
+    return ([aut.accepts(Configuration("p1", stack, theta0))
+             for stack in (("g1", "g3"), ("g3",), ("g1", "g2"))],
+            aut.reach_states(a, ("g1", "g3")), aut.reach_states(a, ("g3",)),
+            aut.enumerate_configs(2))
+
+
+@pytest.mark.parametrize("insert", [
+    # into a key already in the store, and into a new one
+    lambda aut, a, mid, acc, x: aut.add_transition(mid, "g3", acc),
+    lambda aut, a, mid, acc, x: aut.add_transition(a, "g3", acc),
+    lambda aut, a, mid, acc, x: aut.add_targets(mid, "g3", aut.bit(acc)),
+    lambda aut, a, mid, acc, x: aut.add_targets(a, "g3", aut.bit(acc)),
+    lambda aut, a, mid, acc, x: aut.add_transition(x, EPS, acc),
+    # the worklist merges in place, or opens the key through add_targets
+    lambda aut, a, mid, acc, x: DeltaWorklist(aut).add([(mid, "g3")], aut.bit(acc)),
+    lambda aut, a, mid, acc, x: DeltaWorklist(aut).add([(a, "g3")], aut.bit(acc)),
+    lambda aut, a, mid, acc, x: DeltaWorklist(aut).add([(x, EPS)], aut.bit(acc)),
+], ids=["add_transition-merge", "add_transition-new", "add_targets-merge",
+        "add_targets-new", "add_transition-eps", "worklist-merge", "worklist-new",
+        "worklist-eps"])
+def test_stepping_queries_see_the_edge_after_every_insert_path(insert):
+    theta0, aut, a, mid, acc, x, before = _stepped()
+    insert(aut, a, mid, acc, x)
+    after = _step_queries(aut, theta0)
+    assert after != before
+    # a copy starts with an empty step table, so it steps afresh
+    assert after == _step_queries(aut.copy(), theta0)
+
+
+def test_worklist_merges_into_an_eps_key_clear_the_step_table():
+    theta0, aut, a, mid, acc, x, before = _stepped()
+    aut.add_transition(x, EPS, Plain("y"))
+    work = DeltaWorklist(aut)
+    _step_queries(aut, theta0)
+    work.add([(x, EPS)], aut.bit(acc))
+    assert _step_queries(aut, theta0) == _step_queries(aut.copy(), theta0) != before
+
+
+def test_a_copy_starts_with_a_step_table_of_its_own():
+    theta0, aut, a, mid, acc, x, before = _stepped()
+    dup = aut.copy()
+    assert dup._steps == {} and dup._steps is not aut._steps
+    dup.add_transition(mid, "g3", acc)
+    assert _step_queries(dup, theta0) != before
+    # the original's table and answers are untouched by the copy's insert
+    assert aut._steps
+    assert _step_queries(aut, theta0) == before
+
+
 # -- interned states ------------------------------------------------------
 
 def _three_kinds():

@@ -307,6 +307,28 @@ def test_generated_state_with_an_empty_prefix_symbol_is_rejected(command, text, 
     assert out.out == ""
 
 
+UNKNOWN_CONTROL_MODEL = "rule 0: p a -> q\nphase th: 0\nconfig: p th a\n"
+
+
+@pytest.mark.parametrize("text, state", [
+    ("initial zz th\nfinal zz@th\n", "zz@th"),
+    ("initial p th\ntrans p@th a gen:zz:a@th\nfinal gen:zz:a@th\n", "gen:zz:a@th"),
+])
+@pytest.mark.parametrize("command", [["check"], ["check", "--direction", "post"],
+                                     ["prestar"], ["poststar"], ["enumerate"]])
+def test_automaton_state_with_an_unknown_control_point_is_rejected(command, text, state,
+                                                                  tmp_path, capsys):
+    # a control point outside the model names no configuration of it, as
+    # `check_configuration` holds for the model's own configurations
+    model, aut = tmp_path / "m.smpds", tmp_path / "t.aut"
+    model.write_text(UNKNOWN_CONTROL_MODEL)
+    aut.write_text(text)
+    assert main([command[0], str(model), str(aut), *command[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err == f"error: automaton state {state}: control point 'zz' not in P\n"
+
+
 @pytest.mark.parametrize("text, lineno", [
     ("symbol eps\n", 1),
     ("rule 0: p eps -> q\n", 1),

@@ -423,6 +423,36 @@ _FIXED_DOC = parse_smpds("rule 0: p a -> q a\nphase theta0: 0\n")
     # tokens that join into '->' across a blank: a valid rule line
     "rule 0: p a- -> >b\nbogus\n",
     "rule 0: x- >y -> q\nbogus\n",
+    # config lines between rule lines, and before and after smrule lines
+    "config: p t a\nrule 0: p a -> q\nconfig: q t\nrule 1: q a -> p a\n"
+    "config : p {0,1} a a\nphase t: 0\n",
+    "config: p t\nsmrule 5: p (0 -> 1) q\nconfig: q t a\nsmrule 6: q (1 -> 0) p\n"
+    "rule 0: p a -> q\nrule 1: q a -> p\nconfig: p {0,5} a\nphase t: 0 1 5 6\n",
+    # `config :` and `config ::` are read, with blanks or none after the
+    # colons; `config:p`, and a tab after `config:` or `config`, are not
+    "rule 0: p a -> q\nphase t: 0\nconfig : p t a\nconfig :: q t\nconfig ::p t a\n"
+    "config :\tq t\n   config:  p  t  a  a \n",
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t\nconfig:p t a\n",
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t\nconfig:\tp t a\n",
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t\nconfig\t: p t a\n",
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t\nconfig : : p t a\n",
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t\nconfig: :p t a\n",
+    # a config line without a phase, or without a state either
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t\nconfig: p\n",
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t\nconfig:\n",
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t\nconfig ::\n",
+    # eps, or a ':', in a stack or a control point; a ':' in a phase token
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t a\nconfig: p t a eps\n",
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t a\nconfig: p t a:b\n",
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t a\nconfig: p:q t a\n",
+    "rule 0: p a -> q\nphase t: 0\nconfig: p t a\nconfig: p t: a\n",
+    "rule 0: p a -> q\nphase t: 0\nconfig: steps t eps_a\n",
+    # a faulty config line before a faulty rule line, and after one
+    "config: p t eps\nrule 0: p a -> q -> r\n",
+    "rule 0: p a -> q -> r\nconfig: p t eps\n",
+    # an unknown phase name after 1,000 rule lines
+    "".join(f"rule {i}: p a -> q a\n" for i in range(1000))
+    + "phase t: 0 1\nconfig: p t a\nconfig: q t\nconfig: p nope a\nconfig: q nope\n",
     # automata: an empty control point in an initial and in a generated
     # state
     "final @theta0\n",

@@ -1,5 +1,7 @@
+import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,9 @@ from smpds import (
     validate,
 )
 import smpds
-from smpds.model import _IDS, step
+from smpds import from_configs, poststar, prestar
+from smpds.bench import GenParams, generate
+from smpds.model import _IDS, rule_bit, step
 
 from fixtures import SWAP_TRACE, swap_example
 from oracles import raw_reach, raw_step, to_raw
@@ -289,3 +293,130 @@ def test_mod_successors_are_the_oracle_modifying_moves(mpt, stack):
     assert ({(p2, theta2.members) for p2, theta2 in m.mod_successors(p, theta)}
             == {(p2, phase) for p2, _, phase in moves})
 
+
+
+# -- the rule indexes, built per direction -----------------------------------
+
+FORWARD_INDEXES = ("plain_by_lhs", "mod_by_source")
+BACKWARD_INDEXES = ("plain_by_rhs_head", "pop_rules", "mod_by_target")
+
+
+def _eager_indexes(m):
+    """The five indexes of `m`, built the way `SMPDS` once built them all
+    in its constructor: one loop over the rules, each rule with its mask
+    bits."""
+    by_lhs, by_head, pops, by_source, by_target = {}, {}, {}, {}, {}
+    for rid, r in m.rules.items():
+        bit = rule_bit(rid)
+        if isinstance(r, PdsRule):
+            by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((bit, r))
+            if r.rhs_word:
+                by_head.setdefault((r.rhs_state, r.rhs_word[0]), []).append((bit, r))
+            else:
+                pops.setdefault(r.rhs_state, []).append((bit, r))
+        else:
+            removed = rule_bit(r.removed)
+            bits = (bit | removed, removed, rule_bit(r.added))
+            by_source.setdefault(r.from_state, []).append((bits, r))
+            by_target.setdefault(r.to_state, []).append((bits, r))
+    return {"plain_by_lhs": by_lhs, "plain_by_rhs_head": by_head, "pop_rules": pops,
+            "mod_by_source": by_source, "mod_by_target": by_target}
+
+
+def _corpus_system(seed):
+    rng = random.Random(seed)
+    return generate(GenParams(num_states=rng.randint(2, 4), num_symbols=rng.randint(2, 4),
+                              num_rules=rng.randint(2, 8), num_smrules=rng.randint(0, 3),
+                              seed=seed))
+
+
+@pytest.mark.parametrize("saturate, built, unbuilt", [
+    (prestar, BACKWARD_INDEXES, FORWARD_INDEXES),
+    (poststar, FORWARD_INDEXES, BACKWARD_INDEXES),
+])
+def test_a_saturation_builds_the_indexes_of_its_direction_only(saturate, built, unbuilt):
+    for seed in range(1, 21):
+        inst = _corpus_system(seed)
+        m = SMPDS(inst.smpds.states, inst.smpds.alphabet, inst.smpds.rules)
+        assert not set(vars(m)) & {*FORWARD_INDEXES, *BACKWARD_INDEXES}
+        config = inst.target if saturate is prestar else inst.initial
+        saturate(m, from_configs(m, [config]))
+        assert set(built) <= set(vars(m))
+        assert not set(unbuilt) & set(vars(m))
+
+
+def test_lazy_indexes_equal_an_eager_build():
+    draws = [_corpus_system(seed).smpds for seed in range(1, 41)]
+    draws.append(swap_example()[0])
+    for m in draws:
+        eager = _eager_indexes(m)
+        for names in (BACKWARD_INDEXES, FORWARD_INDEXES):
+            fresh = SMPDS(m.states, m.alphabet, m.rules)
+            # the first read of one index builds its whole direction
+            getattr(fresh, names[-1])
+            assert {name: vars(fresh)[name] for name in names} == {
+                name: eager[name] for name in names}
+        assert {name: getattr(m, name) for name in eager} == eager
+
+
+@given(modifying_systems())
+@settings(max_examples=100, deadline=None)
+def test_lazy_indexes_equal_an_eager_build_on_any_ids(mpt):
+    m = mpt[0]
+    assert {name: getattr(m, name) for name in _eager_indexes(m)} == _eager_indexes(m)
+
+
+def _same_system(a, b):
+    """`a` and `b` have the same table and answer every move alike."""
+    assert (a.states, a.alphabet, a.rules) == (b.states, b.alphabet, b.rules)
+    assert (a.mod_bits, a.delta, a.delta_c) == (b.mod_bits, b.delta, b.delta_c)
+    assert a.knows(b.all_rules_phase())
+    theta = a.all_rules_phase()
+    for p in sorted(a.states):
+        assert a.pop_moves(p, theta) == b.pop_moves(p, theta)
+        assert a.mod_predecessors(p, theta) == b.mod_predecessors(p, theta)
+        for g in sorted(a.alphabet):
+            assert a.post_moves(p, theta, g) == b.post_moves(p, theta, g)
+            assert a.pre_moves(p, theta, g) == b.pre_moves(p, theta, g)
+
+
+@pytest.mark.parametrize("built", [(), FORWARD_INDEXES[:1], BACKWARD_INDEXES[:1],
+                                   FORWARD_INDEXES + BACKWARD_INDEXES])
+def test_a_system_pickles_and_copies_before_and_after_its_indexes_are_built(built):
+    m, *_ = swap_example()
+    for name in built:
+        getattr(m, name)
+    copies = [pickle.loads(pickle.dumps(m, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.deepcopy(m), copy.copy(m)]
+    for other in copies:
+        _same_system(other, m)
+
+
+def test_a_system_pickles_across_interpreters():
+    # the subprocess numbers the rule ids in another order, so its mask bits
+    # differ from ours; the loaded system must use our bits
+    ids = [888004, 888003, 888002, 888001]
+    for rid in ids:
+        rule_bit(rid)
+    script = ("import pickle, sys\n"
+              "from smpds import PdsRule, SelfModRule, SMPDS\n"
+              "from smpds.model import rule_bit\n"
+              f"for rid in {sorted(ids)!r}:\n"
+              "    rule_bit(rid)\n"
+              "m = SMPDS({'p', 'q'}, {'a'}, {888001: PdsRule('p', 'a', 'q', ('a',)),\n"
+              "          888002: SelfModRule('p', 888001, 888004, 'q'),\n"
+              "          888004: PdsRule('q', 'a', 'p', ())})\n"
+              "m.plain_by_lhs, m.pop_rules\n"
+              "sys.stdout.buffer.write(pickle.dumps(m))\n")
+    src = str(Path(smpds.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    data = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, check=True).stdout
+    loaded = pickle.loads(data)
+    _same_system(loaded, SMPDS(loaded.states, loaded.alphabet, loaded.rules))
+    theta = Phase.of([888001, 888002])
+    assert loaded.knows(theta)
+    assert sorted(loaded.post_moves("p", theta, "a"), key=repr) == [
+        ("q", theta, ("a",)), ("q", Phase.of([888002, 888004]), ("a",))]
