@@ -37,13 +37,10 @@ once, so it holds little more than the output itself.
 
 Parsing reads the whole text at once.  One `split` of a model by the
 regex of a well-formed rule line yields the fields of every rule, which
-become rules in bulk.  One `split` of each gap between rule lines by the
-regex of a config line yields the tokens of every config line, which
-are checked and kept in bulk; only the few lines left (states, symbols,
-modifying rules, phases) are read one by one.  Line numbers are counted
-from the pieces of the two splits.  A faulty model is read a second
-time, line by line, only to find its first bad line.  An automaton is
-read with one `findall`, a tuple per line.
+become rules in bulk; only the few lines in the gaps between rule lines
+are read one by one, and their line numbers are counted from the gaps.  A
+faulty model is read a second time, line by line, only to find its first
+bad line.  An automaton is read with one `findall`, a tuple per line.
 Rules are `NamedTuple`s, so a rule compares equal to a plain tuple of
 its fields.
 """
@@ -53,7 +50,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, itemgetter
+from operator import add
 from typing import Sequence
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
@@ -168,14 +165,6 @@ _RULE_LINE = re.compile(
     rf"{_W}*(\S+)(.*)\n", re.M)
 
 
-# a config line of a cleaned model, as `_directive` tells one: `config: `,
-# or `config`, a blank and a run of ':'.  It is matched with the line break
-# before it, not after, so the regex starts with a literal and the search
-# skips from line break to line break; its group is the rest of the line,
-# the control point, the phase and the stack.
-_CONFIG_LINE = re.compile(rf"\n{_W}*config(?:: | {_W}*:+)(.*)")
-
-
 class _Model:
     """What the lines of a model file declare, before the system is built."""
 
@@ -185,8 +174,7 @@ class _Model:
         self.rules: dict[int, PdsRule | SelfModRule] = {}
         self.mod_lines: list[tuple[int, int]] = []  # (line number, id) per smrule
         self.phase_lines: dict[str, tuple[int, list[int]]] = {}
-        # (line number, control point, phase token, stack) per config
-        self.config_lines: list[tuple[int, str, str, tuple[str, ...]]] = []
+        self.config_lines: list[tuple[int, list[str]]] = []
 
 
 def parse_smpds(text: str) -> SmpdsDocument:
@@ -204,8 +192,9 @@ def parse_smpds(text: str) -> SmpdsDocument:
             if rid not in rules:
                 raise FormatError(lineno, f"phase {name!r}: unknown rule id {rid}")
         doc.phase_names[name] = Phase.of(ids)
-    for lineno, p, phase, stack in model.config_lines:
-        doc.configs.append(Configuration(p, stack, doc.resolve_phase(phase, lineno)))
+    for lineno, toks in model.config_lines:
+        phase = doc.resolve_phase(toks[1], lineno)
+        doc.configs.append(Configuration(toks[0], tuple(toks[2:]), phase))
     return doc
 
 
@@ -233,8 +222,10 @@ def _read_model(text: str) -> _Model:
     # gap k follows k rule lines
     others = 0
     for k, gap in compress(enumerate(gaps), gaps):
-        _read_gap(model, gap, k + others + 1)
-        others += gap.count("\n")
+        lines = gap.split("\n")
+        for lineno, line in enumerate(lines[:-1], k + others + 1):
+            _directive(model, line, lineno)
+        others += len(lines) - 1
     # every rule line holds one '->', and a braced phase no blank
     if text.count("->") != len(ids) + "".join(gaps).count("->") or _spaced_phase(text):
         raise ValueError("a faulty line")
@@ -246,37 +237,6 @@ def _read_model(text: str) -> _Model:
         model.rules = {rid: rules[rid] for _, rid in
                        sorted(chain(zip(rule_lines, map(int, ids)), mods))}
     return model
-
-
-def _read_gap(model: _Model, gap: str, first: int) -> None:
-    """Read the lines of `gap`, a run of lines other than rule lines that
-    starts at line `first`: its config lines in bulk, the lines between
-    them one by one.  Raises a ValueError on any fault, as `_read_model`
-    does."""
-    # [lines, config, lines, config, ...]: the tokens of each config line,
-    # and the other lines around them, each line after its "\n"
-    chunks = _CONFIG_LINE.split("\n" + gap[:-1])
-    texts = chunks[::2]
-    # text j follows j config lines and the lines of texts 0 to j-1
-    before = [*accumulate(map(str.count, texts, repeat("\n")), initial=0)]
-    for j, text in compress(enumerate(texts), texts):
-        for lineno, line in enumerate(text.split("\n")[1:], first + j + before[j]):
-            _directive(model, line, lineno)
-    configs = [*map(str.split, chunks[1::2])]
-    if not configs:
-        return
-    if min(map(len, configs)) < 2:
-        raise ValueError("a config line without a state and a phase")
-    controls = [*map(itemgetter(0), configs)]
-    stacks = [tuple(toks[2:]) for toks in configs]
-    # no control point holds ':' and no stack 'eps' or ':' if the lines
-    # hold neither, which spares the checks of single names
-    rests = "".join(chunks[1::2])
-    if (":" in rests and ":" in "".join(chain(controls, *stacks))
-            or "eps" in rests and "eps" in chain.from_iterable(stacks)):
-        raise ValueError("a faulty config line")
-    model.config_lines += zip(map(add, count(first), before[1:]), controls,
-                              map(itemgetter(1), configs), stacks)
 
 
 def _raise_first_error(text: str) -> None:
@@ -292,9 +252,9 @@ def _raise_first_error(text: str) -> None:
 
 
 def _directive(model: _Model, line: str, lineno: int) -> None:
-    """Read one model line.  A rule line or a config line is read here
-    only when looking for a faulty model's first bad line; valid text has
-    them read in bulk by `_read_model` and `_read_gap`."""
+    """Read one model line.  A well-formed rule line is read here only
+    when looking for a faulty model's first bad line; valid text has its
+    rule lines read in bulk by `_read_model`."""
     line = line.strip()
     if not line:
         return
@@ -355,7 +315,7 @@ def _directive(model: _Model, line: str, lineno: int) -> None:
             raise FormatError(lineno, "config needs a state and a phase")
         _symbols(toks[2:], lineno)
         _control(toks[0], lineno)
-        model.config_lines.append((lineno, toks[0], toks[1], tuple(toks[2:])))
+        model.config_lines.append((lineno, toks))
     else:
         raise FormatError(lineno, f"unknown directive {head!r}")
 

@@ -135,10 +135,7 @@ class _PrestarEngine:
         self.live.add(q)
         moves = self.rules.pop_moves(q.control, q.phase)
         if moves:
-            # an interned state is looked up without a Python-level call
-            initial = Initial._table.get
-            self.work.add([(initial((p, theta)) or Initial(p, theta), g)
-                           for p, theta, g in moves],
+            self.work.add([(Initial(p, theta), g) for p, theta, g in moves],
                           self.aut._close(self.aut.bit(q)))
         return True
 
@@ -151,9 +148,8 @@ class _PrestarEngine:
         key = (init, label)
         ends = self.pending.setdefault(key, set())
         by_tail = self.waiting.setdefault(key, {})
-        initial = Initial._table.get
         for p, theta, g, rest in self.rules.pre_moves(init.control, init.phase, label):
-            lhs = (initial((p, theta)) or Initial(p, theta), g)
+            lhs = (Initial(p, theta), g)
             if rest:
                 by_tail.setdefault(rest, set()).add(lhs)
             else:
@@ -176,18 +172,14 @@ class _PrestarEngine:
             for g2, tail, group in rests:
                 for q in states:
                     key = (q, g2)
-                    # the group's slot: under its tail at the key, or the
-                    # key's own in `pending`
-                    if tail:
-                        table = waiting.get(key)
-                        if table is None:
-                            table = waiting[key] = {}
-                        slot = tail
-                    else:
-                        table, slot = pending, key
-                    known = table.get(slot)
+                    known = (waiting.setdefault(key, {}).get(tail) if tail
+                             else pending.get(key))
                     if known is None:
-                        fresh = table[slot] = set(group)
+                        fresh = set(group)
+                        if tail:
+                            waiting[key][tail] = fresh
+                        else:
+                            pending[key] = fresh
                     else:
                         fresh = group - known
                         if not fresh:
