@@ -440,8 +440,8 @@ class PAutomaton:
         return False
 
     def to_dot(self) -> str:
-        """GraphViz rendering for inspection."""
-        name = {q: _default_state_name(q) for q in self._order}
+        """GraphViz rendering for inspection, quotes and backslashes escaped."""
+        name = {q: _dot_escape(_default_state_name(q)) for q in self._order}
         finals = self.finals
         parts = ["digraph pautomaton {\n  rankdir=LR;\n"]
         for q in sorted(self._order, key=name.__getitem__):
@@ -452,7 +452,7 @@ class PAutomaton:
         # targets by one slice assignment; the output is joined once
         for src, label, dsts in self.grouped_transitions(name):
             prefix = f'  "{src}" -> "'
-            suffix = f'" [label="{label if label is not None else "eps"}"];\n'
+            suffix = f'" [label="{_dot_escape(label) if label is not None else "eps"}"];\n'
             block = [prefix, "", suffix] * len(dsts)
             block[1::3] = dsts
             parts += block
@@ -512,12 +512,14 @@ class DeltaWorklist:
         Once the automaton fills up most inserts bring nothing new, so
         each edge is first diffed against its key's targets, one int
         operation.  A key already in the store takes a nonempty
-        difference in place, with one `|` on the mask just read, a
-        cleared step table and, for an eps key, a cleared closure cache;
-        only a key not in the store yet goes to `add_targets`, which
-        numbers its source, checks its label and marks an eps edge.  One
-        more `|` merges the difference into the key's delta; only a key
-        not queued yet goes to `_queue`.
+        difference in place: one `|` on the mask just read, a cleared
+        step table and, for an eps key, a cleared closure cache.  That
+        copies `add_targets`'s merge on purpose: sending every edge
+        through `add_targets` made direct post* on the six `post_fanout`
+        instances about 10% slower.  Only a key not in the store yet goes
+        to `add_targets`, which numbers its source, checks its label and
+        marks an eps edge.  One more `|` merges the difference into the
+        key's delta; only a key not queued yet goes to `_queue`.
         """
         aut = self.aut
         out = aut._out
@@ -568,6 +570,10 @@ def _default_state_name(q: AutState) -> str:
     if isinstance(q, Generated):
         return f"q[{q.control},{q.symbol}]@{q.phase}"
     return q.name
+
+
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def from_configs(smpds: SMPDS, configs: Iterable[Configuration]) -> PAutomaton:

@@ -178,13 +178,7 @@ def cmd_enumerate(args) -> int:
     if args.max_len < 0:
         raise ValueError(f"--max-len {args.max_len} is negative")
     doc, aut = _load_query(args)
-    lines = []
-    for c in sorted(aut.enumerate_configs(args.max_len),
-                    key=lambda c: (len(c.stack), c.state, c.stack,
-                                   doc.phase_name(c.phase))):
-        stack = " ".join(c.stack)
-        lines.append(f"config: {c.state} {doc.phase_name(c.phase)} {stack}".rstrip())
-    _write("\n".join(lines) + ("\n" if lines else ""), args.output)
+    _write(formats.print_configs(aut.enumerate_configs(args.max_len), doc), args.output)
     return 0
 
 

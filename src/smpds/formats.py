@@ -51,7 +51,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
 from .model import Configuration, Phase, PdsRule, SelfModRule, SMPDS
@@ -98,10 +98,8 @@ class SmpdsDocument:
     configs: list[Configuration] = field(default_factory=list)
 
     def phase_name(self, phase: Phase) -> str:
-        for name, ph in self.phase_names.items():
-            if ph is phase:
-                return name
-        return repr(phase)  # the anonymous form {0,2,5}
+        """The first-declared name of `phase`, else its anonymous form {0,2,5}."""
+        return _PhaseNames(self)[phase]
 
     def resolve_phase(self, token: str, lineno: int = 0) -> Phase:
         if token.startswith("{") and token.endswith("}"):
@@ -322,11 +320,9 @@ def _directive(model: _Model, line: str, lineno: int) -> None:
 
 def print_smpds(doc: SmpdsDocument) -> str:
     m = doc.smpds
-    lines = []
-    for s in sorted(m.states):
-        lines.append(f"state {s}")
-    for g in sorted(m.alphabet):
-        lines.append(f"symbol {g}")
+    phase_name = _PhaseNames(doc).__getitem__
+    lines = [f"state {s}" for s in sorted(m.states)]
+    lines += [f"symbol {g}" for g in sorted(m.alphabet)]
     for rid in sorted(m.delta):
         p, gamma, q, word = m.rules[rid]
         lines.append(f"rule {rid}: {p} {gamma} -> {' '.join((q, *word))}")
@@ -336,10 +332,20 @@ def print_smpds(doc: SmpdsDocument) -> str:
     for name in sorted(doc.phase_names):
         ids = " ".join(map(str, doc.phase_names[name]))
         lines.append(f"phase {name}: {ids}".rstrip())
-    for c in doc.configs:
-        stack = " ".join(c.stack)
-        lines.append(f"config: {c.state} {doc.phase_name(c.phase)} {stack}".rstrip())
+    lines += [_config_line(c, phase_name) for c in doc.configs]
     return _text(lines)
+
+
+def print_configs(configs: Iterable[Configuration], doc: SmpdsDocument) -> str:
+    """The `config:` lines of `configs`, sorted; nothing for none."""
+    phase_name = _PhaseNames(doc).__getitem__
+    lines = [_config_line(c, phase_name) for c in sorted(
+        configs, key=lambda c: (len(c.stack), c.state, c.stack, phase_name(c.phase)))]
+    return "\n".join([*lines, ""])
+
+
+def _config_line(c: Configuration, phase_name) -> str:
+    return f"config: {c.state} {phase_name(c.phase)} {' '.join(c.stack)}".rstrip()
 
 
 def _text(lines: list[str]) -> str:
@@ -396,9 +402,9 @@ def _token(q: AutState, phase_name) -> str:
 
 
 class _PhaseNames(dict):
-    """Phase -> printed name for one print, each phase named once: the
-    first-declared name, as `SmpdsDocument.phase_name` gives, else the
-    anonymous form."""
+    """Phase -> printed name for one output, each phase named once: the
+    first-declared name, else the anonymous form.  Every printer, and
+    `SmpdsDocument.phase_name`, names phases through one."""
 
     def __init__(self, doc: SmpdsDocument):
         super().__init__()
@@ -505,12 +511,11 @@ def print_automaton(aut: PAutomaton, doc: SmpdsDocument) -> str:
 
 def print_pds(pds, doc: SmpdsDocument) -> str:
     """Mirror of the model format with paired-state names p@theta."""
-    def sname(s):
-        return f"{s[0]}@{doc.phase_name(s[1])}"
-
+    phase_name = _PhaseNames(doc).__getitem__
     lines = []
-    for i, (p, gamma, q, word) in enumerate(pds.rules):
-        lines.append(f"rule {i}: {sname(p)} {gamma} -> {' '.join((sname(q), *word))}")
+    for i, ((p, theta), gamma, (q, theta1), word) in enumerate(pds.rules):
+        rhs = " ".join((f"{q}@{phase_name(theta1)}", *word))
+        lines.append(f"rule {i}: {p}@{phase_name(theta)} {gamma} -> {rhs}")
     return _text(lines)
 
 

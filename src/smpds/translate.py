@@ -9,8 +9,8 @@ paired rules of a phase theta are the moves that `SMPDS.post_moves`,
 `pre_moves` and `pop_moves` return at theta, so a saturation reads those
 moves and builds no paired rule, the on-the-fly construction of Schwoon
 (Model-Checking Pushdown Systems, 2002) with nothing materialised.  The
-set is the PDS's `phases`, the ones that `rules` builds and counts for
-`smpds translate`; a saturation reads the moves of any phase it reaches,
+set is the PDS's `phases`, the ones that `rules` builds for `smpds
+translate`; a saturation reads the moves of any phase it reaches,
 in the set or not.  The symbolic translation needs no object of its
 own: `formats.print_symbolic_pds` prints it from the rule table.
 
@@ -18,8 +18,9 @@ The phase arithmetic of the ordinary translation runs on int masks, with
 the bit table of the modifying rules, `SMPDS.mod_bits`, and the solver
 `model.predecessor_masks` that the direct saturations use:
 `phase_closure` searches on masks and interns only the phases of the
-finished closure, `to_pds` checks closedness on the masks of the set,
-and a phase's rules are built and counted from its mask.
+finished closure, and `to_pds` checks closedness on the masks of the set
+and counts the paired rules in the same pass.  A phase's rules are built
+from its own ids, each modifying rule's target by `Phase.update`.
 
 Classical pre*/post* for ordinary PDSs are `prestar` and `poststar`,
 with the phase moved into the control point and the PDS as their rule
@@ -37,7 +38,6 @@ shares nothing with the cores lives in the tests:
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import PAutomaton, from_configs
@@ -135,10 +135,10 @@ class PairedPDS:
     empty-stack moves, which it lacks, so a saturation reads the SM-PDS
     and builds no paired rule.  `phases` is the set: iterating `rules`
     builds every phase of it, in sorted member order, and `len(rules)`
-    counts their rules without building any.
+    is the count `to_pds` took in its closedness pass.
     """
 
-    def __init__(self, smpds: SMPDS, phases: set[Phase]):
+    def __init__(self, smpds: SMPDS, phases: set[Phase], rule_count: int):
         self.smpds = smpds
         self.phases = phases
         self.states = smpds.states
@@ -147,17 +147,7 @@ class PairedPDS:
         self.post_moves = smpds.post_moves
         self.pre_moves = smpds.pre_moves
         self.pop_moves = smpds.pop_moves
-        self.rules = _PhaseOrderedRules(self)
-        self._gammas = sorted(smpds.alphabet)
-        self._words = [(g,) for g in self._gammas]
-        # the rules in id order, the order a phase's rules are built in,
-        # each behind the bits a phase needs for it to fire: a modifying
-        # rule with its `mod_bits`, a plain rule as an exact tuple, which
-        # CPython unpacks faster than it reads a NamedTuple's fields
-        mod_bits = smpds.mod_bits
-        self._by_id = [(*mod_bits[rid], r) if rid in mod_bits
-                       else (rule_bit(rid), None, None, tuple(r))
-                       for rid, r in sorted(smpds.rules.items())]
+        self.rules = _PhaseOrderedRules(self, rule_count)
 
     # a paired rule reads a stack symbol: no move on an empty stack
     mod_successors = mod_predecessors = PDS.mod_successors
@@ -165,26 +155,19 @@ class PairedPDS:
     def _build(self, theta: Phase) -> list[PairedRule]:
         """The rules at phase theta, in rule id order: each plain rule in
         theta, and each modifying rule in theta with its removed rule,
-        once per symbol."""
+        once per symbol, into `theta.update`'s phase."""
         rules: list[PairedRule] = []
-        # rules are built by `tuple.__new__`, in C, rather than by the
-        # NamedTuple's Python-level `__new__`
-        new = tuple.__new__
-        append = rules.append
-        gammas, words = self._gammas, self._words
-        mask = theta.mask
-        for guard, removed, added, r in self._by_id:
-            if mask & guard != guard:
-                continue
-            if removed is None:
+        smpds = self.smpds
+        gammas = sorted(self.alphabet)
+        for rid in theta:
+            r = smpds.rules.get(rid)
+            if rid in smpds.delta:
                 p, gamma, q, word = r
-                append(new(PairedRule, ((p, theta), gamma, (q, theta), word)))
-            else:
-                # the guard holds the removed bit, so xor drops it
-                rhs = (r.to_state, Phase.of_mask((mask ^ removed) | added))
-                rules.extend(map(new, repeat(PairedRule),
-                                 zip(repeat((r.from_state, theta)), gammas,
-                                     repeat(rhs), words)))
+                rules.append(PairedRule((p, theta), gamma, (q, theta), word))
+            elif r is not None and r.removed in theta:
+                lhs = (r.from_state, theta)
+                rhs = (r.to_state, theta.update(r.removed, r.added))
+                rules += [PairedRule(lhs, g, rhs, (g,)) for g in gammas]
         return rules
 
 
@@ -192,8 +175,9 @@ class _PhaseOrderedRules:
     """`PairedPDS.rules`: the rules phase by phase, in sorted member order,
     so their order does not depend on how phases hash."""
 
-    def __init__(self, pds: PairedPDS):
+    def __init__(self, pds: PairedPDS, count: int):
         self.pds = pds
+        self.count = count
 
     def __iter__(self) -> Iterator[PairedRule]:
         pds = self.pds
@@ -201,21 +185,7 @@ class _PhaseOrderedRules:
             yield from pds._build(theta)
 
     def __len__(self) -> int:
-        """The number of rules, counted from the phase masks without
-        building them: a phase's plain rules, and |Gamma| for each
-        modifying rule whose guard bits it holds."""
-        pds = self.pds
-        plain = sum(map(rule_bit, pds.smpds.delta))
-        width = len(pds._gammas)
-        guards = [guard for guard, _, _ in pds.smpds.mod_bits.values()]
-        n = 0
-        for theta in pds.phases:
-            mask = theta.mask
-            n += (mask & plain).bit_count()
-            for guard in guards:
-                if mask & guard == guard:
-                    n += width
-        return n
+        return self.count
 
 
 def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PairedPDS:
@@ -223,19 +193,26 @@ def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PairedPDS:
 
     Raises `ValueError` unless the set is closed on the modifying rules:
     the check runs on the masks of the set, with the bit table
-    `smpds.mod_bits`, and interns no phase.  The set becomes the PDS's
-    `phases`, which `rules` iterates and counts; a saturation builds the
-    rules of each phase it reaches when it first reads them (see
+    `smpds.mod_bits`, and interns no phase.  The same pass counts the
+    paired rules: each phase's plain-rule bits, and |Gamma| for each
+    modifying rule whose guard bits it holds.  The set becomes the PDS's
+    `phases`, which `rules` iterates; a saturation builds no rule (see
     `PairedPDS`).
     """
     phase_set = set(phases)
     masks = {theta.mask for theta in phase_set}
     mods = smpds.mod_bits.values()
+    plain = sum(map(rule_bit, smpds.delta))
+    width = len(smpds.alphabet)
+    count = 0
     for mask in masks:
+        count += (mask & plain).bit_count()
         for guard, removed, added in mods:
-            if mask & guard == guard and (mask ^ removed) | added not in masks:
-                raise ValueError("phase set is not closed; run phase_closure")
-    return PairedPDS(smpds, phase_set)
+            if mask & guard == guard:
+                if (mask ^ removed) | added not in masks:
+                    raise ValueError("phase set is not closed; run phase_closure")
+                count += width
+    return PairedPDS(smpds, phase_set, count)
 
 
 # -- automata over paired states ------------------------------------------
@@ -257,17 +234,14 @@ def pds_accepts(aut: PAutomaton, state: PdsState, stack: tuple[str, ...]) -> boo
 
 
 def pds_prestar(pds: PDS | PairedPDS, aut: PAutomaton) -> PAutomaton:
-    """Classical backward saturation for ordinary PDSs: `prestar`, input
-    contract and all, with the PDS as its rule source.  On a `PairedPDS`
-    it reads the SM-PDS's moves and builds no paired rule.  The paired
-    PDS fires no modifying rule on an empty stack, so the result agrees
-    with direct pre* on nonempty stacks."""
+    """Classical pre*: `prestar`, input contract and all, with the PDS as
+    its rule source.  The paired PDS fires no modifying rule on an empty
+    stack, so the result agrees with direct pre* on nonempty stacks."""
     return prestar(pds, aut)
 
 
 def pds_poststar(pds: PDS | PairedPDS, aut: PAutomaton) -> PAutomaton:
-    """Classical forward saturation for ordinary PDSs: `poststar`, input
-    contract and name check and all, with the PDS as its rule source.  On
-    a `PairedPDS` it reads the SM-PDS's moves and builds no paired rule;
-    on a `PDS` it indexes the rules once, at the first move it reads."""
+    """Classical post*: `poststar`, input contract and name check and all,
+    with the PDS as its rule source, which a `PDS` indexes once, at the
+    first move it reads."""
     return poststar(pds, aut)

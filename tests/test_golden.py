@@ -6,8 +6,9 @@ the per-transition engines before the set-at-a-time rewrite,
 gen55.translate before `to_pds` shared its paired states,
 selfmod.translate before `phase_closure` searched on masks,
 bitorder.translate before the paired rules were built from mask bits,
-and the two eps-edged enumerate ones before `PAutomaton` had one
-eps-closed step, so they pin the printers' canonical order and every
+the two eps-edged enumerate ones before `PAutomaton` had one
+eps-closed step, and the twonames ones before every printer named phases
+through one table, so they pin the printers' canonical order and every
 saturation's result independently of set iteration and worklist order.  After a deliberate
 change of output, rewrite them with
 
@@ -44,6 +45,7 @@ EPS_MID_AUT = "tests/golden/eps_mid.aut"
 SELFMOD_MODEL = "tests/golden/selfmod.smpds"
 WIDE_MODEL = "tests/golden/wide.smpds"
 WIDE_AUT = "tests/golden/wide.aut"
+TWONAMES_MODEL = "tests/golden/twonames.smpds"
 
 # expected file -> CLI arguments (paths relative to the repository root)
 CASES = {
@@ -104,6 +106,16 @@ CASES = {
     # transition into it
     "deadpop.prestar": ["prestar", "tests/golden/deadpop.smpds",
                         "tests/golden/deadpop_target.aut"],
+    # a quote in a control point and a backslash in a stack symbol and in
+    # a state name, escaped in the dot output's quoted IDs
+    "quote.poststar.dot": ["poststar", "tests/golden/quote.smpds",
+                           "tests/golden/quote.aut", "--dot"],
+    # one phase under two names, and closure phases with none: each
+    # printer names a phase by its first-declared name, else anonymously
+    "twonames.translate": ["translate", TWONAMES_MODEL],
+    "twonames.prestar": ["prestar", TWONAMES_MODEL, "tests/golden/twonames_target.aut"],
+    "twonames.enumerate": ["enumerate", TWONAMES_MODEL,
+                           "tests/golden/twonames.prestar.out", "--max-len", "3"],
 }
 
 

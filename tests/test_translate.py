@@ -32,7 +32,7 @@ from classical_reference import (pds_step, reference_pds_poststar,
                                  reference_pds_prestar, reference_phase_closure,
                                  reference_to_pds, solve_predecessor_phases,
                                  symbolic_step)
-from fixtures import TRANSLATED_FAMILY, swap_example
+from fixtures import POST_FANOUT_FAMILY, TRANSLATED_FAMILY, swap_example
 from oracles import raw_reach
 from test_acceptance import _corpus_draw
 from test_classical_reference import _corpus_draw_seeds
@@ -113,8 +113,12 @@ def _check_rule_list(m, phases):
 
 
 def test_rule_count_and_order_on_every_corpus_draw():
-    for seed in _corpus_draw_seeds():
-        inst = _corpus_draw(seed)[1]
+    """Also on the closures of the `translated` and `post_fanout` pool
+    instances, of 31-189 phases each."""
+    instances = [_corpus_draw(seed)[1] for seed in _corpus_draw_seeds()]
+    instances += [generate(GenParams(*params[:4], seed=params[4]))
+                  for params in TRANSLATED_FAMILY + POST_FANOUT_FAMILY]
+    for inst in instances:
         m = inst.smpds
         _check_rule_list(m, phase_closure(m, [inst.initial.phase,
                                               inst.target.phase]))
