@@ -31,7 +31,9 @@ once, is one token and neither starts with '{' nor holds '@'.  The label
 token `gen:p:g1:...:gk@theta` is the generated state of post* for the
 control point p, the pushed prefix g1...gk and the phase, so no control
 point or stack symbol holds ':'.  In it and in a token `p@theta`, p is
-not empty.  Printing is canonical, so parse o print is the identity.
+not empty.  Printing is canonical, so parse o print is the identity;
+a model prints its `phase` lines in declaration order, which keeps
+the name that each phase is printed under.
 Each printer collects its output as one list of pieces and joins it
 once, so it holds little more than the output itself.
 
@@ -190,9 +192,20 @@ def parse_smpds(text: str) -> SmpdsDocument:
             if rid not in rules:
                 raise FormatError(lineno, f"phase {name!r}: unknown rule id {rid}")
         doc.phase_names[name] = Phase.of(ids)
+    # each phase token is resolved once, at its first line; a
+    # Configuration's fields go straight into its __dict__, as unpickling
+    # puts them, not through the frozen dataclass's per-field
+    # object.__setattr__, and it stays frozen for its callers
+    phases: dict[str, Phase] = {}
+    new = object.__new__
     for lineno, toks in model.config_lines:
-        phase = doc.resolve_phase(toks[1], lineno)
-        doc.configs.append(Configuration(toks[0], tuple(toks[2:]), phase))
+        phase = phases.get(toks[1])
+        if phase is None:
+            phase = phases[toks[1]] = doc.resolve_phase(toks[1], lineno)
+        c = new(Configuration)
+        fields = c.__dict__
+        fields["state"], fields["stack"], fields["phase"] = toks[0], tuple(toks[2:]), phase
+        doc.configs.append(c)
     return doc
 
 
@@ -329,9 +342,10 @@ def print_smpds(doc: SmpdsDocument) -> str:
     for rid in sorted(m.delta_c):
         r = m.rules[rid]
         lines.append(f"smrule {rid}: {r.from_state} ({r.removed} -> {r.added}) {r.to_state}")
-    for name in sorted(doc.phase_names):
-        ids = " ".join(map(str, doc.phase_names[name]))
-        lines.append(f"phase {name}: {ids}".rstrip())
+    # in declaration order, which the parse keeps: a phase is named after
+    # its first-declared name, so sorting the names would rename it
+    for name, phase in doc.phase_names.items():
+        lines.append(f"phase {name}: {' '.join(map(str, phase))}".rstrip())
     lines += [_config_line(c, phase_name) for c in doc.configs]
     return _text(lines)
 

@@ -39,16 +39,21 @@ ones with one `&~`.  The rules waiting at (s, g) then fire on them:
 those whose word ends with g (`pending`) insert the new facts' targets
 in one `DeltaWorklist.add`, and those with more of their word to read
 (`waiting`) move on to wait at each new target, which is where a mask is
-decoded into its states (`_wait`).  The two tables are Delta', the
-half-matched rules of the pre* of Esparza, Hansel, Rossmanith and
-Schwoon (CAV 2000).  The rules that read an initial state's own fact key
-wait there too: `_seed` puts them in the two tables at the key's first
-fact, so pre* keeps no firing plan.
+decoded into its states (`_wait`).  A group of them that reaches several
+states q at once waits at every (q, g2), and moves on once: the OR of
+the facts at the keys where some of it is new goes into one
+`DeltaWorklist.add`, or on along the rest of a longer word; a state
+where the whole group waits already adds nothing.  The two tables are
+Delta', the half-matched rules of the pre* of Esparza, Hansel,
+Rossmanith and Schwoon (CAV 2000).  The rules that read an initial
+state's own fact key wait there too: `_seed` puts them in the two
+tables at the key's first fact, so pre* keeps no firing plan.
 """
 
 from __future__ import annotations
 
 from .automaton import EPS, AutState, DeltaWorklist, Initial, PAutomaton
+from .model import Phase
 
 # a transition ((p,theta), g) that a rule adds, and a group of them
 # waiting for the rest of their word, split into its next symbol and the
@@ -135,8 +140,16 @@ class _PrestarEngine:
         self.live.add(q)
         moves = self.rules.pop_moves(q.control, q.phase)
         if moves:
-            self.work.add([(Initial(p, theta), g) for p, theta, g in moves],
-                          self.aut._close(self.aut.bit(q)))
+            # each (control, phase) is interned once, however many moves
+            # share it; an explicit PDS's pop rules may change the phase
+            initial: dict[tuple[str, Phase], Initial] = {}
+            edges = []
+            for p, theta, g in moves:
+                src = initial.get((p, theta))
+                if src is None:
+                    src = initial[p, theta] = Initial(p, theta)
+                edges.append((src, g))
+            self.work.add(edges, self.aut._close(self.aut.bit(q)))
         return True
 
     def _seed(self, init: Initial, label: str) -> None:
@@ -148,20 +161,32 @@ class _PrestarEngine:
         key = (init, label)
         ends = self.pending.setdefault(key, set())
         by_tail = self.waiting.setdefault(key, {})
+        # each (control, phase) is interned once, however many moves share it
+        initial: dict[tuple[str, Phase], Initial] = {}
         for p, theta, g, rest in self.rules.pre_moves(init.control, init.phase, label):
-            lhs = (Initial(p, theta), g)
+            src = initial.get((p, theta))
+            if src is None:
+                src = initial[p, theta] = Initial(p, theta)
             if rest:
-                by_tail.setdefault(rest, set()).add(lhs)
+                by_tail.setdefault(rest, set()).add((src, g))
             else:
-                ends.add(lhs)
+                ends.add((src, g))
 
     def _wait(self, rests: list[_Rest], dsts: int) -> None:
         """Leave each group of transitions in `rests` waiting at every
         state q in the mask `dsts` for the rest of its word, and move it
         on along the facts already known: a group that waits at (q, g2)
         was linked to every fact known then, and each later fact replays
-        the waiting set.  A worklist, not recursion, so a long pushed word
-        does not deepen the Python stack."""
+        the waiting set.  A group moves on once, with the OR of the facts
+        at each (q, g2) where some of it is new: one `DeltaWorklist.add`
+        if its word ends with g2, else one worklist entry for the rest of
+        it.  Members that waited at q already add nothing there, and a q
+        where the whole group waits is skipped, so a long push stays
+        bounded.  A group is handed on as the stored set it is, which may
+        grow before it is popped; every member of it may move on along
+        every fact of its key, so that stays sound.  A worklist, not
+        recursion, so a long pushed word does not deepen the Python
+        stack."""
         add = self.work.add
         states_of = self.aut.states_of
         pending, waiting, facts = self.pending, self.waiting, self.facts
@@ -170,28 +195,26 @@ class _PrestarEngine:
             rests, dsts = todo.pop()
             states = states_of(dsts)
             for g2, tail, group in rests:
+                joined = 0
                 for q in states:
                     key = (q, g2)
                     known = (waiting.setdefault(key, {}).get(tail) if tail
                              else pending.get(key))
                     if known is None:
-                        fresh = set(group)
                         if tail:
-                            waiting[key][tail] = fresh
+                            waiting[key][tail] = set(group)
                         else:
-                            pending[key] = fresh
-                    else:
-                        fresh = group - known
-                        if not fresh:
-                            continue
-                        known |= fresh
-                    targets = facts.get(key)
-                    if not targets:
+                            pending[key] = set(group)
+                    elif group <= known:
                         continue
-                    if tail:
-                        todo.append(([(tail[0], tail[1:], fresh)], targets))
                     else:
-                        add(fresh, targets)
+                        known |= group
+                    joined |= facts.get(key, 0)
+                if joined:
+                    if tail:
+                        todo.append(([(tail[0], tail[1:], group)], joined))
+                    else:
+                        add(group, joined)
 
 
 def prestar(rules, aut: PAutomaton) -> PAutomaton:

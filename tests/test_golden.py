@@ -7,10 +7,12 @@ gen55.translate before `to_pds` shared its paired states,
 selfmod.translate before `phase_closure` searched on masks,
 bitorder.translate before the paired rules were built from mask bits,
 the two eps-edged enumerate ones before `PAutomaton` had one
-eps-closed step, and the twonames ones before every printer named phases
-through one table, so they pin the printers' canonical order and every
-saturation's result independently of set iteration and worklist order.  After a deliberate
-change of output, rewrite them with
+eps-closed step, the twonames ones before every printer named phases
+through one table, and the asm2smpds ones before `print_smpds` printed
+its phase lines in declaration order, so they pin the printers'
+canonical order and every saturation's result independently of set
+iteration and worklist order.  After a deliberate change of output,
+rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -116,6 +118,11 @@ CASES = {
     "twonames.prestar": ["prestar", TWONAMES_MODEL, "tests/golden/twonames_target.aut"],
     "twonames.enumerate": ["enumerate", TWONAMES_MODEL,
                            "tests/golden/twonames.prestar.out", "--max-len", "3"],
+    # each sample program compiled as it is, and with every selfmod erased
+    **{f"{name}.asm2smpds{suffix}": ["asm2smpds", f"samples/{name}.sasm", *options]
+       for name in ("call_patch", "gate_removal", "lockout", "loop_rewrite",
+                    "unhalt", "unlock")
+       for suffix, options in (("", []), ("_erased", ["--erase-selfmod"]))},
 }
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smpds import (
     EPS,
@@ -26,7 +27,7 @@ from classical_reference import reference_pds_prestar, useful
 from fixtures import (POST_FANOUT_FAMILY, TRANSLATED_FAMILY, cli_stats,
                       multi_phase_target, pop_chain_example, swap_example,
                       wide_enable_example)
-from oracles import raw_reach
+from oracles import raw_reach, raw_step, to_raw
 from test_classical_reference import _same_useful_part
 
 
@@ -295,3 +296,93 @@ def test_prestar_matches_the_reference_at_benchmark_size(params):
     # both answers are checked: each post_fanout target is reached from
     # the initial configuration, no translated one is
     assert got.accepts(inst.initial) == (params in POST_FANOUT_FAMILY)
+
+
+# the oracle's bounds for the joined-path questions
+JOINED_STACK = 6
+JOINED_STEPS = 3000
+
+
+@st.composite
+def joined_path_questions(draw):
+    """A corpus draw with pushes of two or three symbols, a start, and an
+    input automaton: targets that the start reaches, and the draw's own
+    target, each with up to two more configurations that share a prefix
+    of its stack, so that one fact reaches several states which have
+    facts of their own; optionally a target with an empty stack; and up
+    to two eps edges between the chains' states."""
+    inst = generate(GenParams(num_states=draw(st.integers(2, 4)),
+                              num_symbols=draw(st.integers(2, 3)),
+                              num_rules=draw(st.integers(2, 9)),
+                              num_smrules=draw(st.integers(0, 3)),
+                              max_rhs_len=draw(st.sampled_from([2, 3])),
+                              seed=draw(st.integers(0, 10**6))))
+    m, c0 = inst.smpds, inst.initial
+    reach = sorted(raw_reach(m, c0, JOINED_STACK, JOINED_STEPS)[0], key=repr)
+    symbols = st.sampled_from(sorted(m.alphabet))
+    targets = []
+    for t in [*(draw(st.sampled_from(reach)) for _ in range(draw(st.integers(0, 2)))),
+              inst.target]:
+        targets.append(t)
+        for _ in range(draw(st.integers(0, 2)) if t.stack else 0):
+            shared = t.stack[:draw(st.integers(1, len(t.stack)))]
+            tail = tuple(draw(st.lists(symbols, max_size=2)))
+            targets.append(Configuration(t.state, shared + tail, t.phase))
+    if draw(st.booleans()):
+        targets.append(Configuration(draw(st.sampled_from(sorted(m.states))), (),
+                                     draw(st.sampled_from(reach)).phase))
+    aut = from_configs(m, targets)
+    inner = sorted((q for q in aut.states if not isinstance(q, Initial)), key=repr)
+    for _ in range(draw(st.integers(0, 2))):
+        aut.add_transition(draw(st.sampled_from(inner)), EPS, draw(st.sampled_from(inner)))
+    return m, c0, reach, targets, aut
+
+
+def _one_step_back(m, c: Configuration) -> list[Configuration]:
+    """Configurations one step before `c`, as candidates for pre*: each is
+    kept only if the oracle's forward step reaches `c` from it."""
+    found = []
+    for rid in sorted(m.rules):
+        r = m.rules[rid]
+        if isinstance(r, PdsRule):
+            n = len(r.rhs_word)
+            if r.rhs_state == c.state and c.stack[:n] == r.rhs_word:
+                found.append(Configuration(r.lhs_state, (r.lhs_symbol, *c.stack[n:]),
+                                           c.phase))
+        elif r.to_state == c.state:
+            base = set(c.phase) - {r.added}
+            found += [Configuration(r.from_state, c.stack, Phase.of(ids))
+                      for ids in (base | {r.removed}, base | {r.removed, r.added})]
+    raw = to_raw(c)
+    return [b for b in found if raw in raw_step(m, to_raw(b))]
+
+
+@given(joined_path_questions())
+@settings(max_examples=120, deadline=None)
+def test_joined_waiting_groups_agree_with_the_oracle(question):
+    """pre* moves a group of half-matched rules on with the OR of the
+    facts at every state it reaches.  Direct pre* gives the oracle's
+    answer on the configurations the start reaches and on those up to
+    three steps before a target; so does classical pre*, on nonempty
+    stacks, when no target has an empty stack (the paired PDS fires no
+    modifying rule on one).  A configuration whose own reach the oracle
+    does not finish is left out."""
+    m, c0, reach, targets, aut = question
+    direct = prestar(m, aut)
+    classical = None
+    if all(t.stack for t in targets):
+        pds = to_pds(m, phase_closure(m, [c0.phase, *(t.phase for t in targets)]))
+        classical = pds_prestar(pds, aut)
+    probes = dict.fromkeys(reach[:40])
+    level = targets
+    for _ in range(3):
+        level = [b for c in level for b in _one_step_back(m, c) if b not in probes][:20]
+        probes.update(dict.fromkeys(level))
+    for c in probes:
+        c_reach, truncated = raw_reach(m, c, JOINED_STACK, JOINED_STEPS)
+        if truncated:
+            continue
+        want = any(map(aut.accepts, c_reach))
+        assert direct.accepts(c) == want, c
+        if classical is not None and c.stack:
+            assert classical.accepts(c) == want, c
