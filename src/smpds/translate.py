@@ -17,10 +17,12 @@ own: `formats.print_symbolic_pds` prints it from the rule table.
 The phase arithmetic of the ordinary translation runs on int masks, with
 the bit table of the modifying rules, `SMPDS.mod_bits`, and the solver
 `model.predecessor_masks` that the direct saturations use:
-`phase_closure` searches on masks and interns only the phases of the
-finished closure, and `to_pds` checks closedness on the masks of the set
-and counts the paired rules in the same pass.  A phase's rules are built
-from its own ids, each modifying rule's target by `Phase.update`.
+`phase_closure` searches on masks, one group of modifying rules that
+share bits at a time, takes the product of the groups' parts and
+interns only the phases of the finished closure, and `to_pds` checks
+closedness on the masks of the set and counts the paired rules in the
+same pass.  A phase's rules are built from its own ids, each modifying
+rule's target by `Phase.update`.
 
 Classical pre*/post* for ordinary PDSs are `prestar` and `poststar`,
 with the phase moved into the control point and the PDS as their rule
@@ -107,14 +109,48 @@ class PairedRule(NamedTuple):
 def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
     """Seeds closed under modifying-rule updates, forward and backward.
 
-    The search runs on int masks and reads the bit table `smpds.mod_bits`:
-    a rule leads forward from a mask that holds its guard bits, and back
-    to the masks `model.predecessor_masks` finds.  Only the phases of the
-    finished closure are interned.
+    A modifying rule touches its bits of `smpds.mod_bits`, guard and
+    added: its guard reads only those, and its update writes only those.
+    Rules that touch a common bit, directly or through a chain of rules,
+    form a group, and moves of different groups commute.  So the closure
+    of a seed is the product of one small closure per group, searched
+    from the seed's bits in the group, times the bits no rule touches.
+    Each group's search runs on int masks: a rule leads forward from a
+    mask that holds its guard bits, and back to the masks
+    `model.predecessor_masks` finds.  Only the phases of the finished
+    closure are interned.
     """
-    mods = list(smpds.mod_bits.values())
+    # (touched bits, rule bits): merging every group a rule overlaps keeps
+    # the groups' bits disjoint
+    groups: list[tuple[int, list[tuple[int, int, int]]]] = []
+    for bits in smpds.mod_bits.values():
+        touched, mods = bits[0] | bits[2], [bits]
+        apart = []
+        for group in groups:
+            if group[0] & touched:
+                touched |= group[0]
+                mods += group[1]
+            else:
+                apart.append(group)
+        groups = apart + [(touched, mods)]
+    untouched = ~sum(touched for touched, _ in groups)
     closed: set[int] = set()
-    stack = [theta.mask for theta in seeds]
+    for seed in {theta.mask for theta in seeds}:
+        if seed in closed:
+            continue
+        product = [seed & untouched]
+        for touched, mods in groups:
+            part = _group_closure(seed & touched, mods)
+            product = [mask | bits for mask in product for bits in part]
+        closed.update(product)
+    return set(map(Phase.of_mask, closed))
+
+
+def _group_closure(seed: int, mods: list[tuple[int, int, int]]) -> set[int]:
+    """The masks that the modifying rules `mods` reach from `seed`,
+    forward and backward."""
+    closed: set[int] = set()
+    stack = [seed]
     while stack:
         mask = stack.pop()
         if mask in closed:
@@ -125,7 +161,7 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
                 # the guard holds the removed bit, so xor drops it
                 stack.append((mask ^ removed) | added)
             stack += predecessor_masks(mask, guard, removed, added)
-    return set(map(Phase.of_mask, closed))
+    return closed
 
 
 class PairedPDS:

@@ -8,7 +8,8 @@ selfmod.translate before `phase_closure` searched on masks,
 bitorder.translate before the paired rules were built from mask bits,
 the two eps-edged enumerate ones before `PAutomaton` had one
 eps-closed step, the twonames ones before every printer named phases
-through one table, and the asm2smpds ones before `print_smpds` printed
+through one table, groups.translate before `phase_closure` searched
+each group of interacting modifying rules apart, and the asm2smpds ones before `print_smpds` printed
 its phase lines in declaration order, so they pin the printers'
 canonical order and every saturation's result independently of set
 iteration and worklist order.  After a deliberate change of output,
@@ -100,6 +101,10 @@ CASES = {
     "bitorder.translate": ["translate", "tests/golden/bitorder.smpds"],
     "bitorder.translate_symbolic": ["translate", "tests/golden/bitorder.smpds",
                                     "--symbolic"],
+    # modifying rules in two groups, one of overlapping rules and one of
+    # two rules chained through a third, and a rule in neither: the
+    # closure is the product of the groups' parts
+    "groups.translate": ["translate", "tests/golden/groups.smpds"],
     # a rule pushing three symbols, which a modifying rule enables:
     # pre* follows the word, post* builds the chain gen:q:b@th, gen:q:b:b@th
     "wide.prestar": ["prestar", WIDE_MODEL, WIDE_AUT],

@@ -3,6 +3,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smpds import (
     Configuration,
@@ -245,6 +246,69 @@ def test_phase_closure_matches_the_reference_on_draws_and_the_family():
         refused += r
         accepted += a
     assert refused and accepted
+
+
+# rules 98 and 99 are plain, and no modifying rule of `grouped_systems`
+# removes or adds them
+_UNTOUCHED = (98, 99)
+
+
+def _chain_example():
+    """Modifying rules A = 1 and C = 4 share no id, and B = 7, after both
+    in rule order, joins them: it removes 3, which A adds, and adds 5,
+    which C removes."""
+    rules = {1: SelfModRule("p", 2, 3, "q"), 4: SelfModRule("q", 5, 6, "p"),
+             7: SelfModRule("p", 3, 5, "p")}
+    rules.update((rid, PdsRule("p", "a", "q", ())) for rid in (2, 3, 5, 6, *_UNTOUCHED))
+    return SMPDS({"p", "q"}, {"a"}, rules), [Phase.of({1, 2, 4, 7})]
+
+
+@st.composite
+def grouped_systems(draw):
+    """A system whose modifying rules fall into clusters of ids, and 1-3
+    seeds.  A rule removes and adds ids of its own cluster, itself and
+    other modifying rules included, or now and then of another cluster,
+    which chains the two.  Each seed after the first differs from the
+    first only in rules no modifying rule touches, or lies in the first's
+    closure, or is any phase."""
+    rules = {rid: PdsRule("p", "a", "q", ()) for rid in _UNTOUCHED}
+    clusters = [list(range(10 * k, 10 * k + 5)) for k in range(draw(st.integers(1, 3)))]
+    every = [rid for ids in clusters for rid in ids]
+    for ids in clusters:
+        others = st.sampled_from(ids) | st.sampled_from(every)
+        for rid in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3,
+                                 unique=True)):
+            rules[rid] = SelfModRule(draw(st.sampled_from(["p", "q"])),
+                                     draw(st.just(rid) | others), draw(others),
+                                     draw(st.sampled_from(["p", "q"])))
+    ids = draw(st.permutations(every))
+    rules = {rid: rules.get(rid, PdsRule("q", "a", "p", ("a",)))
+             for rid in [*ids, *_UNTOUCHED]}
+    m = SMPDS({"p", "q"}, {"a"}, rules)
+    first = draw(st.sets(st.sampled_from(sorted(rules))))
+    seeds = [Phase.of(first)]
+    for kind in draw(st.lists(st.sampled_from(["outside", "inside", "any"]),
+                              max_size=2)):
+        if kind == "outside":
+            flip = draw(st.sets(st.sampled_from(_UNTOUCHED), min_size=1))
+            seeds.append(Phase.of(first ^ flip))
+        elif kind == "inside":
+            closure = sorted(reference_phase_closure(m, seeds[:1]), key=tuple)
+            seeds.append(draw(st.sampled_from(closure)))
+        else:
+            seeds.append(Phase.of(draw(st.sets(st.sampled_from(sorted(rules))))))
+    return m, seeds
+
+
+@given(grouped_systems())
+@example(_chain_example())
+@settings(max_examples=300, deadline=None)
+def test_phase_closure_is_the_product_of_its_groups(system):
+    """The closure searched group by group, each group the modifying rules
+    that share ids directly or through a chain, is the reference closure,
+    which searches whole phases."""
+    m, seeds = system
+    assert phase_closure(m, seeds) == reference_phase_closure(m, seeds)
 
 
 def test_saturations_build_no_paired_rule():
