@@ -17,7 +17,8 @@ read and extend a whole target set at a time, testing, diffing and
 merging it with one int operation.  `PAutomaton.transitions` is a
 snapshot of that index as (src, label, dst) triples, and the printers
 walk the index one (src, label) key at a time, decoding each key's mask
-once (`PAutomaton.grouped_transitions`).
+once (`PAutomaton.grouped_transitions`).  The printers, text and
+GraphViz alike, live in `formats`, which alone names states.
 
 Two operations carry every layer, and both live here: inserting
 transitions (`add_targets`; `add_transition` is its one-target case) and
@@ -439,26 +440,6 @@ class PAutomaton:
             frontier = reached & ~seen
         return False
 
-    def to_dot(self) -> str:
-        """GraphViz rendering for inspection, quotes and backslashes escaped."""
-        name = {q: _dot_escape(_default_state_name(q)) for q in self._order}
-        finals = self.finals
-        parts = ["digraph pautomaton {\n  rankdir=LR;\n"]
-        for q in sorted(self._order, key=name.__getitem__):
-            shape = "doublecircle" if q in finals else "circle"
-            style = ' style=bold' if isinstance(q, Initial) else ""
-            parts.append(f'  "{name[q]}" [shape={shape}{style}];\n')
-        # a key's lines share its prefix and suffix, laid out around the
-        # targets by one slice assignment; the output is joined once
-        for src, label, dsts in self.grouped_transitions(name):
-            prefix = f'  "{src}" -> "'
-            suffix = f'" [label="{_dot_escape(label) if label is not None else "eps"}"];\n'
-            block = [prefix, "", suffix] * len(dsts)
-            block[1::3] = dsts
-            parts += block
-        parts.append("}")
-        return "".join(parts)
-
 
 class DeltaWorklist:
     """The pending work of a saturation over `aut`.
@@ -562,18 +543,6 @@ class DeltaWorklist:
             if not queue:
                 heappop(held)
             yield key, deltas.pop(key)
-
-
-def _default_state_name(q: AutState) -> str:
-    if isinstance(q, Initial):
-        return f"{q.control}@{q.phase}"
-    if isinstance(q, Generated):
-        return f"q[{q.control},{q.symbol}]@{q.phase}"
-    return q.name
-
-
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def from_configs(smpds: SMPDS, configs: Iterable[Configuration]) -> PAutomaton:

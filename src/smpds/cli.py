@@ -114,8 +114,8 @@ def cmd_validate(args) -> int:
 def _saturate(args, op) -> int:
     doc, aut = _load_query(args)
     result = _run(args, op, doc.smpds, aut)
-    out = result.to_dot() if args.dot else formats.print_automaton(result, doc)
-    _write(out, args.output)
+    printer = formats.print_dot if args.dot else formats.print_automaton
+    _write(printer(result, doc), args.output)
     return 0
 
 

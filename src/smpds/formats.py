@@ -34,6 +34,8 @@ point or stack symbol holds ':'.  In it and in a token `p@theta`, p is
 not empty.  Printing is canonical, so parse o print is the identity;
 a model prints its `phase` lines in declaration order, which keeps
 the name that each phase is printed under.
+`print_dot` draws an automaton for GraphViz; each node's ID is the token
+above for its state, so one name stands for a state in either output.
 Each printer collects its output as one list of pieces and joins it
 once, so it holds little more than the output itself.
 
@@ -43,8 +45,8 @@ become rules in bulk; only the few lines in the gaps between rule lines
 are read one by one, and their line numbers are counted from the gaps.  A
 faulty model is read a second time, line by line, only to find its first
 bad line.  An automaton is read with one `findall`, a tuple per line.
-Rules are `NamedTuple`s, so a rule compares equal to a plain tuple of
-its fields.
+Rules and configurations are `NamedTuple`s, so each compares equal to a
+plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -192,20 +194,13 @@ def parse_smpds(text: str) -> SmpdsDocument:
             if rid not in rules:
                 raise FormatError(lineno, f"phase {name!r}: unknown rule id {rid}")
         doc.phase_names[name] = Phase.of(ids)
-    # each phase token is resolved once, at its first line; a
-    # Configuration's fields go straight into its __dict__, as unpickling
-    # puts them, not through the frozen dataclass's per-field
-    # object.__setattr__, and it stays frozen for its callers
+    # each phase token is resolved once, at its first line
     phases: dict[str, Phase] = {}
-    new = object.__new__
     for lineno, toks in model.config_lines:
         phase = phases.get(toks[1])
         if phase is None:
             phase = phases[toks[1]] = doc.resolve_phase(toks[1], lineno)
-        c = new(Configuration)
-        fields = c.__dict__
-        fields["state"], fields["stack"], fields["phase"] = toks[0], tuple(toks[2:]), phase
-        doc.configs.append(c)
+        doc.configs.append(Configuration(toks[0], tuple(toks[2:]), phase))
     return doc
 
 
@@ -519,6 +514,34 @@ def print_automaton(aut: PAutomaton, doc: SmpdsDocument) -> str:
         block[1::3] = dsts
         parts += block
     return "".join(parts) or "\n"
+
+
+def print_dot(aut: PAutomaton, doc: SmpdsDocument) -> str:
+    """GraphViz rendering for inspection: each node's ID is the token
+    `print_automaton` prints for its state, each ID and label quoted with
+    `\\` and `"` escaped."""
+    phase_name = _PhaseNames(doc).__getitem__
+    name = {q: _dot_escape(_token(q, phase_name)) for q in aut.states}
+    finals = aut.finals
+    parts = ["digraph pautomaton {\n  rankdir=LR;\n"]
+    for q in sorted(name, key=name.__getitem__):
+        shape = "doublecircle" if q in finals else "circle"
+        style = " style=bold" if isinstance(q, Initial) else ""
+        parts.append(f'  "{name[q]}" [shape={shape}{style}];\n')
+    # a key's lines share its prefix and suffix, laid out around the
+    # targets by one slice assignment
+    for src, label, dsts in aut.grouped_transitions(name):
+        prefix = f'  "{src}" -> "'
+        suffix = f'" [label="{_dot_escape(label) if label is not None else "eps"}"];\n'
+        block = [prefix, "", suffix] * len(dsts)
+        block[1::3] = dsts
+        parts += block
+    parts.append("}")
+    return "".join(parts)
+
+
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 # -- translated-PDS formats -------------------------------------------------

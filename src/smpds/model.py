@@ -6,8 +6,8 @@ to the control point and the stack word, the *phase*: the set of rule
 identifiers currently enabled.  Plain rules rewrite the stack; modifying
 rules swap one rule identifier for another in the phase.  `SMPDS` also
 holds the rule indexes and modifying-rule moves the saturations fire.
-Both kinds of rule are `NamedTuple`s, so a rule compares equal to, and
-hashes like, a plain tuple of its fields.
+Both kinds of rule and `Configuration` are `NamedTuple`s, so each
+compares equal to, and hashes like, a plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -363,8 +363,7 @@ class SMPDS:
                 f"|Delta|={len(self.delta)}, |Delta_c|={len(self.delta_c)})")
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """(control point, stack word, phase); stack[0] is the top of the stack."""
 
     state: str

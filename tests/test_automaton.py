@@ -1,7 +1,6 @@
 import os
 import pickle
 import random
-import re
 import subprocess
 import sys
 from collections import deque
@@ -625,33 +624,3 @@ def test_accepts_on_an_unseen_state_does_not_intern_it():
     assert not aut.accepts(Configuration("never-seen-control", ("g1",), theta0))
     assert not aut.accepts(Configuration("never-seen-control", (), theta0))
     assert Initial._table == before
-
-
-def test_to_dot_mentions_states():
-    m, theta0, aut, *_ = _basic()
-    dot = aut.to_dot()
-    assert dot.startswith("digraph")
-    assert "g1" in dot and "acc" in dot
-
-
-# a GraphViz quoted ID: any characters but '"' and '\', or a backslash
-# and the character it escapes
-_DOT_ID = r'"(?:[^"\\]|\\.)*"'
-
-
-def test_to_dot_escapes_quotes_and_backslashes():
-    """Every name and label sits in one quoted ID, which reads back as the
-    name or label itself."""
-    golden = Path(__file__).parent / "golden"
-    doc = parse_smpds((golden / "quote.smpds").read_text())
-    aut = poststar(doc.smpds, parse_automaton((golden / "quote.aut").read_text(), doc))
-    node = re.compile(rf"  ({_DOT_ID}) \[shape=\w+(?: style=bold)?\];")
-    edge = re.compile(rf"  ({_DOT_ID}) -> ({_DOT_ID}) \[label=({_DOT_ID})\];")
-    lines = aut.to_dot().split("\n")
-    assert lines[:2] == ["digraph pautomaton {", "  rankdir=LR;"] and lines[-1] == "}"
-    ids = set()
-    for line in lines[2:-1]:
-        match = node.fullmatch(line) or edge.fullmatch(line)
-        assert match, line
-        ids.update(re.sub(r"\\(.)", r"\1", i[1:-1]) for i in match.groups())
-    assert {'a"b@{0,1}', "f\\g", "x", "x\\y", "eps"} <= ids

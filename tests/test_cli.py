@@ -1,11 +1,20 @@
+import io
+import random
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from smpds import Configuration, Phase, from_configs, poststar
 from smpds.cli import main
-from smpds.formats import parse_smpds
+from smpds.formats import parse_automaton, parse_smpds, print_automaton, print_smpds
 
 from oracles import raw_reach
+from test_formats import documents, dot_graph
+from test_formats_reference import _decorate, _mutate, bench_documents
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 MODEL = str(SAMPLES / "example1.smpds")
@@ -45,6 +54,26 @@ def test_prestar_dot_output(capsys):
     assert capsys.readouterr().out.startswith("digraph")
 
 
+def test_dot_draws_one_node_per_state(tmp_path, capsys):
+    """post* generates the state of `p` for the push of `g`, and the model
+    has a control point `q[p,g]`: the dot output names each by its text
+    token, so the two stay two nodes."""
+    model = tmp_path / "m.smpds"
+    model.write_text("rule 0: s a -> p g a\nrule 1: q[p,g] a -> q[p,g] a\n"
+                     "phase th: 0 1\n")
+    aut = tmp_path / "a.aut"
+    aut.write_text("initial s th\ninitial q[p,g] th\ntrans s@th a f\n"
+                   "trans q[p,g]@th a f\nfinal f\n")
+    doc = parse_smpds(model.read_text())
+    result = poststar(doc.smpds, parse_automaton(aut.read_text(), doc))
+    assert main(["poststar", str(model), str(aut), "--dot"]) == 0
+    nodes, edges = dot_graph(capsys.readouterr().out)
+    ids = {node[0] for node in nodes}
+    assert len(ids) == len(nodes) == len(result.states)
+    assert {"gen:p:g@th", "q[p,g]@th"} <= ids
+    assert len(set(edges)) == len(edges) == result.transition_count()
+
+
 def test_poststar_runs(capsys):
     assert main(["poststar", MODEL, TARGET]) == 0
     assert "trans" in capsys.readouterr().out
@@ -59,7 +88,10 @@ def test_stats_flag(tmp_path, capsys):
                      "--direction", direction]) == 0
         out = capsys.readouterr()
         assert out.out == "member\n"
-        assert "transitions added" in out.err and "wall seconds" in out.err
+        lines = out.err.splitlines()
+        assert len(lines) == 4 and all(re.fullmatch(
+            r"(transitions added|finals added|phases|wall seconds): [0-9.]+", line)
+            for line in lines), lines
     # a non-member keeps exit code 1 and still reports
     aut = tmp_path / "t.aut"
     aut.write_text("initial p1 theta0\nfinal acc\ntrans p1@theta0 g3 acc\n")
@@ -70,6 +102,18 @@ def test_stats_flag(tmp_path, capsys):
                      "--direction", direction]) == 1
         out = capsys.readouterr()
         assert out.out == "non-member\n" and "transitions added" in out.err
+
+
+def test_wide_push_validates_and_post_star_reaches_its_end(tmp_path, capsys):
+    """A rule pushing three symbols validates with no warning, and post*
+    from (<s, a>, start) reaches (<q, b b b>, th)."""
+    wide = str(GOLDEN / "wide.smpds")
+    assert main(["validate", wide]) == 0
+    assert "warning" not in capsys.readouterr().err
+    start = tmp_path / "start.aut"
+    start.write_text("initial s start\ntrans s@start a f\nfinal f\n")
+    assert main(["check", wide, str(start), "--config", "1", "--direction", "post"]) == 0
+    assert capsys.readouterr().out == "member\n"
 
 
 def test_check_membership_exit_codes(capsys):
@@ -348,6 +392,7 @@ def test_eps_is_not_a_stack_symbol(command, text, lineno, tmp_path, capsys):
 
 @pytest.mark.parametrize("text, lineno", [
     ("state gen:x\n", 1),
+    ("rule 0: gen:x a -> q\nphase th: 0\n", 1),
     ("rule 0: p a -> q\nrule 1: gen:x a -> q\n", 2),
     ("rule 0: p a -> q\nsmrule 1: p (0 -> 0) gen:x\n", 2),
 ])
@@ -383,6 +428,10 @@ def test_colon_in_a_name_is_rejected(command, text, lineno, name, tmp_path, caps
     ("rule 0: p a -> q\nrule 1: p a -> q -> r\n", "malformed rule"),
     # int() used to read this id as 1000
     ("rule 0: p a -> q\nrule 1_000: p a -> q\n", "rule id must be an integer"),
+    # the same faults, each before a phase line
+    ("rule 0: p a -> q\nrule 0: p a -> q -> r\nphase th: 0\n", "malformed rule"),
+    ("rule 0: p a -> q\nrule 1_000: p a -> q\nphase th: 0\n",
+     "rule id must be an integer"),
 ])
 @pytest.mark.parametrize("command", [["validate"], ["prestar", TARGET],
                                      ["poststar", TARGET]])
@@ -393,6 +442,26 @@ def test_malformed_rule_is_rejected_at_its_line(command, text, fragment, tmp_pat
     out = capsys.readouterr()
     assert out.err == f"error: line 2: {fragment}\n"
     assert out.out == ""
+
+
+@pytest.mark.parametrize("model", [MODEL, *(str(GOLDEN / f"{name}.smpds") for name in (
+    "gen55", "selfmod", "bitorder", "twonames", "groups"))])
+def test_translate_counts_are_the_printed_rules(model, capsys):
+    """translate counts its paired rules without building them, and
+    translate --symbolic takes its count from the size formula |Delta| +
+    |Delta_c| * |Gamma|: each count is the number of lines printed, over
+    seven phases (gen55), a self-removing rule (selfmod), mask bits out of
+    rule id order (bitorder), one phase under two names (twonames) and a
+    closure searched group by group (groups)."""
+    assert main(["translate", model]) == 0
+    out = capsys.readouterr()
+    phases, rules = re.fullmatch(r"phases: (\d+), paired rules: (\d+)\n", out.err).groups()
+    assert int(rules) == sum(line.startswith("rule ") for line in out.out.splitlines())
+    assert int(rules) > 0 and int(phases) > 0
+    assert main(["translate", model, "--symbolic"]) == 0
+    out = capsys.readouterr()
+    count = re.fullmatch(r"symbolic rules: (\d+)\n", out.err).group(1)
+    assert int(count) == sum(line.startswith("symrule ") for line in out.out.splitlines())
 
 
 def test_translate(capsys):
@@ -476,6 +545,13 @@ def test_a_missing_or_split_name_fails_with_one_error_line(tmp_path, capsys,
     assert out.err.startswith("error: line ") and out.err.count("\n") == 1
 
 
+def test_asm2smpds_entry_directive_takes_a_tab(tmp_path, capsys):
+    prog = tmp_path / "tab.sasm"
+    prog.write_text("entry\ta\na: nop\n")
+    assert main(["asm2smpds", str(prog)]) == 0
+    assert capsys.readouterr().out.startswith("state ")
+
+
 def _deep_meta_selfmod(tmp_path):
     """A meta-selfmod nested 1,200 levels deep, past the recursion limit."""
     prog = tmp_path / "deep.sasm"
@@ -520,3 +596,65 @@ def test_bench_command_and_seed_flag_retired(capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage: smpds"), err
         assert "Traceback" not in err
+
+
+# -- every subcommand on fuzzed input ------------------------------------------
+
+# each subcommand, with the options it takes after its inputs
+_FUZZ_COMMANDS = [
+    ["validate"], ["prestar"], ["prestar", "--dot"], ["poststar"], ["poststar", "--dot"],
+    ["check", "--direction", "pre"], ["check", "--direction", "post"], ["enumerate"],
+    ["translate"], ["translate", "--symbolic"], ["asm2smpds"], ["asm2smpds", "--erase-selfmod"],
+]
+_SASM_TEXTS = [path.read_text() for path in sorted(SAMPLES.glob("*.sasm"))]
+
+
+@st.composite
+def _cli_inputs(draw):
+    """A model text, an automaton text accepting some of its configurations
+    and a sample program, each mutated or decorated at random."""
+    doc = draw(st.one_of(documents(), bench_documents()))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = doc.smpds
+    configs = doc.configs or [Configuration("p0", ("a",), Phase.of(m.rules))]
+    aut = from_configs(m, configs[:draw(st.integers(0, len(configs)))])
+    texts = [print_smpds(doc), print_automaton(aut, doc), rng.choice(_SASM_TEXTS)]
+    for i, text in enumerate(texts):
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            text = _mutate(text, rng)
+        if draw(st.booleans()):
+            text = _decorate(text, rng, valid=rng.random() < 0.9)
+        texts[i] = text
+    return texts
+
+
+@given(_cli_inputs(), st.sampled_from(_FUZZ_COMMANDS), st.integers(-1, 3),
+       st.sampled_from([[], ["--quiet"], ["--stats"]]))
+@settings(max_examples=300, deadline=None)
+def test_every_subcommand_keeps_its_exit_code_contract(texts, command, n, flags):
+    """`main` never raises on any input: it returns 0, 1 (only for
+    `validate` and `check`) or 2, and on 2 writes exactly one line to
+    stderr, an `error: ` line."""
+    name, *options = command
+    with tempfile.TemporaryDirectory() as tmp:
+        model, aut, program = (Path(tmp) / f for f in ("m.smpds", "a.aut", "p.sasm"))
+        for path, text in zip((model, aut, program), texts):
+            path.write_text(text, encoding="utf-8", newline="")
+        if name == "asm2smpds":
+            inputs = [str(program)]
+        elif name in ("validate", "translate"):
+            inputs = [str(model)]
+        else:
+            inputs = [str(model), str(aut)]
+        if name == "check":
+            options += ["--config", str(n)]
+        elif name == "enumerate":
+            options += ["--max-len", str(n)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*flags, name, *inputs, *options])
+    answers = (0, 1, 2) if name in ("validate", "check") else (0, 2)
+    assert code in answers, (code, err.getvalue())
+    if code == 2:
+        lines = err.getvalue().split("\n")
+        assert len(lines) == 2 and lines[0].startswith("error: ") and not lines[1], lines

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from itertools import chain
 from pathlib import Path
@@ -19,7 +20,6 @@ from smpds import (
     poststar,
     prestar,
 )
-from smpds.automaton import _default_state_name
 from smpds.bench import GenParams, generate
 from smpds.formats import (
     FormatError,
@@ -27,6 +27,7 @@ from smpds.formats import (
     parse_automaton,
     parse_smpds,
     print_automaton,
+    print_dot,
     print_smpds,
     state_token,
 )
@@ -188,20 +189,49 @@ def _reference_print(aut, doc):
     return "\n".join(lines) + "\n"
 
 
-def _reference_dot(aut):
-    """`PAutomaton.to_dot` as it was, with the default state names."""
-    name = {q: _default_state_name(q) for q in aut.states}
-    lines = ["digraph pautomaton {", "  rankdir=LR;"]
-    for q in sorted(aut.states, key=name.__getitem__):
-        shape = "doublecircle" if q in aut.finals else "circle"
-        style = ' style=bold' if isinstance(q, Initial) else ""
-        lines.append(f'  "{name[q]}" [shape={shape}{style}];')
-    for src, label, dst in sorted(aut.transitions,
-                                  key=lambda t: (name[t[0]], t[1] or "", name[t[2]])):
-        lines.append(f'  "{name[src]}" -> "{name[dst]}" '
-                     f'[label="{label if label is not None else "eps"}"];')
-    lines.append("}")
-    return "\n".join(lines)
+# a GraphViz quoted ID: any characters but '"' and '\', or a backslash
+# and the character it escapes
+_DOT_ID = r'"(?:[^"\\]|\\.)*"'
+_DOT_NODE = re.compile(rf"  ({_DOT_ID}) \[shape=(circle|doublecircle)( style=bold)?\];")
+_DOT_EDGE = re.compile(rf"  ({_DOT_ID}) -> ({_DOT_ID}) \[label=({_DOT_ID})\];")
+
+
+def _unquote(dot_id):
+    return re.sub(r"\\(.)", r"\1", dot_id[1:-1])
+
+
+def dot_graph(dot):
+    """The nodes (id, shape, bold) and the edges (src, label, dst) of a
+    `print_dot` output, every ID unescaped; each line must be one of them."""
+    lines = dot.split("\n")
+    assert lines[:2] == ["digraph pautomaton {", "  rankdir=LR;"] and lines[-1] == "}"
+    nodes, edges = [], []
+    for line in lines[2:-1]:
+        if match := _DOT_NODE.fullmatch(line):
+            nodes.append((_unquote(match[1]), match[2], bool(match[3])))
+        else:
+            match = _DOT_EDGE.fullmatch(line)
+            assert match, line
+            edges.append((_unquote(match[1]), _unquote(match[3]), _unquote(match[2])))
+    return nodes, edges
+
+
+def _check_dot(aut, doc):
+    """`print_dot` names each state by the token `print_automaton` prints
+    for it, one node per state, and draws one edge per `trans` line."""
+    nodes, edges = dot_graph(print_dot(aut, doc))
+    lines = [line.split(" ") for line in print_automaton(aut, doc).splitlines()]
+    printed = set()
+    for head, *toks in lines:
+        printed.update([f"{toks[0]}@{toks[1]}"] if head == "initial" else toks[::2])
+    ids = [node[0] for node in nodes]
+    assert len(set(ids)) == len(ids) == len(aut.states)
+    assert set(ids) == printed
+    assert {node[0] for node in nodes if node[1] == "doublecircle"} == {
+        state_token(q, doc) for q in aut.finals}
+    assert {node[0] for node in nodes if node[2]} == {
+        state_token(q, doc) for q in aut.initial_states()}
+    assert sorted(edges) == sorted(tuple(toks) for head, *toks in lines if head == "trans")
 
 
 def _corpus_results():
@@ -237,11 +267,40 @@ def test_printers_match_the_transition_sort_on_the_corpus():
     eps = generated = 0
     for doc, aut in chain(_corpus_results(), _empty_results()):
         assert print_automaton(aut, doc) == _reference_print(aut, doc)
-        assert aut.to_dot() == _reference_dot(aut)
+        _check_dot(aut, doc)
         eps += aut.has_epsilon()
         generated += any(isinstance(q, Generated) for q in aut.states)
     # the corpus covers eps edges and generated states
     assert eps and generated
+
+
+def test_print_dot_mentions_states():
+    doc = _doc()
+    dot = print_dot(from_configs(doc.smpds, doc.configs), doc)
+    assert dot.startswith("digraph")
+    assert "g1" in dot and "acc" in dot
+
+
+def test_print_dot_escapes_quotes_and_backslashes():
+    """Every name and label sits in one quoted ID, which reads back as the
+    name or label itself."""
+    doc = parse_smpds((GOLDEN / "quote.smpds").read_text())
+    aut = poststar(doc.smpds, parse_automaton((GOLDEN / "quote.aut").read_text(), doc))
+    nodes, edges = dot_graph(print_dot(aut, doc))
+    ids = {node[0] for node in nodes} | {part for edge in edges for part in edge}
+    assert {'a"b@th', "f\\g", "x", "x\\y", "eps"} <= ids
+
+
+def test_print_dot_names_phases_as_the_text_does():
+    """A node names its phase by the model's name for it, as the text
+    format does, not by its 1,019 rule ids: on pre* of a benchmark-sized
+    target the dot output stays under twice the size of the text."""
+    inst = generate(GenParams(8, 8, 1009, 10, seed=1))
+    doc = SmpdsDocument(inst.smpds, {"init": inst.initial.phase}, [inst.initial])
+    aut = prestar(inst.smpds, from_configs(inst.smpds, [inst.target]))
+    text, dot = print_automaton(aut, doc), print_dot(aut, doc)
+    assert "@init" in dot and "@{" not in dot
+    assert len(dot) < 2 * len(text)
 
 
 def test_printers_build_their_output_once():
@@ -250,7 +309,7 @@ def test_printers_build_their_output_once():
     inst = generate(GenParams(4, 4, 54, 4, seed=2))
     doc = SmpdsDocument(inst.smpds, {}, [inst.initial])
     aut = poststar(inst.smpds, from_configs(inst.smpds, [inst.initial]))
-    for printer in (lambda: print_automaton(aut, doc), aut.to_dot):
+    for printer in (lambda: print_automaton(aut, doc), lambda: print_dot(aut, doc)):
         tracemalloc.start()
         try:
             out = printer()

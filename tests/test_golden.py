@@ -12,7 +12,9 @@ through one table, groups.translate before `phase_closure` searched
 each group of interacting modifying rules apart, and the asm2smpds ones before `print_smpds` printed
 its phase lines in declaration order, so they pin the printers'
 canonical order and every saturation's result independently of set
-iteration and worklist order.  After a deliberate change of output,
+iteration and worklist order.  The four dot ones were rewritten when
+`--dot` took the text format's state tokens as node names, which
+renamed their nodes one to one and changed nothing else.  After a deliberate change of output,
 rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py

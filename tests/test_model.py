@@ -21,6 +21,7 @@ from smpds import (
 import smpds
 from smpds import from_configs, poststar, prestar
 from smpds.bench import GenParams, generate
+from smpds.formats import parse_smpds
 from smpds.model import _IDS, rule_bit, step
 
 from fixtures import SWAP_TRACE, swap_example
@@ -42,6 +43,29 @@ def test_phase_pickle_round_trip_keeps_identity():
         assert pickle.loads(pickle.dumps(a, protocol)) is a
     c = Configuration("p", ("g",), a)
     assert pickle.loads(pickle.dumps(c)).phase is a
+
+
+def test_configuration_is_a_named_tuple():
+    """A configuration equals and hashes like the plain tuple of its
+    fields, as a rule does; a parsed one equals a constructed one, it
+    survives pickling at every protocol, and its fields are read-only."""
+    doc = parse_smpds("rule 0: p a -> q b\nphase th: 0\n"
+                      "config: p th a b\nconfig: q {0}\n")
+    theta = Phase.of([0])
+    assert doc.configs == [Configuration("p", ("a", "b"), theta),
+                           Configuration(state="q", stack=(), phase=theta)]
+    c = doc.configs[0]
+    assert c == ("p", ("a", "b"), theta) and hash(c) == hash(("p", ("a", "b"), theta))
+    assert repr(c) == "(<p, a b>, {0})" and repr(doc.configs[1]) == "(<q, eps>, {0})"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for config in doc.configs:
+            loaded = pickle.loads(pickle.dumps(config, protocol))
+            assert loaded == config and type(loaded) is Configuration
+            assert loaded.phase is theta
+    for name in ("state", "stack", "phase"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+    assert c == ("p", ("a", "b"), theta)
 
 
 def test_phase_pickles_by_ids_across_interpreters():
