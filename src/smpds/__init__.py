@@ -26,7 +26,6 @@ from .model import (
     RuleId,
     SelfModRule,
     SMPDS,
-    ValidationReport,
     check_configuration,
     step,
     validate,
@@ -48,7 +47,7 @@ from .translate import (
 __all__ = [
     "Configuration", "EPS", "Generated", "Initial", "PAutomaton", "PDS",
     "PdsRule", "Phase", "Plain", "RuleId", "SMPDS", "SelfModRule",
-    "ValidationReport", "check_configuration", "config_to_pds",
+    "check_configuration", "config_to_pds",
     "from_configs", "pds_accepts", "pds_from_configs", "pds_poststar",
     "pds_prestar", "phase_closure", "poststar", "prestar", "step", "to_pds",
     "validate",

@@ -138,23 +138,23 @@ class Generated(_State):
     """post* helper state, one per control point, pushed prefix and phase.
 
     A rule <p,g> -> <p',g1...gn> with n >= 2 gets the chain (p',theta)
-    --g1--> G1 ... --g(n-1)--> G(n-1), where Gk has the prefix g1...gk as
-    its `symbol`, joined by ':' (so G1's is g1 alone; `model.validate`
-    refuses a symbol holding ':', which would let two prefixes meet in one
-    state).  The printed name gen:p':g1:...:gk@theta spells the prefix,
-    so a post* result with a push of n symbols prints in space quadratic
-    in n: about 3 MB for 1,000 symbols.
+    --g1--> G1 ... --g(n-1)--> G(n-1), where Gk has the tuple (g1, ...,
+    gk) as its `prefix`, so two pushes share a state only when they push
+    the same symbols, whatever the symbols are called.  `formats` prints
+    it as gen:p':g1:...:gk@theta, which spells the prefix, so a post*
+    result with a push of n symbols prints in space quadratic in n: about
+    3 MB for 1,000 symbols.
     """
 
-    __slots__ = ("control", "symbol", "phase")
-    _table: dict[tuple[str, str, Phase], "Generated"] = {}
+    __slots__ = ("control", "prefix", "phase")
+    _table: dict[tuple[str, tuple[str, ...], Phase], "Generated"] = {}
     control: str
-    symbol: str
+    prefix: tuple[str, ...]
     phase: Phase
 
-    def __new__(cls, control: str, symbol: str, phase: Phase) -> "Generated":
-        q = cls._table.get((control, symbol, phase))
-        return q if q is not None else cls._intern((control, symbol, phase))
+    def __new__(cls, control: str, prefix: tuple[str, ...], phase: Phase) -> "Generated":
+        q = cls._table.get((control, prefix, phase))
+        return q if q is not None else cls._intern((control, prefix, phase))
 
 
 AutState = Union[Initial, Plain, Generated]

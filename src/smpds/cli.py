@@ -47,21 +47,21 @@ def _load_doc(path: str) -> formats.SmpdsDocument:
     return formats.parse_smpds(_read(path))
 
 
-def _validate_doc(doc: formats.SmpdsDocument) -> model.ValidationReport:
-    report = model.validate(doc.smpds)
+def _validate_doc(doc: formats.SmpdsDocument) -> list[str]:
+    violations = model.validate(doc.smpds)
     for i, c in enumerate(doc.configs):
         try:
             model.check_configuration(doc.smpds, c)
         except ValueError as e:
-            report.violations.append(f"config {i}: {e}")
-    return report
+            violations.append(f"config {i}: {e}")
+    return violations
 
 
 def _load_valid_doc(path: str) -> formats.SmpdsDocument:
     """Parse the model; raise unless it validates, so no undeclared rule id
     reaches a translation or a saturation."""
     doc = _load_doc(path)
-    violations = _validate_doc(doc).violations
+    violations = _validate_doc(doc)
     if violations:
         raise ValueError("; ".join(violations))
     return doc
@@ -101,14 +101,14 @@ def _run(args, op, smpds: model.SMPDS, aut: PAutomaton) -> PAutomaton:
 
 def cmd_validate(args) -> int:
     doc = _load_doc(args.model)
-    report = _validate_doc(doc)
-    for v in report.violations:
+    violations = _validate_doc(doc)
+    for v in violations:
         print(f"error: {v}", file=sys.stderr)
-    if report.ok and not args.quiet:
+    if not violations and not args.quiet:
         print(f"ok: {len(doc.smpds.delta)} rules, "
               f"{len(doc.smpds.delta_c)} modifying rules, "
               f"{len(doc.configs)} configs")
-    return 0 if report.ok else 1
+    return 1 if violations else 0
 
 
 def _saturate(args, op) -> int:

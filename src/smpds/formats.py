@@ -30,10 +30,10 @@ once, is one token and neither starts with '{' nor holds '@'.  The label
 `eps` is epsilon, so no model may use `eps` as a stack symbol.  A state
 token `gen:p:g1:...:gk@theta` is the generated state of post* for the
 control point p, the pushed prefix g1...gk and the phase, so no control
-point or stack symbol holds ':'.  In it and in a token `p@theta`, p is
-not empty.  Printing is canonical, so parse o print is the identity;
-a model prints its `phase` lines in declaration order, which keeps
-the name that each phase is printed under.
+point or stack symbol of a model text holds ':'.  In it and in a token
+`p@theta`, p is not empty.  Printing is canonical, so parse o print is
+the identity; a model prints its `phase` lines in declaration order,
+which keeps the name that each phase is printed under.
 `print_dot` draws an automaton for GraphViz; each node's ID is the token
 above for its state, so one name stands for a state in either output.
 Each printer collects its output as one list of pieces and joins it
@@ -406,7 +406,7 @@ def _token(q: AutState, phase_name) -> str:
     if isinstance(q, Initial):
         return f"{q.control}@{phase_name(q.phase)}"
     if isinstance(q, Generated):
-        return f"gen:{q.control}:{q.symbol}@{phase_name(q.phase)}"
+        return f"gen:{q.control}:{':'.join(q.prefix)}@{phase_name(q.phase)}"
     return q.name
 
 
@@ -430,11 +430,11 @@ def parse_state_token(token: str, doc: SmpdsDocument, lineno: int = 0) -> AutSta
         body, at, phasetok = token[4:].rpartition("@")
         if not at:
             raise FormatError(lineno, f"malformed generated state {token!r}")
-        control, colon, symbol = body.partition(":")
+        control, *prefix = body.split(":")
         # post* names a generated state after a nonempty pushed prefix
-        if not colon or not control or "" in symbol.split(":"):
+        if not control or not prefix or "" in prefix:
             raise FormatError(lineno, f"malformed generated state {token!r}")
-        return Generated(control, symbol, doc.resolve_phase(phasetok, lineno))
+        return Generated(control, tuple(prefix), doc.resolve_phase(phasetok, lineno))
     if "@" in token:
         control, _, phasetok = token.rpartition("@")
         if not control:

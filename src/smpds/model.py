@@ -12,7 +12,6 @@ compares equal to, and hashes like, a plain tuple of its fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, filterfalse
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -375,55 +374,35 @@ class Configuration(NamedTuple):
         return f"(<{self.state}, {w}>, {self.phase})"
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
+def validate(smpds: SMPDS) -> list[str]:
+    """Check every structural invariant; returns the diagnostics, empty
+    when there are none.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def colon_violations(states: Iterable[str], alphabet: Iterable[str]) -> list[str]:
-    """A diagnostic for each state and each symbol that holds ':'."""
-    return [f"{kind} {name!r} holds ':'"
-            for kind, names in (("state", states), ("symbol", alphabet))
-            for name in sorted(names) if ":" in name]
-
-
-def validate(smpds: SMPDS) -> ValidationReport:
-    """Check every structural invariant; returns a report with diagnostics.
-
-    Violations name undeclared states, symbols and rule ids, and a state
-    or a symbol that holds ':'.  post* names the state after a pushed
-    prefix g1...gk by joining it with ':' (`automaton.Generated`), so
-    such a name would let two prefixes share a state.  A rule that
+    Violations name undeclared states, symbols and rule ids.  A rule that
     pushes more than two symbols, and a modifying rule that removes
     itself, are ordinary rules and get no diagnostic.
     """
-    rep = ValidationReport(colon_violations(smpds.states, smpds.alphabet))
+    violations: list[str] = []
     for rid, r in smpds.rules.items():
         if isinstance(r, PdsRule):
             if r.lhs_state not in smpds.states:
-                rep.violations.append(f"rule {rid}: state {r.lhs_state!r} not in P")
+                violations.append(f"rule {rid}: state {r.lhs_state!r} not in P")
             if r.rhs_state not in smpds.states:
-                rep.violations.append(f"rule {rid}: state {r.rhs_state!r} not in P")
+                violations.append(f"rule {rid}: state {r.rhs_state!r} not in P")
             if r.lhs_symbol not in smpds.alphabet:
-                rep.violations.append(
-                    f"rule {rid}: symbol {r.lhs_symbol!r} not in Gamma")
+                violations.append(f"rule {rid}: symbol {r.lhs_symbol!r} not in Gamma")
             for g in r.rhs_word:
                 if g not in smpds.alphabet:
-                    rep.violations.append(
-                        f"rule {rid}: symbol {g!r} not in Gamma")
+                    violations.append(f"rule {rid}: symbol {g!r} not in Gamma")
         else:
             if r.from_state not in smpds.states:
-                rep.violations.append(f"smrule {rid}: state {r.from_state!r} not in P")
+                violations.append(f"smrule {rid}: state {r.from_state!r} not in P")
             if r.to_state not in smpds.states:
-                rep.violations.append(f"smrule {rid}: state {r.to_state!r} not in P")
+                violations.append(f"smrule {rid}: state {r.to_state!r} not in P")
             for ref in (r.removed, r.added):
                 if ref not in smpds.rules:
-                    rep.violations.append(f"smrule {rid}: dangling RuleId {ref}")
-    return rep
+                    violations.append(f"smrule {rid}: dangling RuleId {ref}")
+    return violations
 
 
 def check_configuration(smpds: SMPDS, c: Configuration) -> None:

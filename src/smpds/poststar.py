@@ -11,7 +11,7 @@ or an epsilon edge followed by a symbol edge):
   beta2: <p,g> -> <p',g'>    in theta: add ((p',theta), g', q).
   beta3: <p,g> -> <p',g1...gn> (n >= 2) in theta: add the chain
          (p',theta) --g1--> G1 --g2--> ... G(n-1) and (G(n-1), gn, q),
-         where Gk is the generated state for (p', g1...gk, theta).
+         where Gk is the generated state for (p', (g1, ..., gk), theta).
   beta4: p --(r1,r2)--> p' and r1 both in theta: add ((p',theta'), g, q)
          with theta' = (theta - {r1}) | {r2}.
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from .automaton import (EPS, AutState, DeltaWorklist, Generated, Initial, Label,
                         PAutomaton)
-from .model import colon_violations
 
 
 class _PoststarEngine:
@@ -146,7 +145,7 @@ class _PoststarEngine:
                 plan.append((src, EPS))
                 continue
             for k in range(1, len(word)):
-                gen = Generated(p, ":".join(word[:k]), theta)
+                gen = Generated(p, word[:k], theta)
                 self.work.add([(src, word[k - 1])], self.aut.bit(gen))
                 src = gen
             plan.append((src, word[-1]))
@@ -155,15 +154,9 @@ class _PoststarEngine:
 
 def poststar(rules, aut: PAutomaton) -> PAutomaton:
     """Saturate a copy of `aut` so it accepts post*(L(aut)) under `rules`,
-    the `SMPDS` or any rule source with its moves and the names `states`
-    and `alphabet`, such as a translated PDS, which forwards the moves
-    and the names of its SM-PDS (`translate.pds_poststar`).
+    the `SMPDS` or any rule source with its moves, such as a translated
+    PDS, which forwards the moves of its SM-PDS (`translate.pds_poststar`).
 
-    Raises `ValueError` on a state or symbol that holds ':', which would
-    let two pushed prefixes share a generated state (see beta3), with
-    `validate`'s text; on an input with a transition into an initial
-    state; and on an eps edge from a non-initial state."""
-    bad = colon_violations(rules.states, rules.alphabet)
-    if bad:
-        raise ValueError(bad[0])
+    Raises `ValueError` on an input with a transition into an initial
+    state, and on an eps edge from a non-initial state."""
     return _PoststarEngine(rules, aut).run()

@@ -59,7 +59,7 @@ class PDS:
     side ((p, theta), g), by right-side head ((p', theta'), w[0]) and, for
     pop rules, by right-side state.  A rule reads a stack symbol, so it
     has no empty-stack moves.  `states` holds the control points p of the
-    paired states, the names that post* checks.
+    paired states, and `alphabet` the stack symbols.
     """
 
     def __init__(self, states: Iterable[PdsState], alphabet: Iterable[str],

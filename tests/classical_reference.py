@@ -196,7 +196,7 @@ def reference_pds_poststar(pds, aut):
             elif len(r.rhs_word) == 1:
                 add(src, r.rhs_word[0], q)
             else:
-                gen = Generated(src.control, r.rhs_word[0], src.phase)
+                gen = Generated(src.control, r.rhs_word[:1], src.phase)
                 add(src, r.rhs_word[0], gen)
                 add(gen, r.rhs_word[1], q)
 

@@ -104,8 +104,8 @@ def test_from_configs_accepts_exactly():
 
 def test_generated_states_distinct():
     th = Phase.of([1])
-    assert Generated("p", "g", th) == Generated("p", "g", th)
-    kinds = (Initial("p", th), Generated("p", "g", th), Plain("p"))
+    assert Generated("p", ("g",), th) == Generated("p", ("g",), th)
+    kinds = (Initial("p", th), Generated("p", ("g",), th), Plain("p"))
     for i, a in enumerate(kinds):
         for b in kinds[i + 1:]:
             assert a != b and b != a
@@ -217,7 +217,7 @@ def _phase_keys():
     k0 = (Initial("p1", theta0), "g1")
     k1 = (Initial("p4", theta1), "g1")
     plain = (Plain("m"), "g2")
-    gen1 = (Generated("p2", "g2", theta1), "g3")
+    gen1 = (Generated("p2", ("g2",), theta1), "g3")
     return aut, DeltaWorklist(aut), k0, k1, plain, gen1
 
 
@@ -542,17 +542,17 @@ def test_a_copy_starts_with_a_step_table_of_its_own():
 
 def _three_kinds():
     th = Phase.of([1, 2])
-    return Initial("p", th), Generated("p", "g", th), Plain("p")
+    return Initial("p", th), Generated("p", ("g", "h"), th), Plain("p")
 
 
 def test_equal_fields_give_the_same_state():
     th = Phase.of([1, 2])
     assert Initial("p", th) is Initial("p", Phase.of([2, 1]))
     assert Initial("p", th) is Initial(control="p", phase=th)
-    assert Generated("p", "g", th) is Generated("p", "g", th)
+    assert Generated("p", ("g", "h"), th) is Generated("p", ("g", "h"), th)
     assert Plain("acc") is Plain("acc")
     assert Initial("p", th) is not Initial("q", th)
-    assert Generated("p", "g", th) is not Generated("p", "h", th)
+    assert Generated("p", ("g", "h"), th) is not Generated("p", ("g",), th)
     for q in _three_kinds():
         assert not hasattr(q, "__dict__")
 
@@ -568,7 +568,7 @@ def test_parsed_states_are_the_interned_ones():
                           "trans p3@{2,3,4} g2 gen:p2:g3@{2,3,4}\n"
                           "trans mid g1 acc\n", doc)
     init = Initial("p3", theta1)
-    gen = Generated("p2", "g3", theta1)
+    gen = Generated("p2", ("g3",), theta1)
     # equality is identity, so these compare the very objects
     assert aut.states == {init, gen, Plain("mid"), Plain("acc")}
     assert aut.transitions == {(init, "g3", Plain("mid")), (init, "g2", gen),
@@ -577,13 +577,13 @@ def test_parsed_states_are_the_interned_ones():
 
 def test_state_fields_are_read_only():
     init, gen, plain = _three_kinds()
-    for q, name in ((init, "control"), (init, "phase"), (gen, "symbol"),
+    for q, name in ((init, "control"), (init, "phase"), (gen, "prefix"),
                     (gen, "phase"), (plain, "name"), (plain, "other")):
         with pytest.raises(AttributeError):
             setattr(q, name, "x")
         with pytest.raises(AttributeError):
             delattr(q, name)
-    assert (init.control, gen.symbol, plain.name) == ("p", "g", "p")
+    assert (init.control, gen.prefix, plain.name) == ("p", ("g", "h"), "p")
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
@@ -604,7 +604,7 @@ def test_states_pickle_across_interpreters():
               "for rid in reversed(ids):\n"
               "    Phase.of([rid])\n"
               "th = Phase.of(ids)\n"
-              "states = (Initial('p', th), Generated('p', 'g', th), Plain('acc'))\n"
+              "states = (Initial('p', th), Generated('p', ('g', 'h'), th), Plain('acc'))\n"
               "sys.stdout.buffer.write(pickle.dumps(states))\n")
     src = str(Path(smpds.__file__).parent.parent)
     env = {**os.environ,
@@ -614,7 +614,7 @@ def test_states_pickle_across_interpreters():
     th = Phase.of(ids)
     init, gen, plain = pickle.loads(data)
     assert init is Initial("p", th)
-    assert gen is Generated("p", "g", th)
+    assert gen is Generated("p", ("g", "h"), th)
     assert plain is Plain("acc")
 
 

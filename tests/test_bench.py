@@ -17,8 +17,7 @@ def test_generator_well_formed():
         params = GenParams(num_states=4, num_symbols=4, num_rules=8,
                            num_smrules=3, seed=seed)
         inst = generate(params)
-        rep = validate(inst.smpds)
-        assert rep.ok, rep.violations
+        assert validate(inst.smpds) == []
         assert len(inst.smpds.delta) == params.num_rules
         assert len(inst.smpds.delta_c) == params.num_smrules
         # modifying rules only reference plain rules, so none removes itself

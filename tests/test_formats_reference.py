@@ -24,7 +24,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smpds import Configuration, PdsRule, Phase, SelfModRule, SMPDS, from_configs, prestar
+from smpds import (Configuration, PdsRule, Phase, SelfModRule, SMPDS, from_configs, poststar,
+                   prestar)
 from smpds.automaton import EPS, Generated, Initial, PAutomaton, Plain
 from smpds.bench import GenParams, generate
 from smpds.formats import (FormatError, SmpdsDocument, parse_automaton, parse_smpds,
@@ -187,10 +188,11 @@ def _ref_state(token, phase_names, lineno):
         body, at, phasetok = token[4:].rpartition("@")
         if not at:
             raise FormatError(lineno, f"malformed generated state {token!r}")
-        control, colon, symbol = body.partition(":")
-        if not colon or not control or "" in symbol.split(":"):
+        control, colon, symbols = body.partition(":")
+        prefix = tuple(symbols.split(":"))
+        if not colon or not control or "" in prefix:
             raise FormatError(lineno, f"malformed generated state {token!r}")
-        return Generated(control, symbol, _ref_resolve_phase(phase_names, phasetok, lineno))
+        return Generated(control, prefix, _ref_resolve_phase(phase_names, phasetok, lineno))
     if "@" in token:
         control, _, phasetok = token.rpartition("@")
         if not control:
@@ -359,8 +361,9 @@ def test_parse_automaton_agrees_with_the_line_loop(doc, seed):
     m = doc.smpds
     configs = doc.configs or [Configuration("p0", ("a",), Phase.of(m.rules))]
     aut = from_configs(m, configs)
-    if rng.random() < 0.5:
-        aut = prestar(m, aut)
+    saturate = rng.choice([None, prestar, poststar])
+    if saturate:
+        aut = saturate(m, aut)
     text = print_automaton(aut, doc)
     if rng.random() < 0.7:
         text = _mutate(text, rng)

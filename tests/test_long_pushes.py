@@ -121,7 +121,7 @@ def test_push_depth_is_not_stack_depth():
     post = poststar(m, from_configs(m, [c0]))
     assert post.accepts(target)
     assert not post.accepts(Configuration("q", word[:-1], th))
-    assert Generated("q", ":".join(word[:n - 1]), th) in post.states
+    assert Generated("q", word[:n - 1], th) in post.states
     assert prestar(m, from_configs(m, [target])).accepts(c0)
     doc = SmpdsDocument(m, {"th": th})
     back = parse_automaton(print_automaton(post, doc), doc)

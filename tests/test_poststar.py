@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smpds import (
     Configuration,
@@ -10,6 +11,7 @@ from smpds import (
     pds_poststar,
     phase_closure,
     poststar,
+    prestar,
     to_pds,
 )
 from smpds.bench import GenParams, generate
@@ -127,25 +129,94 @@ def test_poststar_saturates_self_removing_rules():
     assert set(sat.enumerate_configs(3)) == reach
 
 
-def test_both_poststar_entry_points_refuse_colon_names():
-    """The pushes 'a:b c' and 'a b d' into q both pass through the state
-    after the prefix 'a:b', so a post* that took the names as they are
-    would accept the unreachable (<q, a:b d>, {0,1}).  Both entry points
-    raise with `validate`'s text instead."""
+def test_both_poststar_entry_points_keep_colon_names_apart():
+    """The pushes 'a:b c' and 'a b d' into q would both pass through the
+    state after the prefix 'a:b' if post* named that state by joining the
+    prefix with ':', and (<q, a:b d>, {0,1}), which no run reaches, would
+    be accepted.  The prefixes ('a:b',) and ('a', 'b') are two states, so
+    both entry points accept exactly what the oracle reaches."""
     rules = {0: PdsRule("p", "s", "q", ("a:b", "c")),
              1: PdsRule("p", "t", "q", ("a", "b", "d"))}
     m = SMPDS({"p", "q"}, {"s", "t", "a", "b", "c", "d", "a:b"}, rules)
     theta = Phase.of([0, 1])
-    aut = from_configs(m, [Configuration("p", ("s",), theta),
-                           Configuration("p", ("t",), theta)])
-    with pytest.raises(ValueError, match="^symbol 'a:b' holds ':'$"):
-        poststar(m, aut)
-    with pytest.raises(ValueError, match="^symbol 'a:b' holds ':'$"):
-        pds_poststar(to_pds(m, phase_closure(m, [theta])), aut)
-    named = SMPDS({"p", "q", "r:s"}, {"s", "t", "a", "b", "c", "d"},
-                  {1: rules[1]})
-    with pytest.raises(ValueError, match="^state 'r:s' holds ':'$"):
-        poststar(named, from_configs(named, [Configuration("p", ("t",), theta)]))
+    starts = [Configuration("p", ("s",), theta), Configuration("p", ("t",), theta)]
+    reach = set()
+    for c in starts:
+        found, truncated = raw_reach(m, c, 3, 100)
+        assert not truncated
+        reach |= found
+    aut = from_configs(m, starts)
+    pds = to_pds(m, phase_closure(m, [theta]))
+    for post in (poststar(m, aut), pds_poststar(pds, aut)):
+        assert not post.accepts(Configuration("q", ("a:b", "d"), theta))
+        assert post.enumerate_configs(3) == reach
+
+
+@st.composite
+def colon_named_systems(draw):
+    """A small `bench.generate` system and its initial configuration, with
+    every control point p renamed f:p and every symbol g a:g.  Where a
+    push of three symbols x y z and another push of two or more go to one
+    control point, the other push's first symbol is renamed after x and y
+    joined with ':' (a:g0:a:g1), so that a post* which named a prefix by
+    joining its symbols would let the two pushes meet in one state."""
+    inst = generate(GenParams(num_states=draw(st.integers(1, 3)),
+                              num_symbols=draw(st.integers(2, 4)),
+                              num_rules=draw(st.integers(1, 8)),
+                              num_smrules=draw(st.integers(0, 2)),
+                              max_rhs_len=3,
+                              seed=draw(st.integers(0, 10**6))))
+    m, c0 = inst.smpds, inst.initial
+    state = {p: f"f:{p}" for p in m.states}
+    symbol = {g: f"a:{g}" for g in m.alphabet}
+    pushes = [r for r in m.rules.values()
+              if isinstance(r, PdsRule) and len(r.rhs_word) >= 2]
+    meets = [(r.rhs_word, s.rhs_word[0]) for r in pushes for s in pushes
+             if len(r.rhs_word) == 3 and r.rhs_state == s.rhs_state
+             and s.rhs_word[0] not in r.rhs_word[:2]]
+    if meets:
+        (x, y, _), g = draw(st.sampled_from(meets))
+        symbol[g] = f"{symbol[x]}:{symbol[y]}"
+
+    def word(w):
+        return tuple(map(symbol.__getitem__, w))
+
+    rules = {rid: PdsRule(state[r.lhs_state], symbol[r.lhs_symbol],
+                          state[r.rhs_state], word(r.rhs_word))
+             if isinstance(r, PdsRule) else
+             r._replace(from_state=state[r.from_state], to_state=state[r.to_state])
+             for rid, r in m.rules.items()}
+    renamed = SMPDS(set(state.values()), set(symbol.values()), rules)
+    return renamed, Configuration(state[c0.state], word(c0.stack), c0.phase)
+
+
+@given(colon_named_systems(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_names_that_hold_colons_saturate_as_the_oracle_runs(system, rng):
+    """Direct pre* and post*, and classical post*, give the oracle's
+    answers up to stack depth 3 on systems whose names hold ':'.  Where
+    the oracle hit its bound, a configuration that post* accepts and the
+    oracle did not reach must have the initial one in its pre*, which
+    builds no generated state."""
+    m, c0 = system
+    reach, truncated = raw_reach(m, c0, 3, 2000)
+    post = poststar(m, from_configs(m, [c0]))
+    for c in reach:
+        assert post.accepts(c), c
+    configs = post.enumerate_configs(3)
+    for c in configs - reach:
+        assert truncated and prestar(m, from_configs(m, [c])).accepts(c0), c
+    # the paired PDS fires no modifying rule on an empty stack, and no run
+    # between nonempty stacks passes through one
+    ppost = pds_poststar(to_pds(m, phase_closure(m, [c0.phase])), from_configs(m, [c0]))
+    assert ({c for c in ppost.enumerate_configs(3) if c.stack}
+            == {c for c in configs if c.stack})
+    target = rng.choice(sorted(reach, key=repr))
+    pre = prestar(m, from_configs(m, [target]))
+    for c in reach:
+        fwd, t2 = raw_reach(m, c, 3, 2000)
+        if target in fwd or not t2:
+            assert pre.accepts(c) == (target in fwd), (c, target)
 
 
 def test_poststar_empty_stack_smrule_successors():
@@ -177,13 +248,13 @@ def test_poststar_agrees_with_interpreter(seed):
                               num_smrules=2, seed=2000 + seed))
     m, c0 = inst.smpds, inst.initial
     reach, truncated = raw_reach(m, c0, 5, 8000)
-    if truncated:
-        pytest.skip("interpreter bound hit")
     sat = poststar(m, from_configs(m, [c0]))
+    # what the oracle reached is reachable, even where it hit its bound
     for c in reach:
         assert sat.accepts(c), c
-    for c in sat.enumerate_configs(4):
-        assert c in reach, c
+    if not truncated:
+        for c in sat.enumerate_configs(4):
+            assert c in reach, c
 
 
 @pytest.mark.parametrize("params", POST_FANOUT_FAMILY,

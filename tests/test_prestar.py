@@ -263,18 +263,18 @@ def test_prestar_agrees_with_interpreter(seed):
     inst = generate(GenParams(num_states=3, num_symbols=3, num_rules=5,
                               num_smrules=2, seed=1000 + seed))
     m, c0 = inst.smpds, inst.initial
-    reach, truncated = raw_reach(m, c0, 5, 8000)
-    if truncated:
-        pytest.skip("interpreter bound hit")
+    # a truncated run still reaches each configuration it found
+    reach, _ = raw_reach(m, c0, 5, 8000)
     rng = random.Random(seed)
     targets = rng.sample(sorted(reach, key=repr), min(2, len(reach)))
     for target in targets:
         sat = prestar(m, from_configs(m, [target]))
+        assert sat.accepts(c0), target
         for c in reach:
             fwd, t2 = raw_reach(m, c, 5, 8000)
-            if t2:
-                continue
-            assert sat.accepts(c) == (target in fwd), (c, target)
+            # a miss counts only where the forward run finished
+            if target in fwd or not t2:
+                assert sat.accepts(c) == (target in fwd), (c, target)
 
 
 @pytest.mark.parametrize("params", POST_FANOUT_FAMILY + TRANSLATED_FAMILY,

@@ -381,9 +381,9 @@ def test_classical_saturations_cross_check(seed):
     inst = generate(GenParams(num_states=3, num_symbols=3, num_rules=5,
                               num_smrules=2, seed=4000 + seed))
     m, c0 = inst.smpds, inst.initial
-    reach, truncated = raw_reach(m, c0, 5, 8000)
-    if truncated:
-        pytest.skip("interpreter bound hit")
+    # the routes are compared on what the oracle reached, which needs no
+    # finished run
+    reach, _ = raw_reach(m, c0, 5, 8000)
     targets = [c for c in sorted(reach, key=repr) if c.stack][:1]
     if not targets:
         pytest.skip("only empty-stack configurations reachable")
@@ -402,8 +402,9 @@ def test_classical_saturations_cross_check(seed):
 
 
 # the seeds of the three oracle tests above whose interpreter run hits its
-# bound, so that they skip: test_prestar_agrees_with_interpreter (1004,
-# 1007, 1014), test_poststar_agrees_with_interpreter (2006) and
+# bound, where those tests check only what holds on a truncated run:
+# test_prestar_agrees_with_interpreter (1004, 1007, 1014),
+# test_poststar_agrees_with_interpreter (2006) and
 # test_classical_saturations_cross_check (4001, 4008, 4011)
 ORACLE_SEEDS = [*range(1000, 1030), *range(2000, 2030), *range(4000, 4015)]
 TRUNCATED_SEEDS = [1004, 1007, 1014, 2006, 4001, 4008, 4011]
