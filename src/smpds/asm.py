@@ -25,6 +25,8 @@ distinct return address; helpers are always enabled and cannot be the
 target of a 'selfmod'.  'selfmod' becomes a rule-set change: the rule
 compiled for the target label is removed and the replacement rule is
 added.  Replacement rules fall through to the target's successor.  A
+target that is itself a 'selfmod' loses its rule-set change, whichever
+of the two lines comes first; the halt state is no target.  A
 'selfmod' whose instruction is itself a 'selfmod' parses, its innermost
 instruction checked, but compiles only when every 'selfmod' is erased.
 """
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .formats import FormatError
 from .model import Configuration, Phase, PdsRule, RuleId, SelfModRule, SMPDS
 
 DATA = "D"      # generic data/stack-frame symbol
@@ -44,10 +47,8 @@ OPCODES = {"push": 1, "pop": 0, "jmp": 1, "call": 1, "ret": 0,
            "nop": 0, "halt": 0}
 
 
-class AsmError(ValueError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+class AsmError(FormatError):
+    """A line-numbered error in a program text."""
 
 
 @dataclass(frozen=True)
@@ -230,21 +231,23 @@ def compile_program(prog: Program, erase_selfmod: bool = False) -> CompiledProgr
         add(body_rule(ins.label, op, ins.operands, fall),
             primary_label=ins.label)
 
-    # selfmod instructions: one rule-set change plus the disabled replacement
+    # selfmod instructions: one rule-set change plus the disabled
+    # replacement.  Every id is handed out before any target is resolved,
+    # so a selfmod may target a selfmod on any line.
+    changes: list[tuple[RuleId, str, str, RuleId, str]] = []
     for ins, fall in selfmods:
         if ins.operands[1] == "selfmod":
             raise AsmError(ins.lineno, "selfmod of a selfmod instruction "
                            "compiles only with --erase-selfmod")
         target = ins.operands[0]
-        target_idx = labels.get(target)
-        target_fall = succ(target_idx) if target_idx is not None else HALT
+        if target == HALT:
+            raise AsmError(ins.lineno, f"{HALT!r} is the halt state, not an instruction")
         replacement = add(body_rule(target, ins.operands[1], ins.operands[2:],
-                                    target_fall), enabled=False)
-        old = rule_for_label.get(target)
-        if old is None:
-            raise AsmError(ins.lineno,
-                           f"selfmod target {target!r} is itself a selfmod instruction")
-        add(SelfModRule(ins.label, old, replacement, fall), primary_label=ins.label)
+                                    succ(labels[target])), enabled=False)
+        rid = add(None, primary_label=ins.label)
+        changes.append((rid, ins.label, target, replacement, fall))
+    for rid, label, target, replacement, fall in changes:
+        rules[rid] = SelfModRule(label, rule_for_label[target], replacement, fall)
 
     # return dispatch helpers, one per return address: always enabled,
     # never selfmod targets

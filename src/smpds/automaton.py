@@ -39,7 +39,7 @@ goes through `DeltaWorklist.add`, which splits it in two: a key already
 in the store takes its new bits in place, into the mask that the diff
 has just read, and a key not in the store yet is opened by
 `add_targets`, which numbers its source, checks its label and marks an
-eps edge.  The engines read the store and never write it.
+eps edge.  The cores read the store and never write it.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class PAutomaton:
     The automaton numbers each state the first time it meets it (`bit`),
     and the numbered states are its `states`.  `_out` (src -> label ->
     mask of targets) is the only transition store: inserts diff and merge
-    whole target masks in it, and the engines read it directly.
+    whole target masks in it, and the cores read it directly.
     `_finals` is the mask of the final states.  Eps closures are cached
     per state, as masks, until the next eps edge is inserted, and the
     steps of `_step` per (mask, symbol) until the next edge of any label

@@ -1,10 +1,10 @@
-"""Backward saturation: compute pre*(L(A)) on the P-automaton itself.
+"""Backward saturation: compute pre*(L(A)) by saturating the P-automaton.
 
-One loop serves direct pre* of an SM-PDS, whose rule source is the
-`SMPDS`, and classical pre* of the translated PDS
-(`translate.pds_prestar`), whose source forwards the `SMPDS`'s moves
-less the empty-stack ones and builds no paired rule.  Saturation rules, applied
-until fixpoint:
+One function serves direct pre* of an SM-PDS, whose rule source is the
+`SMPDS`, and classical pre* of the translated PDS, whose source forwards
+the `SMPDS`'s moves less the empty-stack ones and builds no paired rule:
+`translate.pds_prestar` is another name for `prestar`.  Saturation
+rules, applied until fixpoint:
 
   alpha1: for a plain rule <p,g> -> <p1,w> in a phase theta, whenever the
           automaton has a path (p1,theta) --w--> q, add ((p,theta), g, q).
@@ -20,7 +20,7 @@ until fixpoint:
 fires into (p1,theta) only once that state is live: its empty stack is
 accepted or it is the source of a reading fact.  So a transition it
 adds leads to a dead end only through the input's.  A modifying rule
-fires on the empty stack too, so `run` first makes final the
+fires on the empty stack too, so `prestar` first makes final the
 empty-stack predecessors (`mod_predecessors`) of every accepted state.
 The input may contain epsilon transitions (they are honoured during
 matching); the saturation only adds symbol-labelled ones.
@@ -29,25 +29,26 @@ The unit of work is a key (src, g) with the mask of its targets added
 since the key was last processed (see `automaton.DeltaWorklist`), popped
 phase by phase: alpha2 and the empty-stack rule hand a phase's facts
 back to its predecessor phases, which the worklist ranks after it
-unless the phases form a cycle.  The
-eps keys of the input are popped and skipped.  `run` is one flat loop.
-It widens the delta once by the epsilon closures of its targets, whose
-masks the automaton caches (`PAutomaton._close`: the saturation adds no
-eps edge, so they never change), and each state s whose closure holds
-src gains the new reading facts as one mask, diffed against the known
-ones with one `&~`.  The rules waiting at (s, g) then fire on them:
-those whose word ends with g (`pending`) insert the new facts' targets
-in one `DeltaWorklist.add`, and those with more of their word to read
-(`waiting`) move on to wait at each new target, which is where a mask is
-decoded into its states (`_wait`).  A group of them that reaches several
-states q at once waits at every (q, g2), and moves on once: the OR of
-the facts at the keys where some of it is new goes into one
-`DeltaWorklist.add`, or on along the rest of a longer word; a state
-where the whole group waits already adds nothing.  The two tables are
-Delta', the half-matched rules of the pre* of Esparza, Hansel,
-Rossmanith and Schwoon (CAV 2000).  The rules that read an initial
-state's own fact key wait there too: `_seed` puts them in the two
-tables at the key's first fact, so pre* keeps no firing plan.
+unless the phases form a cycle.  The eps keys of the input are popped
+and skipped.  `prestar` is one function, whose locals are the run's
+state, with one flat loop.  It widens the delta once by the epsilon
+closures of its targets, whose masks the automaton caches
+(`PAutomaton._close`: the saturation adds no eps edge, so they never
+change), and each state s whose closure holds src gains the new reading
+facts as one mask, diffed against the known ones with one `&~`.  The
+rules waiting at (s, g) then fire on them: those whose word ends with g
+(`pending`) insert the new facts' targets in one `DeltaWorklist.add`,
+and those with more of their word to read (`waiting`) move on to wait
+at each new target, which is where a mask is decoded into its states
+(`wait`).  A group of them that reaches several states q at once waits
+at every (q, g2), and moves on once: the OR of the facts at the keys
+where some of it is new goes into one `DeltaWorklist.add`, or on along
+the rest of a longer word; a state where the whole group waits already
+adds nothing.  The two tables are Delta', the half-matched rules of the
+pre* of Esparza, Hansel, Rossmanith and Schwoon (CAV 2000).  The rules
+that read an initial state's own fact key wait there too: `seed` puts
+them in the two tables at the key's first fact, so pre* keeps no firing
+plan.
 """
 
 from __future__ import annotations
@@ -62,83 +63,53 @@ _Lhs = tuple[Initial, str]
 _Rest = tuple[str, tuple[str, ...], set[_Lhs]]
 
 
-class _PrestarEngine:
-    def __init__(self, rules, aut: PAutomaton):
-        self.rules = rules
-        self.aut = aut.copy()
-        self.work = DeltaWorklist(self.aut)
+def prestar(rules, aut: PAutomaton) -> PAutomaton:
+    """Saturate a copy of `aut` so it accepts pre*(L(aut)) under `rules`,
+    the `SMPDS` or any rule source with its moves, such as a translated
+    PDS, which forwards the moves of its SM-PDS (`translate.to_pds`).
 
-        # epsilon structure is static: the input may carry eps edges but the
-        # saturation never adds any, so the automaton's cached closures hold
-        # throughout.  eps_pred maps a state to every state whose closure
-        # holds it; only states with an eps edge on either side have entries.
-        self.eps_pred: dict[AutState, set[AutState]] = {}
-        if self.aut.has_epsilon():
-            for q in self.aut.states:
-                cl = self.aut.eclosure(q)
-                if len(cl) > 1:
-                    for q2 in cl:
-                        self.eps_pred.setdefault(q2, {q2}).add(q)
+    Raises `ValueError` on an input with a transition into an initial
+    state unless pre* leaves it unchanged, as a pre* result fed back in:
+    what the saturation adds at that state would also be read through the
+    edge."""
+    result = aut.copy()
+    work = DeltaWorklist(result)
+    add = work.add
+    close = result._close
+    bit = result.bit
+    states_of = result.states_of
 
-        # eps-folded reading facts: (src, symbol) -> mask of dst
-        self.facts: dict[tuple[AutState, str], int] = {}
-        # the rules waiting at a fact key (state, symbol), Delta': the
-        # transitions ((p,theta), g) whose word ends with that symbol, and
-        # those with more of it to read after, by that tail.  The rules that
-        # read an initial state's key join them at its first fact (_seed).
-        self.pending: dict[tuple[AutState, str], set[_Lhs]] = {}
-        self.waiting: dict[tuple[AutState, str], dict[tuple[str, ...], set[_Lhs]]] = {}
-        # the initial states whose pop rules have fired
-        self.live: set[Initial] = set()
+    # epsilon structure is static: the input may carry eps edges but the
+    # saturation never adds any, so the automaton's cached closures hold
+    # throughout.  eps_pred maps a state to every state whose closure
+    # holds it; only states with an eps edge on either side have entries.
+    eps_pred: dict[AutState, set[AutState]] = {}
+    if result.has_epsilon():
+        for q in result.states:
+            cl = result.eclosure(q)
+            if len(cl) > 1:
+                for q2 in cl:
+                    eps_pred.setdefault(q2, {q2}).add(q)
 
-    def run(self) -> PAutomaton:
-        aut = self.aut
-        # each state whose empty stack is accepted is live, and the modifying
-        # rules into it accept their sources' empty stacks
-        todo = [q for q in aut.initial_states()
-                if aut._close(aut.bit(q)) & aut._finals]
-        while todo:
-            q = todo.pop()
-            if self._make_live(q):
-                for p, theta in self.rules.mod_predecessors(q.control, q.phase):
-                    aut.add_final(Initial(p, theta))
-                    todo.append(Initial(p, theta))
-        close = aut._close
-        eps_pred = self.eps_pred
-        facts, pending, waiting = self.facts, self.pending, self.waiting
-        add, wait, seed = self.work.add, self._wait, self._seed
-        for (src, label), delta in self.work:
-            if label is EPS:
-                continue
-            # the new facts s --label--> d for each state s whose closure
-            # holds src, and the rules waiting at (s, label) fire on them
-            delta = close(delta)
-            for s in eps_pred.get(src, (src,)):
-                key = (s, label)
-                known = facts.get(key)
-                if known is None:
-                    if isinstance(s, Initial):
-                        seed(s, label)
-                    fresh = facts[key] = delta
-                else:
-                    fresh = delta & ~known
-                    if not fresh:
-                        continue
-                    facts[key] = known | fresh
-                add(pending.get(key, ()), fresh)
-                by_tail = waiting.get(key)
-                if by_tail:
-                    wait([(t[0], t[1:], group) for t, group in by_tail.items()], fresh)
-        return aut
+    # eps-folded reading facts: (src, symbol) -> mask of dst
+    facts: dict[tuple[AutState, str], int] = {}
+    # the rules waiting at a fact key (state, symbol), Delta': the
+    # transitions ((p,theta), g) whose word ends with that symbol, and
+    # those with more of it to read after, by that tail.  The rules that
+    # read an initial state's key join them at its first fact (seed).
+    pending: dict[tuple[AutState, str], set[_Lhs]] = {}
+    waiting: dict[tuple[AutState, str], dict[tuple[str, ...], set[_Lhs]]] = {}
+    # the initial states whose pop rules have fired
+    live: set[Initial] = set()
 
-    def _make_live(self, q: Initial) -> bool:
+    def make_live(q: Initial) -> bool:
         """alpha1 for the pop rules into q: the path q --eps--> q' exists for
         every q' in the closure of q, and q reaches a final state.  False
         if q was live already."""
-        if q in self.live:
+        if q in live:
             return False
-        self.live.add(q)
-        moves = self.rules.pop_moves(q.control, q.phase)
+        live.add(q)
+        moves = rules.pop_moves(q.control, q.phase)
         if moves:
             # each (control, phase) is interned once, however many moves
             # share it; an explicit PDS's pop rules may change the phase
@@ -149,21 +120,21 @@ class _PrestarEngine:
                 if src is None:
                     src = initial[p, theta] = Initial(p, theta)
                 edges.append((src, g))
-            self.work.add(edges, self.aut._close(self.aut.bit(q)))
+            add(edges, close(bit(q)))
         return True
 
-    def _seed(self, init: Initial, label: str) -> None:
+    def seed(init: Initial, label: str) -> None:
         """At the first fact of the key (init, label): init is live, and
         every rule that alpha1 or alpha2 reads from it on `label` waits at
         the key like a half-matched rule, in `pending` if its word ends
         there and in `waiting` under the rest of its word if not."""
-        self._make_live(init)
+        make_live(init)
         key = (init, label)
-        ends = self.pending.setdefault(key, set())
-        by_tail = self.waiting.setdefault(key, {})
+        ends = pending.setdefault(key, set())
+        by_tail = waiting.setdefault(key, {})
         # each (control, phase) is interned once, however many moves share it
         initial: dict[tuple[str, Phase], Initial] = {}
-        for p, theta, g, rest in self.rules.pre_moves(init.control, init.phase, label):
+        for p, theta, g, rest in rules.pre_moves(init.control, init.phase, label):
             src = initial.get((p, theta))
             if src is None:
                 src = initial[p, theta] = Initial(p, theta)
@@ -172,7 +143,7 @@ class _PrestarEngine:
             else:
                 ends.add((src, g))
 
-    def _wait(self, rests: list[_Rest], dsts: int) -> None:
+    def wait(rests: list[_Rest], dsts: int) -> None:
         """Leave each group of transitions in `rests` waiting at every
         state q in the mask `dsts` for the rest of its word, and move it
         on along the facts already known: a group that waits at (q, g2)
@@ -187,9 +158,6 @@ class _PrestarEngine:
         every fact of its key, so that stays sound.  A worklist, not
         recursion, so a long pushed word does not deepen the Python
         stack."""
-        add = self.work.add
-        states_of = self.aut.states_of
-        pending, waiting, facts = self.pending, self.waiting, self.facts
         todo = [(rests, dsts)]
         while todo:
             rests, dsts = todo.pop()
@@ -216,17 +184,38 @@ class _PrestarEngine:
                     else:
                         add(group, joined)
 
-
-def prestar(rules, aut: PAutomaton) -> PAutomaton:
-    """Saturate a copy of `aut` so it accepts pre*(L(aut)) under `rules`,
-    the `SMPDS` or any rule source with its moves, such as a translated
-    PDS, which forwards the moves of its SM-PDS (`translate.pds_prestar`).
-
-    Raises `ValueError` on an input with a transition into an initial
-    state unless pre* leaves it unchanged, as a pre* result fed back in:
-    what the saturation adds at that state would also be read through the
-    edge."""
-    result = _PrestarEngine(rules, aut).run()
+    # each state whose empty stack is accepted is live, and the modifying
+    # rules into it accept their sources' empty stacks
+    todo = [q for q in result.initial_states()
+            if close(bit(q)) & result._finals]
+    while todo:
+        q = todo.pop()
+        if make_live(q):
+            for p, theta in rules.mod_predecessors(q.control, q.phase):
+                result.add_final(Initial(p, theta))
+                todo.append(Initial(p, theta))
+    for (src, label), delta in work:
+        if label is EPS:
+            continue
+        # the new facts s --label--> d for each state s whose closure
+        # holds src, and the rules waiting at (s, label) fire on them
+        delta = close(delta)
+        for s in eps_pred.get(src, (src,)):
+            key = (s, label)
+            known = facts.get(key)
+            if known is None:
+                if isinstance(s, Initial):
+                    seed(s, label)
+                fresh = facts[key] = delta
+            else:
+                fresh = delta & ~known
+                if not fresh:
+                    continue
+                facts[key] = known | fresh
+            add(pending.get(key, ()), fresh)
+            by_tail = waiting.get(key)
+            if by_tail:
+                wait([(t[0], t[1:], group) for t, group in by_tail.items()], fresh)
     if aut.has_transition_into_initial() and (
             result.transition_count() > aut.transition_count()
             or len(result.finals) > len(aut.finals)):

@@ -26,8 +26,10 @@ rule's target by `Phase.update`.
 
 Classical pre*/post* for ordinary PDSs are `prestar` and `poststar`,
 with the phase moved into the control point and the PDS as their rule
-source: a `PairedPDS`, or an explicit `PDS` given by its rules.  So each
-direction has one input contract, the direct one.  A paired
+source: a `PairedPDS`, or an explicit `PDS` given by its rules.
+`pds_prestar` and `pds_poststar` are the two functions themselves, under
+the names of the classical route, so each direction has one input
+contract, the direct one.  A paired
 configuration ((p, theta), w) is the SM-PDS configuration
 (<p, w>, theta), so they take and return ordinary P-automata.  A paired
 rule pushes the word of its SM-PDS rule, of any length, which the cores
@@ -269,15 +271,6 @@ def pds_accepts(aut: PAutomaton, state: PdsState, stack: tuple[str, ...]) -> boo
     return aut.accepts(Configuration(state[0], stack, state[1]))
 
 
-def pds_prestar(pds: PDS | PairedPDS, aut: PAutomaton) -> PAutomaton:
-    """Classical pre*: `prestar`, input contract and all, with the PDS as
-    its rule source.  The paired PDS fires no modifying rule on an empty
-    stack, so the result agrees with direct pre* on nonempty stacks."""
-    return prestar(pds, aut)
-
-
-def pds_poststar(pds: PDS | PairedPDS, aut: PAutomaton) -> PAutomaton:
-    """Classical post*: `poststar`, input contract and name check and all,
-    with the PDS as its rule source, which a `PDS` indexes once, at the
-    first move it reads."""
-    return poststar(pds, aut)
+# classical pre* and post*: the cores themselves, input contract and all,
+# with the PDS as their rule source
+pds_prestar, pds_poststar = prestar, poststar

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from smpds import Configuration, PdsRule, from_configs, poststar, validate
+from smpds.formats import FormatError
 from smpds.asm import (
     RET,
     AsmError,
@@ -63,6 +64,8 @@ def test_error_carries_line_number():
     with pytest.raises(AsmError) as exc:
         parse_program("entry a\na: nop\nb: frob\n")
     assert exc.value.lineno == 3
+    # one line-numbered input error, whatever the input's format
+    assert isinstance(exc.value, FormatError)
 
 
 def test_meta_selfmod_parses_and_compiles_only_erased():
@@ -73,6 +76,46 @@ def test_meta_selfmod_parses_and_compiles_only_erased():
         compile_program(prog)
     assert exc.value.lineno == 2
     assert not compile_program(prog, erase_selfmod=True).smpds.delta_c
+
+
+@pytest.mark.parametrize("text", [
+    "entry a\na: selfmod b nop\nb: selfmod c halt\nc: nop\n",
+    "entry b\nb: selfmod c halt\nc: nop\na: selfmod b nop\n",
+], ids=["target-after", "target-before"])
+def test_a_selfmod_may_target_a_selfmod_on_any_line(text):
+    """The selfmod at a removes the rule-set change compiled for b and adds
+    a nop at b, whichever of the two lines comes first."""
+    cp = compile_program(parse_program(text))
+    rules = cp.smpds.rules
+    a = rules[cp.rule_for_label["a"]]
+    assert a.removed == cp.rule_for_label["b"]
+    assert rules[a.added] == PdsRule("b", "D", "c", ("D",))
+
+
+# a cancels the patch that b, a later line, would make at d: a turns b into
+# a nop, so d keeps its halt and x is never reached.  Entered at b instead,
+# b patches d to jump to x, which falls through to the halt state.
+CANCEL = """\
+a: selfmod b nop
+b: selfmod d jmp x
+c: nop
+d: halt
+x: nop
+"""
+
+
+@pytest.mark.parametrize("entry, reached", [
+    ("a", {"a", "b", "c", "d"}),
+    ("b", {"b", "c", "d", "x", "__halt"}),
+])
+def test_a_selfmod_cancels_a_later_selfmods_patch(entry, reached):
+    cp = compile_program(parse_program(f"entry {entry}\n" + CANCEL))
+    configs, truncated = raw_reach(cp.smpds, cp.entry_config, 4, 10000)
+    assert not truncated
+    assert {c.state for c in configs} == reached
+    sat = poststar(cp.smpds, from_configs(cp.smpds, [cp.entry_config]))
+    for label in cp.smpds.states:
+        assert sat.control_reachable(label) == (label in reached), label
 
 
 def test_compiled_model_is_valid():

@@ -1,3 +1,4 @@
+import gc
 import os
 import pickle
 import random
@@ -338,18 +339,37 @@ def test_every_saturation_inserts_through_the_worklist_alone(monkeypatch):
         target = from_configs(m, [inst.target])
         initial = from_configs(m, [inst.initial])
         pds = to_pds(m, phase_closure(m, [inst.initial.phase, inst.target.phase]))
-        runs += [(prestar, m, target), (poststar, m, initial),
-                 (prestar, m, poststar(m, initial)),
-                 (pds_prestar, pds, target), (pds_poststar, pds, initial)]
+        runs += [("pre", prestar, m, target), ("post", poststar, m, initial),
+                 ("pre", prestar, m, poststar(m, initial)),
+                 ("pds_pre", pds_prestar, pds, target),
+                 ("pds_post", pds_poststar, pds, initial)]
 
     def refuse(*args):
         raise AssertionError("add_transition called during a saturation")
 
     monkeypatch.setattr(PAutomaton, "add_transition", refuse)
-    grew = {op: 0 for op in (prestar, poststar, pds_prestar, pds_poststar)}
-    for op, system, aut in runs:
-        grew[op] += len(op(system, aut).transitions) > len(aut.transitions)
+    # keyed by route: the classical routes are the direct cores themselves
+    grew = dict.fromkeys(("pre", "post", "pds_pre", "pds_post"), 0)
+    for route, op, system, aut in runs:
+        grew[route] += len(op(system, aut).transitions) > len(aut.transitions)
     assert all(grew.values()), grew
+
+
+@pytest.mark.parametrize("core", [prestar, poststar])
+def test_a_saturation_leaves_no_cyclic_garbage(core):
+    """A core's nested helpers form no reference cycle, so a run's tables
+    are freed when it returns, not when the cyclic collector runs."""
+    inst = _corpus_draw(7)[1]
+    m = inst.smpds
+    aut = from_configs(m, [inst.target if core is prestar else inst.initial])
+    core(m, aut)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(core(m, aut).transitions) > len(aut.transitions)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_interleaved_inserts_keep_one_store():

@@ -499,14 +499,19 @@ def test_asm2smpds_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_asm2smpds_meta_selfmod_fails_at_its_line(tmp_path, capsys):
-    prog = tmp_path / "meta.sasm"
-    prog.write_text("entry a\na: selfmod b selfmod c nop\nb: nop\nc: halt\n")
+@pytest.mark.parametrize("text, fragment", [
+    ("entry a\na: selfmod b selfmod c nop\nb: nop\nc: halt\n", "--erase-selfmod"),
+    ("entry a\na: selfmod __halt nop\n", "'__halt' is the halt state, not an instruction"),
+], ids=["meta", "halt"])
+def test_asm2smpds_uncompilable_selfmod_fails_at_its_line(tmp_path, capsys,
+                                                          text, fragment):
+    prog = tmp_path / "bad.sasm"
+    prog.write_text(text)
     assert main(["asm2smpds", str(prog)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "Traceback" not in out.err
     assert out.err.startswith("error: line 2: ") and out.err.count("\n") == 1
-    assert "--erase-selfmod" in out.err
+    assert fragment in out.err
     # erasing every selfmod still compiles it, as nops
     assert main(["asm2smpds", str(prog), "--erase-selfmod"]) == 0
     assert "smrule" not in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,18 +59,43 @@ def test_poststar_does_not_mutate_input():
     assert aut.transitions == before
 
 
-def test_poststar_long_empty_stack_chain_needs_no_recursion():
-    """3000 modifying rules s_i --(0,0)--> s_{i+1} from an empty stack."""
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("direction", ["pre", "post"])
+def test_long_empty_stack_chain_needs_no_recursion(direction):
+    """3000 modifying rules s_i --(0,0)--> s_{i+1} on an empty stack, and
+    a rule s0 g -> s3000 g^3000 whose word pre* follows along a
+    3000-symbol target stack, run with 100 frames to spare."""
     n = 3000
-    rules = {0: PdsRule("s0", "g", "s0", ("g",))}
+    rules = {0: PdsRule("s0", "g", "s0", ("g",)),
+             n + 1: PdsRule("s0", "g", f"s{n}", ("g",) * n)}
     for i in range(n):
         rules[i + 1] = SelfModRule(f"s{i}", 0, 0, f"s{i + 1}")
     m = SMPDS({f"s{i}" for i in range(n + 1)}, {"g"}, rules)
     theta = m.all_rules_phase()
-    sat = poststar(m, from_configs(m, [Configuration("s0", (), theta)]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        if direction == "post":
+            sat = poststar(m, from_configs(m, [Configuration("s0", (), theta)]))
+        else:
+            sat = prestar(m, from_configs(m, [Configuration(f"s{n}", (), theta),
+                                              Configuration(f"s{n}", ("g",) * n, theta)]))
+    finally:
+        sys.setrecursionlimit(limit)
     inits = sat.initial_states()
     assert len(inits) == n + 1
     assert inits <= sat.finals
+    if direction == "pre":
+        # <s0, g> pushes the whole target stack; <s0, g g> reaches none
+        assert sat.accepts(Configuration("s0", ("g",), theta))
+        assert not sat.accepts(Configuration("s0", ("g", "g"), theta))
+        assert sat.accepts(Configuration("s0", ("g",) * n, theta))
 
 
 def test_poststar_idempotent():

@@ -25,6 +25,7 @@ from smpds import (
     prestar,
     to_pds,
 )
+from smpds import translate
 from smpds.bench import GenParams, generate
 from smpds.formats import SmpdsDocument, parse_automaton, parse_smpds, print_symbolic_pds
 from smpds.model import step
@@ -550,3 +551,10 @@ def test_prestar_routes_refuse_an_edge_they_would_extend_alike():
             op(system, aut)
         errors.append(str(exc.value))
     assert errors[0] == errors[1] and "would extend" in errors[0]
+
+
+def test_classical_routes_are_the_cores_themselves():
+    """Classical pre* and post* are no layer of their own: the names are
+    the cores, with the PDS as their rule source."""
+    assert translate.pds_prestar is prestar
+    assert translate.pds_poststar is poststar
