@@ -17,6 +17,12 @@ currently active set (the phase).  This package provides:
  - seeded random instances (`bench.generate`), used by the tests and by
    the benchmark in `perfbench/`,
  - a command-line interface (`cli`, installed as the `smpds` script).
+
+The package exports the main names of `model` and `automaton`, and
+`phase_closure` and `to_pds`.  Each saturation is imported from its
+module, `from smpds.prestar import prestar` and `from smpds.poststar
+import poststar`, so `smpds.prestar` and `smpds.poststar` name the
+modules, and the classical route's names stay in `translate`.
 """
 
 from .model import (
@@ -31,26 +37,12 @@ from .model import (
     validate,
 )
 from .automaton import EPS, Generated, Initial, PAutomaton, Plain, from_configs
-from .prestar import prestar
-from .poststar import poststar
-from .translate import (
-    PDS,
-    config_to_pds,
-    pds_accepts,
-    pds_from_configs,
-    pds_prestar,
-    pds_poststar,
-    phase_closure,
-    to_pds,
-)
+from .translate import phase_closure, to_pds
 
 __all__ = [
-    "Configuration", "EPS", "Generated", "Initial", "PAutomaton", "PDS",
-    "PdsRule", "Phase", "Plain", "RuleId", "SMPDS", "SelfModRule",
-    "check_configuration", "config_to_pds",
-    "from_configs", "pds_accepts", "pds_from_configs", "pds_poststar",
-    "pds_prestar", "phase_closure", "poststar", "prestar", "step", "to_pds",
-    "validate",
+    "Configuration", "EPS", "Generated", "Initial", "PAutomaton", "PdsRule",
+    "Phase", "Plain", "RuleId", "SMPDS", "SelfModRule", "check_configuration",
+    "from_configs", "phase_closure", "step", "to_pds", "validate",
 ]
 
 __version__ = "0.1.0"

@@ -71,7 +71,9 @@ class Program:
 def parse_program(text: str) -> Program:
     entry = None
     instructions: list[Instruction] = []
-    seen_labels: set[str] = set()
+    # the labels each instruction names, for the check once all are known
+    named: list[tuple[str, ...]] = []
+    labels: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,23 +91,22 @@ def parse_program(text: str) -> Program:
         label = _one_label(label, lineno, "an instruction")
         if label in (HALT, RET):
             raise AsmError(lineno, f"label {label!r} names a compiler state")
-        if label in seen_labels:
+        if label in labels:
             raise AsmError(lineno, f"duplicate label {label!r}")
-        seen_labels.add(label)
+        labels.add(label)
         toks = body.split()
         if not toks:
             raise AsmError(lineno, "missing opcode")
         op, operands = toks[0], tuple(toks[1:])
-        _check_body(lineno, op, operands)
+        named.append(_check_body(lineno, op, operands))
         instructions.append(Instruction(label, op, operands, lineno))
     if not instructions:
         raise AsmError(0, "program has no instructions")
     if entry is None:
         raise AsmError(0, "program has no entry directive")
-    labels = {ins.label for ins in instructions}
     labels.add(HALT)
-    for ins in instructions:
-        for target in _label_operands(ins.opcode, ins.operands):
+    for ins, targets in zip(instructions, named):
+        for target in targets:
             if target not in labels:
                 raise AsmError(ins.lineno, f"unresolved label {target!r}")
     if entry not in labels:
@@ -121,10 +122,11 @@ def _one_label(text: str, lineno: int, what: str) -> str:
     return toks[0]
 
 
-def _check_body(lineno: int, op: str, operands: tuple[str, ...]) -> None:
+def _check_body(lineno: int, op: str, operands: tuple[str, ...]) -> tuple[str, ...]:
     """Check an opcode and its operand count; a selfmod's instruction is
     checked the same way, down to the innermost one, in a loop, so that no
-    nesting depth reaches the recursion limit."""
+    nesting depth reaches the recursion limit.  Returns the labels the
+    instruction names, a selfmod's instruction included, outermost first."""
     i = 0   # operands[i:] are the operands of op
     while op == "selfmod":
         if len(operands) - i < 2:
@@ -135,18 +137,9 @@ def _check_body(lineno: int, op: str, operands: tuple[str, ...]) -> None:
         raise AsmError(lineno, f"unknown opcode {op!r}")
     if len(operands) - i != OPCODES[op]:
         raise AsmError(lineno, f"{op!r} takes {OPCODES[op]} operand(s)")
-
-
-def _label_operands(op: str, operands: tuple[str, ...]):
-    """The labels an instruction names, a selfmod's instruction included,
-    outermost first."""
-    i = 0
-    while op == "selfmod":
-        yield operands[i]
-        op = operands[i + 1]
-        i += 2
-    if op in ("jmp", "call"):
-        yield operands[i]
+    # each selfmod's target sits two operands after the previous one's
+    targets = operands[:i:2]
+    return targets + operands[i:] if op in ("jmp", "call") else targets
 
 
 def print_program(prog: Program) -> str:

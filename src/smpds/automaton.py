@@ -5,6 +5,10 @@ Initial states are (control point, phase) pairs; a configuration
 the initial state (p, theta) to a final state, with epsilon moves allowed
 anywhere along the path.  The classical saturations of the translated
 PDS read the SM-PDS's moves and build the same automata (see `Initial`).
+The states `Initial`, `Plain` and `Generated` are interned, read-only
+values on `model.Interned`, the base that phases share.  Their tables
+hold only states that a parse or a saturation built: membership queries
+(`accepts`) look a state up without adding it.
 
 Each automaton numbers its own states, in the order it first meets them,
 and a set of its states is an int bitmask over those numbers (`bit`,
@@ -45,13 +49,12 @@ eps edge.  The cores read the store and never write it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import FrozenInstanceError
 from heapq import heappop, heappush
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
-from .model import Configuration, Phase, SMPDS, mask_digits
+from .model import Configuration, Interned, Phase, SMPDS, mask_digits
 
 # transition label; None is epsilon
 Label = Optional[str]
@@ -61,51 +64,7 @@ EPS: Label = None
 _NO_LABELS: dict = {}
 
 
-class _State:
-    """Base of the interned automaton states.
-
-    A second call with the same fields returns the first call's object,
-    so equality and hashing are those of `object`: an identity test and
-    an address hash, both in C, where a frozen dataclass would run a
-    generated Python `__eq__`/`__hash__` that builds a tuple of the
-    fields on every set or dict operation.  Fields are read-only.
-
-    Each class keeps its states in a plain dict, keyed by the field tuple,
-    for the life of the process, as `Phase` does: a `WeakValueDictionary`
-    would run Python-level code on every lookup, and saturations look
-    states up on their hot paths.  The table holds only states that a
-    parse or a saturation built: membership queries (`accepts`) look the
-    table up without adding to it.
-    """
-
-    __slots__ = ()
-    _table: dict[tuple, "_State"]
-
-    @classmethod
-    def _intern(cls, key: tuple) -> "_State":
-        q = object.__new__(cls)
-        for name, value in zip(cls.__slots__, key):
-            object.__setattr__(q, name, value)
-        cls._table[key] = q
-        return q
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # unpickle through the constructor, and so through the table
-        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class Initial(_State):
+class Initial(Interned):
     """The state the saturation rules key on: one per (control point, phase).
 
     The paired PDS state (p, theta) of the translation is Initial(p, theta)
@@ -122,7 +81,7 @@ class Initial(_State):
         return q if q is not None else cls._intern((control, phase))
 
 
-class Plain(_State):
+class Plain(Interned):
     __slots__ = ("name",)
     _table: dict[tuple[str], "Plain"] = {}
     name: str
@@ -134,7 +93,7 @@ class Plain(_State):
         return q if q is not None else cls._intern((name,))
 
 
-class Generated(_State):
+class Generated(Interned):
     """post* helper state, one per control point, pushed prefix and phase.
 
     A rule <p,g> -> <p',g1...gn> with n >= 2 gets the chain (p',theta)

@@ -6,14 +6,17 @@ to the control point and the stack word, the *phase*: the set of rule
 identifiers currently enabled.  Plain rules rewrite the stack; modifying
 rules swap one rule identifier for another in the phase.  `SMPDS` also
 holds the rule indexes and modifying-rule moves the saturations fire.
+Phases are interned on `Interned`, the one interning base, which the
+automaton states share.
 Both kinds of rule and `Configuration` are `NamedTuple`s, so each
 compares equal to, and hashes like, a plain tuple of its fields.
 """
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from itertools import compress, filterfalse
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 RuleId = int
 
@@ -44,40 +47,85 @@ def rule_bit(rid: RuleId) -> int:
     return bit
 
 
-class Phase:
-    """Interned, immutable set of rule ids, held as one int bitmask.
+class Interned:
+    """Base of the interned values: `Phase` and the automaton states
+    (`automaton.Initial`, `Plain` and `Generated`).
 
-    Two phases with the same member set are the same object, so equality
-    and hashing are those of `object`: an identity test and an address
-    hash, both in C and computed without looking at the members.
-    `update` is mask arithmetic plus one lookup in the intern table, which
-    is keyed by the mask; `in` is one bit test and `len` a bit count.  The
-    saturations read only the mask (see `SMPDS`), so a phase decodes its
-    ids only when they are read: the `members` frozenset, the sorted id
-    tuple (for iteration and pickling) and the `repr` string (printers
-    emit it for every state they name) are built on first use and cached.
-    `of` hands over the frozenset it already built.
+    A second call of a subclass's constructor with the same fields returns
+    the first call's object, so equality and hashing are those of
+    `object`: an identity test and an address hash, both in C, where a
+    frozen dataclass would run a generated Python `__eq__`/`__hash__` that
+    builds a tuple of the fields on every set or dict operation.  The
+    slots are the fields, in constructor order, and they are read-only:
+    assigning or deleting one raises `FrozenInstanceError`.
 
-    The intern table is a plain dict that holds its phases for the life of
-    the process.  A `WeakValueDictionary` would run Python-level code on
-    every lookup, and `update` looks the table up on the saturation's hot
-    path; and since the predecessor solver (`predecessor_masks`) and
-    `translate.phase_closure` search on masks and intern only what they
-    return, the table only ever holds phases that a parse, a saturation or
-    a closure actually reached.
+    Each subclass keeps its values in a plain dict, `_table`, for the life
+    of the process.  Its constructor looks the key up there and calls
+    `_intern` on a miss.  A `WeakValueDictionary` would run Python-level
+    code on every lookup, and the saturations look phases and states up
+    on their hot paths.
     """
 
-    __slots__ = ("mask", "_members", "_ids", "_repr")
+    __slots__ = ()
+    _table: dict
 
+    @classmethod
+    def _intern(cls, key, fields: Optional[tuple] = None) -> "Interned":
+        """A new value stored under `key`, holding `fields`, one per slot:
+        by default the key is the field tuple."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, key if fields is None else fields):
+            object.__setattr__(obj, name, value)
+        cls._table[key] = obj
+        return obj
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # unpickle through the constructor, and so through the table
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Phase(Interned):
+    """Interned, read-only set of rule ids, held as one int bitmask.
+
+    `Phase(mask)` is the phase of the ids whose bits (`rule_bit`) the mask
+    holds, and `Phase.of(ids)` the phase of an id set; both return the
+    interned phase, so `is` compares phases.  `update` is mask arithmetic
+    plus one lookup in the intern table, which is keyed by the mask; `in`
+    is one bit test and `len` a bit count.  The saturations read only the
+    mask (see `SMPDS`), and a phase holds nothing else that a query reads:
+    `members`, iteration (in sorted id order) and pickling decode the mask
+    each time.  The predecessor solver (`predecessor_masks`) and
+    `translate.phase_closure` search on masks and intern only what they
+    return, so the table only ever holds phases that a parse, a saturation
+    or a closure actually reached.
+
+    Two caches stay, because traffic pays for them: `_by_members` (see
+    `of`) and the `repr` string, which the printers emit for every state
+    they name.
+    """
+
+    __slots__ = ("mask", "_repr")
     _table: dict[int, "Phase"] = {}
-    # member set -> phase, so `of` skips building a mask for a set it has seen
+    # member set -> phase: `of` on a 1019-id set takes 33 us with it and
+    # 189 us without, and every `pre_wide` query parses such a set
     _by_members: dict[frozenset[RuleId], "Phase"] = {}
+    mask: int
 
-    def __init__(self, mask: int):
-        self.mask = mask
-        self._members: frozenset[RuleId] | None = None
-        self._ids: tuple[RuleId, ...] | None = None
-        self._repr: str | None = None
+    def __new__(cls, mask: int) -> "Phase":
+        ph = cls._table.get(mask)
+        # the `repr` is cached on first use (see `__repr__`)
+        return ph if ph is not None else cls._intern(mask, (mask, None))
 
     @classmethod
     def of(cls, ids: Iterable[RuleId]) -> "Phase":
@@ -85,37 +133,17 @@ class Phase:
         ph = cls._by_members.get(members)
         if ph is None:
             # distinct single bits: their sum is their union
-            ph = cls.of_mask(sum(map(rule_bit, members)))
-            if ph._members is None:
-                ph._members = members
-            cls._by_members[ph._members] = ph
-        return ph
-
-    @classmethod
-    def of_mask(cls, mask: int) -> "Phase":
-        """The interned phase with this mask (bits as assigned by `rule_bit`)."""
-        ph = cls._table.get(mask)
-        if ph is None:
-            ph = cls._table[mask] = cls(mask)
+            ph = cls._by_members[members] = cls(sum(map(rule_bit, members)))
         return ph
 
     def update(self, removed: RuleId, added: RuleId) -> "Phase":
         """The phase after firing a modifying rule: drop `removed`, add `added`."""
         # an id without a bit is in no phase, so there is nothing to drop
-        return Phase.of_mask((self.mask & ~_BITS.get(removed, 0)) | rule_bit(added))
+        return Phase((self.mask & ~_BITS.get(removed, 0)) | rule_bit(added))
 
     @property
     def members(self) -> frozenset[RuleId]:
-        members = self._members
-        if members is None:
-            members = self._members = frozenset(compress(_IDS, mask_digits(self.mask)))
-        return members
-
-    def _sorted_ids(self) -> tuple[RuleId, ...]:
-        ids = self._ids
-        if ids is None:
-            ids = self._ids = tuple(sorted(self.members))
-        return ids
+        return frozenset(compress(_IDS, mask_digits(self.mask)))
 
     def __contains__(self, rid: RuleId) -> bool:
         try:
@@ -125,7 +153,7 @@ class Phase:
             return False
 
     def __iter__(self) -> Iterator[RuleId]:
-        return iter(self._sorted_ids())
+        return iter(sorted(self.members))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -133,12 +161,15 @@ class Phase:
     def __reduce__(self):
         # pickle the ids, not the process-local mask, and unpickle through
         # the intern table, so identity survives the trip
-        return (Phase.of, (self._sorted_ids(),))
+        return (Phase.of, (tuple(self),))
 
     def __repr__(self) -> str:
+        # cached: uncached, naming the 16-32 phases of one `post_fanout`
+        # result costs 170-380 us, 1-2% of its 18 ms query (shared 2-core VM)
         text = self._repr
         if text is None:
-            text = self._repr = "{%s}" % ",".join(map(str, self._sorted_ids()))
+            text = "{%s}" % ",".join(map(str, self))
+            object.__setattr__(self, "_repr", text)
         return text
 
 
@@ -345,7 +376,7 @@ class SMPDS:
         any stack: one fires when it and its removed rule are in theta."""
         mask = theta.mask
         # the guard holds the removed bit, so xor drops it
-        return [(r.to_state, Phase.of_mask((mask ^ removed) | added))
+        return [(r.to_state, Phase((mask ^ removed) | added))
                 for (guard, removed, added), r in self.mod_by_source.get(p, ())
                 if mask & guard == guard]
 
@@ -353,7 +384,7 @@ class SMPDS:
         """The (p0, theta0) from which a modifying rule leads to (p, theta):
         (p, theta) is in `mod_successors(p0, theta0)` exactly then."""
         mask = theta.mask
-        return [(r.from_state, Phase.of_mask(pred))
+        return [(r.from_state, Phase(pred))
                 for bits, r in self.mod_by_target.get(p, ())
                 for pred in predecessor_masks(mask, *bits)]
 

@@ -145,7 +145,7 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
             part = _group_closure(seed & touched, mods)
             product = [mask | bits for mask in product for bits in part]
         closed.update(product)
-    return set(map(Phase.of_mask, closed))
+    return set(map(Phase, closed))
 
 
 def _group_closure(seed: int, mods: list[tuple[int, int, int]]) -> set[int]:

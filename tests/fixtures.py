@@ -4,10 +4,11 @@ instances, and a runner for the statistics that `smpds --stats` prints."""
 
 from __future__ import annotations
 
-from smpds import from_configs, poststar
+from smpds import from_configs
 from smpds.cli import main
 from smpds.formats import SmpdsDocument, print_automaton, print_smpds
 from smpds.model import Configuration, PdsRule, Phase, SelfModRule, SMPDS
+from smpds.poststar import poststar
 
 # the pools of the `post_fanout` and the `translated` benchmark workloads:
 # (states, symbols, rules, modifying rules, seed), drawn at full size

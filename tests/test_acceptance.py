@@ -19,13 +19,8 @@ from smpds import (
     Configuration,
     Phase,
     Plain,
-    config_to_pds,
     from_configs,
-    pds_poststar,
-    pds_prestar,
     phase_closure,
-    poststar,
-    prestar,
     to_pds,
 )
 from smpds.asm import compile_program, parse_program, print_program
@@ -39,6 +34,9 @@ from smpds.formats import (
     print_symbolic_pds,
 )
 from smpds.model import step
+from smpds.poststar import poststar
+from smpds.prestar import prestar
+from smpds.translate import config_to_pds, pds_poststar, pds_prestar
 
 from classical_reference import (pds_step, reference_pds_poststar,
                                  reference_pds_prestar, symbolic_step)

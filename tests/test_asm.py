@@ -2,14 +2,15 @@ from pathlib import Path
 
 import pytest
 
-from smpds import Configuration, PdsRule, from_configs, poststar, validate
-from smpds.formats import FormatError
+from smpds import Configuration, PdsRule, from_configs, validate
 from smpds.asm import (
     RET,
     AsmError,
     compile_program,
     parse_program,
 )
+from smpds.formats import FormatError
+from smpds.poststar import poststar
 
 from oracles import raw_reach
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-import smpds
+import smpds.poststar
+import smpds.prestar
 from smpds import (
     Configuration,
     EPS,
@@ -19,16 +20,15 @@ from smpds import (
     Phase,
     Plain,
     from_configs,
-    pds_poststar,
-    pds_prestar,
     phase_closure,
-    poststar,
-    prestar,
     to_pds,
 )
 from smpds.automaton import DeltaWorklist
 from smpds.bench import GenParams, generate
 from smpds.formats import parse_automaton, parse_smpds
+from smpds.poststar import poststar
+from smpds.prestar import prestar
+from smpds.translate import pds_poststar, pds_prestar
 
 from fixtures import POST_FANOUT_FAMILY, multi_phase_target, swap_example
 from test_acceptance import _corpus_draw
@@ -305,8 +305,7 @@ def test_saturations_reach_the_same_fixpoint_in_fifo_and_phase_order(monkeypatch
         pds = to_pds(m, phase_closure(m, [inst.initial.phase, target.phase]))
         runs.append((m, pds, from_configs(m, [target]),
                      from_configs(m, [inst.initial]), True))
-    # `smpds.prestar` and `smpds.poststar` name the functions, not the modules
-    modules = [sys.modules["smpds.prestar"], sys.modules["smpds.poststar"]]
+    modules = [smpds.prestar, smpds.poststar]
     results = {}
     fanout_pops = {}
     for order in (_CountingWorklist, _FifoWorklist):
@@ -570,11 +569,20 @@ def test_equal_fields_give_the_same_state():
     assert Initial("p", th) is Initial("p", Phase.of([2, 1]))
     assert Initial("p", th) is Initial(control="p", phase=th)
     assert Generated("p", ("g", "h"), th) is Generated("p", ("g", "h"), th)
-    assert Plain("acc") is Plain("acc")
+    assert Generated("p", ("g",), th) is Generated(control="p", prefix=("g",), phase=th)
+    assert Plain("acc") is Plain("acc") is Plain(name="acc")
     assert Initial("p", th) is not Initial("q", th)
     assert Generated("p", ("g", "h"), th) is not Generated("p", ("g",), th)
     for q in _three_kinds():
         assert not hasattr(q, "__dict__")
+
+
+def test_a_state_constructor_refuses_a_wrong_number_of_fields():
+    th = Phase.of([1, 2])
+    for make, fields in ((Initial, ("p",)), (Initial, ("p", th, "x")),
+                         (Generated, ("p", ("g",))), (Plain, ()), (Plain, ("a", "b"))):
+        with pytest.raises(TypeError):
+            make(*fields)
 
 
 def test_parsed_states_are_the_interned_ones():

@@ -12,12 +12,12 @@ input's plus the endpoints of its transitions.
 import random
 from collections import deque
 
-from smpds import (from_configs, pds_poststar, pds_prestar, phase_closure,
-                   prestar, to_pds)
+from smpds import from_configs, phase_closure, to_pds
 from smpds.automaton import Initial, PAutomaton, Plain
 from smpds.bench import GenParams, generate
 from smpds.model import Phase
-from smpds.translate import PDS, PairedRule
+from smpds.prestar import prestar
+from smpds.translate import PDS, PairedRule, pds_poststar, pds_prestar
 
 from classical_reference import (reference_pds_poststar, reference_pds_prestar,
                                  reference_to_pds, solve_predecessor_phases,

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smpds import Configuration, Phase, from_configs, poststar
+from smpds import Configuration, Phase, from_configs
 from smpds.cli import main
 from smpds.formats import parse_automaton, parse_smpds, print_automaton, print_smpds
+from smpds.poststar import poststar
 
 from oracles import raw_reach
 from test_formats import documents, dot_graph

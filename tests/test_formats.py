@@ -17,8 +17,6 @@ from smpds import (
     SelfModRule,
     SMPDS,
     from_configs,
-    poststar,
-    prestar,
 )
 from smpds.bench import GenParams, generate
 from smpds.formats import (
@@ -31,6 +29,8 @@ from smpds.formats import (
     print_smpds,
     state_token,
 )
+from smpds.poststar import poststar
+from smpds.prestar import prestar
 
 from fixtures import swap_example
 

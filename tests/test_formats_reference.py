@@ -24,12 +24,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smpds import (Configuration, PdsRule, Phase, SelfModRule, SMPDS, from_configs, poststar,
-                   prestar)
+from smpds import Configuration, PdsRule, Phase, SelfModRule, SMPDS, from_configs
 from smpds.automaton import EPS, Generated, Initial, PAutomaton, Plain
 from smpds.bench import GenParams, generate
 from smpds.formats import (FormatError, SmpdsDocument, parse_automaton, parse_smpds,
                            print_automaton, print_smpds)
+from smpds.poststar import poststar
+from smpds.prestar import prestar
 
 from test_formats import documents
 

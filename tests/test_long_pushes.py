@@ -17,16 +17,15 @@ from smpds import (
     Phase,
     SMPDS,
     from_configs,
-    pds_poststar,
-    pds_prestar,
     phase_closure,
-    poststar,
-    prestar,
     to_pds,
 )
 from smpds.automaton import Generated
 from smpds.bench import GenParams, generate
 from smpds.formats import SmpdsDocument, parse_automaton, print_automaton
+from smpds.poststar import poststar
+from smpds.prestar import prestar
+from smpds.translate import pds_poststar, pds_prestar
 
 from oracles import raw_reach
 

@@ -4,11 +4,13 @@ import pickle
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smpds
 from smpds import (
     Configuration,
     PdsRule,
@@ -16,13 +18,14 @@ from smpds import (
     SelfModRule,
     SMPDS,
     check_configuration,
+    from_configs,
     validate,
 )
-import smpds
-from smpds import from_configs, poststar, prestar
 from smpds.bench import GenParams, generate
 from smpds.formats import parse_smpds
 from smpds.model import _IDS, rule_bit, step
+from smpds.poststar import poststar
+from smpds.prestar import prestar
 
 from fixtures import SWAP_TRACE, swap_example
 from oracles import raw_reach, raw_step, to_raw
@@ -71,18 +74,20 @@ def test_configuration_is_a_named_tuple():
 def test_phase_pickles_by_ids_across_interpreters():
     # the subprocess meets these ids in the opposite order, so its mask bits
     # differ from ours; the pickle must still load as our interned phase.
-    # Its second phase is made by `update` alone and has never decoded its
-    # ids before it is pickled.
+    # Its second phase is made by `update` alone, which decodes no phase
+    # (every decode goes through `model.mask_digits`), before it is pickled.
     ids = [777001, -777002, 10**12 + 777003, 777004]
     for rid in ids:
         Phase.of([rid])
     script = ("import pickle, sys\n"
-              "from smpds import Phase\n"
+              "from smpds import Phase, model\n"
               f"ids = {ids!r}\n"
               "for rid in reversed(ids):\n"
               "    Phase.of([rid])\n"
+              "decoded, mask_digits = [], model.mask_digits\n"
+              "model.mask_digits = lambda mask: decoded.append(mask) or mask_digits(mask)\n"
               "updated = Phase.of(ids[:3]).update(ids[0], ids[3])\n"
-              "assert updated._members is None and updated._ids is None\n"
+              "assert decoded == []\n"
               "sys.stdout.buffer.write(pickle.dumps((Phase.of(ids), updated)))\n")
     src = str(Path(smpds.__file__).parent.parent)
     env = {**os.environ,
@@ -131,6 +136,26 @@ def test_phase_update():
     assert a.update(1, 2) is Phase.of([2])
     # removing an absent id just adds
     assert a.update(7, 3) is Phase.of([1, 2, 3])
+
+
+def test_a_phase_made_from_its_mask_is_the_interned_one():
+    # made first from a mask, then first from an id set
+    by_mask = Phase(rule_bit(779001) | rule_bit(779002))
+    assert by_mask is Phase.of([779002, 779001]) and Phase(by_mask.mask) is by_mask
+    by_ids = Phase.of([779003, 779004])
+    assert Phase(by_ids.mask) is by_ids
+    assert Phase(0) is Phase.of([])
+
+
+def test_phase_mask_is_read_only():
+    ph = Phase.of([1, 2])
+    mask = ph.mask
+    for name in ("mask", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ph, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(ph, name)
+    assert ph.mask == mask and Phase.of([1, 2]) is ph and list(ph) == [1, 2]
 
 
 def test_phase_membership():

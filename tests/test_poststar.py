@@ -10,13 +10,13 @@ from smpds import (
     SelfModRule,
     SMPDS,
     from_configs,
-    pds_poststar,
     phase_closure,
-    poststar,
-    prestar,
     to_pds,
 )
 from smpds.bench import GenParams, generate
+from smpds.poststar import poststar
+from smpds.prestar import prestar
+from smpds.translate import pds_poststar
 
 from classical_reference import reference_pds_poststar
 from fixtures import (POST_FANOUT_FAMILY, push_loop_example, swap_example,

@@ -15,13 +15,13 @@ from smpds import (
     SelfModRule,
     SMPDS,
     from_configs,
-    pds_prestar,
     phase_closure,
-    poststar,
-    prestar,
     to_pds,
 )
 from smpds.bench import GenParams, generate
+from smpds.poststar import poststar
+from smpds.prestar import prestar
+from smpds.translate import pds_prestar
 
 from classical_reference import reference_pds_prestar, useful
 from fixtures import (POST_FANOUT_FAMILY, TRANSLATED_FAMILY, cli_stats,

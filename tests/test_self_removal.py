@@ -16,9 +16,9 @@ from smpds import (
     SelfModRule,
     SMPDS,
     from_configs,
-    poststar,
-    prestar,
 )
+from smpds.poststar import poststar
+from smpds.prestar import prestar
 
 from oracles import raw_reach
 

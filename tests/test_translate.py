@@ -8,27 +8,29 @@ from hypothesis import example, given, settings, strategies as st
 from smpds import (
     Configuration,
     Initial,
-    PDS,
     PdsRule,
     Phase,
     Plain,
     SelfModRule,
     SMPDS,
-    config_to_pds,
     from_configs,
+    phase_closure,
+    to_pds,
+)
+from smpds import model, translate
+from smpds.bench import GenParams, generate
+from smpds.formats import SmpdsDocument, parse_automaton, parse_smpds, print_symbolic_pds
+from smpds.model import step
+from smpds.poststar import poststar
+from smpds.prestar import prestar
+from smpds.translate import (
+    PDS,
+    config_to_pds,
     pds_accepts,
     pds_from_configs,
     pds_poststar,
     pds_prestar,
-    phase_closure,
-    poststar,
-    prestar,
-    to_pds,
 )
-from smpds import translate
-from smpds.bench import GenParams, generate
-from smpds.formats import SmpdsDocument, parse_automaton, parse_smpds, print_symbolic_pds
-from smpds.model import step
 
 from classical_reference import (pds_step, reference_pds_poststar,
                                  reference_pds_prestar, reference_phase_closure,
@@ -188,17 +190,19 @@ def test_mod_moves_match_the_references_on_every_corpus_draw():
         _check_mod_moves(inst.smpds, [inst.initial.phase, inst.target.phase])
 
 
-def test_wide_closure_decodes_no_ids():
+def test_wide_closure_decodes_no_ids(monkeypatch):
     """The closure of the first `pre_wide` benchmark instance, 3^10 phases
-    of about 1,000 ids, is searched and interned on masks: no phase of it
-    but the seeds, which `Phase.of` built from their ids, has decoded its
-    ids into a member set or a sorted id tuple."""
+    of about 1,000 ids, is searched, interned and checked closed on masks:
+    neither `phase_closure` nor `to_pds` decodes a phase into its ids,
+    which every decode does through `model.mask_digits`."""
     inst = generate(GenParams(8, 8, 1009, 10, seed=1))
     seeds = {inst.initial.phase, inst.target.phase}
+    decoded, mask_digits = [], model.mask_digits
+    monkeypatch.setattr(model, "mask_digits",
+                        lambda mask: decoded.append(mask) or mask_digits(mask))
     phases = phase_closure(inst.smpds, seeds)
-    assert len(phases) == 3 ** 10
-    assert all(theta._members is None and theta._ids is None
-               for theta in phases - seeds)
+    assert len(to_pds(inst.smpds, phases).phases) == len(phases) == 3 ** 10
+    assert decoded == []
 
 
 def _is_closed(m, phases):
