@@ -111,20 +111,12 @@ def cmd_validate(args) -> int:
     return 1 if violations else 0
 
 
-def _saturate(args, op) -> int:
+def cmd_saturate(args) -> int:
     doc, aut = _load_query(args)
-    result = _run(args, op, doc.smpds, aut)
+    result = _run(args, args.saturate, doc.smpds, aut)
     printer = formats.print_dot if args.dot else formats.print_automaton
     _write(printer(result, doc), args.output)
     return 0
-
-
-def cmd_prestar(args) -> int:
-    return _saturate(args, prestar)
-
-
-def cmd_poststar(args) -> int:
-    return _saturate(args, poststar)
 
 
 def cmd_translate(args) -> int:
@@ -138,9 +130,8 @@ def cmd_translate(args) -> int:
         return 0
     seeds = list(doc.phase_names.values()) + [c.phase for c in doc.configs]
     if not seeds:
-        print("error: translation needs at least one phase or config "
-              "to seed the phase closure", file=sys.stderr)
-        return 2
+        raise ValueError("translation needs at least one phase or config "
+                         "to seed the phase closure")
     phases = phase_closure(doc.smpds, seeds)
     pds = to_pds(doc.smpds, phases)
     if not args.quiet:
@@ -163,9 +154,8 @@ def cmd_asm2smpds(args) -> int:
 def cmd_check(args) -> int:
     doc, aut = _load_query(args)
     if not 0 <= args.config < len(doc.configs):
-        print(f"error: --config {args.config} out of range: the model file "
-              f"declares {len(doc.configs)} config(s)", file=sys.stderr)
-        return 2
+        raise ValueError(f"--config {args.config} out of range: the model file "
+                         f"declares {len(doc.configs)} config(s)")
     config = doc.configs[args.config]
     op = prestar if args.direction == "pre" else poststar
     member = _run(args, op, doc.smpds, aut).accepts(config)
@@ -196,15 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.set_defaults(func=cmd_validate)
 
-    for name, helptext in (("prestar", "saturate towards predecessors"),
-                           ("poststar", "saturate towards successors")):
+    for name, saturate, helptext in (
+            ("prestar", prestar, "saturate towards predecessors"),
+            ("poststar", poststar, "saturate towards successors")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("model")
         p.add_argument("automaton")
         p.add_argument("-o", "--output")
         p.add_argument("--dot", action="store_true",
                        help="emit graphviz instead of the text format")
-        p.set_defaults(func=cmd_prestar if name == "prestar" else cmd_poststar)
+        p.set_defaults(func=cmd_saturate, saturate=saturate)
 
     p = sub.add_parser("translate", help="translate to an ordinary or symbolic PDS")
     p.add_argument("model")

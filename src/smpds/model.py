@@ -15,6 +15,7 @@ compares equal to, and hashes like, a plain tuple of its fields.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from functools import cached_property
 from itertools import compress, filterfalse
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -100,15 +101,16 @@ class Phase(Interned):
 
     `Phase(mask)` is the phase of the ids whose bits (`rule_bit`) the mask
     holds, and `Phase.of(ids)` the phase of an id set; both return the
-    interned phase, so `is` compares phases.  `update` is mask arithmetic
-    plus one lookup in the intern table, which is keyed by the mask; `in`
-    is one bit test and `len` a bit count.  The saturations read only the
-    mask (see `SMPDS`), and a phase holds nothing else that a query reads:
-    `members`, iteration (in sorted id order) and pickling decode the mask
-    each time.  The predecessor solver (`predecessor_masks`) and
-    `translate.phase_closure` search on masks and intern only what they
-    return, so the table only ever holds phases that a parse, a saturation
-    or a closure actually reached.
+    interned phase, so `is` compares phases.  A negative mask, or one
+    with a bit that no rule id has been given, raises `ValueError`.
+    `update` is mask arithmetic plus one lookup in the intern table, which
+    is keyed by the mask; `in` is one bit test and `len` a bit count.  The
+    saturations read only the mask (see `SMPDS`), and a phase holds
+    nothing else that a query reads: `members`, iteration (in sorted id
+    order) and pickling decode the mask each time.  The predecessor
+    solver (`predecessor_masks`) and `translate.phase_closure` search on
+    masks and intern only what they return, so the table only ever holds
+    phases that a parse, a saturation or a closure actually reached.
 
     Two caches stay, because traffic pays for them: `_by_members` (see
     `of`) and the `repr` string, which the printers emit for every state
@@ -124,8 +126,13 @@ class Phase(Interned):
 
     def __new__(cls, mask: int) -> "Phase":
         ph = cls._table.get(mask)
+        if ph is not None:
+            return ph
+        # checked on a miss only, so the saturations' lookups pay nothing
+        if mask < 0 or mask >> len(_IDS):
+            raise ValueError(f"phase mask {mask} holds a bit that no rule id has")
         # the `repr` is cached on first use (see `__repr__`)
-        return ph if ph is not None else cls._intern(mask, (mask, None))
+        return cls._intern(mask, (mask, None))
 
     @classmethod
     def of(cls, ids: Iterable[RuleId]) -> "Phase":
@@ -224,29 +231,6 @@ def predecessor_masks(mask: int, guard: int, removed: int,
     return (pred,) if guard & added else (pred, pred ^ added)
 
 
-class _DirectionIndex:
-    """A rule index of `SMPDS` that one direction's moves read.
-
-    The first read of any index of a direction builds all of them, in one
-    pass over the rules (`build`), and stores them on the system.  This
-    descriptor has no `__set__`, so every later read finds the stored
-    index first: a plain instance attribute, with no call and no test.
-    """
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, smpds, owner=None):
-        if smpds is None:
-            return self
-        indexes = vars(smpds)
-        indexes.update(self.build(smpds))
-        return indexes[self.name]
-
-
 class SMPDS:
     """An SM-PDS: control points, stack alphabet, and an id-addressed rule table.
 
@@ -261,13 +245,15 @@ class SMPDS:
     source and by target control point.  A plain rule may push a word of
     any length; the saturations take it as it is.
 
-    The indexes are built per direction, when first read: the forward
-    ones (`plain_by_lhs`, `mod_by_source`) for `post_moves` and
-    `mod_successors`, the backward ones (`plain_by_rhs_head`,
-    `pop_rules`, `mod_by_target`) for `pre_moves`, `pop_moves` and
-    `mod_predecessors`.  A pre* run builds no forward index, and a post*
-    run no backward one.  The bits of every rule, `mod_bits`, `delta` and
-    `delta_c` are set when the system is made.
+    The indexes are built per direction, in one pass over the rules when
+    a move first reads them, and kept in a `functools.cached_property`:
+    `_forward` (plain rules by left side, modifying rules by source) for
+    `post_moves` and `mod_successors`, `_backward` (plain rules by
+    right-side head, pop rules, modifying rules by target) for
+    `pre_moves`, `pop_moves` and `mod_predecessors`.  A pre* run builds
+    no forward index, and a post* run no backward one.  The bits of every
+    rule, `mod_bits`, `delta` and `delta_c` are set when the system is
+    made.
 
     `mod_bits`, which the translation reads too, maps each modifying rule
     id to (guard, removed, added): the mask bits of the rule plus its
@@ -300,7 +286,8 @@ class SMPDS:
     def __reduce__(self):
         return (SMPDS, (self.states, self.alphabet, self.rules))
 
-    def _forward_indexes(self) -> dict[str, dict]:
+    @cached_property
+    def _forward(self) -> tuple[dict, dict]:
         """The indexes of `post_moves` and `mod_successors`: plain rules by
         left side, modifying rules by source."""
         by_lhs: dict[tuple[str, str], list[tuple[int, PdsRule]]] = {}
@@ -312,9 +299,10 @@ class SMPDS:
                 by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((_BITS[rid], r))
             else:
                 by_source.setdefault(r.from_state, []).append((bits, r))
-        return {"plain_by_lhs": by_lhs, "mod_by_source": by_source}
+        return by_lhs, by_source
 
-    def _backward_indexes(self) -> dict[str, dict]:
+    @cached_property
+    def _backward(self) -> tuple[dict, dict, dict]:
         """The indexes of `pre_moves`, `pop_moves` and `mod_predecessors`:
         plain rules by right-side head, pop rules by right-side state, and
         modifying rules by target."""
@@ -330,13 +318,7 @@ class SMPDS:
                 by_head.setdefault((r.rhs_state, r.rhs_word[0]), []).append((_BITS[rid], r))
             else:
                 pops.setdefault(r.rhs_state, []).append((_BITS[rid], r))
-        return {"plain_by_rhs_head": by_head, "pop_rules": pops, "mod_by_target": by_target}
-
-    plain_by_lhs = _DirectionIndex(_forward_indexes)
-    mod_by_source = _DirectionIndex(_forward_indexes)
-    plain_by_rhs_head = _DirectionIndex(_backward_indexes)
-    pop_rules = _DirectionIndex(_backward_indexes)
-    mod_by_target = _DirectionIndex(_backward_indexes)
+        return by_head, pops, by_target
 
     def all_rules_phase(self) -> Phase:
         return Phase.of(self.rules.keys())
@@ -351,7 +333,7 @@ class SMPDS:
         theta, and modifying rules, which leave g on the stack."""
         mask = theta.mask
         moves = [(r.rhs_state, theta, r.rhs_word)
-                 for bit, r in self.plain_by_lhs.get((p, g), ()) if mask & bit]
+                 for bit, r in self._forward[0].get((p, g), ()) if mask & bit]
         moves += [(p2, theta2, (g,)) for p2, theta2 in self.mod_successors(p, theta)]
         return moves
 
@@ -361,7 +343,7 @@ class SMPDS:
         pop rules excepted: plain rules in theta, and modifying rules."""
         mask = theta.mask
         moves = [(r.lhs_state, theta, r.lhs_symbol, r.rhs_word[1:])
-                 for bit, r in self.plain_by_rhs_head.get((p1, g1), ()) if mask & bit]
+                 for bit, r in self._backward[0].get((p1, g1), ()) if mask & bit]
         moves += [(p, pred, g1, ()) for p, pred in self.mod_predecessors(p1, theta)]
         return moves
 
@@ -369,7 +351,7 @@ class SMPDS:
         """The (p, theta, g) of the pop rules in theta that lead to p1."""
         mask = theta.mask
         return [(r.lhs_state, theta, r.lhs_symbol)
-                for bit, r in self.pop_rules.get(p1, ()) if mask & bit]
+                for bit, r in self._backward[1].get(p1, ()) if mask & bit]
 
     def mod_successors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
         """The (p', theta') that a modifying rule leads to from (p, theta), on
@@ -377,7 +359,7 @@ class SMPDS:
         mask = theta.mask
         # the guard holds the removed bit, so xor drops it
         return [(r.to_state, Phase((mask ^ removed) | added))
-                for (guard, removed, added), r in self.mod_by_source.get(p, ())
+                for (guard, removed, added), r in self._forward[1].get(p, ())
                 if mask & guard == guard]
 
     def mod_predecessors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
@@ -385,7 +367,7 @@ class SMPDS:
         (p, theta) is in `mod_successors(p0, theta0)` exactly then."""
         mask = theta.mask
         return [(r.from_state, Phase(pred))
-                for bits, r in self.mod_by_target.get(p, ())
+                for bits, r in self._backward[2].get(p, ())
                 for pred in predecessor_masks(mask, *bits)]
 
     def __repr__(self) -> str:

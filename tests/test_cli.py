@@ -256,6 +256,17 @@ def test_translate_rejects_invalid_model(flags, tmp_path, capsys):
     assert "dangling RuleId 7" in out.err
 
 
+def test_translate_without_a_phase_or_config_exit_2(tmp_path, capsys):
+    # a valid model with nothing to seed the phase closure
+    model = tmp_path / "m.smpds"
+    model.write_text("rule 0: p a -> q\nsmrule 1: p (0 -> 0) q\n")
+    assert main(["translate", str(model)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: translation needs at least one phase or config "
+                       "to seed the phase closure\n")
+
+
 def test_enumerate_orders_configs_by_phase(tmp_path, capsys):
     # two configurations that differ only in their phase
     model = tmp_path / "m.smpds"

@@ -233,8 +233,7 @@ def _reference_parse_automaton(text, doc):
 # -- comparing outcomes ------------------------------------------------------
 
 def _indexes(m):
-    return (m.plain_by_lhs, m.plain_by_rhs_head, m.pop_rules, m.mod_by_source,
-            m.mod_by_target, m.delta, m.delta_c)
+    return m._forward, m._backward, m.delta, m.delta_c
 
 
 def _model_outcome(parse, text):

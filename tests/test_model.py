@@ -147,6 +147,17 @@ def test_a_phase_made_from_its_mask_is_the_interned_one():
     assert Phase(0) is Phase.of([])
 
 
+def test_a_mask_that_no_rule_ids_make_is_refused():
+    Phase.of([10, 20, 30])
+    table = dict(Phase._table)
+    # a negative mask, the first bit not yet handed out, and one above it
+    for mask in (-1, 1 << len(_IDS), 1 << (len(_IDS) + 1)):
+        with pytest.raises(ValueError, match="holds a bit that no rule id has"):
+            Phase(mask)
+    assert Phase._table == table
+    assert Phase(0) is Phase.of([])
+
+
 def test_phase_mask_is_read_only():
     ph = Phase.of([1, 2])
     mask = ph.mask
@@ -345,14 +356,14 @@ def test_mod_successors_are_the_oracle_modifying_moves(mpt, stack):
 
 # -- the rule indexes, built per direction -----------------------------------
 
-FORWARD_INDEXES = ("plain_by_lhs", "mod_by_source")
-BACKWARD_INDEXES = ("plain_by_rhs_head", "pop_rules", "mod_by_target")
+FORWARD_INDEXES = ("_forward",)
+BACKWARD_INDEXES = ("_backward",)
 
 
 def _eager_indexes(m):
-    """The five indexes of `m`, built the way `SMPDS` once built them all
-    in its constructor: one loop over the rules, each rule with its mask
-    bits."""
+    """The indexes of `m` by direction, built the way `SMPDS` once built
+    them all in its constructor: one loop over the rules, each rule with
+    its mask bits."""
     by_lhs, by_head, pops, by_source, by_target = {}, {}, {}, {}, {}
     for rid, r in m.rules.items():
         bit = rule_bit(rid)
@@ -367,8 +378,7 @@ def _eager_indexes(m):
             bits = (bit | removed, removed, rule_bit(r.added))
             by_source.setdefault(r.from_state, []).append((bits, r))
             by_target.setdefault(r.to_state, []).append((bits, r))
-    return {"plain_by_lhs": by_lhs, "plain_by_rhs_head": by_head, "pop_rules": pops,
-            "mod_by_source": by_source, "mod_by_target": by_target}
+    return {"_forward": (by_lhs, by_source), "_backward": (by_head, pops, by_target)}
 
 
 def _corpus_system(seed):
@@ -400,7 +410,7 @@ def test_lazy_indexes_equal_an_eager_build():
         eager = _eager_indexes(m)
         for names in (BACKWARD_INDEXES, FORWARD_INDEXES):
             fresh = SMPDS(m.states, m.alphabet, m.rules)
-            # the first read of one index builds its whole direction
+            # one read builds all of a direction's indexes, in one pass
             getattr(fresh, names[-1])
             assert {name: vars(fresh)[name] for name in names} == {
                 name: eager[name] for name in names}
@@ -455,7 +465,7 @@ def test_a_system_pickles_across_interpreters():
               "m = SMPDS({'p', 'q'}, {'a'}, {888001: PdsRule('p', 'a', 'q', ('a',)),\n"
               "          888002: SelfModRule('p', 888001, 888004, 'q'),\n"
               "          888004: PdsRule('q', 'a', 'p', ())})\n"
-              "m.plain_by_lhs, m.pop_rules\n"
+              "m._forward, m._backward\n"
               "sys.stdout.buffer.write(pickle.dumps(m))\n")
     src = str(Path(smpds.__file__).parent.parent)
     env = {**os.environ,
