@@ -253,7 +253,8 @@ class SMPDS:
     `pre_moves`, `pop_moves` and `mod_predecessors`.  A pre* run builds
     no forward index, and a post* run no backward one.  The bits of every
     rule, `mod_bits`, `delta` and `delta_c` are set when the system is
-    made.
+    made.  `plain_mask`, the union of the plain rules' bits, is cached the
+    same way as the indexes; only the translation reads it.
 
     `mod_bits`, which the translation reads too, maps each modifying rule
     id to (guard, removed, added): the mask bits of the rule plus its
@@ -285,6 +286,12 @@ class SMPDS:
 
     def __reduce__(self):
         return (SMPDS, (self.states, self.alphabet, self.rules))
+
+    @cached_property
+    def plain_mask(self) -> int:
+        """The mask bits of the plain rules, which the translation reads:
+        distinct single bits, so their sum is their union."""
+        return sum(map(_BITS.__getitem__, self.delta))
 
     @cached_property
     def _forward(self) -> tuple[dict, dict]:

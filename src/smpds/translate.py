@@ -3,25 +3,30 @@
 The ordinary translation encodes phases in control points, so it is only
 computed over a closed set of phases of interest (full enumeration of all
 2^|rules| phases is pointless for queries anchored at known phases).
-`to_pds` checks that the set is closed on the modifying rules alone and
-builds no rule.  The `PairedPDS` it returns is a view of the SM-PDS: the
-paired rules of a phase theta are the moves that `SMPDS.post_moves`,
-`pre_moves` and `pop_moves` return at theta, so a saturation reads those
-moves and builds no paired rule, the on-the-fly construction of Schwoon
-(Model-Checking Pushdown Systems, 2002) with nothing materialised.  The
+`phase_closure` builds that set, closed by construction, as a
+`ClosedPhases` that carries its system and its paired-rule count;
+`to_pds` takes both from it and tests no phase.  Any other set, such as
+one built by hand or by a set operation on a closure, `to_pds` checks
+for closedness on the modifying rules alone, counting the paired rules
+in the same pass.  Neither builds a rule.  The `PairedPDS` that `to_pds`
+returns is a view of the SM-PDS: the paired rules of a phase theta are
+the moves that `SMPDS.post_moves`, `pre_moves` and `pop_moves` return at
+theta, so a saturation reads those moves and builds no paired rule, the
+on-the-fly construction of Schwoon (Model-Checking Pushdown Systems,
+2002) with nothing materialised.  The
 set is the PDS's `phases`, the ones that `rules` builds for `smpds
 translate`; a saturation reads the moves of any phase it reaches,
 in the set or not.  The symbolic translation needs no object of its
 own: `formats.print_symbolic_pds` prints it from the rule table.
 
 The phase arithmetic of the ordinary translation runs on int masks, with
-the bit table of the modifying rules, `SMPDS.mod_bits`, and the solver
+the bit tables `SMPDS.mod_bits` of the modifying rules and
+`SMPDS.plain_mask` of the plain ones, and the solver
 `model.predecessor_masks` that the direct saturations use:
 `phase_closure` searches on masks, one group of modifying rules that
-share bits at a time, takes the product of the groups' parts and
-interns only the phases of the finished closure, and `to_pds` checks
-closedness on the masks of the set and counts the paired rules in the
-same pass.  A phase's rules are built from its own ids, each modifying
+share bits at a time, takes the product of the groups' parts, counts the
+paired rules from the parts and interns only the phases of the finished
+closure.  A phase's rules are built from its own ids, each modifying
 rule's target by `Phase.update`.
 
 Classical pre*/post* for ordinary PDSs are `prestar` and `poststar`,
@@ -45,7 +50,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import PAutomaton, from_configs
-from .model import Configuration, Phase, SMPDS, predecessor_masks, rule_bit
+from .model import Configuration, Interned, Phase, SMPDS, predecessor_masks
 from .poststar import poststar
 from .prestar import prestar
 
@@ -108,8 +113,36 @@ class PairedRule(NamedTuple):
     rhs_word: tuple[str, ...]
 
 
-def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
-    """Seeds closed under modifying-rule updates, forward and backward.
+class ClosedPhases(frozenset):
+    """A phase set that `phase_closure` built for `smpds`: closed by
+    construction on its modifying rules, with `rule_count`, the number of
+    paired rules over the set.
+
+    `to_pds` given one for the same system takes the count and tests no
+    phase.  It is read-only, and its set operations return plain
+    `frozenset`s, which `to_pds` checks like any other set.
+    """
+
+    __slots__ = ("smpds", "rule_count")
+    smpds: SMPDS
+    rule_count: int
+    __setattr__ = Interned.__setattr__
+    __delattr__ = Interned.__delattr__
+
+    def __new__(cls, phases: Iterable[Phase], smpds: SMPDS,
+                rule_count: int) -> "ClosedPhases":
+        closed = super().__new__(cls, phases)
+        object.__setattr__(closed, "smpds", smpds)
+        object.__setattr__(closed, "rule_count", rule_count)
+        return closed
+
+    def __reduce__(self):
+        return (ClosedPhases, (tuple(self), self.smpds, self.rule_count))
+
+
+def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> ClosedPhases:
+    """Seeds closed under modifying-rule updates, forward and backward,
+    with the number of paired rules over them.
 
     A modifying rule touches its bits of `smpds.mod_bits`, guard and
     added: its guard reads only those, and its update writes only those.
@@ -121,6 +154,15 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
     mask that holds its guard bits, and back to the masks
     `model.predecessor_masks` finds.  Only the phases of the finished
     closure are interned.
+
+    A phase's paired rules are its plain-rule bits (`smpds.plain_mask`)
+    and |Gamma| for each modifying rule whose guard bits it holds; a
+    guard lies in its group's bits, so each group's search counts the
+    rules of its part's masks, and the count of a seed's closure is
+    summed from the parts, each mask of a part counted once per phase of
+    the rest of the product.  The closure runs both ways, so seeds not
+    in one another's closures have disjoint closures, whose counts add
+    up.
     """
     # (touched bits, rule bits): merging every group a rule overlaps keeps
     # the groups' bits disjoint
@@ -136,34 +178,45 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> set[Phase]:
                 apart.append(group)
         groups = apart + [(touched, mods)]
     untouched = ~sum(touched for touched, _ in groups)
+    plain, width = smpds.plain_mask, len(smpds.alphabet)
     closed: set[int] = set()
+    rule_count = 0
     for seed in {theta.mask for theta in seeds}:
         if seed in closed:
             continue
         product = [seed & untouched]
+        # the paired rules over `product`
+        count = (seed & untouched & plain).bit_count()
         for touched, mods in groups:
-            part = _group_closure(seed & touched, mods)
+            part, part_count = _group_closure(seed & touched, mods, plain, width)
+            count = count * len(part) + part_count * len(product)
             product = [mask | bits for mask in product for bits in part]
         closed.update(product)
-    return set(map(Phase, closed))
+        rule_count += count
+    return ClosedPhases(map(Phase, closed), smpds, rule_count)
 
 
-def _group_closure(seed: int, mods: list[tuple[int, int, int]]) -> set[int]:
+def _group_closure(seed: int, mods: list[tuple[int, int, int]], plain: int,
+                   width: int) -> tuple[set[int], int]:
     """The masks that the modifying rules `mods` reach from `seed`,
-    forward and backward."""
+    forward and backward, and their paired rules: the bits of `plain`
+    they hold, and `width` rules for each guard of `mods` they hold."""
     closed: set[int] = set()
+    count = 0
     stack = [seed]
     while stack:
         mask = stack.pop()
         if mask in closed:
             continue
         closed.add(mask)
+        count += (mask & plain).bit_count()
         for guard, removed, added in mods:
             if mask & guard == guard:
+                count += width
                 # the guard holds the removed bit, so xor drops it
                 stack.append((mask ^ removed) | added)
             stack += predecessor_masks(mask, guard, removed, added)
-    return closed
+    return closed, count
 
 
 class PairedPDS:
@@ -173,10 +226,10 @@ class PairedPDS:
     empty-stack moves, which it lacks, so a saturation reads the SM-PDS
     and builds no paired rule.  `phases` is the set: iterating `rules`
     builds every phase of it, in sorted member order, and `len(rules)`
-    is the count `to_pds` took in its closedness pass.
+    is the count `to_pds` took from the closure or its closedness pass.
     """
 
-    def __init__(self, smpds: SMPDS, phases: set[Phase], rule_count: int):
+    def __init__(self, smpds: SMPDS, phases: frozenset[Phase], rule_count: int):
         self.smpds = smpds
         self.phases = phases
         self.states = smpds.states
@@ -229,18 +282,22 @@ class _PhaseOrderedRules:
 def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PairedPDS:
     """Encode phases into control points over the given phase set.
 
-    Raises `ValueError` unless the set is closed on the modifying rules:
-    the check runs on the masks of the set, with the bit table
-    `smpds.mod_bits`, and interns no phase.  The same pass counts the
-    paired rules: each phase's plain-rule bits, and |Gamma| for each
-    modifying rule whose guard bits it holds.  The set becomes the PDS's
-    `phases`, which `rules` iterates; a saturation builds no rule (see
-    `PairedPDS`).
+    A `ClosedPhases` that `phase_closure` built for `smpds` is closed by
+    construction and holds its paired-rule count, so it is taken as it
+    is, and no mask is read.  Any other set is checked: `ValueError`
+    unless it is closed on the modifying rules.  The check runs on the
+    masks of the set, with the bit table `smpds.mod_bits`, and interns no
+    phase; the same pass counts the paired rules: each phase's
+    plain-rule bits, and |Gamma| for each modifying rule whose guard bits
+    it holds.  The set becomes the PDS's `phases`, which `rules`
+    iterates; a saturation builds no rule (see `PairedPDS`).
     """
-    phase_set = set(phases)
+    if isinstance(phases, ClosedPhases) and phases.smpds is smpds:
+        return PairedPDS(smpds, phases, phases.rule_count)
+    phase_set = frozenset(phases)
     masks = {theta.mask for theta in phase_set}
     mods = smpds.mod_bits.values()
-    plain = sum(map(rule_bit, smpds.delta))
+    plain = smpds.plain_mask
     width = len(smpds.alphabet)
     count = 0
     for mask in masks:

@@ -36,10 +36,11 @@ from smpds.formats import (
 from smpds.model import step
 from smpds.poststar import poststar
 from smpds.prestar import prestar
-from smpds.translate import config_to_pds, pds_poststar, pds_prestar
+from smpds.translate import PDS, PairedRule, config_to_pds, pds_poststar, pds_prestar
 
 from classical_reference import (pds_step, reference_pds_poststar,
-                                 reference_pds_prestar, symbolic_step)
+                                 reference_pds_prestar, reference_to_pds,
+                                 symbolic_step)
 from fixtures import SWAP_TRACE, cli_stats, swap_example
 from oracles import raw_reach
 
@@ -249,15 +250,22 @@ class _Blown(Exception):
 
 def test_criterion_7_scale_trend():
     """At 1009 plain + 10 modifying rules, direct backward saturation
-    finishes quickly while the explicit paired-PDS route does not finish
-    within ten times the direct wall time.  Both routes are timed with
-    tracemalloc off."""
+    finishes quickly while the explicit paired-PDS route, the paper's
+    baseline, does not finish within ten times the direct wall time: it
+    closes the phase set, materialises every paired rule over it with
+    `reference_to_pds` (62,336,061 rules over 3^10 phases) and saturates
+    them with `reference_pds_prestar`.  The library's own route builds no
+    paired rule and takes its count from the closure, so it costs about
+    the closure alone, which is not the translation's blow-up the claim
+    is about.  Both routes are timed with tracemalloc off."""
     inst = generate(GenParams(num_states=8, num_symbols=8, num_rules=1009,
                               num_smrules=10, seed=123))
+    m = inst.smpds
     t0 = time.perf_counter()
-    prestar(inst.smpds, from_configs(inst.smpds, [inst.target]))
+    prestar(m, from_configs(m, [inst.target]))
     direct = time.perf_counter() - t0
     assert direct < 60.0
+    target = from_configs(m, [inst.target])
 
     def blow(signum, frame):
         raise _Blown
@@ -270,10 +278,11 @@ def test_criterion_7_scale_trend():
         # before it still lands in the outer except
         try:
             signal.setitimer(signal.ITIMER_REAL, 10 * direct)
-            phases = phase_closure(inst.smpds,
-                                   [inst.initial.phase, inst.target.phase])
-            pds = to_pds(inst.smpds, phases)
-            pds_prestar(pds, from_configs(inst.smpds, [inst.target]))
+            phases = phase_closure(m, [inst.initial.phase, inst.target.phase])
+            rules = map(PairedRule._make, reference_to_pds(m, phases))
+            pds = PDS([(p, theta) for theta in phases for p in m.states],
+                      m.alphabet, rules)
+            reference_pds_prestar(pds, target)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
     except _Blown:

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 from pathlib import Path
@@ -103,17 +104,20 @@ def _count_builds(pds):
 
 
 def _check_rule_list(m, phases):
-    """`len(pds.rules)` counts without building a phase, and equals the
-    number of rules that iterating builds, one phase at a time in
-    `reference_to_pds`'s order."""
-    pds = to_pds(m, phases)
-    built = _count_builds(pds)
-    count = len(pds.rules)
-    assert not built
-    rules = [tuple(r) for r in pds.rules]
-    assert count == len(rules)
-    assert rules == reference_to_pds(m, phases)
-    assert built == sorted(phases, key=tuple)
+    """On the closure `phases`, and on the same phases as a plain set,
+    which `to_pds` checks and counts mask by mask: `len(pds.rules)`
+    counts without building a phase, and equals the number of rules that
+    iterating builds, one phase at a time in `reference_to_pds`'s order."""
+    want = reference_to_pds(m, phases)
+    for given in (phases, set(phases)):
+        pds = to_pds(m, given)
+        built = _count_builds(pds)
+        count = len(pds.rules)
+        assert not built
+        rules = [tuple(r) for r in pds.rules]
+        assert count == len(rules)
+        assert rules == want
+        assert built == sorted(phases, key=tuple)
 
 
 def test_rule_count_and_order_on_every_corpus_draw():
@@ -126,6 +130,24 @@ def test_rule_count_and_order_on_every_corpus_draw():
         m = inst.smpds
         _check_rule_list(m, phase_closure(m, [inst.initial.phase,
                                               inst.target.phase]))
+
+
+def test_rule_count_on_closures_of_random_seeds():
+    """On every corpus draw, the closure of 1-4 random phases over the
+    draw's rule ids: the count, summed over the seeds' closures, which lie
+    apart on at least half of the draws, is the count of the rules
+    built."""
+    draws = _corpus_draw_seeds()
+    apart = 0
+    for seed in draws:
+        m = _corpus_draw(seed)[1].smpds
+        rng = random.Random(seed)
+        ids = sorted(m.rules)
+        seeds = [Phase.of(rng.sample(ids, rng.randint(0, len(ids))))
+                 for _ in range(rng.randint(1, 4))]
+        apart += len({frozenset(phase_closure(m, [theta])) for theta in seeds}) > 1
+        _check_rule_list(m, phase_closure(m, seeds))
+    assert apart >= len(draws) // 2
 
 
 # (modifying rule 2 of `_hand_model`, the seed phase's ids)
@@ -191,18 +213,68 @@ def test_mod_moves_match_the_references_on_every_corpus_draw():
 
 
 def test_wide_closure_decodes_no_ids(monkeypatch):
-    """The closure of the first `pre_wide` benchmark instance, 3^10 phases
-    of about 1,000 ids, is searched, interned and checked closed on masks:
-    neither `phase_closure` nor `to_pds` decodes a phase into its ids,
-    which every decode does through `model.mask_digits`."""
-    inst = generate(GenParams(8, 8, 1009, 10, seed=1))
+    """The closure of the instance of acceptance criterion 7, a `pre_wide`
+    benchmark model, 3^10 phases of about 1,000 ids, is searched, interned
+    and counted on masks, and so is the same set checked closed by
+    `to_pds`'s per-mask pass: no step decodes a phase into its ids, which
+    every decode does through `model.mask_digits`.  The count summed from
+    the groups' parts and the pass's count agree."""
+    inst = generate(GenParams(8, 8, 1009, 10, seed=123))
     seeds = {inst.initial.phase, inst.target.phase}
     decoded, mask_digits = [], model.mask_digits
     monkeypatch.setattr(model, "mask_digits",
                         lambda mask: decoded.append(mask) or mask_digits(mask))
     phases = phase_closure(inst.smpds, seeds)
-    assert len(to_pds(inst.smpds, phases).phases) == len(phases) == 3 ** 10
+    for given in (phases, set(phases)):
+        pds = to_pds(inst.smpds, given)
+        assert len(pds.phases) == 3 ** 10
+        assert len(pds.rules) == 62_336_061
     assert decoded == []
+
+
+def _spy_masks(monkeypatch):
+    """The phases whose `mask` is read from here on.  Phases stay
+    readable, but none can be made."""
+    reads, slot = [], Phase.__dict__["mask"]
+
+    def read(theta):
+        reads.append(theta)
+        return slot.__get__(theta, Phase)
+
+    monkeypatch.setattr(Phase, "mask", property(read))
+    return reads
+
+
+def test_to_pds_takes_a_closure_of_its_own_system_as_it_is(monkeypatch):
+    """`to_pds` reads no mask of a closure built for the same system.  The
+    same closure given with an equal system built apart, a set drawn from
+    the closure and a closure less one phase go through the per-mask
+    pass, which reads every phase and refuses a set that is not closed."""
+    inst = generate(GenParams(*TRANSLATED_FAMILY[0][:4], seed=TRANSLATED_FAMILY[0][4]))
+    m = inst.smpds
+    closure = phase_closure(m, [inst.initial.phase, inst.target.phase])
+    assert isinstance(closure, translate.ClosedPhases) and closure.smpds is m
+    twin = SMPDS(m.states, m.alphabet, m.rules)
+    # a pickled closure comes back as the closure of the system pickled with it
+    m2, closure2 = pickle.loads(pickle.dumps((m, closure)))
+    assert (closure2, closure2.smpds, closure2.rule_count) == (closure, m2, closure.rule_count)
+    assert isinstance(closure2, translate.ClosedPhases) and m2 is not m
+    # a phase that a modifying rule leads to from another one
+    theta = min((succ for theta0 in closure for p in sorted(m.states)
+                 for _, succ in m.mod_successors(p, theta0) if succ is not theta0),
+                key=tuple)
+    reads = _spy_masks(monkeypatch)
+    assert len(to_pds(m, closure).rules) == closure.rule_count
+    assert reads == []
+    for system, phases in ((twin, closure), (m, set(closure)), (m, frozenset(closure))):
+        assert len(to_pds(system, phases).rules) == closure.rule_count
+        assert set(reads) == closure
+        reads.clear()
+    rest = closure - {theta}
+    assert type(rest) is frozenset
+    with pytest.raises(ValueError, match="^phase set is not closed; run phase_closure$"):
+        to_pds(m, rest)
+    assert theta not in reads and len(reads) > 0
 
 
 def _is_closed(m, phases):
