@@ -165,6 +165,9 @@ class PAutomaton:
 
     def states_of(self, mask: int) -> list[AutState]:
         """The states whose bits `mask` holds, in numbering order."""
+        if mask & (mask - 1) == 0:
+            # zero or one bit: no decoding of the whole int
+            return [self._order[mask.bit_length() - 1]] if mask else []
         return list(compress(self._order, mask_digits(mask)))
 
     @property

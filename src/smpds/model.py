@@ -254,7 +254,8 @@ class SMPDS:
     no forward index, and a post* run no backward one.  The bits of every
     rule, `mod_bits`, `delta` and `delta_c` are set when the system is
     made.  `plain_mask`, the union of the plain rules' bits, is cached the
-    same way as the indexes; only the translation reads it.
+    same way as the indexes, and only the translation reads it; so is
+    `_known`, the union of every rule's bits, which only `knows` reads.
 
     `mod_bits`, which the translation reads too, maps each modifying rule
     id to (guard, removed, added): the mask bits of the rule plus its
@@ -273,9 +274,6 @@ class SMPDS:
         self.rules = rules = dict(rules)
         for rid in filterfalse(_BITS.__contains__, rules):
             rule_bit(rid)
-        # the bits of every rule id, for `knows`: distinct single bits, so
-        # their sum is their union
-        self._known = sum(map(_BITS.__getitem__, rules))
         self.mod_bits: dict[RuleId, _ModBits] = {}
         for rid, r in rules.items():
             if isinstance(r, SelfModRule):
@@ -286,6 +284,12 @@ class SMPDS:
 
     def __reduce__(self):
         return (SMPDS, (self.states, self.alphabet, self.rules))
+
+    @cached_property
+    def _known(self) -> int:
+        """The bits of every rule id, which only `knows` reads: distinct
+        single bits, so their sum is their union."""
+        return sum(map(_BITS.__getitem__, self.rules))
 
     @cached_property
     def plain_mask(self) -> int:
@@ -349,16 +353,20 @@ class SMPDS:
         """The (p, theta', g, w[1:]) of the moves to <p1, g1 w[1:]> in theta,
         pop rules excepted: plain rules in theta, and modifying rules."""
         mask = theta.mask
-        moves = [(r.lhs_state, theta, r.lhs_symbol, r.rhs_word[1:])
-                 for bit, r in self._backward[0].get((p1, g1), ()) if mask & bit]
-        moves += [(p, pred, g1, ()) for p, pred in self.mod_predecessors(p1, theta)]
+        by_head, _, by_target = self._backward
+        moves = [(p, theta, g, w[1:])
+                 for bit, (p, g, _, w) in by_head.get((p1, g1), ()) if mask & bit]
+        # `mod_predecessors`, inlined
+        for bits, (p, _, _, _) in by_target.get(p1, ()):
+            for pred in predecessor_masks(mask, *bits):
+                moves.append((p, Phase(pred), g1, ()))
         return moves
 
     def pop_moves(self, p1: str, theta: Phase) -> list[tuple[str, Phase, str]]:
         """The (p, theta, g) of the pop rules in theta that lead to p1."""
         mask = theta.mask
-        return [(r.lhs_state, theta, r.lhs_symbol)
-                for bit, r in self._backward[1].get(p1, ()) if mask & bit]
+        return [(p, theta, g)
+                for bit, (p, g, _, _) in self._backward[1].get(p1, ()) if mask & bit]
 
     def mod_successors(self, p: str, theta: Phase) -> list[tuple[str, Phase]]:
         """The (p', theta') that a modifying rule leads to from (p, theta), on

@@ -49,6 +49,16 @@ pre* of Esparza, Hansel, Rossmanith and Schwoon (CAV 2000).  The rules
 that read an initial state's own fact key wait there too: `seed` puts
 them in the two tables at the key's first fact, so pre* keeps no firing
 plan.
+
+The facts and the two tables are keyed by symbol, then by state: one
+dict per symbol of the alphabet, which maps a state to its facts mask,
+its pending set or its waiting-by-tail dict.  The loop fetches a popped
+label's three dicts once per key, and `wait` those of a group's next
+symbol once per group, so each lookup inside hashes a state, an
+identity hash, and builds no (state, symbol) tuple.  The run keeps one
+memo of the initial states its moves lead to, (control, phase) ->
+`Initial`, which `seed`, `make_live` and the empty-stack rule share, so
+each initial state goes through the constructor once per run.
 """
 
 from __future__ import annotations
@@ -91,29 +101,34 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
                 for q2 in cl:
                     eps_pred.setdefault(q2, {q2}).add(q)
 
-    # eps-folded reading facts: (src, symbol) -> mask of dst
-    facts: dict[tuple[AutState, str], int] = {}
-    # the rules waiting at a fact key (state, symbol), Delta': the
-    # transitions ((p,theta), g) whose word ends with that symbol, and
-    # those with more of it to read after, by that tail.  The rules that
-    # read an initial state's key join them at its first fact (seed).
-    pending: dict[tuple[AutState, str], set[_Lhs]] = {}
-    waiting: dict[tuple[AutState, str], dict[tuple[str, ...], set[_Lhs]]] = {}
+    # the run's tables are keyed by symbol, then by state: one dict per
+    # symbol of the alphabet, fetched once per popped key and once per
+    # group that `wait` moves on.  A symbol outside the alphabet labels
+    # no fact, so it has no tables.
+    # eps-folded reading facts: symbol -> src -> mask of dst
+    facts: dict[str, dict[AutState, int]] = {g: {} for g in result.alphabet}
+    # the rules waiting at a fact key, Delta', by its symbol, then its
+    # state: the transitions ((p,theta), g) whose word ends with that
+    # symbol (`pending`), and those with more of it to read after, by that
+    # tail (`waiting`).  The rules that read an initial state's key join
+    # them at its first fact (seed).
+    pending: dict[str, dict[AutState, set[_Lhs]]] = {g: {} for g in result.alphabet}
+    waiting: dict[str, dict[AutState, dict[tuple[str, ...], set[_Lhs]]]] = {
+        g: {} for g in result.alphabet}
     # the initial states whose pop rules have fired
     live: set[Initial] = set()
+    # the run's one memo of its initial states: each (control, phase) is
+    # interned once, however many moves share it
+    initial: dict[tuple[str, Phase], Initial] = {}
 
-    def make_live(q: Initial) -> bool:
-        """alpha1 for the pop rules into q: the path q --eps--> q' exists for
-        every q' in the closure of q, and q reaches a final state.  False
-        if q was live already."""
-        if q in live:
-            return False
+    def make_live(q: Initial) -> None:
+        """alpha1 for the pop rules into q, which is not live yet: the path
+        q --eps--> q' exists for every q' in the closure of q, and q
+        reaches a final state."""
         live.add(q)
         moves = rules.pop_moves(q.control, q.phase)
         if moves:
-            # each (control, phase) is interned once, however many moves
-            # share it; an explicit PDS's pop rules may change the phase
-            initial: dict[tuple[str, Phase], Initial] = {}
+            # an explicit PDS's pop rules may change the phase
             edges = []
             for p, theta, g in moves:
                 src = initial.get((p, theta))
@@ -121,19 +136,17 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
                     src = initial[p, theta] = Initial(p, theta)
                 edges.append((src, g))
             add(edges, close(bit(q)))
-        return True
 
-    def seed(init: Initial, label: str) -> None:
+    def seed(init: Initial, label: str, pending_g: dict, waiting_g: dict) -> None:
         """At the first fact of the key (init, label): init is live, and
         every rule that alpha1 or alpha2 reads from it on `label` waits at
-        the key like a half-matched rule, in `pending` if its word ends
-        there and in `waiting` under the rest of its word if not."""
-        make_live(init)
-        key = (init, label)
-        ends = pending.setdefault(key, set())
-        by_tail = waiting.setdefault(key, {})
-        # each (control, phase) is interned once, however many moves share it
-        initial: dict[tuple[str, Phase], Initial] = {}
+        the key like a half-matched rule, in `pending_g` if its word ends
+        there and in `waiting_g` under the rest of its word if not: the
+        two tables of `label`."""
+        if init not in live:
+            make_live(init)
+        ends = pending_g.setdefault(init, set())
+        by_tail = waiting_g.setdefault(init, {})
         for p, theta, g, rest in rules.pre_moves(init.control, init.phase, label):
             src = initial.get((p, theta))
             if src is None:
@@ -163,21 +176,24 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
             rests, dsts = todo.pop()
             states = states_of(dsts)
             for g2, tail, group in rests:
+                facts_g = facts.get(g2)
+                if facts_g is None:
+                    continue
+                pending_g, waiting_g = pending[g2], waiting[g2]
                 joined = 0
                 for q in states:
-                    key = (q, g2)
-                    known = (waiting.setdefault(key, {}).get(tail) if tail
-                             else pending.get(key))
+                    known = (waiting_g.setdefault(q, {}).get(tail) if tail
+                             else pending_g.get(q))
                     if known is None:
                         if tail:
-                            waiting[key][tail] = set(group)
+                            waiting_g[q][tail] = set(group)
                         else:
-                            pending[key] = set(group)
+                            pending_g[q] = set(group)
                     elif group <= known:
                         continue
                     else:
                         known |= group
-                    joined |= facts.get(key, 0)
+                    joined |= facts_g.get(q, 0)
                 if joined:
                     if tail:
                         todo.append(([(tail[0], tail[1:], group)], joined))
@@ -190,30 +206,36 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
             if close(bit(q)) & result._finals]
     while todo:
         q = todo.pop()
-        if make_live(q):
+        if q not in live:
+            make_live(q)
             for p, theta in rules.mod_predecessors(q.control, q.phase):
-                result.add_final(Initial(p, theta))
-                todo.append(Initial(p, theta))
+                src = initial.get((p, theta))
+                if src is None:
+                    src = initial[p, theta] = Initial(p, theta)
+                result.add_final(src)
+                todo.append(src)
     for (src, label), delta in work:
         if label is EPS:
             continue
         # the new facts s --label--> d for each state s whose closure
         # holds src, and the rules waiting at (s, label) fire on them
+        facts_g, pending_g, waiting_g = facts[label], pending[label], waiting[label]
         delta = close(delta)
         for s in eps_pred.get(src, (src,)):
-            key = (s, label)
-            known = facts.get(key)
+            known = facts_g.get(s)
             if known is None:
                 if isinstance(s, Initial):
-                    seed(s, label)
-                fresh = facts[key] = delta
+                    seed(s, label, pending_g, waiting_g)
+                fresh = facts_g[s] = delta
             else:
                 fresh = delta & ~known
                 if not fresh:
                     continue
-                facts[key] = known | fresh
-            add(pending.get(key, ()), fresh)
-            by_tail = waiting.get(key)
+                facts_g[s] = known | fresh
+            ends = pending_g.get(s)
+            if ends:
+                add(ends, fresh)
+            by_tail = waiting_g.get(s)
             if by_tail:
                 wait([(t[0], t[1:], group) for t, group in by_tail.items()], fresh)
     if aut.has_transition_into_initial() and (

@@ -47,6 +47,7 @@ shares nothing with the cores lives in the tests:
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import filterfalse
 from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import PAutomaton, from_configs
@@ -193,7 +194,12 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> ClosedPhases:
             product = [mask | bits for mask in product for bits in part]
         closed.update(product)
         rule_count += count
-    return ClosedPhases(map(Phase, closed), smpds, rule_count)
+    # the masks are looked up in the intern table in C, and only the ones
+    # not interned yet go through `Phase`
+    table = Phase._table
+    for mask in filterfalse(table.__contains__, closed):
+        Phase(mask)
+    return ClosedPhases(map(table.__getitem__, closed), smpds, rule_count)
 
 
 def _group_closure(seed: int, mods: list[tuple[int, int, int]], plain: int,

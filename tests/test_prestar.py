@@ -94,6 +94,19 @@ def test_prestar_does_not_mutate_input():
     assert aut.transitions == before
 
 
+def test_prestar_follows_a_word_past_the_automaton_alphabet():
+    """A rule may push a symbol that the automaton's alphabet lacks: no
+    fact reads it, so the rule waits there and never fires."""
+    m = SMPDS({"p", "q"}, {"a", "b"},
+              {0: PdsRule("p", "a", "q", ("a", "b")), 1: PdsRule("p", "a", "q", ("a",))})
+    theta = m.all_rules_phase()
+    aut = PAutomaton({"a"})
+    aut.add_transition(Initial("q", theta), "a", Plain("f"))
+    aut.add_final(Plain("f"))
+    sat = prestar(m, aut)
+    assert sat.transitions == aut.transitions | {(Initial("p", theta), "a", Plain("f"))}
+
+
 @pytest.mark.parametrize("engine", [prestar, poststar])
 @pytest.mark.parametrize("seed", range(5))
 def test_phases_materialized_counts_result_phases(engine, seed, capsys, tmp_path):
@@ -296,6 +309,40 @@ def test_prestar_matches_the_reference_at_benchmark_size(params):
     # both answers are checked: each post_fanout target is reached from
     # the initial configuration, no translated one is
     assert got.accepts(inst.initial) == (params in POST_FANOUT_FAMILY)
+
+
+@pytest.mark.parametrize("params, translated", [((8, 8, 1009, 10, 1), False),
+                                                (TRANSLATED_FAMILY[0], True)],
+                         ids=["pre_wide", "translated"])
+def test_prestar_interns_each_initial_state_once(params, translated):
+    """One pre* run builds each initial state of its result through the
+    `Initial` constructor at most once, however many moves lead to it:
+    the run keeps one (control, phase) memo, which every move shares.
+    Direct pre* at a `pre_wide`-sized model's all-rules phase, and
+    classical pre* of a `translated` pool instance through `to_pds`."""
+    inst = generate(GenParams(*params[:4], seed=params[4]))
+    m = inst.smpds
+    aut = from_configs(m, [inst.target])
+    if translated:
+        rules, engine = to_pds(m, phase_closure(m, [inst.target.phase])), pds_prestar
+    else:
+        rules, engine = m, prestar
+    constructor = Initial.__dict__["__new__"]
+    calls = []
+
+    def counting(cls, control, phase):
+        calls.append((control, phase))
+        return constructor.__func__(cls, control, phase)
+
+    Initial.__new__ = counting
+    try:
+        result = engine(rules, aut)
+    finally:
+        Initial.__new__ = constructor
+    states = {(q.control, q.phase) for q in result.initial_states()}
+    assert len(states) > 1
+    assert len(calls) == len(set(calls)) <= len(states)
+    assert set(calls) <= states
 
 
 # the oracle's bounds for the joined-path questions
