@@ -6,9 +6,11 @@ the initial state (p, theta) to a final state, with epsilon moves allowed
 anywhere along the path.  The classical saturations of the translated
 PDS read the SM-PDS's moves and build the same automata (see `Initial`).
 The states `Initial`, `Plain` and `Generated` are interned, read-only
-values on `model.Interned`, the base that phases share.  Their tables
-hold only states that a parse or a saturation built: membership queries
-(`accepts`) look a state up without adding it.
+values on `model.Interned`, the base that phases share: each class's
+`model.InternTable` is its constructor, and a subscript of it builds a
+missing state.  The tables hold only states that a parse or a
+saturation built: membership queries (`accepts`) look a state up with
+`.get`, which adds none.
 
 Each automaton numbers its own states, in the order it first meets them,
 and a set of its states is an int bitmask over those numbers (`bit`,
@@ -72,25 +74,21 @@ class Initial(Interned):
     """
 
     __slots__ = ("control", "phase")
-    _table: dict[tuple[str, Phase], "Initial"] = {}
     control: str
     phase: Phase
 
     def __new__(cls, control: str, phase: Phase) -> "Initial":
-        q = cls._table.get((control, phase))
-        return q if q is not None else cls._intern((control, phase))
+        return cls._table[control, phase]
 
 
 class Plain(Interned):
     __slots__ = ("name",)
-    _table: dict[tuple[str], "Plain"] = {}
     name: str
     # a plain state belongs to no phase (see `DeltaWorklist`)
     phase = None
 
     def __new__(cls, name: str) -> "Plain":
-        q = cls._table.get((name,))
-        return q if q is not None else cls._intern((name,))
+        return cls._table[(name,)]
 
 
 class Generated(Interned):
@@ -106,14 +104,12 @@ class Generated(Interned):
     """
 
     __slots__ = ("control", "prefix", "phase")
-    _table: dict[tuple[str, tuple[str, ...], Phase], "Generated"] = {}
     control: str
     prefix: tuple[str, ...]
     phase: Phase
 
     def __new__(cls, control: str, prefix: tuple[str, ...], phase: Phase) -> "Generated":
-        q = cls._table.get((control, prefix, phase))
-        return q if q is not None else cls._intern((control, prefix, phase))
+        return cls._table[control, prefix, phase]
 
 
 AutState = Union[Initial, Plain, Generated]

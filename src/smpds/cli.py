@@ -29,9 +29,11 @@ from .translate import phase_closure, to_pds
 
 
 def _read(path: str) -> str:
+    """The text of `path`, read as UTF-8 whatever the locale, or stdin's
+    for `-`."""
     if path == "-":
         return sys.stdin.read()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -39,7 +41,7 @@ def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -70,6 +72,10 @@ def _load_valid_doc(path: str) -> formats.SmpdsDocument:
 def _load_query(args) -> tuple[formats.SmpdsDocument, PAutomaton]:
     """Parse the model and the automaton; raise unless both validate, so
     no undeclared control point or rule id reaches a saturation."""
+    if args.model == args.automaton == "-":
+        # the model would consume stdin, leaving the automaton empty
+        raise ValueError("MODEL and AUTOMATON cannot both be '-': "
+                         "stdin can hold only one of them")
     doc = _load_valid_doc(args.model)
     aut = formats.parse_automaton(_read(args.automaton), doc)
     named = [q for q in aut.states if isinstance(q, (Initial, Generated))]

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from functools import cached_property
-from itertools import compress, filterfalse
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from itertools import compress
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 RuleId = int
 
@@ -48,6 +48,24 @@ def rule_bit(rid: RuleId) -> int:
     return bit
 
 
+class InternTable(dict):
+    """An intern table: a dict whose lookup is construction.  A key it
+    lacks is handed to `make`, and the value is stored and returned, so a
+    hit is one subscript in C and a miss builds the value once.  A
+    `make` that raises stores nothing.  `.get` and `in` look a key up
+    without building anything."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class Interned:
     """Base of the interned values: `Phase` and the automaton states
     (`automaton.Initial`, `Plain` and `Generated`).
@@ -60,24 +78,26 @@ class Interned:
     slots are the fields, in constructor order, and they are read-only:
     assigning or deleting one raises `FrozenInstanceError`.
 
-    Each subclass keeps its values in a plain dict, `_table`, for the life
-    of the process.  Its constructor looks the key up there and calls
-    `_intern` on a miss.  A `WeakValueDictionary` would run Python-level
-    code on every lookup, and the saturations look phases and states up
-    on their hot paths.
+    Each subclass keeps its values in its own `InternTable`, `_table`,
+    for the life of the process, and its constructor is one subscript of
+    it: the table's `__missing__` calls the subclass's `_make` on a miss.
+    A `WeakValueDictionary` would run Python-level code on every lookup,
+    and the saturations look phases and states up on their hot paths.
     """
 
     __slots__ = ()
-    _table: dict
+    _table: InternTable
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._table = InternTable(cls._make)
 
     @classmethod
-    def _intern(cls, key, fields: Optional[tuple] = None) -> "Interned":
-        """A new value stored under `key`, holding `fields`, one per slot:
-        by default the key is the field tuple."""
+    def _make(cls, key: tuple) -> "Interned":
+        """A new value for `key`, which by default is the field tuple."""
         obj = object.__new__(cls)
-        for name, value in zip(cls.__slots__, key if fields is None else fields):
+        for name, value in zip(cls.__slots__, key):
             object.__setattr__(obj, name, value)
-        cls._table[key] = obj
         return obj
 
     def __setattr__(self, name, value):
@@ -112,36 +132,35 @@ class Phase(Interned):
     masks and intern only what they return, so the table only ever holds
     phases that a parse, a saturation or a closure actually reached.
 
-    Two caches stay, because traffic pays for them: `_by_members` (see
-    `of`) and the `repr` string, which the printers emit for every state
-    they name.
+    Next to the intern table, two caches stay, because traffic pays for
+    them: `_by_members`, a second `InternTable`, keyed by member set, so
+    `of` is one subscript of it, and the `repr` string, which the
+    printers emit for every state they name.
     """
 
     __slots__ = ("mask", "_repr")
-    _table: dict[int, "Phase"] = {}
-    # member set -> phase: `of` on a 1019-id set takes 33 us with it and
-    # 189 us without, and every `pre_wide` query parses such a set
-    _by_members: dict[frozenset[RuleId], "Phase"] = {}
+    # member set -> phase: `of` on a 1019-id set takes 24 us with it and
+    # 120 us without (shared 2-core VM), and every `pre_wide` query parses
+    # such a set
+    _by_members = InternTable(
+        # distinct single bits: their sum is their union
+        lambda members: Phase(sum(map(rule_bit, members))))
     mask: int
 
     def __new__(cls, mask: int) -> "Phase":
-        ph = cls._table.get(mask)
-        if ph is not None:
-            return ph
+        return cls._table[mask]
+
+    @classmethod
+    def _make(cls, mask: int) -> "Phase":
         # checked on a miss only, so the saturations' lookups pay nothing
         if mask < 0 or mask >> len(_IDS):
             raise ValueError(f"phase mask {mask} holds a bit that no rule id has")
         # the `repr` is cached on first use (see `__repr__`)
-        return cls._intern(mask, (mask, None))
+        return super()._make((mask, None))
 
     @classmethod
     def of(cls, ids: Iterable[RuleId]) -> "Phase":
-        members = frozenset(ids)
-        ph = cls._by_members.get(members)
-        if ph is None:
-            # distinct single bits: their sum is their union
-            ph = cls._by_members[members] = cls(sum(map(rule_bit, members)))
-        return ph
+        return cls._by_members[frozenset(ids)]
 
     def update(self, removed: RuleId, added: RuleId) -> "Phase":
         """The phase after firing a modifying rule: drop `removed`, add `added`."""
@@ -272,7 +291,7 @@ class SMPDS:
         self.states = frozenset(states)
         self.alphabet = frozenset(alphabet)
         self.rules = rules = dict(rules)
-        for rid in filterfalse(_BITS.__contains__, rules):
+        for rid in rules:
             rule_bit(rid)
         self.mod_bits: dict[RuleId, _ModBits] = {}
         for rid, r in rules.items():

@@ -55,16 +55,16 @@ dict per symbol of the alphabet, which maps a state to its facts mask,
 its pending set or its waiting-by-tail dict.  The loop fetches a popped
 label's three dicts once per key, and `wait` those of a group's next
 symbol once per group, so each lookup inside hashes a state, an
-identity hash, and builds no (state, symbol) tuple.  The run keeps one
-memo of the initial states its moves lead to, (control, phase) ->
-`Initial`, which `seed`, `make_live` and the empty-stack rule share, so
-each initial state goes through the constructor once per run.
+identity hash, and builds no (state, symbol) tuple.  `seed`,
+`make_live` and the empty-stack rule find the initial states their moves
+lead to with one subscript of `Initial`'s intern table, which builds a
+state only the first time any run meets it: pre* keeps no memo of its
+own and calls no constructor.
 """
 
 from __future__ import annotations
 
 from .automaton import EPS, AutState, DeltaWorklist, Initial, PAutomaton
-from .model import Phase
 
 # a transition ((p,theta), g) that a rule adds, and a group of them
 # waiting for the rest of their word, split into its next symbol and the
@@ -117,9 +117,8 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
         g: {} for g in result.alphabet}
     # the initial states whose pop rules have fired
     live: set[Initial] = set()
-    # the run's one memo of its initial states: each (control, phase) is
-    # interned once, however many moves share it
-    initial: dict[tuple[str, Phase], Initial] = {}
+    # (control, phase) -> its initial state, built on a miss
+    initial = Initial._table
 
     def make_live(q: Initial) -> None:
         """alpha1 for the pop rules into q, which is not live yet: the path
@@ -129,13 +128,7 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
         moves = rules.pop_moves(q.control, q.phase)
         if moves:
             # an explicit PDS's pop rules may change the phase
-            edges = []
-            for p, theta, g in moves:
-                src = initial.get((p, theta))
-                if src is None:
-                    src = initial[p, theta] = Initial(p, theta)
-                edges.append((src, g))
-            add(edges, close(bit(q)))
+            add([(initial[p, theta], g) for p, theta, g in moves], close(bit(q)))
 
     def seed(init: Initial, label: str, pending_g: dict, waiting_g: dict) -> None:
         """At the first fact of the key (init, label): init is live, and
@@ -148,9 +141,7 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
         ends = pending_g.setdefault(init, set())
         by_tail = waiting_g.setdefault(init, {})
         for p, theta, g, rest in rules.pre_moves(init.control, init.phase, label):
-            src = initial.get((p, theta))
-            if src is None:
-                src = initial[p, theta] = Initial(p, theta)
+            src = initial[p, theta]
             if rest:
                 by_tail.setdefault(rest, set()).add((src, g))
             else:
@@ -209,9 +200,7 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
         if q not in live:
             make_live(q)
             for p, theta in rules.mod_predecessors(q.control, q.phase):
-                src = initial.get((p, theta))
-                if src is None:
-                    src = initial[p, theta] = Initial(p, theta)
+                src = initial[p, theta]
                 result.add_final(src)
                 todo.append(src)
     for (src, label), delta in work:

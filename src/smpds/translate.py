@@ -47,7 +47,6 @@ shares nothing with the cores lives in the tests:
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import filterfalse
 from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import PAutomaton, from_configs
@@ -194,12 +193,9 @@ def phase_closure(smpds: SMPDS, seeds: Iterable[Phase]) -> ClosedPhases:
             product = [mask | bits for mask in product for bits in part]
         closed.update(product)
         rule_count += count
-    # the masks are looked up in the intern table in C, and only the ones
-    # not interned yet go through `Phase`
-    table = Phase._table
-    for mask in filterfalse(table.__contains__, closed):
-        Phase(mask)
-    return ClosedPhases(map(table.__getitem__, closed), smpds, rule_count)
+    # one subscript of the intern table per mask, which builds the phases
+    # not interned yet
+    return ClosedPhases(map(Phase._table.__getitem__, closed), smpds, rule_count)
 
 
 def _group_closure(seed: int, mods: list[tuple[int, int, int]], plain: int,

@@ -26,6 +26,7 @@ from smpds import (
 from smpds.automaton import DeltaWorklist
 from smpds.bench import GenParams, generate
 from smpds.formats import parse_automaton, parse_smpds
+from smpds.model import InternTable
 from smpds.poststar import poststar
 from smpds.prestar import prestar
 from smpds.translate import pds_poststar, pds_prestar
@@ -573,8 +574,13 @@ def test_equal_fields_give_the_same_state():
     assert Plain("acc") is Plain("acc") is Plain(name="acc")
     assert Initial("p", th) is not Initial("q", th)
     assert Generated("p", ("g", "h"), th) is not Generated("p", ("g",), th)
+    # a subscript of the intern table is the constructor
+    assert Initial._table["p", th] is Initial("p", th)
+    assert Plain._table[("acc",)] is Plain("acc")
+    assert Generated._table["p", ("g",), th] is Generated("p", ("g",), th)
     for q in _three_kinds():
         assert not hasattr(q, "__dict__")
+        assert isinstance(type(q)._table, InternTable)
 
 
 def test_a_state_constructor_refuses_a_wrong_number_of_fields():

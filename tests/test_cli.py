@@ -1,6 +1,9 @@
 import io
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smpds
 from smpds import Configuration, Phase, from_configs
 from smpds.cli import main
 from smpds.formats import parse_automaton, parse_smpds, print_automaton, print_smpds
@@ -177,6 +181,44 @@ def test_self_removing_rule_is_answered(capsys):
 
 def test_check_error_exit_2(capsys):
     assert main(["check", "/nonexistent.smpds", TARGET]) == 2
+
+
+@pytest.mark.parametrize("command", ["check", "prestar", "poststar", "enumerate"])
+def test_model_and_automaton_both_on_stdin_exit_2(command, monkeypatch, capsys):
+    """The model would consume stdin and the automaton parse as empty
+    text, so `check` answered "non-member" and `prestar` printed an empty
+    automaton: the pair is refused before either is read."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(MODEL).read_text()))
+    assert main([command, "-", "-"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: MODEL and AUTOMATON cannot both be '-'")
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """Model, automaton and `-o` output are UTF-8 whatever the locale: under
+    the C locale, with the interpreter's UTF-8 mode and locale coercion
+    off, a model with a non-ASCII symbol validates, and pre* writes the
+    bytes that it writes under the default locale."""
+    model, aut = tmp_path / "m.smpds", tmp_path / "t.aut"
+    model.write_text(Path(MODEL).read_text().replace("g3", "é"), encoding="utf-8")
+    aut.write_text(Path(TARGET).read_text().replace("g3", "é"), encoding="utf-8")
+    src = str(Path(smpds.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    ascii_env = {**env, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    cli = [sys.executable, "-m", "smpds.cli"]
+    done = subprocess.run([*cli, "validate", str(model)], env=ascii_env,
+                          capture_output=True)
+    assert done.returncode == 0, done.stderr
+    outputs = []
+    for run_env in (ascii_env, env):
+        out = tmp_path / f"out{len(outputs)}.aut"
+        subprocess.run([*cli, "prestar", str(model), str(aut), "-o", str(out)],
+                       env=run_env, capture_output=True, check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert "trans p3@theta1 é mid".encode() in outputs[0]
 
 
 # the target accepts (<d, eps>, th) only; its eps edge leads into the

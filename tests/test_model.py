@@ -23,7 +23,7 @@ from smpds import (
 )
 from smpds.bench import GenParams, generate
 from smpds.formats import parse_smpds
-from smpds.model import _IDS, rule_bit, step
+from smpds.model import _IDS, InternTable, rule_bit, step
 from smpds.poststar import poststar
 from smpds.prestar import prestar
 
@@ -154,7 +154,12 @@ def test_a_mask_that_no_rule_ids_make_is_refused():
     for mask in (-1, 1 << len(_IDS), 1 << (len(_IDS) + 1)):
         with pytest.raises(ValueError, match="holds a bit that no rule id has"):
             Phase(mask)
+        # the table is the constructor: a miss there is checked the same way
+        with pytest.raises(ValueError, match="holds a bit that no rule id has"):
+            Phase._table[mask]
     assert Phase._table == table
+    assert isinstance(Phase._table, InternTable)
+    assert isinstance(Phase._by_members, InternTable)
     assert Phase(0) is Phase.of([])
 
 
