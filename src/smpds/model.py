@@ -292,7 +292,8 @@ class SMPDS:
         self.alphabet = frozenset(alphabet)
         self.rules = rules = dict(rules)
         for rid in rules:
-            rule_bit(rid)
+            if rid not in _BITS:
+                rule_bit(rid)
         self.mod_bits: dict[RuleId, _ModBits] = {}
         for rid, r in rules.items():
             if isinstance(r, SelfModRule):
