@@ -28,18 +28,30 @@ from .poststar import poststar
 from .translate import phase_closure, to_pds
 
 
+def _utf8(stream):
+    """`stream`, switched to UTF-8 if it is a text layer over bytes, as
+    stdin and stdout are; a stream of text only, such as a `StringIO`,
+    is returned as it is."""
+    reconfigure = getattr(stream, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(encoding="utf-8")
+    return stream
+
+
 def _read(path: str) -> str:
-    """The text of `path`, read as UTF-8 whatever the locale, or stdin's
-    for `-`."""
+    """The text of `path`, or stdin's for `-`, read as UTF-8 whatever the
+    locale."""
     if path == "-":
-        return sys.stdin.read()
+        return _utf8(sys.stdin).read()
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
 def _write(text: str, path: str | None) -> None:
+    """Write `text` to `path`, or stdout for `-` or None, as UTF-8
+    whatever the locale."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        _utf8(sys.stdout).write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

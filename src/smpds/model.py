@@ -374,12 +374,14 @@ class SMPDS:
         pop rules excepted: plain rules in theta, and modifying rules."""
         mask = theta.mask
         by_head, _, by_target = self._backward
+        phase = Phase._table
         moves = [(p, theta, g, w[1:])
                  for bit, (p, g, _, w) in by_head.get((p1, g1), ()) if mask & bit]
-        # `mod_predecessors`, inlined
+        # `mod_predecessors` as a loop of its own: calling it here instead
+        # made the `translated` route 7-17% slower, in 8 of 8 in-process rounds
         for bits, (p, _, _, _) in by_target.get(p1, ()):
             for pred in predecessor_masks(mask, *bits):
-                moves.append((p, Phase(pred), g1, ()))
+                moves.append((p, phase[pred], g1, ()))
         return moves
 
     def pop_moves(self, p1: str, theta: Phase) -> list[tuple[str, Phase, str]]:
@@ -392,8 +394,9 @@ class SMPDS:
         """The (p', theta') that a modifying rule leads to from (p, theta), on
         any stack: one fires when it and its removed rule are in theta."""
         mask = theta.mask
+        phase = Phase._table
         # the guard holds the removed bit, so xor drops it
-        return [(r.to_state, Phase((mask ^ removed) | added))
+        return [(r.to_state, phase[(mask ^ removed) | added])
                 for (guard, removed, added), r in self._forward[1].get(p, ())
                 if mask & guard == guard]
 
@@ -401,7 +404,8 @@ class SMPDS:
         """The (p0, theta0) from which a modifying rule leads to (p, theta):
         (p, theta) is in `mod_successors(p0, theta0)` exactly then."""
         mask = theta.mask
-        return [(r.from_state, Phase(pred))
+        phase = Phase._table
+        return [(r.from_state, phase[pred])
                 for bits, r in self._backward[2].get(p, ())
                 for pred in predecessor_masks(mask, *bits)]
 

@@ -29,14 +29,16 @@ phase by phase: a phase's facts reach its successor phases through beta4
 and the empty-stack rule, and the worklist pops the earlier phase's keys
 first, so each successor takes most of them in one batch.  `poststar`
 is one function, whose locals are the run's state, with one flat loop:
-it pops a key and turns it straight into (fact key, mask) pairs, in one
-of three ways: through every eps edge into src when src is not initial,
-as the key itself when src is initial and g a symbol, and, for a new eps
-edge, as the targets of each (q, g') it reaches, joined per g' with
-`|`.  Each pair costs one `&~` against the facts known under its key
-and, when that leaves new facts, one `DeltaWorklist.add` along the key's
-firing plan, which merges them into the store; the plan is built once,
-with the key's first facts (`new_fact`).
+a popped symbol key gives its delta to the facts of (src, g) when src is
+initial, else of (init, g) for each eps edge init --eps--> src, and a
+new eps edge gives the targets of each (q, g') it reaches, joined per g'
+with `|`.  Each costs one `&~` against the facts known and, when that
+leaves new ones, one `DeltaWorklist.add` along the fact key's firing
+plan, built once, with the key's first facts (`new_fact`).  As in pre*,
+the facts are keyed by symbol, then by state, so a lookup builds no
+(state, symbol) tuple, and the moves find their states with one
+subscript of an intern table, `Initial._table` or `Generated._table`,
+which builds a missing state: post* calls no constructor.
 """
 
 from __future__ import annotations
@@ -63,36 +65,38 @@ def poststar(rules, aut: PAutomaton) -> PAutomaton:
     work = DeltaWorklist(result)
     add = work.add
     bit = result.bit
+    # the intern tables, which build a missing state
+    initial = Initial._table
+    generated = Generated._table
     # epsilon edges go from initial states to non-initial states only,
     # so closures never chain
     eps_into: dict[AutState, set[Initial]] = {}
-    # reading fact key ((p,theta), g) -> [mask of the q's seen so far,
-    # its firing plan]
-    facts: dict[tuple[Initial, str], list] = {}
+    # reading facts: g -> (p,theta) -> [mask of the q's seen so far, its
+    # firing plan]; every label of the automaton is in its alphabet
+    facts: dict[str, dict[Initial, list]] = {g: {} for g in result.alphabet}
 
-    def new_fact(key: tuple[Initial, str]) -> list:
-        """The record of a fact key met for the first time: no q known
-        yet, and the key's firing plan, the edges (src, label) that every
-        fact (init, symbol, q) links to q.
+    def new_fact(init: Initial, symbol: str) -> list:
+        """The record of a fact key (init, symbol) met for the first time:
+        no q known yet, and the key's firing plan, the edges (src, label)
+        that every fact (init, symbol, q) links to q.
 
         The plan is built once per fact key, when its first q arrives: the
         rules that fire depend on the control point, the phase and the
         symbol only.  The chain of a beta3 push, all but its last edge,
         does not depend on q, so it is added here, once.
         """
-        init, symbol = key
         plan: list[tuple[AutState, Label]] = []
         for p, theta, word in rules.post_moves(init.control, init.phase, symbol):
-            src = Initial(p, theta)
+            src = initial[p, theta]
             if not word:
                 plan.append((src, EPS))
                 continue
             for k in range(1, len(word)):
-                gen = Generated(p, word[:k], theta)
+                gen = generated[p, word[:k], theta]
                 add([(src, word[k - 1])], bit(gen))
                 src = gen
             plan.append((src, word[-1]))
-        fact = facts[key] = [0, plan]
+        fact = facts[symbol][init] = [0, plan]
         return fact
 
     # a final initial state makes its modifying-rule successors final;
@@ -101,7 +105,7 @@ def poststar(rules, aut: PAutomaton) -> PAutomaton:
     while todo:
         q = todo.pop()
         for p, theta in rules.mod_successors(q.control, q.phase):
-            succ = Initial(p, theta)
+            succ = initial[p, theta]
             if not bit(succ) & result._finals:
                 result.add_final(succ)
                 todo.append(succ)
@@ -109,23 +113,18 @@ def poststar(rules, aut: PAutomaton) -> PAutomaton:
     out = result._out
     states_of = result.states_of
     mod_successors = rules.mod_successors
-    for key, delta in work:
-        src, label = key
-        if not isinstance(src, Initial):
-            # the facts init --label--> q through every eps edge into src
-            for init in eps_into.get(src, ()):
-                fact_key = (init, label)
-                fact = facts.get(fact_key) or new_fact(fact_key)
+    for (src, label), delta in work:
+        if label is not EPS:
+            # the facts init --label--> q for src itself when it is
+            # initial, else through every eps edge into src
+            facts_g = facts[label]
+            for init in ((src,) if isinstance(src, Initial)
+                         else eps_into.get(src, ())):
+                fact = facts_g.get(init) or new_fact(init, label)
                 fresh = delta & ~fact[0]
                 if fresh:
                     fact[0] |= fresh
                     add(fact[1], fresh)
-        elif label is not EPS:
-            fact = facts.get(key) or new_fact(key)
-            fresh = delta & ~fact[0]
-            if fresh:
-                fact[0] |= fresh
-                add(fact[1], fresh)
         else:
             # the facts src --symbol--> q through the new eps edges,
             # joined per symbol; the mids are not initial, so none has
@@ -136,8 +135,7 @@ def poststar(rules, aut: PAutomaton) -> PAutomaton:
                 for symbol, targets in out.get(mid, {}).items():
                     joined[symbol] = joined.get(symbol, 0) | targets
             for symbol, targets in joined.items():
-                fact_key = (src, symbol)
-                fact = facts.get(fact_key) or new_fact(fact_key)
+                fact = facts[symbol].get(src) or new_fact(src, symbol)
                 fresh = targets & ~fact[0]
                 if fresh:
                     fact[0] |= fresh
@@ -145,6 +143,6 @@ def poststar(rules, aut: PAutomaton) -> PAutomaton:
             # the rule for the empty stack, linked to every final
             # eps-target so that the result does not depend on set order
             if delta & finals:
-                add([(Initial(p, theta), EPS) for p, theta
+                add([(initial[p, theta], EPS) for p, theta
                      in mod_successors(src.control, src.phase)], delta & finals)
     return result

@@ -195,11 +195,12 @@ def test_model_and_automaton_both_on_stdin_exit_2(command, monkeypatch, capsys):
     assert out.err.startswith("error: MODEL and AUTOMATON cannot both be '-'")
 
 
-def test_files_are_utf8_under_an_ascii_locale(tmp_path):
-    """Model, automaton and `-o` output are UTF-8 whatever the locale: under
-    the C locale, with the interpreter's UTF-8 mode and locale coercion
-    off, a model with a non-ASCII symbol validates, and pre* writes the
-    bytes that it writes under the default locale."""
+@pytest.fixture
+def utf8_case(tmp_path):
+    """The sample model and target with `g3` renamed `é`, the command that
+    runs this checkout's CLI, and its environments: the default one, and
+    the C locale with the interpreter's UTF-8 mode and locale coercion
+    off."""
     model, aut = tmp_path / "m.smpds", tmp_path / "t.aut"
     model.write_text(Path(MODEL).read_text().replace("g3", "é"), encoding="utf-8")
     aut.write_text(Path(TARGET).read_text().replace("g3", "é"), encoding="utf-8")
@@ -207,7 +208,15 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     ascii_env = {**env, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-    cli = [sys.executable, "-m", "smpds.cli"]
+    return model, aut, [sys.executable, "-m", "smpds.cli"], env, ascii_env
+
+
+def test_files_are_utf8_under_an_ascii_locale(utf8_case, tmp_path):
+    """Model, automaton and `-o` output are UTF-8 whatever the locale: under
+    the C locale, with the interpreter's UTF-8 mode and locale coercion
+    off, a model with a non-ASCII symbol validates, and pre* writes the
+    bytes that it writes under the default locale."""
+    model, aut, cli, env, ascii_env = utf8_case
     done = subprocess.run([*cli, "validate", str(model)], env=ascii_env,
                           capture_output=True)
     assert done.returncode == 0, done.stderr
@@ -219,6 +228,25 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert "trans p3@theta1 é mid".encode() in outputs[0]
+
+
+def test_stdin_and_stdout_are_utf8_under_an_ascii_locale(utf8_case, tmp_path):
+    """Under the C locale, a model read from stdin gives the verdict that
+    its file gives, and pre* printed to stdout is the bytes that `-o`
+    writes."""
+    model, aut, cli, _, ascii_env = utf8_case
+    verdicts = [subprocess.run([*cli, "check", name, str(aut), "--config", "0"],
+                               env=ascii_env, capture_output=True, input=text)
+                for name, text in (("-", model.read_bytes()), (str(model), b""))]
+    for done in verdicts:
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"member\n", b"")
+    out = tmp_path / "out.aut"
+    subprocess.run([*cli, "prestar", str(model), str(aut), "-o", str(out)],
+                   env=ascii_env, capture_output=True, check=True)
+    done = subprocess.run([*cli, "prestar", str(model), str(aut)], env=ascii_env,
+                          capture_output=True)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == out.read_bytes()
 
 
 # the target accepts (<d, eps>, th) only; its eps edge leads into the

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from smpds import (
     EPS,
     Configuration,
+    Generated,
     Initial,
     PAutomaton,
     PdsRule,
@@ -311,34 +312,40 @@ def test_prestar_matches_the_reference_at_benchmark_size(params):
     assert got.accepts(inst.initial) == (params in POST_FANOUT_FAMILY)
 
 
-@pytest.mark.parametrize("params, translated", [((8, 8, 1009, 10, 1), False),
-                                                (TRANSLATED_FAMILY[0], True)],
-                         ids=["pre_wide", "translated"])
-def test_prestar_interns_each_initial_state_once(params, translated):
-    """A pre* run calls no `Initial` constructor: its moves read the
-    intern table, `Initial._table`, with one subscript each, which builds
-    a missing state in the table itself, and the run keeps no memo of
-    its own.  Direct pre* at a `pre_wide`-sized model's all-rules phase,
-    and classical pre* of a `translated` pool instance through `to_pds`."""
+@pytest.mark.parametrize("params, engine, translated",
+                         [((8, 8, 1009, 10, 1), prestar, False),
+                          (TRANSLATED_FAMILY[0], prestar, True),
+                          (POST_FANOUT_FAMILY[0], poststar, False),
+                          (POST_FANOUT_FAMILY[0], poststar, True)],
+                         ids=["pre_wide", "translated", "post_fanout",
+                              "post_fanout-translated"])
+def test_prestar_interns_each_initial_state_once(params, engine, translated):
+    """A saturation calls no `Initial`, `Generated` or `Phase` constructor:
+    its moves read the intern tables, `Initial._table`, `Generated._table`
+    and `Phase._table`, with one subscript each, which builds a missing
+    value in the table itself, and the run keeps no memo of its own.
+    Direct pre* at a `pre_wide`-sized model's all-rules phase, classical
+    pre* of a `translated` pool instance through `to_pds`, and post* of a
+    `post_fanout` pool instance, directly and through `to_pds`."""
     inst = generate(GenParams(*params[:4], seed=params[4]))
     m = inst.smpds
-    aut = from_configs(m, [inst.target])
-    if translated:
-        rules, engine = to_pds(m, phase_closure(m, [inst.target.phase])), pds_prestar
-    else:
-        rules, engine = m, prestar
-    constructor = Initial.__dict__["__new__"]
+    start = inst.target if engine is prestar else inst.initial
+    aut = from_configs(m, [start])
+    rules = to_pds(m, phase_closure(m, [start.phase])) if translated else m
+    constructors = {cls: cls.__dict__["__new__"] for cls in (Initial, Generated, Phase)}
     calls = []
 
-    def counting(cls, control, phase):
-        calls.append((control, phase))
-        return constructor.__func__(cls, control, phase)
+    def counting(cls, *fields):
+        calls.append((cls, fields))
+        return constructors[cls].__func__(cls, *fields)
 
-    Initial.__new__ = counting
+    for cls in constructors:
+        cls.__new__ = counting
     try:
         result = engine(rules, aut)
     finally:
-        Initial.__new__ = constructor
+        for cls, constructor in constructors.items():
+            cls.__new__ = constructor
     states = {(q.control, q.phase) for q in result.initial_states()}
     assert len(states) > 1
     assert calls == []
