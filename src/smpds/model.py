@@ -377,8 +377,9 @@ class SMPDS:
         phase = Phase._table
         moves = [(p, theta, g, w[1:])
                  for bit, (p, g, _, w) in by_head.get((p1, g1), ()) if mask & bit]
-        # `mod_predecessors` as a loop of its own: calling it here instead
-        # made the `translated` route 7-17% slower, in 8 of 8 in-process rounds
+        # `mod_predecessors`' loop, kept inline: calling it instead made
+        # classical pre* on the `translated` pool about 5% slower
+        # (in-process, slower in every round)
         for bits, (p, _, _, _) in by_target.get(p1, ()):
             for pred in predecessor_masks(mask, *bits):
                 moves.append((p, phase[pred], g1, ()))
