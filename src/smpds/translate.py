@@ -4,44 +4,40 @@ The ordinary translation encodes phases in control points, so it is only
 computed over a closed set of phases of interest (full enumeration of all
 2^|rules| phases is pointless for queries anchored at known phases).
 `phase_closure` builds that set, closed by construction, as a
-`ClosedPhases` that carries its system and its paired-rule count;
-`to_pds` takes both from it and tests no phase.  Any other set, such as
-one built by hand or by a set operation on a closure, `to_pds` checks
-for closedness on the modifying rules alone, counting the paired rules
-in the same pass.  Neither builds a rule.  The `PairedPDS` that `to_pds`
-returns is a view of the SM-PDS: the paired rules of a phase theta are
-the moves that `SMPDS.post_moves`, `pre_moves` and `pop_moves` return at
-theta, so a saturation reads those moves and builds no paired rule, the
-on-the-fly construction of Schwoon (Model-Checking Pushdown Systems,
-2002) with nothing materialised.  The
-set is the PDS's `phases`, the ones that `rules` builds for `smpds
-translate`; a saturation reads the moves of any phase it reaches,
-in the set or not.  The symbolic translation needs no object of its
-own: `formats.print_symbolic_pds` prints it from the rule table.
+`ClosedPhases` that carries its system and its paired-rule count, and
+`to_pds` takes only such a closure of its own system, and tests no
+phase.  Neither builds a rule.  The `PairedPDS` that `to_pds` returns is
+a view of the SM-PDS: the paired rules of a phase theta are the moves
+that `SMPDS.post_moves`, `pre_moves` and `pop_moves` return at theta, so
+a saturation reads those moves and builds no paired rule, the on-the-fly
+construction of Schwoon (Model-Checking Pushdown Systems, 2002) with
+nothing materialised.  The closure is the PDS's `phases`, the ones that
+`rules` builds for `smpds translate`; a saturation reads the moves of
+any phase it reaches, in the closure or not.  The symbolic translation
+needs no object of its own: `formats.print_symbolic_pds` prints it from
+the rule table.
 
-The phase arithmetic of the ordinary translation runs on int masks, with
-the bit tables `SMPDS.mod_bits` of the modifying rules and
-`SMPDS.plain_mask` of the plain ones, and the solver
-`model.predecessor_masks` that the direct saturations use:
-`phase_closure` searches on masks, one group of modifying rules that
-share bits at a time, takes the product of the groups' parts, counts the
-paired rules from the parts and interns only the phases of the finished
-closure.  A phase's rules are built from its own ids, each modifying
-rule's target by `Phase.update`.
+`phase_closure` runs on int masks, with the bit tables `SMPDS.mod_bits`
+of the modifying rules and `SMPDS.plain_mask` of the plain ones, and the
+solver `model.predecessor_masks` that the direct saturations use: it
+searches one group of modifying rules that share bits at a time, takes
+the product of the groups' parts, counts the paired rules from the parts
+and interns only the phases of the finished closure.  A phase's rules
+are built from its own ids, each modifying rule's target by
+`Phase.update`.
 
 Classical pre*/post* for ordinary PDSs are `prestar` and `poststar`,
 with the phase moved into the control point and the PDS as their rule
 source: a `PairedPDS`, or an explicit `PDS` given by its rules.
 `pds_prestar` and `pds_poststar` are the two functions themselves, under
 the names of the classical route, so each direction has one input
-contract, the direct one.  A paired
-configuration ((p, theta), w) is the SM-PDS configuration
-(<p, w>, theta), so they take and return ordinary P-automata.  A paired
-rule pushes the word of its SM-PDS rule, of any length, which the cores
-take as it is.  The paired PDS fires no modifying rule on an empty
-stack, so the two routes agree on nonempty stacks only.  Code that
-shares nothing with the cores lives in the tests:
-`tests/classical_reference.py` and the oracle.
+contract, the direct one.  A paired configuration ((p, theta), w) is the
+SM-PDS configuration (<p, w>, theta), so they take and return ordinary
+P-automata.  A paired rule pushes the word of its SM-PDS rule, of any
+length, which the cores take as it is.  The paired PDS fires no
+modifying rule on an empty stack, so the two routes agree on nonempty
+stacks only.  Code that shares nothing with the cores lives in the
+tests: `tests/classical_reference.py` and the oracle.
 """
 
 from __future__ import annotations
@@ -118,9 +114,8 @@ class ClosedPhases(frozenset):
     construction on its modifying rules, with `rule_count`, the number of
     paired rules over the set.
 
-    `to_pds` given one for the same system takes the count and tests no
-    phase.  It is read-only, and its set operations return plain
-    `frozenset`s, which `to_pds` checks like any other set.
+    It is the one input `to_pds` takes.  It is read-only, and its set
+    operations return plain `frozenset`s, which `to_pds` refuses.
     """
 
     __slots__ = ("smpds", "rule_count")
@@ -222,25 +217,24 @@ def _group_closure(seed: int, mods: list[tuple[int, int, int]], plain: int,
 
 
 class PairedPDS:
-    """The paired PDS of an SM-PDS over a closed phase set (`to_pds`).
+    """The paired PDS over a closure that `phase_closure` built (`to_pds`).
 
     A view of the SM-PDS: its moves are the `SMPDS`'s own, less the
     empty-stack moves, which it lacks, so a saturation reads the SM-PDS
-    and builds no paired rule.  `phases` is the set: iterating `rules`
-    builds every phase of it, in sorted member order, and `len(rules)`
-    is the count `to_pds` took from the closure or its closedness pass.
+    and builds no paired rule.  `phases` is the closure: iterating
+    `rules` builds every phase of it, in sorted member order, and
+    `len(rules)` is the closure's `rule_count`.
     """
 
-    def __init__(self, smpds: SMPDS, phases: frozenset[Phase], rule_count: int):
-        self.smpds = smpds
-        self.phases = phases
-        self.states = smpds.states
+    def __init__(self, closure: ClosedPhases):
+        smpds = self.smpds = closure.smpds
+        self.phases = closure
         self.alphabet = smpds.alphabet
         # the paired rules of a phase theta are the moves at theta
         self.post_moves = smpds.post_moves
         self.pre_moves = smpds.pre_moves
         self.pop_moves = smpds.pop_moves
-        self.rules = _PhaseOrderedRules(self, rule_count)
+        self.rules = _PhaseOrderedRules(self)
 
     # a paired rule reads a stack symbol: no move on an empty stack
     mod_successors = mod_predecessors = PDS.mod_successors
@@ -268,9 +262,8 @@ class _PhaseOrderedRules:
     """`PairedPDS.rules`: the rules phase by phase, in sorted member order,
     so their order does not depend on how phases hash."""
 
-    def __init__(self, pds: PairedPDS, count: int):
+    def __init__(self, pds: PairedPDS):
         self.pds = pds
-        self.count = count
 
     def __iter__(self) -> Iterator[PairedRule]:
         pds = self.pds
@@ -278,38 +271,20 @@ class _PhaseOrderedRules:
             yield from pds._build(theta)
 
     def __len__(self) -> int:
-        return self.count
+        return self.pds.phases.rule_count
 
 
-def to_pds(smpds: SMPDS, phases: Iterable[Phase]) -> PairedPDS:
-    """Encode phases into control points over the given phase set.
-
-    A `ClosedPhases` that `phase_closure` built for `smpds` is closed by
-    construction and holds its paired-rule count, so it is taken as it
-    is, and no mask is read.  Any other set is checked: `ValueError`
-    unless it is closed on the modifying rules.  The check runs on the
-    masks of the set, with the bit table `smpds.mod_bits`, and interns no
-    phase; the same pass counts the paired rules: each phase's
-    plain-rule bits, and |Gamma| for each modifying rule whose guard bits
-    it holds.  The set becomes the PDS's `phases`, which `rules`
-    iterates; a saturation builds no rule (see `PairedPDS`).
-    """
-    if isinstance(phases, ClosedPhases) and phases.smpds is smpds:
-        return PairedPDS(smpds, phases, phases.rule_count)
-    phase_set = frozenset(phases)
-    masks = {theta.mask for theta in phase_set}
-    mods = smpds.mod_bits.values()
-    plain = smpds.plain_mask
-    width = len(smpds.alphabet)
-    count = 0
-    for mask in masks:
-        count += (mask & plain).bit_count()
-        for guard, removed, added in mods:
-            if mask & guard == guard:
-                if (mask ^ removed) | added not in masks:
-                    raise ValueError("phase set is not closed; run phase_closure")
-                count += width
-    return PairedPDS(smpds, phase_set, count)
+def to_pds(smpds: SMPDS, phases: ClosedPhases) -> PairedPDS:
+    """Encode phases into control points over `phases`, the `ClosedPhases`
+    that `phase_closure` built for `smpds`, taken as it is: it is closed by
+    construction and holds its paired-rule count, so no mask is read.  Any
+    other input, a plain set, a set operation on a closure or the closure
+    of an equal system built apart, raises `ValueError`.  A saturation
+    builds no rule (see `PairedPDS`)."""
+    if not (isinstance(phases, ClosedPhases) and phases.smpds is smpds):
+        raise ValueError("to_pds takes the closed phase set that "
+                         "phase_closure built for this system")
+    return PairedPDS(phases)
 
 
 # -- automata over paired states ------------------------------------------

@@ -93,8 +93,8 @@ CASES = {
     "selfmod.prestar": ["prestar", SELFMOD_MODEL, "tests/golden/selfmod_target.aut"],
     "selfmod.poststar": ["poststar", SELFMOD_MODEL,
                          "tests/golden/selfmod_initial.aut"],
-    # the self-removing rule through the phase closure, the closedness
-    # check and the printer
+    # the self-removing rule through the phase closure, its paired-rule
+    # count and the printer
     "selfmod.translate": ["translate", SELFMOD_MODEL],
     "selfmod.translate_symbolic": ["translate", SELFMOD_MODEL, "--symbolic"],
     # modifying rules with high ids that remove and add lower ids come

@@ -214,6 +214,27 @@ def test_prestar_matches_two_symbols_across_an_eps_edge():
     assert not sat.accepts(Configuration("q", ("b", "c"), th))
 
 
+def test_prestar_moves_on_the_new_members_of_a_group_that_partly_waits():
+    """Rules 0 and 2 share a left side, so the group {(p1, a)} waits at
+    (q, y) first, through pp's edge, and the group {(p1, a), (p2, a)}
+    reaches (q, y) after it, through p's: rule 1, which only the second
+    group holds, must still move on to f."""
+    rules = {0: PdsRule("p1", "a", "p", ("x", "y")),
+             1: PdsRule("p2", "a", "p", ("x", "y")),
+             2: PdsRule("p1", "a", "pp", ("z", "y"))}
+    m = SMPDS({"p", "pp", "p1", "p2"}, {"a", "x", "y", "z"}, rules)
+    th = Phase.of(rules)
+    aut = PAutomaton(m.alphabet)
+    # pp's key is queued, and so popped, before p's
+    aut.add_transition(Initial("pp", th), "z", Plain("q"))
+    aut.add_transition(Initial("p", th), "x", Plain("q"))
+    aut.add_transition(Plain("q"), "y", Plain("f"))
+    aut.add_final(Plain("f"))
+    sat = prestar(m, aut)
+    for p in ("p1", "p2"):
+        assert sat.accepts(Configuration(p, ("a",), th)), p
+
+
 def test_prestar_keeps_no_dead_transition():
     """Direct pre* fires a pop rule only into a state that reaches a final
     state, so on inputs without dead ends (from_configs automata, with

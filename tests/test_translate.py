@@ -82,7 +82,7 @@ def test_to_pds_emits_phases_in_sorted_member_order():
     m = SMPDS({"p"}, {"a"}, rules)
     phases = [Phase.of(ids) for ids in
               ([5, 10**12], [-3], [0, 5], [-3, 0], [0], [10**12])]
-    pds = to_pds(m, reversed(phases))
+    pds = to_pds(m, phase_closure(m, reversed(phases)))
     order = []
     for r in pds.rules:
         if not order or order[-1] is not r.lhs_state[1]:
@@ -104,20 +104,17 @@ def _count_builds(pds):
 
 
 def _check_rule_list(m, phases):
-    """On the closure `phases`, and on the same phases as a plain set,
-    which `to_pds` checks and counts mask by mask: `len(pds.rules)`
-    counts without building a phase, and equals the number of rules that
-    iterating builds, one phase at a time in `reference_to_pds`'s order."""
-    want = reference_to_pds(m, phases)
-    for given in (phases, set(phases)):
-        pds = to_pds(m, given)
-        built = _count_builds(pds)
-        count = len(pds.rules)
-        assert not built
-        rules = [tuple(r) for r in pds.rules]
-        assert count == len(rules)
-        assert rules == want
-        assert built == sorted(phases, key=tuple)
+    """On the closure `phases`: `len(pds.rules)` counts without building a
+    phase, and equals the number of rules that iterating builds, one phase
+    at a time in `reference_to_pds`'s order."""
+    pds = to_pds(m, phases)
+    built = _count_builds(pds)
+    count = len(pds.rules)
+    assert not built
+    rules = [tuple(r) for r in pds.rules]
+    assert count == len(rules)
+    assert rules == reference_to_pds(m, phases)
+    assert built == sorted(phases, key=tuple)
 
 
 def test_rule_count_and_order_on_every_corpus_draw():
@@ -215,20 +212,17 @@ def test_mod_moves_match_the_references_on_every_corpus_draw():
 def test_wide_closure_decodes_no_ids(monkeypatch):
     """The closure of the instance of acceptance criterion 7, a `pre_wide`
     benchmark model, 3^10 phases of about 1,000 ids, is searched, interned
-    and counted on masks, and so is the same set checked closed by
-    `to_pds`'s per-mask pass: no step decodes a phase into its ids, which
-    every decode does through `model.mask_digits`.  The count summed from
-    the groups' parts and the pass's count agree."""
+    and counted on masks: no step decodes a phase into its ids, which
+    every decode does through `model.mask_digits`.  The count is summed
+    from the groups' parts."""
     inst = generate(GenParams(8, 8, 1009, 10, seed=123))
     seeds = {inst.initial.phase, inst.target.phase}
     decoded, mask_digits = [], model.mask_digits
     monkeypatch.setattr(model, "mask_digits",
                         lambda mask: decoded.append(mask) or mask_digits(mask))
-    phases = phase_closure(inst.smpds, seeds)
-    for given in (phases, set(phases)):
-        pds = to_pds(inst.smpds, given)
-        assert len(pds.phases) == 3 ** 10
-        assert len(pds.rules) == 62_336_061
+    pds = to_pds(inst.smpds, phase_closure(inst.smpds, seeds))
+    assert len(pds.phases) == 3 ** 10
+    assert len(pds.rules) == 62_336_061
     assert decoded == []
 
 
@@ -246,10 +240,11 @@ def _spy_masks(monkeypatch):
 
 
 def test_to_pds_takes_a_closure_of_its_own_system_as_it_is(monkeypatch):
-    """`to_pds` reads no mask of a closure built for the same system.  The
-    same closure given with an equal system built apart, a set drawn from
-    the closure and a closure less one phase go through the per-mask
-    pass, which reads every phase and refuses a set that is not closed."""
+    """`to_pds` reads no mask of a closure built for the same system, and
+    refuses, with one message and reading no mask either, every other
+    input: the same closure given with an equal system built apart, a set
+    or frozenset of the closure's phases, and the closure less one
+    phase."""
     inst = generate(GenParams(*TRANSLATED_FAMILY[0][:4], seed=TRANSLATED_FAMILY[0][4]))
     m = inst.smpds
     closure = phase_closure(m, [inst.initial.phase, inst.target.phase])
@@ -263,47 +258,24 @@ def test_to_pds_takes_a_closure_of_its_own_system_as_it_is(monkeypatch):
     theta = min((succ for theta0 in closure for p in sorted(m.states)
                  for _, succ in m.mod_successors(p, theta0) if succ is not theta0),
                 key=tuple)
-    reads = _spy_masks(monkeypatch)
-    assert len(to_pds(m, closure).rules) == closure.rule_count
-    assert reads == []
-    for system, phases in ((twin, closure), (m, set(closure)), (m, frozenset(closure))):
-        assert len(to_pds(system, phases).rules) == closure.rule_count
-        assert set(reads) == closure
-        reads.clear()
     rest = closure - {theta}
     assert type(rest) is frozenset
-    with pytest.raises(ValueError, match="^phase set is not closed; run phase_closure$"):
-        to_pds(m, rest)
-    assert theta not in reads and len(reads) > 0
-
-
-def _is_closed(m, phases):
-    """Closedness on `Phase` objects: every modifying rule that fires in a
-    phase of the set leads into the set."""
-    return all(theta.update(m.rules[rid].removed, m.rules[rid].added) in phases
-               for theta in phases for rid in m.delta_c
-               if rid in theta and m.rules[rid].removed in theta)
+    reads = _spy_masks(monkeypatch)
+    pds = to_pds(m, closure)
+    assert pds.phases is closure and pds.smpds is m
+    assert len(pds.rules) == closure.rule_count
+    assert len(to_pds(m2, closure2).rules) == closure.rule_count
+    for system, phases in ((twin, closure), (m, set(closure)),
+                           (m, frozenset(closure)), (m, rest), (m2, closure)):
+        with pytest.raises(ValueError, match="^to_pds takes the closed phase set "
+                           "that phase_closure built for this system$"):
+            to_pds(system, phases)
+    assert reads == []
 
 
 def _check_closure(m, seeds):
-    """`phase_closure` equals the reference closure, and `to_pds` refuses
-    the closure minus any one non-seed phase exactly when that set is not
-    closed.  Returns how often it refused and how often it accepted."""
-    phases = phase_closure(m, seeds)
-    assert phases == reference_phase_closure(m, seeds)
-    refused = accepted = 0
-    for theta in phases - set(seeds):
-        rest = phases - {theta}
-        try:
-            to_pds(m, rest)
-        except ValueError as e:
-            assert str(e) == "phase set is not closed; run phase_closure"
-            assert not _is_closed(m, rest)
-            refused += 1
-        else:
-            assert _is_closed(m, rest)
-            accepted += 1
-    return refused, accepted
+    """`phase_closure` equals the reference closure."""
+    assert phase_closure(m, seeds) == reference_phase_closure(m, seeds)
 
 
 @HAND_CASES
@@ -312,17 +284,12 @@ def test_phase_closure_matches_the_reference_on_hand_cases(smrule, ids):
 
 
 def test_phase_closure_matches_the_reference_on_draws_and_the_family():
-    """On every corpus draw and every `translated` instance; the closures
-    minus one phase include sets that are closed and sets that are not."""
+    """On every corpus draw and every `translated` instance."""
     instances = [_corpus_draw(seed)[1] for seed in _corpus_draw_seeds()]
     instances += [generate(GenParams(*params[:4], seed=params[4]))
                   for params in TRANSLATED_FAMILY]
-    refused = accepted = 0
     for inst in instances:
-        r, a = _check_closure(inst.smpds, [inst.initial.phase, inst.target.phase])
-        refused += r
-        accepted += a
-    assert refused and accepted
+        _check_closure(inst.smpds, [inst.initial.phase, inst.target.phase])
 
 
 # rules 98 and 99 are plain, and no modifying rule of `grouped_systems`
