@@ -46,7 +46,8 @@ are read one by one, and their line numbers are counted from the gaps.  A
 faulty model is read a second time, line by line, only to find its first
 bad line.  An automaton is read with one `findall`, a tuple per line.
 Rules and configurations are `NamedTuple`s, so each compares equal to a
-plain tuple of its fields.
+plain tuple of its fields.  Both parsers run with the cyclic collector
+paused (see `model`).
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
-from .model import Configuration, Phase, PdsRule, SelfModRule, SMPDS
+from .model import (Configuration, Phase, PdsRule, SelfModRule, SMPDS,
+                    collector_paused)
 
 
 class FormatError(ValueError):
@@ -179,6 +181,7 @@ class _Model:
         self.config_lines: list[tuple[int, list[str]]] = []
 
 
+@collector_paused
 def parse_smpds(text: str) -> SmpdsDocument:
     text = _clean(text)
     try:
@@ -190,10 +193,12 @@ def parse_smpds(text: str) -> SmpdsDocument:
     rules = model.rules
     doc = SmpdsDocument(SMPDS(model.states, model.alphabet, rules))
     for name, (lineno, ids) in model.phase_lines.items():
-        for rid in ids:
-            if rid not in rules:
-                raise FormatError(lineno, f"phase {name!r}: unknown rule id {rid}")
-        doc.phase_names[name] = Phase.of(ids)
+        members = frozenset(ids)
+        if not rules.keys() >= members:
+            # name the first unknown id in line order
+            rid = next(rid for rid in ids if rid not in rules)
+            raise FormatError(lineno, f"phase {name!r}: unknown rule id {rid}")
+        doc.phase_names[name] = Phase.of(members)
     # each phase token is resolved once, at its first line
     phases: dict[str, Phase] = {}
     for lineno, toks in model.config_lines:
@@ -448,6 +453,7 @@ def parse_state_token(token: str, doc: SmpdsDocument, lineno: int = 0) -> AutSta
 _AUT_LINE = re.compile(rf"(?:{_W}*trans {_W}*(\S+){_W}+(\S+){_W}+(\S+){_W}*|(.*))\n")
 
 
+@collector_paused
 def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
     aut = PAutomaton(doc.smpds.alphabet)
     # each distinct token is parsed once, phase and all

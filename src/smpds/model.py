@@ -10,12 +10,24 @@ Phases are interned on `Interned`, the one interning base, which the
 automaton states share.
 Both kinds of rule and `Configuration` are `NamedTuple`s, so each
 compares equal to, and hashes like, a plain tuple of its fields.
+
+The cyclic garbage collector is paused while a model or an automaton is
+parsed and while a saturation runs: `formats.parse_smpds`,
+`formats.parse_automaton`, `prestar` and `poststar` (and so
+`translate.pds_prestar` and `pds_poststar`) run under `collector_paused`.
+Those calls allocate a model's rules, indexes and tables in bulk, which
+sets off young-generation collections, and they make no reference cycle
+(`tests/test_automaton.py` checks this for each of them), so the
+collections that the pause skips would free nothing.  What they allocate
+is freed by reference counting as before; the pause only defers the
+collector's walk until the call returns.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import FrozenInstanceError
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
@@ -46,6 +58,23 @@ def rule_bit(rid: RuleId) -> int:
         bit = _BITS[rid] = 1 << len(_IDS)
         _IDS.append(rid)
     return bit
+
+
+def collector_paused(fn: Callable) -> Callable:
+    """`fn`, run with the cyclic collector off.  A collector on at entry
+    is turned off, and on again however the call ends; one off at entry
+    is left alone.  No threshold changes and no object is frozen, so a
+    caller's collector settings read the same after the call."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class InternTable(dict):
@@ -296,9 +325,10 @@ class SMPDS:
                 rule_bit(rid)
         self.mod_bits: dict[RuleId, _ModBits] = {}
         for rid, r in rules.items():
-            if isinstance(r, SelfModRule):
-                removed = rule_bit(r.removed)
-                self.mod_bits[rid] = (_BITS[rid] | removed, removed, rule_bit(r.added))
+            if type(r) is SelfModRule:
+                _, removed, added, _ = r
+                removed = rule_bit(removed)
+                self.mod_bits[rid] = (_BITS[rid] | removed, removed, rule_bit(added))
         self.delta_c = frozenset(self.mod_bits)
         self.delta = frozenset(rules.keys() - self.delta_c)
 
@@ -325,11 +355,11 @@ class SMPDS:
         by_source: dict[str, list[tuple[_ModBits, SelfModRule]]] = {}
         mod_bits = self.mod_bits
         for rid, r in self.rules.items():
-            bits = mod_bits.get(rid)
-            if bits is None:
-                by_lhs.setdefault((r.lhs_state, r.lhs_symbol), []).append((_BITS[rid], r))
+            if type(r) is SelfModRule:
+                by_source.setdefault(r[0], []).append((mod_bits[rid], r))
             else:
-                by_source.setdefault(r.from_state, []).append((bits, r))
+                p, g, _, _ = r
+                by_lhs.setdefault((p, g), []).append((_BITS[rid], r))
         return by_lhs, by_source
 
     @cached_property
@@ -342,13 +372,14 @@ class SMPDS:
         by_target: dict[str, list[tuple[_ModBits, SelfModRule]]] = {}
         mod_bits = self.mod_bits
         for rid, r in self.rules.items():
-            bits = mod_bits.get(rid)
-            if bits is not None:
-                by_target.setdefault(r.to_state, []).append((bits, r))
-            elif r.rhs_word:
-                by_head.setdefault((r.rhs_state, r.rhs_word[0]), []).append((_BITS[rid], r))
+            if type(r) is SelfModRule:
+                by_target.setdefault(r[3], []).append((mod_bits[rid], r))
+                continue
+            _, _, q, w = r
+            if w:
+                by_head.setdefault((q, w[0]), []).append((_BITS[rid], r))
             else:
-                pops.setdefault(r.rhs_state, []).append((_BITS[rid], r))
+                pops.setdefault(q, []).append((_BITS[rid], r))
         return by_head, pops, by_target
 
     def all_rules_phase(self) -> Phase:

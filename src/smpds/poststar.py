@@ -38,15 +38,19 @@ plan, built once, with the key's first facts (`new_fact`).  As in pre*,
 the facts are keyed by symbol, then by state, so a lookup builds no
 (state, symbol) tuple, and the moves find their states with one
 subscript of an intern table, `Initial._table` or `Generated._table`,
-which builds a missing state: post* calls no constructor.
+which builds a missing state: post* calls no constructor.  A run makes
+no reference cycle and runs with the cyclic collector paused (see
+`model`).
 """
 
 from __future__ import annotations
 
 from .automaton import (EPS, AutState, DeltaWorklist, Generated, Initial, Label,
                         PAutomaton)
+from .model import collector_paused
 
 
+@collector_paused
 def poststar(rules, aut: PAutomaton) -> PAutomaton:
     """Saturate a copy of `aut` so it accepts post*(L(aut)) under `rules`,
     the `SMPDS` or any rule source with its moves, such as a translated

@@ -59,12 +59,14 @@ identity hash, and builds no (state, symbol) tuple.  `seed`,
 `make_live` and the empty-stack rule find the initial states their moves
 lead to with one subscript of `Initial`'s intern table, which builds a
 state only the first time any run meets it: pre* keeps no memo of its
-own and calls no constructor.
+own and calls no constructor.  A run makes no reference cycle and runs
+with the cyclic collector paused (see `model`).
 """
 
 from __future__ import annotations
 
 from .automaton import EPS, AutState, DeltaWorklist, Initial, PAutomaton
+from .model import collector_paused
 
 # a transition ((p,theta), g) that a rule adds, and a group of them
 # waiting for the rest of their word, split into its next symbol and the
@@ -73,6 +75,7 @@ _Lhs = tuple[Initial, str]
 _Rest = tuple[str, tuple[str, ...], set[_Lhs]]
 
 
+@collector_paused
 def prestar(rules, aut: PAutomaton) -> PAutomaton:
     """Saturate a copy of `aut` so it accepts pre*(L(aut)) under `rules`,
     the `SMPDS` or any rule source with its moves, such as a translated

@@ -223,7 +223,9 @@ class PairedPDS:
     empty-stack moves, which it lacks, so a saturation reads the SM-PDS
     and builds no paired rule.  `phases` is the closure: iterating
     `rules` builds every phase of it, in sorted member order, and
-    `len(rules)` is the closure's `rule_count`.
+    `len(rules)` is the closure's `rule_count`.  The rules view holds
+    the closure, not the PDS, so the two make no reference cycle and are
+    freed by reference counting.
     """
 
     def __init__(self, closure: ClosedPhases):
@@ -234,18 +236,33 @@ class PairedPDS:
         self.post_moves = smpds.post_moves
         self.pre_moves = smpds.pre_moves
         self.pop_moves = smpds.pop_moves
-        self.rules = _PhaseOrderedRules(self)
+        self.rules = _PhaseOrderedRules(closure)
 
     # a paired rule reads a stack symbol: no move on an empty stack
     mod_successors = mod_predecessors = PDS.mod_successors
+
+
+class _PhaseOrderedRules:
+    """`PairedPDS.rules`: the rules phase by phase, in sorted member order,
+    so their order does not depend on how phases hash."""
+
+    def __init__(self, closure: ClosedPhases):
+        self.closure = closure
+
+    def __iter__(self) -> Iterator[PairedRule]:
+        for theta in sorted(self.closure, key=tuple):
+            yield from self._build(theta)
+
+    def __len__(self) -> int:
+        return self.closure.rule_count
 
     def _build(self, theta: Phase) -> list[PairedRule]:
         """The rules at phase theta, in rule id order: each plain rule in
         theta, and each modifying rule in theta with its removed rule,
         once per symbol, into `theta.update`'s phase."""
         rules: list[PairedRule] = []
-        smpds = self.smpds
-        gammas = sorted(self.alphabet)
+        smpds = self.closure.smpds
+        gammas = sorted(smpds.alphabet)
         for rid in theta:
             r = smpds.rules.get(rid)
             if rid in smpds.delta:
@@ -256,22 +273,6 @@ class PairedPDS:
                 rhs = (r.to_state, theta.update(r.removed, r.added))
                 rules += [PairedRule(lhs, g, rhs, (g,)) for g in gammas]
         return rules
-
-
-class _PhaseOrderedRules:
-    """`PairedPDS.rules`: the rules phase by phase, in sorted member order,
-    so their order does not depend on how phases hash."""
-
-    def __init__(self, pds: PairedPDS):
-        self.pds = pds
-
-    def __iter__(self) -> Iterator[PairedRule]:
-        pds = self.pds
-        for theta in sorted(pds.phases, key=tuple):
-            yield from pds._build(theta)
-
-    def __len__(self) -> int:
-        return self.pds.phases.rule_count
 
 
 def to_pds(smpds: SMPDS, phases: ClosedPhases) -> PairedPDS:

@@ -101,9 +101,7 @@ MUTANTS = [
     Mutant("poststar-empty-stack-links-every-eps-target", "src/smpds/poststar.py",
            "in mod_successors(src.control, src.phase)], delta & finals)",
            "in mod_successors(src.control, src.phase)], delta)",
-           # criterion 9 reads the results of criteria 2 and 3, and skips
-           # when it runs alone
-           "tests/test_acceptance.py",
+           "tests/test_acceptance.py::test_criterion_9_fixpoint_idempotence",
            "only a final eps target accepts the empty stack"),
     Mutant("poststar-generated-by-first-symbol", "src/smpds/poststar.py",
            "gen = generated[p, word[:k], theta]",
@@ -132,6 +130,20 @@ MUTANTS = [
            "return (pred,)",
            CRITERION_2,
            "a predecessor phase may lack the added rule"),
+    Mutant("collector-paused-turns-on-an-off-collector", "src/smpds/model.py",
+           "        if not gc.isenabled():\n            return fn(*args, **kwargs)\n",
+           "",
+           "tests/test_automaton.py::"
+           "test_the_paused_calls_leave_the_collector_as_they_found_it[off]",
+           "a collector that was off at entry stays off"),
+    Mutant("collector-paused-not-restored-on-a-raise", "src/smpds/model.py",
+           "        try:\n            return fn(*args, **kwargs)\n"
+           "        finally:\n            gc.enable()\n",
+           "        result = fn(*args, **kwargs)\n        gc.enable()\n"
+           "        return result\n",
+           "tests/test_automaton.py::"
+           "test_the_paused_calls_leave_the_collector_as_they_found_it[on]",
+           "a call that raises turns the collector back on too"),
     # -- automaton -------------------------------------------------------
     Mutant("automaton-states-of-off-by-one", "src/smpds/automaton.py",
            "return [self._order[mask.bit_length() - 1]] if mask else []",
@@ -153,7 +165,7 @@ MUTANTS = [
     Mutant("closure-count-lacks-product-factor", "src/smpds/translate.py",
            "count = count * len(part) + part_count * len(product)",
            "count = count * len(part) + part_count",
-           "tests/test_cli.py::test_translate_counts_are_the_printed_rules",
+           "tests/test_cli.py::test_translate_counts_are_the_printed_rules[groups.smpds]",
            "each mask of a part is counted once per phase of the rest of the product"),
     Mutant("closure-product-from-zero", "src/smpds/translate.py",
            "        product = [seed & untouched]\n",

@@ -25,8 +25,9 @@ from smpds import (
 )
 from smpds.automaton import DeltaWorklist
 from smpds.bench import GenParams, generate
-from smpds.formats import parse_automaton, parse_smpds
-from smpds.model import InternTable
+from smpds.formats import (SmpdsDocument, parse_automaton, parse_smpds,
+                           print_automaton, print_smpds)
+from smpds.model import InternTable, collector_paused
 from smpds.poststar import poststar
 from smpds.prestar import prestar
 from smpds.translate import pds_poststar, pds_prestar
@@ -355,19 +356,102 @@ def test_every_saturation_inserts_through_the_worklist_alone(monkeypatch):
     assert all(grew.values()), grew
 
 
-@pytest.mark.parametrize("core", [prestar, poststar])
-def test_a_saturation_leaves_no_cyclic_garbage(core):
-    """A core's nested helpers form no reference cycle, so a run's tables
-    are freed when it returns, not when the cyclic collector runs."""
+def _paused_calls() -> dict:
+    """The calls that run under `collector_paused`, by name, each on a
+    corpus draw: the two parsers, the two cores, and the classical route,
+    `to_pds` and its saturations.  Each returns how much its result
+    holds, rules or transitions, beyond its input."""
     inst = _corpus_draw(7)[1]
     m = inst.smpds
-    aut = from_configs(m, [inst.target if core is prestar else inst.initial])
-    core(m, aut)
+    doc = SmpdsDocument(m, {}, [inst.initial, inst.target])
+    target = from_configs(m, [inst.target])
+    initial = from_configs(m, [inst.initial])
+    model_text = print_smpds(doc)
+    aut_text = print_automaton(target, doc)
+    phases = [inst.initial.phase, inst.target.phase]
+
+    def grew(result, aut):
+        return result.transition_count() - aut.transition_count()
+
+    return {
+        "parse_smpds": lambda: len(parse_smpds(model_text).smpds.rules),
+        "parse_automaton": lambda: parse_automaton(aut_text, doc).transition_count(),
+        "prestar": lambda: grew(prestar(m, target), target),
+        "poststar": lambda: grew(poststar(m, initial), initial),
+        "to_pds-pds_prestar": lambda: grew(pds_prestar(
+            to_pds(m, phase_closure(m, phases)), target), target),
+        "to_pds-pds_poststar": lambda: grew(pds_poststar(
+            to_pds(m, phase_closure(m, phases)), initial), initial),
+    }
+
+
+@pytest.mark.parametrize("name", list(_paused_calls()))
+def test_a_parse_or_a_saturation_leaves_no_cyclic_garbage(name):
+    """No call that runs with the collector paused makes a reference
+    cycle: a core's nested helpers, a parsed model and the paired PDS's
+    rules view among them.  So what the call builds is freed when it is
+    dropped, not when the cyclic collector runs, and the collections the
+    pause skips would free nothing."""
+    call = _paused_calls()[name]
+    call()
     gc.collect()
     gc.disable()
     try:
-        assert len(core(m, aut).transitions) > len(aut.transitions)
+        assert call() > 0
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _raising_calls() -> dict:
+    """One call of each paused function that raises: a malformed model or
+    automaton, and an input with an edge into an initial state that pre*
+    would extend."""
+    m, theta0, *_ = swap_example()
+    aut = from_configs(m, [Configuration("p3", ("g1",), theta0)])
+    aut.add_transition(Plain("x"), "g1", Initial("p2", theta0))
+    doc = parse_smpds("rule 0: p a -> q\n")
+    return {
+        "parse_smpds": lambda: parse_smpds("rule 0: p a q\n"),
+        "parse_automaton": lambda: parse_automaton("trans x a\n", doc),
+        "prestar": lambda: prestar(m, aut),
+        "poststar": lambda: poststar(m, aut),
+    }
+
+
+def _collector_state() -> tuple:
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_the_paused_calls_leave_the_collector_as_they_found_it(enabled):
+    """Each paused function, on return and on a raise, with the collector
+    on or off at entry: whether it is on, its thresholds and its count of
+    frozen objects read the same after the call."""
+    returning, raising = _paused_calls(), _raising_calls()
+    calls = [(name, returning[name], False) for name in raising]
+    calls += [(name, call, True) for name, call in raising.items()]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        state = _collector_state()
+        for name, call, raises in calls:
+            try:
+                call()
+            except ValueError:
+                assert raises, name
+            else:
+                assert not raises, name
+            assert _collector_state() == state, (name, raises)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_collector_paused_runs_its_call_with_the_collector_off(enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert collector_paused(gc.isenabled)() is False
+        assert gc.isenabled() is enabled
     finally:
         gc.enable()
 

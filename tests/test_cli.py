@@ -526,8 +526,11 @@ def test_malformed_rule_is_rejected_at_its_line(command, text, fragment, tmp_pat
     assert out.out == ""
 
 
-@pytest.mark.parametrize("model", [MODEL, *(str(GOLDEN / f"{name}.smpds") for name in (
-    "gen55", "selfmod", "bitorder", "twonames", "groups"))])
+_COUNTED = [MODEL, *(str(GOLDEN / f"{name}.smpds") for name in (
+    "gen55", "selfmod", "bitorder", "twonames", "groups"))]
+
+
+@pytest.mark.parametrize("model", _COUNTED, ids=[Path(m).name for m in _COUNTED])
 def test_translate_counts_are_the_printed_rules(model, capsys):
     """translate counts its paired rules without building them, and
     translate --symbolic takes its count from the size formula |Delta| +

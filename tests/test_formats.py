@@ -77,6 +77,8 @@ def test_comments_and_blanks_ignored():
     ("smrule 0: p (1 2) q\n", "malformed"),
     ("rule 0: p a -> q\nrule 0: p a -> q\n", "duplicate"),
     ("phase t: 5\n", "unknown rule id"),
+    # the first unknown id in line order, not the smallest
+    ("rule 0: p a -> q\nphase t: 0 9 7\n", "line 2: phase 't': unknown rule id 9"),
     ("config: p\n", "config"),
     ("bogus stuff\n", "unknown directive"),
     ("rule 0: p a -> q\nconfig: p zz a\n", "unknown phase"),

@@ -91,15 +91,16 @@ def test_to_pds_emits_phases_in_sorted_member_order():
 
 
 def _count_builds(pds):
-    """The phases that `pds._build` is called on from here on, in order."""
+    """The phases that `pds.rules._build` is called on from here on, in
+    order."""
     calls = []
-    build = pds._build
+    build = pds.rules._build
 
     def counted(theta):
         calls.append(theta)
         return build(theta)
 
-    pds._build = counted
+    pds.rules._build = counted
     return calls
 
 
