@@ -13,18 +13,24 @@ and 2 on any error.  `translate` prints the paired rules of every phase
 of the closure of the model's phases and config phases (the PDS's
 `phases`), or with --symbolic the rules of the symbolic PDS for all
 phases at once.  A selfmod of a selfmod compiles only with --erase-selfmod.
+
+Each command is a shell over the library: it reads its files, calls
+`formats.load` to parse and validate them (`formats.violations` for
+`validate`), asks `smpds.check`, which picks the core for `--direction`
+or for the command's name and decides membership, prints, and picks the
+exit code.  Only the refusal of MODEL and AUTOMATON both on stdin, and
+the ranges of --config and --max-len, are checked here.  `check`,
+`prestar` and `poststar` load and saturate under one
+`model.collector_paused`, so a question defers one young collection at
+most.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
-from . import asm, formats, model
-from .automaton import Generated, Initial, PAutomaton
-from .prestar import prestar
-from .poststar import poststar
+from . import Answer, asm, check, collector_paused, formats
 from .translate import phase_closure, to_pds
 
 
@@ -57,69 +63,29 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _load_doc(path: str) -> formats.SmpdsDocument:
-    return formats.parse_smpds(_read(path))
-
-
-def _validate_doc(doc: formats.SmpdsDocument) -> list[str]:
-    violations = model.validate(doc.smpds)
-    for i, c in enumerate(doc.configs):
-        try:
-            model.check_configuration(doc.smpds, c)
-        except ValueError as e:
-            violations.append(f"config {i}: {e}")
-    return violations
-
-
-def _load_valid_doc(path: str) -> formats.SmpdsDocument:
-    """Parse the model; raise unless it validates, so no undeclared rule id
-    reaches a translation or a saturation."""
-    doc = _load_doc(path)
-    violations = _validate_doc(doc)
-    if violations:
-        raise ValueError("; ".join(violations))
-    return doc
-
-
-def _load_query(args) -> tuple[formats.SmpdsDocument, PAutomaton]:
-    """Parse the model and the automaton; raise unless both validate, so
-    no undeclared control point or rule id reaches a saturation."""
+def _texts(args) -> tuple[str, str]:
+    """The model's text and the automaton's."""
     if args.model == args.automaton == "-":
         # the model would consume stdin, leaving the automaton empty
         raise ValueError("MODEL and AUTOMATON cannot both be '-': "
                          "stdin can hold only one of them")
-    doc = _load_valid_doc(args.model)
-    aut = formats.parse_automaton(_read(args.automaton), doc)
-    named = [q for q in aut.states if isinstance(q, (Initial, Generated))]
-    phases = {q.phase for q in named}
-    violations = [f"automaton phase {phase} references unknown rule ids"
-                  for phase in sorted(phases, key=repr)
-                  if not doc.smpds.knows(phase)]
-    violations += sorted(f"automaton state {formats.state_token(q, doc)}: "
-                         f"control point {q.control!r} not in P"
-                         for q in named if q.control not in doc.smpds.states)
-    if violations:
-        raise ValueError("; ".join(violations))
-    return doc, aut
+    return _read(args.model), _read(args.automaton)
 
 
-def _run(args, op, smpds: model.SMPDS, aut: PAutomaton) -> PAutomaton:
-    """Saturate; under --stats, print what the run added to `aut`."""
-    t0 = time.perf_counter()
-    result = op(smpds, aut)
-    seconds = time.perf_counter() - t0
+def _check(args, doc: formats.SmpdsDocument, aut, config=None) -> Answer:
+    """`check` in `args.direction`; under --stats, print what the run
+    added to `aut`."""
+    answer = check(doc.smpds, aut, config, args.direction)
     if args.stats and not args.quiet:
-        added = result.transition_count() - aut.transition_count()
-        print(f"transitions added: {added}", file=sys.stderr)
-        print(f"finals added: {len(result.finals) - len(aut.finals)}", file=sys.stderr)
-        print(f"phases: {len({q.phase for q in result.initial_states()})}", file=sys.stderr)
-        print(f"wall seconds: {seconds:.3f}", file=sys.stderr)
-    return result
+        print(f"transitions added: {answer.transitions_added}\n"
+              f"finals added: {answer.finals_added}\nphases: {answer.phases}\n"
+              f"wall seconds: {answer.seconds:.3f}", file=sys.stderr)
+    return answer
 
 
 def cmd_validate(args) -> int:
-    doc = _load_doc(args.model)
-    violations = _validate_doc(doc)
+    doc = formats.parse_smpds(_read(args.model))
+    violations = formats.violations(doc)
     for v in violations:
         print(f"error: {v}", file=sys.stderr)
     if not violations and not args.quiet:
@@ -129,16 +95,16 @@ def cmd_validate(args) -> int:
     return 1 if violations else 0
 
 
+@collector_paused
 def cmd_saturate(args) -> int:
-    doc, aut = _load_query(args)
-    result = _run(args, args.saturate, doc.smpds, aut)
+    doc, aut = formats.load(*_texts(args))
     printer = formats.print_dot if args.dot else formats.print_automaton
-    _write(printer(result, doc), args.output)
+    _write(printer(_check(args, doc, aut).result, doc), args.output)
     return 0
 
 
 def cmd_translate(args) -> int:
-    doc = _load_valid_doc(args.model)
+    doc, _ = formats.load(_read(args.model))
     if args.symbolic:
         m = doc.smpds
         if not args.quiet:  # |Delta| + |Delta_c| * |Gamma| lines
@@ -169,14 +135,13 @@ def cmd_asm2smpds(args) -> int:
     return 0
 
 
+@collector_paused
 def cmd_check(args) -> int:
-    doc, aut = _load_query(args)
+    doc, aut = formats.load(*_texts(args))
     if not 0 <= args.config < len(doc.configs):
         raise ValueError(f"--config {args.config} out of range: the model file "
                          f"declares {len(doc.configs)} config(s)")
-    config = doc.configs[args.config]
-    op = prestar if args.direction == "pre" else poststar
-    member = _run(args, op, doc.smpds, aut).accepts(config)
+    member = _check(args, doc, aut, doc.configs[args.config]).member
     if not args.quiet:
         print("member" if member else "non-member")
     return 0 if member else 1
@@ -185,7 +150,7 @@ def cmd_check(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.max_len < 0:
         raise ValueError(f"--max-len {args.max_len} is negative")
-    doc, aut = _load_query(args)
+    doc, aut = formats.load(*_texts(args))
     _write(formats.print_configs(aut.enumerate_configs(args.max_len), doc), args.output)
     return 0
 
@@ -204,16 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.set_defaults(func=cmd_validate)
 
-    for name, saturate, helptext in (
-            ("prestar", prestar, "saturate towards predecessors"),
-            ("poststar", poststar, "saturate towards successors")):
+    for name, direction, helptext in (
+            ("prestar", "pre", "saturate towards predecessors"),
+            ("poststar", "post", "saturate towards successors")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("model")
         p.add_argument("automaton")
         p.add_argument("-o", "--output")
         p.add_argument("--dot", action="store_true",
                        help="emit graphviz instead of the text format")
-        p.set_defaults(func=cmd_saturate, saturate=saturate)
+        p.set_defaults(func=cmd_saturate, direction=direction)
 
     p = sub.add_parser("translate", help="translate to an ordinary or symbolic PDS")
     p.add_argument("model")

@@ -48,6 +48,12 @@ bad line.  An automaton is read with one `findall`, a tuple per line.
 Rules and configurations are `NamedTuple`s, so each compares equal to a
 plain tuple of its fields.  Both parsers run with the cyclic collector
 paused (see `model`).
+
+`load` parses a model text and, when given, an automaton text, and
+raises unless both validate: a faulty model is reported before its
+automaton is parsed, with every violation in one message.  `violations`
+is its non-raising half for a parsed model, which `smpds validate`
+prints.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from typing import Iterable, Sequence
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
 from .model import (Configuration, Phase, PdsRule, SelfModRule, SMPDS,
-                    collector_paused)
+                    check_configuration, collector_paused, validate)
 
 
 class FormatError(ValueError):
@@ -501,6 +507,43 @@ def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
     if spaced:
         raise spaced
     return aut
+
+
+# -- loading a question --------------------------------------------------
+
+def violations(doc: SmpdsDocument) -> list[str]:
+    """What `model.validate` reports on a parsed model, then the fault of
+    each config line that has one: empty when the document is valid."""
+    found = validate(doc.smpds)
+    for i, c in enumerate(doc.configs):
+        try:
+            check_configuration(doc.smpds, c)
+        except ValueError as e:
+            found.append(f"config {i}: {e}")
+    return found
+
+
+def load(model_text: str, automaton_text: str | None = None
+         ) -> tuple[SmpdsDocument, PAutomaton | None]:
+    """Parse a model and, when given, an automaton over it; raise a
+    ValueError that names every violation unless both validate, so that
+    no undeclared control point or rule id reaches a translation or a
+    saturation.  The automaton is None when no text is given."""
+    doc = parse_smpds(model_text)
+    found = violations(doc)
+    aut = None
+    if not found and automaton_text is not None:
+        aut = parse_automaton(automaton_text, doc)
+        named = [q for q in aut.states if isinstance(q, (Initial, Generated))]
+        found = [f"automaton phase {phase} references unknown rule ids"
+                 for phase in sorted({q.phase for q in named}, key=repr)
+                 if not doc.smpds.knows(phase)]
+        found += sorted(f"automaton state {state_token(q, doc)}: "
+                        f"control point {q.control!r} not in P"
+                        for q in named if q.control not in doc.smpds.states)
+    if found:
+        raise ValueError("; ".join(found))
+    return doc, aut
 
 
 def print_automaton(aut: PAutomaton, doc: SmpdsDocument) -> str:

@@ -14,7 +14,9 @@ compares equal to, and hashes like, a plain tuple of its fields.
 The cyclic garbage collector is paused while a model or an automaton is
 parsed and while a saturation runs: `formats.parse_smpds`,
 `formats.parse_automaton`, `prestar` and `poststar` (and so
-`translate.pds_prestar` and `pds_poststar`) run under `collector_paused`.
+`translate.pds_prestar` and `pds_poststar`), `smpds.check`, and the
+command line's `check`, `prestar` and `poststar`, each of which loads
+and saturates under one pause, run under `collector_paused`.
 Those calls allocate a model's rules, indexes and tables in bulk, which
 sets off young-generation collections, and they make no reference cycle
 (`tests/test_automaton.py` checks this for each of them), so the

@@ -1,12 +1,27 @@
 import faulthandler
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# When a `@given` test fails, Hypothesis imports `hypothesis.extra._patching`
+# inside its report hook.  Where `libcst` is installed, that import can
+# raise a DeprecationWarning from a dependency of `libcst`, which `-W error`
+# turns into an internal error of pytest that hides the counterexample.
+# Imported here once, with DeprecationWarning ignored for this import
+# alone, it is already loaded when a test fails.  Every other warning,
+# and every warning from this package, still fails the run.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 # a test, or the import of a test module, still running after this many
 # seconds prints every thread's traceback and ends the run, so a loop

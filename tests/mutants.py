@@ -144,6 +144,33 @@ MUTANTS = [
            "tests/test_automaton.py::"
            "test_the_paused_calls_leave_the_collector_as_they_found_it[on]",
            "a call that raises turns the collector back on too"),
+    Mutant("validate-skips-the-added-id", "src/smpds/model.py",
+           "            for ref in (r.removed, r.added):\n",
+           "            for ref in (r.removed,):\n",
+           "tests/test_cli.py::test_invalid_model_never_saturates[command0]",
+           "a modifying rule may add no undeclared rule id"),
+    # -- formats and the question pipeline ---------------------------------
+    Mutant("phase-line-loses-its-first-id", "src/smpds/formats.py",
+           "        model.phase_lines[name] = (lineno, ids)\n",
+           "        model.phase_lines[name] = (lineno, ids[1:])\n",
+           "tests/test_acceptance.py::test_criterion_10_format_round_trips",
+           "a phase line names every id it lists"),
+    Mutant("bulk-parse-misses-one-duplicate-id", "src/smpds/formats.py",
+           "    if (len(rules) < len(ids) or",
+           "    if (len(rules) < len(ids) - 1 or",
+           "tests/test_formats.py::test_parse_errors_carry_line_numbers"
+           "[rule 0: p a -> q\\nrule 0: p a -> q\\n-duplicate]",
+           "two rule lines with one id are an error"),
+    Mutant("load-skips-the-automaton-phase-check", "src/smpds/formats.py",
+           "                 if not doc.smpds.knows(phase)]\n",
+           "                 if False]\n",
+           "tests/test_cli.py::test_undeclared_phase_ids_rejected[prestar]",
+           "an automaton phase may name no undeclared rule id"),
+    Mutant("check-takes-a-negative-config-index", "src/smpds/cli.py",
+           "    if not 0 <= args.config < len(doc.configs):\n",
+           "    if not args.config < len(doc.configs):\n",
+           "tests/test_cli.py::test_check_config_out_of_range_exit_2[-1]",
+           "--config counts config lines from 0, not from the end"),
     # -- automaton -------------------------------------------------------
     Mutant("automaton-states-of-off-by-one", "src/smpds/automaton.py",
            "return [self._order[mask.bit_length() - 1]] if mask else []",

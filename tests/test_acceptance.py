@@ -19,6 +19,7 @@ from smpds import (
     Configuration,
     Phase,
     Plain,
+    check,
     from_configs,
     phase_closure,
     to_pds,
@@ -337,6 +338,20 @@ def test_criterion_9_fixpoint_idempotence(corpus):
                 (rec.seed, op.__name__)
 
 
+def _stats_inputs(rec) -> tuple:
+    """The saturations whose `--stats` lines are checked on one draw: pre*
+    of the target and post* of the initial configuration, each with up to
+    three empty-stack configurations, and pre* of that post*'s result,
+    which has eps edges."""
+    m = rec.smpds
+    empty = [Configuration(c.state, (), c.phase)
+             for c in sorted(rec.reach, key=repr)[:3]]
+    post_in = from_configs(m, [rec.initial] + empty)
+    return ((prestar, from_configs(m, [rec.target] + empty)),
+            (poststar, post_in),
+            (prestar, poststar(m, post_in)))
+
+
 def test_stats_count_what_the_saturation_added(corpus, capsys, tmp_path):
     """`smpds --stats prestar|poststar|check` prints the result's transition
     and final counts minus the input's, and the distinct phases on the
@@ -345,13 +360,7 @@ def test_stats_count_what_the_saturation_added(corpus, capsys, tmp_path):
     fired = {prestar: 0, poststar: 0}
     for rec in corpus:
         m = rec.smpds
-        empty = [Configuration(c.state, (), c.phase)
-                 for c in sorted(rec.reach, key=repr)[:3]]
-        post_in = from_configs(m, [rec.initial] + empty)
-        post_out = poststar(m, post_in)
-        for op, aut in ((prestar, from_configs(m, [rec.target] + empty)),
-                        (poststar, post_in),
-                        (prestar, post_out)):
+        for op, aut in _stats_inputs(rec):
             out = op(m, aut)
             want = {"transitions added": len(out.transitions) - len(aut.transitions),
                     "finals added": len(out.finals) - len(aut.finals),
@@ -368,6 +377,36 @@ def test_stats_count_what_the_saturation_added(corpus, capsys, tmp_path):
             fired[op] += want["finals added"] > 0
     # modifying rules fired on the empty stack in both directions
     assert fired[prestar] and fired[poststar]
+
+
+def test_check_records_what_stats_prints(corpus, capsys, tmp_path, monkeypatch):
+    """The four numbers of the record that `check` returns to the CLI are
+    the four lines `smpds --stats check` prints, on the draws of the test
+    above; and `check` called on the draw itself gives that record's
+    verdict and counts."""
+    records = []
+
+    def recorded(*args):
+        records.append(check(*args))
+        return records[-1]
+
+    monkeypatch.setattr("smpds.cli.check", recorded)
+    for rec in corpus:
+        m = rec.smpds
+        for op, aut in _stats_inputs(rec):
+            direction = "pre" if op is prestar else "post"
+            code, stats = cli_stats(capsys, tmp_path, m, aut, "check",
+                                    "--direction", direction, configs=[rec.initial])
+            (answer,) = records
+            records.clear()
+            assert stats == {"transitions added": answer.transitions_added,
+                             "finals added": answer.finals_added,
+                             "phases": answer.phases,
+                             "wall seconds": float(f"{answer.seconds:.3f}")}, rec.seed
+            assert code == (0 if answer.member else 1), rec.seed
+            direct = check(m, aut, rec.initial, direction)
+            assert (direct._replace(result=None, seconds=0)
+                    == answer._replace(result=None, seconds=0)), (rec.seed, direction)
 
 
 def test_accepts_without_eps_edges_agrees_with_the_closure_path(corpus):

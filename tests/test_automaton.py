@@ -1,10 +1,12 @@
 import gc
+import io
 import os
 import pickle
 import random
 import subprocess
 import sys
 from collections import deque
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -19,12 +21,14 @@ from smpds import (
     PAutomaton,
     Phase,
     Plain,
+    check,
     from_configs,
     phase_closure,
     to_pds,
 )
 from smpds.automaton import DeltaWorklist
 from smpds.bench import GenParams, generate
+from smpds.cli import build_parser
 from smpds.formats import (SmpdsDocument, parse_automaton, parse_smpds,
                            print_automaton, print_smpds)
 from smpds.model import InternTable, collector_paused
@@ -356,11 +360,29 @@ def test_every_saturation_inserts_through_the_worklist_alone(monkeypatch):
     assert all(grew.values()), grew
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _printed(argv: list[str]):
+    """A call of the command `argv` names, its arguments parsed once, that
+    returns the length of what it prints."""
+    args = build_parser().parse_args(argv)
+
+    def call():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            args.func(args)
+        return len(out.getvalue())
+    return call
+
+
 def _paused_calls() -> dict:
     """The calls that run under `collector_paused`, by name, each on a
-    corpus draw: the two parsers, the two cores, and the classical route,
-    `to_pds` and its saturations.  Each returns how much its result
-    holds, rules or transitions, beyond its input."""
+    corpus draw: the two parsers, the two cores, `check`, and the
+    classical route, `to_pds` and its saturations; and the CLI's
+    questions, each of which loads and saturates under one pause, on a
+    golden model.  Each returns how much its result holds, rules or
+    transitions, beyond its input, or what the command prints."""
     inst = _corpus_draw(7)[1]
     m = inst.smpds
     doc = SmpdsDocument(m, {}, [inst.initial, inst.target])
@@ -378,10 +400,15 @@ def _paused_calls() -> dict:
         "parse_automaton": lambda: parse_automaton(aut_text, doc).transition_count(),
         "prestar": lambda: grew(prestar(m, target), target),
         "poststar": lambda: grew(poststar(m, initial), initial),
+        "check": lambda: check(m, target, inst.initial).transitions_added,
         "to_pds-pds_prestar": lambda: grew(pds_prestar(
             to_pds(m, phase_closure(m, phases)), target), target),
         "to_pds-pds_poststar": lambda: grew(pds_poststar(
             to_pds(m, phase_closure(m, phases)), initial), initial),
+        **{f"cli-{command}": _printed([command, str(GOLDEN / "gen55.smpds"),
+                                       str(GOLDEN / "gen55.aut"), *options])
+           for command, *options in (["check", "--direction", "post"],
+                                     ["prestar"], ["poststar"])},
     }
 
 
@@ -405,17 +432,23 @@ def test_a_parse_or_a_saturation_leaves_no_cyclic_garbage(name):
 
 def _raising_calls() -> dict:
     """One call of each paused function that raises: a malformed model or
-    automaton, and an input with an edge into an initial state that pre*
-    would extend."""
+    automaton, an input with an edge into an initial state that pre*
+    would extend, a config index out of range, and a model read as an
+    automaton."""
     m, theta0, *_ = swap_example()
     aut = from_configs(m, [Configuration("p3", ("g1",), theta0)])
     aut.add_transition(Plain("x"), "g1", Initial("p2", theta0))
     doc = parse_smpds("rule 0: p a -> q\n")
+    model = str(GOLDEN / "gen55.smpds")
     return {
         "parse_smpds": lambda: parse_smpds("rule 0: p a q\n"),
         "parse_automaton": lambda: parse_automaton("trans x a\n", doc),
         "prestar": lambda: prestar(m, aut),
         "poststar": lambda: poststar(m, aut),
+        "check": lambda: check(m, aut),
+        "cli-check": _printed(["check", model, str(GOLDEN / "gen55.aut"),
+                               "--config", "9"]),
+        "cli-prestar": _printed(["prestar", model, model]),
     }
 
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import random
@@ -12,14 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smpds
-from smpds import Configuration, Phase, from_configs
+from smpds import Configuration, Phase, check, from_configs
+from smpds.bench import GenParams, generate
 from smpds.cli import main
-from smpds.formats import parse_automaton, parse_smpds, print_automaton, print_smpds
+from smpds.formats import (SmpdsDocument, load, parse_automaton, parse_smpds,
+                           print_automaton, print_smpds)
 from smpds.poststar import poststar
 
 from oracles import raw_reach
 from test_formats import documents, dot_graph
 from test_formats_reference import _decorate, _mutate, bench_documents
+from test_golden import CASES, ROOT
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 MODEL = str(SAMPLES / "example1.smpds")
@@ -247,6 +251,65 @@ def test_stdin_and_stdout_are_utf8_under_an_ascii_locale(utf8_case, tmp_path):
                           capture_output=True)
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == out.read_bytes()
+
+
+def test_check_gives_the_verdict_of_the_check_command(capsys):
+    """On the model and automaton of every golden case that has both, the
+    sample's among them, `check` answers each config line in both
+    directions as `smpds check` does: exit 0 for a member, 1 for a
+    non-member, and 2 where `check` raises."""
+    pairs = sorted({tuple(args[1:3]) for args in CASES.values()
+                    if args[0] in ("prestar", "poststar", "enumerate")})
+    assert ("samples/example1.smpds", "samples/example1_target.aut") in pairs
+    codes = []
+    for model, automaton in pairs:
+        model, automaton = ROOT / model, ROOT / automaton
+        doc, aut = load(model.read_text(encoding="utf-8"),
+                        automaton.read_text(encoding="utf-8"))
+        for i, config in enumerate(doc.configs):
+            for direction in ("pre", "post"):
+                code = main(["--quiet", "check", str(model), str(automaton),
+                             "--config", str(i), "--direction", direction])
+                try:
+                    member = check(doc.smpds, aut, config, direction).member
+                except ValueError:
+                    assert code == 2, (model.name, i, direction)
+                else:
+                    assert code == (0 if member else 1), (model.name, i, direction)
+                codes.append(code)
+    assert capsys.readouterr().out == ""
+    assert {0, 1} <= set(codes)
+
+
+@pytest.mark.parametrize("command", ["check", "prestar"])
+def test_a_question_defers_at_most_one_young_collection(command, tmp_path):
+    """`smpds check` and `smpds prestar` load and saturate under one
+    collector pause, on a model of `pre_wide`'s shape.  Counted from a
+    collected heap up to the first allocation after the call, which runs
+    what the pause deferred: one pause per parse and per saturation
+    left two collections here."""
+    inst = generate(GenParams(8, 8, 1009, 10, seed=1))
+    doc = SmpdsDocument(inst.smpds, {"init": inst.initial.phase},
+                        [inst.initial, inst.target])
+    model, aut = tmp_path / "m.smpds", tmp_path / "t.aut"
+    model.write_text(print_smpds(doc))
+    aut.write_text(print_automaton(from_configs(inst.smpds, [inst.target]), doc))
+    options = ["--config", "0"] if command == "check" else ["-o", str(tmp_path / "out.aut")]
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        code = main(["--quiet", command, str(model), str(aut), *options])
+        after = [[]]
+    finally:
+        gc.callbacks.remove(count)
+    assert code in (0, 1) and after
+    assert len(starts) <= 1, starts
 
 
 # the target accepts (<d, eps>, th) only; its eps edge leads into the
