@@ -142,16 +142,6 @@ def _check_body(lineno: int, op: str, operands: tuple[str, ...]) -> tuple[str, .
     return targets + operands[i:] if op in ("jmp", "call") else targets
 
 
-def print_program(prog: Program) -> str:
-    """Canonical text form; parse o print is the identity."""
-    width = max(len(ins.label) for ins in prog.instructions) + 1
-    lines = [f"entry {prog.entry}"]
-    for ins in prog.instructions:
-        body = " ".join((ins.opcode,) + ins.operands)
-        lines.append(f"{ins.label + ':':<{width + 1}} {body}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class CompiledProgram:
     smpds: SMPDS

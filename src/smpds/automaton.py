@@ -27,25 +27,26 @@ once (`PAutomaton.grouped_transitions`).  The printers, text and
 GraphViz alike, live in `formats`, which alone names states.
 
 Two operations carry every layer, and both live here: inserting
-transitions (`add_targets`; `add_transition` is its one-target case) and
-stepping a mask of states over a symbol with eps moves free (`_close`
-and `_step`, over the cached eps-closure masks).  Membership,
-enumeration and direct pre* all read closures through them.  `_step`
-keeps its answers in a table per (mask, symbol), so checking many
-configurations on one automaton steps each shared stack prefix once;
-every insert clears the table, as an eps edge clears the closures.
+transitions (`insert`, the one loop that writes the store; `add_targets`
+and `add_transition` are its one-key cases) and stepping a mask of
+states over a symbol with eps moves free (`_close` and `_step`, over the
+cached eps-closure masks).  Membership, enumeration and direct pre* all
+read closures through them.  `_step` keeps its answers in a table per
+(mask, symbol), so checking many configurations on one automaton steps
+each shared stack prefix once; every insert clears the table, as an eps
+edge clears the closures.
 
 The two saturation cores, pre* and post*, run on one worklist,
-`DeltaWorklist`, whether they read an SM-PDS's moves directly or
-through its translated PDS: a unit of work is a key (src, label) with the mask of the targets
-added under it since it was last popped.  Keys pop phase by phase, in
-the order the phases were first queued, so a phase's facts are mostly
-complete before a modifying rule hands them to the next.  Every insert of a saturation
-goes through `DeltaWorklist.add`, which splits it in two: a key already
-in the store takes its new bits in place, into the mask that the diff
-has just read, and a key not in the store yet is opened by
-`add_targets`, which numbers its source, checks its label and marks an
-eps edge.  The cores read the store and never write it.
+`DeltaWorklist`, whether they read an SM-PDS's moves directly or through
+its translated PDS: a unit of work is a key (src, label) with the mask
+of the targets added under it since it was last popped.  Keys pop phase
+by phase, in the order the phases were first queued, so a phase's facts
+are mostly complete before a modifying rule hands them to the next.  A
+saturation inserts through `PAutomaton.insert`, passing the worklist's
+pending deltas and its `queue`, so the loop that merges new targets into
+the store also adds them to their key's delta; the worklist keeps only
+the deltas and their order.  The cores read the store and never write
+it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from collections import deque
 from heapq import heappop, heappush
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .model import Configuration, Interned, Phase, SMPDS, mask_digits
 
@@ -185,41 +186,69 @@ class PAutomaton:
 
     def add_transition(self, src: AutState, label: Label, dst: AutState) -> bool:
         """Insert a transition; returns False if it was already present."""
-        return bool(self.add_targets(src, label, self.bit(dst)))
+        return bool(self.insert(((src, label),), self.bit(dst)))
 
     def add_targets(self, src: AutState, label: Label, dsts: int) -> int:
         """Insert src --label--> d for every state d whose bit the mask
         `dsts` holds; returns the mask of the targets that were not
-        present yet.
+        present yet.  `dsts` is made of this automaton's bits (`bit`,
+        `mask_of`)."""
+        return self.insert(((src, label),), dsts)
 
-        The difference and the merge are one int operation each, so a
-        whole target set costs one call.  `dsts` is made of this
-        automaton's bits (`bit`, `mask_of`).  The saturations insert
-        through `DeltaWorklist.add`, which merges into a key already in
-        the store itself and calls this only to open a new key.
+    def insert(self, edges: Iterable[tuple[AutState, Label]], dsts: int,
+               deltas: Optional[dict[tuple[AutState, Label], int]] = None,
+               queue: Optional[Callable[[tuple[AutState, Label]], None]] = None
+               ) -> int:
+        """Insert src --label--> d for every key (src, label) in `edges` and
+        every state d whose bit the mask `dsts` holds; returns the mask of
+        the targets new under the last key.  Every insert, of a parse, a
+        build or a saturation, goes through this loop.
+
+        Once the automaton fills up most inserts bring nothing new, so
+        each key is first diffed against its targets, one int operation,
+        and a nonempty difference is merged in place with one `|`.  A key
+        not in the store yet checks its label, and a new source is
+        numbered.  Any new target clears the step table and, under an
+        eps key, the closure cache.  A saturation passes its worklist's
+        pending deltas and `DeltaWorklist.queue`: the new targets are ORed
+        into the key's delta, and a key not pending yet is queued.
         """
-        by_label = self._out.get(src)
-        current = None if by_label is None else by_label.get(label)
-        if current is None:
-            if label is not None and label not in self.alphabet:
-                raise ValueError(f"label {label!r} not in automaton alphabet")
-            if not dsts:
-                return 0
-            if by_label is None:
-                self.bit(src)
-                by_label = self._out[src] = {}
-            by_label[label] = dsts
-        else:
-            dsts &= ~current
-            if not dsts:
-                return 0
-            by_label[label] = current | dsts
-        if self._steps:
-            self._steps.clear()
-        if label is EPS:
-            self._eclosure.clear()
-            self._has_eps = True
-        return dsts
+        out = self._out
+        steps = self._steps
+        eclosure = self._eclosure
+        new = 0
+        for key in edges:
+            src, label = key
+            by_label = out.get(src, _NO_LABELS)
+            current = by_label.get(label)
+            if current is None:
+                if label is not EPS and label not in self.alphabet:
+                    raise ValueError(f"label {label!r} not in automaton alphabet")
+                new = dsts
+                if not new:
+                    continue
+                if by_label is _NO_LABELS:
+                    self.bit(src)
+                    by_label = out[src] = {}
+                by_label[label] = new
+            else:
+                new = dsts & ~current
+                if not new:
+                    continue
+                by_label[label] = current | new
+            if steps:
+                steps.clear()
+            if label is EPS:
+                eclosure.clear()
+                self._has_eps = True
+            if deltas is not None:
+                delta = deltas.get(key)
+                if delta is None:
+                    deltas[key] = new
+                    queue(key)
+                else:
+                    deltas[key] = delta | new
+        return new
 
     def copy(self) -> "PAutomaton":
         """An automaton with the same states, numbering included, finals
@@ -259,7 +288,8 @@ class PAutomaton:
         a print sorts the keys, then each key's targets.  `name` names
         every state; the names are laid out by bit position once, and a
         target mask picks its names out of that list and sorts them once
-        however many keys share it.  Each key gets a list of its own.
+        however many keys share it.  Keys with one target mask share its
+        list, which the caller reads and must not change.
         """
         names = list(map(name.__getitem__, self._order))
         keys = [((name[src], label or ""), label, targets)
@@ -271,7 +301,7 @@ class PAutomaton:
             dsts = decoded.get(targets)
             if dsts is None:
                 dsts = decoded[targets] = sorted(compress(names, mask_digits(targets)))
-            yield src_name, label, dsts.copy()
+            yield src_name, label, dsts
 
     def initial_states(self) -> set[Initial]:
         return {q for q in self._order if isinstance(q, Initial)}
@@ -403,7 +433,10 @@ class DeltaWorklist:
     """The pending work of a saturation over `aut`.
 
     Each queued key (src, label) carries the mask of its targets that
-    were added since the key was last popped; a key is queued once however
+    were added since the key was last popped, in `deltas`.  The worklist
+    writes no transition: a saturation passes `deltas` and `queue` to
+    `PAutomaton.insert`, which ORs each key's new targets into its delta
+    and queues a key not pending yet, so a key is queued once however
     many inserts land on it before it is popped.  A new worklist queues
     every key of `aut` with all of its targets.
 
@@ -420,8 +453,7 @@ class DeltaWorklist:
     """
 
     def __init__(self, aut: PAutomaton):
-        self.aut = aut
-        self._deltas: dict[tuple[AutState, Label], int] = {}
+        self.deltas: dict[tuple[AutState, Label], int] = {}
         # phase (None for plain states) -> its rank, the rank -> its FIFO
         # queue, and the heap of the ranks whose queues hold keys
         self._ranks: dict[Optional[Phase], int] = {None: 0}
@@ -429,10 +461,10 @@ class DeltaWorklist:
         self._held: list[int] = []
         for src, by_label in aut._out.items():
             for label, targets in by_label.items():
-                self._deltas[src, label] = targets
-                self._queue((src, label))
+                self.deltas[src, label] = targets
+                self.queue((src, label))
 
-    def _queue(self, key: tuple[AutState, Label]) -> None:
+    def queue(self, key: tuple[AutState, Label]) -> None:
         """Queue a key not queued yet, behind the keys of its phase."""
         phase = key[0].phase
         rank = self._ranks.get(phase)
@@ -444,57 +476,12 @@ class DeltaWorklist:
             heappush(self._held, rank)
         queue.append(key)
 
-    def add(self, edges: Iterable[tuple[AutState, Label]], dsts: int) -> None:
-        """Insert src --label--> d for every (src, label) in `edges` and d
-        in the mask `dsts`, and queue the new targets under their key.
-
-        Once the automaton fills up most inserts bring nothing new, so
-        each edge is first diffed against its key's targets, one int
-        operation.  A key already in the store takes a nonempty
-        difference in place: one `|` on the mask just read, a cleared
-        step table and, for an eps key, a cleared closure cache.  That
-        copies `add_targets`'s merge on purpose: sending every edge
-        through `add_targets` made direct post* on the six `post_fanout`
-        instances about 10% slower.  Only a key not in the store yet goes
-        to `add_targets`, which numbers its source, checks its label and
-        marks an eps edge.  One more `|` merges the difference into the
-        key's delta; only a key not queued yet goes to `_queue`.
-        """
-        aut = self.aut
-        out = aut._out
-        eclosure = aut._eclosure
-        steps = aut._steps
-        deltas = self._deltas
-        for key in edges:
-            src, label = key
-            by_label = out.get(src, _NO_LABELS)
-            current = by_label.get(label)
-            if current is None:
-                new = aut.add_targets(src, label, dsts)
-                if not new:
-                    continue
-            else:
-                new = dsts & ~current
-                if not new:
-                    continue
-                by_label[label] = current | new
-                if steps:
-                    steps.clear()
-                if label is EPS:
-                    eclosure.clear()
-            delta = deltas.get(key)
-            if delta is None:
-                deltas[key] = new
-                self._queue(key)
-            else:
-                deltas[key] = delta | new
-
     def __iter__(self) -> Iterator[tuple[tuple[AutState, Label], int]]:
         """Pop each key with its delta, phase by phase in the order the
         phases were first queued and FIFO within a phase, until no key is
         left; keys queued meanwhile are popped too, a key of an earlier
         phase before any of a later one."""
-        queues, held, deltas = self._queues, self._held, self._deltas
+        queues, held, deltas = self._queues, self._held, self.deltas
         while held:
             queue = queues[held[0]]
             key = queue.popleft()

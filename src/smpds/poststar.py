@@ -33,7 +33,7 @@ a popped symbol key gives its delta to the facts of (src, g) when src is
 initial, else of (init, g) for each eps edge init --eps--> src, and a
 new eps edge gives the targets of each (q, g') it reaches, joined per g'
 with `|`.  Each costs one `&~` against the facts known and, when that
-leaves new ones, one `DeltaWorklist.add` along the fact key's firing
+leaves new ones, one `PAutomaton.insert` along the fact key's firing
 plan, built once, with the key's first facts (`new_fact`).  As in pre*,
 the facts are keyed by symbol, then by state, so a lookup builds no
 (state, symbol) tuple, and the moves find their states with one
@@ -45,8 +45,8 @@ no reference cycle and runs with the cyclic collector paused (see
 
 from __future__ import annotations
 
-from .automaton import (EPS, AutState, DeltaWorklist, Generated, Initial, Label,
-                        PAutomaton)
+from .automaton import (_NO_LABELS, EPS, AutState, DeltaWorklist, Generated, Initial,
+                        Label, PAutomaton)
 from .model import collector_paused
 
 
@@ -67,7 +67,7 @@ def poststar(rules, aut: PAutomaton) -> PAutomaton:
             raise ValueError("epsilon edges may only leave initial states")
     result = aut.copy()
     work = DeltaWorklist(result)
-    add = work.add
+    insert, deltas, queue = result.insert, work.deltas, work.queue
     bit = result.bit
     # the intern tables, which build a missing state
     initial = Initial._table
@@ -97,7 +97,7 @@ def poststar(rules, aut: PAutomaton) -> PAutomaton:
                 continue
             for k in range(1, len(word)):
                 gen = generated[p, word[:k], theta]
-                add([(src, word[k - 1])], bit(gen))
+                insert([(src, word[k - 1])], bit(gen), deltas, queue)
                 src = gen
             plan.append((src, word[-1]))
         fact = facts[symbol][init] = [0, plan]
@@ -128,25 +128,29 @@ def poststar(rules, aut: PAutomaton) -> PAutomaton:
                 fresh = delta & ~fact[0]
                 if fresh:
                     fact[0] |= fresh
-                    add(fact[1], fresh)
+                    insert(fact[1], fresh, deltas, queue)
         else:
             # the facts src --symbol--> q through the new eps edges,
             # joined per symbol; the mids are not initial, so none has
             # eps edges
             joined: dict[str, int] = {}
             for mid in states_of(delta):
-                eps_into.setdefault(mid, set()).add(src)
-                for symbol, targets in out.get(mid, {}).items():
+                into = eps_into.get(mid)
+                if into is None:
+                    into = eps_into[mid] = set()
+                into.add(src)
+                for symbol, targets in out.get(mid, _NO_LABELS).items():
                     joined[symbol] = joined.get(symbol, 0) | targets
             for symbol, targets in joined.items():
                 fact = facts[symbol].get(src) or new_fact(src, symbol)
                 fresh = targets & ~fact[0]
                 if fresh:
                     fact[0] |= fresh
-                    add(fact[1], fresh)
+                    insert(fact[1], fresh, deltas, queue)
             # the rule for the empty stack, linked to every final
             # eps-target so that the result does not depend on set order
             if delta & finals:
-                add([(initial[p, theta], EPS) for p, theta
-                     in mod_successors(src.control, src.phase)], delta & finals)
+                insert([(initial[p, theta], EPS) for p, theta
+                        in mod_successors(src.control, src.phase)], delta & finals,
+                       deltas, queue)
     return result

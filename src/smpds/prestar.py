@@ -37,12 +37,12 @@ closures of its targets, whose masks the automaton caches
 change), and each state s whose closure holds src gains the new reading
 facts as one mask, diffed against the known ones with one `&~`.  The
 rules waiting at (s, g) then fire on them: those whose word ends with g
-(`pending`) insert the new facts' targets in one `DeltaWorklist.add`,
+(`pending`) insert the new facts' targets in one `PAutomaton.insert`,
 and those with more of their word to read (`waiting`) move on to wait
 at each new target, which is where a mask is decoded into its states
 (`wait`).  A group of them that reaches several states q at once waits
 at every (q, g2), and moves on once: the OR of the facts at the keys
-where some of it is new goes into one `DeltaWorklist.add`, or on along
+where some of it is new goes into one `PAutomaton.insert`, or on along
 the rest of a longer word; a state where the whole group waits already
 adds nothing.  The two tables are Delta', the half-matched rules of the
 pre* of Esparza, Hansel, Rossmanith and Schwoon (CAV 2000).  The rules
@@ -87,7 +87,7 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
     edge."""
     result = aut.copy()
     work = DeltaWorklist(result)
-    add = work.add
+    insert, deltas, queue = result.insert, work.deltas, work.queue
     close = result._close
     bit = result.bit
     states_of = result.states_of
@@ -131,7 +131,8 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
         moves = rules.pop_moves(q.control, q.phase)
         if moves:
             # an explicit PDS's pop rules may change the phase
-            add([(initial[p, theta], g) for p, theta, g in moves], close(bit(q)))
+            insert([(initial[p, theta], g) for p, theta, g in moves], close(bit(q)),
+                   deltas, queue)
 
     def seed(init: Initial, label: str, pending_g: dict, waiting_g: dict) -> None:
         """At the first fact of the key (init, label): init is live, and
@@ -156,7 +157,7 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
         on along the facts already known: a group that waits at (q, g2)
         was linked to every fact known then, and each later fact replays
         the waiting set.  A group moves on once, with the OR of the facts
-        at each (q, g2) where some of it is new: one `DeltaWorklist.add`
+        at each (q, g2) where some of it is new: one `PAutomaton.insert`
         if its word ends with g2, else one worklist entry for the rest of
         it.  Members that waited at q already add nothing there, and a q
         where the whole group waits is skipped, so a long push stays
@@ -192,7 +193,7 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
                     if tail:
                         todo.append(([(tail[0], tail[1:], group)], joined))
                     else:
-                        add(group, joined)
+                        insert(group, joined, deltas, queue)
 
     # each state whose empty stack is accepted is live, and the modifying
     # rules into it accept their sources' empty stacks
@@ -226,7 +227,7 @@ def prestar(rules, aut: PAutomaton) -> PAutomaton:
                 facts_g[s] = known | fresh
             ends = pending_g.get(s)
             if ends:
-                add(ends, fresh)
+                insert(ends, fresh, deltas, queue)
             by_tail = waiting_g.get(s)
             if by_tail:
                 wait([(t[0], t[1:], group) for t, group in by_tail.items()], fresh)

@@ -1,5 +1,5 @@
 """Hand-built example systems shared across the test modules, the pools
-of two benchmark workloads with a multi-phase pre* target for their
+of the benchmark workloads with a multi-phase pre* target for their
 instances, and a runner for the statistics that `smpds --stats` prints."""
 
 from __future__ import annotations
@@ -10,8 +10,9 @@ from smpds.formats import SmpdsDocument, print_automaton, print_smpds
 from smpds.model import Configuration, PdsRule, Phase, SelfModRule, SMPDS
 from smpds.poststar import poststar
 
-# the pools of the `post_fanout` and the `translated` benchmark workloads:
-# (states, symbols, rules, modifying rules, seed), drawn at full size
+# the pools of the three benchmark workloads: (states, symbols, rules,
+# modifying rules, seed), drawn at full size
+PRE_WIDE_FAMILY = [(8, 8, 1009, 10, seed) for seed in range(1, 9)]
 POST_FANOUT_FAMILY = [(4, 4, 54, 4, 2), (4, 4, 40, 5, 3), (4, 4, 47, 4, 4),
                       (4, 4, 47, 4, 10), (4, 4, 54, 4, 14), (4, 4, 47, 5, 31)]
 TRANSLATED_FAMILY = [(8, 8, 60, 4, 3), (8, 8, 67, 4, 4), (8, 8, 74, 4, 5),

@@ -78,8 +78,8 @@ MUTANTS = [
            "test_prestar_moves_on_the_new_members_of_a_group_that_partly_waits",
            "a group moves on unless every member already waits at the key"),
     Mutant("prestar-pop-loses-eps-closure", "src/smpds/prestar.py",
-           "for p, theta, g in moves], close(bit(q)))",
-           "for p, theta, g in moves], bit(q))",
+           "for p, theta, g in moves], close(bit(q)),",
+           "for p, theta, g in moves], bit(q),",
            "tests/test_golden.py::test_output_matches_golden[gen55.poststar.prestar]",
            "a pop rule into q reaches every state of q's eps closure"),
     Mutant("prestar-empty-stack-final-not-passed", "src/smpds/prestar.py",
@@ -92,6 +92,12 @@ MUTANTS = [
            "            or False):\n",
            "tests/test_cli.py::test_edge_into_an_initial_state_that_saturation_extends_exit_2",
            "a new final behind an edge into an initial state breaks the input contract"),
+    Mutant("prestar-eps-pred-needs-three-states", "src/smpds/prestar.py",
+           "            if len(cl) > 1:\n",
+           "            if len(cl) > 2:\n",
+           "tests/test_prestar.py::"
+           "test_prestar_answers_edges_into_initial_states_only_when_unchanged",
+           "a state with one eps edge reads the facts of its eps target"),
     # -- post* -----------------------------------------------------------
     Mutant("poststar-empty-stack-rule-dropped", "src/smpds/poststar.py",
            "            if delta & finals:\n",
@@ -99,8 +105,8 @@ MUTANTS = [
            CRITERION_3,
            "a modifying rule fires on the empty stack too"),
     Mutant("poststar-empty-stack-links-every-eps-target", "src/smpds/poststar.py",
-           "in mod_successors(src.control, src.phase)], delta & finals)",
-           "in mod_successors(src.control, src.phase)], delta)",
+           "in mod_successors(src.control, src.phase)], delta & finals,",
+           "in mod_successors(src.control, src.phase)], delta,",
            "tests/test_acceptance.py::test_criterion_9_fixpoint_idempotence",
            "only a final eps target accepts the empty stack"),
     Mutant("poststar-generated-by-first-symbol", "src/smpds/poststar.py",
@@ -108,6 +114,17 @@ MUTANTS = [
            "gen = generated[p, word[:1], theta]",
            "tests/test_golden.py::test_output_matches_golden[wide.poststar]",
            "a generated state is named by the whole pushed prefix"),
+    Mutant("poststar-eps-join-keeps-the-last-mid", "src/smpds/poststar.py",
+           "joined[symbol] = joined.get(symbol, 0) | targets",
+           "joined[symbol] = targets",
+           CRITERION_3,
+           "an eps edge into several mids reads the targets of every one"),
+    Mutant("poststar-push-drops-its-middle", "src/smpds/poststar.py",
+           "            for k in range(1, len(word)):\n",
+           "            for k in range(1, min(len(word), 2)):\n",
+           "tests/test_poststar.py::test_poststar_takes_pushes_of_any_length",
+           "a push of three symbols chains through a generated state per prefix; "
+           "the corpus of criterion 3 pushes at most two"),
     # -- model -----------------------------------------------------------
     Mutant("model-intern-table-does-not-store", "src/smpds/model.py",
            "        value = self[key] = self.make(key)\n",
@@ -130,6 +147,16 @@ MUTANTS = [
            "return (pred,)",
            CRITERION_2,
            "a predecessor phase may lack the added rule"),
+    Mutant("model-self-swap-predecessor-ignores-the-guard", "src/smpds/model.py",
+           "        return (mask,) if mask & guard == guard else ()\n",
+           "        return (mask,)\n",
+           "tests/test_self_removal.py::test_self_removing_rules_agree_with_the_oracle",
+           "a rule that swaps a rule for itself fires only where its guard holds"),
+    Mutant("model-mod-successor-keeps-the-removed-bit", "src/smpds/model.py",
+           "return [(r.to_state, phase[(mask ^ removed) | added])",
+           "return [(r.to_state, phase[mask | added])",
+           "tests/test_acceptance.py::test_criterion_1_golden_replay",
+           "an empty-stack move drops the removed rule from the phase"),
     Mutant("collector-paused-turns-on-an-off-collector", "src/smpds/model.py",
            "        if not gc.isenabled():\n            return fn(*args, **kwargs)\n",
            "",
@@ -177,14 +204,14 @@ MUTANTS = [
            "return [self._order[mask.bit_length() - 2]] if mask else []",
            CRITERION_2,
            "the one-bit path of states_of decodes the bit's own state"),
-    Mutant("automaton-worklist-keeps-stale-eclosure", "src/smpds/automaton.py",
-           "                if label is EPS:\n                    eclosure.clear()\n",
+    Mutant("automaton-insert-keeps-stale-eclosure", "src/smpds/automaton.py",
+           "                eclosure.clear()\n",
            "",
            "tests/test_automaton.py::"
-           "test_worklist_add_merges_in_place_and_opens_new_keys_through_add_targets",
+           "test_insert_merges_in_place_opens_new_keys_and_queues_only_new_bits",
            "an eps edge merged into a stored key changes the eps closures"),
-    Mutant("automaton-add-targets-keeps-stale-steps", "src/smpds/automaton.py",
-           "        if self._steps:\n            self._steps.clear()\n",
+    Mutant("automaton-insert-keeps-stale-steps", "src/smpds/automaton.py",
+           "            if steps:\n                steps.clear()\n",
            "",
            "tests/test_automaton.py::test_stepping_queries_see_the_edge_after_every_insert_path",
            "every insert changes what a stepping query sees"),
@@ -199,6 +226,17 @@ MUTANTS = [
            "        product = [0]\n",
            "tests/test_acceptance.py::test_criterion_4_single_step_equivalence",
            "the closure keeps the seed's bits that no modifying rule touches"),
+    Mutant("closure-group-searches-forwards-only", "src/smpds/translate.py",
+           "            stack += predecessor_masks(mask, guard, removed, added)\n",
+           "",
+           "tests/test_classical_reference.py::"
+           "test_classical_saturations_match_the_reference_on_the_translated_family",
+           "a group's closure holds the phases that lead to the seed too"),
+    Mutant("paired-rules-skip-the-removed-rule-test", "src/smpds/translate.py",
+           "            elif r is not None and r.removed in theta:\n",
+           "            elif r is not None:\n",
+           "tests/test_acceptance.py::test_criterion_4_single_step_equivalence",
+           "a modifying rule is paired only in a phase that holds its removed rule"),
     Mutant("to-pds-takes-another-systems-closure", "src/smpds/translate.py",
            "if not (isinstance(phases, ClosedPhases) and phases.smpds is smpds):",
            "if not isinstance(phases, ClosedPhases):",

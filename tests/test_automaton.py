@@ -52,6 +52,11 @@ def _basic():
     return m, theta0, aut, a, mid, acc
 
 
+def _add(aut, work, edges, dsts):
+    """Insert as a saturation does, recording the new targets in `work`."""
+    return aut.insert(edges, dsts, work.deltas, work.queue)
+
+
 def test_accepts_reads_the_stack():
     m, theta0, aut, *_ = _basic()
     assert aut.accepts(Configuration("p1", ("g1", "g2"), theta0))
@@ -161,18 +166,18 @@ def test_worklist_accumulates_adds_made_before_a_pop():
     work = DeltaWorklist(aut)
     list(work)      # drain the keys the worklist starts with
     key = (a, "g3")
-    work.add([key], aut.bit(x))
+    _add(aut, work, [key], aut.bit(x))
     assert list(work) == [(key, aut.bit(x))]
-    work.add([key], aut.mask_of({x, y}))
-    work.add([key], aut.bit(z))
+    _add(aut, work, [key], aut.mask_of({x, y}))
+    _add(aut, work, [key], aut.bit(z))
     assert list(work) == [(key, aut.mask_of({y, z}))]
     assert aut.out(a, "g3") == {x, y, z}
-    # an add queues only the keys it brings something new
-    work.add([key, (a, "g1")], aut.mask_of({x, y}))
+    # an insert queues only the keys it brings something new
+    _add(aut, work, [key, (a, "g1")], aut.mask_of({x, y}))
     assert list(work) == [((a, "g1"), aut.mask_of({x, y}))]
 
 
-def test_worklist_add_merges_in_place_and_opens_new_keys_through_add_targets():
+def test_insert_merges_in_place_opens_new_keys_and_queues_only_new_bits():
     m, theta0, aut, a, mid, acc = _basic()
     b = aut.add_state(Initial("p2", theta0))
     x, y = Plain("x"), Plain("y")
@@ -183,23 +188,29 @@ def test_worklist_add_merges_in_place_and_opens_new_keys_through_add_targets():
     assert not aut.accepts(Configuration("p2", ("g2",), theta0))
     # a merge into the eps key b --eps--> ... reaches the closure cache and
     # membership, and queues only the bit it brings
-    work.add([(b, EPS)], aut.mask_of({x, mid}))
+    assert _add(aut, work, [(b, EPS)], aut.mask_of({x, mid})) == aut.bit(mid)
     assert aut.out(b, EPS) == {x, mid}
     assert aut.eclosure(b) == {b, x, mid}
     assert aut.accepts(Configuration("p2", ("g2",), theta0))
     assert list(work) == [((b, EPS), aut.bit(mid))]
     # a merge into a symbol key queues only its new bits too
-    work.add([(a, "g1")], aut.mask_of({mid, x, y}))
+    assert _add(aut, work, [(a, "g1")], aut.mask_of({mid, x, y})) == aut.mask_of({x, y})
     assert aut.out(a, "g1") == {mid, x, y}
     assert list(work) == [((a, "g1"), aut.mask_of({x, y}))]
-    # a new key opens through `add_targets`, which numbers its source and
-    # refuses a label outside the alphabet
+    # a new key numbers its source and refuses a label outside the
+    # alphabet; the answer is what is new under the last key
     c = Plain("c")
-    work.add([(c, "g3")], aut.bit(acc))
-    assert c in aut.states and aut.out(c, "g3") == {acc}
+    xa = aut.mask_of({x, acc})
+    assert _add(aut, work, [(a, "g1"), (c, "g3")], xa) == xa
+    assert c in aut.states and aut.out(c, "g3") == {x, acc}
     with pytest.raises(ValueError, match="not in automaton alphabet"):
-        work.add([(c, "nope")], aut.bit(acc))
-    assert list(work) == [((c, "g3"), aut.bit(acc))]
+        _add(aut, work, [(c, "nope")], aut.bit(acc))
+    # a plain state's key pops first
+    assert list(work) == [((c, "g3"), xa), ((a, "g1"), aut.bit(acc))]
+    # with no worklist, the same loop inserts and queues nothing
+    assert aut.insert([(c, "g2"), (c, "g3")], aut.mask_of({mid, acc})) == aut.bit(mid)
+    assert aut.out(c, "g2") == {mid, acc} and aut.out(c, "g3") == {x, mid, acc}
+    assert work.deltas == {} and list(work) == []
 
 
 def test_a_new_worklist_yields_each_key_once_with_all_its_targets():
@@ -231,7 +242,7 @@ def _phase_keys():
 def test_worklist_pops_plain_state_keys_first():
     aut, work, k0, k1, plain, _ = _phase_keys()
     acc = aut.bit(Plain("acc"))
-    work.add([k1, k0, plain], acc)
+    _add(aut, work, [k1, k0, plain], acc)
     assert [key for key, _ in work] == [plain, k1, k0]
 
 
@@ -239,28 +250,28 @@ def test_worklist_pops_phases_in_the_order_first_seen_and_fifo_within_one():
     aut, work, k0, k1, _, gen1 = _phase_keys()
     x, y = aut.bit(Plain("x")), aut.bit(Plain("y"))
     # theta1 is seen first; its two keys keep the order they came in
-    work.add([k1], x)
-    work.add([k0], x)
-    work.add([gen1], x)
-    work.add([k1], y)       # a key already queued keeps its place
+    _add(aut, work, [k1], x)
+    _add(aut, work, [k0], x)
+    _add(aut, work, [gen1], x)
+    _add(aut, work, [k1], y)       # a key already queued keeps its place
     assert list(work) == [(k1, x | y), (gen1, x), (k0, x)]
     # the ranks hold for the worklist's life, past an empty queue
-    work.add([k0], y)
-    work.add([k1], aut.bit(Plain("z")))
+    _add(aut, work, [k0], y)
+    _add(aut, work, [k1], aut.bit(Plain("z")))
     assert [key for key, _ in work] == [k1, k0]
 
 
 def test_worklist_pops_a_key_of_an_earlier_phase_before_the_later_one_drains():
     aut, work, k0, k1, plain, gen1 = _phase_keys()
     x, y = aut.bit(Plain("x")), aut.bit(Plain("y"))
-    work.add([k0], x)
-    work.add([k1, gen1], x)
+    _add(aut, work, [k0], x)
+    _add(aut, work, [k1, gen1], x)
     popped = []
     for key, _ in work:
         popped.append(key)
         if key == k1:
             # theta0 ranks before theta1, and a plain key before both
-            work.add([k0, plain], y)
+            _add(aut, work, [k0, plain], y)
     assert popped == [k0, k1, plain, k0, gen1]
 
 
@@ -273,14 +284,14 @@ class _FifoWorklist(DeltaWorklist):
         self._fifo = deque()
         super().__init__(aut)
 
-    def _queue(self, key):
+    def queue(self, key):
         self._fifo.append(key)
 
     def __iter__(self):
         while self._fifo:
             key = self._fifo.popleft()
             _FifoWorklist.pops += 1
-            yield key, self._deltas.pop(key)
+            yield key, self.deltas.pop(key)
 
 
 class _CountingWorklist(DeltaWorklist):
@@ -639,10 +650,10 @@ def _step_queries(aut, theta0):
     lambda aut, a, mid, acc, x: aut.add_targets(mid, "g3", aut.bit(acc)),
     lambda aut, a, mid, acc, x: aut.add_targets(a, "g3", aut.bit(acc)),
     lambda aut, a, mid, acc, x: aut.add_transition(x, EPS, acc),
-    # the worklist merges in place, or opens the key through add_targets
-    lambda aut, a, mid, acc, x: DeltaWorklist(aut).add([(mid, "g3")], aut.bit(acc)),
-    lambda aut, a, mid, acc, x: DeltaWorklist(aut).add([(a, "g3")], aut.bit(acc)),
-    lambda aut, a, mid, acc, x: DeltaWorklist(aut).add([(x, EPS)], aut.bit(acc)),
+    # a saturation's insert, which also records the new targets as work
+    lambda aut, a, mid, acc, x: _add(aut, DeltaWorklist(aut), [(mid, "g3")], aut.bit(acc)),
+    lambda aut, a, mid, acc, x: _add(aut, DeltaWorklist(aut), [(a, "g3")], aut.bit(acc)),
+    lambda aut, a, mid, acc, x: _add(aut, DeltaWorklist(aut), [(x, EPS)], aut.bit(acc)),
 ], ids=["add_transition-merge", "add_transition-new", "add_targets-merge",
         "add_targets-new", "add_transition-eps", "worklist-merge", "worklist-new",
         "worklist-eps"])
@@ -660,7 +671,7 @@ def test_worklist_merges_into_an_eps_key_clear_the_step_table():
     aut.add_transition(x, EPS, Plain("y"))
     work = DeltaWorklist(aut)
     _step_queries(aut, theta0)
-    work.add([(x, EPS)], aut.bit(acc))
+    _add(aut, work, [(x, EPS)], aut.bit(acc))
     assert _step_queries(aut, theta0) == _step_queries(aut.copy(), theta0) != before
 
 

@@ -26,10 +26,10 @@ import pytest
 from smpds import Configuration, PdsRule, Phase, SelfModRule, SMPDS, check, from_configs
 from smpds.bench import GenParams, generate
 
-from fixtures import POST_FANOUT_FAMILY, TRANSLATED_FAMILY
+from fixtures import POST_FANOUT_FAMILY, PRE_WIDE_FAMILY, TRANSLATED_FAMILY
 
 RENAMINGS = 3
-PRE_WIDE_SIZED = [(8, 8, 1009, 10, seed) for seed in (1, 2)]
+PRE_WIDE_SIZED = PRE_WIDE_FAMILY[:2]
 ID_POOL = random.Random(0).sample(range(-10**12, 10**12 + 1), 1019)
 
 
