@@ -33,7 +33,7 @@ instruction checked, but compiles only when every 'selfmod' is erased.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formats import FormatError
 from .model import Configuration, Phase, PdsRule, RuleId, SelfModRule, SMPDS
@@ -51,16 +51,14 @@ class AsmError(FormatError):
     """A line-numbered error in a program text."""
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     label: str
     opcode: str
     operands: tuple[str, ...]
     lineno: int = 0
 
 
-@dataclass
-class Program:
+class Program(NamedTuple):
     entry: str
     instructions: list[Instruction]
 
@@ -142,12 +140,11 @@ def _check_body(lineno: int, op: str, operands: tuple[str, ...]) -> tuple[str, .
     return targets + operands[i:] if op in ("jmp", "call") else targets
 
 
-@dataclass
-class CompiledProgram:
+class CompiledProgram(NamedTuple):
     smpds: SMPDS
     rule_for_label: dict[str, RuleId]
     initial_phase: Phase
-    entry_config: Configuration = None
+    entry_config: Configuration
 
 
 def compile_program(prog: Program, erase_selfmod: bool = False) -> CompiledProgram:

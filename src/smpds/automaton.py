@@ -27,8 +27,8 @@ once (`PAutomaton.grouped_transitions`).  The printers, text and
 GraphViz alike, live in `formats`, which alone names states.
 
 Two operations carry every layer, and both live here: inserting
-transitions (`insert`, the one loop that writes the store; `add_targets`
-and `add_transition` are its one-key cases) and stepping a mask of
+transitions (`insert`, the one loop that writes the store;
+`add_transition` is its one-edge case) and stepping a mask of
 states over a symbol with eps moves free (`_close` and `_step`, over the
 cached eps-closure masks).  Membership, enumeration and direct pre* all
 read closures through them.  `_step` keeps its answers in a table per
@@ -188,13 +188,6 @@ class PAutomaton:
         """Insert a transition; returns False if it was already present."""
         return bool(self.insert(((src, label),), self.bit(dst)))
 
-    def add_targets(self, src: AutState, label: Label, dsts: int) -> int:
-        """Insert src --label--> d for every state d whose bit the mask
-        `dsts` holds; returns the mask of the targets that were not
-        present yet.  `dsts` is made of this automaton's bits (`bit`,
-        `mask_of`)."""
-        return self.insert(((src, label),), dsts)
-
     def insert(self, edges: Iterable[tuple[AutState, Label]], dsts: int,
                deltas: Optional[dict[tuple[AutState, Label], int]] = None,
                queue: Optional[Callable[[tuple[AutState, Label]], None]] = None
@@ -315,10 +308,6 @@ class PAutomaton:
 
     def has_epsilon(self) -> bool:
         return self._has_eps
-
-    def out(self, q: AutState, label: Label) -> set[AutState]:
-        """The targets of the `label` edges from `q`, as a new set."""
-        return set(self.states_of(self._out.get(q, _NO_LABELS).get(label, 0)))
 
     def eclosure(self, q: AutState) -> frozenset[AutState]:
         """The states reachable from `q` by eps edges, `q` included."""

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Configuration, Phase, PdsRule, SelfModRule, SMPDS
 
 
-@dataclass
-class GenParams:
+class GenParams(NamedTuple):
     num_states: int = 4
     num_symbols: int = 4
     num_rules: int = 8
@@ -18,8 +17,7 @@ class GenParams:
     seed: int = 0
 
 
-@dataclass
-class Instance:
+class Instance(NamedTuple):
     smpds: SMPDS
     initial: Configuration
     target: Configuration

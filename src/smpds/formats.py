@@ -17,7 +17,7 @@ Automaton format (phase names resolve against a model document):
 
 Symbolic-PDS format, printed only: rule r in the phases that hold it;
 r: p --(r1, r2)--> p' once per symbol, from the phases that hold r and
-r1 to those with r1 swapped for r2:
+r1 to those with r1 swapped for r2; |Delta| + |Delta_c|*|Gamma| lines:
 
     symrule <i>: <p> <gamma> -[id(<r>)]-> <p'> [<g1> [<g2> ...]]
     symrule <i>: <p> <gamma> -[mod(<r>,<r1>,<r2>)]-> <p'> <gamma>
@@ -30,10 +30,14 @@ once, is one token and neither starts with '{' nor holds '@'.  The label
 `eps` is epsilon, so no model may use `eps` as a stack symbol.  A state
 token `gen:p:g1:...:gk@theta` is the generated state of post* for the
 control point p, the pushed prefix g1...gk and the phase, so no control
-point or stack symbol of a model text holds ':'.  In it and in a token
-`p@theta`, p is not empty.  Printing is canonical, so parse o print is
-the identity; a model prints its `phase` lines in declaration order,
-which keeps the name that each phase is printed under.
+point or stack symbol of a model text holds ':'.  That is a rule of the
+text only: a model built in code may use ':', since post* keeps a pushed
+prefix as a tuple, but it cannot be printed and read back.  The token
+names the whole prefix, so a printed post* result grows with the square
+of its longest push.  In it and in a token `p@theta`, p is not empty.
+Printing is canonical, so parse o print is the identity; a model prints
+its `phase` lines in declaration order, which keeps the name that each
+phase is printed under.
 `print_dot` draws an automaton for GraphViz; each node's ID is the token
 above for its state, so one name stands for a state in either output.
 Each printer collects its output as one list of pieces and joins it
@@ -45,9 +49,9 @@ become rules in bulk; only the few lines in the gaps between rule lines
 are read one by one, and their line numbers are counted from the gaps.  A
 faulty model is read a second time, line by line, only to find its first
 bad line.  An automaton is read with one `findall`, a tuple per line.
-Rules and configurations are `NamedTuple`s, so each compares equal to a
-plain tuple of its fields.  Both parsers run with the cyclic collector
-paused (see `model`).
+Rules, configurations and documents are `NamedTuple`s, so each compares
+equal to a plain tuple of its fields.  Both parsers run with the cyclic
+collector paused (see `model`).
 
 `load` parses a model text and, when given, an automaton text, and
 raises unless both validate: a faulty model is reported before its
@@ -59,10 +63,9 @@ prints.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
 from .model import (Configuration, Phase, PdsRule, SelfModRule, SMPDS,
@@ -102,12 +105,11 @@ def _ints(text: str, lineno: int, message: str) -> list[int]:
     raise FormatError(lineno, message)
 
 
-@dataclass
-class SmpdsDocument:
+class SmpdsDocument(NamedTuple):
     """A parsed model file: the system plus named phases and configurations."""
     smpds: SMPDS
-    phase_names: dict[str, Phase] = field(default_factory=dict)
-    configs: list[Configuration] = field(default_factory=list)
+    phase_names: dict[str, Phase]
+    configs: list[Configuration]
 
     def phase_name(self, phase: Phase) -> str:
         """The first-declared name of `phase`, else its anonymous form {0,2,5}."""
@@ -197,7 +199,7 @@ def parse_smpds(text: str) -> SmpdsDocument:
         _raise_first_error(text)
         raise
     rules = model.rules
-    doc = SmpdsDocument(SMPDS(model.states, model.alphabet, rules))
+    doc = SmpdsDocument(SMPDS(model.states, model.alphabet, rules), {}, [])
     for name, (lineno, ids) in model.phase_lines.items():
         members = frozenset(ids)
         if not rules.keys() >= members:

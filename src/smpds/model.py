@@ -28,7 +28,6 @@ collector's walk until the call returns.
 from __future__ import annotations
 
 import gc
-from dataclasses import FrozenInstanceError
 from functools import cached_property, wraps
 from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
@@ -97,6 +96,10 @@ class InternTable(dict):
         return value
 
 
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, a field of an `Interned` value."""
+
+
 class Interned:
     """Base of the interned values: `Phase` and the automaton states
     (`automaton.Initial`, `Plain` and `Generated`).
@@ -104,10 +107,10 @@ class Interned:
     A second call of a subclass's constructor with the same fields returns
     the first call's object, so equality and hashing are those of
     `object`: an identity test and an address hash, both in C, where a
-    frozen dataclass would run a generated Python `__eq__`/`__hash__` that
-    builds a tuple of the fields on every set or dict operation.  The
-    slots are the fields, in constructor order, and they are read-only:
-    assigning or deleting one raises `FrozenInstanceError`.
+    record compared by value would build or hash a tuple of its fields on
+    every set or dict operation.  The slots are the fields, in constructor
+    order, and they are read-only: assigning or deleting one raises
+    `FrozenInstanceError`.
 
     Each subclass keeps its values in its own `InternTable`, `_table`,
     for the life of the process, and its constructor is one subscript of

@@ -29,6 +29,11 @@ from smpds.automaton import EPS, Generated, Initial
 from smpds.model import Configuration, PdsRule, Phase
 
 
+def targets_of(aut, q, label):
+    """The targets of the `label` edges from `q` in `aut`, as a new set."""
+    return set(aut.states_of(aut._out.get(q, {}).get(label, 0)))
+
+
 def solve_predecessor_phases(theta, rid, rule):
     """Phases theta' from which firing modifying rule `rid` yields `theta`.
 
@@ -206,7 +211,7 @@ def reference_pds_poststar(pds, aut):
             if label is EPS:
                 eps_into.setdefault(dst, set()).add(src)
                 for symbol in sorted(result.alphabet):
-                    for q in result.out(dst, symbol):
+                    for q in targets_of(result, dst, symbol):
                         new_fact(src, symbol, q)
             else:
                 new_fact(src, label, dst)

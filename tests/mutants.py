@@ -157,6 +157,11 @@ MUTANTS = [
            "return [(r.to_state, phase[mask | added])",
            "tests/test_acceptance.py::test_criterion_1_golden_replay",
            "an empty-stack move drops the removed rule from the phase"),
+    Mutant("interned-fields-assignable", "src/smpds/model.py",
+           '        raise FrozenInstanceError(f"cannot assign to field {name!r}")\n',
+           "        object.__setattr__(self, name, value)\n",
+           "tests/test_model.py::test_phase_mask_is_read_only",
+           "an interned value is shared, so no field of it may be rebound"),
     Mutant("collector-paused-turns-on-an-off-collector", "src/smpds/model.py",
            "        if not gc.isenabled():\n            return fn(*args, **kwargs)\n",
            "",

@@ -3,7 +3,7 @@
 Everything here is written directly against the definition of the step
 relation, deliberately sharing no code with smpds.model: configurations
 are plain tuples (state, stack, frozenset-of-rule-ids) and rules are
-looked at through the public dataclass fields only.
+looked at through their public NamedTuple fields only.
 """
 
 from __future__ import annotations

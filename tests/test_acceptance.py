@@ -172,7 +172,7 @@ def test_criterion_4_single_step_equivalence(corpus):
             + [c for c in rec.samples if c.stack]
         phases = phase_closure(m, {c.phase for c in probe} | {rec.initial.phase})
         rules = list(to_pds(m, phases).rules)
-        symbolic = print_symbolic_pds(SmpdsDocument(m))
+        symbolic = print_symbolic_pds(SmpdsDocument(m, {}, []))
         rng = random.Random(rec.seed * 17)
         symbols = sorted(m.alphabet)
         states = sorted(m.states)
@@ -244,7 +244,7 @@ def test_criterion_6_symbolic_size_formula(corpus):
     """The printed symbolic PDS has |Delta| + |Delta_c| * |Gamma| lines."""
     for rec in corpus:
         m = rec.smpds
-        lines = print_symbolic_pds(SmpdsDocument(m)).splitlines()
+        lines = print_symbolic_pds(SmpdsDocument(m, {}, [])).splitlines()
         assert len(lines) == len(m.delta) + len(m.delta_c) * len(m.alphabet)
 
 

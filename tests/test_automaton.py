@@ -36,6 +36,7 @@ from smpds.poststar import poststar
 from smpds.prestar import prestar
 from smpds.translate import pds_poststar, pds_prestar
 
+from classical_reference import targets_of
 from fixtures import POST_FANOUT_FAMILY, multi_phase_target, swap_example
 from test_acceptance import _corpus_draw
 
@@ -124,26 +125,26 @@ def test_generated_states_distinct():
     assert len(set(kinds)) == 3
 
 
-def test_add_targets_inserts_a_set_and_returns_what_was_new():
+def test_insert_under_one_key_adds_a_set_and_returns_what_was_new():
     m, theta0, aut, a, mid, acc = _basic()
     other = Plain("other")
-    new = aut.add_targets(a, "g1", aut.mask_of({mid, other}))
+    new = aut.insert(((a, "g1"),), aut.mask_of({mid, other}))
     assert new == aut.bit(other) and aut.states_of(new) == [other]
     assert (a, "g1", other) in aut.transitions and other in aut.states
-    assert aut.out(a, "g1") == {mid, other}
-    assert aut.add_targets(a, "g1", aut.bit(mid)) == 0
+    assert targets_of(aut, a, "g1") == {mid, other}
+    assert aut.insert(((a, "g1"),), aut.bit(mid)) == 0
     b = Initial("p2", theta0)
-    assert aut.add_targets(b, "g2", aut.bit(acc)) == aut.bit(acc) and b in aut.states
-    assert aut.add_targets(b, "g3", 0) == 0
+    assert aut.insert(((b, "g2"),), aut.bit(acc)) == aut.bit(acc) and b in aut.states
+    assert aut.insert(((b, "g3"),), 0) == 0
     assert not aut.has_epsilon()
-    assert aut.add_targets(b, EPS, aut.bit(mid)) == aut.bit(mid) and aut.has_epsilon()
+    assert aut.insert(((b, EPS),), aut.bit(mid)) == aut.bit(mid) and aut.has_epsilon()
     assert aut.accepts(Configuration("p2", ("g2",), theta0))
     with pytest.raises(ValueError):
-        aut.add_targets(a, "nope", aut.bit(mid))
+        aut.insert(((a, "nope"),), aut.bit(mid))
     # the views agree
     labels = sorted(aut.alphabet) + [EPS]
     assert aut.transitions == {(s, label, d) for s in aut.states for label in labels
-                               for d in aut.out(s, label)}
+                               for d in targets_of(aut, s, label)}
     assert aut.transition_count() == len(aut.transitions)
 
 
@@ -171,7 +172,7 @@ def test_worklist_accumulates_adds_made_before_a_pop():
     _add(aut, work, [key], aut.mask_of({x, y}))
     _add(aut, work, [key], aut.bit(z))
     assert list(work) == [(key, aut.mask_of({y, z}))]
-    assert aut.out(a, "g3") == {x, y, z}
+    assert targets_of(aut, a, "g3") == {x, y, z}
     # an insert queues only the keys it brings something new
     _add(aut, work, [key, (a, "g1")], aut.mask_of({x, y}))
     assert list(work) == [((a, "g1"), aut.mask_of({x, y}))]
@@ -189,33 +190,34 @@ def test_insert_merges_in_place_opens_new_keys_and_queues_only_new_bits():
     # a merge into the eps key b --eps--> ... reaches the closure cache and
     # membership, and queues only the bit it brings
     assert _add(aut, work, [(b, EPS)], aut.mask_of({x, mid})) == aut.bit(mid)
-    assert aut.out(b, EPS) == {x, mid}
+    assert targets_of(aut, b, EPS) == {x, mid}
     assert aut.eclosure(b) == {b, x, mid}
     assert aut.accepts(Configuration("p2", ("g2",), theta0))
     assert list(work) == [((b, EPS), aut.bit(mid))]
     # a merge into a symbol key queues only its new bits too
     assert _add(aut, work, [(a, "g1")], aut.mask_of({mid, x, y})) == aut.mask_of({x, y})
-    assert aut.out(a, "g1") == {mid, x, y}
+    assert targets_of(aut, a, "g1") == {mid, x, y}
     assert list(work) == [((a, "g1"), aut.mask_of({x, y}))]
     # a new key numbers its source and refuses a label outside the
     # alphabet; the answer is what is new under the last key
     c = Plain("c")
     xa = aut.mask_of({x, acc})
     assert _add(aut, work, [(a, "g1"), (c, "g3")], xa) == xa
-    assert c in aut.states and aut.out(c, "g3") == {x, acc}
+    assert c in aut.states and targets_of(aut, c, "g3") == {x, acc}
     with pytest.raises(ValueError, match="not in automaton alphabet"):
         _add(aut, work, [(c, "nope")], aut.bit(acc))
     # a plain state's key pops first
     assert list(work) == [((c, "g3"), xa), ((a, "g1"), aut.bit(acc))]
     # with no worklist, the same loop inserts and queues nothing
     assert aut.insert([(c, "g2"), (c, "g3")], aut.mask_of({mid, acc})) == aut.bit(mid)
-    assert aut.out(c, "g2") == {mid, acc} and aut.out(c, "g3") == {x, mid, acc}
+    assert targets_of(aut, c, "g2") == {mid, acc}
+    assert targets_of(aut, c, "g3") == {x, mid, acc}
     assert work.deltas == {} and list(work) == []
 
 
 def test_a_new_worklist_yields_each_key_once_with_all_its_targets():
     m, theta0, aut, a, mid, acc = _basic()
-    aut.add_targets(a, "g1", aut.mask_of({Plain("x"), Plain("y")}))
+    aut.insert(((a, "g1"),), aut.mask_of({Plain("x"), Plain("y")}))
     aut.add_transition(a, EPS, acc)
     aut.add_final(Initial("p2", theta0))     # a state with no edge has no key
     before = aut.transitions
@@ -223,7 +225,7 @@ def test_a_new_worklist_yields_each_key_once_with_all_its_targets():
     assert len(popped) == len({key for key, _ in popped})
     assert {(src, label, d) for (src, label), delta in popped
             for d in aut.states_of(delta)} == before
-    assert all(set(aut.states_of(delta)) == aut.out(src, label)
+    assert all(set(aut.states_of(delta)) == targets_of(aut, src, label)
                for (src, label), delta in popped)
 
 
@@ -345,8 +347,7 @@ def test_saturations_reach_the_same_fixpoint_in_fifo_and_phase_order(monkeypatch
 
 def test_every_saturation_inserts_through_the_worklist_alone(monkeypatch):
     """Direct and classical pre* and post* all insert through
-    `DeltaWorklist.add`, which merges into a key already in the store
-    itself and opens a new key with `add_targets`, so none of them
+    `PAutomaton.insert` with their worklist's deltas, so none of them
     reaches `add_transition`."""
     runs = []
     for seed in range(1, 41):
@@ -514,7 +515,7 @@ def test_interleaved_inserts_keep_one_store():
             ref.add((src, label, dst))
         else:
             dsts = set(rng.sample(states, rng.randint(0, 3)))
-            new = aut.add_targets(src, label, aut.mask_of(dsts))
+            new = aut.insert(((src, label),), aut.mask_of(dsts))
             assert set(aut.states_of(new)) == {d for d in dsts
                                                if (src, label, d) not in ref}
             ref.update((src, label, d) for d in dsts)
@@ -540,23 +541,19 @@ def test_transitions_is_a_snapshot():
     snapshot.add((mid, "g3", acc))
     snapshot.discard((a, "g1", mid))
     assert aut.transitions == {(a, "g1", mid), (mid, "g2", acc)}
-    assert aut.out(mid, "g3") == set() and aut.out(a, "g1") == {mid}
+    assert targets_of(aut, mid, "g3") == set() and targets_of(aut, a, "g1") == {mid}
     assert aut.accepts(Configuration("p1", ("g1", "g2"), theta0))
     with pytest.raises(AttributeError):
         aut.transitions = set()
 
 
 def test_set_views_are_copies():
-    """`out`, `states` and `finals` hand back new sets: changing one
-    leaves the automaton unchanged."""
+    """`states` and `finals` hand back new sets: changing one leaves the
+    automaton unchanged."""
     m, theta0, aut, a, mid, acc = _basic()
     before = (aut.transitions, aut.states, aut.finals)
-    targets = aut.out(a, "g1")
-    targets.add(acc)
-    targets.discard(mid)
     aut.states.add(Plain("x"))
     aut.finals.add(mid)
-    assert aut.out(a, "g1") == {mid}
     assert (aut.transitions, aut.states, aut.finals) == before
     assert aut.accepts(Configuration("p1", ("g1", "g2"), theta0))
     assert not aut.accepts(Configuration("p1", ("g1",), theta0))
@@ -613,7 +610,7 @@ def test_copy_equals_original_and_shares_no_mutable_set():
     only_in_dup = Plain("only_in_dup")
     dup.add_transition(mid, "g3", only_in_dup)
     dup.add_transition(a, "g1", mid)
-    dup.add_targets(a, "g2", dup.mask_of({mid, acc}))
+    dup.insert(((a, "g2"),), dup.mask_of({mid, acc}))
     dup.add_final(only_in_dup)
     assert (aut.states, aut.finals, aut.transitions,
             {q: aut.bit(q) for q in aut.states}) == before
@@ -647,15 +644,15 @@ def _step_queries(aut, theta0):
     # into a key already in the store, and into a new one
     lambda aut, a, mid, acc, x: aut.add_transition(mid, "g3", acc),
     lambda aut, a, mid, acc, x: aut.add_transition(a, "g3", acc),
-    lambda aut, a, mid, acc, x: aut.add_targets(mid, "g3", aut.bit(acc)),
-    lambda aut, a, mid, acc, x: aut.add_targets(a, "g3", aut.bit(acc)),
+    lambda aut, a, mid, acc, x: aut.insert(((mid, "g3"),), aut.bit(acc)),
+    lambda aut, a, mid, acc, x: aut.insert(((a, "g3"),), aut.bit(acc)),
     lambda aut, a, mid, acc, x: aut.add_transition(x, EPS, acc),
     # a saturation's insert, which also records the new targets as work
     lambda aut, a, mid, acc, x: _add(aut, DeltaWorklist(aut), [(mid, "g3")], aut.bit(acc)),
     lambda aut, a, mid, acc, x: _add(aut, DeltaWorklist(aut), [(a, "g3")], aut.bit(acc)),
     lambda aut, a, mid, acc, x: _add(aut, DeltaWorklist(aut), [(x, EPS)], aut.bit(acc)),
-], ids=["add_transition-merge", "add_transition-new", "add_targets-merge",
-        "add_targets-new", "add_transition-eps", "worklist-merge", "worklist-new",
+], ids=["add_transition-merge", "add_transition-new", "insert-merge",
+        "insert-new", "add_transition-eps", "worklist-merge", "worklist-new",
         "worklist-eps"])
 def test_stepping_queries_see_the_edge_after_every_insert_path(insert):
     theta0, aut, a, mid, acc, x, before = _stepped()

@@ -172,7 +172,7 @@ def _reference_parse_smpds(text):
             config_lines.append((lineno, toks))
         else:
             raise FormatError(lineno, f"unknown directive {head!r}")
-    doc = SmpdsDocument(SMPDS(states, alphabet, rules))
+    doc = SmpdsDocument(SMPDS(states, alphabet, rules), {}, [])
     for name, (lineno, ids) in phase_lines.items():
         for rid in ids:
             if rid not in rules:

@@ -122,6 +122,6 @@ def test_push_depth_is_not_stack_depth():
     assert not post.accepts(Configuration("q", word[:-1], th))
     assert Generated("q", word[:n - 1], th) in post.states
     assert prestar(m, from_configs(m, [target])).accepts(c0)
-    doc = SmpdsDocument(m, {"th": th})
+    doc = SmpdsDocument(m, {"th": th}, [])
     back = parse_automaton(print_automaton(post, doc), doc)
     assert back.transitions == post.transitions and back.finals == post.finals

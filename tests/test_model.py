@@ -4,7 +4,6 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from smpds import (
 )
 from smpds.bench import GenParams, generate
 from smpds.formats import parse_smpds
-from smpds.model import _IDS, InternTable, rule_bit, step
+from smpds.model import _IDS, FrozenInstanceError, InternTable, rule_bit, step
 from smpds.poststar import poststar
 from smpds.prestar import prestar
 

@@ -1,9 +1,12 @@
-"""The package's surface: the saturation modules keep their names, and the
-README's library sketch runs as it is printed."""
+"""The package's surface: the saturation modules keep their names, the
+README's library sketch runs as it is printed, and the command line's
+import loads no module it does not need."""
 
 import ast
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -39,3 +42,14 @@ def test_the_readme_library_sketch_runs():
     namespace: dict = {}
     exec(compile(ast.Module(body, type_ignores=[]), "README.md", "exec"), namespace)
     assert eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace) is True
+
+
+def test_importing_the_command_line_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hook's imports count; records are NamedTuples, so only a
+    # stray import of `dataclasses` (which loads `inspect`) fails this
+    src = Path(smpds.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import smpds.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

@@ -377,7 +377,7 @@ def test_saturations_build_no_paired_rule():
 
 def test_symbolic_size_formula():
     m, *_ = swap_example()
-    lines = print_symbolic_pds(SmpdsDocument(m)).splitlines()
+    lines = print_symbolic_pds(SmpdsDocument(m, {}, [])).splitlines()
     assert len(lines) == len(m.delta) + len(m.delta_c) * len(m.alphabet)
 
 
@@ -409,7 +409,7 @@ def test_pds_step_equivalence(seed):
                               num_smrules=2, seed=3000 + seed))
     m, c0 = inst.smpds, inst.initial
     rules = list(to_pds(m, phase_closure(m, [c0.phase])).rules)
-    symbolic = print_symbolic_pds(SmpdsDocument(m))
+    symbolic = print_symbolic_pds(SmpdsDocument(m, {}, []))
     reach, _ = raw_reach(m, c0, 4, 4000)
     for c in reach:
         if not c.stack:
