@@ -49,8 +49,11 @@ become rules in bulk; only the few lines in the gaps between rule lines
 are read one by one, and their line numbers are counted from the gaps.  A
 faulty model is read a second time, line by line, only to find its first
 bad line.  An automaton is read with one `findall`, a tuple per line.
-Rules, configurations and documents are `NamedTuple`s, so each compares
-equal to a plain tuple of its fields.  Both parsers run with the cyclic
+A model's config phases and an automaton's state tokens are each read
+through a token table, a `model.InternTable`, which parses a token once,
+at its first line, so an error in it names that line.  Rules,
+configurations and documents are `NamedTuple`s, so each compares equal
+to a plain tuple of its fields.  Both parsers run with the cyclic
 collector paused (see `model`).
 
 `load` parses a model text and, when given, an automaton text, and
@@ -68,7 +71,7 @@ from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .automaton import EPS, AutState, Generated, Initial, PAutomaton, Plain
-from .model import (Configuration, Phase, PdsRule, SelfModRule, SMPDS,
+from .model import (Configuration, InternTable, Phase, PdsRule, SelfModRule, SMPDS,
                     check_configuration, collector_paused, validate)
 
 
@@ -113,13 +116,12 @@ class SmpdsDocument(NamedTuple):
 
     def phase_name(self, phase: Phase) -> str:
         """The first-declared name of `phase`, else its anonymous form {0,2,5}."""
-        return _PhaseNames(self)[phase]
+        return _phase_names(self)[phase]
 
     def resolve_phase(self, token: str, lineno: int = 0) -> Phase:
         if token.startswith("{") and token.endswith("}"):
-            message = f"phase {token}: ids must be integers"
-            return Phase.of([_int(t.strip(), lineno, message)
-                             for t in token[1:-1].split(",") if t.strip()])
+            return Phase.of(_ints(token[1:-1].replace(",", " "), lineno,
+                                  f"phase {token}: ids must be integers"))
         if token not in self.phase_names:
             raise FormatError(lineno, f"unknown phase {token!r}")
         return self.phase_names[token]
@@ -208,12 +210,9 @@ def parse_smpds(text: str) -> SmpdsDocument:
             raise FormatError(lineno, f"phase {name!r}: unknown rule id {rid}")
         doc.phase_names[name] = Phase.of(members)
     # each phase token is resolved once, at its first line
-    phases: dict[str, Phase] = {}
+    phases = InternTable(lambda token: doc.resolve_phase(token, lineno))
     for lineno, toks in model.config_lines:
-        phase = phases.get(toks[1])
-        if phase is None:
-            phase = phases[toks[1]] = doc.resolve_phase(toks[1], lineno)
-        doc.configs.append(Configuration(toks[0], tuple(toks[2:]), phase))
+        doc.configs.append(Configuration(toks[0], tuple(toks[2:]), phases[toks[1]]))
     return doc
 
 
@@ -341,7 +340,7 @@ def _directive(model: _Model, line: str, lineno: int) -> None:
 
 def print_smpds(doc: SmpdsDocument) -> str:
     m = doc.smpds
-    phase_name = _PhaseNames(doc).__getitem__
+    phase_name = _phase_names(doc).__getitem__
     lines = [f"state {s}" for s in sorted(m.states)]
     lines += [f"symbol {g}" for g in sorted(m.alphabet)]
     for rid in sorted(m.delta):
@@ -360,7 +359,7 @@ def print_smpds(doc: SmpdsDocument) -> str:
 
 def print_configs(configs: Iterable[Configuration], doc: SmpdsDocument) -> str:
     """The `config:` lines of `configs`, sorted; nothing for none."""
-    phase_name = _PhaseNames(doc).__getitem__
+    phase_name = _phase_names(doc).__getitem__
     lines = [_config_line(c, phase_name) for c in sorted(
         configs, key=lambda c: (len(c.stack), c.state, c.stack, phase_name(c.phase)))]
     return "\n".join([*lines, ""])
@@ -423,19 +422,14 @@ def _token(q: AutState, phase_name) -> str:
     return q.name
 
 
-class _PhaseNames(dict):
+def _phase_names(doc: SmpdsDocument) -> InternTable:
     """Phase -> printed name for one output, each phase named once: the
     first-declared name, else the anonymous form.  Every printer, and
     `SmpdsDocument.phase_name`, names phases through one."""
-
-    def __init__(self, doc: SmpdsDocument):
-        super().__init__()
-        for name, phase in doc.phase_names.items():
-            self.setdefault(phase, name)
-
-    def __missing__(self, phase: Phase) -> str:
-        name = self[phase] = repr(phase)
-        return name
+    names = InternTable(repr)
+    for name, phase in doc.phase_names.items():
+        names.setdefault(phase, name)
+    return names
 
 
 def parse_state_token(token: str, doc: SmpdsDocument, lineno: int = 0) -> AutState:
@@ -464,15 +458,8 @@ _AUT_LINE = re.compile(rf"(?:{_W}*trans {_W}*(\S+){_W}+(\S+){_W}+(\S+){_W}*|(.*)
 @collector_paused
 def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
     aut = PAutomaton(doc.smpds.alphabet)
-    # each distinct token is parsed once, phase and all
-    states: dict[str, AutState] = {}
-
-    def state(token: str, lineno: int) -> AutState:
-        q = states.get(token)
-        if q is None:
-            q = states[token] = parse_state_token(token, doc, lineno)
-        return q
-
+    # each distinct token is parsed once, phase and all, at its first line
+    states = InternTable(lambda token: parse_state_token(token, doc, lineno))
     text = _clean(text)
     lines = _AUT_LINE.findall(text)
     spaced = _spaced_phase(text)
@@ -481,8 +468,8 @@ def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
         del lines[spaced.lineno - 1:]
     for lineno, (src, label, dst, line) in enumerate(lines, 1):
         if src:
-            src = state(src, lineno)
-            dst = state(dst, lineno)
+            src = states[src]
+            dst = states[dst]
             if label == "eps":
                 label = EPS
             elif label not in aut.alphabet:
@@ -501,7 +488,7 @@ def parse_automaton(text: str, doc: SmpdsDocument) -> PAutomaton:
         elif head == "final":
             if len(toks) != 1:
                 raise FormatError(lineno, "final needs one state")
-            aut.add_final(state(toks[0], lineno))
+            aut.add_final(states[toks[0]])
         elif head == "trans":
             raise FormatError(lineno, "trans needs '<state> <label> <state>'")
         else:
@@ -549,7 +536,7 @@ def load(model_text: str, automaton_text: str | None = None
 
 
 def print_automaton(aut: PAutomaton, doc: SmpdsDocument) -> str:
-    phase_name = _PhaseNames(doc).__getitem__
+    phase_name = _phase_names(doc).__getitem__
     token = {q: _token(q, phase_name) for q in aut.states}
     parts = []
     for q in sorted(aut.initial_states(), key=token.__getitem__):
@@ -571,7 +558,7 @@ def print_dot(aut: PAutomaton, doc: SmpdsDocument) -> str:
     """GraphViz rendering for inspection: each node's ID is the token
     `print_automaton` prints for its state, each ID and label quoted with
     `\\` and `"` escaped."""
-    phase_name = _PhaseNames(doc).__getitem__
+    phase_name = _phase_names(doc).__getitem__
     name = {q: _dot_escape(_token(q, phase_name)) for q in aut.states}
     finals = aut.finals
     parts = ["digraph pautomaton {\n  rankdir=LR;\n"]
@@ -599,7 +586,7 @@ def _dot_escape(text: str) -> str:
 
 def print_pds(pds, doc: SmpdsDocument) -> str:
     """Mirror of the model format with paired-state names p@theta."""
-    phase_name = _PhaseNames(doc).__getitem__
+    phase_name = _phase_names(doc).__getitem__
     lines = []
     for i, ((p, theta), gamma, (q, theta1), word) in enumerate(pds.rules):
         rhs = " ".join((f"{q}@{phase_name(theta1)}", *word))

@@ -83,7 +83,12 @@ class InternTable(dict):
     lacks is handed to `make`, and the value is stored and returned, so a
     hit is one subscript in C and a miss builds the value once.  A
     `make` that raises stores nothing.  `.get` and `in` look a key up
-    without building anything."""
+    without building anything.
+
+    Besides interning phases and automaton states, it is the package's
+    one build-on-miss table: `formats` names the phases of each printed
+    output through one (`_phase_names`), and its parsers read config
+    phases and state tokens through token tables."""
 
     __slots__ = ("make",)
 

@@ -45,6 +45,8 @@ no reference cycle and runs with the cyclic collector paused (see
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .automaton import (_NO_LABELS, EPS, AutState, DeltaWorklist, Generated, Initial,
                         Label, PAutomaton)
 from .model import collector_paused
@@ -72,9 +74,10 @@ def poststar(rules, aut: PAutomaton) -> PAutomaton:
     # the intern tables, which build a missing state
     initial = Initial._table
     generated = Generated._table
-    # epsilon edges go from initial states to non-initial states only,
-    # so closures never chain
-    eps_into: dict[AutState, set[Initial]] = {}
+    # the initial sources of the eps edges into each state, a set made on
+    # a state's first eps edge; epsilon edges go from initial states to
+    # non-initial states only, so closures never chain
+    eps_into: defaultdict[AutState, set[Initial]] = defaultdict(set)
     # reading facts: g -> (p,theta) -> [mask of the q's seen so far, its
     # firing plan]; every label of the automaton is in its alphabet
     facts: dict[str, dict[Initial, list]] = {g: {} for g in result.alphabet}
@@ -135,10 +138,7 @@ def poststar(rules, aut: PAutomaton) -> PAutomaton:
             # eps edges
             joined: dict[str, int] = {}
             for mid in states_of(delta):
-                into = eps_into.get(mid)
-                if into is None:
-                    into = eps_into[mid] = set()
-                into.add(src)
+                eps_into[mid].add(src)
                 for symbol, targets in out.get(mid, _NO_LABELS).items():
                     joined[symbol] = joined.get(symbol, 0) | targets
             for symbol, targets in joined.items():

@@ -193,6 +193,22 @@ MUTANTS = [
            "tests/test_formats.py::test_parse_errors_carry_line_numbers"
            "[rule 0: p a -> q\\nrule 0: p a -> q\\n-duplicate]",
            "two rule lines with one id are an error"),
+    Mutant("config-phase-table-binds-its-line-at-definition", "src/smpds/formats.py",
+           "    phases = InternTable(lambda token: doc.resolve_phase(token, lineno))\n",
+           "    lineno = 0\n"
+           "    phases = InternTable(lambda token, lineno=lineno: "
+           "doc.resolve_phase(token, lineno))\n",
+           "tests/test_formats.py::test_parse_errors_carry_line_numbers"
+           "[rule 0: p a -> q\\nconfig: p {+0} a\\n"
+           "-line 2: phase {+0}: ids must be integers]",
+           "a config phase that fails names the line where its token first stands"),
+    Mutant("automaton-token-table-binds-its-line-at-definition", "src/smpds/formats.py",
+           "    states = InternTable(lambda token: parse_state_token(token, doc, lineno))\n",
+           "    lineno = 0\n"
+           "    states = InternTable(lambda token, lineno=lineno: "
+           "parse_state_token(token, doc, lineno))\n",
+           "tests/test_formats.py::test_automaton_parse_errors",
+           "a state token that fails names the line where it first stands"),
     Mutant("load-skips-the-automaton-phase-check", "src/smpds/formats.py",
            "                 if not doc.smpds.knows(phase)]\n",
            "                 if False]\n",
